@@ -123,9 +123,6 @@ class RealEnclosure:
         values = (self.lo * self.lo, self.hi * self.hi)
         return RealEnclosure(min(values), max(values))
 
-    def hull(self, other: "RealEnclosure") -> "RealEnclosure":
-        return RealEnclosure(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def outward(self, bits: int) -> "RealEnclosure":
         """Widen endpoints outward onto the dyadic grid of step 2**-bits.
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 RANK = 11
@@ -56,6 +58,11 @@ class DivisorClass:
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
+
+    def integral_multiple(self) -> tuple[tuple[int, ...], int]:
+        """(D * self as integers, D) for D the lcm of the denominators."""
+        scale = lcm(*(c.denominator for c in self.coeffs))
+        return tuple(int(c * scale) for c in self.coeffs), scale
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(a + b for a, b in zip(self.coeffs, other.coeffs))
@@ -151,6 +158,11 @@ def pair(a: DivisorClass, b: DivisorClass) -> Fraction:
     for x, y in zip(a.coeffs[1:], b.coeffs[1:]):
         total -= x * y
     return total
+
+
+def pair_integers(a: Sequence[int], b: Sequence[int]) -> int:
+    """The pairing on bare integer coefficient vectors, for the hot loops."""
+    return a[0] * b[0] - sum(map(mul, a[1:], b[1:]))
 
 
 def gram_matrix() -> tuple[tuple[int, ...], ...]:

@@ -41,6 +41,7 @@ from .spectral import EigenSystem, line_pairing_identity_certified
 #: Outward-rounding grid for enumeration margins; keeps denominators small
 #: while leaving enclosures far tighter than any margin decided here.
 ENUMERATION_ROUND_BITS = 320
+_GRID = 1 << ENUMERATION_ROUND_BITS
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,51 @@ def margin_at_midpoints(c: CandidateCurve, witness: ClassEnclosure) -> Fraction:
     return total
 
 
+def _grid_numerators(witness: ClassEnclosure) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Lower and upper endpoints of the ten E-coefficients -t_i, as integers
+    over 2**ENUMERATION_ROUND_BITS.
+
+    The integer margins rest on every endpoint lying on that grid, so an
+    endpoint off it fails the certificate instead of being rounded.
+    """
+    los: list[int] = []
+    his: list[int] = []
+    for coeff in witness.coeffs[1:]:
+        for end, out in ((coeff.lo, los), (coeff.hi, his)):
+            steps, rest = divmod(_GRID, end.denominator)
+            if rest:
+                raise CertificationError(
+                    f"witness endpoint {end} is off the 2^-{ENUMERATION_ROUND_BITS} grid"
+                )
+            out.append(end.numerator * steps)
+    return tuple(los), tuple(his)
+
+
+def _grid_margin(c: CandidateCurve, los, his) -> tuple[int, int]:
+    """Numerators over the grid of margin(c, witness): each a_i picks the
+    endpoint of -t_i that bounds a_i * (-t_i) from below or above."""
+    lo = hi = c.degree * _GRID
+    for a, l, h in zip(c.mults, los, his):
+        if a > 0:
+            lo += a * l
+            hi += a * h
+        elif a < 0:
+            lo += a * h
+            hi += a * l
+    return lo, hi
+
+
+def _grid_midpoint_sum(c: CandidateCurve, sums) -> int:
+    """2 * 2**ENUMERATION_ROUND_BITS * margin_at_midpoints(c, witness), where
+    sums[i] is the sum of the two grid numerators of -t_i."""
+    return 2 * c.degree * _GRID + sum(a * s for a, s in zip(c.mults, sums))
+
+
+def _grid_row(c: CandidateCurve, bounds: tuple[int, int], exact_zero: bool = False) -> MarginRow:
+    lo, hi = bounds
+    return MarginRow(c, RealEnclosure(Fraction(lo, _GRID), Fraction(hi, _GRID)), exact_zero)
+
+
 def _from_weight_pattern(pattern) -> tuple[int, ...]:
     mults = [0] * 10
     for pos, index in enumerate(WEIGHT_ORDER):
@@ -215,29 +261,38 @@ def extreme_candidates(d: int) -> list[CandidateCurve]:
     ]
 
 
+def _degree_one_candidates() -> list[CandidateCurve]:
+    """The distinguished line first, then the 45 two-point lines and the ten
+    exceptional classes."""
+    out = [CandidateCurve.line()]
+    for i, j in itertools.combinations(range(1, 11), 2):
+        out.append(CandidateCurve(1, tuple(1 if k in (i, j) else 0 for k in range(1, 11))))
+    out.extend(CandidateCurve.exceptional(i) for i in range(1, 11))
+    return out
+
+
+def _degree_two_candidates() -> list[CandidateCurve]:
+    return [
+        CandidateCurve(2, tuple(1 if k in subset else 0 for k in range(1, 11)))
+        for subset in itertools.combinations(range(1, 11), 5)
+    ]
+
+
 def check_degree_one(witness: ClassEnclosure) -> list[MarginRow]:
     """Margins of the degree <= 1 curve classes of a general configuration.
 
     The distinguished line (exact zero), the 45 two-point lines H - Ei - Ej,
     and the ten exceptional classes (margin t_i).
     """
-    rows = [MarginRow(CandidateCurve.line(), margin(CandidateCurve.line(), witness), True)]
-    for i, j in itertools.combinations(range(1, 11), 2):
-        c = CandidateCurve(1, tuple(1 if k in (i, j) else 0 for k in range(1, 11)))
-        rows.append(MarginRow(c, margin(c, witness)))
-    for i in range(1, 11):
-        c = CandidateCurve.exceptional(i)
-        rows.append(MarginRow(c, margin(c, witness)))
-    return rows
+    return [
+        MarginRow(c, margin(c, witness), n == 0)
+        for n, c in enumerate(_degree_one_candidates())
+    ]
 
 
 def check_degree_two(witness: ClassEnclosure) -> list[MarginRow]:
     """Margins of the 252 conic classes 2H - sum of five distinct E_i."""
-    rows = []
-    for subset in itertools.combinations(range(1, 11), 5):
-        c = CandidateCurve(2, tuple(1 if k in subset else 0 for k in range(1, 11)))
-        rows.append(MarginRow(c, margin(c, witness)))
-    return rows
+    return [MarginRow(c, margin(c, witness)) for c in _degree_two_candidates()]
 
 
 def _min_row(rows: list[MarginRow]) -> MarginRow:
@@ -304,7 +359,10 @@ def cauchy_schwarz_cutoff(
     The condition is equivalent to d^2 (1 - s) > 2 s for s = sum t_i^2 < 1,
     hence monotone in d: certifying it at d0 certifies every larger degree.
     """
-    s = _square_sum_routes(witness, line_component)
+    return _cutoff_degree(_square_sum_routes(witness, line_component))
+
+
+def _cutoff_degree(s: RealEnclosure) -> int:
     if not s.hi < 1:
         raise CertificationError("sum of squared witness coefficients not below 1")
     d = 1
@@ -317,7 +375,10 @@ def cauchy_schwarz_cutoff(
 
 def cutoff_margin(witness: ClassEnclosure, line_component: RealEnclosure, d: int) -> RealEnclosure:
     """Certified enclosure of d^2 - (sum t_i^2)(d^2 + 2), positive beyond the cutoff."""
-    s = _square_sum_routes(witness, line_component)
+    return _cutoff_margin(_square_sum_routes(witness, line_component), d)
+
+
+def _cutoff_margin(s: RealEnclosure, d: int) -> RealEnclosure:
     return RealEnclosure.exact(d * d) - s * (d * d + 2)
 
 
@@ -327,7 +388,6 @@ class BignessData:
 
     witness_self_pairing: RealEnclosure  # L^2 = 1 - sum t_i^2
     volume_lower_bound: RealEnclosure  # (1 - beta)^2 L^2, from the decomposition
-    homogeneity_consistent: bool  # (2L)^2 == 4 L^2, the quadratic-scaling shadow
 
 
 def bigness_certificates(
@@ -343,9 +403,7 @@ def bigness_certificates(
     lower = (1 - line_component).square() * l_squared
     if not lower.is_positive():
         raise PrecisionBudgetError(f"volume lower bound {lower} not certified positive")
-    doubled = ClassEnclosure(2 * c for c in witness.coeffs)
-    homogeneity = doubled.self_pair() == 4 * l_squared
-    return BignessData(l_squared, lower, homogeneity)
+    return BignessData(l_squared, lower)
 
 
 @dataclass(frozen=True)
@@ -387,15 +445,32 @@ def _reference_lookup() -> dict[tuple[int, tuple[int, ...]], Fraction]:
 
 
 def full_report(eigen: EigenSystem) -> NefReport:
-    """Run every nef check against one certified eigensystem."""
+    """Run every nef check against one certified eigensystem.
+
+    Margins are computed once, as integer numerators on the dyadic grid of
+    the outward-rounded witness (`_grid_margin`); enclosures are built only
+    for the rows the report keeps, and they equal what `margin` returns.
+    """
     witness = eigen.nef_witness.outward(ENUMERATION_ROUND_BITS)
+    los, his = _grid_numerators(witness)
+    sums = tuple(l + h for l, h in zip(los, his))
     checks: list[CheckResult] = []
 
     def record(name: str, passed: bool, detail: str = "") -> None:
         checks.append(CheckResult(name, passed, detail))
 
+    def bounds_of(candidates: list[CandidateCurve]) -> list[tuple[int, int]]:
+        return [_grid_margin(c, los, his) for c in candidates]
+
+    def argmin(candidates: list[CandidateCurve], bounds, indices) -> int:
+        # the midpoint order, (lo + hi) / 2, with the candidate as tie-break
+        return min(indices, key=lambda i: (sum(bounds[i]), candidates[i].mults))
+
     # degree <= 1
-    degree_one = tuple(check_degree_one(witness))
+    degree_one = tuple(
+        _grid_row(c, _grid_margin(c, los, his), n == 0)
+        for n, c in enumerate(_degree_one_candidates())
+    )
     line_row = degree_one[0]
     line_ok = line_row.margin.contains_zero() and line_pairing_identity_certified(
         eigen.dominant_class
@@ -414,20 +489,22 @@ def full_report(eigen: EigenSystem) -> NefReport:
     )
 
     # degree 2
-    degree_two = check_degree_two(witness)
-    two_min = _min_row(degree_two)
+    conics = _degree_two_candidates()
+    conic_bounds = bounds_of(conics)
+    two_min_index = argmin(conics, conic_bounds, range(len(conics)))
+    two_min = _grid_row(conics[two_min_index], conic_bounds[two_min_index])
     record(
         "degree-2 margins positive",
-        all(r.margin.is_positive() for r in degree_two),
-        f"{len(degree_two)} conic classes",
+        all(lo > 0 for lo, _ in conic_bounds),
+        f"{len(conics)} conic classes",
     )
     worst_pattern = CandidateCurve(
         2, _from_weight_pattern((1, 1, 1, 1, 1, 0, 0, 0, 0, 0))
     )
     record(
         "degree-2 reduction consistent with generic enumeration",
-        len(degree_two) == 252
-        and all(r.candidate.is_feasible() for r in degree_two)
+        len(conics) == 252
+        and all(c.is_feasible() for c in conics)
         and two_min.candidate == worst_pattern,
         "worst conic equals the canonical top-weight quintuple",
     )
@@ -441,18 +518,21 @@ def full_report(eigen: EigenSystem) -> NefReport:
     extreme_agrees = True
     double_route = True
     for d in range(3, 7):
-        rows = [MarginRow(c, margin(c, witness)) for c in _canonical_candidates(d)]
-        extreme_rows = tuple(
-            r for r in rows if not r.candidate.bump_minimum_weight().is_feasible()
-        )
-        minimum = _min_row(rows)
-        if not all(r.margin.is_positive() for r in rows):
+        candidates = _canonical_candidates(d)
+        bounds = bounds_of(candidates)
+        extremes = [
+            i for i, c in enumerate(candidates)
+            if not c.bump_minimum_weight().is_feasible()
+        ]
+        minimum = argmin(candidates, bounds, range(len(candidates)))
+        if not all(lo > 0 for lo, _ in bounds):
             enumeration_positive = False
-        if _min_row(list(extreme_rows)).candidate != minimum.candidate:
+        if argmin(candidates, bounds, extremes) != minimum:
             extreme_agrees = False
-        for r in rows:
-            if not r.margin.contains(margin_at_midpoints(r.candidate, witness)):
+        for c, (lo, hi) in zip(candidates, bounds):
+            if not 2 * lo <= _grid_midpoint_sum(c, sums) <= 2 * hi:
                 double_route = False
+        extreme_rows = tuple(_grid_row(candidates[i], bounds[i]) for i in extremes)
         for r in extreme_rows:
             key = (d, r.candidate.mults)
             if key in reference:
@@ -461,7 +541,13 @@ def full_report(eigen: EigenSystem) -> NefReport:
             else:
                 extras.append(r)
         summaries.append(
-            DegreeSummary(d, len(rows), len(extreme_rows), minimum, extreme_rows)
+            DegreeSummary(
+                d,
+                len(candidates),
+                len(extreme_rows),
+                _grid_row(candidates[minimum], bounds[minimum]),
+                extreme_rows,
+            )
         )
     record(
         "degrees 3..6 full enumeration margins positive",
@@ -485,10 +571,11 @@ def full_report(eigen: EigenSystem) -> NefReport:
     )
 
     # large degrees
-    cutoff = cauchy_schwarz_cutoff(witness, eigen.line_component)
+    square_sum = _square_sum_routes(witness, eigen.line_component)
+    cutoff = _cutoff_degree(square_sum)
     checked_through = cutoff + 20
     explicit = all(
-        cutoff_margin(witness, eigen.line_component, d).is_positive()
+        _cutoff_margin(square_sum, d).is_positive()
         for d in range(cutoff, checked_through + 1)
     )
     record(
@@ -505,13 +592,13 @@ def full_report(eigen: EigenSystem) -> NefReport:
     )
     record(
         "volume lower bound for the dominant class positive",
-        bigness.volume_lower_bound.is_positive() and bigness.homogeneity_consistent,
+        bigness.volume_lower_bound.is_positive(),
         f"(1-beta)^2 L^2 = {decimal_string(bigness.volume_lower_bound.midpoint, 6)}...",
     )
 
     return NefReport(
         degree_one=degree_one,
-        degree_two_count=len(degree_two),
+        degree_two_count=len(conics),
         degree_two_minimum=two_min,
         degrees=tuple(summaries),
         cutoff=cutoff,

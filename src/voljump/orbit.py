@@ -2,17 +2,21 @@
 
 Iterating the exact integer matrix keeps every orbit computation exact, so
 distinctness of orbit classes, self-intersections and canonical degrees are
-checked with no tolerance at all.
+checked with no tolerance at all.  The walk itself runs on bare integers:
+T is linear, so it steps the integral class D * seed (D the lcm of the
+seed's denominators) and divides by D only when it builds a record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .lattice import DivisorClass, canonical_class, pair
-from .transform import LatticeIsometry, apply, composite_T
+from .lattice import DivisorClass, canonical_class, pair_integers
+from .transform import LatticeIsometry, apply_integers, composite_T
+
+_CANONICAL, _ = canonical_class().integral_multiple()
 
 
 @dataclass(frozen=True)
@@ -25,12 +29,13 @@ class OrbitRecord:
     canonical_degree: Fraction
 
     @classmethod
-    def of(cls, n: int, divisor: DivisorClass) -> "OrbitRecord":
+    def of(cls, n: int, vector: tuple[int, ...], scale: int) -> "OrbitRecord":
+        """The record of the class vector / scale, paired in integers."""
         return cls(
             n,
-            divisor,
-            pair(divisor, divisor),
-            pair(divisor, canonical_class()),
+            DivisorClass(Fraction(c, scale) for c in vector),
+            Fraction(pair_integers(vector, vector), scale * scale),
+            Fraction(pair_integers(vector, _CANONICAL), scale),
         )
 
 
@@ -41,7 +46,8 @@ def iterate(
     if n < 0:
         raise ValueError("orbit index must be nonnegative")
     t = transform if transform is not None else composite_T()
-    return OrbitRecord.of(n, apply(t.power(n), seed))
+    vector, scale = seed.integral_multiple()
+    return OrbitRecord.of(n, apply_integers(t.power(n), vector), scale)
 
 
 def orbit(
@@ -51,10 +57,10 @@ def orbit(
     if count < 0:
         raise ValueError("orbit length must be nonnegative")
     t = transform if transform is not None else composite_T()
-    current = seed
+    current, scale = seed.integral_multiple()
     for n in range(count):
-        yield OrbitRecord.of(n, current)
-        current = apply(t, current)
+        yield OrbitRecord.of(n, current, scale)
+        current = apply_integers(t, current)
 
 
 @dataclass(frozen=True)
@@ -69,8 +75,13 @@ def verify_distinct(
     """Exact pairwise distinctness of T^0(seed) .. T^{count-1}(seed)."""
     if count < 1:
         raise ValueError("need at least one orbit element")
+    return distinctness(orbit(seed, count, transform))
+
+
+def distinctness(records: Iterable[OrbitRecord]) -> DistinctnessResult:
+    """Exact pairwise distinctness of the classes of orbit records."""
     seen: dict[tuple[Fraction, ...], int] = {}
-    for record in orbit(seed, count, transform):
+    for record in records:
         key = record.divisor.coeffs
         if key in seen:
             return DistinctnessResult(False, (seen[key], record.n))
@@ -107,9 +118,12 @@ def max_norm_increase_start(
 
     Returns None if the norm is still not monotone at the end of the window.
     """
-    norms = [
-        max(abs(c) for c in r.divisor.coeffs) for r in orbit(seed, count, transform)
-    ]
+    return increase_start(orbit(seed, count, transform))
+
+
+def increase_start(records: Iterable[OrbitRecord]) -> int | None:
+    """Smallest n1 from which the records' max-norms strictly increase."""
+    norms = [max(abs(c) for c in r.divisor.coeffs) for r in records]
     start: int | None = None
     for n in range(len(norms) - 1):
         if norms[n + 1] > norms[n]:

@@ -31,6 +31,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from .transform import LatticeIsometry
 
 
+def _require(holds: bool, message: str) -> None:
+    """A step every certificate below rests on; unlike `assert`, it is not
+    stripped by `python -O`."""
+    if not holds:
+        raise CertificationError(message)
+
+
 @dataclass(frozen=True)
 class IntPoly:
     """Univariate polynomial with exact integer coefficients, ascending order."""
@@ -128,7 +135,7 @@ def char_poly(m: "LatticeIsometry") -> IntPoly:
     """Exact characteristic polynomial det(xI - m) via Faddeev-LeVerrier.
 
     The recurrence stays in integer arithmetic; every division by k is exact
-    (asserted, since the c_k are integers for an integer matrix).
+    (checked, since the c_k are integers for an integer matrix).
     """
     rows = m.rows
     n = len(rows)
@@ -136,7 +143,7 @@ def char_poly(m: "LatticeIsometry") -> IntPoly:
     work = [list(r) for r in rows]
     for k in range(1, n + 1):
         trace = sum(work[i][i] for i in range(n))
-        assert trace % k == 0, "Faddeev-LeVerrier divisibility violated"
+        _require(trace % k == 0, "Faddeev-LeVerrier divisibility violated")
         ck = -trace // k
         coeffs_desc.append(ck)
         if k < n:
@@ -180,7 +187,7 @@ def _deflate(coeffs: Sequence[Fraction], root: Fraction) -> list[Fraction]:
     for c in desc[1:]:
         out.append(c + root * out[-1])
     rem = out.pop()
-    assert rem == 0, "deflation at a non-root"
+    _require(rem == 0, "deflation at a non-root")
     return list(reversed(out))
 
 
@@ -328,11 +335,11 @@ def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
     work = p.primitive()
     a = poly_gcd(work, work.derivative())
     b = work.divide_exact(a)
-    assert b is not None
+    _require(b is not None, "gcd(p, p') does not divide p exactly")
     if a.degree == 0:
         return [(b, 1)]
     c = work.derivative().divide_exact(a)
-    assert c is not None
+    _require(c is not None, "gcd(p, p') does not divide p' exactly")
     d = IntPoly(
         [
             x - y
@@ -346,12 +353,12 @@ def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
         if f.degree > 0:
             out.append((f, i))
             b_next = b.divide_exact(f)
-            assert b_next is not None
+            _require(b_next is not None, "squarefree factor does not divide exactly")
             b = b_next
         if b.degree == 0:
             break
         cq = d.divide_exact(f) if f.degree > 0 else d
-        assert cq is not None
+        _require(cq is not None, "squarefree factor does not divide exactly")
         d = IntPoly([x - y for x, y in _zip_pad(cq.coeffs, b.derivative().coeffs)])
         i += 1
     return out
@@ -379,7 +386,10 @@ def strip_rational_root(p: IntPoly, root: int) -> tuple[int, IntPoly]:
     while len(coeffs) > 1 and _eval(coeffs, r) == 0:
         coeffs = _deflate(coeffs, r)
         count += 1
-    assert all(c.denominator == 1 for c in coeffs)
+    _require(
+        all(c.denominator == 1 for c in coeffs),
+        "deflation by an integer root left a non-integer coefficient",
+    )
     return count, IntPoly(int(c) for c in coeffs)
 
 
@@ -440,7 +450,7 @@ def cyclotomic(n: int) -> IntPoly:
     for d in range(1, n):
         if n % d == 0:
             quotient = num.divide_exact(cyclotomic(d))
-            assert quotient is not None
+            _require(quotient is not None, "cyclotomic divisor of x^n - 1 does not divide")
             num = quotient
     return num
 
@@ -525,7 +535,7 @@ def _rational_quotient(f: IntPoly, divisor: IntPoly) -> IntPoly:
         out[k] = q
         for j, d in enumerate(divisor.coeffs):
             rem[k + j] -= q * d
-    assert all(r == 0 for r in rem), "inexact polynomial division"
+    _require(all(r == 0 for r in rem), "inexact polynomial division")
     denom_lcm = 1
     for c in out:
         denom_lcm = denom_lcm * c.denominator // int_gcd(denom_lcm, c.denominator)
@@ -545,7 +555,7 @@ def _profile_squarefree(
     for r in (1, -1):
         k, f = strip_rational_root(f, r)
         if k:
-            assert k == 1, "squarefree factor with repeated rational root"
+            _require(k == 1, "squarefree factor with repeated rational root")
             on_circle += 1
             disks.append(RootDisk(Fraction(r), Fraction(0), Fraction(0), "on-circle", multiplicity))
     if f.degree <= 0:
@@ -682,7 +692,10 @@ def count_roots_outside_unit_circle(
         n_out, n_in, n_on, factor_disks = _profile_squarefree(
             factor, mult, refinement_budget, start_dps
         )
-        assert n_out + n_in + n_on == factor.degree
+        _require(
+            n_out + n_in + n_on == factor.degree,
+            "root counts do not add up to the factor degree",
+        )
         outside += mult * n_out
         inside += mult * n_in
         on_circle += mult * n_on

@@ -112,15 +112,17 @@ def dominant_eigenvector(
     lam: RealEnclosure,
     tol: Fraction,
     round_bits: int | None = None,
+    polynomial: IntPoly | None = None,
 ) -> ClassEnclosure:
     """Certified eigenvector enclosure, normalized to H-coefficient exactly 1.
 
     Solves the 10x10 system left after the normalization with interval
     arithmetic over the eigenvalue enclosure, then checks the full residual
     (T v - lambda v contains 0 componentwise, including the row dropped by
-    the normalization) and the requested coefficient widths.
+    the normalization) and the requested coefficient widths.  `polynomial`
+    is the characteristic polynomial of m when the caller has it already.
     """
-    _certify_simple_root(char_poly(m), lam)
+    _certify_simple_root(char_poly(m) if polynomial is None else polynomial, lam)
     rows = m.rows
     matrix = [
         [
@@ -222,8 +224,10 @@ class EigenSystem:
 
 
 def _build_eigensystem(
-    m: LatticeIsometry, digits: int, budget: int
+    m: LatticeIsometry, digits: int, budget: int, root=dominant_root
 ) -> EigenSystem:
+    """`root(p, tol)` isolates the dominant root; callers that build many
+    systems may pass a memoized `dominant_root`."""
     p = char_poly(m)
     tol = Fraction(1, 10**digits)
     guard = 24
@@ -231,9 +235,9 @@ def _build_eigensystem(
     for _ in range(budget):
         lam_tol = Fraction(1, 10 ** (digits + guard))
         round_bits = 4 * (digits + guard) + 64
-        lam = dominant_root(p, lam_tol)
+        lam = root(p, lam_tol)
         try:
-            vector = dominant_eigenvector(m, lam, tol, round_bits=round_bits)
+            vector = dominant_eigenvector(m, lam, tol, round_bits, p)
             component = beta(vector)
             witness = L_coefficients(vector, component)
         except PrecisionBudgetError as err:
@@ -293,13 +297,15 @@ def select_orientation(digits: int = 12, budget: int = 6) -> OrientationReport:
 
     Exactly one candidate must reproduce the reference witness coefficients,
     and it must be the matrix `composite_T` returns; anything else is a
-    certification failure.
+    certification failure.  The candidates share few characteristic
+    polynomials, so each dominant root is isolated once per call.
     """
+    root = lru_cache(maxsize=None)(dominant_root)
     assessments: list[CandidateAssessment] = []
     matching: list[tuple[str, LatticeIsometry]] = []
     for name, matrix in sorted(candidate_composites().items()):
         try:
-            system = _build_eigensystem(matrix, digits, budget)
+            system = _build_eigensystem(matrix, digits, budget, root)
         except VerificationError as err:
             assessments.append(CandidateAssessment(name, False, f"no certified data: {err}"))
             continue

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .lattice import RANK, GRAM_DIAGONAL, DivisorClass, canonical_class
@@ -52,9 +53,6 @@ class LatticeIsometry:
             for i in range(RANK)
         )
 
-    def transpose(self) -> "LatticeIsometry":
-        return LatticeIsometry(zip(*self.rows))
-
     def power(self, n: int) -> "LatticeIsometry":
         """Exact n-th power by repeated squaring, n >= 0."""
         if n < 0:
@@ -89,15 +87,17 @@ class LatticeIsometry:
             prev = m[k][k]
         return sign * m[RANK - 1][RANK - 1]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.rows[i][j] for i in range(RANK))
-
 
 def apply(m: LatticeIsometry, c: DivisorClass) -> DivisorClass:
     """Exact matrix-vector action on a divisor class."""
     return DivisorClass(
         sum(row[j] * c.coeffs[j] for j in range(RANK)) for row in m.rows
     )
+
+
+def apply_integers(m: LatticeIsometry, v: Sequence[int]) -> tuple[int, ...]:
+    """Matrix-vector action on a bare integer coefficient vector."""
+    return tuple(sum(map(mul, row, v)) for row in m.rows)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -248,3 +252,36 @@ def test_verify_reports_first_failure(monkeypatch, capsys):
     assert code == 1
     assert "failed: bad certificate" in captured.err
     assert "[FAIL] bad certificate" in captured.out
+
+
+def test_oracle_failure_is_a_failed_certificate(monkeypatch, capsys):
+    from voljump import spectral
+    from voljump.transform import LatticeIsometry
+
+    # a lone identity reading cannot reproduce the reference coefficients
+    monkeypatch.setattr(
+        spectral, "candidate_composites", lambda: {"identity": LatticeIsometry.identity()}
+    )
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1
+    assert "failed: orientation oracle selects the fixed composite" in err
+    assert (
+        "[FAIL] orientation oracle selects the fixed composite "
+        "(orientation oracle must single out one candidate, found 0)"
+    ) in out.splitlines()
+    assert out.splitlines()[-1] == "verdict: fail"
+
+
+def test_verify_passes_with_asserts_stripped():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "voljump.cli", "verify"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "verdict: pass"

@@ -4,7 +4,15 @@ import pytest
 
 from voljump.errors import CertificationError
 from voljump.nefcheck import (
+    ENUMERATION_ROUND_BITS,
     CandidateCurve,
+    _canonical_candidates,
+    _degree_one_candidates,
+    _degree_two_candidates,
+    _grid_margin,
+    _grid_midpoint_sum,
+    _grid_numerators,
+    _grid_row,
     bigness_certificates,
     cauchy_schwarz_cutoff,
     check_degree_one,
@@ -282,7 +290,6 @@ def test_bigness_certificates(eigen):
     # L^2 = 1 - 0.9366 = 0.063 from the reference decimals
     assert approx(data.witness_self_pairing, 63 * MILLI, TABLE_TOLERANCE)
     assert data.volume_lower_bound.is_positive()
-    assert data.homogeneity_consistent
 
 
 def test_bigness_rejects_uncertified_component(eigen):
@@ -325,3 +332,33 @@ def test_full_report_degree_minima(nef):
     for summary in nef.degrees:
         assert summary.minimum.candidate.mults == expected[summary.degree]
         assert summary.minimum.margin.is_positive()
+
+
+# -- integer margins on the dyadic grid -------------------------------------------------
+
+
+def test_grid_margins_equal_interval_margins(eigen):
+    witness = eigen.nef_witness.outward(ENUMERATION_ROUND_BITS)
+    los, his = _grid_numerators(witness)
+    sums = [l + h for l, h in zip(los, his)]
+    candidates = _degree_one_candidates() + _degree_two_candidates()
+    for d in range(3, 7):
+        candidates += _canonical_candidates(d)
+    assert len(candidates) == 826
+    scale = 2 * 2**ENUMERATION_ROUND_BITS
+    for c in candidates:
+        expected = margin(c, witness)
+        got = _grid_row(c, _grid_margin(c, los, his)).margin
+        assert (got.lo, got.hi) == (expected.lo, expected.hi)
+        assert _grid_midpoint_sum(c, sums) == margin_at_midpoints(c, witness) * scale
+
+
+def test_grid_rejects_off_grid_endpoint(eigen):
+    witness = eigen.nef_witness.outward(ENUMERATION_ROUND_BITS)
+    coeffs = list(witness.coeffs)
+    coeffs[4] = RealEnclosure(coeffs[4].lo - Fraction(1, 3**50), coeffs[4].hi)
+    with pytest.raises(CertificationError, match="off the 2\\^-320 grid"):
+        _grid_numerators(ClassEnclosure(coeffs))
+    # the unrounded witness has arbitrary denominators
+    with pytest.raises(CertificationError):
+        _grid_numerators(eigen.nef_witness)

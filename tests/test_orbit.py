@@ -122,3 +122,27 @@ def test_pairing_preserved_along_orbit():
         for _ in range(50):
             ta, tb = apply(t, ta), apply(t, tb)
         assert pair(ta, tb) == expected
+
+
+@pytest.mark.parametrize("horizon", [50, 400])
+def test_integer_walk_matches_apply_stepping(horizon):
+    t = composite_T()
+    k = canonical_class()
+    current = standard_line()
+    records = list(orbit(current, horizon))
+    assert [r.n for r in records] == list(range(horizon))
+    for r in records:
+        assert r.divisor == current
+        assert r.self_intersection == pair(current, current)
+        assert r.canonical_degree == pair(current, k)
+        current = apply(t, current)
+
+
+def test_integer_walk_of_rational_seed():
+    seed = DivisorClass([Fraction(1, 2), Fraction(-2, 3)] + [Fraction(1, 5)] * 9)
+    t = composite_T()
+    current = seed
+    for r in orbit(seed, 20):
+        assert r.divisor == current
+        assert r.self_intersection == pair(current, current)
+        current = apply(t, current)

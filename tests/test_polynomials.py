@@ -7,6 +7,7 @@ import pytest
 from voljump.errors import CertificationError
 from voljump.polynomials import (
     IntPoly,
+    _deflate,
     cauchy_root_bound,
     char_poly,
     count_roots_outside_unit_circle,
@@ -217,3 +218,9 @@ def test_count_outside_composite_charpoly(eigen):
     assert count.inside == 1
     assert count.on_circle == 9
     assert sum(1 for d in count.disks if d.location == "outside") == 1
+
+
+def test_deflation_at_non_root_raises():
+    # x^2 + 1 has no root at 1; the check survives python -O
+    with pytest.raises(CertificationError, match="deflation at a non-root"):
+        _deflate([Fraction(1), Fraction(0), Fraction(1)], Fraction(1))

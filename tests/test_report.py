@@ -4,12 +4,24 @@ import jsonschema
 import pytest
 
 from voljump.config import RunConfig
+from voljump.lattice import DivisorClass, canonical_class, standard_line
+from voljump.orbit import (
+    growth_profile,
+    growth_ratios,
+    iterate,
+    max_norm_increase_start,
+    orbit,
+    verify_distinct,
+)
 from voljump.report import (
+    _orbit_evidence,
+    _power_by_squaring,
     build_report,
     load_schema,
     render_report_json,
     run_verification,
 )
+from voljump.transform import composite_T
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +96,53 @@ def test_shorter_orbit_horizon(run):
     short = run_verification(RunConfig(orbit_horizon=40))
     assert short.verdict
     assert len(short.orbit.records) == 40
+
+
+def test_power_by_squaring_matches_iterate():
+    squares = [composite_T()]  # T^(2^k) for k = 0..4, enough for n <= 20
+    for _ in range(4):
+        squares.append(squares[-1] @ squares[-1])
+    seeds = (
+        standard_line(),
+        canonical_class(),
+        DivisorClass([3, 1, -2, 0, 5, 1, 1, 0, -1, 2, 7]),
+    )
+    for seed in seeds:
+        vector, _ = seed.integral_multiple()
+        for n in range(21):
+            expected = iterate(seed, n).divisor
+            assert _power_by_squaring(squares, n, vector) == expected.integral_multiple()[0]
+
+
+@pytest.mark.parametrize("horizon", [50, 400])
+def test_orbit_evidence_matches_separate_walks(run, horizon):
+    evidence = _orbit_evidence(run.eigen, horizon)
+    seed = standard_line()
+    assert evidence.records == tuple(orbit(seed, horizon))
+    assert evidence.distinct == verify_distinct(seed, horizon).distinct
+    assert evidence.max_norm_increasing_from == max_norm_increase_start(seed, horizon)
+    ratios = growth_ratios(growth_profile(seed, horizon))
+    lam = run.eigen.dominant_value
+    converged = all(
+        lam.lo * 99 / 100 <= r <= lam.hi * 101 / 100
+        for n, r in ratios
+        if n >= evidence.ratio_start
+    )
+    assert evidence.ratios_converged == converged
+
+
+def test_report_reuses_the_runs_charpoly_facts(run, monkeypatch):
+    from voljump import report
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("recomputed on the report path")
+
+    for name in ("count_roots_outside_unit_circle", "cyclotomic_factors", "strip_rational_root"):
+        monkeypatch.setattr(report, name, forbidden)
+    payload = build_report(run)
+    assert payload["charpoly"]["roots"] == {
+        "outside_unit_circle": 1,
+        "inside_unit_circle": 1,
+        "on_unit_circle": 9,
+    }
+    assert payload["charpoly"]["cyclotomic_factors"] == [[1, 1]]
