@@ -19,18 +19,14 @@ from .errors import CertificationError, PrecisionBudgetError
 from .intervals import decimal_string, enclosure_json
 from .lattice import DivisorClass, canonical_class, standard_line
 from .nefcheck import (
+    CheckResult,
     MarginRow,
     enumerate_feasible,
     extreme_candidates,
     full_report,
     margin,
 )
-from .polynomials import (
-    count_roots_outside_unit_circle,
-    cyclotomic_factors,
-    strip_rational_root,
-)
-from .report import render_report_json, run_verification
+from .report import CharpolyFacts, render_report_json, run_verification
 from .spectral import eigensystem
 from .transform import composite_T
 from .orbit import orbit as orbit_records
@@ -97,6 +93,20 @@ def _enclosure_text(enc, digits: int) -> str:
     return decimal_string(enc.midpoint, digits)
 
 
+def _certificate_text(checks: tuple[CheckResult, ...]) -> tuple[str, int]:
+    """One [PASS]/[FAIL] line per certificate and the verdict; exit 1 on a
+    failure, whose first name also goes to stderr."""
+    lines = [
+        f"[{'PASS' if c.passed else 'FAIL'}] {c.name}" + (f" ({c.detail})" if c.detail else "")
+        for c in checks
+    ]
+    failed = [c.name for c in checks if not c.passed]
+    lines.append(f"verdict: {'fail' if failed else 'pass'}")
+    if failed:
+        print(f"failed: {failed[0]}", file=sys.stderr)
+    return "\n".join(lines) + "\n", 1 if failed else 0
+
+
 def cmd_dump_matrix(args, cfg: RunConfig) -> tuple[str, int]:
     t = composite_T()
     if cfg.output_format == "json":
@@ -107,28 +117,15 @@ def cmd_dump_matrix(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_charpoly(args, cfg: RunConfig) -> tuple[str, int]:
-    p = eigensystem(cfg.precision_digits, cfg.refinement_budget).polynomial
-    unit_mult, off_unit = strip_rational_root(p, 1)
-    cyclo = cyclotomic_factors(p)
-    circle = count_roots_outside_unit_circle(p, cfg.refinement_budget)
+    facts = CharpolyFacts.of(eigensystem(cfg.precision_digits, cfg.refinement_budget).polynomial)
     if cfg.output_format == "json":
-        payload = {
-            "coefficients_ascending": list(p.coeffs),
-            "unit_root_multiplicity": unit_mult,
-            "off_unit_factor_ascending": list(off_unit.coeffs),
-            "cyclotomic_factors": [list(f) for f in cyclo],
-            "roots": {
-                "outside_unit_circle": circle.outside,
-                "inside_unit_circle": circle.inside,
-                "on_unit_circle": circle.on_circle,
-            },
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0
+        return json.dumps(facts.to_json(), indent=2, sort_keys=True) + "\n", 0
+    p, circle = facts.polynomial, facts.circle
     lines = [
         f"characteristic polynomial: {p}",
         f"coefficients (ascending): {list(p.coeffs)}",
-        f"factorization: (x - 1)^{unit_mult} * ({off_unit})",
-        f"cyclotomic factors (index, multiplicity): {cyclo}",
+        f"factorization: (x - 1)^{facts.unit_root_multiplicity} * ({facts.off_unit_factor})",
+        f"cyclotomic factors (index, multiplicity): {facts.cyclotomic}",
         f"roots outside/inside/on the unit circle: "
         f"{circle.outside}/{circle.inside}/{circle.on_circle}",
     ]
@@ -209,16 +206,7 @@ def cmd_nef_verify(args, cfg: RunConfig) -> tuple[str, int]:
     )
     probe.validate()
     eigen = eigensystem(probe.precision_digits, probe.refinement_budget)
-    nef = full_report(eigen)
-    lines = [
-        f"[{'PASS' if c.passed else 'FAIL'}] {c.name}" + (f" ({c.detail})" if c.detail else "")
-        for c in nef.checks
-    ]
-    lines.append(f"verdict: {'pass' if nef.verdict else 'fail'}")
-    code = 0 if nef.verdict else 1
-    if code:
-        print(f"failed: {nef.failing_checks()[0]}", file=sys.stderr)
-    return "\n".join(lines) + "\n", code
+    return _certificate_text(full_report(eigen).checks)
 
 
 def cmd_enumerate(args, cfg: RunConfig) -> tuple[str, int]:
@@ -281,17 +269,7 @@ def cmd_orbit(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_verify(args, cfg: RunConfig) -> tuple[str, int]:
-    run = run_verification(cfg)
-    lines = [
-        f"[{'PASS' if c.passed else 'FAIL'}] {c.name}" + (f" ({c.detail})" if c.detail else "")
-        for c in run.certificates
-    ]
-    lines.append(f"verdict: {'pass' if run.verdict else 'fail'}")
-    failure = run.first_failure()
-    if failure is not None:
-        print(f"failed: {failure.name}", file=sys.stderr)
-        return "\n".join(lines) + "\n", 1
-    return "\n".join(lines) + "\n", 0
+    return _certificate_text(run_verification(cfg).certificates)
 
 
 def cmd_report(args, cfg: RunConfig) -> tuple[str, int]:

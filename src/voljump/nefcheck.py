@@ -436,9 +436,6 @@ class NefReport:
     def verdict(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failing_checks(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.checks if not c.passed)
-
 
 def _reference_lookup() -> dict[tuple[int, tuple[int, ...]], Fraction]:
     return {(d, a): m for d, a, m in TABLE_ROWS}

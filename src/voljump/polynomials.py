@@ -4,14 +4,13 @@ Provides the exact characteristic polynomial of an integer matrix, real-root
 isolation and refinement with rational endpoints, a cyclotomic divisibility
 scan, and a certified count of roots outside the unit circle.
 
-The unit-circle count works from floating approximations but certifies them
-exactly: every approximate root gets a disk of radius deg * |p(z)| / |p'(z)|
-(a classical a-posteriori bound computed in exact rational arithmetic), and
-once the disks are pairwise disjoint each provably contains exactly one root.
-Disks straddling the circle are settled by the inversion pairing available
-for (anti-)reciprocal polynomials: if the circle-inverted disk meets no other
-disk, its root coincides with its own inversion partner and lies on the
-circle.
+The unit-circle count is exact and uses integer polynomials only.  Per
+squarefree factor, after the roots at 0 and +-1 are divided out, the mirror
+part gcd(f, reverse(f)) holds every root on the circle; writing it as
+z^m q(z + 1/z), its circle roots are the real roots of q in (-2, 2), counted
+by Descartes isolation.  The rest has no root on the circle and is counted
+inside the disk by a Cayley transform to the left half-plane and a Sturm
+chain for the Cauchy index (Routh-Hurwitz).
 """
 
 from __future__ import annotations
@@ -22,10 +21,8 @@ from functools import lru_cache
 from math import gcd as int_gcd
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-import mpmath as mp
-
 from .errors import CertificationError, PrecisionBudgetError
-from .intervals import RealEnclosure, sqrt_bounds
+from .intervals import RealEnclosure
 
 if TYPE_CHECKING:  # pragma: no cover
     from .transform import LatticeIsometry
@@ -292,36 +289,36 @@ def refine_root(
 # -- gcd / squarefree structure ------------------------------------------------
 
 
+def _trimmed(coeffs: list[Fraction]) -> list[Fraction]:
+    """Drop zero top coefficients; the zero polynomial becomes []."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _remainder(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
+    """Remainder of num by the nonzero den over Q, both trimmed."""
+    num = num[:]
+    while len(num) >= len(den):
+        q = num[-1] / den[-1]
+        shift = len(num) - len(den)
+        for j, d in enumerate(den):
+            num[shift + j] -= q * d
+        _trimmed(num)
+    return num
+
+
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """Primitive gcd over the integers (Euclid over Q, then normalized)."""
-    fa, fb = _fraction_coeffs(a), _fraction_coeffs(b)
-
-    def deg(c: list[Fraction]) -> int:
-        for k in range(len(c) - 1, -1, -1):
-            if c[k] != 0:
-                return k
-        return -1
-
-    def rem(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-        num = num[:]
-        dn, dd = deg(num), deg(den)
-        while dn >= dd >= 0:
-            q = num[dn] / den[dd]
-            for j in range(dd + 1):
-                num[dn - dd + j] -= q * den[j]
-            num[dn] = Fraction(0)
-            dn = deg(num)
-        return num
-
-    while deg(fb) >= 0:
-        fa, fb = fb, rem(fa, fb)
-    d = deg(fa)
-    if d < 0:
+    fa, fb = _trimmed(_fraction_coeffs(a)), _trimmed(_fraction_coeffs(b))
+    while fb:
+        fa, fb = fb, _remainder(fa, fb)
+    if not fa:
         return IntPoly([0])
     denom_lcm = 1
-    for c in fa[: d + 1]:
+    for c in fa:
         denom_lcm = denom_lcm * c.denominator // int_gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in fa[: d + 1]]
+    ints = [int(c * denom_lcm) for c in fa]
     return IntPoly(ints).primitive()
 
 
@@ -484,214 +481,124 @@ def cyclotomic_factors(p: IntPoly, search_bound: int = 200) -> list[tuple[int, i
 
 
 @dataclass(frozen=True)
-class RootDisk:
-    """A certified disk containing exactly one root of some squarefree factor."""
-
-    center_re: Fraction
-    center_im: Fraction
-    radius: Fraction
-    location: str  # "inside" | "outside" | "on-circle"
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class UnitCircleCount:
     """Certified counts of roots by position relative to the unit circle."""
 
     outside: int
     inside: int
     on_circle: int
-    disks: tuple[RootDisk, ...]
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    if x == 0:
-        return Fraction(0)
-    sign, man, exp, _ = x._mpf_
-    value = Fraction(man) * Fraction(2) ** exp
-    return -value if sign else value
+def _trace_polynomial(g: IntPoly) -> IntPoly:
+    """q with g(z) = z^m q(z + 1/z), for g palindromic of degree 2m.
+
+    Uses z^k + z^-k = P_k(z + 1/z) with P_0 = 2, P_1 = x and
+    P_k = x P_{k-1} - P_{k-2}.
+    """
+    m = g.degree // 2
+    out = [g.coeffs[m]] + [0] * m
+    older, current = [2], [0, 1]
+    for k in range(1, m + 1):
+        for j, c in enumerate(current):
+            out[j] += g.coeffs[m + k] * c
+        following = [0] + current
+        for j, c in enumerate(older):
+            following[j] -= c
+        older, current = current, following
+    return IntPoly(out)
 
 
-def _eval_complex(p: IntPoly, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
-    a, b = Fraction(0), Fraction(0)
-    for c in reversed(p.coeffs):
-        a, b = a * re - b * im + c, a * im + b * re
-    return a, b
+def _cauchy_index(p: list[Fraction], q: list[Fraction]) -> int:
+    """Cauchy index of q/p over the whole real line, for deg q < deg p.
+
+    Sturm: the sign variations of p, q, -rem(p, q), ... at -inf minus those
+    at +inf.  A common factor of p and q without real roots ends the chain
+    and changes no variation count.
+    """
+    chain = [p, q]
+    while chain[-1]:
+        chain.append([-c for c in _remainder(chain[-2], chain[-1])])
+    chain.pop()
+    at_plus = [c[-1] for c in chain]
+    at_minus = [c[-1] if len(c) % 2 else -c[-1] for c in chain]
+    return _sign_variations(at_minus) - _sign_variations(at_plus)
 
 
-def _is_self_inverse(p: IntPoly) -> bool:
-    """True when the root set is closed under z -> 1/z (palindromic up to sign)."""
-    rev = tuple(reversed(p.coeffs))
-    return rev == p.coeffs or rev == tuple(-c for c in p.coeffs)
+def _count_inside_off_circle(r: IntPoly) -> int:
+    """Roots of r inside the unit circle, for r without roots on the circle.
+
+    The Cayley transform z = (1 + w) / (1 - w) maps the left half-plane onto
+    the open disk; R(w) = sum a_k (1 + w)^k (1 - w)^(n - k) has degree n
+    exactly (its top coefficient is (-1)^n r(-1), nonzero) and no root on
+    the imaginary axis.  With R(iy) = A(y) + i B(y), the argument of R(iy)
+    turns by pi * (left - right), which the Cauchy index of the lower-degree
+    part over the degree-n part gives.
+    """
+    n = r.degree
+    cayley = [0] * (n + 1)
+    for k, a in enumerate(r.coeffs):
+        term = IntPoly([a])
+        for factor in [IntPoly([1, 1])] * k + [IntPoly([1, -1])] * (n - k):
+            term = term * factor
+        for j, c in enumerate(term.coeffs):
+            cayley[j] += c
+    _require(cayley[n] != 0, "Cayley transform lost degree")
+    # i^j = (-1)^(j // 2) for even j and i * (-1)^(j // 2) for odd j
+    parts = [[Fraction(0)] * (n + 1), [Fraction(0)] * (n + 1)]
+    for j, c in enumerate(cayley):
+        parts[j % 2][j] = Fraction((-1) ** (j // 2) * c)
+    real, imag = (_trimmed(part) for part in parts)
+    if n % 2:
+        twice_inside = n + _cauchy_index(imag, real)
+    else:
+        twice_inside = n - _cauchy_index(real, imag)
+    _require(
+        twice_inside % 2 == 0 and 0 <= twice_inside <= 2 * n,
+        "Cauchy index inconsistent with the degree",
+    )
+    return twice_inside // 2
 
 
-def _rational_quotient(f: IntPoly, divisor: IntPoly) -> IntPoly:
-    """Primitive integer form of f / divisor, which must divide over Q."""
-    rem = [Fraction(c) for c in f.coeffs]
-    out = [Fraction(0)] * (f.degree - divisor.degree + 1)
-    dlead = Fraction(divisor.leading)
-    for k in range(f.degree - divisor.degree, -1, -1):
-        q = rem[k + divisor.degree] / dlead
-        out[k] = q
-        for j, d in enumerate(divisor.coeffs):
-            rem[k + j] -= q * d
-    _require(all(r == 0 for r in rem), "inexact polynomial division")
-    denom_lcm = 1
-    for c in out:
-        denom_lcm = denom_lcm * c.denominator // int_gcd(denom_lcm, c.denominator)
-    return IntPoly(int(c * denom_lcm) for c in out).primitive()
-
-
-def _profile_squarefree(
-    f: IntPoly, multiplicity: int, budget: int, start_dps: int
-) -> tuple[int, int, int, list[RootDisk]]:
+def _profile_squarefree(f: IntPoly) -> tuple[int, int, int]:
+    """(outside, inside, on circle) root counts of squarefree f."""
     outside = inside = on_circle = 0
-    disks: list[RootDisk] = []
-    # exactly settled roots first: 0 (inside) and +-1 (on the circle)
-    if f.degree > 0 and f.coeffs[0] == 0:
-        inside += 1
-        disks.append(RootDisk(Fraction(0), Fraction(0), Fraction(0), "inside", multiplicity))
-        f = IntPoly(f.coeffs[1:])
+    # roots at +-1 first: they are their own inverses
     for r in (1, -1):
         k, f = strip_rational_root(f, r)
-        if k:
-            _require(k == 1, "squarefree factor with repeated rational root")
-            on_circle += 1
-            disks.append(RootDisk(Fraction(r), Fraction(0), Fraction(0), "on-circle", multiplicity))
-    if f.degree <= 0:
-        return outside, inside, on_circle, disks
-    if f.degree == 1:
-        root = -Fraction(f.coeffs[0], f.coeffs[1])
-        # |root| = 1 would force root = +-1, already stripped
-        loc = "outside" if abs(root.numerator) > abs(root.denominator) else "inside"
-        if loc == "outside":
-            outside += 1
-        else:
-            inside += 1
-        disks.append(RootDisk(root, Fraction(0), Fraction(0), loc, multiplicity))
-        return outside, inside, on_circle, disks
-
-    if not _is_self_inverse(f):
-        # Nonrational roots on the circle come in z, 1/z = conj(z) pairs, so
-        # they all divide gcd(f, reverse(f)), which is itself inversion
-        # closed.  Splitting there leaves a quotient free of circle roots
-        # (its straddling disks always resolve by refinement) and a part the
-        # pairing argument handles.
-        mirror = poly_gcd(f, f.reversed())
-        if 0 < mirror.degree < f.degree:
-            rest = _rational_quotient(f, mirror)
-            for part in (mirror, rest):
-                n_out, n_in, n_on, part_disks = _profile_squarefree(
-                    part, multiplicity, budget, start_dps
-                )
-                outside += n_out
-                inside += n_in
-                on_circle += n_on
-                disks.extend(part_disks)
-            return outside, inside, on_circle, disks
-
-    pairing = _is_self_inverse(f)
-    deriv = f.derivative()
-    degree = f.degree
-    dps = start_dps
-    for _ in range(budget):
-        result = _attempt_disks(f, deriv, degree, dps, pairing, multiplicity)
-        if result is not None:
-            certified, n_out, n_in, n_on = result
-            return outside + n_out, inside + n_in, on_circle + n_on, disks + certified
-        dps *= 2
-    raise PrecisionBudgetError(
-        f"could not classify all roots of degree-{degree} factor "
-        f"relative to the unit circle within the refinement budget"
+        _require(k <= 1, "squarefree factor with repeated rational root")
+        on_circle += k
+    # Roots on the circle satisfy 1/z = conj(z), so they all divide the
+    # mirror part gcd(f, reverse(f)), whose roots come in pairs z, 1/z with
+    # z != 1/z; such a part is palindromic of even degree 2m.  Each real root
+    # x of its trace polynomial in (-2, 2) gives a conjugate pair on the
+    # circle; every other root x gives one root inside and one outside.
+    mirror = poly_gcd(f, f.reversed())
+    _require(
+        mirror.degree % 2 == 0 and mirror.reversed() == mirror,
+        "mirror part is not palindromic of even degree",
     )
+    m = mirror.degree // 2
+    if m:
+        pairs = len(isolate_real_roots(_trace_polynomial(mirror), Fraction(-2), Fraction(2)))
+        on_circle += 2 * pairs
+        inside += m - pairs
+        outside += m - pairs
+    rest = f.divide_exact(mirror)
+    _require(rest is not None, "mirror part does not divide exactly")
+    if rest.degree > 0:
+        rest_inside = _count_inside_off_circle(rest)
+        inside += rest_inside
+        outside += rest.degree - rest_inside
+    return outside, inside, on_circle
 
 
-def _attempt_disks(f, deriv, degree, dps, pairing, multiplicity):
-    with mp.workdps(dps):
-        try:
-            approx = mp.polyroots(
-                [mp.mpf(c) for c in reversed(f.coeffs)], maxsteps=200, extraprec=4 * dps
-            )
-        except mp.libmp.libhyper.NoConvergence:
-            return None
-    centers: list[tuple[Fraction, Fraction]] = []
-    radii: list[Fraction] = []
-    for z in approx:
-        zc = mp.mpc(z)
-        re = _mpf_to_fraction(zc.real)
-        im = _mpf_to_fraction(zc.imag)
-        val_re, val_im = _eval_complex(f, re, im)
-        der_re, der_im = _eval_complex(deriv, re, im)
-        der_sq = der_re * der_re + der_im * der_im
-        if der_sq == 0:
-            return None
-        val_sq = val_re * val_re + val_im * val_im
-        radius_sq = Fraction(degree * degree) * val_sq / der_sq
-        radius = sqrt_bounds(radius_sq, bits=4 * dps).hi
-        centers.append((re, im))
-        radii.append(radius)
-
-    def dist_sq(i: int, j: int) -> Fraction:
-        dre = centers[i][0] - centers[j][0]
-        dim = centers[i][1] - centers[j][1]
-        return dre * dre + dim * dim
-
-    for i in range(degree):
-        for j in range(i + 1, degree):
-            gap = radii[i] + radii[j]
-            if dist_sq(i, j) <= gap * gap:
-                return None  # disks not certified disjoint; refine
-
-    # disjoint disks, one per approximate root, degree many roots in total:
-    # each disk contains exactly one root and every root is covered
-    disks: list[RootDisk] = []
-    n_out = n_in = n_on = 0
-    for i in range(degree):
-        re, im = centers[i]
-        radius = radii[i]
-        mod_sq = re * re + im * im
-        if mod_sq > (1 + radius) ** 2:
-            disks.append(RootDisk(re, im, radius, "outside", multiplicity))
-            n_out += 1
-            continue
-        if radius < 1 and mod_sq < (1 - radius) ** 2:
-            disks.append(RootDisk(re, im, radius, "inside", multiplicity))
-            n_in += 1
-            continue
-        if not pairing:
-            return None
-        # straddling disk: invert it in the circle; if the image meets no
-        # other disk, the root's inversion partner is the root itself
-        denom = mod_sq - radius * radius
-        if denom <= 0:
-            return None
-        inv_re, inv_im = re / denom, im / denom
-        inv_radius = radius / denom
-        for j in range(degree):
-            if j == i:
-                continue
-            dre = inv_re - centers[j][0]
-            dim = inv_im - centers[j][1]
-            gap = inv_radius + radii[j]
-            if dre * dre + dim * dim <= gap * gap:
-                return None
-        disks.append(RootDisk(re, im, radius, "on-circle", multiplicity))
-        n_on += 1
-    return disks, n_out, n_in, n_on
-
-
-def count_roots_outside_unit_circle(
-    p: IntPoly, refinement_budget: int = 10, start_dps: int = 60
-) -> UnitCircleCount:
+def count_roots_outside_unit_circle(p: IntPoly) -> UnitCircleCount:
     """Certified count (with multiplicity) of roots of p with modulus > 1."""
     if p.degree < 0:
         raise ValueError("zero polynomial")
     outside = inside = on_circle = 0
-    disks: list[RootDisk] = []
     for factor, mult in squarefree_decomposition(p):
-        n_out, n_in, n_on, factor_disks = _profile_squarefree(
-            factor, mult, refinement_budget, start_dps
-        )
+        n_out, n_in, n_on = _profile_squarefree(factor)
         _require(
             n_out + n_in + n_on == factor.degree,
             "root counts do not add up to the factor degree",
@@ -699,5 +606,4 @@ def count_roots_outside_unit_circle(
         outside += mult * n_out
         inside += mult * n_in
         on_circle += mult * n_on
-        disks.extend(factor_disks)
-    return UnitCircleCount(outside, inside, on_circle, tuple(disks))
+    return UnitCircleCount(outside, inside, on_circle)

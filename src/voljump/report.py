@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .errors import CertificationError
 from .intervals import ClassEnclosure, decimal_string, enclosure_json
 from .lattice import (
@@ -117,6 +117,37 @@ def _power_consistency_check(limit: int = 20) -> CheckResult:
 
 
 @dataclass(frozen=True)
+class CharpolyFacts:
+    """Factor data of the characteristic polynomial, computed once per run."""
+
+    polynomial: IntPoly
+    unit_root_multiplicity: int
+    off_unit_factor: IntPoly
+    cyclotomic: list[tuple[int, int]]
+    circle: UnitCircleCount
+
+    @classmethod
+    def of(cls, p: IntPoly) -> "CharpolyFacts":
+        unit_mult, off_unit = strip_rational_root(p, 1)
+        return cls(
+            p, unit_mult, off_unit, cyclotomic_factors(p), count_roots_outside_unit_circle(p)
+        )
+
+    def to_json(self) -> dict:
+        return {
+            "coefficients_ascending": list(self.polynomial.coeffs),
+            "unit_root_multiplicity": self.unit_root_multiplicity,
+            "off_unit_factor_ascending": list(self.off_unit_factor.coeffs),
+            "cyclotomic_factors": [list(f) for f in self.cyclotomic],
+            "roots": {
+                "outside_unit_circle": self.circle.outside,
+                "inside_unit_circle": self.circle.inside,
+                "on_unit_circle": self.circle.on_circle,
+            },
+        }
+
+
+@dataclass(frozen=True)
 class OrbitEvidence:
     horizon: int
     distinct: bool
@@ -124,6 +155,7 @@ class OrbitEvidence:
     all_self_intersection_minus_two: bool
     all_canonical_degree_zero: bool
     ratio_start: int
+    ratios_tested: int
     ratios_converged: bool
     max_norm_increasing_from: int | None
     records: tuple
@@ -131,8 +163,6 @@ class OrbitEvidence:
 
 def _orbit_evidence(eigen: EigenSystem, horizon: int) -> OrbitEvidence:
     """Every orbit fact from one walk of the line class."""
-    if horizon < 3:
-        raise ValueError("growth profile needs at least three steps")
     records = tuple(orbit(standard_line(), horizon))
     distinct = distinctness(records)
     self_ok = all(r.self_intersection == -2 for r in records)
@@ -142,7 +172,8 @@ def _orbit_evidence(eigen: EigenSystem, horizon: int) -> OrbitEvidence:
     lam = eigen.dominant_value
     low = lam.lo * Fraction(99, 100)
     high = lam.hi * Fraction(101, 100)
-    converged = all(low <= ratio <= high for n, ratio in ratios if n >= start)
+    tested = [ratio for n, ratio in ratios if n >= start]
+    converged = bool(tested) and all(low <= ratio <= high for ratio in tested)
     return OrbitEvidence(
         horizon=horizon,
         distinct=distinct.distinct,
@@ -150,6 +181,7 @@ def _orbit_evidence(eigen: EigenSystem, horizon: int) -> OrbitEvidence:
         all_self_intersection_minus_two=self_ok,
         all_canonical_degree_zero=k_ok,
         ratio_start=start,
+        ratios_tested=len(tested),
         ratios_converged=converged,
         max_norm_increasing_from=increase_start(records),
         records=records,
@@ -165,26 +197,21 @@ class VerificationRun:
     certificates: tuple[CheckResult, ...]
     orientation_selected: str
     orientation_candidates: tuple
-    unit_root_multiplicity: int
-    off_unit_factor: IntPoly
-    cyclotomic: tuple[tuple[int, int], ...]
-    circle: UnitCircleCount
+    charpoly: CharpolyFacts
 
     @property
     def verdict(self) -> bool:
         return all(c.passed for c in self.certificates)
-
-    def first_failure(self) -> CheckResult | None:
-        for c in self.certificates:
-            if not c.passed:
-                return c
-        return None
 
 
 def run_verification(config: RunConfig | None = None) -> VerificationRun:
     """Evaluate every certificate in a fixed order and collect the evidence."""
     cfg = config or RunConfig()
     cfg.validate()
+    if cfg.orbit_horizon < 3:
+        raise ConfigError(
+            f"orbit-horizon must be at least 3 to test orbit growth, got {cfg.orbit_horizon}"
+        )
     checks: list[CheckResult] = []
 
     def record(name: str, passed: bool, detail: str = "") -> None:
@@ -216,15 +243,14 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         "characteristic polynomial anti-reciprocal",
         tuple(reversed(p.coeffs)) == tuple(-c for c in p.coeffs),
     )
-    unit_mult, off_unit = strip_rational_root(p, 1)
-    record("characteristic polynomial divisible by x - 1", unit_mult >= 1)
-    cyclo = cyclotomic_factors(p)
+    facts = CharpolyFacts.of(p)
+    record("characteristic polynomial divisible by x - 1", facts.unit_root_multiplicity >= 1)
     record(
         "cyclotomic scan finds only the factor at n = 1",
-        [n for n, _ in cyclo] == [1],
-        f"factors: {cyclo}",
+        [n for n, _ in facts.cyclotomic] == [1],
+        f"factors: {facts.cyclotomic}",
     )
-    circle = count_roots_outside_unit_circle(p, cfg.refinement_budget)
+    circle = facts.circle
     record(
         "exactly one root outside the unit circle",
         circle.outside == 1,
@@ -305,7 +331,9 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
     record(
         "orbit growth ratio converges to the eigenvalue",
         orbit_data.ratios_converged,
-        f"within 1% from step {orbit_data.ratio_start}",
+        f"within 1% from step {orbit_data.ratio_start}"
+        if orbit_data.ratios_tested
+        else f"no ratio from step {orbit_data.ratio_start} within horizon {orbit_data.horizon}",
     )
     record(
         "orbit max-norm eventually strictly increasing",
@@ -325,10 +353,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         certificates=tuple(checks),
         orientation_selected=orientation.selected,
         orientation_candidates=orientation.assessments,
-        unit_root_multiplicity=unit_mult,
-        off_unit_factor=off_unit,
-        cyclotomic=tuple(cyclo),
-        circle=circle,
+        charpoly=facts,
     )
 
 
@@ -353,7 +378,6 @@ def build_report(run: VerificationRun) -> dict:
     cfg = run.config
     digits = min(cfg.precision_digits, 40)
     eigen = run.eigen
-    circle = run.circle
     return {
         "schema_version": SCHEMA_VERSION,
         "config": {
@@ -377,17 +401,7 @@ def build_report(run: VerificationRun) -> dict:
                 ],
             },
         },
-        "charpoly": {
-            "coefficients_ascending": list(eigen.polynomial.coeffs),
-            "unit_root_multiplicity": run.unit_root_multiplicity,
-            "off_unit_factor_ascending": list(run.off_unit_factor.coeffs),
-            "cyclotomic_factors": [list(f) for f in run.cyclotomic],
-            "roots": {
-                "outside_unit_circle": circle.outside,
-                "inside_unit_circle": circle.inside,
-                "on_unit_circle": circle.on_circle,
-            },
-        },
+        "charpoly": run.charpoly.to_json(),
         "eigen": {
             "lambda": enclosure_json(eigen.dominant_value, digits),
             "dominant_class": _class_enclosure_json(eigen.dominant_class, digits),

@@ -241,10 +241,6 @@ def test_verify_reports_first_failure(monkeypatch, capsys):
             CheckResult("good", True),
             CheckResult("bad certificate", False, "synthetic"),
         )
-        verdict = False
-
-        def first_failure(self):
-            return self.certificates[1]
 
     monkeypatch.setattr(cli, "run_verification", lambda cfg: StubRun())
     code = cli.main(["verify"])
@@ -270,6 +266,38 @@ def test_oracle_failure_is_a_failed_certificate(monkeypatch, capsys):
         "(orientation oracle must single out one candidate, found 0)"
     ) in out.splitlines()
     assert out.splitlines()[-1] == "verdict: fail"
+
+
+def test_verify_rejects_orbit_horizon_below_three(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", "--orbit-horizon", "2"])
+    assert stop.value.code == 2
+    assert "orbit-horizon" in capsys.readouterr().err
+
+
+def test_verify_fails_growth_certificate_without_tested_ratio(capsys):
+    code, out, err = run_cli(capsys, "verify", "--orbit-horizon", "4")
+    assert code == 1
+    assert "failed: orbit growth ratio converges to the eigenvalue" in err
+    assert (
+        "[FAIL] orbit growth ratio converges to the eigenvalue "
+        "(no ratio from step 3 within horizon 4)"
+    ) in out.splitlines()
+
+
+def test_verify_runs_without_mpmath():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys; from voljump.cli import main; code = main(['verify']); "
+        "print('mpmath' in sys.modules); sys.exit(code)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_verify_passes_with_asserts_stripped():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -217,7 +218,72 @@ def test_count_outside_composite_charpoly(eigen):
     assert count.outside == 1
     assert count.inside == 1
     assert count.on_circle == 9
-    assert sum(1 for d in count.disks if d.location == "outside") == 1
+
+
+def _layout_by_polyroots(p):
+    """Independent route: mpmath root approximations sorted by modulus."""
+    tol = mp.mpf("1e-15")
+    with mp.workdps(60):
+        roots = mp.polyroots(
+            [mp.mpf(c) for c in reversed(p.coeffs)], maxsteps=400, extraprec=400
+        )
+        moduli = [abs(r) for r in roots]
+        return (
+            sum(1 for m in moduli if m > 1 + tol),
+            sum(1 for m in moduli if m < 1 - tol),
+            sum(1 for m in moduli if abs(m - 1) <= tol),
+        )
+
+
+def _seeded_products(seed, count):
+    """Random factor lists: cyclotomic, palindromic, generic, some repeated."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(("cyclotomic", "palindromic", "generic"))
+            if kind == "cyclotomic":
+                factor = cyclotomic(rng.choice((1, 2, 3, 4, 5, 6, 7, 8, 10, 12)))
+            elif kind == "palindromic":
+                half = [rng.choice((1, 2))]
+                half += [rng.randint(-4, 4) for _ in range(rng.randint(0, 2))]
+                factor = IntPoly(half + [rng.randint(-5, 5)] + half[::-1])
+            else:
+                factor = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [1])
+            factors.append(factor)
+            if rng.random() < 0.2:
+                factors.append(factor)
+        yield tuple(factors)
+
+
+LEHMER = poly_from_desc(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+GOLDEN = IntPoly([-1, -1, 1])
+Z2_3Z_1 = IntPoly([-1, 3, 1])  # roots 0.30 and -3.30: |a0| < |a2|, no circle root
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        (Z2_3Z_1,),
+        (GOLDEN, cyclotomic(7)),
+        (GOLDEN, cyclotomic(5), cyclotomic(1), cyclotomic(2)),
+        (GOLDEN, GOLDEN, IntPoly([1, 1])),  # a squared factor
+        (Z2_3Z_1, Z2_3Z_1, cyclotomic(3)),
+        (IntPoly([1, -3, 1]),),  # palindromic, real roots 2.62 and 0.38
+        (IntPoly([1, 1, -5, 1, 1]),),  # palindromic, four real roots off the circle
+        (LEHMER, IntPoly([1, -3, 1])),
+        (IntPoly([0, 1]), IntPoly([0, 1]), GOLDEN),  # a double root at 0
+    ]
+    + list(_seeded_products(20231, 40)),
+)
+def test_count_outside_matches_polyroots(factors):
+    product = IntPoly([1])
+    for factor in factors:
+        product = product * factor
+    count = count_roots_outside_unit_circle(product)
+    # mpmath converges badly at repeated roots, so it sees one factor at a time
+    layouts = [_layout_by_polyroots(f) for f in factors]
+    assert (count.outside, count.inside, count.on_circle) == tuple(map(sum, zip(*layouts)))
 
 
 def test_deflation_at_non_root_raises():
