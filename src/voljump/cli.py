@@ -1,8 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 all certificates pass, 1 a certificate failed, 2 usage or
-configuration error, 3 refinement budget exhausted before a certificate
-could be decided.
+configuration error, 3 working precision too low to decide a certificate.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--orbit-horizon", type=int, metavar="N", help="orbit length (default 50)")
     common.add_argument("--format", dest="output_format", choices=OUTPUT_FORMATS, help="output format")
     common.add_argument("--tol-digits", type=int, metavar="N", help="decimal digits for displayed values")
-    common.add_argument("--refinement-budget", type=int, metavar="N", help="retries before giving up (default 10)")
     common.add_argument("--config", type=Path, metavar="PATH", help="key=value config file (default: $VOLJUMP_CONFIG)")
     common.add_argument("--out", type=Path, metavar="PATH", help="write output to a file instead of stdout")
 
@@ -117,7 +115,7 @@ def cmd_dump_matrix(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_charpoly(args, cfg: RunConfig) -> tuple[str, int]:
-    facts = CharpolyFacts.of(eigensystem(cfg.precision_digits, cfg.refinement_budget).polynomial)
+    facts = CharpolyFacts.of(eigensystem(cfg.precision_digits).polynomial)
     if cfg.output_format == "json":
         return json.dumps(facts.to_json(), indent=2, sort_keys=True) + "\n", 0
     p, circle = facts.polynomial, facts.circle
@@ -134,7 +132,7 @@ def cmd_charpoly(args, cfg: RunConfig) -> tuple[str, int]:
 
 def cmd_eigen(args, cfg: RunConfig) -> tuple[str, int]:
     digits = args.tol_digits if args.tol_digits else 30
-    eigen = eigensystem(cfg.precision_digits, cfg.refinement_budget)
+    eigen = eigensystem(cfg.precision_digits)
     if cfg.output_format == "json":
         payload = {
             "lambda": enclosure_json(eigen.dominant_value, digits),
@@ -153,7 +151,7 @@ def cmd_eigen(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 def _table_rows(cfg: RunConfig) -> list[MarginRow]:
-    eigen = eigensystem(cfg.precision_digits, cfg.refinement_budget)
+    eigen = eigensystem(cfg.precision_digits)
     witness = eigen.nef_witness
     rows: list[MarginRow] = []
     for d in range(3, 7):
@@ -199,13 +197,9 @@ def cmd_nef_table(args, cfg: RunConfig) -> tuple[str, int]:
 
 def cmd_nef_verify(args, cfg: RunConfig) -> tuple[str, int]:
     digits = args.tol if getattr(args, "tol", None) else cfg.precision_digits
-    probe = RunConfig(
-        precision_digits=digits,
-        orbit_horizon=cfg.orbit_horizon,
-        refinement_budget=cfg.refinement_budget,
-    )
+    probe = RunConfig(precision_digits=digits, orbit_horizon=cfg.orbit_horizon)
     probe.validate()
-    eigen = eigensystem(probe.precision_digits, probe.refinement_budget)
+    eigen = eigensystem(probe.precision_digits)
     return _certificate_text(full_report(eigen).checks)
 
 
@@ -299,7 +293,6 @@ def main(argv: list[str] | None = None) -> int:
                 "precision_digits": args.precision_digits,
                 "orbit_horizon": args.orbit_horizon,
                 "output_format": args.output_format,
-                "refinement_budget": args.refinement_budget,
                 "table_digits": args.tol_digits,
             },
             config_path=args.config,

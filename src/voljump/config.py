@@ -25,7 +25,6 @@ class RunConfig:
     precision_digits: int = 60
     orbit_horizon: int = 50
     output_format: str = "text"
-    refinement_budget: int = 10
     table_digits: int = 3
 
     def validate(self) -> None:
@@ -36,8 +35,6 @@ class RunConfig:
             )
         if self.orbit_horizon < 1:
             raise ConfigError("orbit-horizon must be positive")
-        if self.refinement_budget < 1:
-            raise ConfigError("refinement-budget must be positive")
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(f"unknown output format {self.output_format!r}")
         if self.table_digits < 1:
@@ -49,7 +46,6 @@ _KEY_FIELDS = {
     "precision-digits": ("precision_digits", int),
     "orbit-horizon": ("orbit_horizon", int),
     "format": ("output_format", str),
-    "refinement-budget": ("refinement_budget", int),
     "tol-digits": ("table_digits", int),
 }
 

@@ -14,8 +14,8 @@ class CertificationError(VerificationError):
 
 
 class PrecisionBudgetError(VerificationError):
-    """The refinement budget was exhausted before a certificate was decided.
+    """The working precision was too low to decide a certificate.
 
     Raised instead of silently returning an inconclusive answer; callers may
-    retry with a larger budget or higher working precision.
+    run again at a higher working precision.
     """

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable, Union
 
 from .errors import CertificationError
@@ -145,25 +144,6 @@ def _coerce(x: _Operand) -> RealEnclosure:
     return RealEnclosure.exact(x)
 
 
-def sqrt_bounds(value: Fraction, bits: int = 128) -> RealEnclosure:
-    """Certified enclosure of sqrt(value) for value >= 0, about 2**-bits wide."""
-    if value < 0:
-        raise ValueError("square root of a negative rational")
-    if value == 0:
-        return RealEnclosure.exact(0)
-    scale = 1 << bits
-    scaled = value * scale * scale
-    root_floor = isqrt(scaled.numerator // scaled.denominator)
-    lo = Fraction(root_floor, scale)
-    hi = Fraction(root_floor + 1, scale)
-    # floor of sqrt of the rational may still be one off; widen until certain
-    while lo * lo > value:
-        lo -= Fraction(1, scale)
-    while hi * hi < value:
-        hi += Fraction(1, scale)
-    return RealEnclosure(lo, hi)
-
-
 @dataclass(frozen=True)
 class ClassEnclosure:
     """Eleven coefficient enclosures over the (H, E1..E10) basis.
@@ -190,9 +170,6 @@ class ClassEnclosure:
 
     def max_width(self) -> Fraction:
         return max(c.width for c in self.coeffs)
-
-    def midpoint_class(self) -> DivisorClass:
-        return DivisorClass(c.midpoint for c in self.coeffs)
 
     def pair(self, other: Union["ClassEnclosure", DivisorClass]) -> RealEnclosure:
         """Intersection pairing with interval arithmetic."""

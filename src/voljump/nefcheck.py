@@ -210,46 +210,12 @@ def _canonical_candidates(d: int) -> list[CandidateCurve]:
     return out
 
 
-def _distinct_permutations(values: tuple[int, ...]):
-    """All distinct orderings of a multiset, lexicographically descending."""
-    counts: dict[int, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    slot = [0] * len(values)
-
-    def rec(pos: int):
-        if pos == len(values):
-            yield tuple(slot)
-            return
-        for v in sorted(counts, reverse=True):
-            if counts[v]:
-                counts[v] -= 1
-                slot[pos] = v
-                yield from rec(pos + 1)
-                counts[v] += 1
-
-    yield from rec(0)
-
-
-def enumerate_feasible(d: int, canonical: bool = True):
-    """All feasible multiplicity vectors for degree d in 3..6.
-
-    Canonical means nonincreasing along the weight order (one representative
-    per rearrangement class); with canonical=False an iterator over every
-    distinct rearrangement is returned instead.
-    """
+def enumerate_feasible(d: int) -> list[CandidateCurve]:
+    """All feasible multiplicity vectors for degree d in 3..6, nonincreasing
+    along the weight order (one representative per rearrangement class)."""
     if not 3 <= d <= 6:
         raise ValueError(f"enumeration degree must be in 3..6, got {d}")
-    candidates = _canonical_candidates(d)
-    if canonical:
-        return candidates
-
-    def expand():
-        for c in candidates:
-            for perm in _distinct_permutations(c.weight_sorted()):
-                yield CandidateCurve(d, _from_weight_pattern(perm))
-
-    return expand()
+    return _canonical_candidates(d)
 
 
 def extreme_candidates(d: int) -> list[CandidateCurve]:
@@ -432,10 +398,6 @@ class NefReport:
     extra_extreme_rows: tuple[MarginRow, ...]
     checks: tuple[CheckResult, ...] = field(default_factory=tuple)
 
-    @property
-    def verdict(self) -> bool:
-        return all(c.passed for c in self.checks)
-
 
 def _reference_lookup() -> dict[tuple[int, tuple[int, ...]], Fraction]:
     return {(d, a): m for d, a, m in TABLE_ROWS}
@@ -462,6 +424,15 @@ def full_report(eigen: EigenSystem) -> NefReport:
     def argmin(candidates: list[CandidateCurve], bounds, indices) -> int:
         # the midpoint order, (lo + hi) / 2, with the candidate as tie-break
         return min(indices, key=lambda i: (sum(bounds[i]), candidates[i].mults))
+
+    # the premise of the canonical enumeration below: sorted multiplicities
+    # along the weight order minimize the margin (rearrangement inequality)
+    ts = witness.multipliers()
+    record(
+        "witness coefficient ordering certified",
+        all(ts[a - 1].lo > ts[b - 1].hi for a, b in zip(WEIGHT_ORDER, WEIGHT_ORDER[1:])),
+        "strict descending chain",
+    )
 
     # degree <= 1
     degree_one = tuple(

@@ -1,8 +1,9 @@
 """Integer polynomials and certified root data.
 
-Provides the exact characteristic polynomial of an integer matrix, real-root
-isolation and refinement with rational endpoints, a cyclotomic divisibility
-scan, and a certified count of roots outside the unit circle.
+Provides the exact characteristic polynomial of an integer matrix together
+with the first column of the adjugate of xI - m, real-root isolation and
+refinement with rational endpoints, a cyclotomic divisibility scan, and a
+certified count of roots outside the unit circle.
 
 The unit-circle count is exact and uses integer polynomials only.  Per
 squarefree factor, after the roots at 0 and +-1 are divided out, the mirror
@@ -111,6 +112,11 @@ class IntPoly:
             return None
         return IntPoly(int(q) for q in out)
 
+    def is_multiple_of(self, divisor: "IntPoly") -> bool:
+        """Whether the nonzero divisor divides self over Q (it divides 0)."""
+        rest = _remainder(_trimmed(_fraction_coeffs(self)), _trimmed(_fraction_coeffs(divisor)))
+        return not rest
+
     def __str__(self) -> str:
         terms = []
         for k in range(self.degree, -1, -1):
@@ -128,15 +134,18 @@ class IntPoly:
         return " ".join(terms) if terms else "0"
 
 
-def char_poly(m: "LatticeIsometry") -> IntPoly:
-    """Exact characteristic polynomial det(xI - m) via Faddeev-LeVerrier.
+def faddeev_leverrier(m: "LatticeIsometry") -> tuple[IntPoly, tuple[IntPoly, ...]]:
+    """det(xI - m) and column 0 of adj(xI - m), in one Faddeev-LeVerrier pass.
 
-    The recurrence stays in integer arithmetic; every division by k is exact
+    With M_1 = I, c_k = -tr(m M_k) / k and M_{k+1} = m M_k + c_k I,
+    det(xI - m) = sum c_k x^(n-k) and adj(xI - m) = sum M_k x^(n-k).  The
+    recurrence stays in integer arithmetic; every division by k is exact
     (checked, since the c_k are integers for an integer matrix).
     """
     rows = m.rows
     n = len(rows)
     coeffs_desc = [1]
+    column_desc = [[1 if i == 0 else 0] for i in range(n)]  # M_1 = I
     work = [list(r) for r in rows]
     for k in range(1, n + 1):
         trace = sum(work[i][i] for i in range(n))
@@ -148,11 +157,28 @@ def char_poly(m: "LatticeIsometry") -> IntPoly:
                 [work[i][j] + (ck if i == j else 0) for j in range(n)]
                 for i in range(n)
             ]
+            for i in range(n):
+                column_desc[i].append(shifted[i][0])
             work = [
                 [sum(rows[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
                 for i in range(n)
             ]
-    return IntPoly(reversed(coeffs_desc))
+    return IntPoly(reversed(coeffs_desc)), tuple(IntPoly(reversed(c)) for c in column_desc)
+
+
+def char_poly(m: "LatticeIsometry") -> IntPoly:
+    """Exact characteristic polynomial det(xI - m)."""
+    return faddeev_leverrier(m)[0]
+
+
+def combine(weights: Sequence[int], polys: Sequence[IntPoly]) -> IntPoly:
+    """The integer combination sum w_j p_j."""
+    out = [0] * max(len(p.coeffs) for p in polys)
+    for w, p in zip(weights, polys):
+        if w:
+            for k, c in enumerate(p.coeffs):
+                out[k] += w * c
+    return IntPoly(out)
 
 
 def cauchy_root_bound(p: IntPoly) -> Fraction:

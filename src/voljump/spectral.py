@@ -1,11 +1,15 @@
 """Certified spectral data of the composite map.
 
-Pipeline: exact characteristic polynomial -> certified enclosure of the
-dominant eigenvalue -> certified enclosure of the normalized dominant
-eigenvector (interval Gaussian elimination over the eigenvalue enclosure) ->
-derived quantities: the line component beta and the nef-witness coefficients
-t_i.  Also hosts the orientation oracle that selects the composite map among
-the notation readings by matching the reference coefficients.
+Pipeline: one Faddeev-LeVerrier pass gives the characteristic polynomial p
+and the column a(x) = adj(xI - T) e_0 of integer polynomials -> certified
+enclosure of the dominant eigenvalue lambda, a simple root of the off-unit
+factor s of p -> the eigen-relation (xI - T) a = 0 checked exactly mod s ->
+the normalized dominant eigenvector a(lambda) / a_0(lambda), evaluated once
+on interval powers of lambda -> derived quantities: the line component beta
+and the nef-witness coefficients t_i.  Exact identities mod s (such as the
+zero pairings of the eigenvector) are decided on the column itself.  Also
+hosts the orientation oracle that selects the composite map among the
+notation readings by matching the reference coefficients.
 """
 
 from __future__ import annotations
@@ -13,14 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import CertificationError, PrecisionBudgetError, VerificationError
 from .intervals import ClassEnclosure, RealEnclosure
 from .lattice import RANK
 from .polynomials import (
     IntPoly,
-    char_poly,
+    combine,
     dominant_root,
+    faddeev_leverrier,
     poly_gcd,
     strip_rational_root,
 )
@@ -33,58 +39,15 @@ from .transform import (
 #: Exceptional indices carried by the distinguished line class H - E1 - E2 - E3.
 _LINE_INDICES = (1, 2, 3)
 
-
-def _solve_interval_system(
-    matrix: list[list[RealEnclosure]],
-    rhs: list[RealEnclosure],
-    round_bits: int | None,
-) -> list[RealEnclosure]:
-    """Gaussian elimination with interval coefficients.
-
-    Pivots are chosen by largest midpoint magnitude; a pivot whose enclosure
-    straddles zero means the system is singular at this precision.
-    """
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    b = rhs[:]
-
-    def tidy(x: RealEnclosure) -> RealEnclosure:
-        return x.outward(round_bits) if round_bits else x
-
-    for col in range(n):
-        pivot_row = None
-        pivot_size = Fraction(0)
-        for r in range(col, n):
-            entry = m[r][col]
-            if entry.contains_zero():
-                continue
-            size = abs(entry.midpoint)
-            if pivot_row is None or size > pivot_size:
-                pivot_row, pivot_size = r, size
-        if pivot_row is None:
-            raise PrecisionBudgetError(
-                "interval elimination hit a pivot straddling zero; refine the input"
-            )
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        b[col], b[pivot_row] = b[pivot_row], b[col]
-        for r in range(col + 1, n):
-            if m[r][col].lo == 0 == m[r][col].hi:
-                continue
-            factor = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] = tidy(m[r][c] - factor * m[col][c])
-            b[r] = tidy(b[r] - factor * b[col])
-    solution: list[RealEnclosure] = [RealEnclosure.exact(0)] * n
-    for row in range(n - 1, -1, -1):
-        acc = b[row]
-        for c in range(row + 1, n):
-            acc = acc - m[row][c] * solution[c]
-        solution[row] = tidy(acc / m[row][row])
-    return solution
+#: Decimal digits by which the eigenvalue enclosure is tighter than the
+#: requested coefficient width; the divisions by a_0(lambda) and 1 - beta
+#: cost far fewer.
+GUARD_DIGITS = 24
 
 
-def _certify_simple_root(p: IntPoly, lam: RealEnclosure) -> None:
-    """Check that lam encloses a simple root of p greater than 1."""
+def _certify_simple_root(p: IntPoly, lam: RealEnclosure) -> IntPoly:
+    """Check that lam encloses a simple root of p greater than 1; return the
+    factor s of p beyond powers of (x - 1), of which it is a root."""
     if not lam.lo > 1:
         raise CertificationError(
             "eigenvalue enclosure must lie strictly above 1 (dominant, not unit root)"
@@ -98,60 +61,71 @@ def _certify_simple_root(p: IntPoly, lam: RealEnclosure) -> None:
         )
     lo_val, hi_val = off_unit(lam.lo), off_unit(lam.hi)
     if lam.lo == lam.hi:
-        if off_unit(lam.lo) != 0:
+        if lo_val != 0:
             raise CertificationError("exact enclosure does not hit a root")
-        return
-    if lo_val == 0 or hi_val == 0 or (lo_val > 0) == (hi_val > 0):
+    elif lo_val == 0 or hi_val == 0 or (lo_val > 0) == (hi_val > 0):
         raise CertificationError(
             "enclosure endpoints carry no sign change; not certified to contain the root"
         )
+    return off_unit
 
 
-def dominant_eigenvector(
+def _dominant_spectrum(p: IntPoly, tol: Fraction) -> tuple[RealEnclosure, IntPoly]:
+    """The certified dominant root of p (width <= tol) and the factor s it is
+    a simple root of."""
+    lam = dominant_root(p, tol)
+    return lam, _certify_simple_root(p, lam)
+
+
+def _eigenvector(
     m: LatticeIsometry,
+    column: Sequence[IntPoly],
+    off_unit: IntPoly,
     lam: RealEnclosure,
     tol: Fraction,
-    round_bits: int | None = None,
-    polynomial: IntPoly | None = None,
 ) -> ClassEnclosure:
-    """Certified eigenvector enclosure, normalized to H-coefficient exactly 1.
+    """a(lambda) / a_0(lambda) for the adjugate column a of xI - m.
 
-    Solves the 10x10 system left after the normalization with interval
-    arithmetic over the eigenvalue enclosure, then checks the full residual
-    (T v - lambda v contains 0 componentwise, including the row dropped by
-    the normalization) and the requested coefficient widths.  `polynomial`
-    is the characteristic polynomial of m when the caller has it already.
+    The eigen-relation x a_i - sum_j m_ij a_j = 0 mod s is checked exactly
+    per row; lambda must be a certified root of s, so a(lambda) is an
+    eigenvector and a_0(lambda) != 0 is certified by its enclosure.
     """
-    _certify_simple_root(char_poly(m) if polynomial is None else polynomial, lam)
-    rows = m.rows
-    matrix = [
-        [
-            RealEnclosure(rows[i][j] - lam.hi, rows[i][j] - lam.lo)
-            if i == j
-            else RealEnclosure.exact(rows[i][j])
-            for j in range(1, RANK)
-        ]
-        for i in range(1, RANK)
+    for i, row in enumerate(m.rows):
+        residual = combine(
+            (1,) + tuple(-c for c in row), (IntPoly((0,) + column[i].coeffs), *column)
+        )
+        if not residual.is_multiple_of(off_unit):
+            raise CertificationError(f"eigen-relation row {i} does not vanish mod s")
+    powers = [RealEnclosure.exact(1)]
+    for _ in range(max(a.degree for a in column)):
+        powers.append(powers[-1] * lam)
+    values = [
+        sum((c * x for c, x in zip(a.coeffs, powers) if c), RealEnclosure.exact(0))
+        for a in column
     ]
-    rhs = [RealEnclosure.exact(-rows[i][0]) for i in range(1, RANK)]
-    tail = _solve_interval_system(matrix, rhs, round_bits)
-    coeffs = [RealEnclosure.exact(1)] + tail
-    vector = ClassEnclosure(coeffs)
-
-    for i in range(RANK):
-        residual = RealEnclosure.exact(0)
-        for j in range(RANK):
-            residual = residual + rows[i][j] * coeffs[j]
-        residual = residual - lam * coeffs[i]
-        if not residual.contains_zero():
-            raise CertificationError(
-                f"eigen-residual row {i} excludes zero: {residual}"
-            )
+    if values[0].contains_zero():
+        raise PrecisionBudgetError("a_0(lambda) not certified nonzero; refine the eigenvalue")
+    # the quotients are only as tight as lambda's enclosure; a grid 2^64
+    # times finer than lambda's own keeps their denominators small
+    bits = lam.hi.denominator.bit_length() + 64
+    tail = [(v / values[0]).outward(bits) for v in values[1:]]
     if any(c.width > tol for c in tail):
         raise PrecisionBudgetError(
             "eigenvector enclosure wider than requested; refine the eigenvalue"
         )
-    return vector
+    return ClassEnclosure([RealEnclosure.exact(1)] + tail)
+
+
+def dominant_eigenvector(
+    m: LatticeIsometry, lam: RealEnclosure, tol: Fraction
+) -> ClassEnclosure:
+    """Certified eigenvector enclosure, normalized to H-coefficient exactly 1.
+
+    lam must enclose a simple root greater than 1 of the characteristic
+    polynomial of m; the coefficients come from the adjugate column.
+    """
+    p, column = faddeev_leverrier(m)
+    return _eigenvector(m, column, _certify_simple_root(p, lam), lam, tol)
 
 
 def beta(r: ClassEnclosure) -> RealEnclosure:
@@ -209,6 +183,8 @@ class EigenSystem:
     digits: int
     transform: LatticeIsometry
     polynomial: IntPoly
+    adjugate_column: tuple[IntPoly, ...]  # a = adj(xI - T) e_0, eigenvector a(lambda)
+    off_unit_factor: IntPoly  # s, with lambda a certified simple root
     dominant_value: RealEnclosure
     dominant_class: ClassEnclosure
     line_component: RealEnclosure
@@ -224,41 +200,27 @@ class EigenSystem:
 
 
 def _build_eigensystem(
-    m: LatticeIsometry, digits: int, budget: int, root=dominant_root
+    m: LatticeIsometry, digits: int, spectrum=_dominant_spectrum
 ) -> EigenSystem:
-    """`root(p, tol)` isolates the dominant root; callers that build many
-    systems may pass a memoized `dominant_root`."""
-    p = char_poly(m)
+    """`spectrum(p, tol)` is `_dominant_spectrum`; callers that build many
+    systems may pass a memoized one."""
+    p, column = faddeev_leverrier(m)
     tol = Fraction(1, 10**digits)
-    guard = 24
-    last_error: VerificationError | None = None
-    for _ in range(budget):
-        lam_tol = Fraction(1, 10 ** (digits + guard))
-        round_bits = 4 * (digits + guard) + 64
-        lam = root(p, lam_tol)
-        try:
-            vector = dominant_eigenvector(m, lam, tol, round_bits, p)
-            component = beta(vector)
-            witness = L_coefficients(vector, component)
-        except PrecisionBudgetError as err:
-            last_error = err
-            guard *= 2
-            continue
-        if witness.max_width() > tol * 10**6:
-            guard *= 2
-            continue
-        return EigenSystem(digits, m, p, lam, vector, component, witness)
-    raise PrecisionBudgetError(
-        f"eigensystem did not certify within the refinement budget: {last_error}"
-    )
+    lam, off_unit = spectrum(p, tol / 10**GUARD_DIGITS)
+    vector = _eigenvector(m, column, off_unit, lam, tol)
+    component = beta(vector)
+    witness = L_coefficients(vector, component)
+    if witness.max_width() > tol * 10**6:
+        raise PrecisionBudgetError("nef witness enclosure wider than requested")
+    return EigenSystem(digits, m, p, column, off_unit, lam, vector, component, witness)
 
 
 @lru_cache(maxsize=8)
-def eigensystem(digits: int = 60, budget: int = 10) -> EigenSystem:
+def eigensystem(digits: int = 60) -> EigenSystem:
     """Certified spectral data of the fixed composite map (cached)."""
     if digits < 1:
         raise ValueError("digits must be positive")
-    return _build_eigensystem(composite_T(), digits, budget)
+    return _build_eigensystem(composite_T(), digits)
 
 
 # -- orientation oracle ----------------------------------------------------------
@@ -292,20 +254,21 @@ def _matches_reference(witness: ClassEnclosure) -> tuple[bool, str]:
     return True, f"all coefficients within {float(worst):.2e} of reference"
 
 
-def select_orientation(digits: int = 12, budget: int = 6) -> OrientationReport:
+def select_orientation(digits: int = 12) -> OrientationReport:
     """Evaluate every reading of the composite's notation against the reference.
 
     Exactly one candidate must reproduce the reference witness coefficients,
     and it must be the matrix `composite_T` returns; anything else is a
     certification failure.  The candidates share few characteristic
-    polynomials, so each dominant root is isolated once per call.
+    polynomials, so each dominant root is isolated and certified simple once
+    per call.
     """
-    root = lru_cache(maxsize=None)(dominant_root)
+    spectrum = lru_cache(maxsize=None)(_dominant_spectrum)
     assessments: list[CandidateAssessment] = []
     matching: list[tuple[str, LatticeIsometry]] = []
     for name, matrix in sorted(candidate_composites().items()):
         try:
-            system = _build_eigensystem(matrix, digits, budget, root)
+            system = _build_eigensystem(matrix, digits, spectrum)
         except VerificationError as err:
             assessments.append(CandidateAssessment(name, False, f"no certified data: {err}"))
             continue

@@ -20,7 +20,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
-from .lattice import RANK, GRAM_DIAGONAL, DivisorClass, canonical_class
+from .lattice import RANK, GRAM_DIAGONAL, DivisorClass
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,3 @@ def candidate_composites() -> dict[str, LatticeIsometry]:
         grouped.setdefault(matrix, []).append(name)
     return {" = ".join(sorted(names)): matrix for matrix, names in grouped.items()}
 
-
-def fixes_canonical_class(m: LatticeIsometry) -> bool:
-    k = canonical_class()
-    return apply(m, k) == k

@@ -313,3 +313,49 @@ def test_verify_passes_with_asserts_stripped():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "verdict: pass"
+
+
+def test_nef_verify_checks_its_ordering_premise(monkeypatch, capsys):
+    from voljump import nefcheck
+
+    order = list(nefcheck.WEIGHT_ORDER)
+    order[0], order[1] = order[1], order[0]
+    monkeypatch.setattr(nefcheck, "WEIGHT_ORDER", tuple(order))
+    code, out, err = run_cli(capsys, "nef-verify")
+    assert code == 1
+    assert "failed: witness coefficient ordering certified" in err
+    assert "[FAIL] witness coefficient ordering certified (strict descending chain)" in out
+
+
+def test_corrupted_adjugate_column_fails_self_intersection(monkeypatch, capsys):
+    import dataclasses
+
+    from voljump import report
+    from voljump.polynomials import IntPoly
+
+    eigen = report.eigensystem(60)
+    column = list(eigen.adjugate_column)
+    column[4] = IntPoly((column[4].coeffs[0] + 1,) + column[4].coeffs[1:])
+    corrupted = dataclasses.replace(eigen, adjugate_column=tuple(column))
+    monkeypatch.setattr(report, "eigensystem", lambda digits: corrupted)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1
+    assert "failed: dominant class has self-intersection zero" in err
+    assert "[FAIL] dominant class pairs to zero with the canonical class" in out
+    assert out.splitlines()[-1] == "verdict: fail"
+
+
+def test_config_file_rejects_refinement_budget(tmp_path, capsys):
+    config = tmp_path / "old.cfg"
+    config.write_text("refinement-budget = 3\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--config", str(config)])
+    assert excinfo.value.code == 2
+    assert "refinement-budget" in capsys.readouterr().err
+
+
+def test_refinement_budget_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--refinement-budget", "3"])
+    assert excinfo.value.code == 2
+    assert "--refinement-budget" in capsys.readouterr().err

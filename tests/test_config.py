@@ -13,7 +13,6 @@ def test_defaults_are_valid():
     cfg.validate()
     assert cfg.precision_digits == 60
     assert cfg.orbit_horizon == 50
-    assert cfg.refinement_budget == 10
 
 
 @pytest.mark.parametrize(
@@ -21,7 +20,6 @@ def test_defaults_are_valid():
     [
         ("precision_digits", 19),
         ("orbit_horizon", 0),
-        ("refinement_budget", 0),
         ("output_format", "yaml"),
         ("table_digits", 0),
     ],

@@ -7,7 +7,6 @@ from voljump.intervals import (
     ClassEnclosure,
     RealEnclosure,
     decimal_string,
-    sqrt_bounds,
 )
 from voljump.lattice import canonical_class, pair, standard_line
 
@@ -69,15 +68,6 @@ def test_decimal_string_rounding():
     assert decimal_string(Fraction(-5, 1000), 2) == "-0.01"
     assert decimal_string(Fraction(7), 0) == "7"
     assert decimal_string(Fraction(-3, 2), 3) == "-1.500"
-
-
-def test_sqrt_bounds_encloses():
-    for value in (Fraction(2), Fraction(1, 3), Fraction(9), Fraction(0)):
-        bounds = sqrt_bounds(value, bits=64)
-        assert bounds.lo * bounds.lo <= value <= bounds.hi * bounds.hi
-        assert bounds.width <= Fraction(4, 1 << 64)
-    with pytest.raises(ValueError):
-        sqrt_bounds(Fraction(-1))
 
 
 def test_class_enclosure_pairing_matches_exact():

@@ -92,7 +92,7 @@ def test_growth_profile_constant_for_fixed_point():
 
 
 def test_growth_ratio_near_eigenvalue_from_start(eigen):
-    seed = eigen.dominant_class.midpoint_class()
+    seed = DivisorClass(c.midpoint for c in eigen.dominant_class.coeffs)
     profile = growth_profile(seed, 4)
     lam = eigen.dominant_value
     low = lam.lo * Fraction(99, 100)

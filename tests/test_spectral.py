@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 
 from voljump.errors import CertificationError, PrecisionBudgetError
-from voljump.intervals import ClassEnclosure, RealEnclosure, sqrt_bounds
-from voljump.lattice import canonical_class
+from voljump.intervals import ClassEnclosure, RealEnclosure
+from voljump.lattice import GRAM_DIAGONAL, canonical_class
+from voljump.polynomials import IntPoly, combine, faddeev_leverrier, strip_rational_root
 from voljump.reference import WEIGHT_ORDER, WITNESS_COEFFS, WITNESS_TOLERANCE
 from voljump.spectral import (
     L_coefficients,
+    _eigenvector,
     beta,
     dominant_eigenvector,
     line_pairing_identity_certified,
@@ -90,13 +92,13 @@ def test_beta_within_reference_implied_interval(eigen):
     slack = Fraction(1, 2000)
     low = sum((t - slack) ** 2 for t in WITNESS_COEFFS)
     high = sum((t + slack) ** 2 for t in WITNESS_COEFFS)
-    # beta / (1 - beta) = sqrt((1 - sum t^2) / 2), increasing in the radicand
-    lo_ratio = sqrt_bounds((1 - high) / 2, bits=80).lo
-    hi_ratio = sqrt_bounds((1 - low) / 2, bits=80).hi
-    beta_low = lo_ratio / (1 + lo_ratio)
-    beta_high = hi_ratio / (1 + hi_ratio)
+    # beta / (1 - beta) = sqrt((1 - sum t^2) / 2) and both sides increase
+    # with beta, so the squared ratios at the endpoints must bracket
     value = eigen.line_component
-    assert beta_low <= value.lo and value.hi <= beta_high
+    ratio_lo = value.lo / (1 - value.lo)
+    ratio_hi = value.hi / (1 - value.hi)
+    assert (1 - high) / 2 <= ratio_lo**2
+    assert ratio_hi**2 <= (1 - low) / 2
 
 
 def test_witness_matches_reference(eigen):
@@ -130,6 +132,56 @@ def test_square_sum_identity(eigen):
     assert direct.overlaps(via_identity)
     assert direct.width <= WIDTH_BOUND
     assert via_identity.width <= WIDTH_BOUND
+
+
+def _eigen_residuals(m, column):
+    """Row i of (xI - m) a as integer polynomials."""
+    return [
+        combine((1,) + tuple(-c for c in row), (IntPoly((0,) + column[i].coeffs), *column))
+        for i, row in enumerate(m.rows)
+    ]
+
+
+def test_adjugate_column_is_exact_eigendata(eigen):
+    t = eigen.transform
+    p, column = faddeev_leverrier(t)
+    s = strip_rational_root(p, 1)[1]
+    assert (p, column, s) == (eigen.polynomial, eigen.adjugate_column, eigen.off_unit_factor)
+    assert max(abs(c) for a in column for c in a.coeffs) <= 3  # two bits
+    # (xI - T) a = p e_0 as polynomials, which fixes a of degree < 11
+    assert _eigen_residuals(t, column) == [p] + [IntPoly([0])] * 10
+    assert all(r.is_multiple_of(s) for r in _eigen_residuals(t, column))
+    # v.v = 0 and v.K = 0 hold mod s, not identically
+    self_pairing = combine(GRAM_DIAGONAL, [a * a for a in column])
+    k, _ = canonical_class().integral_multiple()
+    k_pairing = combine([g * c for g, c in zip(GRAM_DIAGONAL, k)], column)
+    for poly in (self_pairing, k_pairing):
+        assert poly != IntPoly([0])
+        assert poly.is_multiple_of(s)
+    # the enclosures hold a(x) / a_0(x) across lambda's enclosure
+    lam = eigen.dominant_value
+    for x in (lam.lo, lam.hi):
+        for a, enc in zip(column, eigen.dominant_class.coeffs):
+            assert enc.contains(a(x) / column[0](x))
+
+
+def test_adjugate_column_of_identity():
+    # det(xI - I) = (x - 1)^11 and adj(xI - I) = (x - 1)^10 I
+    p, column = faddeev_leverrier(LatticeIsometry.identity())
+    power = IntPoly([1])
+    for _ in range(10):
+        power = power * IntPoly([-1, 1])
+    assert p == power * IntPoly([-1, 1])
+    assert column == (power,) + (IntPoly([0]),) * 10
+
+
+def test_eigenvector_rejects_corrupted_column(eigen):
+    column = list(eigen.adjugate_column)
+    column[4] = IntPoly((column[4].coeffs[0] + 1,) + column[4].coeffs[1:])
+    with pytest.raises(CertificationError, match="eigen-relation row"):
+        _eigenvector(
+            eigen.transform, column, eigen.off_unit_factor, eigen.dominant_value, Fraction(1)
+        )
 
 
 def test_L_coefficients_requires_certified_component(eigen):

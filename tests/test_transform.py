@@ -19,7 +19,6 @@ from voljump.transform import (
     composite_T,
     cremona_isometry,
     exceptional_shift,
-    fixes_canonical_class,
     permutation_isometry,
     verify_isometry,
 )
@@ -73,7 +72,6 @@ def test_composite_is_isometry_and_fixes_canonical():
     t = composite_T()
     assert verify_isometry(t).ok
     assert apply(t, canonical_class()) == canonical_class()
-    assert fixes_canonical_class(t)
     assert t.determinant() in (-1, 1)
 
 
@@ -130,7 +128,7 @@ def test_candidates_are_isometries_fixing_canonical():
     assert composite_T() in candidates.values()
     for matrix in candidates.values():
         assert verify_isometry(matrix).ok
-        assert fixes_canonical_class(matrix)
+        assert apply(matrix, canonical_class()) == canonical_class()
         assert matrix.determinant() in (-1, 1)
 
 
