@@ -115,7 +115,7 @@ def cmd_dump_matrix(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_charpoly(args, cfg: RunConfig) -> tuple[str, int]:
-    facts = CharpolyFacts.of(eigensystem(cfg.precision_digits).polynomial)
+    facts = CharpolyFacts.of(eigensystem(cfg.precision_digits))
     if cfg.output_format == "json":
         return json.dumps(facts.to_json(), indent=2, sort_keys=True) + "\n", 0
     p, circle = facts.polynomial, facts.circle
@@ -304,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         parser.error(str(err))
     except PrecisionBudgetError as err:
-        print(f"precision budget exhausted: {err}", file=sys.stderr)
+        print(f"precision too low to decide a certificate: {err}", file=sys.stderr)
         return 3
     except CertificationError as err:
         print(f"certificate failure: {err}", file=sys.stderr)

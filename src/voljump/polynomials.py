@@ -5,6 +5,12 @@ with the first column of the adjugate of xI - m, real-root isolation and
 refinement with rational endpoints, a cyclotomic divisibility scan, and a
 certified count of roots outside the unit circle.
 
+The hot kernels are fraction-free: the characteristic polynomial comes from
+integer power traces, root refinement bisects on a common-denominator grid
+with signs from a homogeneous integer Horner sum, and exact division,
+divisibility (a pseudo-remainder) and deflation by an integer root run on
+Python integers.
+
 The unit-circle count is exact and uses integer polynomials only.  Per
 squarefree factor, after the roots at 0 and +-1 are divided out, the mirror
 part gcd(f, reverse(f)) holds every root on the circle; writing it as
@@ -20,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
+from math import lcm
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import CertificationError, PrecisionBudgetError
@@ -61,10 +69,8 @@ class IntPoly:
         return self.coeffs[-1]
 
     def __call__(self, x: int | Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        d = x.denominator
+        return Fraction(_scaled_value(self.coeffs, x.numerator, d), d ** (len(self.coeffs) - 1))
 
     def derivative(self) -> "IntPoly":
         if self.degree < 1:
@@ -93,28 +99,51 @@ class IntPoly:
         return IntPoly(sign * c // g for c in self.coeffs)
 
     def divide_exact(self, divisor: "IntPoly") -> "IntPoly | None":
-        """Exact quotient over the integers, or None if it does not divide."""
+        """Exact quotient over the integers, or None if it does not divide.
+
+        Integer long division; it stops at the first quotient coefficient the
+        leading coefficient of the divisor does not divide, which no integer
+        quotient could have.
+        """
         if divisor.degree < 0:
             raise ZeroDivisionError("division by zero polynomial")
-        if self.degree < divisor.degree:
+        n = divisor.degree
+        if self.degree < n:
             return None
-        rem = [Fraction(c) for c in self.coeffs]
-        out = [Fraction(0)] * (self.degree - divisor.degree + 1)
-        dlead = Fraction(divisor.leading)
-        for k in range(self.degree - divisor.degree, -1, -1):
-            q = rem[k + divisor.degree] / dlead
+        rem = list(self.coeffs)
+        out = [0] * (self.degree - n + 1)
+        for k in range(self.degree - n, -1, -1):
+            q, r = divmod(rem[k + n], divisor.leading)
+            if r:
+                return None
             out[k] = q
             for j, d in enumerate(divisor.coeffs):
                 rem[k + j] -= q * d
-        if any(r != 0 for r in rem):
+        if any(rem):
             return None
-        if any(q.denominator != 1 for q in out):
-            return None
-        return IntPoly(int(q) for q in out)
+        return IntPoly(out)
 
     def is_multiple_of(self, divisor: "IntPoly") -> bool:
-        """Whether the nonzero divisor divides self over Q (it divides 0)."""
-        rest = _remainder(_trimmed(_fraction_coeffs(self)), _trimmed(_fraction_coeffs(divisor)))
+        """Whether the nonzero divisor divides self over Q (it divides 0).
+
+        Integer pseudo-division: each step scales the rest by the leading
+        coefficient of the divisor before cancelling its top term, so the
+        pseudo-remainder vanishes iff the remainder over Q does.
+        """
+        if divisor.degree < 0:
+            raise ZeroDivisionError("division by zero polynomial")
+        lead, n = divisor.leading, divisor.degree
+        rest = list(self.coeffs)
+        while rest and rest[-1] == 0:
+            rest.pop()
+        while len(rest) > n:
+            top = rest.pop()
+            shift = len(rest) - n
+            rest = [lead * c for c in rest]
+            for j, d in enumerate(divisor.coeffs[:-1]):
+                rest[shift + j] -= top * d
+            while rest and rest[-1] == 0:
+                rest.pop()
         return not rest
 
     def __str__(self) -> str:
@@ -135,34 +164,44 @@ class IntPoly:
 
 
 def faddeev_leverrier(m: "LatticeIsometry") -> tuple[IntPoly, tuple[IntPoly, ...]]:
-    """det(xI - m) and column 0 of adj(xI - m), in one Faddeev-LeVerrier pass.
+    """det(xI - m) and column 0 of adj(xI - m), on integers only.
 
-    With M_1 = I, c_k = -tr(m M_k) / k and M_{k+1} = m M_k + c_k I,
-    det(xI - m) = sum c_k x^(n-k) and adj(xI - m) = sum M_k x^(n-k).  The
-    recurrence stays in integer arithmetic; every division by k is exact
-    (checked, since the c_k are integers for an integer matrix).
+    The coefficients of det(xI - m) = sum c_k x^(n-k) come from the power
+    traces p_k = tr(m^k) by Newton's identities,
+    k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1); every division by k is
+    exact for an integer matrix (checked).  The powers m^1..m^h with
+    h = ceil(n/2) give every trace, tr(m^(i+j)) as a row-by-column sum of m^i
+    against m^j.  The Faddeev-LeVerrier recurrence M_1 = I,
+    M_(k+1) = m M_k + c_k I, with adj(xI - m) = sum M_k x^(n-k), is applied
+    to e_0 only.
     """
     rows = m.rows
     n = len(rows)
-    coeffs_desc = [1]
-    column_desc = [[1 if i == 0 else 0] for i in range(n)]  # M_1 = I
-    work = [list(r) for r in rows]
+    columns = tuple(zip(*rows))
+    powers = [rows]  # powers[i] = m^(i+1)
+    while 2 * len(powers) < n:
+        powers.append(tuple(tuple(sum(map(mul, r, c)) for c in columns) for r in powers[-1]))
+    traces = []
     for k in range(1, n + 1):
-        trace = sum(work[i][i] for i in range(n))
-        _require(trace % k == 0, "Faddeev-LeVerrier divisibility violated")
-        ck = -trace // k
-        coeffs_desc.append(ck)
-        if k < n:
-            shifted = [
-                [work[i][j] + (ck if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ]
-            for i in range(n):
-                column_desc[i].append(shifted[i][0])
-            work = [
-                [sum(rows[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
+        i = min(k, len(powers))
+        left = powers[i - 1]
+        if i == k:
+            traces.append(sum(left[a][a] for a in range(n)))
+        else:
+            right = zip(*powers[k - i - 1])
+            traces.append(sum(sum(map(mul, r, c)) for r, c in zip(left, right)))
+    coeffs_desc = [1]
+    for k in range(1, n + 1):
+        total = sum(map(mul, coeffs_desc, reversed(traces[:k])))
+        _require(total % k == 0, "Newton-identity divisibility violated")
+        coeffs_desc.append(-total // k)
+    vector = [1] + [0] * (n - 1)  # M_1 e_0
+    column_desc = [[v] for v in vector]
+    for k in range(1, n):
+        vector = [sum(map(mul, r, vector)) for r in rows]
+        vector[0] += coeffs_desc[k]
+        for entries, v in zip(column_desc, vector):
+            entries.append(v)
     return IntPoly(reversed(coeffs_desc)), tuple(IntPoly(reversed(c)) for c in column_desc)
 
 
@@ -196,22 +235,35 @@ def _fraction_coeffs(p: IntPoly) -> list[Fraction]:
     return [Fraction(c) for c in p.coeffs]
 
 
-def _eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _scaled_value(coeffs: Sequence, n: int, d: int):
+    """d^deg p(n/d) = sum c_i n^i d^(deg-i), by a homogeneous Horner scheme.
+
+    For d > 0 it has the sign of p(n/d); on integer coefficients it stays in
+    integers.
+    """
+    acc = 0
+    scale = 1
     for c in reversed(coeffs):
-        acc = acc * x + c
+        acc = acc * n + c * scale
+        scale *= d
     return acc
 
 
-def _deflate(coeffs: Sequence[Fraction], root: Fraction) -> list[Fraction]:
-    """Exact synthetic division by (x - root); the remainder must vanish."""
+def _synthetic_division(coeffs: Sequence, root) -> tuple[list, object]:
+    """Quotient and remainder p(root) of p by (x - root); integer on integers."""
     desc = list(reversed(coeffs))
     out = [desc[0]]
     for c in desc[1:]:
         out.append(c + root * out[-1])
     rem = out.pop()
+    return list(reversed(out)), rem
+
+
+def _deflate(coeffs: Sequence[Fraction], root: Fraction) -> list[Fraction]:
+    """Exact synthetic division by (x - root); the remainder must vanish."""
+    quotient, rem = _synthetic_division(coeffs, root)
     _require(rem == 0, "deflation at a non-root")
-    return list(reversed(out))
+    return quotient
 
 
 def _taylor_shift(coeffs: Sequence[Fraction], a: Fraction) -> list[Fraction]:
@@ -258,8 +310,7 @@ def isolate_real_roots(
     Returns open intervals (a, b) with exactly one root each; exact rational
     roots appear as degenerate pairs (r, r).  Requires p(lo) != 0 != p(hi).
     """
-    coeffs = _fraction_coeffs(p)
-    if _eval(coeffs, lo) == 0 or _eval(coeffs, hi) == 0:
+    if p(lo) == 0 or p(hi) == 0:
         raise ValueError("isolation endpoints must not be roots")
     out: list[tuple[Fraction, Fraction]] = []
 
@@ -275,7 +326,7 @@ def isolate_real_roots(
                 f"root isolation did not terminate on ({a}, {b})"
             )
         mid = (a + b) / 2
-        if _eval(cs, mid) == 0:
+        if _scaled_value(cs, mid.numerator, mid.denominator) == 0:
             reduced = _deflate(cs, mid)
             out.append((mid, mid))
             recurse(reduced, a, mid, depth - 1)
@@ -284,32 +335,41 @@ def isolate_real_roots(
             recurse(cs, a, mid, depth - 1)
             recurse(cs, mid, b, depth - 1)
 
-    recurse(coeffs, lo, hi, max_depth)
+    recurse(_fraction_coeffs(p), lo, hi, max_depth)
     return sorted(out)
 
 
 def refine_root(
     p: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction
 ) -> RealEnclosure:
-    """Shrink a sign-change bracket around a root to width <= tol by bisection."""
-    f_lo = p(lo)
-    f_hi = p(hi)
-    if f_lo == 0:
+    """Shrink a sign-change bracket around a root to width <= tol by bisection.
+
+    The bracket lives on a common-denominator grid, lo = a/D and hi = b/D,
+    and each midpoint is (a + b)/2D, so every sign comes from the integer
+    `_scaled_value` and the endpoints are the same rationals as a bisection
+    in `Fraction`s would give.
+    """
+    if p(lo) == 0:
         return RealEnclosure.exact(lo)
-    if f_hi == 0:
+    if p(hi) == 0:
         return RealEnclosure.exact(hi)
-    if (f_lo > 0) == (f_hi > 0):
+    coeffs = p.coeffs
+    den = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    lo_positive = _scaled_value(coeffs, a, den) > 0
+    if lo_positive == (_scaled_value(coeffs, b, den) > 0):
         raise CertificationError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        f_mid = p(mid)
-        if f_mid == 0:
-            return RealEnclosure.exact(mid)
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
+    while (b - a) * tol.denominator > tol.numerator * den:
+        mid, den = a + b, 2 * den
+        value = _scaled_value(coeffs, mid, den)
+        if value == 0:
+            return RealEnclosure.exact(Fraction(mid, den))
+        if (value > 0) == lo_positive:
+            a, b = mid, 2 * b
         else:
-            hi = mid
-    return RealEnclosure(lo, hi)
+            a, b = 2 * a, mid
+    return RealEnclosure(Fraction(a, den), Fraction(b, den))
 
 
 # -- gcd / squarefree structure ------------------------------------------------
@@ -402,18 +462,20 @@ def squarefree_part(p: IntPoly) -> IntPoly:
 
 
 def strip_rational_root(p: IntPoly, root: int) -> tuple[int, IntPoly]:
-    """Divide out (x - root) as often as it divides exactly; root integer."""
+    """Divide out (x - root) as often as it divides exactly; root integer.
+
+    Integer synthetic division: its remainder is p(root), so one pass both
+    tests and deflates.
+    """
     count = 0
-    coeffs = _fraction_coeffs(p)
-    r = Fraction(root)
-    while len(coeffs) > 1 and _eval(coeffs, r) == 0:
-        coeffs = _deflate(coeffs, r)
+    coeffs = list(p.coeffs)
+    while len(coeffs) > 1:
+        quotient, rem = _synthetic_division(coeffs, root)
+        if rem:
+            break
+        coeffs = quotient
         count += 1
-    _require(
-        all(c.denominator == 1 for c in coeffs),
-        "deflation by an integer root left a non-integer coefficient",
-    )
-    return count, IntPoly(int(c) for c in coeffs)
+    return count, IntPoly(coeffs)
 
 
 def dominant_root(p: IntPoly, tol: Fraction) -> RealEnclosure:

@@ -13,13 +13,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from math import gcd, lcm
 
 from .config import ConfigError, RunConfig
 from .errors import CertificationError
 from .intervals import ClassEnclosure, decimal_string, enclosure_json
 from .lattice import (
     GRAM_DIAGONAL,
-    DivisorClass,
     canonical_class,
     pair_integers,
     standard_line,
@@ -32,7 +32,6 @@ from .polynomials import (
     combine,
     count_roots_outside_unit_circle,
     cyclotomic_factors,
-    strip_rational_root,
 )
 from .reference import WITNESS_COEFFS, WITNESS_TOLERANCE
 from .spectral import EigenSystem, OrientationReport, eigensystem, select_orientation
@@ -47,10 +46,17 @@ PROPERTY_SEED = 411235813
 FACT_WIDTH_BOUND = Fraction(1, 10**30)
 
 
-def _random_class(rng: random.Random) -> DivisorClass:
-    return DivisorClass(
-        Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(11)
-    )
+def _random_integer_class(rng: random.Random) -> tuple[int, ...]:
+    """A random class with coefficients n/d, n in -60..60 and d in 1..12,
+    scaled by the lcm of its reduced denominators to integers."""
+    numerators, denominators = [], []
+    for _ in range(11):
+        n, d = rng.randint(-60, 60), rng.randint(1, 12)
+        g = gcd(n, d)
+        numerators.append(n // g)
+        denominators.append(d // g)
+    scale = lcm(*denominators)
+    return tuple(n * (scale // d) for n, d in zip(numerators, denominators))
 
 
 def _form_preservation_check(trials: int = 100) -> CheckResult:
@@ -63,8 +69,8 @@ def _form_preservation_check(trials: int = 100) -> CheckResult:
     t = composite_T()
     ok = True
     for _ in range(trials):
-        a, _ = _random_class(rng).integral_multiple()
-        b, _ = _random_class(rng).integral_multiple()
+        a = _random_integer_class(rng)
+        b = _random_integer_class(rng)
         if pair_integers(apply_integers(t, a), apply_integers(t, b)) != pair_integers(a, b):
             ok = False
     return CheckResult(
@@ -111,8 +117,16 @@ class CharpolyFacts:
     circle: UnitCircleCount
 
     @classmethod
-    def of(cls, p: IntPoly) -> "CharpolyFacts":
-        unit_mult, off_unit = strip_rational_root(p, 1)
+    def of(cls, eigen: EigenSystem) -> "CharpolyFacts":
+        """Facts of the system's polynomial p; the factor (x - 1)^k comes from
+        the certified off-unit factor s, checked: (x - 1)^k s = p, s(1) != 0."""
+        p, off_unit = eigen.polynomial, eigen.off_unit_factor
+        unit_mult = p.degree - off_unit.degree
+        product = off_unit
+        for _ in range(unit_mult):
+            product = product * IntPoly([-1, 1])
+        if product != p or off_unit(1) == 0:
+            raise CertificationError("polynomial is not (x - 1)^k times its off-unit factor")
         return cls(
             p, unit_mult, off_unit, cyclotomic_factors(p), count_roots_outside_unit_circle(p)
         )
@@ -227,7 +241,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         "characteristic polynomial anti-reciprocal",
         tuple(reversed(p.coeffs)) == tuple(-c for c in p.coeffs),
     )
-    facts = CharpolyFacts.of(p)
+    facts = CharpolyFacts.of(eigen)
     record("characteristic polynomial divisible by x - 1", facts.unit_root_multiplicity >= 1)
     record(
         "cyclotomic scan finds only the factor at n = 1",

@@ -1,15 +1,17 @@
 """Certified spectral data of the composite map.
 
-Pipeline: one Faddeev-LeVerrier pass gives the characteristic polynomial p
-and the column a(x) = adj(xI - T) e_0 of integer polynomials -> certified
-enclosure of the dominant eigenvalue lambda, a simple root of the off-unit
-factor s of p -> the eigen-relation (xI - T) a = 0 checked exactly mod s ->
-the normalized dominant eigenvector a(lambda) / a_0(lambda), evaluated once
-on interval powers of lambda -> derived quantities: the line component beta
-and the nef-witness coefficients t_i.  Exact identities mod s (such as the
-zero pairings of the eigenvector) are decided on the column itself.  Also
-hosts the orientation oracle that selects the composite map among the
-notation readings by matching the reference coefficients.
+Pipeline: one integer pass (`faddeev_leverrier`) gives the characteristic
+polynomial p and the column a(x) = adj(xI - T) e_0 of integer polynomials
+-> certified enclosure of the dominant eigenvalue lambda, a simple root of
+the off-unit factor s of p -> the eigen-relation (xI - T) a = 0 checked
+exactly mod s -> the normalized dominant eigenvector a(lambda) / a_0(lambda):
+each a_i is enclosed once as integer numerators over a power of the
+denominator of lambda's endpoints, and each quotient goes onto a dyadic grid
+by integer floor and ceiling division -> derived quantities: the line
+component beta and the nef-witness coefficients t_i.  Exact identities mod s
+(such as the zero pairings of the eigenvector) are decided on the column
+itself.  Also hosts the orientation oracle that selects the composite map
+among the notation readings by matching the reference coefficients.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .errors import CertificationError, PrecisionBudgetError, VerificationError
@@ -77,6 +80,51 @@ def _dominant_spectrum(p: IntPoly, tol: Fraction) -> tuple[RealEnclosure, IntPol
     return lam, _certify_simple_root(p, lam)
 
 
+def _column_values(column: Sequence[IntPoly], lam: RealEnclosure) -> list[tuple[int, int]]:
+    """Enclosures [lo_i, hi_i] / D^deg of a_i(lambda) for each column
+    polynomial, as integer numerators over one power of the common
+    denominator D of lambda's endpoints.
+
+    With lambda.lo = A/D and lambda.hi = B/D, each term c_k lambda^k lies
+    between c_k A^k/D^k and c_k B^k/D^k; the lower bound takes A^k for c_k > 0
+    and B^k for c_k < 0.  That needs lambda.lo > 0, which the callers
+    certify (lambda.lo > 1) in `_certify_simple_root`.
+    """
+    if not lam.lo > 0:
+        raise CertificationError("eigenvector evaluation needs a positive eigenvalue enclosure")
+    den = lcm(lam.lo.denominator, lam.hi.denominator)
+    a = lam.lo.numerator * (den // lam.lo.denominator)
+    b = lam.hi.numerator * (den // lam.hi.denominator)
+    degree = max(p.degree for p in column)
+    low = [a**k * den ** (degree - k) for k in range(degree + 1)]
+    high = [b**k * den ** (degree - k) for k in range(degree + 1)]
+    values = []
+    for p in column:
+        lo_sum = hi_sum = 0
+        for c, x, y in zip(p.coeffs, low, high):
+            if c > 0:
+                lo_sum += c * x
+                hi_sum += c * y
+            elif c < 0:
+                lo_sum += c * y
+                hi_sum += c * x
+        values.append((lo_sum, hi_sum))
+    return values
+
+
+def _quotient_on_grid(
+    v: tuple[int, int], w: tuple[int, int], bits: int
+) -> tuple[int, int]:
+    """Numerators over 2^bits of the outward-rounded enclosure of v / w, for
+    intervals v and w of numerators over one common denominator, 0 not in w."""
+    (v_lo, v_hi), (w_lo, w_hi) = v, w
+    if w_hi < 0:  # v / w = (-v) / (-w)
+        v_lo, v_hi, w_lo, w_hi = -v_hi, -v_lo, -w_hi, -w_lo
+    lo = (v_lo << bits) // (w_hi if v_lo >= 0 else w_lo)
+    hi = -((-v_hi << bits) // (w_lo if v_hi >= 0 else w_hi))
+    return lo, hi
+
+
 def _eigenvector(
     m: LatticeIsometry,
     column: Sequence[IntPoly],
@@ -88,7 +136,10 @@ def _eigenvector(
 
     The eigen-relation x a_i - sum_j m_ij a_j = 0 mod s is checked exactly
     per row; lambda must be a certified root of s, so a(lambda) is an
-    eigenvector and a_0(lambda) != 0 is certified by its enclosure.
+    eigenvector and a_0(lambda) != 0 is certified by its enclosure.  Each
+    a_i(lambda) is enclosed once in integers (`_column_values`) and each
+    quotient goes straight onto the 2^-bits grid by floor and ceiling
+    division.
     """
     for i, row in enumerate(m.rows):
         residual = combine(
@@ -96,24 +147,23 @@ def _eigenvector(
         )
         if not residual.is_multiple_of(off_unit):
             raise CertificationError(f"eigen-relation row {i} does not vanish mod s")
-    powers = [RealEnclosure.exact(1)]
-    for _ in range(max(a.degree for a in column)):
-        powers.append(powers[-1] * lam)
-    values = [
-        sum((c * x for c, x in zip(a.coeffs, powers) if c), RealEnclosure.exact(0))
-        for a in column
-    ]
-    if values[0].contains_zero():
+    values = _column_values(column, lam)
+    w_lo, w_hi = values[0]
+    if w_lo <= 0 <= w_hi:
         raise PrecisionBudgetError("a_0(lambda) not certified nonzero; refine the eigenvalue")
     # the quotients are only as tight as lambda's enclosure; a grid 2^64
     # times finer than lambda's own keeps their denominators small
     bits = lam.hi.denominator.bit_length() + 64
-    tail = [(v / values[0]).outward(bits) for v in values[1:]]
-    if any(c.width > tol for c in tail):
+    tail = [_quotient_on_grid(v, values[0], bits) for v in values[1:]]
+    if any((hi - lo) * tol.denominator > tol.numerator << bits for lo, hi in tail):
         raise PrecisionBudgetError(
             "eigenvector enclosure wider than requested; refine the eigenvalue"
         )
-    return ClassEnclosure([RealEnclosure.exact(1)] + tail)
+    scale = 1 << bits
+    return ClassEnclosure(
+        [RealEnclosure.exact(1)]
+        + [RealEnclosure(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in tail]
+    )
 
 
 def dominant_eigenvector(

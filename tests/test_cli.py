@@ -215,7 +215,7 @@ def test_precision_budget_maps_to_exit_3(monkeypatch, capsys):
     code = cli.main(["charpoly"])
     captured = capsys.readouterr()
     assert code == 3
-    assert "precision budget exhausted" in captured.err
+    assert "precision too low to decide a certificate: synthetic" in captured.err
 
 
 def test_certification_failure_maps_to_exit_1(monkeypatch, capsys):
@@ -359,3 +359,33 @@ def test_refinement_budget_flag_rejected(capsys):
         main(["verify", "--refinement-budget", "3"])
     assert excinfo.value.code == 2
     assert "--refinement-budget" in capsys.readouterr().err
+
+
+def test_non_isometric_transform_fails_the_form_certificate(monkeypatch, capsys):
+    from voljump import report
+    from voljump.transform import LatticeIsometry
+
+    rows = [list(r) for r in composite_T().rows]
+    rows[10] = [2 * x for x in rows[10]]  # E10 row doubled: not an isometry
+    monkeypatch.setattr(report, "composite_T", lambda: LatticeIsometry(rows))
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1
+    assert "failed: composite map preserves the intersection form" in err
+    assert "[FAIL] composite map preserves the intersection form" in out.splitlines()
+    assert out.splitlines()[-1] == "verdict: fail"
+
+
+def test_shifted_reference_coefficient_fails_the_witness_certificate(monkeypatch, capsys):
+    from voljump import reference, report
+
+    shifted = (reference.WITNESS_COEFFS[0] + Fraction(3, 1000),) + reference.WITNESS_COEFFS[1:]
+    # both bindings of the reference data: the oracle's and the report's
+    monkeypatch.setattr(reference, "WITNESS_COEFFS", shifted)
+    monkeypatch.setattr(report, "WITNESS_COEFFS", shifted)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1
+    lines = out.splitlines()
+    assert "[FAIL] witness coefficients match the reference decimals (all within 0.002)" in lines
+    # no reading of the composite matches the shifted reference either
+    assert "failed: orientation oracle selects the fixed composite" in err
+    assert lines[-1] == "verdict: fail"

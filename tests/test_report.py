@@ -1,9 +1,13 @@
+import dataclasses
 import json
+import random
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
 from voljump.config import RunConfig
+from voljump.errors import CertificationError
 from voljump.lattice import DivisorClass, canonical_class, standard_line
 from voljump.orbit import (
     growth_profile,
@@ -13,9 +17,13 @@ from voljump.orbit import (
     orbit,
     verify_distinct,
 )
+from voljump.polynomials import IntPoly
 from voljump.report import (
+    PROPERTY_SEED,
+    CharpolyFacts,
     _orbit_evidence,
     _power_by_squaring,
+    _random_integer_class,
     build_report,
     load_schema,
     render_report_json,
@@ -136,7 +144,7 @@ def test_report_reuses_the_runs_charpoly_facts(run, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("recomputed on the report path")
 
-    for name in ("count_roots_outside_unit_circle", "cyclotomic_factors", "strip_rational_root"):
+    for name in ("count_roots_outside_unit_circle", "cyclotomic_factors"):
         monkeypatch.setattr(report, name, forbidden)
     payload = build_report(run)
     assert payload["charpoly"]["roots"] == {
@@ -145,3 +153,22 @@ def test_report_reuses_the_runs_charpoly_facts(run, monkeypatch):
         "on_unit_circle": 9,
     }
     assert payload["charpoly"]["cyclotomic_factors"] == [[1, 1]]
+
+
+def test_charpoly_facts_check_the_off_unit_factor(eigen):
+    facts = CharpolyFacts.of(eigen)
+    assert (facts.unit_root_multiplicity, facts.off_unit_factor) == (1, eigen.off_unit_factor)
+    s = eigen.off_unit_factor
+    # (x - 1)^0 * (x - 1) s = p, but the factor still has the root 1
+    for wrong in (s * IntPoly([-1, 1]), IntPoly((s.coeffs[0] + 1,) + s.coeffs[1:])):
+        with pytest.raises(CertificationError, match="times its off-unit factor"):
+            CharpolyFacts.of(dataclasses.replace(eigen, off_unit_factor=wrong))
+
+
+def test_random_integer_classes_are_the_scaled_fraction_draws():
+    ints, fractions = random.Random(PROPERTY_SEED + 1), random.Random(PROPERTY_SEED + 1)
+    for _ in range(200):
+        drawn = DivisorClass(
+            Fraction(fractions.randint(-60, 60), fractions.randint(1, 12)) for _ in range(11)
+        )
+        assert _random_integer_class(ints) == drawn.integral_multiple()[0]
