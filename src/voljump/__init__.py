@@ -17,7 +17,6 @@ from .lattice import (
     gram_matrix,
     hyperplane,
     line_through,
-    linear_combination,
     pair,
     standard_line,
 )
@@ -34,7 +33,6 @@ from .nefcheck import (
     extreme_candidates,
     full_report,
     margin,
-    min_margin,
 )
 from .orbit import (
     DistinctnessResult,
@@ -54,9 +52,6 @@ from .polynomials import (
 )
 from .spectral import (
     EigenSystem,
-    L_coefficients,
-    beta,
-    dominant_eigenvector,
     eigensystem,
     select_orientation,
 )

@@ -63,14 +63,6 @@ class RealEnclosure:
     def is_negative(self) -> bool:
         return self.hi < 0
 
-    def strictly_less(self, other: _Operand) -> bool:
-        """Certified strict inequality self < other."""
-        o = _coerce(other)
-        return self.hi < o.lo
-
-    def strictly_inside(self, lo: Rational, hi: Rational) -> bool:
-        return _as_fraction(lo) < self.lo and self.hi < _as_fraction(hi)
-
     def overlaps(self, other: "RealEnclosure") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -193,9 +185,6 @@ class ClassEnclosure:
         for c in self.coeffs[1:]:
             total = total + c.square()
         return total
-
-    def outward(self, bits: int) -> "ClassEnclosure":
-        return ClassEnclosure(c.outward(bits) for c in self.coeffs)
 
 
 def decimal_string(value: Fraction, digits: int) -> str:

@@ -56,9 +56,6 @@ class DivisorClass:
             raise ValueError(f"exceptional index must be in 1..10, got {i}")
         return self.coeffs[i]
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
     def integral_multiple(self) -> tuple[tuple[int, ...], int]:
         """(D * self as integers, D) for D the lcm of the denominators."""
         scale = lcm(*(c.denominator for c in self.coeffs))
@@ -82,10 +79,6 @@ class DivisorClass:
     def to_json_array(self) -> list[str]:
         """Serialize as 11 exact fraction strings "p/q" (never binary floats)."""
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
-
-    @classmethod
-    def from_json_array(cls, items: Sequence[str]) -> "DivisorClass":
-        return cls(Fraction(s) for s in items)
 
     def __str__(self) -> str:
         names = ["H"] + [f"E{i}" for i in range(1, 11)]
@@ -132,24 +125,6 @@ def line_through(i: int, j: int, k: int) -> DivisorClass:
 def standard_line() -> DivisorClass:
     """The distinguished line class H - E1 - E2 - E3 (self-intersection -2)."""
     return line_through(1, 2, 3)
-
-
-def linear_combination(
-    scalars: Sequence[Rational], classes: Sequence[DivisorClass]
-) -> DivisorClass:
-    """Componentwise exact linear combination of divisor classes."""
-    if len(scalars) != len(classes):
-        raise ValueError(
-            f"length mismatch: {len(scalars)} scalars vs {len(classes)} classes"
-        )
-    if not classes:
-        raise ValueError("linear combination of nothing")
-    acc = [Fraction(0)] * RANK
-    for s, cls in zip(scalars, classes):
-        sf = _as_fraction(s)
-        for pos, c in enumerate(cls.coeffs):
-            acc[pos] += sf * c
-    return DivisorClass(acc)
 
 
 def pair(a: DivisorClass, b: DivisorClass) -> Fraction:

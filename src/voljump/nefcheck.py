@@ -18,11 +18,21 @@ satisfy the numeric constraints but are excluded by the generality of the
 point configuration; they are exactly why those degrees get the geometric
 case split instead of the generic enumeration.
 
-Margins are enclosures; a candidate passes when its margin is certified
-positive (the distinguished line is the single exact-zero witness).  Since
-every t_i is certified positive and the t-ordering is certified, checking
+On the verification path the witness is t_i = N_i(lambda) / D(lambda) with
+integer polynomials D and N_i of the adjugate column (see `spectral`), so
+every margin is (d D - sum a_i N_i) / D: an integer combination of the
+enclosures of D(lambda) and N_i(lambda) over one denominator, positive iff
+its numerator is, since D(lambda) > 0 is certified.  The facts beyond the
+margins are exact: the line class has margin exactly zero because
+D - N_1 - N_2 - N_3 is the zero polynomial, the square-sum identity
+sum t_i^2 = 1 - 2 beta^2 / (1 - beta)^2 is sum N_i^2 - D^2 + 2 B^2 = 0 mod s,
+and bigness follows from L^2 = 2 B^2 / D^2 with B(lambda) != 0.  Since every
+t_i is certified positive and the t-ordering is certified, checking
 multiplicity vectors sorted along the weight order covers all rearrangements
-(rearrangement inequality), which is how the enumeration stays small.
+(rearrangement inequality), which is how the enumeration stays small.  The
+public functions on general witness enclosures (`margin`, `check_degree_one`,
+`cauchy_schwarz_cutoff`, `bigness_certificates`, ...) use interval
+arithmetic instead.
 """
 
 from __future__ import annotations
@@ -31,17 +41,14 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
+from typing import Sequence
 
 from .errors import CertificationError, PrecisionBudgetError
 from .intervals import ClassEnclosure, RealEnclosure, decimal_string
 from .lattice import DivisorClass
+from .polynomials import IntPoly, combine
 from .reference import TABLE_ROWS, TABLE_TOLERANCE, WEIGHT_ORDER
-from .spectral import EigenSystem, line_pairing_identity_certified
-
-#: Outward-rounding grid for enumeration margins; keeps denominators small
-#: while leaving enclosures far tighter than any margin decided here.
-ENUMERATION_ROUND_BITS = 320
-_GRID = 1 << ENUMERATION_ROUND_BITS
+from .spectral import EigenSystem
 
 
 @dataclass(frozen=True)
@@ -131,56 +138,29 @@ def margin(c: CandidateCurve, witness: ClassEnclosure) -> RealEnclosure:
 
 
 def margin_at_midpoints(c: CandidateCurve, witness: ClassEnclosure) -> Fraction:
-    """Margin against the exact rational midpoints; the second route."""
+    """Margin against the exact rational midpoints of the witness enclosure."""
     total = Fraction(c.degree)
     for a, coeff in zip(c.mults, witness.coeffs[1:]):
         total += a * coeff.midpoint
     return total
 
 
-def _grid_numerators(witness: ClassEnclosure) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Lower and upper endpoints of the ten E-coefficients -t_i, as integers
-    over 2**ENUMERATION_ROUND_BITS.
-
-    The integer margins rest on every endpoint lying on that grid, so an
-    endpoint off it fails the certificate instead of being rounded.
-    """
-    los: list[int] = []
-    his: list[int] = []
-    for coeff in witness.coeffs[1:]:
-        for end, out in ((coeff.lo, los), (coeff.hi, his)):
-            steps, rest = divmod(_GRID, end.denominator)
-            if rest:
-                raise CertificationError(
-                    f"witness endpoint {end} is off the 2^-{ENUMERATION_ROUND_BITS} grid"
-                )
-            out.append(end.numerator * steps)
-    return tuple(los), tuple(his)
-
-
-def _grid_margin(c: CandidateCurve, los, his) -> tuple[int, int]:
-    """Numerators over the grid of margin(c, witness): each a_i picks the
-    endpoint of -t_i that bounds a_i * (-t_i) from below or above."""
-    lo = hi = c.degree * _GRID
-    for a, l, h in zip(c.mults, los, his):
+def _margin_numerator(
+    c: CandidateCurve, d_value: tuple[int, int], n_values: Sequence[tuple[int, int]]
+) -> tuple[int, int]:
+    """Enclosure of d D(lambda) - sum a_i N_i(lambda), the margin times
+    D(lambda), from the enclosures of D(lambda) and the N_i(lambda) over one
+    denominator: each a_i picks the endpoint that bounds -a_i N_i(lambda)
+    from below or above."""
+    lo, hi = c.degree * d_value[0], c.degree * d_value[1]
+    for a, (n_lo, n_hi) in zip(c.mults, n_values):
         if a > 0:
-            lo += a * l
-            hi += a * h
+            lo -= a * n_hi
+            hi -= a * n_lo
         elif a < 0:
-            lo += a * h
-            hi += a * l
+            lo -= a * n_lo
+            hi -= a * n_hi
     return lo, hi
-
-
-def _grid_midpoint_sum(c: CandidateCurve, sums) -> int:
-    """2 * 2**ENUMERATION_ROUND_BITS * margin_at_midpoints(c, witness), where
-    sums[i] is the sum of the two grid numerators of -t_i."""
-    return 2 * c.degree * _GRID + sum(a * s for a, s in zip(c.mults, sums))
-
-
-def _grid_row(c: CandidateCurve, bounds: tuple[int, int], exact_zero: bool = False) -> MarginRow:
-    lo, hi = bounds
-    return MarginRow(c, RealEnclosure(Fraction(lo, _GRID), Fraction(hi, _GRID)), exact_zero)
 
 
 def _from_weight_pattern(pattern) -> tuple[int, ...]:
@@ -261,62 +241,6 @@ def check_degree_two(witness: ClassEnclosure) -> list[MarginRow]:
     return [MarginRow(c, margin(c, witness)) for c in _degree_two_candidates()]
 
 
-def _min_row(rows: list[MarginRow]) -> MarginRow:
-    return min(rows, key=lambda r: (r.margin.midpoint, r.candidate.mults))
-
-
-def min_margin(d: int, witness: ClassEnclosure) -> MarginRow:
-    """The margin-minimizing candidate for degree d in 1..6, sign certified.
-
-    Degree 1 minimizes over the geometric list (minimum 0, at the
-    distinguished line); degree 2 over the conic quintuples; degrees 3..6
-    over the full canonical feasible set.  For d >= 2 the minimum must be
-    certified positive.
-    """
-    if d == 1:
-        rows = check_degree_one(witness)
-        for row in rows:
-            if not row.exact_zero and not row.margin.is_positive():
-                raise PrecisionBudgetError(
-                    f"degree-1 margin not certified positive: {row.candidate.mults}"
-                )
-        return rows[0]
-    if d == 2:
-        row = _min_row(check_degree_two(witness))
-    elif 3 <= d <= 6:
-        row = _min_row(
-            [MarginRow(c, margin(c, witness)) for c in _canonical_candidates(d)]
-        )
-    else:
-        raise ValueError(f"degree must be in 1..6, got {d}")
-    if not row.margin.is_positive():
-        raise PrecisionBudgetError(
-            f"degree-{d} minimum margin not certified positive: {row.margin}"
-        )
-    return row
-
-
-def _square_sum_routes(
-    witness: ClassEnclosure, line_component: RealEnclosure
-) -> RealEnclosure:
-    """Intersection of the two certified evaluations of sum t_i^2.
-
-    Route one squares the witness coefficients; route two evaluates
-    1 - 2 b^2 / (1-b)^2 from the line component.  Both enclose the same
-    number, so their intersection does too (and is tighter).
-    """
-    direct = witness.multiplier_square_sum()
-    ratio = line_component / (1 - line_component)
-    via_identity = 1 - 2 * ratio.square()
-    lo = max(direct.lo, via_identity.lo)
-    hi = min(direct.hi, via_identity.hi)
-    if lo > hi:
-        raise CertificationError(
-            "the two evaluations of sum t_i^2 exclude each other"
-        )
-    return RealEnclosure(lo, hi)
-
-
 def cauchy_schwarz_cutoff(
     witness: ClassEnclosure, line_component: RealEnclosure
 ) -> int:
@@ -324,15 +248,21 @@ def cauchy_schwarz_cutoff(
 
     The condition is equivalent to d^2 (1 - s) > 2 s for s = sum t_i^2 < 1,
     hence monotone in d: certifying it at d0 certifies every larger degree.
+    s is the direct sum of squares, sound for any witness enclosure;
+    line_component is not needed by it (the identity
+    s = 1 - 2 beta^2 / (1 - beta)^2 holds for the eigensystem's witness only,
+    where `full_report` decides it exactly).
     """
-    return _cutoff_degree(_square_sum_routes(witness, line_component))
+    s = witness.multiplier_square_sum()
+    return _cutoff_degree(1 - s.hi, 2 * s.hi)
 
 
-def _cutoff_degree(s: RealEnclosure) -> int:
-    if not s.hi < 1:
+def _cutoff_degree(gap, bound) -> int:
+    """Smallest d with d^2 gap > bound, for gap > 0 (monotone in d)."""
+    if not gap > 0:
         raise CertificationError("sum of squared witness coefficients not below 1")
     d = 1
-    while not (d * d) * (1 - s.hi) > 2 * s.hi:
+    while not d * d * gap > bound:
         d += 1
         if d > 1000:
             raise CertificationError("no Cauchy-Schwarz cutoff below 1000")
@@ -340,12 +270,9 @@ def _cutoff_degree(s: RealEnclosure) -> int:
 
 
 def cutoff_margin(witness: ClassEnclosure, line_component: RealEnclosure, d: int) -> RealEnclosure:
-    """Certified enclosure of d^2 - (sum t_i^2)(d^2 + 2), positive beyond the cutoff."""
-    return _cutoff_margin(_square_sum_routes(witness, line_component), d)
-
-
-def _cutoff_margin(s: RealEnclosure, d: int) -> RealEnclosure:
-    return RealEnclosure.exact(d * d) - s * (d * d + 2)
+    """Certified enclosure of d^2 - (sum t_i^2)(d^2 + 2), positive beyond the
+    cutoff; sum t_i^2 as in `cauchy_schwarz_cutoff`."""
+    return RealEnclosure.exact(d * d) - witness.multiplier_square_sum() * (d * d + 2)
 
 
 @dataclass(frozen=True)
@@ -406,61 +333,65 @@ def _reference_lookup() -> dict[tuple[int, tuple[int, ...]], Fraction]:
 def full_report(eigen: EigenSystem) -> NefReport:
     """Run every nef check against one certified eigensystem.
 
-    Margins are computed once, as integer numerators on the dyadic grid of
-    the outward-rounded witness (`_grid_margin`); enclosures are built only
-    for the rows the report keeps, and they equal what `margin` returns.
+    Every margin is decided once, as the integer numerator
+    d D(lambda) - sum a_i N_i(lambda) over D(lambda) > 0
+    (`_margin_numerator`); enclosures are built only for the rows the report
+    keeps.
     """
-    witness = eigen.nef_witness.outward(ENUMERATION_ROUND_BITS)
-    los, his = _grid_numerators(witness)
-    sums = tuple(l + h for l, h in zip(los, his))
+    d_poly, b_poly, *n_polys = eigen.witness_polynomials
+    d_value, b_value, *n_values = eigen.witness_values
     checks: list[CheckResult] = []
 
     def record(name: str, passed: bool, detail: str = "") -> None:
         checks.append(CheckResult(name, passed, detail))
 
     def bounds_of(candidates: list[CandidateCurve]) -> list[tuple[int, int]]:
-        return [_grid_margin(c, los, his) for c in candidates]
+        return [_margin_numerator(c, d_value, n_values) for c in candidates]
+
+    def row(c: CandidateCurve, bounds: tuple[int, int], exact_zero: bool = False) -> MarginRow:
+        return MarginRow(c, eigen.quotient(bounds, d_value), exact_zero)
 
     def argmin(candidates: list[CandidateCurve], bounds, indices) -> int:
-        # the midpoint order, (lo + hi) / 2, with the candidate as tie-break
+        # the midpoint order of the numerators, with the candidate as tie-break
         return min(indices, key=lambda i: (sum(bounds[i]), candidates[i].mults))
 
     # the premise of the canonical enumeration below: sorted multiplicities
     # along the weight order minimize the margin (rearrangement inequality)
-    ts = witness.multipliers()
     record(
         "witness coefficient ordering certified",
-        all(ts[a - 1].lo > ts[b - 1].hi for a, b in zip(WEIGHT_ORDER, WEIGHT_ORDER[1:])),
+        all(
+            n_values[a - 1][0] > n_values[b - 1][1]
+            for a, b in zip(WEIGHT_ORDER, WEIGHT_ORDER[1:])
+        ),
         "strict descending chain",
     )
 
     # degree <= 1
-    degree_one = tuple(
-        _grid_row(c, _grid_margin(c, los, his), n == 0)
-        for n, c in enumerate(_degree_one_candidates())
-    )
-    line_row = degree_one[0]
-    line_ok = line_row.margin.contains_zero() and line_pairing_identity_certified(
-        eigen.dominant_class
+    line, *others = _degree_one_candidates()
+    line_zero = combine((1, -1, -1, -1), (d_poly, *n_polys[:3])) == IntPoly([0])
+    line_row = (
+        MarginRow(line, RealEnclosure.exact(0), True)
+        if line_zero
+        else row(line, _margin_numerator(line, d_value, n_values), True)
     )
     record(
         "degree-1 line-class margin is exactly zero",
-        line_ok,
-        f"interval of width {float(line_row.margin.width):.1e} around 0, "
-        "plus the construction identity",
+        line_zero,
+        "D - N1 - N2 - N3 = 0 as polynomials, D(lambda) > 0",
     )
-    positive_rows = [r for r in degree_one if not r.exact_zero]
+    other_bounds = bounds_of(others)
+    degree_one = (line_row,) + tuple(row(c, b) for c, b in zip(others, other_bounds))
     record(
         "degree-1 margins positive",
-        all(r.margin.is_positive() for r in positive_rows),
-        f"{len(positive_rows)} classes (45 two-point lines, 10 exceptional)",
+        all(lo > 0 for lo, _ in other_bounds),
+        f"{len(others)} classes (45 two-point lines, 10 exceptional)",
     )
 
     # degree 2
     conics = _degree_two_candidates()
     conic_bounds = bounds_of(conics)
     two_min_index = argmin(conics, conic_bounds, range(len(conics)))
-    two_min = _grid_row(conics[two_min_index], conic_bounds[two_min_index])
+    two_min = row(conics[two_min_index], conic_bounds[two_min_index])
     record(
         "degree-2 margins positive",
         all(lo > 0 for lo, _ in conic_bounds),
@@ -484,7 +415,6 @@ def full_report(eigen: EigenSystem) -> NefReport:
     extras: list[MarginRow] = []
     enumeration_positive = True
     extreme_agrees = True
-    double_route = True
     for d in range(3, 7):
         candidates = _canonical_candidates(d)
         bounds = bounds_of(candidates)
@@ -497,10 +427,7 @@ def full_report(eigen: EigenSystem) -> NefReport:
             enumeration_positive = False
         if argmin(candidates, bounds, extremes) != minimum:
             extreme_agrees = False
-        for c, (lo, hi) in zip(candidates, bounds):
-            if not 2 * lo <= _grid_midpoint_sum(c, sums) <= 2 * hi:
-                double_route = False
-        extreme_rows = tuple(_grid_row(candidates[i], bounds[i]) for i in extremes)
+        extreme_rows = tuple(row(candidates[i], bounds[i]) for i in extremes)
         for r in extreme_rows:
             key = (d, r.candidate.mults)
             if key in reference:
@@ -513,7 +440,7 @@ def full_report(eigen: EigenSystem) -> NefReport:
                 d,
                 len(candidates),
                 len(extreme_rows),
-                _grid_row(candidates[minimum], bounds[minimum]),
+                row(candidates[minimum], bounds[minimum]),
                 extreme_rows,
             )
         )
@@ -528,40 +455,55 @@ def full_report(eigen: EigenSystem) -> NefReport:
         "full-set and extreme-set minimizers coincide",
     )
     record(
-        "margins agree between interval and midpoint routes",
-        double_route,
-        "midpoint dot product inside every interval margin",
-    )
-    record(
         "reference table reproduced",
         matched == len(TABLE_ROWS),
         f"{matched}/{len(TABLE_ROWS)} rows within {float(TABLE_TOLERANCE)}",
     )
 
-    # large degrees
-    square_sum = _square_sum_routes(witness, eigen.line_component)
-    cutoff = _cutoff_degree(square_sum)
-    checked_through = cutoff + 20
-    explicit = all(
-        _cutoff_margin(square_sum, d).is_positive()
-        for d in range(cutoff, checked_through + 1)
+    # sum t_i^2 = 1 - 2 B^2 / D^2, on which the cutoff and bigness rest
+    square_sum = combine(
+        (1,) * len(n_polys) + (-1, 2), [p * p for p in (*n_polys, d_poly, b_poly)]
+    ).is_multiple_of(eigen.off_unit_factor)
+    record(
+        "square-sum identity certified",
+        square_sum,
+        "sum N_i^2 - D^2 + 2 B^2 = 0 mod s: sum t_i^2 = 1 - 2 beta^2 / (1 - beta)^2",
     )
+
+    # L^2 = 1 - sum t_i^2 = 2 B^2 / D^2 and (1 - beta)^2 L^2 = 2 beta^2 by the
+    # square-sum identity; both rest on B(lambda) != 0
+    (d_lo, d_hi), (b_lo, b_hi) = d_value, b_value
+    if b_lo <= 0 <= b_hi:
+        raise PrecisionBudgetError("B(lambda) not certified nonzero; L^2 = 2 B^2 / D^2 undecided")
+    b_squared = sorted((b_lo * b_lo, b_hi * b_hi))
+    bigness = BignessData(
+        eigen.quotient((2 * b_squared[0], 2 * b_squared[1]), (d_lo * d_lo, d_hi * d_hi)),
+        2 * eigen.line_component.square(),
+    )
+
+    # large degrees: (sum t_i^2)(d^2 + 2) < d^2 iff d^2 B^2 > D^2 - 2 B^2
+    gap, bound = b_squared[0], d_hi * d_hi - 2 * b_squared[0]
+    cutoff = _cutoff_degree(gap, bound)
+    checked_through = cutoff + 20
     record(
         "Cauchy-Schwarz cutoff covers all higher degrees",
-        cutoff <= 7 and explicit,
+        square_sum
+        and cutoff <= 7
+        and all(d * d * gap > bound for d in range(cutoff, checked_through + 1)),
         f"cutoff degree {cutoff}, margins certified through {checked_through}",
     )
 
-    bigness = bigness_certificates(witness, eigen.line_component)
     record(
         "witness self-intersection positive (big)",
-        bigness.witness_self_pairing.is_positive(),
-        f"L^2 = {decimal_string(bigness.witness_self_pairing.midpoint, 6)}...",
+        square_sum and bigness.witness_self_pairing.is_positive(),
+        f"L^2 = 2 B^2 / D^2 = {decimal_string(bigness.witness_self_pairing.midpoint, 6)}... "
+        "by the square-sum identity, B(lambda) != 0",
     )
     record(
         "volume lower bound for the dominant class positive",
-        bigness.volume_lower_bound.is_positive(),
-        f"(1-beta)^2 L^2 = {decimal_string(bigness.volume_lower_bound.midpoint, 6)}...",
+        square_sum and bigness.volume_lower_bound.is_positive(),
+        f"(1-beta)^2 L^2 = 2 beta^2 = {decimal_string(bigness.volume_lower_bound.midpoint, 6)}... "
+        "by the square-sum identity, beta > 0",
     )
 
     return NefReport(

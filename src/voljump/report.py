@@ -9,21 +9,14 @@ configuration emit byte-identical artifacts.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from math import gcd, lcm
 
 from .config import ConfigError, RunConfig
 from .errors import CertificationError
 from .intervals import ClassEnclosure, decimal_string, enclosure_json
-from .lattice import (
-    GRAM_DIAGONAL,
-    canonical_class,
-    pair_integers,
-    standard_line,
-)
+from .lattice import GRAM_DIAGONAL, canonical_class, standard_line
 from .nefcheck import CheckResult, MarginRow, NefReport, full_report
 from .orbit import distinctness, growth_ratios, increase_start, orbit
 from .polynomials import (
@@ -35,75 +28,9 @@ from .polynomials import (
 )
 from .reference import WITNESS_COEFFS, WITNESS_TOLERANCE
 from .spectral import EigenSystem, OrientationReport, eigensystem, select_orientation
-from .transform import LatticeIsometry, apply, apply_integers, composite_T, verify_isometry
+from .transform import apply, composite_T, verify_isometry
 
 SCHEMA_VERSION = "1"
-
-#: Seed for the randomized exact property checks; fixed for determinism.
-PROPERTY_SEED = 411235813
-
-#: Width bound for the square-sum identity at the default 60-digit run.
-FACT_WIDTH_BOUND = Fraction(1, 10**30)
-
-
-def _random_integer_class(rng: random.Random) -> tuple[int, ...]:
-    """A random class with coefficients n/d, n in -60..60 and d in 1..12,
-    scaled by the lcm of its reduced denominators to integers."""
-    numerators, denominators = [], []
-    for _ in range(11):
-        n, d = rng.randint(-60, 60), rng.randint(1, 12)
-        g = gcd(n, d)
-        numerators.append(n // g)
-        denominators.append(d // g)
-    scale = lcm(*denominators)
-    return tuple(n * (scale // d) for n, d in zip(numerators, denominators))
-
-
-def _form_preservation_check(trials: int = 100) -> CheckResult:
-    """T preserves the pairing on random rational classes.
-
-    Each class is scaled by the lcm of its denominators first; T is linear
-    and the pairing bilinear, so the integer pairings decide the claim.
-    """
-    rng = random.Random(PROPERTY_SEED + 1)
-    t = composite_T()
-    ok = True
-    for _ in range(trials):
-        a = _random_integer_class(rng)
-        b = _random_integer_class(rng)
-        if pair_integers(apply_integers(t, a), apply_integers(t, b)) != pair_integers(a, b):
-            ok = False
-    return CheckResult(
-        "composite map preserves the pairing on random classes", ok, f"{trials} trials"
-    )
-
-
-def _power_by_squaring(
-    squares: list[LatticeIsometry], n: int, vector: tuple[int, ...]
-) -> tuple[int, ...]:
-    """T^n(vector) from squares[k] = T^(2^k), one factor per set bit of n."""
-    for k, square in enumerate(squares):
-        if n >> k & 1:
-            vector = apply_integers(square, vector)
-    return vector
-
-
-def _power_consistency_check(limit: int = 20) -> CheckResult:
-    t = composite_T()
-    squares = [t]
-    while len(squares) < limit.bit_length():
-        squares.append(squares[-1] @ squares[-1])
-    ok = True
-    for seed in (standard_line(), canonical_class()):
-        start, _ = seed.integral_multiple()
-        stepped = start
-        for n in range(limit + 1):
-            if _power_by_squaring(squares, n, start) != stepped:
-                ok = False
-            stepped = apply_integers(t, stepped)
-    return CheckResult(
-        "repeated squaring matches naive iteration", ok, f"n <= {limit}, two seeds"
-    )
 
 
 @dataclass(frozen=True)
@@ -302,17 +229,6 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         f"all within {float(WITNESS_TOLERANCE)}",
     )
 
-    direct = eigen.nef_witness.multiplier_square_sum()
-    ratio = eigen.line_component / (1 - eigen.line_component)
-    via_identity = 1 - 2 * ratio.square()
-    record(
-        "square-sum identity certified",
-        direct.overlaps(via_identity)
-        and direct.width <= FACT_WIDTH_BOUND
-        and via_identity.width <= FACT_WIDTH_BOUND,
-        "both evaluations overlap at width <= 1e-30",
-    )
-
     nef = full_report(eigen)
     checks.extend(nef.checks)
 
@@ -339,9 +255,6 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         orbit_data.max_norm_increasing_from is not None,
         f"from step {orbit_data.max_norm_increasing_from}",
     )
-
-    checks.append(_form_preservation_check())
-    checks.append(_power_consistency_check())
 
     return VerificationRun(
         config=cfg,

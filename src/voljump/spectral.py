@@ -4,14 +4,19 @@ Pipeline: one integer pass (`faddeev_leverrier`) gives the characteristic
 polynomial p and the column a(x) = adj(xI - T) e_0 of integer polynomials
 -> certified enclosure of the dominant eigenvalue lambda, a simple root of
 the off-unit factor s of p -> the eigen-relation (xI - T) a = 0 checked
-exactly mod s -> the normalized dominant eigenvector a(lambda) / a_0(lambda):
-each a_i is enclosed once as integer numerators over a power of the
-denominator of lambda's endpoints, and each quotient goes onto a dyadic grid
-by integer floor and ceiling division -> derived quantities: the line
-component beta and the nef-witness coefficients t_i.  Exact identities mod s
-(such as the zero pairings of the eigenvector) are decided on the column
-itself.  Also hosts the orientation oracle that selects the composite map
-among the notation readings by matching the reference coefficients.
+exactly mod s -> the normalized dominant eigenvector a(lambda) / a_0(lambda)
+-> the nef witness as integer polynomials of the column: with
+B = -(a_0 + a_1 + a_2 + a_3), D = 2 a_0 - B and N_i = -2 a_i - B l_i
+(l_i = 1 on the line indices 1..3), the line component is
+beta = B(lambda) / 2 a_0(lambda) and the witness coefficients are
+t_i = N_i(lambda) / D(lambda).  Every polynomial is enclosed at lambda once,
+as integer numerators over a power of the denominator of lambda's endpoints
+(`_column_values`), and each quotient goes onto a dyadic grid by integer
+floor and ceiling division (`_quotient_on_grid`).  Exact identities mod s
+(the zero pairings of the eigenvector, the square-sum identity of the
+witness) are decided on the polynomials themselves.  Also hosts the
+orientation oracle that selects the composite map among the notation
+readings by matching the reference coefficients.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .transform import (
 _LINE_INDICES = (1, 2, 3)
 
 #: Decimal digits by which the eigenvalue enclosure is tighter than the
-#: requested coefficient width; the divisions by a_0(lambda) and 1 - beta
+#: requested coefficient width; the divisions by a_0(lambda) and D(lambda)
 #: cost far fewer.
 GUARD_DIGITS = 24
 
@@ -125,6 +130,17 @@ def _quotient_on_grid(
     return lo, hi
 
 
+def _grid_bits(lam: RealEnclosure) -> int:
+    """The quotients are only as tight as lambda's enclosure; a grid 2^64
+    times finer than lambda's own keeps their denominators small."""
+    return lam.hi.denominator.bit_length() + 64
+
+
+def _grid_enclosure(v: tuple[int, int], w: tuple[int, int], bits: int) -> RealEnclosure:
+    lo, hi = _quotient_on_grid(v, w, bits)
+    return RealEnclosure(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
+
+
 def _eigenvector(
     m: LatticeIsometry,
     column: Sequence[IntPoly],
@@ -151,79 +167,81 @@ def _eigenvector(
     w_lo, w_hi = values[0]
     if w_lo <= 0 <= w_hi:
         raise PrecisionBudgetError("a_0(lambda) not certified nonzero; refine the eigenvalue")
-    # the quotients are only as tight as lambda's enclosure; a grid 2^64
-    # times finer than lambda's own keeps their denominators small
-    bits = lam.hi.denominator.bit_length() + 64
-    tail = [_quotient_on_grid(v, values[0], bits) for v in values[1:]]
-    if any((hi - lo) * tol.denominator > tol.numerator << bits for lo, hi in tail):
+    bits = _grid_bits(lam)
+    vector = ClassEnclosure(
+        [RealEnclosure.exact(1)] + [_grid_enclosure(v, values[0], bits) for v in values[1:]]
+    )
+    if vector.max_width() > tol:
         raise PrecisionBudgetError(
             "eigenvector enclosure wider than requested; refine the eigenvalue"
         )
-    scale = 1 << bits
-    return ClassEnclosure(
-        [RealEnclosure.exact(1)]
-        + [RealEnclosure(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in tail]
+    return vector
+
+
+def _witness_polynomials(column: Sequence[IntPoly]) -> tuple[IntPoly, ...]:
+    """(D, B, N_1, ..., N_10) of the nef witness, from the adjugate column a.
+
+    With r_i = -a_i / a_0 the dominant class H - sum r_i E_i and
+    beta = (r_1 + r_2 + r_3 - 1) / 2, the witness coefficients
+    t_i = (r_i - beta l_i) / (1 - beta) are N_i / D, and beta = B / 2 a_0.
+    By construction D - N_1 - N_2 - N_3 is the zero polynomial.
+    """
+    b = combine((-1, -1, -1, -1), column[:4])
+    d = combine((2, -1), (column[0], b))
+    return (d, b) + tuple(
+        combine((-2, -1 if i in _LINE_INDICES else 0), (column[i], b))
+        for i in range(1, RANK)
     )
 
 
-def dominant_eigenvector(
-    m: LatticeIsometry, lam: RealEnclosure, tol: Fraction
-) -> ClassEnclosure:
-    """Certified eigenvector enclosure, normalized to H-coefficient exactly 1.
-
-    lam must enclose a simple root greater than 1 of the characteristic
-    polynomial of m; the coefficients come from the adjugate column.
-    """
-    p, column = faddeev_leverrier(m)
-    return _eigenvector(m, column, _certify_simple_root(p, lam), lam, tol)
-
-
-def beta(r: ClassEnclosure) -> RealEnclosure:
-    """Line component of the dominant class: (r1 + r2 + r3 - 1) / 2.
-
-    Certifies 0 < beta < 1; an enclosure that straddles either bound asks
-    for refined input, one that lies outside is a genuine failure.
-    """
-    multipliers = r.multipliers()
-    s = multipliers[0] + multipliers[1] + multipliers[2]
-    value = (s - 1) / Fraction(2)
-    if value.hi <= 0 or value.lo >= 1:
-        raise CertificationError(f"line component {value} outside (0, 1)")
-    if not value.strictly_inside(0, 1):
+def _witness(
+    column: Sequence[IntPoly], lam: RealEnclosure
+) -> tuple[tuple[IntPoly, ...], tuple[tuple[int, int], ...]]:
+    """The witness polynomials, signed so that D(lambda) > 0 is certified, and
+    their enclosures at lambda over one common denominator."""
+    polys = _witness_polynomials(column)
+    values = tuple(_column_values(polys, lam))
+    d_lo, d_hi = values[0]
+    if d_lo <= 0 <= d_hi:
         raise PrecisionBudgetError(
-            f"line component {value} not certified inside (0, 1); refine inputs"
+            "D(lambda) = 2 (1 - beta) a_0(lambda) not certified nonzero; refine the eigenvalue"
         )
-    return value
+    if d_hi < 0:
+        polys = tuple(combine((-1,), (p,)) for p in polys)
+        values = tuple((-hi, -lo) for lo, hi in values)
+    return polys, values
+
+
+def beta(d: tuple[int, int], b: tuple[int, int], bits: int) -> RealEnclosure:
+    """Line component B(lambda) / 2 a_0(lambda) = B / (D + B) on the 2^-bits
+    grid, from enclosures of D(lambda) > 0 and B(lambda) over one denominator.
+
+    With D > 0, 0 < beta < 1 holds iff B > 0: an enclosure of B that
+    straddles 0 asks for refined input, one below 0 is a genuine failure.
+    """
+    if b[1] < 0:
+        raise CertificationError("line component outside (0, 1): B(lambda) < 0 < D(lambda)")
+    if b[0] <= 0:
+        raise PrecisionBudgetError(
+            "line component not certified inside (0, 1): B(lambda) not sign-certified"
+        )
+    return _grid_enclosure(b, (d[0] + b[0], d[1] + b[1]), bits)
 
 
 def line_pairing_identity_certified(r: ClassEnclosure) -> bool:
-    """Certify that the nef witness pairs to exactly zero with the line class.
+    """Certify that the nef witness of a dominant-class enclosure r pairs to
+    exactly zero with the line class.
 
     With s = r1 + r2 + r3 and beta = (s - 1)/2, the witness coefficients give
     t1 + t2 + t3 = (s - 3*beta) / (1 - beta) = (3 - s)/(3 - s) = 1 identically
     whenever s != 3.  Certifying 3 outside the enclosure of s therefore
-    certifies the exact-zero margin of the line class symbolically, which no
-    interval evaluation could do.
+    certifies the exact-zero margin of the line class symbolically.  The
+    verification run decides the same fact as the polynomial identity
+    D - N_1 - N_2 - N_3 = 0.
     """
     multipliers = r.multipliers()
     s = multipliers[0] + multipliers[1] + multipliers[2]
     return not s.contains(3)
-
-
-def L_coefficients(r: ClassEnclosure, b: RealEnclosure) -> ClassEnclosure:
-    """Nef-witness coefficients t_i = (r_i - beta * l_i) / (1 - beta).
-
-    l_i is 1 on the three line indices and 0 elsewhere; the H-coefficient of
-    the result is exactly 1.
-    """
-    if not (b.lo > 0 and b.hi < 1):
-        raise CertificationError(f"line component {b} not certified inside (0, 1)")
-    one_minus = 1 - b
-    coeffs = [RealEnclosure.exact(1)]
-    for i in range(1, RANK):
-        numerator = r.coeffs[i] + (b if i in _LINE_INDICES else 0)
-        coeffs.append(numerator / one_minus)
-    return ClassEnclosure(coeffs)
 
 
 @dataclass(frozen=True)
@@ -237,6 +255,8 @@ class EigenSystem:
     off_unit_factor: IntPoly  # s, with lambda a certified simple root
     dominant_value: RealEnclosure
     dominant_class: ClassEnclosure
+    witness_polynomials: tuple[IntPoly, ...]  # (D, B, N_1..N_10), D(lambda) > 0
+    witness_values: tuple[tuple[int, int], ...]  # their enclosures, one denominator
     line_component: RealEnclosure
     nef_witness: ClassEnclosure
 
@@ -248,6 +268,11 @@ class EigenSystem:
         """Multipliers t_i of the nef witness H - sum t_i E_i."""
         return self.nef_witness.multipliers()
 
+    def quotient(self, v: tuple[int, int], w: tuple[int, int]) -> RealEnclosure:
+        """v / w on this system's dyadic grid, for numerator enclosures over
+        one common denominator (such as the witness values), 0 not in w."""
+        return _grid_enclosure(v, w, _grid_bits(self.dominant_value))
+
 
 def _build_eigensystem(
     m: LatticeIsometry, digits: int, spectrum=_dominant_spectrum
@@ -258,11 +283,15 @@ def _build_eigensystem(
     tol = Fraction(1, 10**digits)
     lam, off_unit = spectrum(p, tol / 10**GUARD_DIGITS)
     vector = _eigenvector(m, column, off_unit, lam, tol)
-    component = beta(vector)
-    witness = L_coefficients(vector, component)
+    polys, values = _witness(column, lam)
+    bits = _grid_bits(lam)
+    component = beta(values[0], values[1], bits)
+    witness = ClassEnclosure(
+        [RealEnclosure.exact(1)] + [-_grid_enclosure(n, values[0], bits) for n in values[2:]]
+    )
     if witness.max_width() > tol * 10**6:
         raise PrecisionBudgetError("nef witness enclosure wider than requested")
-    return EigenSystem(digits, m, p, column, off_unit, lam, vector, component, witness)
+    return EigenSystem(digits, m, p, column, off_unit, lam, vector, polys, values, component, witness)
 
 
 @lru_cache(maxsize=8)

@@ -389,3 +389,42 @@ def test_shifted_reference_coefficient_fails_the_witness_certificate(monkeypatch
     # no reading of the composite matches the shifted reference either
     assert "failed: orientation oracle selects the fixed composite" in err
     assert lines[-1] == "verdict: fail"
+
+
+def test_corrupted_line_numerator_fails_the_line_class_certificate(monkeypatch, capsys):
+    import dataclasses
+
+    from voljump import report
+    from voljump.polynomials import IntPoly, combine
+    from voljump.spectral import _column_values
+
+    eigen = report.eigensystem(60)
+    d, b, *n = eigen.witness_polynomials
+    # N_3 = -2 a_3 - B with a_3 + 1 in place of the line-index entry a_3
+    n[2] = combine((1, -2), (n[2], IntPoly([1])))
+    polys = (d, b, *n)
+    corrupted = dataclasses.replace(
+        eigen,
+        witness_polynomials=polys,
+        witness_values=tuple(_column_values(polys, eigen.dominant_value)),
+    )
+    monkeypatch.setattr(report, "eigensystem", lambda digits: corrupted)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1
+    assert "failed: degree-1 line-class margin is exactly zero" in err
+    lines = out.splitlines()
+    assert (
+        "[FAIL] degree-1 line-class margin is exactly zero "
+        "(D - N1 - N2 - N3 = 0 as polynomials, D(lambda) > 0)"
+    ) in lines
+    assert any(line.startswith("[FAIL] square-sum identity certified") for line in lines)
+    assert lines[-1] == "verdict: fail"
+
+
+def test_truncated_config_file_exits_2(tmp_path, capsys):
+    config = tmp_path / "cut.cfg"
+    config.write_text("orbit-horizon = 7\nprecision-dig\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--config", str(config)])
+    assert excinfo.value.code == 2
+    assert f"{config}:2: expected key=value, got 'precision-dig'" in capsys.readouterr().err

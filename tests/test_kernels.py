@@ -12,11 +12,11 @@ from voljump.intervals import RealEnclosure
 from voljump.polynomials import IntPoly, faddeev_leverrier, refine_root, strip_rational_root
 from voljump.spectral import (
     GUARD_DIGITS,
+    _certify_simple_root,
     _column_values,
     _dominant_spectrum,
     _eigenvector,
     _quotient_on_grid,
-    dominant_eigenvector,
 )
 from voljump.transform import LatticeIsometry, candidate_composites, composite_T
 
@@ -318,11 +318,11 @@ def test_eigenvector_rejects_nonpositive_enclosure(eigen):
         with pytest.raises(CertificationError, match="positive"):
             _column_values(column, lam)
         with pytest.raises(CertificationError):
-            dominant_eigenvector(composite_T(), lam, Fraction(1, 100))
+            _certify_simple_root(eigen.polynomial, lam)
 
 
 def test_eigenvector_rejects_enclosure_without_sign_change(eigen):
     lam = eigen.dominant_value
     above = RealEnclosure(lam.hi + Fraction(1, 10**6), lam.hi + Fraction(1, 10**5))
     with pytest.raises(CertificationError, match="no sign change"):
-        dominant_eigenvector(composite_T(), above, Fraction(1, 100))
+        _certify_simple_root(eigen.polynomial, above)

@@ -1,18 +1,16 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from voljump.errors import CertificationError
+from voljump.errors import CertificationError, PrecisionBudgetError
 from voljump.nefcheck import (
-    ENUMERATION_ROUND_BITS,
     CandidateCurve,
+    MarginRow,
     _canonical_candidates,
     _degree_one_candidates,
     _degree_two_candidates,
-    _grid_margin,
-    _grid_midpoint_sum,
-    _grid_numerators,
-    _grid_row,
+    _margin_numerator,
     bigness_certificates,
     cauchy_schwarz_cutoff,
     check_degree_one,
@@ -20,18 +18,40 @@ from voljump.nefcheck import (
     cutoff_margin,
     enumerate_feasible,
     extreme_candidates,
+    full_report,
     margin,
     margin_at_midpoints,
-    min_margin,
 )
 from voljump.intervals import ClassEnclosure, RealEnclosure
+from voljump.polynomials import IntPoly, combine
 from voljump.reference import TABLE_ROWS, TABLE_TOLERANCE
+from voljump.spectral import _column_values
 
 MILLI = Fraction(1, 1000)
 
 
 def approx(enclosure, reference, tolerance):
     return abs(enclosure.midpoint - reference) <= tolerance
+
+
+def min_margin(d, witness):
+    """The margin-minimizing candidate for degree d in 1..6 by interval
+    margins, sign certified: degree 1 over the geometric list (minimum 0, at
+    the distinguished line), degree 2 over the conic quintuples, degrees 3..6
+    over the full canonical feasible set."""
+    if d == 1:
+        rows = check_degree_one(witness)
+        assert all(row.exact_zero or row.margin.is_positive() for row in rows)
+        return rows[0]
+    if d == 2:
+        rows = check_degree_two(witness)
+    elif 3 <= d <= 6:
+        rows = [MarginRow(c, margin(c, witness)) for c in _canonical_candidates(d)]
+    else:
+        raise ValueError(f"degree must be in 1..6, got {d}")
+    row = min(rows, key=lambda r: (r.margin.midpoint, r.candidate.mults))
+    assert row.margin.is_positive()
+    return row
 
 
 # -- margins -----------------------------------------------------------------------
@@ -281,7 +301,7 @@ def test_cutoff_toy_value():
         + [RealEnclosure.exact(0)] * 8
     )
     witness = ClassEnclosure(coeffs)
-    # a wide line-component interval keeps the identity route uninformative
+    # the direct sum of squares decides; the line component does not enter
     wide = RealEnclosure(Fraction(1, 1000), Fraction(999, 1000))
     assert cauchy_schwarz_cutoff(witness, wide) == 2
 
@@ -347,31 +367,99 @@ def test_full_report_degree_minima(nef):
         assert summary.minimum.margin.is_positive()
 
 
-# -- integer margins on the dyadic grid -------------------------------------------------
+# -- margins and identities from the witness polynomials -------------------------------
 
 
-def test_grid_margins_equal_interval_margins(eigen):
-    witness = eigen.nef_witness.outward(ENUMERATION_ROUND_BITS)
-    los, his = _grid_numerators(witness)
-    sums = [l + h for l, h in zip(los, his)]
+def all_candidates():
     candidates = _degree_one_candidates() + _degree_two_candidates()
     for d in range(3, 7):
         candidates += _canonical_candidates(d)
     assert len(candidates) == 826
-    scale = 2 * 2**ENUMERATION_ROUND_BITS
-    for c in candidates:
-        expected = margin(c, witness)
-        got = _grid_row(c, _grid_margin(c, los, his)).margin
-        assert (got.lo, got.hi) == (expected.lo, expected.hi)
-        assert _grid_midpoint_sum(c, sums) == margin_at_midpoints(c, witness) * scale
+    return candidates
 
 
-def test_grid_rejects_off_grid_endpoint(eigen):
-    witness = eigen.nef_witness.outward(ENUMERATION_ROUND_BITS)
-    coeffs = list(witness.coeffs)
-    coeffs[4] = RealEnclosure(coeffs[4].lo - Fraction(1, 3**50), coeffs[4].hi)
-    with pytest.raises(CertificationError, match="off the 2\\^-320 grid"):
-        _grid_numerators(ClassEnclosure(coeffs))
-    # the unrounded witness has arbitrary denominators
-    with pytest.raises(CertificationError):
-        _grid_numerators(eigen.nef_witness)
+def test_margin_numerators_match_interval_margins(eigen):
+    d, _, *n = eigen.witness_values
+    for c in all_candidates():
+        numerator = _margin_numerator(c, d, n)
+        expected = margin(c, eigen.nef_witness)
+        got = eigen.quotient(numerator, d)
+        # both enclose the same margin, each at width far below 1e-60
+        assert got.overlaps(expected)
+        assert max(got.width, expected.width) <= Fraction(1, 10**60)
+        if c == CandidateCurve.line():
+            assert numerator[0] <= 0 <= numerator[1] and expected.contains_zero()
+        else:
+            assert (numerator[0] > 0) == expected.is_positive()
+            assert (numerator[1] < 0) == expected.is_negative()
+
+
+def test_report_rows_come_from_the_numerators(eigen, nef):
+    d, _, *n = eigen.witness_values
+    assert nef.degree_one[0].margin == RealEnclosure.exact(0)
+    for row in nef.degree_one[1:] + (nef.degree_two_minimum,):
+        assert row.margin == eigen.quotient(_margin_numerator(row.candidate, d, n), d)
+
+
+def with_witness(eigen, polys):
+    """The eigensystem with other witness polynomials and their values."""
+    values = tuple(_column_values(polys, eigen.dominant_value))
+    return dataclasses.replace(eigen, witness_polynomials=tuple(polys), witness_values=values)
+
+
+def shifted(p, k=0):
+    """p + x^k."""
+    return combine((1, 1), (p, IntPoly((0,) * k + (1,))))
+
+
+def verdicts(eigen):
+    return {c.name: c.passed for c in full_report(eigen).checks}
+
+
+def test_line_class_numerator_is_the_zero_polynomial(eigen, nef):
+    d, b, *n = eigen.witness_polynomials
+    assert combine((1, -1, -1, -1), (d, *n[:3])) == IntPoly([0])
+    assert nef.zero_witnesses[0].margin == RealEnclosure.exact(0)
+    # a mutation of D or of a line-index N_i breaks the identity
+    for polys in ((shifted(d), b, *n), (d, b, shifted(n[0], 3), *n[1:])):
+        checks = verdicts(with_witness(eigen, polys))
+        assert not checks["degree-1 line-class margin is exactly zero"]
+
+
+def test_square_sum_identity_is_divisible_by_s(eigen):
+    d, b, *n = eigen.witness_polynomials
+    s = eigen.off_unit_factor
+    square_sum = combine((1,) * 10 + (-1, 2), [p * p for p in (*n, d, b)])
+    assert square_sum != IntPoly([0]) and square_sum.is_multiple_of(s)
+    # a mutation of B keeps the line class but breaks the identity, and with
+    # it the cutoff and bigness that rest on it
+    checks = verdicts(with_witness(eigen, (d, shifted(b), *n)))
+    assert checks["degree-1 line-class margin is exactly zero"]
+    for name in (
+        "square-sum identity certified",
+        "Cauchy-Schwarz cutoff covers all higher degrees",
+        "witness self-intersection positive (big)",
+        "volume lower bound for the dominant class positive",
+    ):
+        assert not checks[name]
+    # so does a mutation of a non-line N_i
+    checks = verdicts(with_witness(eigen, (d, b, *n[:9], shifted(n[9], 2))))
+    assert not checks["square-sum identity certified"]
+
+
+def test_bigness_rejects_b_enclosing_zero(eigen):
+    values = eigen.witness_values
+    straddling = dataclasses.replace(
+        eigen, witness_values=(values[0], (-1, 1)) + values[2:]
+    )
+    with pytest.raises(PrecisionBudgetError, match="B\\(lambda\\) not certified nonzero"):
+        full_report(straddling)
+
+
+def test_bigness_of_the_report_is_exact(eigen, nef):
+    (d_lo, d_hi), (b_lo, b_hi) = eigen.witness_values[:2]
+    l_squared = nef.bigness.witness_self_pairing
+    assert l_squared.lo * d_hi**2 <= 2 * b_lo**2 and 2 * b_hi**2 <= l_squared.hi * d_lo**2
+    assert nef.bigness.volume_lower_bound == 2 * eigen.line_component.square()
+    # the direct interval evaluation of L^2 agrees
+    assert l_squared.overlaps(eigen.nef_witness.self_pair())

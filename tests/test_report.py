@@ -1,35 +1,28 @@
 import dataclasses
 import json
-import random
-from fractions import Fraction
 
 import jsonschema
 import pytest
 
 from voljump.config import RunConfig
 from voljump.errors import CertificationError
-from voljump.lattice import DivisorClass, canonical_class, standard_line
+from voljump.lattice import standard_line
 from voljump.orbit import (
     growth_profile,
     growth_ratios,
-    iterate,
     max_norm_increase_start,
     orbit,
     verify_distinct,
 )
 from voljump.polynomials import IntPoly
 from voljump.report import (
-    PROPERTY_SEED,
     CharpolyFacts,
     _orbit_evidence,
-    _power_by_squaring,
-    _random_integer_class,
     build_report,
     load_schema,
     render_report_json,
     run_verification,
 )
-from voljump.transform import composite_T
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +50,7 @@ def test_certificate_names_cover_modules(run):
         "enumeration",
         "Cauchy-Schwarz",
         "orbit",
-        "pairing",
-        "repeated squaring",
+        "square-sum",
     ):
         assert fragment in names
 
@@ -105,22 +97,6 @@ def test_shorter_orbit_horizon(run):
     assert len(short.orbit.records) == 40
 
 
-def test_power_by_squaring_matches_iterate():
-    squares = [composite_T()]  # T^(2^k) for k = 0..4, enough for n <= 20
-    for _ in range(4):
-        squares.append(squares[-1] @ squares[-1])
-    seeds = (
-        standard_line(),
-        canonical_class(),
-        DivisorClass([3, 1, -2, 0, 5, 1, 1, 0, -1, 2, 7]),
-    )
-    for seed in seeds:
-        vector, _ = seed.integral_multiple()
-        for n in range(21):
-            expected = iterate(seed, n).divisor
-            assert _power_by_squaring(squares, n, vector) == expected.integral_multiple()[0]
-
-
 @pytest.mark.parametrize("horizon", [50, 400])
 def test_orbit_evidence_matches_separate_walks(run, horizon):
     evidence = _orbit_evidence(run.eigen, horizon)
@@ -163,12 +139,3 @@ def test_charpoly_facts_check_the_off_unit_factor(eigen):
     for wrong in (s * IntPoly([-1, 1]), IntPoly((s.coeffs[0] + 1,) + s.coeffs[1:])):
         with pytest.raises(CertificationError, match="times its off-unit factor"):
             CharpolyFacts.of(dataclasses.replace(eigen, off_unit_factor=wrong))
-
-
-def test_random_integer_classes_are_the_scaled_fraction_draws():
-    ints, fractions = random.Random(PROPERTY_SEED + 1), random.Random(PROPERTY_SEED + 1)
-    for _ in range(200):
-        drawn = DivisorClass(
-            Fraction(fractions.randint(-60, 60), fractions.randint(1, 12)) for _ in range(11)
-        )
-        assert _random_integer_class(ints) == drawn.integral_multiple()[0]

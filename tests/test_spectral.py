@@ -3,15 +3,16 @@ from fractions import Fraction
 import pytest
 
 from voljump.errors import CertificationError, PrecisionBudgetError
-from voljump.intervals import ClassEnclosure, RealEnclosure
+from voljump.intervals import RealEnclosure
 from voljump.lattice import GRAM_DIAGONAL, canonical_class
 from voljump.polynomials import IntPoly, combine, faddeev_leverrier, strip_rational_root
 from voljump.reference import WEIGHT_ORDER, WITNESS_COEFFS, WITNESS_TOLERANCE
 from voljump.spectral import (
-    L_coefficients,
+    _certify_simple_root,
+    _column_values,
     _eigenvector,
+    _witness,
     beta,
-    dominant_eigenvector,
     line_pairing_identity_certified,
     select_orientation,
 )
@@ -60,29 +61,22 @@ def test_canonical_pairing_zero(eigen):
 
 
 def test_beta_exact_example():
-    # r1 = r2 = r3 = 2/5 exactly gives beta = 1/10
-    coeffs = [RealEnclosure.exact(1)]
-    coeffs += [RealEnclosure.exact(Fraction(-2, 5))] * 3
-    coeffs += [RealEnclosure.exact(0)] * 7
-    value = beta(ClassEnclosure(coeffs))
-    assert value.lo == value.hi == Fraction(1, 10)
+    # B = 1 and D = 3 exactly give beta = B / (D + B) = 1/4, on any grid
+    assert beta((3, 3), (1, 1), 8) == RealEnclosure.exact(Fraction(1, 4))
+    # r1 = r2 = r3 = 2/5 gives beta = 1/10: B / 2 a_0 = (6/5 - 1) / 2
+    value = beta((9, 9), (1, 1), 40)
+    assert value.contains(Fraction(1, 10)) and value.width <= Fraction(1, 2**40)
 
 
 def test_beta_requires_certifiable_sign():
-    coeffs = [RealEnclosure.exact(1)]
-    coeffs += [RealEnclosure(Fraction(-4, 10), Fraction(-3, 10))] * 3
-    coeffs += [RealEnclosure.exact(0)] * 7
-    # sum of r_i ranges over [0.9, 1.2]: beta straddles 0
+    # B(lambda) in [-1, 2] with D(lambda) > 0: beta straddles 0
     with pytest.raises(PrecisionBudgetError):
-        beta(ClassEnclosure(coeffs))
+        beta((10, 11), (-1, 2), 8)
 
 
 def test_beta_rejects_certainly_outside():
-    coeffs = [RealEnclosure.exact(1)]
-    coeffs += [RealEnclosure.exact(Fraction(-1, 10))] * 3
-    coeffs += [RealEnclosure.exact(0)] * 7
-    with pytest.raises(CertificationError):
-        beta(ClassEnclosure(coeffs))
+    with pytest.raises(CertificationError, match="outside"):
+        beta((10, 11), (-3, -2), 8)
 
 
 def test_beta_within_reference_implied_interval(eigen):
@@ -184,21 +178,43 @@ def test_eigenvector_rejects_corrupted_column(eigen):
         )
 
 
-def test_L_coefficients_requires_certified_component(eigen):
-    with pytest.raises(CertificationError):
-        L_coefficients(eigen.dominant_class, RealEnclosure(Fraction(-1), Fraction(2)))
+def test_witness_polynomials_are_the_witness(eigen):
+    d, b, *n = eigen.witness_polynomials
+    column = eigen.adjugate_column
+    assert max(p.degree for p in (d, b, *n)) <= 10
+    assert max(abs(c) for p in (d, b, *n) for c in p.coeffs) <= 6
+    assert eigen.witness_values == tuple(_column_values((d, b, *n), eigen.dominant_value))
+    assert eigen.witness_values[0][0] > 0  # D(lambda) > 0, so 1 - beta > 0
+    # beta = B / 2 a_0 and t_i = N_i / D across lambda's enclosure
+    lam = eigen.dominant_value
+    for x in (lam.lo, lam.hi):
+        assert eigen.line_component.contains(b(x) / (2 * column[0](x)))
+        for p, t in zip(n, eigen.t()):
+            assert t.contains(p(x) / d(x))
+    # the signs are normalized to D(lambda) > 0: the negated column, whose
+    # D, B and N_i all change sign, gives the same witness
+    negated = [combine((-1,), (a,)) for a in column]
+    assert _witness(negated, lam) == (eigen.witness_polynomials, eigen.witness_values)
+
+
+def test_witness_requires_certified_denominator(eigen):
+    # a_0 = 1, a_1 = -3: B = 2 and D = 2 a_0 - B = 0, i.e. beta = 1
+    column = (IntPoly([1]), IntPoly([-3])) + (IntPoly([0]),) * 9
+    with pytest.raises(PrecisionBudgetError, match="D\\(lambda\\)"):
+        _witness(column, eigen.dominant_value)
 
 
 def test_eigenvector_rejects_identity():
     near_one = RealEnclosure(Fraction(99, 100), Fraction(101, 100))
+    p, _ = faddeev_leverrier(LatticeIsometry.identity())
     with pytest.raises(CertificationError):
-        dominant_eigenvector(LatticeIsometry.identity(), near_one, Fraction(1, 100))
+        _certify_simple_root(p, near_one)
 
 
 def test_eigenvector_rejects_enclosure_without_root(eigen):
     off = RealEnclosure(Fraction(2), Fraction(3))
     with pytest.raises(CertificationError):
-        dominant_eigenvector(composite_T(), off, Fraction(1, 100))
+        _certify_simple_root(faddeev_leverrier(composite_T())[0], off)
 
 
 def test_orientation_oracle_selects_fixed_composite():
