@@ -2,39 +2,21 @@
 
 Exit codes: 0 all certificates pass, 1 a certificate failed, 2 usage or
 configuration error, 3 working precision too low to decide a certificate.
+
+Start-up is most of a command's run time, so each command imports the
+modules it uses when it runs: `nef-verify` loads neither the orbit nor the
+report module, and only the commands that print JSON or CSV load those.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 from pathlib import Path
 
 from .config import ConfigError, OUTPUT_FORMATS, RunConfig, resolve_config
 from .errors import CertificationError, PrecisionBudgetError
-from .intervals import decimal_string, enclosure_json
-from .lattice import DivisorClass, canonical_class, standard_line
-from .nefcheck import (
-    CheckResult,
-    MarginRow,
-    enumerate_feasible,
-    extreme_candidates,
-    full_report,
-    margin,
-)
-from .report import CharpolyFacts, render_report_json, run_verification
-from .spectral import eigensystem
-from .transform import composite_T
-from .orbit import orbit as orbit_records
-from .orbit import verify_distinct
-
-SEED_CLASSES = {
-    "lbar": standard_line,
-    "K": canonical_class,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,7 +61,15 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text if text.endswith("\n") else text + "\n")
 
 
+def _json_text(payload, indent: int | None = 2) -> str:
+    import json
+
+    return json.dumps(payload, indent=indent, sort_keys=True) + "\n"
+
+
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
@@ -87,11 +77,7 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _enclosure_text(enc, digits: int) -> str:
-    return decimal_string(enc.midpoint, digits)
-
-
-def _certificate_text(checks: tuple[CheckResult, ...]) -> tuple[str, int]:
+def _certificate_text(checks: tuple) -> tuple[str, int]:
     """One [PASS]/[FAIL] line per certificate and the verdict; exit 1 on a
     failure, whose first name also goes to stderr."""
     lines = [
@@ -106,18 +92,23 @@ def _certificate_text(checks: tuple[CheckResult, ...]) -> tuple[str, int]:
 
 
 def cmd_dump_matrix(args, cfg: RunConfig) -> tuple[str, int]:
+    from .transform import composite_T
+
     t = composite_T()
     if cfg.output_format == "json":
-        return json.dumps([list(r) for r in t.rows], sort_keys=True) + "\n", 0
+        return _json_text([list(r) for r in t.rows], indent=None), 0
     width = max(len(str(x)) for row in t.rows for x in row)
     lines = ["  ".join(str(x).rjust(width) for x in row) for row in t.rows]
     return "\n".join(lines) + "\n", 0
 
 
 def cmd_charpoly(args, cfg: RunConfig) -> tuple[str, int]:
+    from .report import CharpolyFacts
+    from .spectral import eigensystem
+
     facts = CharpolyFacts.of(eigensystem(cfg.precision_digits))
     if cfg.output_format == "json":
-        return json.dumps(facts.to_json(), indent=2, sort_keys=True) + "\n", 0
+        return _json_text(facts.to_json()), 0
     p, circle = facts.polynomial, facts.circle
     lines = [
         f"characteristic polynomial: {p}",
@@ -131,6 +122,9 @@ def cmd_charpoly(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_eigen(args, cfg: RunConfig) -> tuple[str, int]:
+    from .intervals import decimal_string, enclosure_json
+    from .spectral import eigensystem
+
     digits = args.tol_digits if args.tol_digits else 30
     eigen = eigensystem(cfg.precision_digits)
     if cfg.output_format == "json":
@@ -140,20 +134,22 @@ def cmd_eigen(args, cfg: RunConfig) -> tuple[str, int]:
             "beta": enclosure_json(eigen.line_component, digits),
             "t": [enclosure_json(e, digits) for e in eigen.t()],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0
-    lines = [f"lambda = {_enclosure_text(eigen.dominant_value, digits)}"]
+        return _json_text(payload), 0
+    lines = [f"lambda = {decimal_string(eigen.dominant_value.midpoint, digits)}"]
     for i, e in enumerate(eigen.r(), start=1):
-        lines.append(f"r{i:<2} = {_enclosure_text(e, digits)}")
-    lines.append(f"beta = {_enclosure_text(eigen.line_component, digits)}")
+        lines.append(f"r{i:<2} = {decimal_string(e.midpoint, digits)}")
+    lines.append(f"beta = {decimal_string(eigen.line_component.midpoint, digits)}")
     for i, e in enumerate(eigen.t(), start=1):
-        lines.append(f"t{i:<2} = {_enclosure_text(e, digits)}")
+        lines.append(f"t{i:<2} = {decimal_string(e.midpoint, digits)}")
     return "\n".join(lines) + "\n", 0
 
 
-def _table_rows(cfg: RunConfig) -> list[MarginRow]:
-    eigen = eigensystem(cfg.precision_digits)
-    witness = eigen.nef_witness
-    rows: list[MarginRow] = []
+def _table_rows(cfg: RunConfig) -> list:
+    from .nefcheck import MarginRow, extreme_candidates, margin
+    from .spectral import eigensystem
+
+    witness = eigensystem(cfg.precision_digits).nef_witness
+    rows = []
     for d in range(3, 7):
         rows.extend(MarginRow(c, margin(c, witness)) for c in extreme_candidates(d))
     rows.sort(key=lambda r: (r.candidate.degree, -r.margin.midpoint, r.candidate.mults))
@@ -161,6 +157,8 @@ def _table_rows(cfg: RunConfig) -> list[MarginRow]:
 
 
 def cmd_nef_table(args, cfg: RunConfig) -> tuple[str, int]:
+    from .intervals import decimal_string, enclosure_json
+
     digits = args.tol_digits if args.tol_digits else cfg.table_digits
     rows = _table_rows(cfg)
     fmt = cfg.output_format if cfg.output_format != "text" else "md"
@@ -175,7 +173,7 @@ def cmd_nef_table(args, cfg: RunConfig) -> tuple[str, int]:
             }
             for r in rows
         ]
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0
+        return _json_text(payload), 0
     table = [
         [str(r.candidate.degree)]
         + [str(a) for a in r.candidate.mults]
@@ -196,6 +194,9 @@ def cmd_nef_table(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_nef_verify(args, cfg: RunConfig) -> tuple[str, int]:
+    from .nefcheck import full_report
+    from .spectral import eigensystem
+
     digits = args.tol if getattr(args, "tol", None) else cfg.precision_digits
     probe = RunConfig(precision_digits=digits, orbit_horizon=cfg.orbit_horizon)
     probe.validate()
@@ -204,12 +205,13 @@ def cmd_nef_verify(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_enumerate(args, cfg: RunConfig) -> tuple[str, int]:
+    from .nefcheck import enumerate_feasible, extreme_candidates
+
     if not 3 <= args.d <= 6:
         raise ConfigError(f"--d must be in 3..6, got {args.d}")
     candidates = extreme_candidates(args.d) if args.extreme else enumerate_feasible(args.d)
     if cfg.output_format == "json":
-        payload = [{"d": c.degree, "a": list(c.mults)} for c in candidates]
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0
+        return _json_text([{"d": c.degree, "a": list(c.mults)} for c in candidates]), 0
     if cfg.output_format == "csv":
         header = ["d"] + [f"a{i}" for i in range(1, 11)]
         rows = [[str(c.degree)] + [str(a) for a in c.mults] for c in candidates]
@@ -221,16 +223,19 @@ def cmd_enumerate(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_orbit(args, cfg: RunConfig) -> tuple[str, int]:
+    from .lattice import DivisorClass, canonical_class, standard_line
+    from .orbit import orbit, verify_distinct
+
     if args.seed == "custom":
         if args.coeffs is None:
             raise ConfigError("--seed custom requires --coeffs with 11 integers")
         seed = DivisorClass(args.coeffs)
     else:
-        seed = SEED_CLASSES[args.seed]()
+        seed = {"lbar": standard_line, "K": canonical_class}[args.seed]()
     count = args.n if args.n else cfg.orbit_horizon
     if count < 1:
         raise ConfigError("--n must be positive")
-    records = list(orbit_records(seed, count))
+    records = list(orbit(seed, count))
     distinct = verify_distinct(seed, count)
     if cfg.output_format == "json":
         payload = {
@@ -248,7 +253,7 @@ def cmd_orbit(args, cfg: RunConfig) -> tuple[str, int]:
                 for r in records
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0
+        return _json_text(payload), 0
     lines = []
     for r in records:
         coeffs = " ".join(str(c) for c in r.divisor.coeffs)
@@ -263,10 +268,14 @@ def cmd_orbit(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_verify(args, cfg: RunConfig) -> tuple[str, int]:
+    from .report import run_verification
+
     return _certificate_text(run_verification(cfg).certificates)
 
 
 def cmd_report(args, cfg: RunConfig) -> tuple[str, int]:
+    from .report import render_report_json, run_verification
+
     run = run_verification(cfg)
     return render_report_json(run), 0 if run.verdict else 1
 

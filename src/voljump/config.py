@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 #: Environment variable naming a default config file.
@@ -20,12 +19,22 @@ class ConfigError(ValueError):
     """Invalid configuration value (rejected before any computation starts)."""
 
 
-@dataclass
 class RunConfig:
-    precision_digits: int = 60
-    orbit_horizon: int = 50
-    output_format: str = "text"
-    table_digits: int = 3
+    """Run settings; mutable, since `resolve_config` overlays them field by field."""
+
+    __slots__ = ("precision_digits", "orbit_horizon", "output_format", "table_digits")
+
+    def __init__(
+        self,
+        precision_digits: int = 60,
+        orbit_horizon: int = 50,
+        output_format: str = "text",
+        table_digits: int = 3,
+    ):
+        self.precision_digits = precision_digits
+        self.orbit_horizon = orbit_horizon
+        self.output_format = output_format
+        self.table_digits = table_digits
 
     def validate(self) -> None:
         if self.precision_digits < MIN_PRECISION_DIGITS:

@@ -3,14 +3,11 @@
 A RealEnclosure is a closed interval [lo, hi] with Fraction endpoints that
 provably contains one real quantity.  All operations here are outward-exact:
 because endpoints are rationals, sums and products of enclosures enclose the
-true results with no rounding step at all.  The only deliberate loss is
-``outward``, which widens an enclosure onto a coarser dyadic grid to keep
-denominators small in long computations.
+true results with no rounding step at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -20,19 +17,32 @@ from .lattice import RANK, DivisorClass, Rational, _as_fraction
 _Operand = Union["RealEnclosure", int, Fraction]
 
 
-@dataclass(frozen=True)
 class RealEnclosure:
-    """Closed interval [lo, hi] with exact rational endpoints, lo <= hi."""
+    """Closed interval [lo, hi] with exact rational endpoints, lo <= hi.
 
-    lo: Fraction
-    hi: Fraction
+    Value type compared and hashed by its endpoints.
+    """
 
-    def __post_init__(self):
-        if not (isinstance(self.lo, Fraction) and isinstance(self.hi, Fraction)):
-            object.__setattr__(self, "lo", _as_fraction(self.lo))
-            object.__setattr__(self, "hi", _as_fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Rational, hi: Rational):
+        if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
+            lo, hi = _as_fraction(lo), _as_fraction(hi)
+        if lo > hi:
+            raise ValueError(f"inverted interval [{lo}, {hi}]")
+        self.lo: Fraction = lo
+        self.hi: Fraction = hi
+
+    def __eq__(self, other):
+        if not isinstance(other, RealEnclosure):
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"RealEnclosure({self.lo!r}, {self.hi!r})"
 
     @classmethod
     def exact(cls, value: Rational) -> "RealEnclosure":
@@ -114,18 +124,6 @@ class RealEnclosure:
         values = (self.lo * self.lo, self.hi * self.hi)
         return RealEnclosure(min(values), max(values))
 
-    def outward(self, bits: int) -> "RealEnclosure":
-        """Widen endpoints outward onto the dyadic grid of step 2**-bits.
-
-        Sound by construction (the result contains self); used to stop
-        denominator growth in long exact computations.
-        """
-        scale = 1 << bits
-        lo = Fraction(self.lo.numerator * scale // self.lo.denominator, scale)
-        hi_scaled = self.hi.numerator * scale
-        hi = Fraction(-((-hi_scaled) // self.hi.denominator), scale)
-        return RealEnclosure(lo, hi)
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -136,21 +134,29 @@ def _coerce(x: _Operand) -> RealEnclosure:
     return RealEnclosure.exact(x)
 
 
-@dataclass(frozen=True)
 class ClassEnclosure:
     """Eleven coefficient enclosures over the (H, E1..E10) basis.
 
     Holds certified approximate divisor classes such as the dominant
-    eigenvector H - sum r_i E_i or the nef witness H - sum t_i E_i.
+    eigenvector H - sum r_i E_i or the nef witness H - sum t_i E_i.  Value
+    type compared and hashed by its coefficients.
     """
 
-    coeffs: tuple[RealEnclosure, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RealEnclosure]):
-        values = tuple(coeffs)
-        if len(values) != RANK:
-            raise ValueError(f"expected {RANK} enclosures, got {len(values)}")
-        object.__setattr__(self, "coeffs", values)
+        self.coeffs: tuple[RealEnclosure, ...] = tuple(coeffs)
+        if len(self.coeffs) != RANK:
+            raise ValueError(f"expected {RANK} enclosures, got {len(self.coeffs)}")
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if isinstance(other, ClassEnclosure) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"ClassEnclosure({self.coeffs})"
 
     @classmethod
     def from_class(cls, divisor: DivisorClass) -> "ClassEnclosure":

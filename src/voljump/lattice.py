@@ -8,7 +8,6 @@ float ever enters this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -30,20 +29,28 @@ def _as_fraction(x: Rational) -> Fraction:
     raise TypeError(f"exact rational required, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class DivisorClass:
     """A divisor class as an exact coefficient vector over (H, E1..E10).
 
-    Immutable value type; arithmetic returns fresh instances.
+    Value type compared and hashed by its coefficients; arithmetic returns
+    fresh instances.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational]):
-        values = tuple(_as_fraction(c) for c in coeffs)
-        if len(values) != RANK:
-            raise ValueError(f"expected {RANK} coefficients, got {len(values)}")
-        object.__setattr__(self, "coeffs", values)
+        self.coeffs: tuple[Fraction, ...] = tuple(_as_fraction(c) for c in coeffs)
+        if len(self.coeffs) != RANK:
+            raise ValueError(f"expected {RANK} coefficients, got {len(self.coeffs)}")
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if isinstance(other, DivisorClass) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"DivisorClass({self.coeffs})"
 
     @property
     def h(self) -> Fraction:

@@ -9,9 +9,8 @@ seed's denominators) and divides by D only when it builds a record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .lattice import DivisorClass, canonical_class, pair_integers
 from .transform import LatticeIsometry, apply_integers, composite_T
@@ -19,8 +18,7 @@ from .transform import LatticeIsometry, apply_integers, composite_T
 _CANONICAL, _ = canonical_class().integral_multiple()
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     """One orbit step: the class T^n(seed) with its basic invariants."""
 
     n: int
@@ -63,8 +61,7 @@ def orbit(
         current = apply_integers(t, current)
 
 
-@dataclass(frozen=True)
-class DistinctnessResult:
+class DistinctnessResult(NamedTuple):
     distinct: bool
     collision: tuple[int, int] | None = None  # first (n, m) with equal classes
 

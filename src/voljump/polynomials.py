@@ -22,13 +22,12 @@ chain for the Cauchy index (Routh-Hurwitz).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
 from math import lcm
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import CertificationError, PrecisionBudgetError
 from .intervals import RealEnclosure
@@ -44,19 +43,29 @@ def _require(holds: bool, message: str) -> None:
         raise CertificationError(message)
 
 
-@dataclass(frozen=True)
 class IntPoly:
-    """Univariate polynomial with exact integer coefficients, ascending order."""
+    """Univariate polynomial with exact integer coefficients, ascending order.
 
-    coeffs: tuple[int, ...]
+    Value type compared and hashed by its coefficients (a cache key in the
+    spectral pipeline).
+    """
+
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
         values = [int(c) for c in coeffs]
         while len(values) > 1 and values[-1] == 0:
             values.pop()
-        if not values:
-            values = [0]
-        object.__setattr__(self, "coeffs", tuple(values))
+        self.coeffs: tuple[int, ...] = tuple(values) if values else (0,)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if isinstance(other, IntPoly) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"IntPoly({self.coeffs})"
 
     @property
     def degree(self) -> int:
@@ -568,8 +577,7 @@ def cyclotomic_factors(p: IntPoly, search_bound: int = 200) -> list[tuple[int, i
 # -- certified unit-circle root count ------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitCircleCount:
+class UnitCircleCount(NamedTuple):
     """Certified counts of roots by position relative to the unit circle."""
 
     outside: int

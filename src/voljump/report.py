@@ -8,10 +8,8 @@ configuration emit byte-identical artifacts.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
+from typing import NamedTuple
 
 from .config import ConfigError, RunConfig
 from .errors import CertificationError
@@ -33,8 +31,7 @@ from .transform import apply, composite_T, verify_isometry
 SCHEMA_VERSION = "1"
 
 
-@dataclass(frozen=True)
-class CharpolyFacts:
+class CharpolyFacts(NamedTuple):
     """Factor data of the characteristic polynomial, computed once per run."""
 
     polynomial: IntPoly
@@ -72,8 +69,7 @@ class CharpolyFacts:
         }
 
 
-@dataclass(frozen=True)
-class OrbitEvidence:
+class OrbitEvidence(NamedTuple):
     horizon: int
     distinct: bool
     collision: tuple[int, int] | None
@@ -113,8 +109,7 @@ def _orbit_evidence(eigen: EigenSystem, horizon: int) -> OrbitEvidence:
     )
 
 
-@dataclass(frozen=True)
-class VerificationRun:
+class VerificationRun(NamedTuple):
     config: RunConfig
     eigen: EigenSystem
     nef: NefReport
@@ -375,9 +370,14 @@ def build_report(run: VerificationRun) -> dict:
 
 
 def render_report_json(run: VerificationRun) -> str:
+    import json
+
     return json.dumps(build_report(run), indent=2, sort_keys=True) + "\n"
 
 
 def load_schema() -> dict:
+    import json
+    from importlib import resources
+
     text = resources.files("voljump.schemas").joinpath("report-v1.json").read_text()
     return json.loads(text)

@@ -21,11 +21,10 @@ readings by matching the reference coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CertificationError, PrecisionBudgetError, VerificationError
 from .intervals import ClassEnclosure, RealEnclosure
@@ -244,8 +243,7 @@ def line_pairing_identity_certified(r: ClassEnclosure) -> bool:
     return not s.contains(3)
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(NamedTuple):
     """Bundle of certified spectral data for one transform at one precision."""
 
     digits: int
@@ -305,15 +303,13 @@ def eigensystem(digits: int = 60) -> EigenSystem:
 # -- orientation oracle ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CandidateAssessment:
+class CandidateAssessment(NamedTuple):
     name: str
     matches: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class OrientationReport:
+class OrientationReport(NamedTuple):
     selected: str
     assessments: tuple[CandidateAssessment, ...]
 

@@ -15,30 +15,37 @@ coefficients in `reference`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .lattice import RANK, GRAM_DIAGONAL, DivisorClass
 
 
-@dataclass(frozen=True)
 class LatticeIsometry:
     """An 11x11 exact integer matrix acting on divisor-class coefficients.
 
     The name records the intended contract (preserve the intersection form,
     determinant +-1); `verify_isometry` checks it.  Arbitrary integer
-    matrices can be constructed, e.g. to exercise the checker.
+    matrices can be constructed, e.g. to exercise the checker.  Value type
+    compared and hashed by its rows.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        matrix = tuple(tuple(int(x) for x in row) for row in rows)
-        if len(matrix) != RANK or any(len(r) != RANK for r in matrix):
+        self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(int(x) for x in row) for row in rows)
+        if len(self.rows) != RANK or any(len(r) != RANK for r in self.rows):
             raise ValueError(f"matrix must be {RANK}x{RANK}")
-        object.__setattr__(self, "rows", matrix)
+
+    def __eq__(self, other):
+        return self.rows == other.rows if isinstance(other, LatticeIsometry) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"LatticeIsometry({self.rows})"
 
     @classmethod
     def identity(cls) -> "LatticeIsometry":
@@ -47,10 +54,9 @@ class LatticeIsometry:
         )
 
     def __matmul__(self, other: "LatticeIsometry") -> "LatticeIsometry":
-        a, b = self.rows, other.rows
+        columns = tuple(zip(*other.rows))
         return LatticeIsometry(
-            tuple(sum(a[i][k] * b[k][j] for k in range(RANK)) for j in range(RANK))
-            for i in range(RANK)
+            tuple(sum(map(mul, row, column)) for column in columns) for row in self.rows
         )
 
     def power(self, n: int) -> "LatticeIsometry":
@@ -100,8 +106,7 @@ def apply_integers(m: LatticeIsometry, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, v)) for row in m.rows)
 
 
-@dataclass(frozen=True)
-class IsometryCheck:
+class IsometryCheck(NamedTuple):
     """Outcome of the form-preservation check M^T G M = G.
 
     `residual` is M^T G M - G when the check fails, None otherwise.

@@ -233,7 +233,7 @@ def test_certification_failure_maps_to_exit_1(monkeypatch, capsys):
 
 
 def test_verify_reports_first_failure(monkeypatch, capsys):
-    from voljump import cli
+    from voljump import cli, report
     from voljump.nefcheck import CheckResult
 
     class StubRun:
@@ -242,7 +242,7 @@ def test_verify_reports_first_failure(monkeypatch, capsys):
             CheckResult("bad certificate", False, "synthetic"),
         )
 
-    monkeypatch.setattr(cli, "run_verification", lambda cfg: StubRun())
+    monkeypatch.setattr(report, "run_verification", lambda cfg: StubRun())
     code = cli.main(["verify"])
     captured = capsys.readouterr()
     assert code == 1
@@ -328,15 +328,13 @@ def test_nef_verify_checks_its_ordering_premise(monkeypatch, capsys):
 
 
 def test_corrupted_adjugate_column_fails_self_intersection(monkeypatch, capsys):
-    import dataclasses
-
     from voljump import report
     from voljump.polynomials import IntPoly
 
     eigen = report.eigensystem(60)
     column = list(eigen.adjugate_column)
     column[4] = IntPoly((column[4].coeffs[0] + 1,) + column[4].coeffs[1:])
-    corrupted = dataclasses.replace(eigen, adjugate_column=tuple(column))
+    corrupted = eigen._replace(adjugate_column=tuple(column))
     monkeypatch.setattr(report, "eigensystem", lambda digits: corrupted)
     code, out, err = run_cli(capsys, "verify")
     assert code == 1
@@ -392,8 +390,6 @@ def test_shifted_reference_coefficient_fails_the_witness_certificate(monkeypatch
 
 
 def test_corrupted_line_numerator_fails_the_line_class_certificate(monkeypatch, capsys):
-    import dataclasses
-
     from voljump import report
     from voljump.polynomials import IntPoly, combine
     from voljump.spectral import _column_values
@@ -403,8 +399,7 @@ def test_corrupted_line_numerator_fails_the_line_class_certificate(monkeypatch, 
     # N_3 = -2 a_3 - B with a_3 + 1 in place of the line-index entry a_3
     n[2] = combine((1, -2), (n[2], IntPoly([1])))
     polys = (d, b, *n)
-    corrupted = dataclasses.replace(
-        eigen,
+    corrupted = eigen._replace(
         witness_polynomials=polys,
         witness_values=tuple(_column_values(polys, eigen.dominant_value)),
     )

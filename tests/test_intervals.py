@@ -10,6 +10,8 @@ from voljump.intervals import (
 )
 from voljump.lattice import canonical_class, pair, standard_line
 
+from helpers import outward
+
 
 def enc(lo, hi):
     return RealEnclosure(Fraction(lo), Fraction(hi))
@@ -53,7 +55,7 @@ def test_containment_and_sign_queries():
 
 def test_outward_rounding_contains_and_is_dyadic():
     a = RealEnclosure(Fraction(1, 3), Fraction(2, 3))
-    widened = a.outward(16)
+    widened = outward(a, 16)
     assert widened.lo <= a.lo and a.hi <= widened.hi
     assert widened.lo.denominator <= 1 << 16
     assert widened.width <= a.width + Fraction(2, 1 << 16)

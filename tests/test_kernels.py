@@ -18,6 +18,8 @@ from voljump.spectral import (
     _eigenvector,
     _quotient_on_grid,
 )
+
+from helpers import outward
 from voljump.transform import LatticeIsometry, candidate_composites, composite_T
 
 SEED = 20130517
@@ -250,7 +252,7 @@ def interval_route(column, lam, tol):
         for a in column
     ]
     bits = lam.hi.denominator.bit_length() + 64
-    return values, [(v / values[0]).outward(bits) for v in values[1:]]
+    return values, [outward(v / values[0], bits) for v in values[1:]]
 
 
 def column_enclosures(column, lam):
@@ -307,7 +309,7 @@ def test_quotient_on_grid_matches_interval_division():
             w = [-w[1], -w[0]]
         randoms.append((v, w, rng.randint(0, 40)))
     for v, w, bits in edges + randoms:
-        expected = (RealEnclosure(*v) / RealEnclosure(*w)).outward(bits)
+        expected = outward(RealEnclosure(*v) / RealEnclosure(*w), bits)
         lo, hi = _quotient_on_grid(tuple(v), tuple(w), bits)
         assert (Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)) == (expected.lo, expected.hi)
 

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -404,7 +403,7 @@ def test_report_rows_come_from_the_numerators(eigen, nef):
 def with_witness(eigen, polys):
     """The eigensystem with other witness polynomials and their values."""
     values = tuple(_column_values(polys, eigen.dominant_value))
-    return dataclasses.replace(eigen, witness_polynomials=tuple(polys), witness_values=values)
+    return eigen._replace(witness_polynomials=tuple(polys), witness_values=values)
 
 
 def shifted(p, k=0):
@@ -449,9 +448,7 @@ def test_square_sum_identity_is_divisible_by_s(eigen):
 
 def test_bigness_rejects_b_enclosing_zero(eigen):
     values = eigen.witness_values
-    straddling = dataclasses.replace(
-        eigen, witness_values=(values[0], (-1, 1)) + values[2:]
-    )
+    straddling = eigen._replace(witness_values=(values[0], (-1, 1)) + values[2:])
     with pytest.raises(PrecisionBudgetError, match="B\\(lambda\\) not certified nonzero"):
         full_report(straddling)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import jsonschema
@@ -138,4 +137,4 @@ def test_charpoly_facts_check_the_off_unit_factor(eigen):
     # (x - 1)^0 * (x - 1) s = p, but the factor still has the root 1
     for wrong in (s * IntPoly([-1, 1]), IntPoly((s.coeffs[0] + 1,) + s.coeffs[1:])):
         with pytest.raises(CertificationError, match="times its off-unit factor"):
-            CharpolyFacts.of(dataclasses.replace(eigen, off_unit_factor=wrong))
+            CharpolyFacts.of(eigen._replace(off_unit_factor=wrong))

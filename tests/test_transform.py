@@ -132,6 +132,16 @@ def test_candidates_are_isometries_fixing_canonical():
         assert matrix.determinant() in (-1, 1)
 
 
+def test_product_composes_the_actions():
+    rng = random.Random(5)
+    a, b = cremona_isometry(1, 2, 3), exceptional_shift(3)
+    rows = [[rng.randint(-3, 3) for _ in range(11)] for _ in range(11)]
+    for m, n in ((a, b), (b, a), (LatticeIsometry(rows), a)):
+        for _ in range(5):
+            c = DivisorClass(rng.randint(-5, 5) for _ in range(11))
+            assert apply(m @ n, c) == apply(m, apply(n, c))
+
+
 def test_power_matches_repeated_products():
     t = composite_T()
     acc = LatticeIsometry.identity()
