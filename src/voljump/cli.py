@@ -103,8 +103,7 @@ def cmd_dump_matrix(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_charpoly(args, cfg: RunConfig) -> tuple[str, int]:
-    from .report import CharpolyFacts
-    from .spectral import eigensystem
+    from .spectral import CharpolyFacts, eigensystem
 
     facts = CharpolyFacts.of(eigensystem(cfg.precision_digits))
     if cfg.output_format == "json":

@@ -166,9 +166,6 @@ class ClassEnclosure:
         """The ten positive multipliers m_i in H - sum m_i E_i (negated E-coeffs)."""
         return tuple(-c for c in self.coeffs[1:])
 
-    def max_width(self) -> Fraction:
-        return max(c.width for c in self.coeffs)
-
     def pair(self, other: Union["ClassEnclosure", DivisorClass]) -> RealEnclosure:
         """Intersection pairing with interval arithmetic."""
         if isinstance(other, DivisorClass):

@@ -5,19 +5,23 @@ with the first column of the adjugate of xI - m, real-root isolation and
 refinement with rational endpoints, a cyclotomic divisibility scan, and a
 certified count of roots outside the unit circle.
 
-The hot kernels are fraction-free: the characteristic polynomial comes from
-integer power traces, root refinement bisects on a common-denominator grid
-with signs from a homogeneous integer Horner sum, and exact division,
-divisibility (a pseudo-remainder) and deflation by an integer root run on
-Python integers.
+Every kernel runs on Python integers; a `Fraction` appears only as an
+interval endpoint, a returned enclosure or a returned value
+(`IntPoly.__call__`, `cauchy_root_bound`).  The characteristic polynomial
+comes from integer power traces; gcds from a primitive pseudo-remainder
+sequence; Descartes isolation works on den^n p(y/den) over a
+common-denominator grid, and refinement bisects on that grid with signs from
+a homogeneous integer Horner sum.  Exact division, divisibility (a
+pseudo-remainder) and deflation by a rational root (by D x - N, Gauss's
+lemma) stay integral.
 
-The unit-circle count is exact and uses integer polynomials only.  Per
-squarefree factor, after the roots at 0 and +-1 are divided out, the mirror
-part gcd(f, reverse(f)) holds every root on the circle; writing it as
-z^m q(z + 1/z), its circle roots are the real roots of q in (-2, 2), counted
-by Descartes isolation.  The rest has no root on the circle and is counted
-inside the disk by a Cayley transform to the left half-plane and a Sturm
-chain for the Cauchy index (Routh-Hurwitz).
+The unit-circle count is exact.  Per squarefree factor, after the roots at
+0 and +-1 are divided out, the mirror part gcd(f, reverse(f)) holds every
+root on the circle; writing it as z^m q(z + 1/z), its circle roots are the
+real roots of q in (-2, 2), counted by Descartes isolation.  The rest has no
+root on the circle and is counted inside the disk by a Cayley transform to
+the left half-plane and a Sturm chain for the Cauchy index (Routh-Hurwitz)
+whose pseudo-remainders are scaled by positive factors only.
 """
 
 from __future__ import annotations
@@ -99,9 +103,7 @@ class IntPoly:
 
     def primitive(self) -> "IntPoly":
         """Divide out the content; normalize the leading coefficient positive."""
-        g = 0
-        for c in self.coeffs:
-            g = int_gcd(g, abs(c))
+        g = int_gcd(*self.coeffs)
         if g == 0:
             return self
         sign = -1 if self.leading < 0 else 1
@@ -133,27 +135,10 @@ class IntPoly:
         return IntPoly(out)
 
     def is_multiple_of(self, divisor: "IntPoly") -> bool:
-        """Whether the nonzero divisor divides self over Q (it divides 0).
-
-        Integer pseudo-division: each step scales the rest by the leading
-        coefficient of the divisor before cancelling its top term, so the
-        pseudo-remainder vanishes iff the remainder over Q does.
-        """
+        """Whether the nonzero divisor divides self over Q (it divides 0)."""
         if divisor.degree < 0:
             raise ZeroDivisionError("division by zero polynomial")
-        lead, n = divisor.leading, divisor.degree
-        rest = list(self.coeffs)
-        while rest and rest[-1] == 0:
-            rest.pop()
-        while len(rest) > n:
-            top = rest.pop()
-            shift = len(rest) - n
-            rest = [lead * c for c in rest]
-            for j, d in enumerate(divisor.coeffs[:-1]):
-                rest[shift + j] -= top * d
-            while rest and rest[-1] == 0:
-                rest.pop()
-        return not rest
+        return not _pseudo_remainder(self.coeffs, divisor.coeffs)
 
     def __str__(self) -> str:
         terms = []
@@ -179,26 +164,29 @@ def faddeev_leverrier(m: "LatticeIsometry") -> tuple[IntPoly, tuple[IntPoly, ...
     traces p_k = tr(m^k) by Newton's identities,
     k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1); every division by k is
     exact for an integer matrix (checked).  The powers m^1..m^h with
-    h = ceil(n/2) give every trace, tr(m^(i+j)) as a row-by-column sum of m^i
+    h = ceil(n/2) give every trace, tr(m^(h+j)) as a row-by-column sum of m^h
     against m^j.  The Faddeev-LeVerrier recurrence M_1 = I,
     M_(k+1) = m M_k + c_k I, with adj(xI - m) = sum M_k x^(n-k), is applied
-    to e_0 only.
+    to e_0 only.  Both multiply by m over its nonzero entries only: row i of
+    m m^k is the sum of m_ij times row j of m^k.
     """
     rows = m.rows
     n = len(rows)
-    columns = tuple(zip(*rows))
+    sparse = [[(j, c) for j, c in enumerate(r) if c] for r in rows]
     powers = [rows]  # powers[i] = m^(i+1)
     while 2 * len(powers) < n:
-        powers.append(tuple(tuple(sum(map(mul, r, c)) for c in columns) for r in powers[-1]))
-    traces = []
-    for k in range(1, n + 1):
-        i = min(k, len(powers))
-        left = powers[i - 1]
-        if i == k:
-            traces.append(sum(left[a][a] for a in range(n)))
-        else:
-            right = zip(*powers[k - i - 1])
-            traces.append(sum(sum(map(mul, r, c)) for r, c in zip(left, right)))
+        power = powers[-1]
+        product = []
+        for entries in sparse:
+            row = [0] * n
+            for j, c in entries:
+                row = [x + c * y for x, y in zip(row, power[j])]
+            product.append(row)
+        powers.append(product)
+    traces = [sum(power[a][a] for a in range(n)) for power in powers]
+    top = powers[-1]  # tr(m^(h+j)) pairs the rows of m^h with the columns of m^j
+    for power in powers[: n - len(powers)]:
+        traces.append(sum(sum(map(mul, r, c)) for r, c in zip(top, zip(*power))))
     coeffs_desc = [1]
     for k in range(1, n + 1):
         total = sum(map(mul, coeffs_desc, reversed(traces[:k])))
@@ -207,7 +195,7 @@ def faddeev_leverrier(m: "LatticeIsometry") -> tuple[IntPoly, tuple[IntPoly, ...
     vector = [1] + [0] * (n - 1)  # M_1 e_0
     column_desc = [[v] for v in vector]
     for k in range(1, n):
-        vector = [sum(map(mul, r, vector)) for r in rows]
+        vector = [sum(c * vector[j] for j, c in entries) for entries in sparse]
         vector[0] += coeffs_desc[k]
         for entries, v in zip(column_desc, vector):
             entries.append(v)
@@ -237,18 +225,13 @@ def cauchy_root_bound(p: IntPoly) -> Fraction:
     return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
 
 
-# -- polynomial helpers over the rationals ------------------------------------
+# -- integer kernels -----------------------------------------------------------
 
 
-def _fraction_coeffs(p: IntPoly) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
-
-
-def _scaled_value(coeffs: Sequence, n: int, d: int):
+def _scaled_value(coeffs: Sequence[int], n: int, d: int) -> int:
     """d^deg p(n/d) = sum c_i n^i d^(deg-i), by a homogeneous Horner scheme.
 
-    For d > 0 it has the sign of p(n/d); on integer coefficients it stays in
-    integers.
+    For d > 0 it has the sign of p(n/d).
     """
     acc = 0
     scale = 1
@@ -258,8 +241,8 @@ def _scaled_value(coeffs: Sequence, n: int, d: int):
     return acc
 
 
-def _synthetic_division(coeffs: Sequence, root) -> tuple[list, object]:
-    """Quotient and remainder p(root) of p by (x - root); integer on integers."""
+def _synthetic_division(coeffs: Sequence[int], root: int) -> tuple[list[int], int]:
+    """Quotient and remainder p(root) of p by (x - root)."""
     desc = list(reversed(coeffs))
     out = [desc[0]]
     for c in desc[1:]:
@@ -268,17 +251,41 @@ def _synthetic_division(coeffs: Sequence, root) -> tuple[list, object]:
     return list(reversed(out)), rem
 
 
-def _deflate(coeffs: Sequence[Fraction], root: Fraction) -> list[Fraction]:
-    """Exact synthetic division by (x - root); the remainder must vanish."""
-    quotient, rem = _synthetic_division(coeffs, root)
-    _require(rem == 0, "deflation at a non-root")
-    return quotient
+def _pseudo_remainder(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """A positive multiple of the remainder of num by den over Q, with zero
+    top coefficients dropped ([] for 0); den has a nonzero top coefficient.
+
+    Each step scales the rest by |lc(den)| before cancelling its top term, so
+    the result keeps the sign pattern of the true remainder.
+    """
+    lead, n = den[-1], len(den) - 1
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    rest = list(num)
+    while rest and rest[-1] == 0:
+        rest.pop()
+    while len(rest) > n:
+        top = sign * rest.pop()
+        shift = len(rest) - n
+        rest = [scale * c for c in rest]
+        for j, d in enumerate(den[:-1]):
+            rest[shift + j] -= top * d
+        while rest and rest[-1] == 0:
+            rest.pop()
+    return rest
 
 
-def _taylor_shift(coeffs: Sequence[Fraction], a: Fraction) -> list[Fraction]:
+def _deflate(coeffs: Sequence[int], root: Fraction) -> tuple[int, ...]:
+    """p / (D x - N) for the root N/D of p, integral by Gauss's lemma; the
+    division must be exact."""
+    quotient = IntPoly(coeffs).divide_exact(IntPoly([-root.numerator, root.denominator]))
+    _require(quotient is not None, "deflation at a non-root")
+    return quotient.coeffs
+
+
+def _taylor_shift(coeffs: Sequence[int], a: int) -> list[int]:
     """Coefficients of p(x + a), by repeated synthetic division."""
     desc = list(reversed(coeffs))
-    out: list[Fraction] = []
+    out: list[int] = []
     while desc:
         q = [desc[0]]
         for c in desc[1:]:
@@ -288,7 +295,7 @@ def _taylor_shift(coeffs: Sequence[Fraction], a: Fraction) -> list[Fraction]:
     return out
 
 
-def _sign_variations(coeffs: Sequence[Fraction]) -> int:
+def _sign_variations(coeffs: Sequence[int]) -> int:
     count = 0
     prev = 0
     for c in coeffs:
@@ -301,14 +308,19 @@ def _sign_variations(coeffs: Sequence[Fraction]) -> int:
     return count
 
 
-def _descartes_bound(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> int:
-    """Upper bound (equal mod 2) on the number of roots in the open (lo, hi)."""
-    shifted = _taylor_shift(coeffs, lo)
-    width = hi - lo
-    scaled = [c * width**k for k, c in enumerate(shifted)]
-    # roots in (0,1) of `scaled`; map via x -> 1/(1+x) onto (0, inf)
-    transformed = _taylor_shift(list(reversed(scaled)), Fraction(1))
-    return _sign_variations(transformed)
+def _descartes_bound(coeffs: Sequence[int], a: int, b: int, den: int) -> int:
+    """Upper bound (equal mod 2) on the number of roots of p in the open
+    (a/den, b/den), for den > 0 and a < b.
+
+    den^n p((a + (b - a) z) / den), a positive multiple of p with the bracket
+    mapped onto (0, 1), has integer coefficients: homogenize, shift by a,
+    scale by the width.  Then z -> 1/(1 + z) maps (0, 1) onto (0, inf).
+    """
+    n = len(coeffs) - 1
+    homogeneous = [c * den ** (n - k) for k, c in enumerate(coeffs)]
+    width = b - a
+    scaled = [c * width**k for k, c in enumerate(_taylor_shift(homogeneous, a))]
+    return _sign_variations(_taylor_shift(scaled[::-1], 1))
 
 
 def isolate_real_roots(
@@ -318,33 +330,38 @@ def isolate_real_roots(
 
     Returns open intervals (a, b) with exactly one root each; exact rational
     roots appear as degenerate pairs (r, r).  Requires p(lo) != 0 != p(hi).
+    Bisection keeps the brackets on a common-denominator grid, a/den and
+    b/den, with integer numerators.
     """
     if p(lo) == 0 or p(hi) == 0:
         raise ValueError("isolation endpoints must not be roots")
     out: list[tuple[Fraction, Fraction]] = []
 
-    def recurse(cs: list[Fraction], a: Fraction, b: Fraction, depth: int) -> None:
-        bound = _descartes_bound(cs, a, b)
+    def recurse(cs: Sequence[int], a: int, b: int, den: int, depth: int) -> None:
+        bound = _descartes_bound(cs, a, b, den)
         if bound == 0:
             return
         if bound == 1:
-            out.append((a, b))
+            out.append((Fraction(a, den), Fraction(b, den)))
             return
         if depth <= 0:
             raise PrecisionBudgetError(
-                f"root isolation did not terminate on ({a}, {b})"
+                f"root isolation did not terminate on ({Fraction(a, den)}, {Fraction(b, den)})"
             )
-        mid = (a + b) / 2
-        if _scaled_value(cs, mid.numerator, mid.denominator) == 0:
-            reduced = _deflate(cs, mid)
-            out.append((mid, mid))
-            recurse(reduced, a, mid, depth - 1)
-            recurse(reduced, mid, b, depth - 1)
-        else:
-            recurse(cs, a, mid, depth - 1)
-            recurse(cs, mid, b, depth - 1)
+        mid, den = a + b, 2 * den
+        a, b = 2 * a, 2 * b
+        if _scaled_value(cs, mid, den) == 0:
+            root = Fraction(mid, den)
+            cs = _deflate(cs, root)
+            out.append((root, root))
+        recurse(cs, a, mid, den, depth - 1)
+        recurse(cs, mid, b, den, depth - 1)
 
-    recurse(_fraction_coeffs(p), lo, hi, max_depth)
+    den = lcm(lo.denominator, hi.denominator)
+    recurse(
+        p.coeffs, lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator),
+        den, max_depth,
+    )
     return sorted(out)
 
 
@@ -384,37 +401,13 @@ def refine_root(
 # -- gcd / squarefree structure ------------------------------------------------
 
 
-def _trimmed(coeffs: list[Fraction]) -> list[Fraction]:
-    """Drop zero top coefficients; the zero polynomial becomes []."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _remainder(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Remainder of num by the nonzero den over Q, both trimmed."""
-    num = num[:]
-    while len(num) >= len(den):
-        q = num[-1] / den[-1]
-        shift = len(num) - len(den)
-        for j, d in enumerate(den):
-            num[shift + j] -= q * d
-        _trimmed(num)
-    return num
-
-
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd over the integers (Euclid over Q, then normalized)."""
-    fa, fb = _trimmed(_fraction_coeffs(a)), _trimmed(_fraction_coeffs(b))
-    while fb:
-        fa, fb = fb, _remainder(fa, fb)
-    if not fa:
-        return IntPoly([0])
-    denom_lcm = 1
-    for c in fa:
-        denom_lcm = denom_lcm * c.denominator // int_gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in fa]
-    return IntPoly(ints).primitive()
+    """Primitive gcd with a positive leading coefficient, by a primitive
+    pseudo-remainder sequence (Collins; Brown-Traub): integers throughout."""
+    a, b = a.primitive(), b.primitive()
+    while b.degree >= 0:
+        a, b = b, IntPoly(_pseudo_remainder(a.coeffs, b.coeffs)).primitive()
+    return a
 
 
 def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -432,35 +425,22 @@ def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
         return [(b, 1)]
     c = work.derivative().divide_exact(a)
     _require(c is not None, "gcd(p, p') does not divide p' exactly")
-    d = IntPoly(
-        [
-            x - y
-            for x, y in _zip_pad(c.coeffs, b.derivative().coeffs)
-        ]
-    )
+    d = combine((1, -1), (c, b.derivative()))
     out: list[tuple[IntPoly, int]] = []
     i = 1
     while b.degree > 0:
         f = poly_gcd(b, d)
         if f.degree > 0:
             out.append((f, i))
-            b_next = b.divide_exact(f)
-            _require(b_next is not None, "squarefree factor does not divide exactly")
-            b = b_next
+            b = b.divide_exact(f)
+            _require(b is not None, "squarefree factor does not divide exactly")
         if b.degree == 0:
             break
         cq = d.divide_exact(f) if f.degree > 0 else d
         _require(cq is not None, "squarefree factor does not divide exactly")
-        d = IntPoly([x - y for x, y in _zip_pad(cq.coeffs, b.derivative().coeffs)])
+        d = combine((1, -1), (cq, b.derivative()))
         i += 1
     return out
-
-
-def _zip_pad(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, int]]:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else 0, b[i] if i < len(b) else 0) for i in range(n)
-    ]
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
@@ -501,8 +481,7 @@ def dominant_root(p: IntPoly, tol: Fraction) -> RealEnclosure:
         raise ValueError("tolerance must be positive")
     reduced = squarefree_part(p)
     # roots exactly at 1 are not "greater than 1"; remove before isolating
-    if reduced(Fraction(1)) == 0:
-        _, reduced = strip_rational_root(reduced, 1)
+    _, reduced = strip_rational_root(reduced, 1)
     if reduced.degree < 1:
         raise CertificationError("no real root greater than 1")
     bound = cauchy_root_bound(reduced)
@@ -604,19 +583,20 @@ def _trace_polynomial(g: IntPoly) -> IntPoly:
     return IntPoly(out)
 
 
-def _cauchy_index(p: list[Fraction], q: list[Fraction]) -> int:
+def _cauchy_index(p: IntPoly, q: IntPoly) -> int:
     """Cauchy index of q/p over the whole real line, for deg q < deg p.
 
     Sturm: the sign variations of p, q, -rem(p, q), ... at -inf minus those
-    at +inf.  A common factor of p and q without real roots ends the chain
-    and changes no variation count.
+    at +inf, with each remainder replaced by a positive multiple (an integer
+    pseudo-remainder), which changes no sign.  A common factor of p and q
+    without real roots ends the chain and changes no variation count.
     """
     chain = [p, q]
-    while chain[-1]:
-        chain.append([-c for c in _remainder(chain[-2], chain[-1])])
+    while chain[-1].degree >= 0:
+        chain.append(IntPoly(-c for c in _pseudo_remainder(chain[-2].coeffs, chain[-1].coeffs)))
     chain.pop()
-    at_plus = [c[-1] for c in chain]
-    at_minus = [c[-1] if len(c) % 2 else -c[-1] for c in chain]
+    at_plus = [f.leading for f in chain]
+    at_minus = [-f.leading if f.degree % 2 else f.leading for f in chain]
     return _sign_variations(at_minus) - _sign_variations(at_plus)
 
 
@@ -640,10 +620,10 @@ def _count_inside_off_circle(r: IntPoly) -> int:
             cayley[j] += c
     _require(cayley[n] != 0, "Cayley transform lost degree")
     # i^j = (-1)^(j // 2) for even j and i * (-1)^(j // 2) for odd j
-    parts = [[Fraction(0)] * (n + 1), [Fraction(0)] * (n + 1)]
+    parts = [[0] * (n + 1), [0] * (n + 1)]
     for j, c in enumerate(cayley):
-        parts[j % 2][j] = Fraction((-1) ** (j // 2) * c)
-    real, imag = (_trimmed(part) for part in parts)
+        parts[j % 2][j] = (-1) ** (j // 2) * c
+    real, imag = IntPoly(parts[0]), IntPoly(parts[1])
     if n % 2:
         twice_inside = n + _cauchy_index(imag, real)
     else:

@@ -17,56 +17,12 @@ from .intervals import ClassEnclosure, decimal_string, enclosure_json
 from .lattice import GRAM_DIAGONAL, canonical_class, standard_line
 from .nefcheck import CheckResult, MarginRow, NefReport, full_report
 from .orbit import distinctness, growth_ratios, increase_start, orbit
-from .polynomials import (
-    IntPoly,
-    UnitCircleCount,
-    combine,
-    count_roots_outside_unit_circle,
-    cyclotomic_factors,
-)
+from .polynomials import combine
 from .reference import WITNESS_COEFFS, WITNESS_TOLERANCE
-from .spectral import EigenSystem, OrientationReport, eigensystem, select_orientation
+from .spectral import CharpolyFacts, EigenSystem, OrientationReport, eigensystem, select_orientation
 from .transform import apply, composite_T, verify_isometry
 
 SCHEMA_VERSION = "1"
-
-
-class CharpolyFacts(NamedTuple):
-    """Factor data of the characteristic polynomial, computed once per run."""
-
-    polynomial: IntPoly
-    unit_root_multiplicity: int
-    off_unit_factor: IntPoly
-    cyclotomic: list[tuple[int, int]]
-    circle: UnitCircleCount
-
-    @classmethod
-    def of(cls, eigen: EigenSystem) -> "CharpolyFacts":
-        """Facts of the system's polynomial p; the factor (x - 1)^k comes from
-        the certified off-unit factor s, checked: (x - 1)^k s = p, s(1) != 0."""
-        p, off_unit = eigen.polynomial, eigen.off_unit_factor
-        unit_mult = p.degree - off_unit.degree
-        product = off_unit
-        for _ in range(unit_mult):
-            product = product * IntPoly([-1, 1])
-        if product != p or off_unit(1) == 0:
-            raise CertificationError("polynomial is not (x - 1)^k times its off-unit factor")
-        return cls(
-            p, unit_mult, off_unit, cyclotomic_factors(p), count_roots_outside_unit_circle(p)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "coefficients_ascending": list(self.polynomial.coeffs),
-            "unit_root_multiplicity": self.unit_root_multiplicity,
-            "off_unit_factor_ascending": list(self.off_unit_factor.coeffs),
-            "cyclotomic_factors": [list(f) for f in self.cyclotomic],
-            "roots": {
-                "outside_unit_circle": self.circle.outside,
-                "inside_unit_circle": self.circle.inside,
-                "on_unit_circle": self.circle.on_circle,
-            },
-        }
 
 
 class OrbitEvidence(NamedTuple):

@@ -3,20 +3,21 @@
 Pipeline: one integer pass (`faddeev_leverrier`) gives the characteristic
 polynomial p and the column a(x) = adj(xI - T) e_0 of integer polynomials
 -> certified enclosure of the dominant eigenvalue lambda, a simple root of
-the off-unit factor s of p -> the eigen-relation (xI - T) a = 0 checked
-exactly mod s -> the normalized dominant eigenvector a(lambda) / a_0(lambda)
--> the nef witness as integer polynomials of the column: with
-B = -(a_0 + a_1 + a_2 + a_3), D = 2 a_0 - B and N_i = -2 a_i - B l_i
-(l_i = 1 on the line indices 1..3), the line component is
-beta = B(lambda) / 2 a_0(lambda) and the witness coefficients are
+the off-unit factor s of p -> the eigen-relation (xI - T) a = p e_0 as
+polynomials, with p = (x - 1)^k s -> the normalized dominant eigenvector
+a(lambda) / a_0(lambda) -> the nef witness as integer polynomials of the
+column: with B = -(a_0 + a_1 + a_2 + a_3), D = 2 a_0 - B and
+N_i = -2 a_i - B l_i (l_i = 1 on the line indices 1..3), the line component
+is beta = B(lambda) / 2 a_0(lambda) and the witness coefficients are
 t_i = N_i(lambda) / D(lambda).  Every polynomial is enclosed at lambda once,
 as integer numerators over a power of the denominator of lambda's endpoints
 (`_column_values`), and each quotient goes onto a dyadic grid by integer
 floor and ceiling division (`_quotient_on_grid`).  Exact identities mod s
 (the zero pairings of the eigenvector, the square-sum identity of the
-witness) are decided on the polynomials themselves.  Also hosts the
-orientation oracle that selects the composite map among the notation
-readings by matching the reference coefficients.
+witness) are decided on the polynomials themselves.  Also hosts the factor
+data of p (`CharpolyFacts`) and the orientation oracle that selects the
+composite map among the notation readings by matching the reference
+coefficients.
 """
 
 from __future__ import annotations
@@ -31,17 +32,16 @@ from .intervals import ClassEnclosure, RealEnclosure
 from .lattice import RANK
 from .polynomials import (
     IntPoly,
+    UnitCircleCount,
     combine,
+    count_roots_outside_unit_circle,
+    cyclotomic_factors,
     dominant_root,
     faddeev_leverrier,
     poly_gcd,
     strip_rational_root,
 )
-from .transform import (
-    LatticeIsometry,
-    candidate_composites,
-    composite_T,
-)
+from .transform import LatticeIsometry, candidate_composites, composite_T
 
 #: Exceptional indices carried by the distinguished line class H - E1 - E2 - E3.
 _LINE_INDICES = (1, 2, 3)
@@ -75,6 +75,13 @@ def _certify_simple_root(p: IntPoly, lam: RealEnclosure) -> IntPoly:
             "enclosure endpoints carry no sign change; not certified to contain the root"
         )
     return off_unit
+
+
+def _times_unit_roots(s: IntPoly, degree: int) -> IntPoly:
+    """(x - 1)^k s of the given degree: p rebuilt from its off-unit factor."""
+    for _ in range(degree - s.degree):
+        s = s * IntPoly([-1, 1])
+    return s
 
 
 def _dominant_spectrum(p: IntPoly, tol: Fraction) -> tuple[RealEnclosure, IntPoly]:
@@ -140,41 +147,65 @@ def _grid_enclosure(v: tuple[int, int], w: tuple[int, int], bits: int) -> RealEn
     return RealEnclosure(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
-def _eigenvector(
-    m: LatticeIsometry,
-    column: Sequence[IntPoly],
-    off_unit: IntPoly,
-    lam: RealEnclosure,
-    tol: Fraction,
-) -> ClassEnclosure:
-    """a(lambda) / a_0(lambda) for the adjugate column a of xI - m.
+def _grid_class(quotients: Sequence[tuple[int, int]], bits: int) -> ClassEnclosure:
+    """The class H + sum q_i E_i for numerators (lo_i, hi_i) over 2^bits."""
+    scale = 1 << bits
+    return ClassEnclosure(
+        [RealEnclosure.exact(1)]
+        + [RealEnclosure(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in quotients]
+    )
 
-    The eigen-relation x a_i - sum_j m_ij a_j = 0 mod s is checked exactly
-    per row; lambda must be a certified root of s, so a(lambda) is an
-    eigenvector and a_0(lambda) != 0 is certified by its enclosure.  Each
+
+def _wider_than(quotients: Sequence[tuple[int, int]], bits: int, tol: Fraction) -> bool:
+    """Whether an enclosure with numerators over 2^bits is wider than tol."""
+    widest = max(hi - lo for lo, hi in quotients)
+    return widest * tol.denominator > tol.numerator << bits
+
+
+def _eigenvector_quotients(
+    m: LatticeIsometry, column: Sequence[IntPoly], off_unit: IntPoly, lam: RealEnclosure, tol: Fraction
+) -> list[tuple[int, int]]:
+    """Numerators over 2^bits (`_grid_bits`) of a_i(lambda) / a_0(lambda),
+    i >= 1, for the adjugate column a of xI - m.
+
+    Since (xI - m) adj(xI - m) = p I, the column satisfies (xI - m) a = p e_0,
+    checked as polynomials with p = (x - 1)^k s (`_certify_simple_root`
+    strips s from p): more than every row vanishing mod s, and without a
+    division.  lambda must be a certified root of s, so a(lambda) is an
+    eigenvector, and a_0(lambda) != 0 is certified by its enclosure.  Each
     a_i(lambda) is enclosed once in integers (`_column_values`) and each
-    quotient goes straight onto the 2^-bits grid by floor and ceiling
-    division.
+    quotient goes straight onto the grid by floor and ceiling division; its
+    width is compared there too.
     """
+    p = _times_unit_roots(off_unit, len(m.rows))
+    width = 1 + max(len(a.coeffs) for a in column)
+    padded = [list(a.coeffs) + [0] * (width - len(a.coeffs)) for a in column]
+    expected = list(p.coeffs) + [0] * (width - len(p.coeffs))
     for i, row in enumerate(m.rows):
-        residual = combine(
-            (1,) + tuple(-c for c in row), (IntPoly((0,) + column[i].coeffs), *column)
-        )
-        if not residual.is_multiple_of(off_unit):
-            raise CertificationError(f"eigen-relation row {i} does not vanish mod s")
+        residual = [0] + padded[i][:-1]  # x a_i - sum_j m_ij a_j
+        for j, c in enumerate(row):
+            if c:
+                residual = [r - c * y for r, y in zip(residual, padded[j])]
+        if any(residual) if i else residual != expected:
+            raise CertificationError(f"eigen-relation row {i} of (xI - T) a = p e_0 fails")
     values = _column_values(column, lam)
     w_lo, w_hi = values[0]
     if w_lo <= 0 <= w_hi:
         raise PrecisionBudgetError("a_0(lambda) not certified nonzero; refine the eigenvalue")
     bits = _grid_bits(lam)
-    vector = ClassEnclosure(
-        [RealEnclosure.exact(1)] + [_grid_enclosure(v, values[0], bits) for v in values[1:]]
-    )
-    if vector.max_width() > tol:
+    quotients = [_quotient_on_grid(v, values[0], bits) for v in values[1:]]
+    if _wider_than(quotients, bits, tol):
         raise PrecisionBudgetError(
             "eigenvector enclosure wider than requested; refine the eigenvalue"
         )
-    return vector
+    return quotients
+
+
+def _eigenvector(
+    m: LatticeIsometry, column: Sequence[IntPoly], off_unit: IntPoly, lam: RealEnclosure, tol: Fraction
+) -> ClassEnclosure:
+    """a(lambda) / a_0(lambda), by `_eigenvector_quotients`."""
+    return _grid_class(_eigenvector_quotients(m, column, off_unit, lam, tol), _grid_bits(lam))
 
 
 def _witness_polynomials(column: Sequence[IntPoly]) -> tuple[IntPoly, ...]:
@@ -280,15 +311,15 @@ def _build_eigensystem(
     p, column = faddeev_leverrier(m)
     tol = Fraction(1, 10**digits)
     lam, off_unit = spectrum(p, tol / 10**GUARD_DIGITS)
-    vector = _eigenvector(m, column, off_unit, lam, tol)
+    vector = _eigenvector_quotients(m, column, off_unit, lam, tol)
     polys, values = _witness(column, lam)
     bits = _grid_bits(lam)
     component = beta(values[0], values[1], bits)
-    witness = ClassEnclosure(
-        [RealEnclosure.exact(1)] + [-_grid_enclosure(n, values[0], bits) for n in values[2:]]
-    )
-    if witness.max_width() > tol * 10**6:
+    # t_i = -N_i / D: the negated quotient
+    witness = [(-hi, -lo) for lo, hi in (_quotient_on_grid(n, values[0], bits) for n in values[2:])]
+    if _wider_than(witness, bits, tol * 10**6):
         raise PrecisionBudgetError("nef witness enclosure wider than requested")
+    vector, witness = _grid_class(vector, bits), _grid_class(witness, bits)
     return EigenSystem(digits, m, p, column, off_unit, lam, vector, polys, values, component, witness)
 
 
@@ -298,6 +329,41 @@ def eigensystem(digits: int = 60) -> EigenSystem:
     if digits < 1:
         raise ValueError("digits must be positive")
     return _build_eigensystem(composite_T(), digits)
+
+
+class CharpolyFacts(NamedTuple):
+    """Factor data of the characteristic polynomial, computed once per run."""
+
+    polynomial: IntPoly
+    unit_root_multiplicity: int
+    off_unit_factor: IntPoly
+    cyclotomic: list[tuple[int, int]]
+    circle: UnitCircleCount
+
+    @classmethod
+    def of(cls, eigen: EigenSystem) -> "CharpolyFacts":
+        """Facts of the system's polynomial p; the factor (x - 1)^k comes from
+        the certified off-unit factor s, checked: (x - 1)^k s = p, s(1) != 0."""
+        p, off_unit = eigen.polynomial, eigen.off_unit_factor
+        unit_mult = p.degree - off_unit.degree
+        if _times_unit_roots(off_unit, p.degree) != p or off_unit(1) == 0:
+            raise CertificationError("polynomial is not (x - 1)^k times its off-unit factor")
+        return cls(
+            p, unit_mult, off_unit, cyclotomic_factors(p), count_roots_outside_unit_circle(p)
+        )
+
+    def to_json(self) -> dict:
+        return {
+            "coefficients_ascending": list(self.polynomial.coeffs),
+            "unit_root_multiplicity": self.unit_root_multiplicity,
+            "off_unit_factor_ascending": list(self.off_unit_factor.coeffs),
+            "cyclotomic_factors": [list(f) for f in self.cyclotomic],
+            "roots": {
+                "outside_unit_circle": self.circle.outside,
+                "inside_unit_circle": self.circle.inside,
+                "on_unit_circle": self.circle.on_circle,
+            },
+        }
 
 
 # -- orientation oracle ----------------------------------------------------------

@@ -1,15 +1,25 @@
-"""The integer kernels of root refinement, exact division, the adjugate column
-and the eigenvector against `Fraction` and interval references kept here."""
+"""The integer kernels of root refinement, exact division, gcd, Descartes
+isolation, Sturm chains, the adjugate column and the eigenvector against
+`Fraction` and interval references kept here."""
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from voljump.errors import CertificationError, VerificationError
 from voljump.intervals import RealEnclosure
-from voljump.polynomials import IntPoly, faddeev_leverrier, refine_root, strip_rational_root
+from voljump.polynomials import (
+    IntPoly,
+    _cauchy_index,
+    _descartes_bound,
+    faddeev_leverrier,
+    isolate_real_roots,
+    poly_gcd,
+    refine_root,
+    strip_rational_root,
+)
 from voljump.spectral import (
     GUARD_DIGITS,
     _certify_simple_root,
@@ -204,6 +214,233 @@ def test_strip_rational_root_matches_fraction_deflation():
         for _ in range(k):
             p = p * IntPoly([-root, 1])
         assert strip_rational_root(p, root) == (k, rest)
+
+
+# -- gcd, Descartes isolation, Sturm chains ------------------------------------
+
+
+def fraction_trimmed(coeffs):
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def fraction_remainder(num, den):
+    """Remainder over Q of trimmed `Fraction` lists, trimmed; den nonzero."""
+    num = list(num)
+    while len(num) >= len(den):
+        q = num[-1] / den[-1]
+        shift = len(num) - len(den)
+        for j, d in enumerate(den):
+            num[shift + j] -= q * d
+        num = fraction_trimmed(num[:-1])
+    return num
+
+
+def fraction_gcd(a, b):
+    """Euclid over Q, scaled to a primitive integer polynomial with a
+    positive leading coefficient."""
+    fa, fb = fraction_trimmed(a.coeffs), fraction_trimmed(b.coeffs)
+    while fb:
+        fa, fb = fb, fraction_remainder(fa, fb)
+    if not fa:
+        return IntPoly([0])
+    ints = [int(c * lcm(*(c.denominator for c in fa))) for c in fa]
+    content = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return IntPoly(c // content for c in ints)
+
+
+def _gcd_cases():
+    rng = random.Random(SEED + 6)
+    square = IntPoly([-1, -1, 1]) * IntPoly([2, 0, 3])  # degree 4
+    cases = [
+        (IntPoly([0]), IntPoly([0])),
+        (IntPoly([0]), IntPoly([6, -4])),
+        (IntPoly([-4, 6]), IntPoly([0])),
+        (IntPoly([6]), IntPoly([4])),
+        (IntPoly([5]), IntPoly([1, 2, 3])),
+        (IntPoly([6, 4, 2]), IntPoly([9, 6, 3])),  # non-primitive, equal over Q
+        (IntPoly([-3, 0, -3]), IntPoly([1, 0, 1])),  # negative leading coefficient
+        (square * IntPoly([1, 1]), square * IntPoly([-5, 0, -2])),
+        (square * square, square * IntPoly([0, 7])),
+    ]
+    for _ in range(60):
+        common = random_poly(rng, rng.randint(0, 4))
+        cases.append(
+            (
+                common * random_poly(rng, rng.randint(0, 4)) * IntPoly([rng.choice([-6, -1, 2, 4])]),
+                common * random_poly(rng, rng.randint(0, 4)),
+            )
+        )
+    return cases
+
+
+@pytest.mark.parametrize("a, b", _gcd_cases())
+def test_poly_gcd_matches_fraction_euclid(a, b):
+    expected = fraction_gcd(a, b)
+    assert poly_gcd(a, b) == expected == poly_gcd(b, a)
+
+
+def fraction_taylor_shift(coeffs, a):
+    """Coefficients of p(x + a) from the binomial expansion."""
+    out = [Fraction(0)] * len(coeffs)
+    for k, c in enumerate(coeffs):
+        power = [Fraction(1)]  # (x + a)^k
+        for _ in range(k):
+            power = [x + a * y for x, y in zip([Fraction(0)] + power, power + [Fraction(0)])]
+        for j, x in enumerate(power):
+            out[j] += c * x
+    return out
+
+
+def sign_variations(values):
+    signs = [v > 0 for v in values if v != 0]
+    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+
+
+def fraction_descartes_bound(p, lo, hi):
+    shifted = fraction_taylor_shift([Fraction(c) for c in p.coeffs], lo)
+    scaled = [c * (hi - lo) ** k for k, c in enumerate(shifted)]
+    return sign_variations(fraction_taylor_shift(scaled[::-1], Fraction(1)))
+
+
+def test_descartes_bound_matches_fraction_taylor_shift():
+    rng = random.Random(SEED + 7)
+    nonzero = 0
+    for _ in range(200):
+        p = random_poly(rng, rng.randint(1, 9))
+        den = rng.randint(1, 64)
+        a = rng.randint(-5 * den, 5 * den)
+        b = a + rng.randint(1, 6 * den)
+        bound = _descartes_bound(p.coeffs, a, b, den)
+        assert bound == fraction_descartes_bound(p, Fraction(a, den), Fraction(b, den))
+        nonzero += bound > 1
+    assert nonzero >= 10
+
+
+def fraction_isolation(p, lo, hi):
+    """Bisection driven by `fraction_descartes_bound`, deflating exact
+    midpoint roots over Q."""
+    out = []
+
+    def recurse(q, a, b):
+        bound = fraction_descartes_bound(q, a, b)
+        if bound == 1:
+            out.append((a, b))
+        if bound <= 1:
+            return
+        mid = (a + b) / 2
+        if fraction_value(q, mid) == 0:
+            out.append((mid, mid))
+            quotient, rem = fraction_division(q, IntPoly([-mid.numerator, mid.denominator]))
+            assert not rem and all(c.denominator == 1 for c in quotient)  # Gauss's lemma
+            q = IntPoly(int(c) for c in quotient)
+        recurse(q, a, mid)
+        recurse(q, mid, b)
+
+    recurse(p, lo, hi)
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "p, lo, hi, expected",
+    [
+        # roots 1/sqrt(2) and 3/4 in (1/2, 1): the second midpoint is 3/4
+        (
+            IntPoly([-3, 4]) * IntPoly([-1, 0, 2]),
+            Fraction(0),
+            Fraction(1),
+            [(Fraction(1, 2), Fraction(3, 4)), (Fraction(3, 4), Fraction(3, 4))],
+        ),
+        # the midpoints 5/3, then 7/6, are roots; 3/2 is left in (7/6, 5/3)
+        (
+            IntPoly([-5, 3]) * IntPoly([-7, 6]) * IntPoly([-3, 2]),
+            Fraction(2, 3),
+            Fraction(8, 3),
+            [
+                (Fraction(7, 6), Fraction(7, 6)),
+                (Fraction(7, 6), Fraction(5, 3)),
+                (Fraction(5, 3), Fraction(5, 3)),
+            ],
+        ),
+    ],
+)
+def test_isolation_deflates_rational_midpoint_roots(p, lo, hi, expected):
+    assert isolate_real_roots(p, lo, hi) == expected == fraction_isolation(p, lo, hi)
+
+
+def test_isolation_matches_fraction_isolation():
+    rng = random.Random(SEED + 8)
+    for _ in range(40):
+        p = IntPoly([1])
+        for _ in range(rng.randint(1, 4)):
+            p = p * IntPoly([rng.randint(-9, 9), rng.randint(1, 4)])
+        p = p * random_poly(rng, rng.randint(0, 3))
+        if poly_gcd(p, p.derivative()).degree > 0:
+            continue
+        lo, hi = Fraction(rng.randint(-40, 0), 7), Fraction(rng.randint(1, 40), 5)
+        if fraction_value(p, lo) == 0 or fraction_value(p, hi) == 0:
+            continue
+        assert isolate_real_roots(p, lo, hi) == fraction_isolation(p, lo, hi)
+
+
+def fraction_cauchy_index(p, q):
+    """Cauchy index of q/p from the `Fraction` Sturm chain p, q, -rem, ..."""
+    chain = [fraction_trimmed(p.coeffs), fraction_trimmed(q.coeffs)]
+    while chain[-1]:
+        chain.append([-c for c in fraction_remainder(chain[-2], chain[-1])])
+    chain.pop()
+    at_plus = [c[-1] for c in chain]
+    at_minus = [c[-1] if len(c) % 2 else -c[-1] for c in chain]
+    return sign_variations(at_minus) - sign_variations(at_plus)
+
+
+def signed_cauchy_index(p, q):
+    """The same chain with each remainder scaled by lc(divisor)^steps, a
+    factor of either sign."""
+    chain = [list(p.coeffs), list(q.coeffs)]
+    while any(chain[-1]):
+        num, den = list(chain[-2]), chain[-1]
+        while len(num) >= len(den):
+            top = num.pop()
+            shift = len(num) - len(den) + 1
+            num = [den[-1] * c for c in num]
+            for j, d in enumerate(den[:-1]):
+                num[shift + j] -= top * d
+            while num and num[-1] == 0:
+                num.pop()
+        chain.append([-c for c in num])
+    chain.pop()
+    at_plus = [c[-1] for c in chain]
+    at_minus = [c[-1] if len(c) % 2 else -c[-1] for c in chain]
+    return sign_variations(at_minus) - sign_variations(at_plus)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        # divisors with negative leading coefficients and degree gaps, where
+        # an odd number of pseudo-division steps flips a sign if lc < 0
+        (IntPoly([0, -1, 0, 1]), IntPoly([1, -2])),
+        (IntPoly([0, -1, 0, 1]), IntPoly([-1, -2])),
+        (IntPoly([6, -11, 6, -1]), IntPoly([5, -3])),
+        (IntPoly([4, 0, -5, 0, 1]), IntPoly([1, -2, -2])),
+    ],
+)
+def test_cauchy_index_sign_sensitive_cases(p, q):
+    assert _cauchy_index(p, q) == fraction_cauchy_index(p, q) != signed_cauchy_index(p, q)
+
+
+def test_cauchy_index_matches_fraction_sturm_chain():
+    rng = random.Random(SEED + 9)
+    for _ in range(150):
+        p = random_poly(rng, rng.randint(1, 8))
+        q = random_poly(rng, rng.randint(0, p.degree - 1))
+        if rng.random() < 0.3:  # a common factor
+            common = random_poly(rng, rng.randint(1, 2))
+            p, q = p * common, q * common
+        assert _cauchy_index(p, q) == fraction_cauchy_index(p, q)
 
 
 # -- adjugate column -----------------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 from voljump.errors import CertificationError
 from voljump.polynomials import (
     IntPoly,
+    _cauchy_index,
+    _count_inside_off_circle,
     _deflate,
     cauchy_root_bound,
     char_poly,
@@ -284,6 +286,53 @@ def test_count_outside_matches_polyroots(factors):
     # mpmath converges badly at repeated roots, so it sees one factor at a time
     layouts = [_layout_by_polyroots(f) for f in factors]
     assert (count.outside, count.inside, count.on_circle) == tuple(map(sum, zip(*layouts)))
+
+
+#: Factors without a root on the unit circle: x^2 - x - 1 (1.62, -0.62),
+#: 2x - 1, x + 3, 3x^2 + 2x + 1 (|z| = 0.58), x^2 + x + 3 (|z| = 1.73),
+#: x^3 - x - 1 (1.32 and |z| = 0.87) and 5x^2 - 1.
+OFF_CIRCLE = (
+    GOLDEN,
+    IntPoly([-1, 2]),
+    IntPoly([3, 1]),
+    IntPoly([1, 2, 3]),
+    IntPoly([3, 1, 1]),
+    IntPoly([-1, -1, 0, 1]),
+    IntPoly([-1, 0, 5]),
+)
+
+
+def _off_circle_products(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple(rng.choice(OFF_CIRCLE) for _ in range(rng.randint(1, 4)))
+
+
+@pytest.mark.parametrize("factors", [(f,) for f in OFF_CIRCLE] + list(_off_circle_products(808, 30)))
+def test_count_inside_off_circle_matches_polyroots(factors):
+    product = IntPoly([1])
+    for factor in factors:
+        product = product * factor
+    for r in (product, IntPoly(-c for c in product.coeffs)):
+        # mpmath converges badly at repeated roots, so it sees one factor at a time
+        assert _count_inside_off_circle(r) == sum(_layout_by_polyroots(f)[1] for f in factors)
+
+
+def _real_root_count(p):
+    with mp.workdps(60):
+        roots = mp.polyroots([mp.mpf(c) for c in reversed(p.coeffs)], maxsteps=400, extraprec=400)
+        return sum(1 for r in roots if abs(mp.im(r)) < mp.mpf("1e-20"))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cauchy_index_of_derivative_counts_real_roots(seed):
+    # the Cauchy index of p'/p is the number of distinct real roots of p
+    rng = random.Random(7000 + seed)
+    p = IntPoly([1])
+    for factor in {rng.choice(OFF_CIRCLE + (IntPoly([-2, 0, 1]), IntPoly([2, 0, 1]))) for _ in range(3)}:
+        p = p * factor
+    assert _cauchy_index(p, p.derivative()) == _real_root_count(p)
+    assert _cauchy_index(p, IntPoly(-c for c in p.derivative().coeffs)) == -_real_root_count(p)
 
 
 def test_deflation_at_non_root_raises():

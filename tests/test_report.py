@@ -15,13 +15,13 @@ from voljump.orbit import (
 )
 from voljump.polynomials import IntPoly
 from voljump.report import (
-    CharpolyFacts,
     _orbit_evidence,
     build_report,
     load_schema,
     render_report_json,
     run_verification,
 )
+from voljump.spectral import CharpolyFacts
 
 
 @pytest.fixture(scope="module")
@@ -114,13 +114,13 @@ def test_orbit_evidence_matches_separate_walks(run, horizon):
 
 
 def test_report_reuses_the_runs_charpoly_facts(run, monkeypatch):
-    from voljump import report
+    from voljump import spectral
 
     def forbidden(*args, **kwargs):
         raise AssertionError("recomputed on the report path")
 
     for name in ("count_roots_outside_unit_circle", "cyclotomic_factors"):
-        monkeypatch.setattr(report, name, forbidden)
+        monkeypatch.setattr(spectral, name, forbidden)
     payload = build_report(run)
     assert payload["charpoly"]["roots"] == {
         "outside_unit_circle": 1,

@@ -178,6 +178,28 @@ def test_eigenvector_rejects_corrupted_column(eigen):
         )
 
 
+def test_eigenvector_rejects_corrupted_first_entry(eigen):
+    # a_0 + 1 adds x - T_00 to row 0 of (xI - T) a, which then differs from
+    # p = (x - 1) s; row 0 is checked first
+    column = list(eigen.adjugate_column)
+    column[0] = IntPoly((column[0].coeffs[0] + 1,) + column[0].coeffs[1:])
+    with pytest.raises(CertificationError, match="eigen-relation row 0 "):
+        _eigenvector(
+            eigen.transform, column, eigen.off_unit_factor, eigen.dominant_value, Fraction(1)
+        )
+
+
+def test_eigenvector_requires_the_exact_adjugate_column(eigen):
+    # a_4 + s keeps every row of (xI - T) a zero mod s, and a(lambda) is
+    # unchanged; rows 1..10 must still vanish as polynomials
+    column = list(eigen.adjugate_column)
+    column[4] = combine((1, 1), (column[4], eigen.off_unit_factor))
+    with pytest.raises(CertificationError, match="eigen-relation row 4 "):
+        _eigenvector(
+            eigen.transform, column, eigen.off_unit_factor, eigen.dominant_value, Fraction(1)
+        )
+
+
 def test_witness_polynomials_are_the_witness(eigen):
     d, b, *n = eigen.witness_polynomials
     column = eigen.adjugate_column

@@ -1,10 +1,11 @@
 """Start-up footprint, and the semantics of the record and value types.
 
-Start-up is most of a command's run time.  Two guards keep it small: the CLI
+Start-up is most of a command's run time.  Three guards keep it small: the CLI
 module loads no `dataclasses` (which pulls in `inspect`, `ast` and `dis`),
 and `nef-verify` loads neither the orbit and report modules nor the CSV and
-JSON writers it never uses.  They compare module sets of fresh interpreters,
-never times.
+JSON writers it never uses, and `charpoly` loads none of the report, orbit
+and nef modules.  They compare module sets of fresh interpreters, never
+times.
 """
 
 import os
@@ -72,6 +73,16 @@ def test_nef_verify_loads_only_what_it_uses(tmp_path):
     assert "voljump.nefcheck" in loaded
     unused = {"voljump.report", "voljump.orbit", "csv", "json", "dataclasses", "inspect"}
     assert not loaded & unused
+
+
+def test_charpoly_loads_no_report_orbit_or_nef_modules(tmp_path):
+    out = tmp_path / "charpoly.txt"
+    loaded = new_modules(
+        "from voljump.cli import main\nstatus = main(sys.argv[1:])", "charpoly", "--out", str(out)
+    )
+    assert "roots outside/inside/on the unit circle: 1/1/9" in out.read_text()
+    assert "voljump.spectral" in loaded
+    assert not loaded & {"voljump.report", "voljump.orbit", "voljump.nefcheck"}
 
 
 def test_value_and_record_types_keep_their_semantics():
