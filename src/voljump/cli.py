@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from pathlib import Path
 
 from .config import ConfigError, OUTPUT_FORMATS, RunConfig, resolve_config
 from .errors import CertificationError, PrecisionBudgetError
@@ -25,8 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--orbit-horizon", type=int, metavar="N", help="orbit length (default 50)")
     common.add_argument("--format", dest="output_format", choices=OUTPUT_FORMATS, help="output format")
     common.add_argument("--tol-digits", type=int, metavar="N", help="decimal digits for displayed values")
-    common.add_argument("--config", type=Path, metavar="PATH", help="key=value config file (default: $VOLJUMP_CONFIG)")
-    common.add_argument("--out", type=Path, metavar="PATH", help="write output to a file instead of stdout")
+    common.add_argument("--config", metavar="PATH", help="key=value config file (default: $VOLJUMP_CONFIG)")
+    common.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="voljump",
@@ -52,13 +51,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Path | None) -> None:
+def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        out.write_text(text if text.endswith("\n") else text + "\n")
+        with open(out, "w") as handle:
+            handle.write(text if text.endswith("\n") else text + "\n")
 
 
 def _json_text(payload, indent: int | None = 2) -> str:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 #: Environment variable naming a default config file.
 CONFIG_ENV_VAR = "VOLJUMP_CONFIG"
@@ -59,10 +58,12 @@ _KEY_FIELDS = {
 }
 
 
-def read_config_file(path: Path) -> dict[str, str]:
+def read_config_file(path: str) -> dict[str, str]:
     """Parse a flat key=value file; '#' starts a comment, blank lines ignored."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    with open(path) as handle:
+        text = handle.read()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -76,17 +77,15 @@ def read_config_file(path: Path) -> dict[str, str]:
 
 
 def resolve_config(
-    overrides: dict[str, object], config_path: Path | None = None
+    overrides: dict[str, object], config_path: str | None = None
 ) -> RunConfig:
     """Defaults, overlaid by the config file (flag or environment), then flags."""
     cfg = RunConfig()
     path = config_path
     if path is None:
-        env = os.environ.get(CONFIG_ENV_VAR)
-        if env:
-            path = Path(env)
+        path = os.environ.get(CONFIG_ENV_VAR) or None
     if path is not None:
-        if not path.exists():
+        if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         for key, raw in read_config_file(path).items():
             field, cast = _KEY_FIELDS[key]

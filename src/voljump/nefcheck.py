@@ -20,19 +20,23 @@ case split instead of the generic enumeration.
 
 On the verification path the witness is t_i = N_i(lambda) / D(lambda) with
 integer polynomials D and N_i of the adjugate column (see `spectral`), so
-every margin is (d D - sum a_i N_i) / D: an integer combination of the
-enclosures of D(lambda) and N_i(lambda) over one denominator, positive iff
-its numerator is, since D(lambda) > 0 is certified.  The facts beyond the
-margins are exact: the line class has margin exactly zero because
-D - N_1 - N_2 - N_3 is the zero polynomial, the square-sum identity
-sum t_i^2 = 1 - 2 beta^2 / (1 - beta)^2 is sum N_i^2 - D^2 + 2 B^2 = 0 mod s,
-and bigness follows from L^2 = 2 B^2 / D^2 with B(lambda) != 0.  Since every
-t_i is certified positive and the t-ordering is certified, checking
-multiplicity vectors sorted along the weight order covers all rearrangements
-(rearrangement inequality), which is how the enumeration stays small.  The
-public functions on general witness enclosures (`margin`, `check_degree_one`,
-`cauchy_schwarz_cutoff`, `bigness_certificates`, ...) use interval
-arithmetic instead.
+every margin is (d D - sum a_i N_i) / D, positive iff its numerator is,
+since D(lambda) > 0 is certified.  Since every t_i is certified positive
+and the t-ordering is certified, checking multiplicity vectors sorted along
+the weight order covers all rearrangements (rearrangement inequality),
+which is how the enumeration stays small.  One integer pass decides them
+all: the recursion over the sorted patterns (`_canonical_walk`) carries the
+enclosure of the margin numerator down the prefix, one subtraction per
+level, and each leaf is a plain tuple (multiplicities, numerator bounds,
+extreme flag); degrees 1 and 2 take their numerators straight from the
+index subsets.  Candidate objects and margin enclosures are built only for
+the rows the report keeps.  The facts beyond the margins are exact: the
+line class has margin exactly zero because D - N_1 - N_2 - N_3 is the zero
+polynomial, the square-sum identity sum t_i^2 = 1 - 2 beta^2 / (1 - beta)^2
+is sum N_i^2 - D^2 + 2 B^2 = 0 mod s, and bigness follows from
+L^2 = 2 B^2 / D^2 with B(lambda) != 0.  The public functions on general
+witness enclosures (`margin`, `check_degree_one`, `cauchy_schwarz_cutoff`,
+`bigness_certificates`, ...) use interval arithmetic instead.
 """
 
 from __future__ import annotations
@@ -48,6 +52,12 @@ from .lattice import DivisorClass
 from .polynomials import IntPoly, combine
 from .reference import TABLE_ROWS, TABLE_TOLERANCE, WEIGHT_ORDER
 from .spectral import EigenSystem
+
+
+def _feasible(degree: int, total: int, square_total: int) -> bool:
+    """Adjunction and canonical-degree constraints on a curve class of the
+    given degree, multiplicity sum and multiplicity square sum."""
+    return square_total <= degree * degree + 2 and total <= 3 * degree
 
 
 class CandidateCurve:
@@ -82,7 +92,7 @@ class CandidateCurve:
     def exceptional(cls, i: int) -> "CandidateCurve":
         if not 1 <= i <= 10:
             raise ValueError(f"index out of range 1..10: {i}")
-        return cls(0, tuple(-1 if j == i else 0 for j in range(1, 11)))
+        return cls(0, _indicator((i - 1,), -1))
 
     @classmethod
     def line(cls) -> "CandidateCurve":
@@ -100,24 +110,7 @@ class CandidateCurve:
 
     def is_feasible(self) -> bool:
         """Adjunction and canonical-degree constraints on curve classes."""
-        return (
-            self.mult_square_sum() <= self.degree * self.degree + 2
-            and self.mult_sum() <= 3 * self.degree
-        )
-
-    def weight_sorted(self) -> tuple[int, ...]:
-        """Multiplicities read along the weight order (descending t_i)."""
-        return tuple(self.mults[i - 1] for i in WEIGHT_ORDER)
-
-    def is_canonical(self) -> bool:
-        w = self.weight_sorted()
-        return all(x >= y for x, y in zip(w, w[1:]))
-
-    def bump_minimum_weight(self) -> "CandidateCurve":
-        """Increment a_10, the minimum-weight coordinate (order not re-imposed)."""
-        mults = list(self.mults)
-        mults[9] += 1
-        return CandidateCurve(self.degree, mults)
+        return _feasible(self.degree, self.mult_sum(), self.mult_square_sum())
 
 
 class MarginRow(NamedTuple):
@@ -151,49 +144,63 @@ def margin_at_midpoints(c: CandidateCurve, witness: ClassEnclosure) -> Fraction:
     return total
 
 
-def _margin_numerator(
-    c: CandidateCurve, d_value: tuple[int, int], n_values: Sequence[tuple[int, int]]
-) -> tuple[int, int]:
-    """Enclosure of d D(lambda) - sum a_i N_i(lambda), the margin times
-    D(lambda), from the enclosures of D(lambda) and the N_i(lambda) over one
-    denominator: each a_i picks the endpoint that bounds -a_i N_i(lambda)
-    from below or above."""
-    lo, hi = c.degree * d_value[0], c.degree * d_value[1]
-    for a, (n_lo, n_hi) in zip(c.mults, n_values):
-        if a > 0:
-            lo -= a * n_hi
-            hi -= a * n_lo
-        elif a < 0:
-            lo -= a * n_lo
-            hi -= a * n_hi
-    return lo, hi
-
-
-def _from_weight_pattern(pattern) -> tuple[int, ...]:
+def _indicator(indices, value: int = 1) -> tuple[int, ...]:
+    """Multiplicities with `value` at the given 0-based indices, 0 elsewhere."""
     mults = [0] * 10
-    for pos, index in enumerate(WEIGHT_ORDER):
-        mults[index - 1] = pattern[pos]
+    for k in indices:
+        mults[k] = value
     return tuple(mults)
 
 
-def _canonical_candidates(d: int) -> list[CandidateCurve]:
-    sq_budget = d * d + 2
-    sum_budget = 3 * d
-    out: list[CandidateCurve] = []
-    pattern = [0] * 10
+def _canonical_walk(
+    d: int,
+    d_value: tuple[int, int] = (0, 0),
+    n_values: Sequence[tuple[int, int]] = ((0, 0),) * 10,
+) -> list[tuple[tuple[int, ...], int, int, bool]]:
+    """Every feasible multiplicity vector of degree d that is nonincreasing
+    along the weight order, as leaves (mults, lo, hi, extreme) in descending
+    order of the sorted pattern.
 
-    def rec(pos: int, prev: int, total: int, square_total: int) -> None:
-        if pos == 10:
-            out.append(CandidateCurve(d, _from_weight_pattern(pattern)))
-            return
-        top = min(prev, sum_budget - total, isqrt(sq_budget - square_total))
-        for v in range(top, -1, -1):
-            pattern[pos] = v
-            rec(pos + 1, v, total + v, square_total + v * v)
-        pattern[pos] = 0
+    [lo, hi] encloses d D(lambda) - sum a_i N_i(lambda), the margin times
+    D(lambda), from the enclosures of D(lambda) and N_i(lambda) over one
+    denominator: each a_i >= 0 lowers lo by a_i N_i.hi and hi by a_i N_i.lo
+    as the prefix grows.  `extreme` says that bumping a_10 (the
+    minimum-weight coordinate, order not re-imposed) leaves the feasible
+    set.  Without values the bounds are 0.
+    """
+    sq_budget, sum_budget = d * d + 2, 3 * d
+    steps = [(index - 1, *n_values[index - 1]) for index in WEIGHT_ORDER]
+    mults = [0] * 10
+    leaves: list[tuple[tuple[int, ...], int, int, bool]] = []
 
-    rec(0, min(sum_budget, isqrt(sq_budget)), 0, 0)
-    return out
+    def rec(pos: int, prev: int, total: int, square_total: int, lo: int, hi: int) -> None:
+        if pos < 10:
+            i, n_lo, n_hi = steps[pos]
+            for v in range(min(prev, sum_budget - total, isqrt(sq_budget - square_total)), 0, -1):
+                mults[i] = v
+                rec(pos + 1, v, total + v, square_total + v * v, lo - v * n_hi, hi - v * n_lo)
+            mults[i] = 0
+        # the multiplicities from pos on are zero
+        extreme = not _feasible(d, total + 1, square_total + 2 * mults[9] + 1)
+        leaves.append((tuple(mults), lo, hi, extreme))
+
+    rec(0, sum_budget, 0, 0, d * d_value[0], d * d_value[1])
+    return leaves
+
+
+def _subset_leaves(
+    degree: int, subsets, d_value: tuple[int, int], n_values: Sequence[tuple[int, int]]
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """Leaves (mults, lo, hi) of the classes degree H - sum_{k in s} E_k, one
+    per subset s of 0-based indices, bounds as in `_canonical_walk`."""
+    return [
+        (
+            _indicator(s),
+            degree * d_value[0] - sum(n_values[k][1] for k in s),
+            degree * d_value[1] - sum(n_values[k][0] for k in s),
+        )
+        for s in subsets
+    ]
 
 
 def enumerate_feasible(d: int) -> list[CandidateCurve]:
@@ -201,33 +208,23 @@ def enumerate_feasible(d: int) -> list[CandidateCurve]:
     along the weight order (one representative per rearrangement class)."""
     if not 3 <= d <= 6:
         raise ValueError(f"enumeration degree must be in 3..6, got {d}")
-    return _canonical_candidates(d)
+    return [CandidateCurve(d, leaf[0]) for leaf in _canonical_walk(d)]
 
 
 def extreme_candidates(d: int) -> list[CandidateCurve]:
     """Canonical feasible vectors made infeasible by bumping a_10."""
     if not 3 <= d <= 6:
         raise ValueError(f"enumeration degree must be in 3..6, got {d}")
-    return [
-        c for c in _canonical_candidates(d) if not c.bump_minimum_weight().is_feasible()
-    ]
+    return [CandidateCurve(d, leaf[0]) for leaf in _canonical_walk(d) if leaf[3]]
 
 
 def _degree_one_candidates() -> list[CandidateCurve]:
-    """The distinguished line first, then the 45 two-point lines and the ten
-    exceptional classes."""
+    """The distinguished line first, then the 45 two-point lines (index
+    pairs in `combinations` order) and the ten exceptional classes."""
     out = [CandidateCurve.line()]
-    for i, j in itertools.combinations(range(1, 11), 2):
-        out.append(CandidateCurve(1, tuple(1 if k in (i, j) else 0 for k in range(1, 11))))
+    out.extend(CandidateCurve(1, _indicator(pair)) for pair in itertools.combinations(range(10), 2))
     out.extend(CandidateCurve.exceptional(i) for i in range(1, 11))
     return out
-
-
-def _degree_two_candidates() -> list[CandidateCurve]:
-    return [
-        CandidateCurve(2, tuple(1 if k in subset else 0 for k in range(1, 11)))
-        for subset in itertools.combinations(range(1, 11), 5)
-    ]
 
 
 def check_degree_one(witness: ClassEnclosure) -> list[MarginRow]:
@@ -244,7 +241,8 @@ def check_degree_one(witness: ClassEnclosure) -> list[MarginRow]:
 
 def check_degree_two(witness: ClassEnclosure) -> list[MarginRow]:
     """Margins of the 252 conic classes 2H - sum of five distinct E_i."""
-    return [MarginRow(c, margin(c, witness)) for c in _degree_two_candidates()]
+    conics = (CandidateCurve(2, _indicator(s)) for s in itertools.combinations(range(10), 5))
+    return [MarginRow(c, margin(c, witness)) for c in conics]
 
 
 def cauchy_schwarz_cutoff(
@@ -333,13 +331,18 @@ def _reference_lookup() -> dict[tuple[int, tuple[int, ...]], Fraction]:
     return {(d, a): m for d, a, m in TABLE_ROWS}
 
 
+def _argmin(leaves):
+    """The leaf (mults, lo, hi, ...) of least midpoint numerator, ties broken
+    by the multiplicities."""
+    return min(leaves, key=lambda leaf: (leaf[1] + leaf[2], leaf[0]))
+
+
 def full_report(eigen: EigenSystem) -> NefReport:
     """Run every nef check against one certified eigensystem.
 
     Every margin is decided once, as the integer numerator
-    d D(lambda) - sum a_i N_i(lambda) over D(lambda) > 0
-    (`_margin_numerator`); enclosures are built only for the rows the report
-    keeps.
+    d D(lambda) - sum a_i N_i(lambda) over D(lambda) > 0; candidates and
+    enclosures are built only for the rows the report keeps.
     """
     d_poly, b_poly, *n_polys = eigen.witness_polynomials
     d_value, b_value, *n_values = eigen.witness_values
@@ -348,15 +351,8 @@ def full_report(eigen: EigenSystem) -> NefReport:
     def record(name: str, passed: bool, detail: str = "") -> None:
         checks.append(CheckResult(name, passed, detail))
 
-    def bounds_of(candidates: list[CandidateCurve]) -> list[tuple[int, int]]:
-        return [_margin_numerator(c, d_value, n_values) for c in candidates]
-
-    def row(c: CandidateCurve, bounds: tuple[int, int], exact_zero: bool = False) -> MarginRow:
-        return MarginRow(c, eigen.quotient(bounds, d_value), exact_zero)
-
-    def argmin(candidates: list[CandidateCurve], bounds, indices) -> int:
-        # the midpoint order of the numerators, with the candidate as tie-break
-        return min(indices, key=lambda i: (sum(bounds[i]), candidates[i].mults))
+    def row(degree: int, leaf) -> MarginRow:
+        return MarginRow(CandidateCurve(degree, leaf[0]), eigen.quotient(leaf[1:3], d_value))
 
     # the premise of the canonical enumeration below: sorted multiplicities
     # along the weight order minimize the margin (rearrangement inequality)
@@ -370,44 +366,50 @@ def full_report(eigen: EigenSystem) -> NefReport:
     )
 
     # degree <= 1
-    line, *others = _degree_one_candidates()
     line_zero = combine((1, -1, -1, -1), (d_poly, *n_polys[:3])) == IntPoly([0])
-    line_row = (
-        MarginRow(line, RealEnclosure.exact(0), True)
-        if line_zero
-        else row(line, _margin_numerator(line, d_value, n_values), True)
+    line_leaf, *lines = _subset_leaves(
+        1, [(0, 1, 2), *itertools.combinations(range(10), 2)], d_value, n_values
+    )
+    line_row = MarginRow(
+        CandidateCurve.line(),
+        RealEnclosure.exact(0) if line_zero else eigen.quotient(line_leaf[1:3], d_value),
+        True,
     )
     record(
         "degree-1 line-class margin is exactly zero",
         line_zero,
         "D - N1 - N2 - N3 = 0 as polynomials, D(lambda) > 0",
     )
-    other_bounds = bounds_of(others)
-    degree_one = (line_row,) + tuple(row(c, b) for c, b in zip(others, other_bounds))
+    degree_one = (
+        (line_row,)
+        + tuple(row(1, leaf) for leaf in lines)
+        # E_i: margin t_i = N_i / D
+        + tuple(
+            MarginRow(CandidateCurve.exceptional(i), eigen.quotient(v, d_value))
+            for i, v in enumerate(n_values, start=1)
+        )
+    )
     record(
         "degree-1 margins positive",
-        all(lo > 0 for lo, _ in other_bounds),
-        f"{len(others)} classes (45 two-point lines, 10 exceptional)",
+        all(leaf[1] > 0 for leaf in lines) and all(lo > 0 for lo, _ in n_values),
+        f"{len(degree_one) - 1} classes (45 two-point lines, 10 exceptional)",
     )
 
-    # degree 2
-    conics = _degree_two_candidates()
-    conic_bounds = bounds_of(conics)
-    two_min_index = argmin(conics, conic_bounds, range(len(conics)))
-    two_min = row(conics[two_min_index], conic_bounds[two_min_index])
+    # degree 2: five distinct points, so multiplicity sum and square sum are 5
+    subsets = list(itertools.combinations(range(10), 5))
+    conics = _subset_leaves(2, subsets, d_value, n_values)
+    worst_conic = _argmin(conics)
+    two_min = row(2, worst_conic)
     record(
         "degree-2 margins positive",
-        all(lo > 0 for lo, _ in conic_bounds),
+        all(leaf[1] > 0 for leaf in conics),
         f"{len(conics)} conic classes",
-    )
-    worst_pattern = CandidateCurve(
-        2, _from_weight_pattern((1, 1, 1, 1, 1, 0, 0, 0, 0, 0))
     )
     record(
         "degree-2 reduction consistent with generic enumeration",
         len(conics) == 252
-        and all(c.is_feasible() for c in conics)
-        and two_min.candidate == worst_pattern,
+        and all(_feasible(2, len(s), len(s)) for s in subsets)
+        and worst_conic[0] == _indicator(i - 1 for i in WEIGHT_ORDER[:5]),
         "worst conic equals the canonical top-weight quintuple",
     )
 
@@ -419,18 +421,14 @@ def full_report(eigen: EigenSystem) -> NefReport:
     enumeration_positive = True
     extreme_agrees = True
     for d in range(3, 7):
-        candidates = _canonical_candidates(d)
-        bounds = bounds_of(candidates)
-        extremes = [
-            i for i, c in enumerate(candidates)
-            if not c.bump_minimum_weight().is_feasible()
-        ]
-        minimum = argmin(candidates, bounds, range(len(candidates)))
-        if not all(lo > 0 for lo, _ in bounds):
+        leaves = _canonical_walk(d, d_value, n_values)
+        extremes = [leaf for leaf in leaves if leaf[3]]
+        minimum = _argmin(leaves)
+        if not all(leaf[1] > 0 for leaf in leaves):
             enumeration_positive = False
-        if argmin(candidates, bounds, extremes) != minimum:
+        if _argmin(extremes)[0] != minimum[0]:
             extreme_agrees = False
-        extreme_rows = tuple(row(candidates[i], bounds[i]) for i in extremes)
+        extreme_rows = tuple(row(d, leaf) for leaf in extremes)
         for r in extreme_rows:
             key = (d, r.candidate.mults)
             if key in reference:
@@ -439,13 +437,7 @@ def full_report(eigen: EigenSystem) -> NefReport:
             else:
                 extras.append(r)
         summaries.append(
-            DegreeSummary(
-                d,
-                len(candidates),
-                len(extreme_rows),
-                row(candidates[minimum], bounds[minimum]),
-                extreme_rows,
-            )
+            DegreeSummary(d, len(leaves), len(extreme_rows), row(d, minimum), extreme_rows)
         )
     record(
         "degrees 3..6 full enumeration margins positive",

@@ -477,11 +477,14 @@ def dominant_root(p: IntPoly, tol: Fraction) -> RealEnclosure:
     """
     if p.degree < 1:
         raise CertificationError("dominant root of a constant polynomial")
+    # roots exactly at 1 are not "greater than 1"; remove before isolating
+    return dominant_squarefree_root(strip_rational_root(squarefree_part(p), 1)[1], tol)
+
+
+def dominant_squarefree_root(reduced: IntPoly, tol: Fraction) -> RealEnclosure:
+    """`dominant_root` of a squarefree polynomial without the root 1."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    reduced = squarefree_part(p)
-    # roots exactly at 1 are not "greater than 1"; remove before isolating
-    _, reduced = strip_rational_root(reduced, 1)
     if reduced.degree < 1:
         raise CertificationError("no real root greater than 1")
     bound = cauchy_root_bound(reduced)

@@ -36,9 +36,9 @@ from .polynomials import (
     combine,
     count_roots_outside_unit_circle,
     cyclotomic_factors,
-    dominant_root,
+    dominant_squarefree_root,
     faddeev_leverrier,
-    poly_gcd,
+    squarefree_part,
     strip_rational_root,
 )
 from .transform import LatticeIsometry, candidate_composites, composite_T
@@ -52,9 +52,13 @@ _LINE_INDICES = (1, 2, 3)
 GUARD_DIGITS = 24
 
 
-def _certify_simple_root(p: IntPoly, lam: RealEnclosure) -> IntPoly:
+def _certify_simple_root(p: IntPoly, lam: RealEnclosure, reduced: IntPoly) -> IntPoly:
     """Check that lam encloses a simple root of p greater than 1; return the
-    factor s of p beyond powers of (x - 1), of which it is a root."""
+    factor s of p beyond powers of (x - 1), of which it is a root.
+
+    reduced is the squarefree part of p without the factor x - 1: it has the
+    distinct roots of s, so s is squarefree iff the degrees agree.
+    """
     if not lam.lo > 1:
         raise CertificationError(
             "eigenvalue enclosure must lie strictly above 1 (dominant, not unit root)"
@@ -62,7 +66,7 @@ def _certify_simple_root(p: IntPoly, lam: RealEnclosure) -> IntPoly:
     _, off_unit = strip_rational_root(p, 1)
     if off_unit.degree < 1:
         raise CertificationError("polynomial has no factor beyond powers of (x - 1)")
-    if poly_gcd(off_unit, off_unit.derivative()).degree != 0:
+    if reduced.degree != off_unit.degree:
         raise CertificationError(
             "repeated roots beyond (x - 1): the dominant eigenvalue is not certified simple"
         )
@@ -86,9 +90,10 @@ def _times_unit_roots(s: IntPoly, degree: int) -> IntPoly:
 
 def _dominant_spectrum(p: IntPoly, tol: Fraction) -> tuple[RealEnclosure, IntPoly]:
     """The certified dominant root of p (width <= tol) and the factor s it is
-    a simple root of."""
-    lam = dominant_root(p, tol)
-    return lam, _certify_simple_root(p, lam)
+    a simple root of, from one squarefree part of p."""
+    _, reduced = strip_rational_root(squarefree_part(p), 1)
+    lam = dominant_squarefree_root(reduced, tol)
+    return lam, _certify_simple_root(p, lam, reduced)
 
 
 def _column_values(column: Sequence[IntPoly], lam: RealEnclosure) -> list[tuple[int, int]]:

@@ -1,8 +1,13 @@
 """References shared by several test modules."""
 
+import itertools
 from fractions import Fraction
+from math import isqrt
 
 from voljump.intervals import RealEnclosure
+from voljump.nefcheck import CandidateCurve
+from voljump.polynomials import IntPoly, squarefree_part, strip_rational_root
+from voljump.reference import WEIGHT_ORDER
 
 
 def outward(enc: RealEnclosure, bits: int) -> RealEnclosure:
@@ -12,3 +17,72 @@ def outward(enc: RealEnclosure, bits: int) -> RealEnclosure:
     lo = Fraction(enc.lo.numerator * scale // enc.lo.denominator, scale)
     hi = Fraction(-((-enc.hi.numerator * scale) // enc.hi.denominator), scale)
     return RealEnclosure(lo, hi)
+
+
+def squarefree_off_unit(p: IntPoly) -> IntPoly:
+    """The squarefree part of p without the factor x - 1."""
+    return strip_rational_root(squarefree_part(p), 1)[1]
+
+
+# -- per-candidate reference for the nef enumeration ----------------------------------
+
+
+def margin_numerator(c: CandidateCurve, d_value, n_values) -> tuple[int, int]:
+    """Enclosure of d D(lambda) - sum a_i N_i(lambda) from the enclosures of
+    D(lambda) and the N_i(lambda) over one denominator: each a_i picks the
+    endpoint that bounds -a_i N_i(lambda) from below or above."""
+    lo, hi = c.degree * d_value[0], c.degree * d_value[1]
+    for a, (n_lo, n_hi) in zip(c.mults, n_values):
+        if a > 0:
+            lo -= a * n_hi
+            hi -= a * n_lo
+        elif a < 0:
+            lo -= a * n_lo
+            hi -= a * n_hi
+    return lo, hi
+
+
+def weight_sorted(c: CandidateCurve) -> tuple[int, ...]:
+    """Multiplicities read along the weight order (descending t_i)."""
+    return tuple(c.mults[i - 1] for i in WEIGHT_ORDER)
+
+
+def is_canonical(c: CandidateCurve) -> bool:
+    w = weight_sorted(c)
+    return all(x >= y for x, y in zip(w, w[1:]))
+
+
+def bump_minimum_weight(c: CandidateCurve) -> CandidateCurve:
+    """Increment a_10, the minimum-weight coordinate (order not re-imposed)."""
+    return CandidateCurve(c.degree, c.mults[:9] + (c.mults[9] + 1,))
+
+
+def canonical_candidates(d: int) -> list[CandidateCurve]:
+    """One candidate object per weight-sorted feasible pattern, in descending
+    order of the pattern."""
+    sq_budget, sum_budget = d * d + 2, 3 * d
+    out = []
+    pattern = [0] * 10
+
+    def rec(pos, prev, total, square_total):
+        if pos == 10:
+            mults = [0] * 10
+            for value, index in zip(pattern, WEIGHT_ORDER):
+                mults[index - 1] = value
+            out.append(CandidateCurve(d, mults))
+            return
+        top = min(prev, sum_budget - total, isqrt(sq_budget - square_total))
+        for v in range(top, -1, -1):
+            pattern[pos] = v
+            rec(pos + 1, v, total + v, square_total + v * v)
+        pattern[pos] = 0
+
+    rec(0, min(sum_budget, isqrt(sq_budget)), 0, 0)
+    return out
+
+
+def degree_two_candidates() -> list[CandidateCurve]:
+    return [
+        CandidateCurve(2, tuple(1 if k in subset else 0 for k in range(1, 11)))
+        for subset in itertools.combinations(range(1, 11), 5)
+    ]

@@ -8,7 +8,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from voljump import polynomials, spectral, transform
 from voljump.cli import main
+from voljump.polynomials import poly_gcd
 from voljump.reference import TABLE_ROWS, TABLE_TOLERANCE
 from voljump.report import load_schema
 from voljump.transform import composite_T
@@ -182,6 +184,24 @@ def test_verify_passes(capsys):
     assert "verdict: pass" in out
     assert err == ""
     assert all(line.startswith(("[PASS]", "verdict")) for line in out.splitlines())
+
+
+def test_verify_computes_each_squarefree_part_once(monkeypatch, capsys):
+    # from cold caches, as in a fresh process: gcd(p, p') once for each of the
+    # oracle's two distinct char polys and once for eigensystem(60), then
+    # gcd(p, p') and the mirror gcd(f, reverse f) of the unit-circle count
+    for cached in (spectral.eigensystem, transform.composite_T, polynomials.cyclotomic):
+        cached.cache_clear()
+    calls = []
+
+    def counted(a, b):
+        calls.append((a.degree, b.degree))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(polynomials, "poly_gcd", counted)
+    code, _, _ = run_cli(capsys, "verify")
+    assert code == 0
+    assert calls == [(11, 10)] * 4 + [(10, 10)]
 
 
 def test_report_is_deterministic_and_valid(tmp_path, capsys):

@@ -29,7 +29,7 @@ from voljump.spectral import (
     _quotient_on_grid,
 )
 
-from helpers import outward
+from helpers import outward, squarefree_off_unit
 from voljump.transform import LatticeIsometry, candidate_composites, composite_T
 
 SEED = 20130517
@@ -557,11 +557,11 @@ def test_eigenvector_rejects_nonpositive_enclosure(eigen):
         with pytest.raises(CertificationError, match="positive"):
             _column_values(column, lam)
         with pytest.raises(CertificationError):
-            _certify_simple_root(eigen.polynomial, lam)
+            _certify_simple_root(eigen.polynomial, lam, squarefree_off_unit(eigen.polynomial))
 
 
 def test_eigenvector_rejects_enclosure_without_sign_change(eigen):
     lam = eigen.dominant_value
     above = RealEnclosure(lam.hi + Fraction(1, 10**6), lam.hi + Fraction(1, 10**5))
     with pytest.raises(CertificationError, match="no sign change"):
-        _certify_simple_root(eigen.polynomial, above)
+        _certify_simple_root(eigen.polynomial, above, squarefree_off_unit(eigen.polynomial))

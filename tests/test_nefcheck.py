@@ -1,15 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from voljump import nefcheck
 from voljump.errors import CertificationError, PrecisionBudgetError
 from voljump.nefcheck import (
     CandidateCurve,
     MarginRow,
-    _canonical_candidates,
+    _canonical_walk,
     _degree_one_candidates,
-    _degree_two_candidates,
-    _margin_numerator,
+    _subset_leaves,
     bigness_certificates,
     cauchy_schwarz_cutoff,
     check_degree_one,
@@ -25,6 +26,14 @@ from voljump.intervals import ClassEnclosure, RealEnclosure
 from voljump.polynomials import IntPoly, combine
 from voljump.reference import TABLE_ROWS, TABLE_TOLERANCE
 from voljump.spectral import _column_values
+
+from helpers import (
+    bump_minimum_weight,
+    canonical_candidates,
+    degree_two_candidates,
+    is_canonical,
+    margin_numerator,
+)
 
 MILLI = Fraction(1, 1000)
 
@@ -45,7 +54,7 @@ def min_margin(d, witness):
     if d == 2:
         rows = check_degree_two(witness)
     elif 3 <= d <= 6:
-        rows = [MarginRow(c, margin(c, witness)) for c in _canonical_candidates(d)]
+        rows = [MarginRow(c, margin(c, witness)) for c in canonical_candidates(d)]
     else:
         raise ValueError(f"degree must be in 1..6, got {d}")
     row = min(rows, key=lambda r: (r.margin.midpoint, r.candidate.mults))
@@ -161,7 +170,7 @@ def test_enumeration_counts(degree, count):
     assert len(candidates) == brute_force_canonical_count(degree)
     assert len({c.mults for c in candidates}) == count
     for c in candidates:
-        assert c.is_feasible() and c.is_canonical()
+        assert c.is_feasible() and is_canonical(c)
 
 
 def test_enumeration_membership_examples():
@@ -235,10 +244,10 @@ def test_reference_rows_are_extreme(eigen):
 def test_extreme_membership_examples():
     nine_ones = (1, 1, 1, 1, 1, 1, 1, 1, 1, 0)
     assert nine_ones in {c.mults for c in extreme_candidates(3)}
-    bumped = CandidateCurve(3, nine_ones).bump_minimum_weight()
+    bumped = bump_minimum_weight(CandidateCurve(3, nine_ones))
     assert not bumped.is_feasible()  # multiplicity sum 10 > 9
     zero = CandidateCurve(3, (0,) * 10)
-    assert zero.bump_minimum_weight().is_feasible()  # never extreme
+    assert bump_minimum_weight(zero).is_feasible()  # never extreme
 
 
 # -- minima ------------------------------------------------------------------------
@@ -370,9 +379,9 @@ def test_full_report_degree_minima(nef):
 
 
 def all_candidates():
-    candidates = _degree_one_candidates() + _degree_two_candidates()
+    candidates = _degree_one_candidates() + degree_two_candidates()
     for d in range(3, 7):
-        candidates += _canonical_candidates(d)
+        candidates += canonical_candidates(d)
     assert len(candidates) == 826
     return candidates
 
@@ -380,7 +389,7 @@ def all_candidates():
 def test_margin_numerators_match_interval_margins(eigen):
     d, _, *n = eigen.witness_values
     for c in all_candidates():
-        numerator = _margin_numerator(c, d, n)
+        numerator = margin_numerator(c, d, n)
         expected = margin(c, eigen.nef_witness)
         got = eigen.quotient(numerator, d)
         # both enclose the same margin, each at width far below 1e-60
@@ -397,7 +406,7 @@ def test_report_rows_come_from_the_numerators(eigen, nef):
     d, _, *n = eigen.witness_values
     assert nef.degree_one[0].margin == RealEnclosure.exact(0)
     for row in nef.degree_one[1:] + (nef.degree_two_minimum,):
-        assert row.margin == eigen.quotient(_margin_numerator(row.candidate, d, n), d)
+        assert row.margin == eigen.quotient(margin_numerator(row.candidate, d, n), d)
 
 
 def with_witness(eigen, polys):
@@ -460,3 +469,98 @@ def test_bigness_of_the_report_is_exact(eigen, nef):
     assert nef.bigness.volume_lower_bound == 2 * eigen.line_component.square()
     # the direct interval evaluation of L^2 agrees
     assert l_squared.overlaps(eigen.nef_witness.self_pair())
+
+
+# -- the one-pass kernel against the per-candidate reference ----------------------------
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5, 6])
+def test_canonical_walk_matches_the_per_candidate_reference(eigen, degree):
+    d, _, *n = eigen.witness_values
+    reference = canonical_candidates(degree)
+    leaves = _canonical_walk(degree, d, n)
+    assert [leaf[0] for leaf in leaves] == [c.mults for c in reference]
+    for (_, lo, hi, extreme), c in zip(leaves, reference):
+        assert (lo, hi) == margin_numerator(c, d, n)
+        assert extreme == (not bump_minimum_weight(c).is_feasible())
+    # the public enumeration reads the same walk
+    assert enumerate_feasible(degree) == reference
+    assert extreme_candidates(degree) == [
+        c for c, leaf in zip(reference, leaves) if leaf[3]
+    ]
+
+
+def test_subset_leaves_match_the_per_candidate_reference(eigen):
+    d, _, *n = eigen.witness_values
+    conics = degree_two_candidates()
+    leaves = _subset_leaves(2, itertools.combinations(range(10), 5), d, n)
+    assert [leaf[0] for leaf in leaves] == [c.mults for c in conics]
+    assert [leaf[1:] for leaf in leaves] == [margin_numerator(c, d, n) for c in conics]
+    lines = _degree_one_candidates()[:46]
+    subsets = [(0, 1, 2)] + list(itertools.combinations(range(10), 2))
+    leaves = _subset_leaves(1, subsets, d, n)
+    assert [leaf[0] for leaf in leaves] == [c.mults for c in lines]
+    assert [leaf[1:] for leaf in leaves] == [margin_numerator(c, d, n) for c in lines]
+    # the exceptional classes E_i: the numerator is N_i itself
+    exceptional = _degree_one_candidates()[46:]
+    assert [margin_numerator(c, d, n) for c in exceptional] == list(n)
+
+
+def test_walk_finds_a10_through_the_weight_order(monkeypatch):
+    # with a_10 first in the weight order, bumping it never breaks the order
+    monkeypatch.setattr(nefcheck, "WEIGHT_ORDER", (10, 4, 5, 1, 2, 6, 3, 7, 8, 9))
+    leaves = _canonical_walk(4)
+    assert len(leaves) == 62
+    last_differs = False
+    for mults, _, _, extreme in leaves:
+        assert mults[9] == max(mults)
+        assert extreme == (not bump_minimum_weight(CandidateCurve(4, mults)).is_feasible())
+        # bumping the last weight position (a_9 here) would give another flag
+        bumped = mults[:8] + (mults[8] + 1, mults[9])
+        last_differs |= extreme != (not CandidateCurve(4, bumped).is_feasible())
+    assert last_differs
+
+
+def kept_rows(report):
+    return [s.minimum for s in report.degrees] + [r for s in report.degrees for r in s.extreme_rows]
+
+
+def test_enumeration_decides_candidates_the_report_keeps_no_row_for(eigen):
+    """A margin numerator that is nonpositive only at one degree-5 candidate
+    that is neither extreme nor the degree minimum fails the enumeration.
+
+    Margin numerators are linear in (d, a), and no linear choice makes a
+    non-extreme candidate the only nonpositive one of all 826 (the lines or
+    the exceptional classes go with it), so these values single it out among
+    the 518 enumerated candidates and keep the conics positive.
+    """
+    target = CandidateCurve(5, (1, 1, 1, 3, 3, 1, 1, 1, 1, 0))
+    d = (20, 20)
+    n = ((1, 1), (5, 5), (5, 5), (5, 5), (2, 18)) + ((5, 5),) * 4 + ((-2, -2),)
+    enumerated = [c for degree in range(3, 7) for c in canonical_candidates(degree)]
+    assert [c for c in enumerated if margin_numerator(c, d, n)[0] <= 0] == [target]
+    assert bump_minimum_weight(target).is_feasible()
+    assert all(margin_numerator(c, d, n)[0] > 0 for c in degree_two_candidates())
+    report = full_report(eigen._replace(witness_values=(d, eigen.witness_values[1]) + n))
+    assert target not in {r.candidate for r in kept_rows(report)}
+    assert all(r.margin.is_positive() for r in kept_rows(report))
+    checks = {c.name: c.passed for c in report.checks}
+    assert not checks["degrees 3..6 full enumeration margins positive"]
+    assert checks["degree-2 margins positive"]
+
+
+def test_degree_two_decides_every_conic(eigen):
+    """A margin numerator that is nonpositive only at a conic that is not the
+    worst one (by midpoint) fails the degree-2 check."""
+    target = CandidateCurve(2, (0, 0, 0, 0, 0, 1, 1, 1, 1, 1))
+    d = (50, 50)
+    n = ((19, 19),) * 5 + ((17, 20),) + ((20, 20),) * 4
+    conics = degree_two_candidates()
+    assert [c for c in conics if margin_numerator(c, d, n)[0] <= 0] == [target]
+    assert all(margin_numerator(c, d, n)[0] > 0 for c in _degree_one_candidates()[1:])
+    report = full_report(eigen._replace(witness_values=(d, eigen.witness_values[1]) + n))
+    assert report.degree_two_minimum.candidate != target
+    assert report.degree_two_minimum.margin.is_positive()
+    checks = {c.name: c.passed for c in report.checks}
+    assert not checks["degree-2 margins positive"]
+    assert checks["degree-1 margins positive"]

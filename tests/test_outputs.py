@@ -1,0 +1,34 @@
+"""Pinned output bytes: the SHA-256 of stdout and the exit code of in-process
+`voljump` runs.
+
+A change that moves output bytes on purpose updates the digest here and
+names the moved output in CHANGES.md; any other digest change is a
+regression.
+"""
+
+import hashlib
+
+import pytest
+
+from voljump.cli import main
+
+PINNED = [
+    (("verify",), 0, "7e92ce082dcf1ff1365b8725939d13c389a224eb9183374c9f1cecec976ce462"),
+    (("nef-verify",), 0, "8d654c64b8f39a1bece4381fd5d7ef4d9a50d909d93409f13d9638a9349ef7bb"),
+    (("report",), 0, "0e914342d1ce343435afed3b1183f0adf65c2bd1b12bf50a86f4cd30cb8c13c5"),
+    (("nef-table", "--format", "md"), 0, "e59f3b6f9737cfbf7890915de67981d1fbeae092190e1198be005c4c44c9fd03"),
+    (("nef-table", "--format", "csv"), 0, "289ea3ed8512973cad213d020e7e9cfb8542351691187ae8dc829b4bd6b17bde"),
+    (("nef-table", "--format", "json"), 0, "6a275c05e46e82bca3a628c600f6b1b1071e00c6f1b017c5a633490b19834e5a"),
+    (("enumerate", "--d", "6"), 0, "5c38d598106cec4fcd4a7e85165fb4fe27c93b69ac52c9bb0ce4ad83040f43bc"),
+    (("enumerate", "--d", "6", "--extreme"), 0, "0b21488fe4374d6070083b461a95eedafc972143383175193b8eb2bd42361d7f"),
+    (("eigen", "--format", "json"), 0, "f426141ffdf2f356dad4330645956f2c4735a4e192b837d71c9d17101290b353"),
+    (("charpoly", "--format", "json"), 0, "84e4ba5a3aa0ab12dab63ad24c79c2db335447525eb02b09f975281d5d260c9a"),
+    (("orbit", "--format", "json"), 0, "61ce2e65fb1a4d87e928fa8c4b611aad8893716c9434207bf102b9d04cd2e556"),
+    (("dump-matrix",), 0, "5f72cbe010b4f478d6284bd33b817d8cfb1133113796e01bf8d2c5c29fa27d2b"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED, ids=[" ".join(p[0]) for p in PINNED])
+def test_output_bytes_are_pinned(capsys, argv, code, digest):
+    assert main(list(argv)) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

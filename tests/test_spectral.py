@@ -10,6 +10,7 @@ from voljump.reference import WEIGHT_ORDER, WITNESS_COEFFS, WITNESS_TOLERANCE
 from voljump.spectral import (
     _certify_simple_root,
     _column_values,
+    _dominant_spectrum,
     _eigenvector,
     _witness,
     beta,
@@ -17,6 +18,8 @@ from voljump.spectral import (
     select_orientation,
 )
 from voljump.transform import LatticeIsometry, composite_T
+
+from helpers import squarefree_off_unit
 
 WIDTH_BOUND = Fraction(1, 10**30)
 
@@ -230,13 +233,25 @@ def test_eigenvector_rejects_identity():
     near_one = RealEnclosure(Fraction(99, 100), Fraction(101, 100))
     p, _ = faddeev_leverrier(LatticeIsometry.identity())
     with pytest.raises(CertificationError):
-        _certify_simple_root(p, near_one)
+        _certify_simple_root(p, near_one, squarefree_off_unit(p))
 
 
 def test_eigenvector_rejects_enclosure_without_root(eigen):
     off = RealEnclosure(Fraction(2), Fraction(3))
     with pytest.raises(CertificationError):
-        _certify_simple_root(faddeev_leverrier(composite_T())[0], off)
+        p = faddeev_leverrier(composite_T())[0]
+        _certify_simple_root(p, off, squarefree_off_unit(p))
+
+
+def test_spectrum_rejects_repeated_roots_beyond_unit():
+    # (x - 1)(x - 3)(x^2 - 2)^2: the dominant root 3 is simple, but s is not
+    # squarefree, which the squarefree part of p shows by its lower degree
+    square = IntPoly([-2, 0, 1])
+    p = IntPoly([-1, 1]) * IntPoly([-3, 1]) * square * square
+    with pytest.raises(CertificationError, match="repeated roots beyond"):
+        _dominant_spectrum(p, Fraction(1, 10**6))
+    lam, s = _dominant_spectrum(IntPoly([-1, 1]) * IntPoly([-3, 1]) * square, Fraction(1, 10**6))
+    assert lam.contains(3) and s == IntPoly([-3, 1]) * square
 
 
 def test_orientation_oracle_selects_fixed_composite():

@@ -1,11 +1,11 @@
 """Start-up footprint, and the semantics of the record and value types.
 
-Start-up is most of a command's run time.  Three guards keep it small: the CLI
-module loads no `dataclasses` (which pulls in `inspect`, `ast` and `dis`),
-and `nef-verify` loads neither the orbit and report modules nor the CSV and
-JSON writers it never uses, and `charpoly` loads none of the report, orbit
-and nef modules.  They compare module sets of fresh interpreters, never
-times.
+Start-up is most of a command's run time.  Four guards keep it small: the CLI
+module loads no `dataclasses` (which pulls in `inspect`, `ast` and `dis`)
+and no `pathlib`, `nef-verify` loads neither the orbit and report modules
+nor the CSV and JSON writers it never uses, and `charpoly` loads none of
+the report, orbit and nef modules.  They compare module sets of fresh
+interpreters, never times.
 """
 
 import os
@@ -26,9 +26,10 @@ from voljump.transform import LatticeIsometry
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def new_modules(statement: str, *argv: str) -> set[str]:
-    """Modules a fresh interpreter loads while it runs `statement` with
-    `argv`, beyond those it loaded before (site hooks may load some)."""
+def new_modules(statement: str, *argv: str, flags: tuple[str, ...] = ()) -> set[str]:
+    """Modules a fresh interpreter started with `flags` loads while it runs
+    `statement` with `argv`, beyond those it loaded before (site hooks may
+    load some)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     probe = (
@@ -40,7 +41,7 @@ def new_modules(statement: str, *argv: str) -> set[str]:
         "sys.exit(status)\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", probe, *argv],
+        [sys.executable, *flags, "-c", probe, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -59,6 +60,11 @@ def test_cli_import_loads_no_dataclasses_and_no_command_module():
         "voljump.config",
         "voljump.errors",
     }
+
+
+def test_cli_import_loads_no_pathlib():
+    # -S skips the site hook, which may import pathlib on its own
+    assert "pathlib" not in new_modules("import voljump.cli", flags=("-S",))
 
 
 def test_nef_verify_loads_only_what_it_uses(tmp_path):
