@@ -37,15 +37,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("charpoly", parents=[common], help="characteristic polynomial, unit-root factor, cyclotomic scan")
     sub.add_parser("eigen", parents=[common], help="dominant eigenvalue and derived certified data")
     sub.add_parser("nef-table", parents=[common], help="extreme-candidate margin table (md, csv or json)")
-    p_verify_nef = sub.add_parser("nef-verify", parents=[common], help="run the nef certificates; exit 0 iff all pass")
-    p_verify_nef.add_argument("--tol", type=int, metavar="DIGITS", help="working precision for the nef run")
+    sub.add_parser("nef-verify", parents=[common], help="run the nef certificates; exit 0 iff all pass")
     p_enum = sub.add_parser("enumerate", parents=[common], help="feasible candidate curves for one degree")
     p_enum.add_argument("--d", type=int, required=True, metavar="D", help="degree, 3..6")
     p_enum.add_argument("--extreme", action="store_true", help="only extreme candidates")
     p_orbit = sub.add_parser("orbit", parents=[common], help="orbit of a class under the composite map")
     p_orbit.add_argument("--seed", choices=("lbar", "K", "custom"), default="lbar")
     p_orbit.add_argument("--coeffs", type=int, nargs=11, metavar="C", help="11 integers for --seed custom")
-    p_orbit.add_argument("--n", type=int, metavar="N", help="orbit length (defaults to the horizon)")
     sub.add_parser("verify", parents=[common], help="run every certificate; exit 0 iff all pass")
     sub.add_parser("report", parents=[common], help="emit the complete JSON artifact")
     return parser
@@ -196,11 +194,7 @@ def cmd_nef_verify(args, cfg: RunConfig) -> tuple[str, int]:
     from .nefcheck import full_report
     from .spectral import eigensystem
 
-    digits = args.tol if getattr(args, "tol", None) else cfg.precision_digits
-    probe = RunConfig(precision_digits=digits, orbit_horizon=cfg.orbit_horizon)
-    probe.validate()
-    eigen = eigensystem(probe.precision_digits)
-    return _certificate_text(full_report(eigen).checks)
+    return _certificate_text(full_report(eigensystem(cfg.precision_digits)).checks)
 
 
 def cmd_enumerate(args, cfg: RunConfig) -> tuple[str, int]:
@@ -223,7 +217,7 @@ def cmd_enumerate(args, cfg: RunConfig) -> tuple[str, int]:
 
 def cmd_orbit(args, cfg: RunConfig) -> tuple[str, int]:
     from .lattice import DivisorClass, canonical_class, standard_line
-    from .orbit import orbit, verify_distinct
+    from .orbit import distinctness, orbit
 
     if args.seed == "custom":
         if args.coeffs is None:
@@ -231,11 +225,9 @@ def cmd_orbit(args, cfg: RunConfig) -> tuple[str, int]:
         seed = DivisorClass(args.coeffs)
     else:
         seed = {"lbar": standard_line, "K": canonical_class}[args.seed]()
-    count = args.n if args.n else cfg.orbit_horizon
-    if count < 1:
-        raise ConfigError("--n must be positive")
+    count = cfg.orbit_horizon
     records = list(orbit(seed, count))
-    distinct = verify_distinct(seed, count)
+    distinct = distinctness(records)
     if cfg.output_format == "json":
         payload = {
             "seed": seed.to_json_array(),

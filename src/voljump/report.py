@@ -18,8 +18,15 @@ from .lattice import GRAM_DIAGONAL, canonical_class, standard_line
 from .nefcheck import CheckResult, MarginRow, NefReport, full_report
 from .orbit import distinctness, growth_ratios, increase_start, orbit
 from .polynomials import combine
-from .reference import WITNESS_COEFFS, WITNESS_TOLERANCE
-from .spectral import CharpolyFacts, EigenSystem, OrientationReport, eigensystem, select_orientation
+from .reference import WITNESS_TOLERANCE
+from .spectral import (
+    CharpolyFacts,
+    EigenSystem,
+    OrientationReport,
+    _matches_reference,
+    eigensystem,
+    select_orientation,
+)
 from .transform import apply, composite_T, verify_isometry
 
 SCHEMA_VERSION = "1"
@@ -132,11 +139,6 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         circle.outside == 1,
         f"outside {circle.outside}, inside {circle.inside}, on circle {circle.on_circle}",
     )
-    record(
-        "reciprocal symmetry of the root layout",
-        circle.outside == circle.inside,
-        "counts inside and outside agree",
-    )
 
     lam = eigen.dominant_value
     record(
@@ -170,13 +172,9 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         "sum g_i K_i a_i = 0 mod s",
     )
 
-    witness_ok = all(
-        enc.lo >= ref - WITNESS_TOLERANCE and enc.hi <= ref + WITNESS_TOLERANCE
-        for enc, ref in zip(eigen.t(), WITNESS_COEFFS)
-    )
     record(
         "witness coefficients match the reference decimals",
-        witness_ok,
+        _matches_reference(eigen.nef_witness)[0],
         f"all within {float(WITNESS_TOLERANCE)}",
     )
 
@@ -291,7 +289,6 @@ def build_report(run: VerificationRun) -> dict:
                 for s in run.nef.degrees
             ],
             "cutoff": run.nef.cutoff,
-            "cutoff_checked_through": run.nef.cutoff_checked_through,
             "l_squared": enclosure_json(run.nef.bigness.witness_self_pairing, digits),
             "volume_lower_bound": enclosure_json(
                 run.nef.bigness.volume_lower_bound, digits

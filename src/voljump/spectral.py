@@ -2,22 +2,24 @@
 
 Pipeline: one integer pass (`faddeev_leverrier`) gives the characteristic
 polynomial p and the column a(x) = adj(xI - T) e_0 of integer polynomials
--> certified enclosure of the dominant eigenvalue lambda, a simple root of
-the off-unit factor s of p -> the eigen-relation (xI - T) a = p e_0 as
-polynomials, with p = (x - 1)^k s -> the normalized dominant eigenvector
-a(lambda) / a_0(lambda) -> the nef witness as integer polynomials of the
-column: with B = -(a_0 + a_1 + a_2 + a_3), D = 2 a_0 - B and
-N_i = -2 a_i - B l_i (l_i = 1 on the line indices 1..3), the line component
-is beta = B(lambda) / 2 a_0(lambda) and the witness coefficients are
-t_i = N_i(lambda) / D(lambda).  Every polynomial is enclosed at lambda once,
-as integer numerators over a power of the denominator of lambda's endpoints
-(`_column_values`), and each quotient goes onto a dyadic grid by integer
-floor and ceiling division (`_quotient_on_grid`).  Exact identities mod s
-(the zero pairings of the eigenvector, the square-sum identity of the
-witness) are decided on the polynomials themselves.  Also hosts the factor
-data of p (`CharpolyFacts`) and the orientation oracle that selects the
-composite map among the notation readings by matching the reference
-coefficients.
+-> the factorization p = (x - 1)^k s with s(1) != 0, certified once per
+polynomial: gcd(s, s') = 1 proves s squarefree, and the dominant eigenvalue
+lambda is isolated and refined on s itself (`_dominant_spectrum`) -> the
+eigen-relation (xI - T) a = p e_0 as polynomials -> the normalized dominant
+eigenvector a(lambda) / a_0(lambda) -> the nef witness as integer
+polynomials of the column: with B = -(a_0 + a_1 + a_2 + a_3),
+D = 2 a_0 - B and N_i = -2 a_i - B l_i (l_i = 1 on the line indices 1..3),
+the line component is beta = B(lambda) / 2 a_0(lambda) and the witness
+coefficients are t_i = N_i(lambda) / D(lambda).  Every polynomial is
+enclosed at lambda once, as integer numerators over a power of the
+denominator of lambda's endpoints (`_column_values`), and each quotient goes
+onto a dyadic grid by integer floor and ceiling division
+(`_quotient_on_grid`).  Exact identities mod s (the zero pairings of the
+eigenvector, the square-sum identity of the witness) are decided on the
+polynomials themselves.  Also hosts the factor data of p (`CharpolyFacts`,
+whose unit-circle count is k roots at 1 plus the count of s) and the
+orientation oracle that selects the composite map among the notation
+readings by matching the reference coefficients.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ from .polynomials import (
     IntPoly,
     UnitCircleCount,
     combine,
-    count_roots_outside_unit_circle,
     cyclotomic_factors,
     dominant_squarefree_root,
     faddeev_leverrier,
-    squarefree_part,
+    poly_gcd,
+    squarefree_circle_count,
     strip_rational_root,
 )
 from .transform import LatticeIsometry, candidate_composites, composite_T
@@ -52,35 +54,6 @@ _LINE_INDICES = (1, 2, 3)
 GUARD_DIGITS = 24
 
 
-def _certify_simple_root(p: IntPoly, lam: RealEnclosure, reduced: IntPoly) -> IntPoly:
-    """Check that lam encloses a simple root of p greater than 1; return the
-    factor s of p beyond powers of (x - 1), of which it is a root.
-
-    reduced is the squarefree part of p without the factor x - 1: it has the
-    distinct roots of s, so s is squarefree iff the degrees agree.
-    """
-    if not lam.lo > 1:
-        raise CertificationError(
-            "eigenvalue enclosure must lie strictly above 1 (dominant, not unit root)"
-        )
-    _, off_unit = strip_rational_root(p, 1)
-    if off_unit.degree < 1:
-        raise CertificationError("polynomial has no factor beyond powers of (x - 1)")
-    if reduced.degree != off_unit.degree:
-        raise CertificationError(
-            "repeated roots beyond (x - 1): the dominant eigenvalue is not certified simple"
-        )
-    lo_val, hi_val = off_unit(lam.lo), off_unit(lam.hi)
-    if lam.lo == lam.hi:
-        if lo_val != 0:
-            raise CertificationError("exact enclosure does not hit a root")
-    elif lo_val == 0 or hi_val == 0 or (lo_val > 0) == (hi_val > 0):
-        raise CertificationError(
-            "enclosure endpoints carry no sign change; not certified to contain the root"
-        )
-    return off_unit
-
-
 def _times_unit_roots(s: IntPoly, degree: int) -> IntPoly:
     """(x - 1)^k s of the given degree: p rebuilt from its off-unit factor."""
     for _ in range(degree - s.degree):
@@ -89,11 +62,23 @@ def _times_unit_roots(s: IntPoly, degree: int) -> IntPoly:
 
 
 def _dominant_spectrum(p: IntPoly, tol: Fraction) -> tuple[RealEnclosure, IntPoly]:
-    """The certified dominant root of p (width <= tol) and the factor s it is
-    a simple root of, from one squarefree part of p."""
-    _, reduced = strip_rational_root(squarefree_part(p), 1)
-    lam = dominant_squarefree_root(reduced, tol)
-    return lam, _certify_simple_root(p, lam, reduced)
+    """The certified dominant root lambda > 1 of p (width <= tol) and the
+    factor s of p = (x - 1)^k s, s(1) != 0: s is squarefree by
+    gcd(s, s') = 1, and lambda is isolated and refined on s itself, so it is
+    a simple root of p."""
+    _, s = strip_rational_root(p, 1)
+    if s.degree < 1:
+        raise CertificationError("polynomial has no factor beyond powers of (x - 1)")
+    if poly_gcd(s, s.derivative()).degree != 0:
+        raise CertificationError(
+            "repeated roots beyond (x - 1): the dominant eigenvalue is not certified simple"
+        )
+    lam = dominant_squarefree_root(s, tol)
+    if not lam.lo > 1:
+        raise CertificationError(
+            "eigenvalue enclosure must lie strictly above 1 (dominant, not unit root)"
+        )
+    return lam, s
 
 
 def _column_values(column: Sequence[IntPoly], lam: RealEnclosure) -> list[tuple[int, int]]:
@@ -104,7 +89,7 @@ def _column_values(column: Sequence[IntPoly], lam: RealEnclosure) -> list[tuple[
     With lambda.lo = A/D and lambda.hi = B/D, each term c_k lambda^k lies
     between c_k A^k/D^k and c_k B^k/D^k; the lower bound takes A^k for c_k > 0
     and B^k for c_k < 0.  That needs lambda.lo > 0, which the callers
-    certify (lambda.lo > 1) in `_certify_simple_root`.
+    certify (lambda.lo > 1) in `_dominant_spectrum`.
     """
     if not lam.lo > 0:
         raise CertificationError("eigenvector evaluation needs a positive eigenvalue enclosure")
@@ -174,7 +159,7 @@ def _eigenvector_quotients(
     i >= 1, for the adjugate column a of xI - m.
 
     Since (xI - m) adj(xI - m) = p I, the column satisfies (xI - m) a = p e_0,
-    checked as polynomials with p = (x - 1)^k s (`_certify_simple_root`
+    checked as polynomials with p = (x - 1)^k s (`_dominant_spectrum`
     strips s from p): more than every row vanishing mod s, and without a
     division.  lambda must be a certified root of s, so a(lambda) is an
     eigenvector, and a_0(lambda) != 0 is certified by its enclosure.  Each
@@ -347,15 +332,19 @@ class CharpolyFacts(NamedTuple):
 
     @classmethod
     def of(cls, eigen: EigenSystem) -> "CharpolyFacts":
-        """Facts of the system's polynomial p; the factor (x - 1)^k comes from
-        the certified off-unit factor s, checked: (x - 1)^k s = p, s(1) != 0."""
+        """Facts of the system's polynomial p from its certified factorization.
+
+        The check (x - 1)^k s = p, s(1) != 0 makes s the factor
+        `_dominant_spectrum` proved squarefree, so the roots of p are k roots
+        at 1 and the roots of s, counted by `squarefree_circle_count`.
+        """
         p, off_unit = eigen.polynomial, eigen.off_unit_factor
         unit_mult = p.degree - off_unit.degree
         if _times_unit_roots(off_unit, p.degree) != p or off_unit(1) == 0:
             raise CertificationError("polynomial is not (x - 1)^k times its off-unit factor")
-        return cls(
-            p, unit_mult, off_unit, cyclotomic_factors(p), count_roots_outside_unit_circle(p)
-        )
+        outside, inside, on_circle = squarefree_circle_count(off_unit)
+        circle = UnitCircleCount(outside, inside, on_circle + unit_mult)
+        return cls(p, unit_mult, off_unit, cyclotomic_factors(p), circle)
 
     def to_json(self) -> dict:
         return {

@@ -6,7 +6,6 @@ from math import isqrt
 
 from voljump.intervals import RealEnclosure
 from voljump.nefcheck import CandidateCurve
-from voljump.polynomials import IntPoly, squarefree_part, strip_rational_root
 from voljump.reference import WEIGHT_ORDER
 
 
@@ -17,11 +16,6 @@ def outward(enc: RealEnclosure, bits: int) -> RealEnclosure:
     lo = Fraction(enc.lo.numerator * scale // enc.lo.denominator, scale)
     hi = Fraction(-((-enc.hi.numerator * scale) // enc.hi.denominator), scale)
     return RealEnclosure(lo, hi)
-
-
-def squarefree_off_unit(p: IntPoly) -> IntPoly:
-    """The squarefree part of p without the factor x - 1."""
-    return strip_rational_root(squarefree_part(p), 1)[1]
 
 
 # -- per-candidate reference for the nef enumeration ----------------------------------

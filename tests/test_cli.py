@@ -102,7 +102,7 @@ def test_enumerate_rejects_bad_degree(capsys):
 
 
 def test_orbit_text(capsys):
-    code, out, _ = run_cli(capsys, "orbit", "--n", "4")
+    code, out, _ = run_cli(capsys, "orbit", "--orbit-horizon", "4")
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("n=0")
@@ -116,6 +116,12 @@ def test_orbit_custom_requires_coeffs(capsys):
     assert excinfo.value.code == 2
 
 
+def test_orbit_rejects_empty_horizon(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["orbit", "--orbit-horizon", "0"])
+    assert excinfo.value.code == 2
+
+
 def test_orbit_custom_seed(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -123,7 +129,7 @@ def test_orbit_custom_seed(capsys):
         "--seed",
         "custom",
         "--coeffs", "-3", "1", "1", "1", "1", "1", "1", "1", "1", "1", "1",
-        "--n", "2",
+        "--orbit-horizon", "2",
         "--format", "json",
     )
     assert code == 0
@@ -187,9 +193,10 @@ def test_verify_passes(capsys):
 
 
 def test_verify_computes_each_squarefree_part_once(monkeypatch, capsys):
-    # from cold caches, as in a fresh process: gcd(p, p') once for each of the
-    # oracle's two distinct char polys and once for eigensystem(60), then
-    # gcd(p, p') and the mirror gcd(f, reverse f) of the unit-circle count
+    # from cold caches, as in a fresh process: gcd(s, s') of the off-unit
+    # factor s once for each of the oracle's two distinct char polys and once
+    # for eigensystem(60), then the mirror gcd(s, reverse s) of the unit-circle
+    # count; no Yun decomposition runs
     for cached in (spectral.eigensystem, transform.composite_T, polynomials.cyclotomic):
         cached.cache_clear()
     calls = []
@@ -198,10 +205,15 @@ def test_verify_computes_each_squarefree_part_once(monkeypatch, capsys):
         calls.append((a.degree, b.degree))
         return poly_gcd(a, b)
 
-    monkeypatch.setattr(polynomials, "poly_gcd", counted)
+    def forbidden(p):
+        raise AssertionError("squarefree decomposition on the verification path")
+
+    for module in (polynomials, spectral):
+        monkeypatch.setattr(module, "poly_gcd", counted)
+    monkeypatch.setattr(polynomials, "squarefree_decomposition", forbidden)
     code, _, _ = run_cli(capsys, "verify")
     assert code == 0
-    assert calls == [(11, 10)] * 4 + [(10, 10)]
+    assert calls == [(10, 9)] * 3 + [(10, 10)]
 
 
 def test_report_is_deterministic_and_valid(tmp_path, capsys):
@@ -219,7 +231,7 @@ def test_report_is_deterministic_and_valid(tmp_path, capsys):
 
 
 def test_nef_verify_tol_flag(capsys):
-    code, out, _ = run_cli(capsys, "nef-verify", "--tol", "30")
+    code, out, _ = run_cli(capsys, "nef-verify", "--precision-digits", "30")
     assert code == 0
     assert "verdict: pass" in out
 
@@ -394,12 +406,11 @@ def test_non_isometric_transform_fails_the_form_certificate(monkeypatch, capsys)
 
 
 def test_shifted_reference_coefficient_fails_the_witness_certificate(monkeypatch, capsys):
-    from voljump import reference, report
+    from voljump import reference
 
     shifted = (reference.WITNESS_COEFFS[0] + Fraction(3, 1000),) + reference.WITNESS_COEFFS[1:]
-    # both bindings of the reference data: the oracle's and the report's
+    # the oracle and the report read the reference data through one predicate
     monkeypatch.setattr(reference, "WITNESS_COEFFS", shifted)
-    monkeypatch.setattr(report, "WITNESS_COEFFS", shifted)
     code, out, err = run_cli(capsys, "verify")
     assert code == 1
     lines = out.splitlines()

@@ -22,14 +22,13 @@ from voljump.polynomials import (
 )
 from voljump.spectral import (
     GUARD_DIGITS,
-    _certify_simple_root,
     _column_values,
     _dominant_spectrum,
     _eigenvector,
     _quotient_on_grid,
 )
 
-from helpers import outward, squarefree_off_unit
+from helpers import outward
 from voljump.transform import LatticeIsometry, candidate_composites, composite_T
 
 SEED = 20130517
@@ -556,12 +555,3 @@ def test_eigenvector_rejects_nonpositive_enclosure(eigen):
     for lam in (RealEnclosure(Fraction(-1), Fraction(3)), RealEnclosure(Fraction(0), Fraction(3))):
         with pytest.raises(CertificationError, match="positive"):
             _column_values(column, lam)
-        with pytest.raises(CertificationError):
-            _certify_simple_root(eigen.polynomial, lam, squarefree_off_unit(eigen.polynomial))
-
-
-def test_eigenvector_rejects_enclosure_without_sign_change(eigen):
-    lam = eigen.dominant_value
-    above = RealEnclosure(lam.hi + Fraction(1, 10**6), lam.hi + Fraction(1, 10**5))
-    with pytest.raises(CertificationError, match="no sign change"):
-        _certify_simple_root(eigen.polynomial, above, squarefree_off_unit(eigen.polynomial))

@@ -13,9 +13,9 @@ import pytest
 from voljump.cli import main
 
 PINNED = [
-    (("verify",), 0, "7e92ce082dcf1ff1365b8725939d13c389a224eb9183374c9f1cecec976ce462"),
-    (("nef-verify",), 0, "8d654c64b8f39a1bece4381fd5d7ef4d9a50d909d93409f13d9638a9349ef7bb"),
-    (("report",), 0, "0e914342d1ce343435afed3b1183f0adf65c2bd1b12bf50a86f4cd30cb8c13c5"),
+    (("verify",), 0, "e8197f488b0bbb5a2d799b6808d2f0d0c753b39bcaef9ac308fc836c0b4a3a54"),
+    (("nef-verify",), 0, "2567339cfba846db79fea49f3f7535b3b89409b5a9eff5b0ceaa908824b63a80"),
+    (("report",), 0, "2bdf1603e561031d6ff4b89c1740d9e6ffbb02589defae541b5a429eac2749f6"),
     (("nef-table", "--format", "md"), 0, "e59f3b6f9737cfbf7890915de67981d1fbeae092190e1198be005c4c44c9fd03"),
     (("nef-table", "--format", "csv"), 0, "289ea3ed8512973cad213d020e7e9cfb8542351691187ae8dc829b4bd6b17bde"),
     (("nef-table", "--format", "json"), 0, "6a275c05e46e82bca3a628c600f6b1b1071e00c6f1b017c5a633490b19834e5a"),

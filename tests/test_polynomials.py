@@ -8,6 +8,7 @@ import pytest
 from voljump.errors import CertificationError
 from voljump.polynomials import (
     IntPoly,
+    UnitCircleCount,
     _cauchy_index,
     _count_inside_off_circle,
     _deflate,
@@ -18,12 +19,14 @@ from voljump.polynomials import (
     cyclotomic_factors,
     dominant_root,
     isolate_real_roots,
+    poly_gcd,
+    squarefree_circle_count,
     squarefree_decomposition,
     squarefree_part,
     strip_rational_root,
     totient,
 )
-from voljump.transform import LatticeIsometry, composite_T
+from voljump.transform import LatticeIsometry, candidate_composites, composite_T
 
 
 def poly_from_desc(*desc):
@@ -220,6 +223,19 @@ def test_count_outside_composite_charpoly(eigen):
     assert count.outside == 1
     assert count.inside == 1
     assert count.on_circle == 9
+
+
+def test_factor_count_matches_general_count_on_candidate_charpolys():
+    # p = (x - 1)^k s with s squarefree: k roots at 1 plus the count of s, as
+    # `CharpolyFacts` reads it, against the count over the Yun factors of p
+    polys = {char_poly(m) for m in candidate_composites().values()}
+    assert len(polys) == 2
+    for p in polys:
+        k, s = strip_rational_root(p, 1)
+        assert k >= 1 and poly_gcd(s, s.derivative()).degree == 0
+        outside, inside, on_circle = squarefree_circle_count(s)
+        expected = count_roots_outside_unit_circle(p)
+        assert UnitCircleCount(outside, inside, on_circle + k) == expected
 
 
 def _layout_by_polyroots(p):

@@ -8,7 +8,6 @@ from voljump.lattice import GRAM_DIAGONAL, canonical_class
 from voljump.polynomials import IntPoly, combine, faddeev_leverrier, strip_rational_root
 from voljump.reference import WEIGHT_ORDER, WITNESS_COEFFS, WITNESS_TOLERANCE
 from voljump.spectral import (
-    _certify_simple_root,
     _column_values,
     _dominant_spectrum,
     _eigenvector,
@@ -17,9 +16,7 @@ from voljump.spectral import (
     line_pairing_identity_certified,
     select_orientation,
 )
-from voljump.transform import LatticeIsometry, composite_T
-
-from helpers import squarefree_off_unit
+from voljump.transform import LatticeIsometry
 
 WIDTH_BOUND = Fraction(1, 10**30)
 
@@ -230,22 +227,15 @@ def test_witness_requires_certified_denominator(eigen):
 
 
 def test_eigenvector_rejects_identity():
-    near_one = RealEnclosure(Fraction(99, 100), Fraction(101, 100))
+    # det(xI - I) = (x - 1)^11 leaves no factor to carry the eigenvalue
     p, _ = faddeev_leverrier(LatticeIsometry.identity())
-    with pytest.raises(CertificationError):
-        _certify_simple_root(p, near_one, squarefree_off_unit(p))
-
-
-def test_eigenvector_rejects_enclosure_without_root(eigen):
-    off = RealEnclosure(Fraction(2), Fraction(3))
-    with pytest.raises(CertificationError):
-        p = faddeev_leverrier(composite_T())[0]
-        _certify_simple_root(p, off, squarefree_off_unit(p))
+    with pytest.raises(CertificationError, match="no factor beyond powers of"):
+        _dominant_spectrum(p, Fraction(1, 10**6))
 
 
 def test_spectrum_rejects_repeated_roots_beyond_unit():
     # (x - 1)(x - 3)(x^2 - 2)^2: the dominant root 3 is simple, but s is not
-    # squarefree, which the squarefree part of p shows by its lower degree
+    # squarefree, which gcd(s, s') = x^2 - 2 shows
     square = IntPoly([-2, 0, 1])
     p = IntPoly([-1, 1]) * IntPoly([-3, 1]) * square * square
     with pytest.raises(CertificationError, match="repeated roots beyond"):
