@@ -329,10 +329,10 @@ def isolate_real_roots(
 ) -> list[tuple[Fraction, Fraction]]:
     """Disjoint isolating intervals for the roots of squarefree p in (lo, hi).
 
-    Returns open intervals (a, b) with exactly one root each; exact rational
-    roots appear as degenerate pairs (r, r).  Requires p(lo) != 0 != p(hi).
-    Bisection keeps the brackets on a common-denominator grid, a/den and
-    b/den, with integer numerators.
+    Returns open intervals (a, b) with exactly one root each and none at an
+    end; exact rational roots appear as degenerate pairs (r, r), deflated, and
+    bisection goes on past them.  Requires p(lo) != 0 != p(hi).  Brackets stay
+    on a common-denominator grid, a/den and b/den, with integer numerators.
     """
     if p(lo) == 0 or p(hi) == 0:
         raise ValueError("isolation endpoints must not be roots")
@@ -342,7 +342,7 @@ def isolate_real_roots(
         bound = _descartes_bound(cs, a, b, den)
         if bound == 0:
             return
-        if bound == 1:
+        if bound == 1 and _scaled_value(p.coeffs, a, den) and _scaled_value(p.coeffs, b, den):
             out.append((Fraction(a, den), Fraction(b, den)))
             return
         if depth <= 0:

@@ -18,8 +18,11 @@ onto a dyadic grid by integer floor and ceiling division
 eigenvector, the square-sum identity of the witness) are decided on the
 polynomials themselves.  Also hosts the factor data of p (`CharpolyFacts`,
 whose unit-circle count is k roots at 1 plus the count of s) and the
-orientation oracle that selects the composite map among the notation
-readings by matching the reference coefficients.
+orientation oracle over the 14 readings of the composite's notation.  They
+form 2 conjugacy classes, with conjugators from the construction: a @ b =
+b^-1 (b @ a) b; cremona(8, 9, 10) is cremona(1, 2, 3) conjugated by
+exceptional_shift(7); the reversal E_i -> E_(11-i) swaps the Cremona slot sets
+and turns shift(k) into shift(-k).  So `_spectral_core` runs once per class.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .polynomials import (
     squarefree_circle_count,
     strip_rational_root,
 )
-from .transform import LatticeIsometry, candidate_composites, composite_T
+from .transform import LatticeIsometry, candidate_composites, candidate_conjugators, composite_T
 
 #: Exceptional indices carried by the distinguished line class H - E1 - E2 - E3.
 _LINE_INDICES = (1, 2, 3)
@@ -191,13 +194,6 @@ def _eigenvector_quotients(
     return quotients
 
 
-def _eigenvector(
-    m: LatticeIsometry, column: Sequence[IntPoly], off_unit: IntPoly, lam: RealEnclosure, tol: Fraction
-) -> ClassEnclosure:
-    """a(lambda) / a_0(lambda), by `_eigenvector_quotients`."""
-    return _grid_class(_eigenvector_quotients(m, column, off_unit, lam, tol), _grid_bits(lam))
-
-
 def _witness_polynomials(column: Sequence[IntPoly]) -> tuple[IntPoly, ...]:
     """(D, B, N_1, ..., N_10) of the nef witness, from the adjugate column a.
 
@@ -293,15 +289,16 @@ class EigenSystem(NamedTuple):
         return _grid_enclosure(v, w, _grid_bits(self.dominant_value))
 
 
-def _build_eigensystem(
-    m: LatticeIsometry, digits: int, spectrum=_dominant_spectrum
-) -> EigenSystem:
-    """`spectrum(p, tol)` is `_dominant_spectrum`; callers that build many
-    systems may pass a memoized one."""
+def _spectral_core(m: LatticeIsometry, tol: Fraction) -> tuple:
+    """(p, a, s, lambda, eigenvector) of m; a conjugate Q m Q^T permutes a and the eigenvector."""
     p, column = faddeev_leverrier(m)
-    tol = Fraction(1, 10**digits)
-    lam, off_unit = spectrum(p, tol / 10**GUARD_DIGITS)
+    lam, off_unit = _dominant_spectrum(p, tol / 10**GUARD_DIGITS)
     vector = _eigenvector_quotients(m, column, off_unit, lam, tol)
+    return p, column, off_unit, lam, _grid_class(vector, _grid_bits(lam))
+
+
+def _witness_stage(column: Sequence[IntPoly], lam: RealEnclosure, tol: Fraction) -> tuple:
+    """(witness polynomials, their values, beta, nef witness) of the column a."""
     polys, values = _witness(column, lam)
     bits = _grid_bits(lam)
     component = beta(values[0], values[1], bits)
@@ -309,8 +306,7 @@ def _build_eigensystem(
     witness = [(-hi, -lo) for lo, hi in (_quotient_on_grid(n, values[0], bits) for n in values[2:])]
     if _wider_than(witness, bits, tol * 10**6):
         raise PrecisionBudgetError("nef witness enclosure wider than requested")
-    vector, witness = _grid_class(vector, bits), _grid_class(witness, bits)
-    return EigenSystem(digits, m, p, column, off_unit, lam, vector, polys, values, component, witness)
+    return polys, values, component, _grid_class(witness, bits)
 
 
 @lru_cache(maxsize=8)
@@ -318,7 +314,9 @@ def eigensystem(digits: int = 60) -> EigenSystem:
     """Certified spectral data of the fixed composite map (cached)."""
     if digits < 1:
         raise ValueError("digits must be positive")
-    return _build_eigensystem(composite_T(), digits)
+    m, tol = composite_T(), Fraction(1, 10**digits)
+    core = _spectral_core(m, tol)
+    return EigenSystem(digits, m, *core, *_witness_stage(core[1], core[3], tol))
 
 
 class CharpolyFacts(NamedTuple):
@@ -373,9 +371,6 @@ class OrientationReport(NamedTuple):
     selected: str
     assessments: tuple[CandidateAssessment, ...]
 
-    def matching_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.assessments if a.matches)
-
 
 def _matches_reference(witness: ClassEnclosure) -> tuple[bool, str]:
     from .reference import WITNESS_COEFFS, WITNESS_TOLERANCE
@@ -394,30 +389,49 @@ def select_orientation(digits: int = 12) -> OrientationReport:
 
     Exactly one candidate must reproduce the reference witness coefficients,
     and it must be the matrix `composite_T` returns; anything else is a
-    certification failure.  The candidates share few characteristic
-    polynomials, so each dominant root is isolated and certified simple once
-    per call.
+    certification failure.  The 14 readings form 2 conjugacy classes: with
+    S_k = exceptional_shift(k), a @ b = b^-1 (b @ a) b, cremona(8, 9, 10) =
+    S_7 cremona(1, 2, 3) S_7^-1, and the reversal E_i -> E_(11-i) swaps the
+    Cremona slot sets and turns S_k into S_-k.  From these, each reading M'
+    has a representative M and a slot permutation q (`candidate_conjugators`).
+    The spectral core runs once per M; M'[q(i)][q(j)] == M[i][j] certifies
+    a'[q(i)] = a[i], and the witness is rebuilt from a' (B reads slots 1..3).
     """
-    spectrum = lru_cache(maxsize=None)(_dominant_spectrum)
+    tol = Fraction(1, 10**digits)
+    candidates = candidate_composites()
+    readings = {n: m for key, m in candidates.items() for n in key.split(" = ")}
+    conjugators = candidate_conjugators()
+    cores: dict[str, tuple | str] = {}
     assessments: list[CandidateAssessment] = []
-    matching: list[tuple[str, LatticeIsometry]] = []
-    for name, matrix in sorted(candidate_composites().items()):
-        try:
-            system = _build_eigensystem(matrix, digits, spectrum)
+    for name, matrix in sorted(candidates.items()):
+        rep, q = conjugators[name.split(" = ")[0]]
+        base = readings[rep]
+        if (q[0], *sorted(q[1:])) != tuple(range(RANK)) or any(  # q fixes slot 0
+            matrix.rows[q[i]][q[j]] != x for i, r in enumerate(base.rows) for j, x in enumerate(r)
+        ):
+            raise CertificationError(f"conjugator of {name} does not carry {rep} to it")
+        if rep not in cores:
+            try:
+                cores[rep] = _spectral_core(base, tol)
+            except VerificationError as err:
+                cores[rep] = f"no certified data: {err}"
+        core = cores[rep]
+        if isinstance(core, str):
+            assessments.append(CandidateAssessment(name, False, core))
+            continue
+        try:  # the column a'[q(i)] = a[i] of M'
+            witness = _witness_stage([a for _, a in sorted(zip(q, core[1]))], core[3], tol)[3]
         except VerificationError as err:
             assessments.append(CandidateAssessment(name, False, f"no certified data: {err}"))
             continue
-        ok, detail = _matches_reference(system.nef_witness)
-        assessments.append(CandidateAssessment(name, ok, detail))
-        if ok:
-            matching.append((name, matrix))
+        assessments.append(CandidateAssessment(name, *_matches_reference(witness)))
+    matching = [a.name for a in assessments if a.matches]
     if len(matching) != 1:
         raise CertificationError(
             f"orientation oracle must single out one candidate, found {len(matching)}"
         )
-    name, matrix = matching[0]
-    if matrix != composite_T():
+    if candidates[matching[0]] != composite_T():
         raise CertificationError(
-            f"orientation oracle selected {name}, which differs from the fixed composite"
+            f"orientation oracle selected {matching[0]}, which differs from the fixed composite"
         )
-    return OrientationReport(name, tuple(assessments))
+    return OrientationReport(matching[0], tuple(assessments))

@@ -54,10 +54,14 @@ class LatticeIsometry:
         )
 
     def __matmul__(self, other: "LatticeIsometry") -> "LatticeIsometry":
-        columns = tuple(zip(*other.rows))
-        return LatticeIsometry(
-            tuple(sum(map(mul, row, column)) for column in columns) for row in self.rows
-        )
+        product = []
+        for row in self.rows:
+            acc = [0] * RANK
+            for c, other_row in zip(row, other.rows):
+                if c:
+                    acc = [x + c * y for x, y in zip(acc, other_row)]
+            product.append(acc)
+        return LatticeIsometry(product)
 
     def power(self, n: int) -> "LatticeIsometry":
         """Exact n-th power by repeated squaring, n >= 0."""
@@ -224,3 +228,18 @@ def candidate_composites() -> dict[str, LatticeIsometry]:
         grouped.setdefault(matrix, []).append(name)
     return {" = ".join(sorted(names)): matrix for matrix, names in grouped.items()}
 
+
+def candidate_conjugators() -> dict[str, tuple[str, tuple[int, ...]]]:
+    """Per reading of `candidate_composites`: its representative C S_|shift|
+    (C = cremona(1, 2, 3), S_k = exceptional_shift(k)) and the slot permutation q
+    with matrix[q(i)][q(j)] == rep[i][j], by the identities in `spectral`."""
+    out = {}
+    for slots in ((1, 2, 3), (8, 9, 10)):
+        for shift in (1, -1, 3, -3):
+            far = (slots == (8, 9, 10)) != (shift < 0)  # S_7 C S_-7 = cremona(8, 9, 10), once reversed
+            rep = f"cremona(1, 2, 3), shift+{abs(shift)}, rotate-then-cremona"
+            for order, turn in (("rotate-then-cremona", 0), ("cremona-then-rotate", abs(shift))):
+                q = [(i - 1 + 7 * far + turn) % 10 + 1 for i in range(1, RANK)]
+                q = [11 - i for i in q] if shift < 0 else q  # the reversal
+                out[f"cremona{slots}, shift{shift:+d}, {order}"] = (rep, (0, *q))
+    return out

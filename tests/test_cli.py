@@ -290,6 +290,9 @@ def test_oracle_failure_is_a_failed_certificate(monkeypatch, capsys):
     monkeypatch.setattr(
         spectral, "candidate_composites", lambda: {"identity": LatticeIsometry.identity()}
     )
+    monkeypatch.setattr(
+        spectral, "candidate_conjugators", lambda: {"identity": ("identity", tuple(range(11)))}
+    )
     code, out, err = run_cli(capsys, "verify")
     assert code == 1
     assert "failed: orientation oracle selects the fixed composite" in err
@@ -298,6 +301,23 @@ def test_oracle_failure_is_a_failed_certificate(monkeypatch, capsys):
         "(orientation oracle must single out one candidate, found 0)"
     ) in out.splitlines()
     assert out.splitlines()[-1] == "verdict: fail"
+
+
+def test_wrong_conjugator_fails_the_oracle_naming_the_candidate(monkeypatch, capsys):
+    # one slot more of rotation does not carry the representative to the
+    # candidate; the mismatch is a failed certificate, not missing data
+    conjugators = transform.candidate_conjugators()
+    name = "cremona(8, 9, 10), shift-1, rotate-then-cremona"
+    rep, q = conjugators[name]
+    conjugators[name] = (rep, q[:1] + q[2:] + q[1:2])
+    monkeypatch.setattr(spectral, "candidate_conjugators", lambda: conjugators)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1
+    assert "failed: orientation oracle selects the fixed composite" in err
+    assert (
+        "[FAIL] orientation oracle selects the fixed composite "
+        f"(conjugator of {name} does not carry {rep} to it)"
+    ) in out.splitlines()
 
 
 def test_verify_rejects_orbit_horizon_below_three(capsys):

@@ -24,8 +24,8 @@ from voljump.spectral import (
     GUARD_DIGITS,
     _column_values,
     _dominant_spectrum,
-    _eigenvector,
     _quotient_on_grid,
+    _spectral_core,
 )
 
 from helpers import outward
@@ -320,14 +320,16 @@ def test_descartes_bound_matches_fraction_taylor_shift():
 
 def fraction_isolation(p, lo, hi):
     """Bisection driven by `fraction_descartes_bound`, deflating exact
-    midpoint roots over Q."""
+    midpoint roots over Q; a one-root bracket that ends on a root of p is
+    bisected on."""
     out = []
 
     def recurse(q, a, b):
         bound = fraction_descartes_bound(q, a, b)
-        if bound == 1:
+        if bound == 0:
+            return
+        if bound == 1 and fraction_value(p, a) and fraction_value(p, b):
             out.append((a, b))
-        if bound <= 1:
             return
         mid = (a + b) / 2
         if fraction_value(q, mid) == 0:
@@ -345,21 +347,23 @@ def fraction_isolation(p, lo, hi):
 @pytest.mark.parametrize(
     "p, lo, hi, expected",
     [
-        # roots 1/sqrt(2) and 3/4 in (1/2, 1): the second midpoint is 3/4
+        # roots 1/sqrt(2) and 3/4 in (1/2, 1): the second midpoint is 3/4,
+        # and (1/2, 3/4) ends on it, so bisection goes on to (11/16, 23/32)
         (
             IntPoly([-3, 4]) * IntPoly([-1, 0, 2]),
             Fraction(0),
             Fraction(1),
-            [(Fraction(1, 2), Fraction(3, 4)), (Fraction(3, 4), Fraction(3, 4))],
+            [(Fraction(11, 16), Fraction(23, 32)), (Fraction(3, 4), Fraction(3, 4))],
         ),
-        # the midpoints 5/3, then 7/6, are roots; 3/2 is left in (7/6, 5/3)
+        # the midpoints 5/3, then 7/6, are roots; 3/2 is left in (7/6, 5/3),
+        # which ends on both, and then in (17/12, 37/24), which ends on neither
         (
             IntPoly([-5, 3]) * IntPoly([-7, 6]) * IntPoly([-3, 2]),
             Fraction(2, 3),
             Fraction(8, 3),
             [
                 (Fraction(7, 6), Fraction(7, 6)),
-                (Fraction(7, 6), Fraction(5, 3)),
+                (Fraction(17, 12), Fraction(37, 24)),
                 (Fraction(5, 3), Fraction(5, 3)),
             ],
         ),
@@ -509,12 +513,12 @@ def test_eigenvector_equals_interval_route(digits):
     for m in matrices:
         p, column = faddeev_leverrier(m)
         try:
-            lam, s = _dominant_spectrum(p, tol / 10**GUARD_DIGITS)
+            lam, _ = _dominant_spectrum(p, tol / 10**GUARD_DIGITS)
         except VerificationError:
             continue
         values, quotients = interval_route(column, lam, tol)
         assert column_enclosures(column, lam) == values
-        assert list(_eigenvector(m, column, s, lam, tol).coeffs[1:]) == quotients
+        assert list(_spectral_core(m, tol)[4].coeffs[1:]) == quotients
         checked += 1
     assert checked >= 1
 

@@ -18,6 +18,7 @@ from voljump.polynomials import (
     cyclotomic,
     cyclotomic_factors,
     dominant_root,
+    dominant_squarefree_root,
     isolate_real_roots,
     poly_gcd,
     squarefree_circle_count,
@@ -134,6 +135,18 @@ def test_dominant_root_of_composite_charpoly(eigen):
         )
         top = max(abs(r) for r in roots)
         assert abs(top - mp.mpf(float(lam.midpoint))) < mp.mpf("1e-12")
+
+
+def test_dominant_root_past_a_rational_midpoint_root():
+    # isolating on (1, 25) meets the root 4 as a midpoint; the bracket of 6
+    # must not end on it, or the refinement returns 4
+    p = x_minus(4) * x_minus(6)
+    tol = Fraction(1, 10**20)
+    for enclosure in (dominant_root(p, tol), dominant_squarefree_root(p, tol)):
+        assert enclosure.contains(6) and not enclosure.contains(4)
+        assert enclosure.width <= tol
+    assert all(p(end) != 0 for a, b in isolate_real_roots(p, Fraction(1), Fraction(25))
+               if a != b for end in (a, b))
 
 
 def test_isolation_finds_all_roots():

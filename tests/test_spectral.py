@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from voljump import spectral
 from voljump.errors import CertificationError, PrecisionBudgetError
 from voljump.intervals import RealEnclosure
 from voljump.lattice import GRAM_DIAGONAL, canonical_class
@@ -10,13 +11,19 @@ from voljump.reference import WEIGHT_ORDER, WITNESS_COEFFS, WITNESS_TOLERANCE
 from voljump.spectral import (
     _column_values,
     _dominant_spectrum,
-    _eigenvector,
+    _eigenvector_quotients,
     _witness,
     beta,
     line_pairing_identity_certified,
     select_orientation,
 )
-from voljump.transform import LatticeIsometry
+from voljump.transform import (
+    LatticeIsometry,
+    candidate_composites,
+    candidate_conjugators,
+    cremona_isometry,
+    exceptional_shift,
+)
 
 WIDTH_BOUND = Fraction(1, 10**30)
 
@@ -173,7 +180,7 @@ def test_eigenvector_rejects_corrupted_column(eigen):
     column = list(eigen.adjugate_column)
     column[4] = IntPoly((column[4].coeffs[0] + 1,) + column[4].coeffs[1:])
     with pytest.raises(CertificationError, match="eigen-relation row"):
-        _eigenvector(
+        _eigenvector_quotients(
             eigen.transform, column, eigen.off_unit_factor, eigen.dominant_value, Fraction(1)
         )
 
@@ -184,7 +191,7 @@ def test_eigenvector_rejects_corrupted_first_entry(eigen):
     column = list(eigen.adjugate_column)
     column[0] = IntPoly((column[0].coeffs[0] + 1,) + column[0].coeffs[1:])
     with pytest.raises(CertificationError, match="eigen-relation row 0 "):
-        _eigenvector(
+        _eigenvector_quotients(
             eigen.transform, column, eigen.off_unit_factor, eigen.dominant_value, Fraction(1)
         )
 
@@ -195,7 +202,7 @@ def test_eigenvector_requires_the_exact_adjugate_column(eigen):
     column = list(eigen.adjugate_column)
     column[4] = combine((1, 1), (column[4], eigen.off_unit_factor))
     with pytest.raises(CertificationError, match="eigen-relation row 4 "):
-        _eigenvector(
+        _eigenvector_quotients(
             eigen.transform, column, eigen.off_unit_factor, eigen.dominant_value, Fraction(1)
         )
 
@@ -246,9 +253,81 @@ def test_spectrum_rejects_repeated_roots_beyond_unit():
 
 def test_orientation_oracle_selects_fixed_composite():
     report = select_orientation()
-    assert len(report.matching_names()) == 1
+    assert [a.name for a in report.assessments if a.matches] == [report.selected]
     assert "shift+3" in report.selected
     # both cycle-notation readings (one-slot rotations) fail the oracle
     rejected = [a.name for a in report.assessments if not a.matches]
     assert any("shift+1" in name for name in rejected)
     assert any("shift-1" in name for name in rejected)
+
+
+def candidate_readings():
+    """Each reading name of `candidate_composites` with its matrix."""
+    return {n: m for key, m in candidate_composites().items() for n in key.split(" = ")}
+
+
+def test_conjugators_transfer_the_adjugate_column():
+    # every reading is Q rep Q^T for its recorded slot permutation q, and the
+    # representative's adjugate column, permuted by a'[q(i)] = a[i], is the
+    # reading's own, with the same characteristic polynomial
+    readings = candidate_readings()
+    conjugators = candidate_conjugators()
+    assert set(conjugators) == set(readings) and len(readings) == 16
+    assert {rep for rep, _ in conjugators.values()} == {
+        "cremona(1, 2, 3), shift+1, rotate-then-cremona",
+        "cremona(1, 2, 3), shift+3, rotate-then-cremona",
+    }
+    for name, (rep, q) in conjugators.items():
+        assert q[0] == 0 and sorted(q) == list(range(11))
+        m, base = readings[name].rows, readings[rep].rows
+        assert all(m[q[i]][q[j]] == base[i][j] for i in range(11) for j in range(11))
+        p, column = faddeev_leverrier(readings[rep])
+        permuted = [None] * 11
+        for i, a in enumerate(column):
+            permuted[q[i]] = a
+        assert faddeev_leverrier(readings[name]) == (p, tuple(permuted))
+
+
+def test_oracle_runs_the_spectral_core_once_per_class(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return faddeev_leverrier(m)
+
+    monkeypatch.setattr(spectral, "faddeev_leverrier", counted)
+    select_orientation()
+    assert calls == [
+        cremona_isometry(1, 2, 3) @ exceptional_shift(1),
+        cremona_isometry(1, 2, 3) @ exceptional_shift(3),
+    ]
+
+
+def test_core_failure_of_a_representative_reaches_its_class(monkeypatch):
+    one_slot = faddeev_leverrier(cremona_isometry(1, 2, 3) @ exceptional_shift(1))[0]
+    spectrum = spectral._dominant_spectrum
+
+    def failing(p, tol):
+        if p == one_slot:
+            raise CertificationError("synthetic")
+        return spectrum(p, tol)
+
+    monkeypatch.setattr(spectral, "_dominant_spectrum", failing)
+    report = select_orientation()
+    assert "shift+3" in report.selected
+    one_slot_class = [a for a in report.assessments if "shift+1" in a.name or "shift-1" in a.name]
+    assert len(one_slot_class) == 8
+    assert all(a == (a.name, False, "no certified data: synthetic") for a in one_slot_class)
+
+
+@pytest.mark.parametrize("q", [(0,) * 11, (1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10)])
+def test_conjugator_must_be_a_slot_permutation_fixing_h(monkeypatch, q):
+    # every entry of the all-ones matrix is 1, so any q passes the
+    # index-permuted equality; the oracle must still reject a q that is no
+    # permutation, or one that moves slot 0
+    ones = LatticeIsometry([[1] * 11] * 11)
+    monkeypatch.setattr(spectral, "candidate_composites", lambda: {"a": ones, "b": ones})
+    conjugators = {"a": ("a", tuple(range(11))), "b": ("a", q)}
+    monkeypatch.setattr(spectral, "candidate_conjugators", lambda: conjugators)
+    with pytest.raises(CertificationError, match="conjugator of b does not carry a to it"):
+        select_orientation()
