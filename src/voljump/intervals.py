@@ -70,9 +70,6 @@ class RealEnclosure:
         """Certified strict positivity."""
         return self.lo > 0
 
-    def is_negative(self) -> bool:
-        return self.hi < 0
-
     def overlaps(self, other: "RealEnclosure") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 

@@ -146,10 +146,3 @@ def pair_integers(a: Sequence[int], b: Sequence[int]) -> int:
     """The pairing on bare integer coefficient vectors, for the hot loops."""
     return a[0] * b[0] - sum(map(mul, a[1:], b[1:]))
 
-
-def gram_matrix() -> tuple[tuple[int, ...], ...]:
-    """Gram matrix of the basis (H, E1..E10): diag(1, -1, ..., -1)."""
-    return tuple(
-        tuple(GRAM_DIAGONAL[i] if i == j else 0 for j in range(RANK))
-        for i in range(RANK)
-    )

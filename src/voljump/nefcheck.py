@@ -98,10 +98,6 @@ class CandidateCurve:
         """The distinguished line H - E1 - E2 - E3."""
         return cls(1, (1, 1, 1, 0, 0, 0, 0, 0, 0, 0))
 
-    def is_feasible(self) -> bool:
-        """Adjunction and canonical-degree constraints on curve classes."""
-        return _feasible(self.degree, sum(self.mults), sum(a * a for a in self.mults))
-
 
 class MarginRow(NamedTuple):
     """A candidate with its certified margin d - sum a_i t_i."""

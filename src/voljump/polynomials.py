@@ -10,10 +10,10 @@ interval endpoint, a returned enclosure or a returned value
 (`IntPoly.__call__`, `cauchy_root_bound`).  The characteristic polynomial
 comes from integer power traces; gcds from a primitive pseudo-remainder
 sequence; Descartes isolation works on den^n p(y/den) over a
-common-denominator grid, and refinement bisects on that grid with signs from
-a homogeneous integer Horner sum.  Exact division, divisibility (a
-pseudo-remainder) and deflation by a rational root (by D x - N, Gauss's
-lemma) stay integral.
+common-denominator grid, and refinement picks the bisection's cell of that
+grid, guessed by integer Newton steps, by signs from a homogeneous integer
+Horner sum.  Exact division, divisibility (a pseudo-remainder) and deflation
+by a rational root (by D x - N, Gauss's lemma) stay integral.
 
 The unit-circle count is exact.  Per squarefree factor
 (`squarefree_circle_count`), after the roots at +-1 are divided out, the
@@ -374,7 +374,8 @@ def refine_root(
     The bracket lives on a common-denominator grid, lo = a/D and hi = b/D,
     and each midpoint is (a + b)/2D, so every sign comes from the integer
     `_scaled_value` and the endpoints are the same rationals as a bisection
-    in `Fraction`s would give.
+    in `Fraction`s would give.  One evaluation per halving; see
+    `refine_isolated_root` for a bracket that isolates one root.
     """
     if p(lo) == 0:
         return RealEnclosure.exact(lo)
@@ -397,6 +398,54 @@ def refine_root(
         else:
             a, b = 2 * a, mid
     return RealEnclosure(Fraction(a, den), Fraction(b, den))
+
+
+def refine_isolated_root(p: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> RealEnclosure:
+    """`refine_root` on a bracket that isolates one root of p, none at an end
+    (lo == hi for an exact root): the same answer in O(log) evaluations.
+
+    With lo = a/den and w = den (hi - lo), bisection ends after the least k
+    halvings with w / (den 2^k) <= tol, on the only cell
+    [a 2^k + j w, a 2^k + (j + 1) w] / (den 2^k) with a sign change.  Integer
+    Newton steps on numerators over den 2^e, e growing to k + 16 and each
+    step kept inside a sign bracket, only guess j; two exact signs certify
+    cell j or a neighbour.  A zero sign (a rational root on the grid, where
+    bisection stops early) or none of them falls back to `refine_root`.
+    """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    if lo == hi:
+        return RealEnclosure.exact(lo)
+    coeffs, deriv = p.coeffs, p.derivative().coeffs
+    den = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    w = hi.numerator * (den // hi.denominator) - a
+    k = (-(-w * tol.denominator // (tol.numerator * den)) - 1).bit_length()
+    e, top = min(k + 16, 48), k + 16
+    low, high = a << e, (a + w) << e
+    left = _scaled_value(coeffs, a, den) > 0
+    x = (low + high) >> 1
+    for _ in range(96):
+        value = _scaled_value(coeffs, x, den << e)
+        if not value:
+            break
+        low, high = (x, high) if (value > 0) == left else (low, x)
+        step = value // (_scaled_value(deriv, x, den << e) or 1)  # p / p', or p if p' = 0
+        x -= step
+        if abs(step) <= 1 << e // 2:
+            if e == top:
+                break
+            shift = min(2 * e - 16, top) - e
+            x, low, high, e = x << shift, low << shift, high << shift, e + shift
+        elif not low < x < high:
+            x = (low + high) >> 1
+    start, grid = a << k, den << k
+    j = ((x << top - e) - (start << 16)) // (w << 16)
+    for i in (j, j - 1, j + 1):
+        ends = [_scaled_value(coeffs, start + n * w, grid) for n in (i, i + 1)]
+        if 0 <= i < 1 << k and ends[0] * ends[1] < 0:
+            return RealEnclosure(Fraction(start + i * w, grid), Fraction(start + (i + 1) * w, grid))
+    return refine_root(p, lo, hi, tol)
 
 
 # -- gcd / squarefree structure ------------------------------------------------
@@ -472,32 +521,25 @@ def dominant_root(p: IntPoly, tol: Fraction) -> RealEnclosure:
     """Certified enclosure of the largest real root of p, which must exceed 1.
 
     Isolation runs on the squarefree part (so the bracketing sign change is
-    guaranteed even at roots of even multiplicity in p); the enclosure is
-    valid for p itself since the roots coincide.  Fails loudly when no root
-    greater than 1 exists.
+    guaranteed even at roots of even multiplicity in p), two exact signs
+    certify the refined cell, and the enclosure is valid for p itself since
+    the roots coincide.  Fails loudly when no root greater than 1 exists.
     """
     if p.degree < 1:
         raise CertificationError("dominant root of a constant polynomial")
     # roots exactly at 1 are not "greater than 1"; remove before isolating
-    return dominant_squarefree_root(strip_rational_root(squarefree_part(p), 1)[1], tol)
+    reduced = strip_rational_root(squarefree_part(p), 1)[1]
+    return refine_isolated_root(reduced, *dominant_bracket(reduced), tol)
 
 
-def dominant_squarefree_root(reduced: IntPoly, tol: Fraction) -> RealEnclosure:
-    """`dominant_root` of a squarefree polynomial without the root 1."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if reduced.degree < 1:
-        raise CertificationError("no real root greater than 1")
-    bound = cauchy_root_bound(reduced)
-    if bound <= 1:
-        raise CertificationError("no real root greater than 1")
-    brackets = isolate_real_roots(reduced, Fraction(1), bound)
+def dominant_bracket(reduced: IntPoly) -> tuple[Fraction, Fraction]:
+    """The isolating bracket of the largest real root, which must exceed 1, of
+    a squarefree polynomial without the root 1."""
+    bound = cauchy_root_bound(reduced) if reduced.degree >= 1 else 1
+    brackets = isolate_real_roots(reduced, Fraction(1), bound) if bound > 1 else []
     if not brackets:
         raise CertificationError("no real root greater than 1")
-    lo, hi = brackets[-1]
-    if lo == hi:
-        return RealEnclosure.exact(lo)
-    return refine_root(reduced, lo, hi, tol)
+    return brackets[-1]
 
 
 # -- cyclotomic scan -----------------------------------------------------------

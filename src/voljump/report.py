@@ -23,6 +23,7 @@ from .spectral import (
     CharpolyFacts,
     EigenSystem,
     OrientationReport,
+    _grid_bits,
     _matches_reference,
     eigensystem,
     select_orientation,
@@ -169,9 +170,11 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         "sum g_i K_i a_i = 0 mod s",
     )
 
+    scale = 1 << _grid_bits(lam)  # the witness endpoints are numerators over it
+    witness = [(int(c.lo * scale), int(c.hi * scale)) for c in eigen.nef_witness.coeffs[1:]]
     record(
         "witness coefficients match the reference decimals",
-        _matches_reference(eigen.nef_witness)[0],
+        _matches_reference(witness, lam)[0],
         f"all within {float(WITNESS_TOLERANCE)}",
     )
 
@@ -324,10 +327,3 @@ def render_report_json(run: VerificationRun) -> str:
 
     return json.dumps(build_report(run), indent=2, sort_keys=True) + "\n"
 
-
-def load_schema() -> dict:
-    import json
-    from importlib import resources
-
-    text = resources.files("voljump.schemas").joinpath("report-v1.json").read_text()
-    return json.loads(text)

@@ -2,10 +2,13 @@
 
 Pipeline: one integer pass (`faddeev_leverrier`) gives the characteristic
 polynomial p and the column a(x) = adj(xI - T) e_0 of integer polynomials
--> the factorization p = (x - 1)^k s with s(1) != 0, certified once per
-polynomial: gcd(s, s') = 1 proves s squarefree, and the dominant eigenvalue
-lambda is isolated and refined on s itself (`_dominant_spectrum`) -> the
-eigen-relation (xI - T) a = p e_0 as polynomials -> the normalized dominant
+-> the factorization p = (x - 1)^k s with s(1) != 0: gcd(s, s') = 1 proves
+s squarefree, and the dominant eigenvalue lambda is isolated on s itself
+(`_dominant_spectrum`) -> the eigen-relation (xI - T) a = p e_0 as
+polynomials.  None of that depends on the precision, so `_exact_core`
+computes it once per matrix per run.  Per precision, lambda is refined on
+its isolating bracket (`refine_isolated_root`: integer Newton steps only
+guess the cell, two exact signs certify it) -> the normalized dominant
 eigenvector a(lambda) / a_0(lambda) -> the nef witness as integer
 polynomials of the column: with B = -(a_0 + a_1 + a_2 + a_3),
 D = 2 a_0 - B and N_i = -2 a_i - B l_i (l_i = 1 on the line indices 1..3),
@@ -18,11 +21,8 @@ onto a dyadic grid by integer floor and ceiling division
 eigenvector, the square-sum identity of the witness) are decided on the
 polynomials themselves.  Also hosts the factor data of p (`CharpolyFacts`,
 whose unit-circle count is k roots at 1 plus the count of s) and the
-orientation oracle over the 14 readings of the composite's notation.  They
-form 2 conjugacy classes, with conjugators from the construction: a @ b =
-b^-1 (b @ a) b; cremona(8, 9, 10) is cremona(1, 2, 3) conjugated by
-exceptional_shift(7); the reversal E_i -> E_(11-i) swaps the Cremona slot sets
-and turns shift(k) into shift(-k).  So `_spectral_core` runs once per class.
+orientation oracle over the 14 readings of the composite's notation, which
+runs `_spectral_core` once per conjugacy class (`select_orientation`).
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ from .polynomials import (
     UnitCircleCount,
     combine,
     cyclotomic_factors,
-    dominant_squarefree_root,
+    dominant_bracket,
     faddeev_leverrier,
     poly_gcd,
+    refine_isolated_root,
     squarefree_circle_count,
     strip_rational_root,
 )
@@ -64,11 +65,10 @@ def _times_unit_roots(s: IntPoly, degree: int) -> IntPoly:
     return s
 
 
-def _dominant_spectrum(p: IntPoly, tol: Fraction) -> tuple[RealEnclosure, IntPoly]:
-    """The certified dominant root lambda > 1 of p (width <= tol) and the
-    factor s of p = (x - 1)^k s, s(1) != 0: s is squarefree by
-    gcd(s, s') = 1, and lambda is isolated and refined on s itself, so it is
-    a simple root of p."""
+def _dominant_spectrum(p: IntPoly) -> tuple[IntPoly, tuple[Fraction, Fraction]]:
+    """The factor s of p = (x - 1)^k s, s(1) != 0, and the isolating bracket
+    of its largest root lambda > 1: s is squarefree by gcd(s, s') = 1, and
+    lambda is isolated on s itself, so it is a simple root of p."""
     _, s = strip_rational_root(p, 1)
     if s.degree < 1:
         raise CertificationError("polynomial has no factor beyond powers of (x - 1)")
@@ -76,12 +76,7 @@ def _dominant_spectrum(p: IntPoly, tol: Fraction) -> tuple[RealEnclosure, IntPol
         raise CertificationError(
             "repeated roots beyond (x - 1): the dominant eigenvalue is not certified simple"
         )
-    lam = dominant_squarefree_root(s, tol)
-    if not lam.lo > 1:
-        raise CertificationError(
-            "eigenvalue enclosure must lie strictly above 1 (dominant, not unit root)"
-        )
-    return lam, s
+    return s, dominant_bracket(s)
 
 
 def _column_values(column: Sequence[IntPoly], lam: RealEnclosure) -> list[tuple[int, int]]:
@@ -92,7 +87,7 @@ def _column_values(column: Sequence[IntPoly], lam: RealEnclosure) -> list[tuple[
     With lambda.lo = A/D and lambda.hi = B/D, each term c_k lambda^k lies
     between c_k A^k/D^k and c_k B^k/D^k; the lower bound takes A^k for c_k > 0
     and B^k for c_k < 0.  That needs lambda.lo > 0, which the callers
-    certify (lambda.lo > 1) in `_dominant_spectrum`.
+    certify (lambda.lo > 1) in `_spectral_core`.
     """
     if not lam.lo > 0:
         raise CertificationError("eigenvector evaluation needs a positive eigenvalue enclosure")
@@ -155,21 +150,10 @@ def _wider_than(quotients: Sequence[tuple[int, int]], bits: int, tol: Fraction) 
     return widest * tol.denominator > tol.numerator << bits
 
 
-def _eigenvector_quotients(
-    m: LatticeIsometry, column: Sequence[IntPoly], off_unit: IntPoly, lam: RealEnclosure, tol: Fraction
-) -> list[tuple[int, int]]:
-    """Numerators over 2^bits (`_grid_bits`) of a_i(lambda) / a_0(lambda),
-    i >= 1, for the adjugate column a of xI - m.
-
-    Since (xI - m) adj(xI - m) = p I, the column satisfies (xI - m) a = p e_0,
-    checked as polynomials with p = (x - 1)^k s (`_dominant_spectrum`
-    strips s from p): more than every row vanishing mod s, and without a
-    division.  lambda must be a certified root of s, so a(lambda) is an
-    eigenvector, and a_0(lambda) != 0 is certified by its enclosure.  Each
-    a_i(lambda) is enclosed once in integers (`_column_values`) and each
-    quotient goes straight onto the grid by floor and ceiling division; its
-    width is compared there too.
-    """
+def _eigen_relation(m: LatticeIsometry, column: Sequence[IntPoly], off_unit: IntPoly) -> None:
+    """Certify (xI - m) a = p e_0 for the adjugate column a of xI - m, which
+    (xI - m) adj(xI - m) = p I gives, as polynomials with p = (x - 1)^k s:
+    more than every row vanishing mod s, and without a division."""
     p = _times_unit_roots(off_unit, len(m.rows))
     width = 1 + max(len(a.coeffs) for a in column)
     padded = [list(a.coeffs) + [0] * (width - len(a.coeffs)) for a in column]
@@ -181,17 +165,6 @@ def _eigenvector_quotients(
                 residual = [r - c * y for r, y in zip(residual, padded[j])]
         if any(residual) if i else residual != expected:
             raise CertificationError(f"eigen-relation row {i} of (xI - T) a = p e_0 fails")
-    values = _column_values(column, lam)
-    w_lo, w_hi = values[0]
-    if w_lo <= 0 <= w_hi:
-        raise PrecisionBudgetError("a_0(lambda) not certified nonzero; refine the eigenvalue")
-    bits = _grid_bits(lam)
-    quotients = [_quotient_on_grid(v, values[0], bits) for v in values[1:]]
-    if _wider_than(quotients, bits, tol):
-        raise PrecisionBudgetError(
-            "eigenvector enclosure wider than requested; refine the eigenvalue"
-        )
-    return quotients
 
 
 def _witness_polynomials(column: Sequence[IntPoly]) -> tuple[IntPoly, ...]:
@@ -289,16 +262,44 @@ class EigenSystem(NamedTuple):
         return _grid_enclosure(v, w, _grid_bits(self.dominant_value))
 
 
-def _spectral_core(m: LatticeIsometry, tol: Fraction) -> tuple:
-    """(p, a, s, lambda, eigenvector) of m; a conjugate Q m Q^T permutes a and the eigenvector."""
+@lru_cache(maxsize=4)
+def _exact_core(m: LatticeIsometry) -> tuple:
+    """(p, a, s, lambda's isolating bracket) of m, with the eigen-relation: the
+    precision-free half of `_spectral_core`, once per matrix per run."""
     p, column = faddeev_leverrier(m)
-    lam, off_unit = _dominant_spectrum(p, tol / 10**GUARD_DIGITS)
-    vector = _eigenvector_quotients(m, column, off_unit, lam, tol)
-    return p, column, off_unit, lam, _grid_class(vector, _grid_bits(lam))
+    off_unit, bracket = _dominant_spectrum(p)
+    _eigen_relation(m, column, off_unit)
+    return p, column, off_unit, bracket
+
+
+def _spectral_core(m: LatticeIsometry, tol: Fraction) -> tuple:
+    """(p, a, s, lambda, eigenvector) of m; a conjugate Q m Q^T permutes a and the eigenvector.
+
+    a_0(lambda) != 0 is certified by its enclosure; each a_i(lambda) / a_0(lambda)
+    goes onto the grid by floor and ceiling division, its width compared there.
+    """
+    p, column, off_unit, bracket = _exact_core(m)
+    lam = refine_isolated_root(off_unit, *bracket, tol / 10**GUARD_DIGITS)
+    if not lam.lo > 1:
+        raise CertificationError(
+            "eigenvalue enclosure must lie strictly above 1 (dominant, not unit root)"
+        )
+    values = _column_values(column, lam)
+    if values[0][0] <= 0 <= values[0][1]:
+        raise PrecisionBudgetError("a_0(lambda) not certified nonzero; refine the eigenvalue")
+    bits = _grid_bits(lam)
+    vector = [_quotient_on_grid(v, values[0], bits) for v in values[1:]]
+    if _wider_than(vector, bits, tol):
+        raise PrecisionBudgetError(
+            "eigenvector enclosure wider than requested; refine the eigenvalue"
+        )
+    return p, column, off_unit, lam, _grid_class(vector, bits)
 
 
 def _witness_stage(column: Sequence[IntPoly], lam: RealEnclosure, tol: Fraction) -> tuple:
-    """(witness polynomials, their values, beta, nef witness) of the column a."""
+    """(witness polynomials, their values, beta, numerators over 2^bits
+    (`_grid_bits`) of the E_i coefficients -t_i of the nef witness) of the
+    column a."""
     polys, values = _witness(column, lam)
     bits = _grid_bits(lam)
     component = beta(values[0], values[1], bits)
@@ -306,7 +307,7 @@ def _witness_stage(column: Sequence[IntPoly], lam: RealEnclosure, tol: Fraction)
     witness = [(-hi, -lo) for lo, hi in (_quotient_on_grid(n, values[0], bits) for n in values[2:])]
     if _wider_than(witness, bits, tol * 10**6):
         raise PrecisionBudgetError("nef witness enclosure wider than requested")
-    return polys, values, component, _grid_class(witness, bits)
+    return polys, values, component, witness
 
 
 @lru_cache(maxsize=8)
@@ -316,7 +317,8 @@ def eigensystem(digits: int = 60) -> EigenSystem:
         raise ValueError("digits must be positive")
     m, tol = composite_T(), Fraction(1, 10**digits)
     core = _spectral_core(m, tol)
-    return EigenSystem(digits, m, *core, *_witness_stage(core[1], core[3], tol))
+    *witness_data, witness = _witness_stage(core[1], core[3], tol)
+    return EigenSystem(digits, m, *core, *witness_data, _grid_class(witness, _grid_bits(core[3])))
 
 
 class CharpolyFacts(NamedTuple):
@@ -372,16 +374,26 @@ class OrientationReport(NamedTuple):
     assessments: tuple[CandidateAssessment, ...]
 
 
-def _matches_reference(witness: ClassEnclosure) -> tuple[bool, str]:
+def _matches_reference(witness: Sequence[tuple[int, int]], lam: RealEnclosure) -> tuple[bool, str]:
+    """Whether each t_i is within `WITNESS_TOLERANCE` of `WITNESS_COEFFS[i]`,
+    from numerators (lo, hi) of -t_i over 2^bits (`_witness_stage`):
+    max(ref - t_i.lo, t_i.hi - ref) = max(ref + hi, -lo - ref), all over
+    D 2^bits with D the references' common denominator."""
     from .reference import WITNESS_COEFFS, WITNESS_TOLERANCE
 
-    worst = Fraction(0)
-    for enc, ref in zip(witness.multipliers(), WITNESS_COEFFS):
-        deviation = max(abs(enc.lo - ref), abs(enc.hi - ref))
-        worst = max(worst, deviation)
-        if not (enc.lo >= ref - WITNESS_TOLERANCE and enc.hi <= ref + WITNESS_TOLERANCE):
+    bits = _grid_bits(lam)
+    scale = lcm(WITNESS_TOLERANCE.denominator, *(r.denominator for r in WITNESS_COEFFS))
+    bound, *references = (
+        x.numerator * (scale // x.denominator) << bits for x in (WITNESS_TOLERANCE, *WITNESS_COEFFS)
+    )
+    worst = 0
+    for (lo, hi), ref in zip(witness, references):
+        deviation = max(ref + hi * scale, -lo * scale - ref)
+        if deviation > bound:
+            deviation = Fraction(deviation, scale << bits)
             return False, f"coefficient off reference by up to {float(deviation):.4f}"
-    return True, f"all coefficients within {float(worst):.2e} of reference"
+        worst = max(worst, deviation)
+    return True, f"all coefficients within {float(Fraction(worst, scale << bits)):.2e} of reference"
 
 
 def select_orientation(digits: int = 12) -> OrientationReport:
@@ -401,7 +413,7 @@ def select_orientation(digits: int = 12) -> OrientationReport:
     candidates = candidate_composites()
     readings = {n: m for key, m in candidates.items() for n in key.split(" = ")}
     conjugators = candidate_conjugators()
-    cores: dict[str, tuple | str] = {}
+    cores: dict[str, tuple] = {}
     assessments: list[CandidateAssessment] = []
     for name, matrix in sorted(candidates.items()):
         rep, q = conjugators[name.split(" = ")[0]]
@@ -410,21 +422,15 @@ def select_orientation(digits: int = 12) -> OrientationReport:
             matrix.rows[q[i]][q[j]] != x for i, r in enumerate(base.rows) for j, x in enumerate(r)
         ):
             raise CertificationError(f"conjugator of {name} does not carry {rep} to it")
-        if rep not in cores:
-            try:
+        try:
+            if rep not in cores:
                 cores[rep] = _spectral_core(base, tol)
-            except VerificationError as err:
-                cores[rep] = f"no certified data: {err}"
-        core = cores[rep]
-        if isinstance(core, str):
-            assessments.append(CandidateAssessment(name, False, core))
-            continue
-        try:  # the column a'[q(i)] = a[i] of M'
+            core = cores[rep]  # the column a'[q(i)] = a[i] of M' gives its witness
             witness = _witness_stage([a for _, a in sorted(zip(q, core[1]))], core[3], tol)[3]
         except VerificationError as err:
             assessments.append(CandidateAssessment(name, False, f"no certified data: {err}"))
             continue
-        assessments.append(CandidateAssessment(name, *_matches_reference(witness)))
+        assessments.append(CandidateAssessment(name, *_matches_reference(witness, core[3])))
     matching = [a.name for a in assessments if a.matches]
     if len(matching) != 1:
         raise CertificationError(

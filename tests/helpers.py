@@ -1,12 +1,24 @@
 """References shared by several test modules."""
 
 import itertools
+import json
 from fractions import Fraction
+from importlib import resources
 from math import isqrt
 
 from voljump.intervals import RealEnclosure
-from voljump.nefcheck import CandidateCurve
+from voljump.nefcheck import CandidateCurve, _feasible
 from voljump.reference import WEIGHT_ORDER
+
+
+def load_schema() -> dict:
+    """The packaged JSON schema of the report."""
+    return json.loads(resources.files("voljump.schemas").joinpath("report-v1.json").read_text())
+
+
+def is_feasible(c: CandidateCurve) -> bool:
+    """Adjunction and canonical-degree constraints on the curve class c."""
+    return _feasible(c.degree, sum(c.mults), sum(a * a for a in c.mults))
 
 
 def outward(enc: RealEnclosure, bits: int) -> RealEnclosure:

@@ -12,8 +12,9 @@ from voljump import polynomials, spectral, transform
 from voljump.cli import main
 from voljump.polynomials import poly_gcd
 from voljump.reference import TABLE_ROWS, TABLE_TOLERANCE
-from voljump.report import load_schema
 from voljump.transform import composite_T
+
+from helpers import load_schema
 
 
 def run_cli(capsys, *argv):
@@ -194,10 +195,13 @@ def test_verify_passes(capsys):
 
 def test_verify_computes_each_squarefree_part_once(monkeypatch, capsys):
     # from cold caches, as in a fresh process: gcd(s, s') of the off-unit
-    # factor s once for each of the oracle's two distinct char polys and once
-    # for eigensystem(60), then the mirror gcd(s, reverse s) of the unit-circle
+    # factor s once for each of the oracle's two distinct char polys
+    # (eigensystem(60) reuses the exact core of the composite, the shift+3
+    # representative), then the mirror gcd(s, reverse s) of the unit-circle
     # count; no Yun decomposition runs
-    for cached in (spectral.eigensystem, transform.composite_T, polynomials.cyclotomic):
+    for cached in (
+        spectral._exact_core, spectral.eigensystem, transform.composite_T, polynomials.cyclotomic
+    ):
         cached.cache_clear()
     calls = []
 
@@ -213,7 +217,7 @@ def test_verify_computes_each_squarefree_part_once(monkeypatch, capsys):
     monkeypatch.setattr(polynomials, "squarefree_decomposition", forbidden)
     code, _, _ = run_cli(capsys, "verify")
     assert code == 0
-    assert calls == [(10, 9)] * 3 + [(10, 10)]
+    assert calls == [(10, 9)] * 2 + [(10, 10)]
 
 
 def test_report_is_deterministic_and_valid(tmp_path, capsys):

@@ -50,7 +50,7 @@ def test_containment_and_sign_queries():
     assert a.is_positive() and not a.contains_zero()
     assert a.contains(Fraction(2, 5))
     assert enc(-1, 1).contains_zero()
-    assert enc(-2, -1).is_negative() and not enc(-1, 1).is_negative()
+    assert enc(-2, -1).hi < 0 and not enc(-1, 1).hi < 0
 
 
 def test_outward_rounding_contains_and_is_dyadic():

@@ -8,22 +8,26 @@ from math import gcd, lcm
 
 import pytest
 
+from voljump import polynomials
 from voljump.errors import CertificationError, VerificationError
 from voljump.intervals import RealEnclosure
 from voljump.polynomials import (
     IntPoly,
     _cauchy_index,
     _descartes_bound,
+    cauchy_root_bound,
+    dominant_bracket,
     faddeev_leverrier,
     isolate_real_roots,
     poly_gcd,
+    refine_isolated_root,
     refine_root,
     strip_rational_root,
 )
 from voljump.spectral import (
     GUARD_DIGITS,
     _column_values,
-    _dominant_spectrum,
+    _exact_core,
     _quotient_on_grid,
     _spectral_core,
 )
@@ -149,6 +153,93 @@ def test_refine_root_rejects_bracket_without_sign_change():
         refine_root(IntPoly([-2, 0, 1]), Fraction(2), Fraction(3), Fraction(1, 100))
     with pytest.raises(CertificationError, match="no sign change"):
         refine_root(IntPoly([-2, 0, 1]), Fraction(-3, 2), Fraction(3, 2), Fraction(1, 100))
+
+
+# -- refinement of an isolating bracket ----------------------------------------
+
+
+def counting(monkeypatch, name):
+    """Wrap `polynomials.<name>` so that its calls are counted."""
+    calls = []
+    original = getattr(polynomials, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(polynomials, name, counted)
+    return calls
+
+
+def off_unit_factors():
+    """s of p = (x - 1)^k s for both distinct char polys of the oracle's readings."""
+    polys = {faddeev_leverrier(m)[0] for m in candidate_composites().values()}
+    assert len(polys) == 2
+    return [strip_rational_root(p, 1)[1] for p in sorted(polys, key=lambda p: p.coeffs)]
+
+
+def test_refine_isolated_root_matches_fraction_bisection():
+    # isolating brackets of random squarefree polynomials; rational roots among
+    # them take the bisection fallback
+    rng = random.Random(SEED + 7)
+    checked = 0
+    while checked < 60:
+        p = random_poly(rng, rng.randint(1, 9))
+        if poly_gcd(p, p.derivative()).degree > 0:
+            continue
+        bound = cauchy_root_bound(p)
+        for lo, hi in isolate_real_roots(p, -bound, bound):
+            tol = Fraction(1, rng.choice([10, 3**7, 10**12, 2**40 * 7, 10**40]))
+            enc = refine_isolated_root(p, lo, hi, tol)
+            assert (enc.lo, enc.hi) == (fraction_bisection(p, lo, hi, tol) if lo < hi else (lo, lo))
+            checked += 1
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        refine_isolated_root(IntPoly([-2, 0, 1]), Fraction(1), Fraction(2), Fraction(0))
+
+
+@pytest.mark.parametrize("digits", [12, 36, 84, 424])
+def test_refine_isolated_root_of_the_spectrum(monkeypatch, digits):
+    # lambda of both conjugacy classes, by Newton and two signs, no fallback;
+    # at 424 digits the integer bisection stands in for the Fraction one,
+    # which takes 0.7 s per polynomial there
+    fallbacks = counting(monkeypatch, "refine_root")
+    tol = Fraction(1, 10**digits)
+    for s in off_unit_factors():
+        lo, hi = dominant_bracket(s)
+        enc = refine_isolated_root(s, lo, hi, tol)
+        bisected = refine_root(s, lo, hi, tol)
+        assert (enc.lo, enc.hi) == (bisected.lo, bisected.hi)
+        if digits < 424:
+            assert (enc.lo, enc.hi) == fraction_bisection(s, lo, hi, tol)
+        assert enc.lo > 1 and enc.width <= tol
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize(
+    "p, lo, hi, root",
+    [
+        # the first midpoint of (5, 7) is the root 6 of (x - 4)(x - 6)
+        (IntPoly([-4, 1]) * IntPoly([-6, 1]), Fraction(5), Fraction(7), Fraction(6)),
+        # the third midpoint of (0, 1)
+        (IntPoly([-3, 8]) * IntPoly([1, 0, 1]), Fraction(0), Fraction(1), Fraction(3, 8)),
+        # a point of the last grid only: tol = 2^-10 stops after 10 halvings
+        (IntPoly([-1, 1024]), Fraction(0), Fraction(1), Fraction(1, 1024)),
+    ],
+)
+def test_refine_isolated_root_falls_back_on_a_grid_root(monkeypatch, p, lo, hi, root):
+    fallbacks = counting(monkeypatch, "refine_root")
+    enc = refine_isolated_root(p, lo, hi, Fraction(1, 1024))
+    assert (enc.lo, enc.hi) == (root, root) == fraction_bisection(p, lo, hi, Fraction(1, 1024))
+    assert len(fallbacks) == 1
+
+
+def test_refine_isolated_root_evaluation_count(monkeypatch):
+    # bisection takes one exact evaluation per halving: 286 at 84 digits
+    s = strip_rational_root(faddeev_leverrier(composite_T())[0], 1)[1]
+    lo, hi = dominant_bracket(s)
+    evaluations = counting(monkeypatch, "_scaled_value")
+    refine_isolated_root(s, lo, hi, Fraction(1, 10**84))
+    assert 0 < len(evaluations) < 40
 
 
 # -- exact division ------------------------------------------------------------
@@ -511,11 +602,12 @@ def test_eigenvector_equals_interval_route(digits):
     tol = Fraction(1, 10**digits)
     checked = 0
     for m in matrices:
-        p, column = faddeev_leverrier(m)
+        _, column = faddeev_leverrier(m)
         try:
-            lam, _ = _dominant_spectrum(p, tol / 10**GUARD_DIGITS)
+            _, _, s, bracket = _exact_core(m)
         except VerificationError:
             continue
+        lam = refine_isolated_root(s, *bracket, tol / 10**GUARD_DIGITS)
         values, quotients = interval_route(column, lam, tol)
         assert column_enclosures(column, lam) == values
         assert list(_spectral_core(m, tol)[4].coeffs[1:]) == quotients

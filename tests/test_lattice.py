@@ -7,7 +7,6 @@ from voljump.lattice import (
     DivisorClass,
     canonical_class,
     exceptional,
-    gram_matrix,
     hyperplane,
     line_through,
     pair,
@@ -101,7 +100,8 @@ def test_linear_combination_rejects_mismatch():
 
 
 def test_gram_matrix_signature():
-    g = gram_matrix()
+    basis = [hyperplane()] + [exceptional(i) for i in range(1, 11)]
+    g = [[pair(a, b) for b in basis] for a in basis]
     diag = [g[i][i] for i in range(11)]
     assert diag.count(1) == 1 and diag.count(-1) == 10
     assert all(g[i][j] == 0 for i in range(11) for j in range(11) if i != j)

@@ -32,6 +32,7 @@ from helpers import (
     canonical_candidates,
     degree_two_candidates,
     is_canonical,
+    is_feasible,
     margin_numerator,
 )
 
@@ -170,7 +171,7 @@ def test_enumeration_counts(degree, count):
     assert len(candidates) == brute_force_canonical_count(degree)
     assert len({c.mults for c in candidates}) == count
     for c in candidates:
-        assert c.is_feasible() and is_canonical(c)
+        assert is_feasible(c) and is_canonical(c)
 
 
 def test_enumeration_membership_examples():
@@ -206,7 +207,7 @@ def test_uncanonical_enumeration_covers_orderings(eigen):
         CandidateCurve(3, perm) for c in canonical for perm in _distinct_permutations(c.mults)
     ]
     assert len(expanded) == len({c.mults for c in expanded})
-    assert all(c.is_feasible() for c in expanded)
+    assert all(is_feasible(c) for c in expanded)
     assert {tuple(sorted(c.mults, reverse=True)) for c in expanded} == {
         tuple(sorted(c.mults, reverse=True)) for c in canonical
     }
@@ -245,9 +246,9 @@ def test_extreme_membership_examples():
     nine_ones = (1, 1, 1, 1, 1, 1, 1, 1, 1, 0)
     assert nine_ones in {c.mults for c in extreme_candidates(3)}
     bumped = bump_minimum_weight(CandidateCurve(3, nine_ones))
-    assert not bumped.is_feasible()  # multiplicity sum 10 > 9
+    assert not is_feasible(bumped)  # multiplicity sum 10 > 9
     zero = CandidateCurve(3, (0,) * 10)
-    assert bump_minimum_weight(zero).is_feasible()  # never extreme
+    assert is_feasible(bump_minimum_weight(zero))  # never extreme
 
 
 # -- minima ------------------------------------------------------------------------
@@ -290,11 +291,11 @@ def test_generic_low_degree_candidates_fail_without_geometry(eigen):
     degrees 1 and 2 get the geometric case split.
     """
     line_through_heavy = CandidateCurve(1, (1, 0, 0, 1, 1, 0, 0, 0, 0, 0))
-    assert line_through_heavy.is_feasible()
-    assert margin(line_through_heavy, eigen.nef_witness).is_negative()
+    assert is_feasible(line_through_heavy)
+    assert margin(line_through_heavy, eigen.nef_witness).hi < 0
     conic_through_six = CandidateCurve(2, (1, 1, 0, 1, 1, 1, 1, 0, 0, 0))
-    assert conic_through_six.is_feasible()
-    assert margin(conic_through_six, eigen.nef_witness).is_negative()
+    assert is_feasible(conic_through_six)
+    assert margin(conic_through_six, eigen.nef_witness).hi < 0
 
 
 # -- cutoff and bigness ---------------------------------------------------------------
@@ -323,7 +324,7 @@ def test_cutoff_of_composite(eigen, nef):
     # one degree below the cutoff genuinely fails the bound
     assert cutoff_margin(
         eigen.nef_witness, eigen.line_component, cutoff - 1
-    ).is_negative()
+    ).hi < 0
 
 
 def test_bigness_certificates(eigen):
@@ -399,7 +400,7 @@ def test_margin_numerators_match_interval_margins(eigen):
             assert numerator[0] <= 0 <= numerator[1] and expected.contains_zero()
         else:
             assert (numerator[0] > 0) == expected.is_positive()
-            assert (numerator[1] < 0) == expected.is_negative()
+            assert (numerator[1] < 0) == (expected.hi < 0)
 
 
 def test_report_rows_come_from_the_numerators(eigen, nef):
@@ -482,7 +483,7 @@ def test_canonical_walk_matches_the_per_candidate_reference(eigen, degree):
     assert [leaf[0] for leaf in leaves] == [c.mults for c in reference]
     for (_, lo, hi, extreme), c in zip(leaves, reference):
         assert (lo, hi) == margin_numerator(c, d, n)
-        assert extreme == (not bump_minimum_weight(c).is_feasible())
+        assert extreme == (not is_feasible(bump_minimum_weight(c)))
     # the public enumeration reads the same walk
     assert enumerate_feasible(degree) == reference
     assert extreme_candidates(degree) == [
@@ -514,10 +515,10 @@ def test_walk_finds_a10_through_the_weight_order(monkeypatch):
     last_differs = False
     for mults, _, _, extreme in leaves:
         assert mults[9] == max(mults)
-        assert extreme == (not bump_minimum_weight(CandidateCurve(4, mults)).is_feasible())
+        assert extreme == (not is_feasible(bump_minimum_weight(CandidateCurve(4, mults))))
         # bumping the last weight position (a_9 here) would give another flag
         bumped = mults[:8] + (mults[8] + 1, mults[9])
-        last_differs |= extreme != (not CandidateCurve(4, bumped).is_feasible())
+        last_differs |= extreme != (not is_feasible(CandidateCurve(4, bumped)))
     assert last_differs
 
 
@@ -539,7 +540,7 @@ def test_enumeration_decides_candidates_the_report_keeps_no_row_for(eigen):
     n = ((1, 1), (5, 5), (5, 5), (5, 5), (2, 18)) + ((5, 5),) * 4 + ((-2, -2),)
     enumerated = [c for degree in range(3, 7) for c in canonical_candidates(degree)]
     assert [c for c in enumerated if margin_numerator(c, d, n)[0] <= 0] == [target]
-    assert bump_minimum_weight(target).is_feasible()
+    assert is_feasible(bump_minimum_weight(target))
     assert all(margin_numerator(c, d, n)[0] > 0 for c in degree_two_candidates())
     report = full_report(eigen._replace(witness_values=(d, eigen.witness_values[1]) + n))
     assert target not in {r.candidate for r in kept_rows(report)}

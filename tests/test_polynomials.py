@@ -17,10 +17,11 @@ from voljump.polynomials import (
     count_roots_outside_unit_circle,
     cyclotomic,
     cyclotomic_factors,
+    dominant_bracket,
     dominant_root,
-    dominant_squarefree_root,
     isolate_real_roots,
     poly_gcd,
+    refine_isolated_root,
     squarefree_circle_count,
     squarefree_decomposition,
     squarefree_part,
@@ -142,7 +143,7 @@ def test_dominant_root_past_a_rational_midpoint_root():
     # must not end on it, or the refinement returns 4
     p = x_minus(4) * x_minus(6)
     tol = Fraction(1, 10**20)
-    for enclosure in (dominant_root(p, tol), dominant_squarefree_root(p, tol)):
+    for enclosure in (dominant_root(p, tol), refine_isolated_root(p, *dominant_bracket(p), tol)):
         assert enclosure.contains(6) and not enclosure.contains(4)
         assert enclosure.width <= tol
     assert all(p(end) != 0 for a, b in isolate_real_roots(p, Fraction(1), Fraction(25))

@@ -17,11 +17,12 @@ from voljump.polynomials import IntPoly
 from voljump.report import (
     _orbit_evidence,
     build_report,
-    load_schema,
     render_report_json,
     run_verification,
 )
 from voljump.spectral import CharpolyFacts
+
+from helpers import load_schema
 
 
 @pytest.fixture(scope="module")

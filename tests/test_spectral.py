@@ -3,15 +3,23 @@ from fractions import Fraction
 import pytest
 
 from voljump import spectral
+from voljump.config import RunConfig
 from voljump.errors import CertificationError, PrecisionBudgetError
 from voljump.intervals import RealEnclosure
 from voljump.lattice import GRAM_DIAGONAL, canonical_class
-from voljump.polynomials import IntPoly, combine, faddeev_leverrier, strip_rational_root
+from voljump.polynomials import (
+    IntPoly,
+    combine,
+    faddeev_leverrier,
+    refine_isolated_root,
+    strip_rational_root,
+)
 from voljump.reference import WEIGHT_ORDER, WITNESS_COEFFS, WITNESS_TOLERANCE
+from voljump.report import run_verification
 from voljump.spectral import (
     _column_values,
     _dominant_spectrum,
-    _eigenvector_quotients,
+    _eigen_relation,
     _witness,
     beta,
     line_pairing_identity_certified,
@@ -21,6 +29,7 @@ from voljump.transform import (
     LatticeIsometry,
     candidate_composites,
     candidate_conjugators,
+    composite_T,
     cremona_isometry,
     exceptional_shift,
 )
@@ -180,9 +189,7 @@ def test_eigenvector_rejects_corrupted_column(eigen):
     column = list(eigen.adjugate_column)
     column[4] = IntPoly((column[4].coeffs[0] + 1,) + column[4].coeffs[1:])
     with pytest.raises(CertificationError, match="eigen-relation row"):
-        _eigenvector_quotients(
-            eigen.transform, column, eigen.off_unit_factor, eigen.dominant_value, Fraction(1)
-        )
+        _eigen_relation(eigen.transform, column, eigen.off_unit_factor)
 
 
 def test_eigenvector_rejects_corrupted_first_entry(eigen):
@@ -191,9 +198,7 @@ def test_eigenvector_rejects_corrupted_first_entry(eigen):
     column = list(eigen.adjugate_column)
     column[0] = IntPoly((column[0].coeffs[0] + 1,) + column[0].coeffs[1:])
     with pytest.raises(CertificationError, match="eigen-relation row 0 "):
-        _eigenvector_quotients(
-            eigen.transform, column, eigen.off_unit_factor, eigen.dominant_value, Fraction(1)
-        )
+        _eigen_relation(eigen.transform, column, eigen.off_unit_factor)
 
 
 def test_eigenvector_requires_the_exact_adjugate_column(eigen):
@@ -202,9 +207,7 @@ def test_eigenvector_requires_the_exact_adjugate_column(eigen):
     column = list(eigen.adjugate_column)
     column[4] = combine((1, 1), (column[4], eigen.off_unit_factor))
     with pytest.raises(CertificationError, match="eigen-relation row 4 "):
-        _eigenvector_quotients(
-            eigen.transform, column, eigen.off_unit_factor, eigen.dominant_value, Fraction(1)
-        )
+        _eigen_relation(eigen.transform, column, eigen.off_unit_factor)
 
 
 def test_witness_polynomials_are_the_witness(eigen):
@@ -237,7 +240,7 @@ def test_eigenvector_rejects_identity():
     # det(xI - I) = (x - 1)^11 leaves no factor to carry the eigenvalue
     p, _ = faddeev_leverrier(LatticeIsometry.identity())
     with pytest.raises(CertificationError, match="no factor beyond powers of"):
-        _dominant_spectrum(p, Fraction(1, 10**6))
+        _dominant_spectrum(p)
 
 
 def test_spectrum_rejects_repeated_roots_beyond_unit():
@@ -246,9 +249,10 @@ def test_spectrum_rejects_repeated_roots_beyond_unit():
     square = IntPoly([-2, 0, 1])
     p = IntPoly([-1, 1]) * IntPoly([-3, 1]) * square * square
     with pytest.raises(CertificationError, match="repeated roots beyond"):
-        _dominant_spectrum(p, Fraction(1, 10**6))
-    lam, s = _dominant_spectrum(IntPoly([-1, 1]) * IntPoly([-3, 1]) * square, Fraction(1, 10**6))
-    assert lam.contains(3) and s == IntPoly([-3, 1]) * square
+        _dominant_spectrum(p)
+    s, bracket = _dominant_spectrum(IntPoly([-1, 1]) * IntPoly([-3, 1]) * square)
+    assert s == IntPoly([-3, 1]) * square
+    assert refine_isolated_root(s, *bracket, Fraction(1, 10**6)).contains(3)
 
 
 def test_orientation_oracle_selects_fixed_composite():
@@ -288,6 +292,12 @@ def test_conjugators_transfer_the_adjugate_column():
         assert faddeev_leverrier(readings[name]) == (p, tuple(permuted))
 
 
+def clear_spectral_caches():
+    """Cold caches, as in a fresh process."""
+    for cached in (spectral._exact_core, spectral.eigensystem, composite_T):
+        cached.cache_clear()
+
+
 def test_oracle_runs_the_spectral_core_once_per_class(monkeypatch):
     calls = []
 
@@ -296,24 +306,38 @@ def test_oracle_runs_the_spectral_core_once_per_class(monkeypatch):
         return faddeev_leverrier(m)
 
     monkeypatch.setattr(spectral, "faddeev_leverrier", counted)
+    clear_spectral_caches()
     select_orientation()
-    assert calls == [
+    representatives = [
         cremona_isometry(1, 2, 3) @ exceptional_shift(1),
         cremona_isometry(1, 2, 3) @ exceptional_shift(3),
     ]
+    assert calls == representatives
+    # a whole verification run adds no pass: eigensystem(60) reuses the exact
+    # core of its shift+3 representative, the composite itself
+    assert representatives[1] == composite_T()
+    calls.clear()
+    clear_spectral_caches()
+    assert run_verification(RunConfig()).verdict
+    assert calls == representatives
 
 
 def test_core_failure_of_a_representative_reaches_its_class(monkeypatch):
     one_slot = faddeev_leverrier(cremona_isometry(1, 2, 3) @ exceptional_shift(1))[0]
     spectrum = spectral._dominant_spectrum
+    seen = []
 
-    def failing(p, tol):
+    def failing(p):
+        seen.append(p)
         if p == one_slot:
             raise CertificationError("synthetic")
-        return spectrum(p, tol)
+        return spectrum(p)
 
     monkeypatch.setattr(spectral, "_dominant_spectrum", failing)
+    # a cached exact core would bypass the patched spectrum
+    clear_spectral_caches()
     report = select_orientation()
+    assert one_slot in seen
     assert "shift+3" in report.selected
     one_slot_class = [a for a in report.assessments if "shift+1" in a.name or "shift-1" in a.name]
     assert len(one_slot_class) == 8
