@@ -217,7 +217,7 @@ def cmd_enumerate(args, cfg: RunConfig) -> tuple[str, int]:
 
 def cmd_orbit(args, cfg: RunConfig) -> tuple[str, int]:
     from .lattice import DivisorClass, canonical_class, standard_line
-    from .orbit import distinctness, orbit
+    from .orbit import OrbitRecord, distinctness, walk
 
     if args.seed == "custom":
         if args.coeffs is None:
@@ -226,8 +226,9 @@ def cmd_orbit(args, cfg: RunConfig) -> tuple[str, int]:
     else:
         seed = {"lbar": standard_line, "K": canonical_class}[args.seed]()
     count = cfg.orbit_horizon
-    records = list(orbit(seed, count))
-    distinct = distinctness(records)
+    vectors, scale = walk(seed, count)
+    distinct = distinctness(vectors)
+    records = [OrbitRecord.of(n, v, scale) for n, v in enumerate(vectors)]
     if cfg.output_format == "json":
         payload = {
             "seed": seed.to_json_array(),

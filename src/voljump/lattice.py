@@ -66,7 +66,7 @@ class DivisorClass:
     def integral_multiple(self) -> tuple[tuple[int, ...], int]:
         """(D * self as integers, D) for D the lcm of the denominators."""
         scale = lcm(*(c.denominator for c in self.coeffs))
-        return tuple(int(c * scale) for c in self.coeffs), scale
+        return tuple(c.numerator * (scale // c.denominator) for c in self.coeffs), scale
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(a + b for a, b in zip(self.coeffs, other.coeffs))

@@ -178,15 +178,19 @@ def _subset_leaves(
     degree: int, subsets, d_value: tuple[int, int], n_values: Sequence[tuple[int, int]]
 ) -> list[tuple[tuple[int, ...], int, int]]:
     """Leaves (mults, lo, hi) of the classes degree H - sum_{k in s} E_k, one
-    per subset s of 0-based indices, bounds as in `_canonical_walk`."""
-    return [
-        (
-            _indicator(s),
-            degree * d_value[0] - sum(n_values[k][1] for k in s),
-            degree * d_value[1] - sum(n_values[k][0] for k in s),
-        )
-        for s in subsets
-    ]
+    per subset s of 0-based indices, bounds as in `_canonical_walk`: one
+    pass over s sets each multiplicity and lowers both bounds."""
+    d_lo, d_hi = degree * d_value[0], degree * d_value[1]
+    leaves = []
+    for s in subsets:
+        mults, lo, hi = [0] * 10, d_lo, d_hi
+        for k in s:
+            mults[k] = 1
+            n_lo, n_hi = n_values[k]
+            lo -= n_hi
+            hi -= n_lo
+        leaves.append((tuple(mults), lo, hi))
+    return leaves
 
 
 def enumerate_feasible(d: int) -> list[CandidateCurve]:

@@ -2,17 +2,21 @@
 
 Iterating the exact integer matrix keeps every orbit computation exact, so
 distinctness of orbit classes, self-intersections and canonical degrees are
-checked with no tolerance at all.  The walk itself runs on bare integers:
-T is linear, so it steps the integral class D * seed (D the lcm of the
-seed's denominators) and divides by D only when it builds a record.
+checked with no tolerance at all.  The walk runs on bare integers: T is
+linear, so `walk` steps the integral class D * seed (D the lcm of the
+seed's denominators).  Every orbit fact is decided on those vectors, which
+share the scale D: equal classes are equal vectors, max-norms keep their
+order and h_(n+1) / h_n is a ratio of first entries.  An `OrbitRecord`,
+with its `Fraction`s, is built only for output: a printed orbit, or the
+records `orbit` and `iterate` return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .lattice import DivisorClass, canonical_class, pair_integers
+from .lattice import DivisorClass, Rational, canonical_class, pair_integers
 from .transform import LatticeIsometry, apply_integers, composite_T
 
 _CANONICAL, _ = canonical_class().integral_multiple()
@@ -48,17 +52,28 @@ def iterate(
     return OrbitRecord.of(n, apply_integers(t.power(n), vector), scale)
 
 
-def orbit(
+def walk(
     seed: DivisorClass, count: int, transform: LatticeIsometry | None = None
-) -> Iterator[OrbitRecord]:
-    """Records for T^0(seed) .. T^{count-1}(seed), by naive stepping."""
+) -> tuple[list[tuple[int, ...]], int]:
+    """(vectors, scale): the integer vectors scale * T^n(seed) for n < count,
+    by naive stepping, with scale the lcm of the seed's denominators."""
     if count < 0:
         raise ValueError("orbit length must be nonnegative")
     t = transform if transform is not None else composite_T()
-    current, scale = seed.integral_multiple()
-    for n in range(count):
-        yield OrbitRecord.of(n, current, scale)
-        current = apply_integers(t, current)
+    vector, scale = seed.integral_multiple()
+    vectors = [vector]
+    while len(vectors) < count:
+        vectors.append(apply_integers(t, vectors[-1]))
+    return vectors[:count], scale
+
+
+def orbit(
+    seed: DivisorClass, count: int, transform: LatticeIsometry | None = None
+) -> Iterator[OrbitRecord]:
+    """Records for T^0(seed) .. T^{count-1}(seed), from one `walk`."""
+    vectors, scale = walk(seed, count, transform)
+    for n, vector in enumerate(vectors):
+        yield OrbitRecord.of(n, vector, scale)
 
 
 class DistinctnessResult(NamedTuple):
@@ -72,17 +87,18 @@ def verify_distinct(
     """Exact pairwise distinctness of T^0(seed) .. T^{count-1}(seed)."""
     if count < 1:
         raise ValueError("need at least one orbit element")
-    return distinctness(orbit(seed, count, transform))
+    return distinctness(walk(seed, count, transform)[0])
 
 
-def distinctness(records: Iterable[OrbitRecord]) -> DistinctnessResult:
-    """Exact pairwise distinctness of the classes of orbit records."""
-    seen: dict[tuple[Fraction, ...], int] = {}
-    for record in records:
-        key = record.divisor.coeffs
-        if key in seen:
-            return DistinctnessResult(False, (seen[key], record.n))
-        seen[key] = record.n
+def distinctness(vectors: Sequence[tuple[int, ...]]) -> DistinctnessResult:
+    """Exact pairwise distinctness of the classes vector / scale, vector n
+    for T^n: the scale is shared, so two classes are equal iff their integer
+    vectors are."""
+    seen: dict[tuple[int, ...], int] = {}
+    for n, vector in enumerate(vectors):
+        if vector in seen:
+            return DistinctnessResult(False, (seen[vector], n))
+        seen[vector] = n
     return DistinctnessResult(True)
 
 
@@ -96,15 +112,17 @@ def growth_profile(
     """
     if count < 3:
         raise ValueError("growth profile needs at least three steps")
-    return [(r.n, r.divisor.h) for r in orbit(seed, count, transform)]
+    vectors, scale = walk(seed, count, transform)
+    return [(n, Fraction(v[0], scale)) for n, v in enumerate(vectors)]
 
 
-def growth_ratios(profile: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
-    """Ratios h_{n+1} / h_n for consecutive nonzero H-coefficients."""
+def growth_ratios(profile: Sequence[tuple[int, Rational]]) -> list[tuple[int, Fraction]]:
+    """Ratios h_{n+1} / h_n for consecutive nonzero H-coefficients; the
+    h_n may share any positive scale, such as a walk's integers."""
     out = []
     for (n, a), (_, b) in zip(profile, profile[1:]):
         if a != 0:
-            out.append((n, b / a))
+            out.append((n, Fraction(b, a)))
     return out
 
 
@@ -115,12 +133,13 @@ def max_norm_increase_start(
 
     Returns None if the norm is still not monotone at the end of the window.
     """
-    return increase_start(orbit(seed, count, transform))
+    return increase_start(walk(seed, count, transform)[0])
 
 
-def increase_start(records: Iterable[OrbitRecord]) -> int | None:
-    """Smallest n1 from which the records' max-norms strictly increase."""
-    norms = [max(abs(c) for c in r.divisor.coeffs) for r in records]
+def increase_start(vectors: Iterable[tuple[int, ...]]) -> int | None:
+    """Smallest n1 from which the max-norms of the vectors strictly increase;
+    a shared positive scale keeps their order."""
+    norms = [max(map(abs, v)) for v in vectors]
     start: int | None = None
     for n in range(len(norms) - 1):
         if norms[n + 1] > norms[n]:

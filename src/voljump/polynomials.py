@@ -377,6 +377,8 @@ def refine_root(
     in `Fraction`s would give.  One evaluation per halving; see
     `refine_isolated_root` for a bracket that isolates one root.
     """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
     if p(lo) == 0:
         return RealEnclosure.exact(lo)
     if p(hi) == 0:

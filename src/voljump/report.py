@@ -14,9 +14,9 @@ from typing import NamedTuple
 from .config import ConfigError, RunConfig
 from .errors import CertificationError
 from .intervals import ClassEnclosure, decimal_string, enclosure_json
-from .lattice import GRAM_DIAGONAL, canonical_class, standard_line
+from .lattice import GRAM_DIAGONAL, canonical_class, pair_integers, standard_line
 from .nefcheck import CheckResult, MarginRow, NefReport, full_report
-from .orbit import distinctness, growth_ratios, increase_start, orbit
+from .orbit import _CANONICAL, OrbitRecord, distinctness, growth_ratios, increase_start, walk
 from .polynomials import combine
 from .reference import WITNESS_TOLERANCE
 from .spectral import (
@@ -43,21 +43,27 @@ class OrbitEvidence(NamedTuple):
     ratios_tested: int
     ratios_converged: bool
     max_norm_increasing_from: int | None
-    records: tuple
+    vectors: list  # scale * T^n(seed) as integers, n < horizon
+    scale: int
+
+    @property
+    def records(self) -> tuple[OrbitRecord, ...]:
+        """The walk as records, built only for the report's output."""
+        return tuple(OrbitRecord.of(n, v, self.scale) for n, v in enumerate(self.vectors))
 
 
 def _orbit_evidence(eigen: EigenSystem, horizon: int) -> OrbitEvidence:
-    """Every orbit fact from one walk of the line class."""
-    records = tuple(orbit(standard_line(), horizon))
-    distinct = distinctness(records)
-    self_ok = all(r.self_intersection == -2 for r in records)
-    k_ok = all(r.canonical_degree == 0 for r in records)
-    ratios = growth_ratios([(r.n, r.divisor.h) for r in records])
+    """Every orbit fact from one integer walk of the line class."""
+    vectors, scale = walk(standard_line(), horizon)
+    distinct = distinctness(vectors)
+    self_ok = all(pair_integers(v, v) == -2 * scale * scale for v in vectors)
+    k_ok = all(pair_integers(v, _CANONICAL) == 0 for v in vectors)
     start = 30 if horizon >= 33 else max(3, horizon - 3)
     lam = eigen.dominant_value
     low = lam.lo * Fraction(99, 100)
     high = lam.hi * Fraction(101, 100)
-    tested = [ratio for n, ratio in ratios if n >= start]
+    profile = [(n, vectors[n][0]) for n in range(start, horizon)]
+    tested = [ratio for _, ratio in growth_ratios(profile)]
     converged = bool(tested) and all(low <= ratio <= high for ratio in tested)
     return OrbitEvidence(
         horizon=horizon,
@@ -68,8 +74,9 @@ def _orbit_evidence(eigen: EigenSystem, horizon: int) -> OrbitEvidence:
         ratio_start=start,
         ratios_tested=len(tested),
         ratios_converged=converged,
-        max_norm_increasing_from=increase_start(records),
-        records=records,
+        max_norm_increasing_from=increase_start(vectors),
+        vectors=vectors,
+        scale=scale,
     )
 
 
@@ -163,7 +170,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         combine(GRAM_DIAGONAL, [ai * ai for ai in a]).is_multiple_of(s),
         f"sum g_i a_i^2 = 0 mod s; interval {enclosure_json(self_pairing, 35)['mid']}",
     )
-    k_weights = [g * c for g, c in zip(GRAM_DIAGONAL, k.integral_multiple()[0])]
+    k_weights = [g * c for g, c in zip(GRAM_DIAGONAL, _CANONICAL)]
     record(
         "dominant class pairs to zero with the canonical class",
         combine(k_weights, a).is_multiple_of(s),

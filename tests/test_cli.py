@@ -399,6 +399,23 @@ def test_corrupted_adjugate_column_fails_self_intersection(monkeypatch, capsys):
     assert out.splitlines()[-1] == "verdict: fail"
 
 
+def test_orbit_of_a_non_curve_class_fails_the_self_intersection(monkeypatch, capsys):
+    from voljump import report
+    from voljump.lattice import DivisorClass
+
+    # H - E1 - E2: self-intersection -1 and canonical degree -1 at every step
+    seed = DivisorClass([1, -1, -1] + [0] * 8)
+    monkeypatch.setattr(report, "standard_line", lambda: seed)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1
+    assert "failed: orbit self-intersections all -2" in err
+    lines = out.splitlines()
+    assert "[PASS] orbit classes pairwise distinct (horizon 50)" in lines
+    assert "[FAIL] orbit self-intersections all -2" in lines
+    assert "[FAIL] orbit canonical degrees all 0" in lines
+    assert lines[-1] == "verdict: fail"
+
+
 def test_config_file_rejects_refinement_budget(tmp_path, capsys):
     config = tmp_path / "old.cfg"
     config.write_text("refinement-budget = 3\n")

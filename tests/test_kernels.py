@@ -155,6 +155,17 @@ def test_refine_root_rejects_bracket_without_sign_change():
         refine_root(IntPoly([-2, 0, 1]), Fraction(-3, 2), Fraction(3, 2), Fraction(1, 100))
 
 
+def test_refine_root_rejects_a_nonpositive_tolerance(monkeypatch):
+    # no bracket is ever narrower than 0: the error comes before any evaluation
+    def forbidden(*args):
+        raise AssertionError("evaluated before the tolerance check")
+
+    monkeypatch.setattr(polynomials, "_scaled_value", forbidden)
+    for tol in (Fraction(0), Fraction(-1, 100)):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            refine_root(IntPoly([-2, 0, 1]), Fraction(1), Fraction(2), tol)
+
+
 # -- refinement of an isolating bracket ----------------------------------------
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -505,6 +506,28 @@ def test_subset_leaves_match_the_per_candidate_reference(eigen):
     # the exceptional classes E_i: the numerator is N_i itself
     exceptional = _degree_one_candidates()[46:]
     assert [margin_numerator(c, d, n) for c in exceptional] == list(n)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_subset_leaves_match_the_reference_on_wide_random_values(seed):
+    # numerators as wide as the run's, with either sign and lo <= hi
+    rng = random.Random(seed)
+
+    def bounds():
+        lo = rng.randrange(-(2**2800), 2**2800)
+        return lo, lo + rng.randrange(2**64)
+
+    d, n = bounds(), [bounds() for _ in range(10)]
+    for degree, subsets in (
+        (1, [(0, 1, 2), *itertools.combinations(range(10), 2)]),
+        (2, list(itertools.combinations(range(10), 5))),
+    ):
+        leaves = _subset_leaves(degree, subsets, d, n)
+        reference = [
+            CandidateCurve(degree, tuple(int(k in s) for k in range(10))) for s in subsets
+        ]
+        assert [leaf[0] for leaf in leaves] == [c.mults for c in reference]
+        assert [leaf[1:] for leaf in leaves] == [margin_numerator(c, d, n) for c in reference]
 
 
 def test_walk_finds_a10_through_the_weight_order(monkeypatch):

@@ -5,12 +5,16 @@ import pytest
 
 from voljump.lattice import DivisorClass, canonical_class, pair, standard_line
 from voljump.orbit import (
+    DistinctnessResult,
+    distinctness,
     growth_profile,
     growth_ratios,
+    increase_start,
     iterate,
     max_norm_increase_start,
     orbit,
     verify_distinct,
+    walk,
 )
 from voljump.transform import apply, composite_T
 
@@ -146,3 +150,68 @@ def test_integer_walk_of_rational_seed():
         assert r.divisor == current
         assert r.self_intersection == pair(current, current)
         current = apply(t, current)
+
+
+def _fraction_distinctness(records):
+    """Reference: equal classes by their `Fraction` coefficients."""
+    seen = {}
+    for r in records:
+        if r.divisor.coeffs in seen:
+            return DistinctnessResult(False, (seen[r.divisor.coeffs], r.n))
+        seen[r.divisor.coeffs] = r.n
+    return DistinctnessResult(True)
+
+
+def _fraction_increase_start(records):
+    """Reference: the max-norm start on `Fraction` coefficients."""
+    norms = [max(abs(c) for c in r.divisor.coeffs) for r in records]
+    start = None
+    for n in range(len(norms) - 1):
+        if norms[n + 1] <= norms[n]:
+            start = None
+        elif start is None:
+            start = n
+    return start
+
+
+@pytest.mark.parametrize(
+    "seed, start",
+    [
+        (DivisorClass([Fraction(1, 2), Fraction(-2, 3)] + [Fraction(1, 5)] * 9), 0),
+        (DivisorClass([Fraction(-3, 4)] + [Fraction(1, 4)] * 10), None),  # K / 4, fixed by T
+        # K + l/k: the max-norm first falls, then increases
+        (canonical_class() + Fraction(1, 7) * standard_line(), 6),
+        (canonical_class() + Fraction(1, 50) * standard_line(), 12),
+    ],
+)
+def test_vector_facts_of_a_rational_seed_match_fraction_records(seed, start):
+    vectors, scale = walk(seed, 30)
+    assert scale > 1
+    assert increase_start(vectors) == start
+    records = list(orbit(seed, 30))
+    assert [r.divisor for r in records] == [
+        DivisorClass(Fraction(c, scale) for c in v) for v in vectors
+    ]
+    assert distinctness(vectors) == _fraction_distinctness(records)
+    assert increase_start(vectors) == _fraction_increase_start(records)
+    assert verify_distinct(seed, 30) == _fraction_distinctness(records)
+    assert max_norm_increase_start(seed, 30) == _fraction_increase_start(records)
+    assert growth_ratios([(n, v[0]) for n, v in enumerate(vectors)]) == growth_ratios(
+        [(r.n, r.divisor.h) for r in records]
+    )
+
+
+def test_fixed_canonical_class_collides_at_the_first_step():
+    vectors, scale = walk(canonical_class(), 6)
+    assert scale == 1
+    assert vectors == [(-3,) + (1,) * 10] * 6
+    assert distinctness(vectors) == DistinctnessResult(False, (0, 1))
+    assert increase_start(vectors) is None
+
+
+def test_walk_lengths():
+    for count in (0, 1, 2, 5):
+        vectors, _ = walk(standard_line(), count)
+        assert len(vectors) == count
+    with pytest.raises(ValueError, match="nonnegative"):
+        walk(standard_line(), -1)

@@ -7,6 +7,7 @@ from voljump.config import RunConfig
 from voljump.errors import CertificationError
 from voljump.lattice import standard_line
 from voljump.orbit import (
+    OrbitRecord,
     growth_profile,
     growth_ratios,
     max_norm_increase_start,
@@ -97,7 +98,7 @@ def test_shorter_orbit_horizon(run):
     assert len(short.orbit.records) == 40
 
 
-@pytest.mark.parametrize("horizon", [50, 400])
+@pytest.mark.parametrize("horizon", [3, 4, 50, 400])
 def test_orbit_evidence_matches_separate_walks(run, horizon):
     evidence = _orbit_evidence(run.eigen, horizon)
     seed = standard_line()
@@ -106,12 +107,29 @@ def test_orbit_evidence_matches_separate_walks(run, horizon):
     assert evidence.max_norm_increasing_from == max_norm_increase_start(seed, horizon)
     ratios = growth_ratios(growth_profile(seed, horizon))
     lam = run.eigen.dominant_value
-    converged = all(
-        lam.lo * 99 / 100 <= r <= lam.hi * 101 / 100
-        for n, r in ratios
-        if n >= evidence.ratio_start
+    tested = [r for n, r in ratios if n >= evidence.ratio_start]
+    assert evidence.ratios_tested == len(tested)
+    converged = bool(tested) and all(
+        lam.lo * 99 / 100 <= r <= lam.hi * 101 / 100 for r in tested
     )
     assert evidence.ratios_converged == converged
+
+
+def test_verification_builds_no_orbit_record(monkeypatch):
+    built = []
+    original = OrbitRecord.of.__func__
+
+    def counted(cls, *args):
+        built.append(args[0])
+        return original(cls, *args)
+
+    monkeypatch.setattr(OrbitRecord, "of", classmethod(counted))
+    result = run_verification(RunConfig())
+    assert result.verdict
+    assert built == []
+    # the report's records are the only ones, built from the run's vectors
+    assert len(build_report(result)["orbit"]["records"]) == 50
+    assert built == list(range(50))
 
 
 def test_report_reuses_the_runs_charpoly_facts(run, monkeypatch):
