@@ -122,7 +122,7 @@ def cmd_eigen(args, cfg: RunConfig) -> tuple[str, int]:
     from .intervals import decimal_string, enclosure_json
     from .spectral import eigensystem
 
-    digits = args.tol_digits if args.tol_digits else 30
+    digits = cfg.table_digits or 30
     eigen = eigensystem(cfg.precision_digits)
     if cfg.output_format == "json":
         payload = {
@@ -156,7 +156,7 @@ def _table_rows(cfg: RunConfig) -> list:
 def cmd_nef_table(args, cfg: RunConfig) -> tuple[str, int]:
     from .intervals import decimal_string, enclosure_json
 
-    digits = args.tol_digits if args.tol_digits else cfg.table_digits
+    digits = cfg.table_digits or 3
     rows = _table_rows(cfg)
     fmt = cfg.output_format if cfg.output_format != "text" else "md"
     margin_column = "margin_midpoint" if fmt == "csv" else "margin"

@@ -28,7 +28,7 @@ class RunConfig:
         precision_digits: int = 60,
         orbit_horizon: int = 50,
         output_format: str = "text",
-        table_digits: int = 3,
+        table_digits: int | None = None,  # None: the command's own default
     ):
         self.precision_digits = precision_digits
         self.orbit_horizon = orbit_horizon
@@ -45,7 +45,7 @@ class RunConfig:
             raise ConfigError("orbit-horizon must be positive")
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(f"unknown output format {self.output_format!r}")
-        if self.table_digits < 1:
+        if self.table_digits is not None and self.table_digits < 1:
             raise ConfigError("tol-digits must be positive")
 
 
@@ -61,8 +61,13 @@ _KEY_FIELDS = {
 def read_config_file(path: str) -> dict[str, str]:
     """Parse a flat key=value file; '#' starts a comment, blank lines ignored."""
     values: dict[str, str] = {}
-    with open(path) as handle:
-        text = handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config file {path}: {err}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -85,8 +90,6 @@ def resolve_config(
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR) or None
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
         for key, raw in read_config_file(path).items():
             field, cast = _KEY_FIELDS[key]
             try:

@@ -111,9 +111,6 @@ class RealEnclosure:
         reciprocals = (1 / o.lo, 1 / o.hi)
         return self * RealEnclosure(min(reciprocals), max(reciprocals))
 
-    def __rtruediv__(self, other: _Operand) -> "RealEnclosure":
-        return _coerce(other) / self
-
     def square(self) -> "RealEnclosure":
         """Tight square (unlike self * self when the interval straddles 0)."""
         if self.contains_zero():

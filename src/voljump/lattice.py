@@ -52,17 +52,6 @@ class DivisorClass:
     def __repr__(self) -> str:
         return f"DivisorClass({self.coeffs})"
 
-    @property
-    def h(self) -> Fraction:
-        """Coefficient of H (the degree of the image curve in P^2)."""
-        return self.coeffs[0]
-
-    def e(self, i: int) -> Fraction:
-        """Coefficient of E_i, 1-based index."""
-        if not 1 <= i <= 10:
-            raise ValueError(f"exceptional index must be in 1..10, got {i}")
-        return self.coeffs[i]
-
     def integral_multiple(self) -> tuple[tuple[int, ...], int]:
         """(D * self as integers, D) for D the lcm of the denominators."""
         scale = lcm(*(c.denominator for c in self.coeffs))
@@ -97,18 +86,6 @@ class DivisorClass:
             term = name if mag == 1 else f"{mag}*{name}"
             parts.append(("- " if c < 0 else "+ " if parts else "") + term)
         return " ".join(parts) if parts else "0"
-
-
-def hyperplane() -> DivisorClass:
-    """The class H."""
-    return DivisorClass([1] + [0] * 10)
-
-
-def exceptional(i: int) -> DivisorClass:
-    """The exceptional class E_i, 1-based index."""
-    if not 1 <= i <= 10:
-        raise ValueError(f"exceptional index must be in 1..10, got {i}")
-    return DivisorClass([0] * i + [1] + [0] * (10 - i))
 
 
 def canonical_class() -> DivisorClass:

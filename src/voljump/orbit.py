@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .lattice import DivisorClass, Rational, canonical_class, pair_integers
-from .transform import LatticeIsometry, apply_integers, composite_T
+from .transform import apply_integers, composite_T
 
 _CANONICAL, _ = canonical_class().integral_multiple()
 
@@ -41,25 +41,20 @@ class OrbitRecord(NamedTuple):
         )
 
 
-def iterate(
-    seed: DivisorClass, n: int, transform: LatticeIsometry | None = None
-) -> OrbitRecord:
+def iterate(seed: DivisorClass, n: int) -> OrbitRecord:
     """The class T^n(seed), computed by repeated squaring of the matrix."""
     if n < 0:
         raise ValueError("orbit index must be nonnegative")
-    t = transform if transform is not None else composite_T()
     vector, scale = seed.integral_multiple()
-    return OrbitRecord.of(n, apply_integers(t.power(n), vector), scale)
+    return OrbitRecord.of(n, apply_integers(composite_T().power(n), vector), scale)
 
 
-def walk(
-    seed: DivisorClass, count: int, transform: LatticeIsometry | None = None
-) -> tuple[list[tuple[int, ...]], int]:
+def walk(seed: DivisorClass, count: int) -> tuple[list[tuple[int, ...]], int]:
     """(vectors, scale): the integer vectors scale * T^n(seed) for n < count,
     by naive stepping, with scale the lcm of the seed's denominators."""
     if count < 0:
         raise ValueError("orbit length must be nonnegative")
-    t = transform if transform is not None else composite_T()
+    t = composite_T()
     vector, scale = seed.integral_multiple()
     vectors = [vector]
     while len(vectors) < count:
@@ -67,11 +62,9 @@ def walk(
     return vectors[:count], scale
 
 
-def orbit(
-    seed: DivisorClass, count: int, transform: LatticeIsometry | None = None
-) -> Iterator[OrbitRecord]:
+def orbit(seed: DivisorClass, count: int) -> Iterator[OrbitRecord]:
     """Records for T^0(seed) .. T^{count-1}(seed), from one `walk`."""
-    vectors, scale = walk(seed, count, transform)
+    vectors, scale = walk(seed, count)
     for n, vector in enumerate(vectors):
         yield OrbitRecord.of(n, vector, scale)
 
@@ -81,13 +74,11 @@ class DistinctnessResult(NamedTuple):
     collision: tuple[int, int] | None = None  # first (n, m) with equal classes
 
 
-def verify_distinct(
-    seed: DivisorClass, count: int, transform: LatticeIsometry | None = None
-) -> DistinctnessResult:
+def verify_distinct(seed: DivisorClass, count: int) -> DistinctnessResult:
     """Exact pairwise distinctness of T^0(seed) .. T^{count-1}(seed)."""
     if count < 1:
         raise ValueError("need at least one orbit element")
-    return distinctness(walk(seed, count, transform)[0])
+    return distinctness(walk(seed, count)[0])
 
 
 def distinctness(vectors: Sequence[tuple[int, ...]]) -> DistinctnessResult:
@@ -102,9 +93,7 @@ def distinctness(vectors: Sequence[tuple[int, ...]]) -> DistinctnessResult:
     return DistinctnessResult(True)
 
 
-def growth_profile(
-    seed: DivisorClass, count: int, transform: LatticeIsometry | None = None
-) -> list[tuple[int, Fraction]]:
+def growth_profile(seed: DivisorClass, count: int) -> list[tuple[int, Fraction]]:
     """Exact H-coefficients along the orbit; the diagnostic for dominant growth.
 
     Successive ratios converge to the dominant eigenvalue whenever the seed
@@ -112,7 +101,7 @@ def growth_profile(
     """
     if count < 3:
         raise ValueError("growth profile needs at least three steps")
-    vectors, scale = walk(seed, count, transform)
+    vectors, scale = walk(seed, count)
     return [(n, Fraction(v[0], scale)) for n, v in enumerate(vectors)]
 
 
@@ -126,14 +115,12 @@ def growth_ratios(profile: Sequence[tuple[int, Rational]]) -> list[tuple[int, Fr
     return out
 
 
-def max_norm_increase_start(
-    seed: DivisorClass, count: int, transform: LatticeIsometry | None = None
-) -> int | None:
+def max_norm_increase_start(seed: DivisorClass, count: int) -> int | None:
     """Smallest n1 with the orbit's max-norm strictly increasing from n1 on.
 
     Returns None if the norm is still not monotone at the end of the window.
     """
-    return increase_start(walk(seed, count, transform)[0])
+    return increase_start(walk(seed, count)[0])
 
 
 def increase_start(vectors: Iterable[tuple[int, ...]]) -> int | None:

@@ -15,7 +15,9 @@ grid, guessed by integer Newton steps, by signs from a homogeneous integer
 Horner sum.  Exact division, divisibility (a pseudo-remainder) and deflation
 by a rational root (by D x - N, Gauss's lemma) stay integral.
 
-The unit-circle count is exact.  Per squarefree factor
+The unit-circle count is exact.  The gcd layers p_0 = p,
+p_(k+1) = gcd(p_k, p_k') give squarefree parts p_k / p_(k+1) that together
+hold each root of p as often as its multiplicity.  Per squarefree part
 (`squarefree_circle_count`), after the roots at +-1 are divided out, the
 mirror part gcd(f, reverse(f)) holds every root on the circle; writing it
 as z^m q(z + 1/z), its circle roots are the real roots of q in (-2, 2),
@@ -324,9 +326,11 @@ def _descartes_bound(coeffs: Sequence[int], a: int, b: int, den: int) -> int:
     return _sign_variations(_taylor_shift(scaled[::-1], 1))
 
 
-def isolate_real_roots(
-    p: IntPoly, lo: Fraction, hi: Fraction, max_depth: int = 80
-) -> list[tuple[Fraction, Fraction]]:
+#: Bisection depth at which root isolation gives up.
+_ISOLATION_DEPTH = 80
+
+
+def isolate_real_roots(p: IntPoly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Disjoint isolating intervals for the roots of squarefree p in (lo, hi).
 
     Returns open intervals (a, b) with exactly one root each and none at an
@@ -361,7 +365,7 @@ def isolate_real_roots(
     den = lcm(lo.denominator, hi.denominator)
     recurse(
         p.coeffs, lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator),
-        den, max_depth,
+        den, _ISOLATION_DEPTH,
     )
     return sorted(out)
 
@@ -462,44 +466,13 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     return a
 
 
-def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Yun decomposition p ~ prod f_i^i with the f_i squarefree and coprime.
-
-    The overall integer content and sign are dropped (irrelevant for roots).
-    """
-    if p.degree < 1:
-        return []
-    work = p.primitive()
-    a = poly_gcd(work, work.derivative())
-    b = work.divide_exact(a)
-    _require(b is not None, "gcd(p, p') does not divide p exactly")
-    if a.degree == 0:
-        return [(b, 1)]
-    c = work.derivative().divide_exact(a)
-    _require(c is not None, "gcd(p, p') does not divide p' exactly")
-    d = combine((1, -1), (c, b.derivative()))
-    out: list[tuple[IntPoly, int]] = []
-    i = 1
-    while b.degree > 0:
-        f = poly_gcd(b, d)
-        if f.degree > 0:
-            out.append((f, i))
-            b = b.divide_exact(f)
-            _require(b is not None, "squarefree factor does not divide exactly")
-        if b.degree == 0:
-            break
-        cq = d.divide_exact(f) if f.degree > 0 else d
-        _require(cq is not None, "squarefree factor does not divide exactly")
-        d = combine((1, -1), (cq, b.derivative()))
-        i += 1
-    return out
-
-
-def squarefree_part(p: IntPoly) -> IntPoly:
-    out = IntPoly([1])
-    for factor, _ in squarefree_decomposition(p):
-        out = out * factor
-    return out
+def _squarefree_layer(p: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """(p / g, g) for g = gcd(p, p'): p / g holds each root of p once, and g
+    each root of multiplicity m > 1 with multiplicity m - 1."""
+    g = poly_gcd(p, p.derivative())
+    part = p.divide_exact(g)
+    _require(part is not None, "gcd(p, p') does not divide p exactly")
+    return part, g
 
 
 def strip_rational_root(p: IntPoly, root: int) -> tuple[int, IntPoly]:
@@ -522,15 +495,16 @@ def strip_rational_root(p: IntPoly, root: int) -> tuple[int, IntPoly]:
 def dominant_root(p: IntPoly, tol: Fraction) -> RealEnclosure:
     """Certified enclosure of the largest real root of p, which must exceed 1.
 
-    Isolation runs on the squarefree part (so the bracketing sign change is
-    guaranteed even at roots of even multiplicity in p), two exact signs
-    certify the refined cell, and the enclosure is valid for p itself since
-    the roots coincide.  Fails loudly when no root greater than 1 exists.
+    Isolation runs on the squarefree part p / gcd(p, p') (so the bracketing
+    sign change is guaranteed even at roots of even multiplicity in p), two
+    exact signs certify the refined cell, and the enclosure is valid for p
+    itself since the roots coincide.  Fails loudly when no root greater than
+    1 exists.
     """
     if p.degree < 1:
         raise CertificationError("dominant root of a constant polynomial")
     # roots exactly at 1 are not "greater than 1"; remove before isolating
-    reduced = strip_rational_root(squarefree_part(p), 1)[1]
+    reduced = strip_rational_root(_squarefree_layer(p)[0], 1)[1]
     return refine_isolated_root(reduced, *dominant_bracket(reduced), tol)
 
 
@@ -576,7 +550,7 @@ def cyclotomic(n: int) -> IntPoly:
     return num
 
 
-def cyclotomic_factors(p: IntPoly, search_bound: int = 200) -> list[tuple[int, int]]:
+def cyclotomic_factors(p: IntPoly) -> list[tuple[int, int]]:
     """All cyclotomic divisors of p with multiplicities.
 
     Scanning n <= 200 exhausts every cyclotomic polynomial of degree <= 11
@@ -584,7 +558,7 @@ def cyclotomic_factors(p: IntPoly, search_bound: int = 200) -> list[tuple[int, i
     characteristic polynomials handled here.
     """
     out = []
-    for n in range(1, search_bound + 1):
+    for n in range(1, 201):
         if totient(n) > p.degree:
             continue
         phi = cyclotomic(n)
@@ -718,13 +692,12 @@ def squarefree_circle_count(f: IntPoly) -> UnitCircleCount:
 
 
 def count_roots_outside_unit_circle(p: IntPoly) -> UnitCircleCount:
-    """Certified count (with multiplicity) of roots of p with modulus > 1."""
+    """Certified count (with multiplicity) of roots of p with modulus > 1:
+    the sum over the squarefree parts p_k / p_(k+1) of the gcd layers."""
     if p.degree < 0:
         raise ValueError("zero polynomial")
-    outside = inside = on_circle = 0
-    for factor, mult in squarefree_decomposition(p):
-        n_out, n_in, n_on = squarefree_circle_count(factor)
-        outside += mult * n_out
-        inside += mult * n_in
-        on_circle += mult * n_on
-    return UnitCircleCount(outside, inside, on_circle)
+    total = [0, 0, 0]
+    while p.degree >= 1:
+        part, p = _squarefree_layer(p)
+        total = [a + b for a, b in zip(total, squarefree_circle_count(part))]
+    return UnitCircleCount(*total)

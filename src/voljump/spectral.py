@@ -396,7 +396,7 @@ def _matches_reference(witness: Sequence[tuple[int, int]], lam: RealEnclosure) -
     return True, f"all coefficients within {float(Fraction(worst, scale << bits)):.2e} of reference"
 
 
-def select_orientation(digits: int = 12) -> OrientationReport:
+def select_orientation() -> OrientationReport:
     """Evaluate every reading of the composite's notation against the reference.
 
     Exactly one candidate must reproduce the reference witness coefficients,
@@ -409,7 +409,7 @@ def select_orientation(digits: int = 12) -> OrientationReport:
     The spectral core runs once per M; M'[q(i)][q(j)] == M[i][j] certifies
     a'[q(i)] = a[i], and the witness is rebuilt from a' (B reads slots 1..3).
     """
-    tol = Fraction(1, 10**digits)
+    tol = Fraction(1, 10**12)
     candidates = candidate_composites()
     readings = {n: m for key, m in candidates.items() for n in key.split(" = ")}
     conjugators = candidate_conjugators()

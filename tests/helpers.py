@@ -7,6 +7,7 @@ from importlib import resources
 from math import isqrt
 
 from voljump.intervals import RealEnclosure
+from voljump.lattice import DivisorClass
 from voljump.nefcheck import CandidateCurve, _feasible
 from voljump.reference import WEIGHT_ORDER
 
@@ -14,6 +15,23 @@ from voljump.reference import WEIGHT_ORDER
 def load_schema() -> dict:
     """The packaged JSON schema of the report."""
     return json.loads(resources.files("voljump.schemas").joinpath("report-v1.json").read_text())
+
+
+def hyperplane() -> DivisorClass:
+    """The class H."""
+    return DivisorClass([1] + [0] * 10)
+
+
+def exceptional(i: int) -> DivisorClass:
+    """The exceptional class E_i, 1-based index."""
+    if not 1 <= i <= 10:
+        raise ValueError(f"exceptional index must be in 1..10, got {i}")
+    return DivisorClass([0] * i + [1] + [0] * (10 - i))
+
+
+def h_coefficient(c: DivisorClass) -> Fraction:
+    """Coefficient of H (the degree of the image curve in P^2)."""
+    return c.coeffs[0]
 
 
 def is_feasible(c: CandidateCurve) -> bool:

@@ -66,6 +66,14 @@ def test_eigen_text_digit_count(capsys):
     assert len(first.split(".")[-1]) == 8
 
 
+def test_eigen_reads_tol_digits_from_config_file(tmp_path, capsys):
+    config = tmp_path / "digits.cfg"
+    config.write_text("tol-digits = 5\n")
+    code, out, _ = run_cli(capsys, "eigen", "--config", str(config))
+    assert code == 0
+    assert len(out.splitlines()[0].split(".")[-1]) == 5
+
+
 def test_nef_table_markdown_contains_reference_rows(capsys):
     code, out, _ = run_cli(capsys, "nef-table")
     assert code == 0
@@ -198,7 +206,7 @@ def test_verify_computes_each_squarefree_part_once(monkeypatch, capsys):
     # factor s once for each of the oracle's two distinct char polys
     # (eigensystem(60) reuses the exact core of the composite, the shift+3
     # representative), then the mirror gcd(s, reverse s) of the unit-circle
-    # count; no Yun decomposition runs
+    # count; a gcd layer gcd(p, p') of the degree-11 p would show as (11, 10)
     for cached in (
         spectral._exact_core, spectral.eigensystem, transform.composite_T, polynomials.cyclotomic
     ):
@@ -209,12 +217,8 @@ def test_verify_computes_each_squarefree_part_once(monkeypatch, capsys):
         calls.append((a.degree, b.degree))
         return poly_gcd(a, b)
 
-    def forbidden(p):
-        raise AssertionError("squarefree decomposition on the verification path")
-
     for module in (polynomials, spectral):
         monkeypatch.setattr(module, "poly_gcd", counted)
-    monkeypatch.setattr(polynomials, "squarefree_decomposition", forbidden)
     code, _, _ = run_cli(capsys, "verify")
     assert code == 0
     assert calls == [(10, 9)] * 2 + [(10, 10)]
@@ -495,3 +499,18 @@ def test_truncated_config_file_exits_2(tmp_path, capsys):
         main(["verify", "--config", str(config)])
     assert excinfo.value.code == 2
     assert f"{config}:2: expected key=value, got 'precision-dig'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf-8"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, kind):
+    config = tmp_path / "unreadable.cfg"
+    if kind == "directory":
+        config.mkdir()
+    else:
+        config.write_bytes(b"orbit-horizon = 7 # \xff\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--config", str(config)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"cannot read config file {config}" in err
+    assert "Traceback" not in err

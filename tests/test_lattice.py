@@ -6,12 +6,12 @@ import pytest
 from voljump.lattice import (
     DivisorClass,
     canonical_class,
-    exceptional,
-    hyperplane,
     line_through,
     pair,
     standard_line,
 )
+
+from helpers import exceptional, hyperplane
 
 
 def linear_combination(scalars, classes):

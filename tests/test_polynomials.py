@@ -12,6 +12,7 @@ from voljump.polynomials import (
     _cauchy_index,
     _count_inside_off_circle,
     _deflate,
+    _squarefree_layer,
     cauchy_root_bound,
     char_poly,
     count_roots_outside_unit_circle,
@@ -23,8 +24,6 @@ from voljump.polynomials import (
     poly_gcd,
     refine_isolated_root,
     squarefree_circle_count,
-    squarefree_decomposition,
-    squarefree_part,
     strip_rational_root,
     totient,
 )
@@ -107,10 +106,15 @@ def test_char_poly_anti_reciprocal(eigen):
 
 
 def test_dominant_root_simple_cases():
-    p = x_minus(2) * poly_power(x_minus(1), 10)
-    enclosure = dominant_root(p, Fraction(1, 10**20))
-    assert enclosure.contains(2)
-    assert enclosure.width <= Fraction(1, 10**20)
+    # the second has a repeated dominant root: isolation runs on p / gcd(p, p')
+    cases = [
+        (x_minus(2) * poly_power(x_minus(1), 10), 2),
+        (poly_power(x_minus(3), 2) * x_minus(2), 3),
+    ]
+    for p, root in cases:
+        enclosure = dominant_root(p, Fraction(1, 10**20))
+        assert enclosure.contains(root)
+        assert enclosure.width <= Fraction(1, 10**20)
 
 
 def test_dominant_root_rejects_all_unit_roots():
@@ -123,7 +127,7 @@ def test_dominant_root_of_composite_charpoly(eigen):
     assert lam.width <= Fraction(1, 10**60)
     assert lam.lo > 1
     # sign-change certificate on the squarefree non-unit factor
-    _, factor = strip_rational_root(squarefree_part(eigen.polynomial), 1)
+    _, factor = strip_rational_root(_squarefree_layer(eigen.polynomial)[0], 1)
     lo_sign = factor(lam.lo) > 0
     hi_sign = factor(lam.hi) > 0
     assert lo_sign != hi_sign
@@ -166,13 +170,17 @@ def test_cauchy_bound_dominates_roots():
 # -- squarefree structure ---------------------------------------------------------
 
 
-def test_squarefree_decomposition():
+def test_squarefree_layer():
     p = poly_power(x_minus(1), 2) * x_minus(2)
-    decomp = squarefree_decomposition(p)
-    assert sorted((f.coeffs, m) for f, m in decomp) == [
-        ((-2, 1), 1),
-        ((-1, 1), 2),
-    ]
+    assert _squarefree_layer(p) == (x_minus(1) * x_minus(2), x_minus(1))
+    # the parts p_k / p_(k+1) of the layers p_(k+1) = gcd(p_k, p_k') hold
+    # each root as often as its multiplicity
+    p = poly_power(x_minus(1), 3) * poly_power(x_minus(2), 2) * x_minus(-3)
+    parts = []
+    while p.degree >= 1:
+        part, p = _squarefree_layer(p)
+        parts.append(part)
+    assert parts == [x_minus(1) * x_minus(2) * x_minus(-3), x_minus(1) * x_minus(2), x_minus(1)]
 
 
 def test_strip_rational_root():
@@ -241,7 +249,7 @@ def test_count_outside_composite_charpoly(eigen):
 
 def test_factor_count_matches_general_count_on_candidate_charpolys():
     # p = (x - 1)^k s with s squarefree: k roots at 1 plus the count of s, as
-    # `CharpolyFacts` reads it, against the count over the Yun factors of p
+    # `CharpolyFacts` reads it, against the count over the gcd layers of p
     polys = {char_poly(m) for m in candidate_composites().values()}
     assert len(polys) == 2
     for p in polys:

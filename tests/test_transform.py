@@ -7,8 +7,6 @@ import pytest
 from voljump.lattice import (
     DivisorClass,
     canonical_class,
-    exceptional,
-    hyperplane,
     pair,
     standard_line,
 )
@@ -22,6 +20,8 @@ from voljump.transform import (
     permutation_isometry,
     verify_isometry,
 )
+
+from helpers import exceptional, hyperplane
 
 
 def test_cremona_action_on_hyperplane():
