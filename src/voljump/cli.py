@@ -142,13 +142,12 @@ def cmd_eigen(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 def _table_rows(cfg: RunConfig) -> list:
-    from .nefcheck import MarginRow, extreme_candidates, margin
+    """The extreme rows of degrees 3..6 with the margins the nef pass decided."""
+    from .nefcheck import full_report
     from .spectral import eigensystem
 
-    witness = eigensystem(cfg.precision_digits).nef_witness
-    rows = []
-    for d in range(3, 7):
-        rows.extend(MarginRow(c, margin(c, witness)) for c in extreme_candidates(d))
+    summaries = full_report(eigensystem(cfg.precision_digits)).degrees
+    rows = [r for s in summaries for r in s.extreme_rows]
     rows.sort(key=lambda r: (r.candidate.degree, -r.margin.midpoint, r.candidate.mults))
     return rows
 
@@ -219,9 +218,11 @@ def cmd_orbit(args, cfg: RunConfig) -> tuple[str, int]:
     from .lattice import DivisorClass, canonical_class, standard_line
     from .orbit import OrbitRecord, distinctness, walk
 
-    if args.seed == "custom":
-        if args.coeffs is None:
-            raise ConfigError("--seed custom requires --coeffs with 11 integers")
+    if (args.seed == "custom") != (args.coeffs is not None):
+        raise ConfigError(
+            "--seed custom requires --coeffs with 11 integers, and --coeffs requires --seed custom"
+        )
+    if args.coeffs is not None:
         seed = DivisorClass(args.coeffs)
     else:
         seed = {"lbar": standard_line, "K": canonical_class}[args.seed]()
@@ -310,7 +311,10 @@ def main(argv: list[str] | None = None) -> int:
     except CertificationError as err:
         print(f"certificate failure: {err}", file=sys.stderr)
         return 1
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+    except OSError as err:
+        parser.error(f"cannot write {args.out or 'stdout'}: {err.strerror or err}")
     return code
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import CertificationError
-from .lattice import RANK, DivisorClass, Rational, _as_fraction
+from .lattice import RANK, DivisorClass, Rational, as_fraction
 
 _Operand = Union["RealEnclosure", int, Fraction]
 
@@ -27,7 +27,7 @@ class RealEnclosure:
 
     def __init__(self, lo: Rational, hi: Rational):
         if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
-            lo, hi = _as_fraction(lo), _as_fraction(hi)
+            lo, hi = as_fraction(lo), as_fraction(hi)
         if lo > hi:
             raise ValueError(f"inverted interval [{lo}, {hi}]")
         self.lo: Fraction = lo
@@ -46,7 +46,7 @@ class RealEnclosure:
 
     @classmethod
     def exact(cls, value: Rational) -> "RealEnclosure":
-        v = _as_fraction(value)
+        v = as_fraction(value)
         return cls(v, v)
 
     # -- queries ------------------------------------------------------------
@@ -60,7 +60,7 @@ class RealEnclosure:
         return (self.lo + self.hi) / 2
 
     def contains(self, value: Rational) -> bool:
-        v = _as_fraction(value)
+        v = as_fraction(value)
         return self.lo <= v <= self.hi
 
     def contains_zero(self) -> bool:

@@ -18,10 +18,13 @@ RANK = 11
 #: Diagonal of the Gram matrix in the (H, E1..E10) basis: signature (1, 10).
 GRAM_DIAGONAL = (1,) + (-1,) * 10
 
+#: Coefficients of the canonical class -3H + E1 + ... + E10.
+CANONICAL = (-3,) + (1,) * 10
+
 Rational = int | Fraction
 
 
-def _as_fraction(x: Rational) -> Fraction:
+def as_fraction(x: Rational) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -39,7 +42,7 @@ class DivisorClass:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational]):
-        self.coeffs: tuple[Fraction, ...] = tuple(_as_fraction(c) for c in coeffs)
+        self.coeffs: tuple[Fraction, ...] = tuple(as_fraction(c) for c in coeffs)
         if len(self.coeffs) != RANK:
             raise ValueError(f"expected {RANK} coefficients, got {len(self.coeffs)}")
 
@@ -60,14 +63,11 @@ class DivisorClass:
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(a + b for a, b in zip(self.coeffs, other.coeffs))
 
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(a - b for a, b in zip(self.coeffs, other.coeffs))
-
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(-a for a in self.coeffs)
 
     def __rmul__(self, scalar: Rational) -> "DivisorClass":
-        s = _as_fraction(scalar)
+        s = as_fraction(scalar)
         return DivisorClass(s * a for a in self.coeffs)
 
     __mul__ = __rmul__
@@ -90,7 +90,7 @@ class DivisorClass:
 
 def canonical_class() -> DivisorClass:
     """The canonical class -3H + E1 + ... + E10."""
-    return DivisorClass([-3] + [1] * 10)
+    return DivisorClass(CANONICAL)
 
 
 def line_through(i: int, j: int, k: int) -> DivisorClass:

@@ -16,10 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .lattice import DivisorClass, Rational, canonical_class, pair_integers
+from .lattice import CANONICAL, DivisorClass, Rational, pair_integers
 from .transform import apply_integers, composite_T
-
-_CANONICAL, _ = canonical_class().integral_multiple()
 
 
 class OrbitRecord(NamedTuple):
@@ -37,7 +35,7 @@ class OrbitRecord(NamedTuple):
             n,
             DivisorClass(Fraction(c, scale) for c in vector),
             Fraction(pair_integers(vector, vector), scale * scale),
-            Fraction(pair_integers(vector, _CANONICAL), scale),
+            Fraction(pair_integers(vector, CANONICAL), scale),
         )
 
 

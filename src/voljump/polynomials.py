@@ -53,8 +53,7 @@ def _require(holds: bool, message: str) -> None:
 class IntPoly:
     """Univariate polynomial with exact integer coefficients, ascending order.
 
-    Value type compared and hashed by its coefficients (a cache key in the
-    spectral pipeline).
+    Value type compared and hashed by its coefficients.
     """
 
     __slots__ = ("coeffs",)
@@ -242,16 +241,6 @@ def _scaled_value(coeffs: Sequence[int], n: int, d: int) -> int:
         acc = acc * n + c * scale
         scale *= d
     return acc
-
-
-def _synthetic_division(coeffs: Sequence[int], root: int) -> tuple[list[int], int]:
-    """Quotient and remainder p(root) of p by (x - root)."""
-    desc = list(reversed(coeffs))
-    out = [desc[0]]
-    for c in desc[1:]:
-        out.append(c + root * out[-1])
-    rem = out.pop()
-    return list(reversed(out)), rem
 
 
 def _pseudo_remainder(num: Sequence[int], den: Sequence[int]) -> list[int]:
@@ -475,21 +464,18 @@ def _squarefree_layer(p: IntPoly) -> tuple[IntPoly, IntPoly]:
     return part, g
 
 
-def strip_rational_root(p: IntPoly, root: int) -> tuple[int, IntPoly]:
-    """Divide out (x - root) as often as it divides exactly; root integer.
-
-    Integer synthetic division: its remainder is p(root), so one pass both
-    tests and deflates.
-    """
+def _strip_factor(p: IntPoly, factor: IntPoly) -> tuple[int, IntPoly]:
+    """(k, p / factor^k) for the largest k with factor^k dividing p exactly:
+    each exact division both tests and deflates."""
     count = 0
-    coeffs = list(p.coeffs)
-    while len(coeffs) > 1:
-        quotient, rem = _synthetic_division(coeffs, root)
-        if rem:
-            break
-        coeffs = quotient
-        count += 1
-    return count, IntPoly(coeffs)
+    while (quotient := p.divide_exact(factor)) is not None:
+        count, p = count + 1, quotient
+    return count, p
+
+
+def strip_rational_root(p: IntPoly, root: int) -> tuple[int, IntPoly]:
+    """Divide out (x - root) as often as it divides exactly (`_strip_factor`)."""
+    return _strip_factor(p, IntPoly([-root, 1]))
 
 
 def dominant_root(p: IntPoly, tol: Fraction) -> RealEnclosure:
@@ -551,28 +537,16 @@ def cyclotomic(n: int) -> IntPoly:
 
 
 def cyclotomic_factors(p: IntPoly) -> list[tuple[int, int]]:
-    """All cyclotomic divisors of p with multiplicities.
+    """All cyclotomic divisors of p with multiplicities, each stripped by
+    `_strip_factor` (for n = 1 the loop of `strip_rational_root`).
 
     Scanning n <= 200 exhausts every cyclotomic polynomial of degree <= 11
     (indeed of degree well beyond), so the scan is complete for the
     characteristic polynomials handled here.
     """
-    out = []
-    for n in range(1, 201):
-        if totient(n) > p.degree:
-            continue
-        phi = cyclotomic(n)
-        mult = 0
-        rest = p
-        while True:
-            q = rest.divide_exact(phi)
-            if q is None:
-                break
-            mult += 1
-            rest = q
-        if mult:
-            out.append((n, mult))
-    return out
+    scan = (n for n in range(1, 201) if totient(n) <= p.degree)
+    counts = ((n, _strip_factor(p, cyclotomic(n))[0]) for n in scan)
+    return [(n, k) for n, k in counts if k]
 
 
 # -- certified unit-circle root count ------------------------------------------

@@ -14,20 +14,12 @@ from typing import NamedTuple
 from .config import ConfigError, RunConfig
 from .errors import CertificationError
 from .intervals import ClassEnclosure, decimal_string, enclosure_json
-from .lattice import GRAM_DIAGONAL, canonical_class, pair_integers, standard_line
+from .lattice import CANONICAL, GRAM_DIAGONAL, canonical_class, pair_integers, standard_line
 from .nefcheck import CheckResult, MarginRow, NefReport, full_report
-from .orbit import _CANONICAL, OrbitRecord, distinctness, growth_ratios, increase_start, walk
+from .orbit import OrbitRecord, distinctness, growth_ratios, increase_start, walk
 from .polynomials import combine
 from .reference import WITNESS_TOLERANCE
-from .spectral import (
-    CharpolyFacts,
-    EigenSystem,
-    OrientationReport,
-    _grid_bits,
-    _matches_reference,
-    eigensystem,
-    select_orientation,
-)
+from .spectral import CharpolyFacts, EigenSystem, OrientationReport, eigensystem, select_orientation
 from .transform import apply, composite_T, verify_isometry
 
 SCHEMA_VERSION = "1"
@@ -57,7 +49,7 @@ def _orbit_evidence(eigen: EigenSystem, horizon: int) -> OrbitEvidence:
     vectors, scale = walk(standard_line(), horizon)
     distinct = distinctness(vectors)
     self_ok = all(pair_integers(v, v) == -2 * scale * scale for v in vectors)
-    k_ok = all(pair_integers(v, _CANONICAL) == 0 for v in vectors)
+    k_ok = all(pair_integers(v, CANONICAL) == 0 for v in vectors)
     start = 30 if horizon >= 33 else max(3, horizon - 3)
     lam = eigen.dominant_value
     low = lam.lo * Fraction(99, 100)
@@ -170,18 +162,16 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         combine(GRAM_DIAGONAL, [ai * ai for ai in a]).is_multiple_of(s),
         f"sum g_i a_i^2 = 0 mod s; interval {enclosure_json(self_pairing, 35)['mid']}",
     )
-    k_weights = [g * c for g, c in zip(GRAM_DIAGONAL, _CANONICAL)]
+    k_weights = [g * c for g, c in zip(GRAM_DIAGONAL, CANONICAL)]
     record(
         "dominant class pairs to zero with the canonical class",
         combine(k_weights, a).is_multiple_of(s),
         "sum g_i K_i a_i = 0 mod s",
     )
 
-    scale = 1 << _grid_bits(lam)  # the witness endpoints are numerators over it
-    witness = [(int(c.lo * scale), int(c.hi * scale)) for c in eigen.nef_witness.coeffs[1:]]
     record(
         "witness coefficients match the reference decimals",
-        _matches_reference(witness, lam)[0],
+        eigen.witness_matches_reference(),
         f"all within {float(WITNESS_TOLERANCE)}",
     )
 

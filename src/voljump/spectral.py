@@ -47,7 +47,7 @@ from .polynomials import (
     squarefree_circle_count,
     strip_rational_root,
 )
-from .transform import LatticeIsometry, candidate_composites, candidate_conjugators, composite_T
+from .transform import LatticeIsometry, candidate_readings, composite_T
 
 #: Exceptional indices carried by the distinguished line class H - E1 - E2 - E3.
 _LINE_INDICES = (1, 2, 3)
@@ -261,6 +261,12 @@ class EigenSystem(NamedTuple):
         one common denominator (such as the witness values), 0 not in w."""
         return _grid_enclosure(v, w, _grid_bits(self.dominant_value))
 
+    def witness_matches_reference(self) -> bool:
+        """Whether the nef witness matches the reference (`_matches_reference`)."""
+        scale = 1 << _grid_bits(self.dominant_value)  # its endpoints are numerators over it
+        witness = [(int(c.lo * scale), int(c.hi * scale)) for c in self.nef_witness.coeffs[1:]]
+        return _matches_reference(witness, self.dominant_value)[0]
+
 
 @lru_cache(maxsize=4)
 def _exact_core(m: LatticeIsometry) -> tuple:
@@ -405,19 +411,15 @@ def select_orientation() -> OrientationReport:
     S_k = exceptional_shift(k), a @ b = b^-1 (b @ a) b, cremona(8, 9, 10) =
     S_7 cremona(1, 2, 3) S_7^-1, and the reversal E_i -> E_(11-i) swaps the
     Cremona slot sets and turns S_k into S_-k.  From these, each reading M'
-    has a representative M and a slot permutation q (`candidate_conjugators`).
+    has a representative M and a slot permutation q (`candidate_readings`).
     The spectral core runs once per M; M'[q(i)][q(j)] == M[i][j] certifies
     a'[q(i)] = a[i], and the witness is rebuilt from a' (B reads slots 1..3).
     """
     tol = Fraction(1, 10**12)
-    candidates = candidate_composites()
-    readings = {n: m for key, m in candidates.items() for n in key.split(" = ")}
-    conjugators = candidate_conjugators()
+    readings = candidate_readings()
     cores: dict[str, tuple] = {}
     assessments: list[CandidateAssessment] = []
-    for name, matrix in sorted(candidates.items()):
-        rep, q = conjugators[name.split(" = ")[0]]
-        base = readings[rep]
+    for name, matrix, rep, base, q in readings:
         if (q[0], *sorted(q[1:])) != tuple(range(RANK)) or any(  # q fixes slot 0
             matrix.rows[q[i]][q[j]] != x for i, r in enumerate(base.rows) for j, x in enumerate(r)
         ):
@@ -431,13 +433,13 @@ def select_orientation() -> OrientationReport:
             assessments.append(CandidateAssessment(name, False, f"no certified data: {err}"))
             continue
         assessments.append(CandidateAssessment(name, *_matches_reference(witness, core[3])))
-    matching = [a.name for a in assessments if a.matches]
+    matching = [r for r, a in zip(readings, assessments) if a.matches]
     if len(matching) != 1:
         raise CertificationError(
             f"orientation oracle must single out one candidate, found {len(matching)}"
         )
-    if candidates[matching[0]] != composite_T():
+    if matching[0].matrix != composite_T():
         raise CertificationError(
-            f"orientation oracle selected {matching[0]}, which differs from the fixed composite"
+            f"orientation oracle selected {matching[0].name}, which differs from the fixed composite"
         )
-    return OrientationReport(matching[0], tuple(assessments))
+    return OrientationReport(matching[0].name, tuple(assessments))

@@ -204,42 +204,48 @@ def composite_T() -> LatticeIsometry:
     return cremona_isometry(1, 2, 3) @ exceptional_shift(3)
 
 
-def candidate_composites() -> dict[str, LatticeIsometry]:
-    """All defensible readings of the composite's block notation.
+class Reading(NamedTuple):
+    """One matrix of the readings, with their names joined by " = ", the name
+    and matrix (`base`) of its class representative C S_k, C = cremona(1, 2, 3)
+    and S_k = exceptional_shift(k), and the slot permutation q with
+    matrix[q(i)][q(j)] == base[i][j] (identities in `spectral.select_orientation`).
+    """
+
+    name: str
+    matrix: LatticeIsometry
+    representative: str
+    base: LatticeIsometry
+    q: tuple[int, ...]
+
+
+def candidate_readings() -> list[Reading]:
+    """All defensible readings of the composite's block notation, by name.
 
     Varies the Cremona slot placement, the rotation amount/direction (cycle
     vs one-line reading of the permutation, both inverses), and the
-    composition order.  Matrices coinciding under different readings are
-    deduplicated with their names joined by " = ".
+    composition order.  The 16 readings give 14 matrices; one that several
+    readings give keeps the representative and q of its first name.
     """
-    named: dict[str, LatticeIsometry] = {}
+    cremona = cremona_isometry(1, 2, 3)
+    bases = {
+        k: (f"cremona(1, 2, 3), shift+{k}, rotate-then-cremona", cremona @ exceptional_shift(k))
+        for k in (1, 3)
+    }
+    grouped: dict[LatticeIsometry, list[tuple]] = {}
     for slots in ((1, 2, 3), (8, 9, 10)):
         a = cremona_isometry(*slots)
-        slot_tag = f"cremona{slots}"
         for shift in (1, -1, 3, -3):
             b = exceptional_shift(shift)
-            for order, matrix in (
-                ("rotate-then-cremona", a @ b),
-                ("cremona-then-rotate", b @ a),
-            ):
-                named[f"{slot_tag}, shift{shift:+d}, {order}"] = matrix
-    grouped: dict[LatticeIsometry, list[str]] = {}
-    for name, matrix in named.items():
-        grouped.setdefault(matrix, []).append(name)
-    return {" = ".join(sorted(names)): matrix for matrix, names in grouped.items()}
-
-
-def candidate_conjugators() -> dict[str, tuple[str, tuple[int, ...]]]:
-    """Per reading of `candidate_composites`: its representative C S_|shift|
-    (C = cremona(1, 2, 3), S_k = exceptional_shift(k)) and the slot permutation q
-    with matrix[q(i)][q(j)] == rep[i][j], by the identities in `spectral`."""
-    out = {}
-    for slots in ((1, 2, 3), (8, 9, 10)):
-        for shift in (1, -1, 3, -3):
             far = (slots == (8, 9, 10)) != (shift < 0)  # S_7 C S_-7 = cremona(8, 9, 10), once reversed
-            rep = f"cremona(1, 2, 3), shift+{abs(shift)}, rotate-then-cremona"
-            for order, turn in (("rotate-then-cremona", 0), ("cremona-then-rotate", abs(shift))):
+            for order, matrix, turn in (
+                ("rotate-then-cremona", a @ b, 0),
+                ("cremona-then-rotate", b @ a, abs(shift)),
+            ):
                 q = [(i - 1 + 7 * far + turn) % 10 + 1 for i in range(1, RANK)]
                 q = [11 - i for i in q] if shift < 0 else q  # the reversal
-                out[f"cremona{slots}, shift{shift:+d}, {order}"] = (rep, (0, *q))
-    return out
+                name = f"cremona{slots}, shift{shift:+d}, {order}"
+                grouped.setdefault(matrix, []).append((name, *bases[abs(shift)], (0, *q)))
+    return sorted(
+        Reading(" = ".join(sorted(g[0] for g in group)), matrix, *min(group)[1:])
+        for matrix, group in grouped.items()
+    )

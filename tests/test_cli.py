@@ -96,6 +96,21 @@ def test_nef_table_csv_is_crlf(capsys):
     assert header == "d,a1,a2,a3,a4,a5,a6,a7,a8,a9,a10,margin_midpoint"
 
 
+def test_nef_table_json_prints_the_margins_the_report_decided(capsys):
+    code, out, _ = run_cli(capsys, "nef-table", "--format", "json")
+    assert code == 0
+    table = {(r["d"], tuple(r["a"])): r["margin"] for r in json.loads(out)}
+    assert main(["report"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    rows = {
+        (r["d"], tuple(r["a"])): r["margin"]
+        for s in report["nef"]["degrees"]
+        for r in s["extreme_rows"]
+    }
+    assert len(table) == len(rows) == 49
+    assert all(table[key][end] == rows[key][end] for key in rows for end in ("lo", "hi"))
+
+
 def test_enumerate_counts(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--d", "3")
     assert code == 0
@@ -123,6 +138,13 @@ def test_orbit_custom_requires_coeffs(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["orbit", "--seed", "custom"])
     assert excinfo.value.code == 2
+
+
+def test_orbit_coeffs_require_custom_seed(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["orbit", "--coeffs", *["1"] * 11])
+    assert excinfo.value.code == 2
+    assert "--coeffs requires --seed custom" in capsys.readouterr().err
 
 
 def test_orbit_rejects_empty_horizon(capsys):
@@ -184,6 +206,16 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text()) == [list(r) for r in composite_T().rows]
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "matrix.txt"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["dump-matrix", "--out", str(target)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {target}" in err
+    assert "Traceback" not in err
 
 
 def test_nef_verify_passes(capsys):
@@ -291,16 +323,12 @@ def test_verify_reports_first_failure(monkeypatch, capsys):
 
 
 def test_oracle_failure_is_a_failed_certificate(monkeypatch, capsys):
-    from voljump import spectral
-    from voljump.transform import LatticeIsometry
+    from voljump.transform import LatticeIsometry, Reading
 
     # a lone identity reading cannot reproduce the reference coefficients
-    monkeypatch.setattr(
-        spectral, "candidate_composites", lambda: {"identity": LatticeIsometry.identity()}
-    )
-    monkeypatch.setattr(
-        spectral, "candidate_conjugators", lambda: {"identity": ("identity", tuple(range(11)))}
-    )
+    identity = LatticeIsometry.identity()
+    reading = Reading("identity", identity, "identity", identity, tuple(range(11)))
+    monkeypatch.setattr(spectral, "candidate_readings", lambda: [reading])
     code, out, err = run_cli(capsys, "verify")
     assert code == 1
     assert "failed: orientation oracle selects the fixed composite" in err
@@ -314,11 +342,12 @@ def test_oracle_failure_is_a_failed_certificate(monkeypatch, capsys):
 def test_wrong_conjugator_fails_the_oracle_naming_the_candidate(monkeypatch, capsys):
     # one slot more of rotation does not carry the representative to the
     # candidate; the mismatch is a failed certificate, not missing data
-    conjugators = transform.candidate_conjugators()
+    readings = transform.candidate_readings()
     name = "cremona(8, 9, 10), shift-1, rotate-then-cremona"
-    rep, q = conjugators[name]
-    conjugators[name] = (rep, q[:1] + q[2:] + q[1:2])
-    monkeypatch.setattr(spectral, "candidate_conjugators", lambda: conjugators)
+    [k] = [k for k, r in enumerate(readings) if r.name == name]
+    rep, q = readings[k].representative, readings[k].q
+    readings[k] = readings[k]._replace(q=q[:1] + q[2:] + q[1:2])
+    monkeypatch.setattr(spectral, "candidate_readings", lambda: readings)
     code, out, err = run_cli(capsys, "verify")
     assert code == 1
     assert "failed: orientation oracle selects the fixed composite" in err

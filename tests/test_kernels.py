@@ -33,7 +33,7 @@ from voljump.spectral import (
 )
 
 from helpers import outward
-from voljump.transform import LatticeIsometry, candidate_composites, composite_T
+from voljump.transform import LatticeIsometry, candidate_readings, composite_T
 
 SEED = 20130517
 
@@ -184,7 +184,7 @@ def counting(monkeypatch, name):
 
 def off_unit_factors():
     """s of p = (x - 1)^k s for both distinct char polys of the oracle's readings."""
-    polys = {faddeev_leverrier(m)[0] for m in candidate_composites().values()}
+    polys = {faddeev_leverrier(r.matrix)[0] for r in candidate_readings()}
     assert len(polys) == 2
     return [strip_rational_root(p, 1)[1] for p in sorted(polys, key=lambda p: p.coeffs)]
 
@@ -572,7 +572,7 @@ def leverrier_reference(m):
 
 def test_faddeev_leverrier_matches_full_matrix_recurrence():
     rng = random.Random(SEED + 3)
-    matrices = [composite_T(), *candidate_composites().values()]
+    matrices = [composite_T(), *(r.matrix for r in candidate_readings())]
     matrices += [
         LatticeIsometry([[rng.randint(-3, 3) for _ in range(11)] for _ in range(11)])
         for _ in range(6)
@@ -609,7 +609,7 @@ def column_enclosures(column, lam):
 @pytest.mark.parametrize("digits", [12, 60, 400])
 def test_eigenvector_equals_interval_route(digits):
     # every oracle candidate at the oracle's 12 digits, the composite beyond
-    matrices = [composite_T()] + (list(candidate_composites().values()) if digits == 12 else [])
+    matrices = [composite_T()] + ([r.matrix for r in candidate_readings()] if digits == 12 else [])
     tol = Fraction(1, 10**digits)
     checked = 0
     for m in matrices:

@@ -18,7 +18,7 @@ PINNED = [
     (("report",), 0, "2bdf1603e561031d6ff4b89c1740d9e6ffbb02589defae541b5a429eac2749f6"),
     (("nef-table", "--format", "md"), 0, "e59f3b6f9737cfbf7890915de67981d1fbeae092190e1198be005c4c44c9fd03"),
     (("nef-table", "--format", "csv"), 0, "289ea3ed8512973cad213d020e7e9cfb8542351691187ae8dc829b4bd6b17bde"),
-    (("nef-table", "--format", "json"), 0, "6a275c05e46e82bca3a628c600f6b1b1071e00c6f1b017c5a633490b19834e5a"),
+    (("nef-table", "--format", "json"), 0, "bf1c4364c98b6b71d75a2a6b9669689125d739855ea5ce4630b6420e46870c5e"),
     (("enumerate", "--d", "6"), 0, "5c38d598106cec4fcd4a7e85165fb4fe27c93b69ac52c9bb0ce4ad83040f43bc"),
     (("enumerate", "--d", "6", "--extreme"), 0, "0b21488fe4374d6070083b461a95eedafc972143383175193b8eb2bd42361d7f"),
     (("eigen", "--format", "json"), 0, "f426141ffdf2f356dad4330645956f2c4735a4e192b837d71c9d17101290b353"),

@@ -27,7 +27,7 @@ from voljump.polynomials import (
     strip_rational_root,
     totient,
 )
-from voljump.transform import LatticeIsometry, candidate_composites, composite_T
+from voljump.transform import LatticeIsometry, candidate_readings, composite_T
 
 
 def poly_from_desc(*desc):
@@ -250,7 +250,7 @@ def test_count_outside_composite_charpoly(eigen):
 def test_factor_count_matches_general_count_on_candidate_charpolys():
     # p = (x - 1)^k s with s squarefree: k roots at 1 plus the count of s, as
     # `CharpolyFacts` reads it, against the count over the gcd layers of p
-    polys = {char_poly(m) for m in candidate_composites().values()}
+    polys = {char_poly(r.matrix) for r in candidate_readings()}
     assert len(polys) == 2
     for p in polys:
         k, s = strip_rational_root(p, 1)

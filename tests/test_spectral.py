@@ -27,8 +27,8 @@ from voljump.spectral import (
 )
 from voljump.transform import (
     LatticeIsometry,
-    candidate_composites,
-    candidate_conjugators,
+    Reading,
+    candidate_readings,
     composite_T,
     cremona_isometry,
     exceptional_shift,
@@ -265,31 +265,30 @@ def test_orientation_oracle_selects_fixed_composite():
     assert any("shift-1" in name for name in rejected)
 
 
-def candidate_readings():
-    """Each reading name of `candidate_composites` with its matrix."""
-    return {n: m for key, m in candidate_composites().items() for n in key.split(" = ")}
-
-
 def test_conjugators_transfer_the_adjugate_column():
     # every reading is Q rep Q^T for its recorded slot permutation q, and the
     # representative's adjugate column, permuted by a'[q(i)] = a[i], is the
     # reading's own, with the same characteristic polynomial
     readings = candidate_readings()
-    conjugators = candidate_conjugators()
-    assert set(conjugators) == set(readings) and len(readings) == 16
-    assert {rep for rep, _ in conjugators.values()} == {
-        "cremona(1, 2, 3), shift+1, rotate-then-cremona",
-        "cremona(1, 2, 3), shift+3, rotate-then-cremona",
+    assert len(readings) == 14
+    bases = {(r.representative, r.base) for r in readings}
+    cremona = cremona_isometry(1, 2, 3)
+    assert bases == {
+        (f"cremona(1, 2, 3), shift+{k}, rotate-then-cremona", cremona @ exceptional_shift(k))
+        for k in (1, 3)
     }
-    for name, (rep, q) in conjugators.items():
+    # each representative is computed once and is its own reading's matrix
+    assert len({id(r.base) for r in readings}) == 2
+    by_name = {n: r.matrix for r in readings for n in r.name.split(" = ")}
+    assert all(by_name[rep] == base for rep, base in bases)
+    for _, matrix, _, base, q in readings:
         assert q[0] == 0 and sorted(q) == list(range(11))
-        m, base = readings[name].rows, readings[rep].rows
-        assert all(m[q[i]][q[j]] == base[i][j] for i in range(11) for j in range(11))
-        p, column = faddeev_leverrier(readings[rep])
+        assert all(matrix.rows[q[i]][q[j]] == base.rows[i][j] for i in range(11) for j in range(11))
+        p, column = faddeev_leverrier(base)
         permuted = [None] * 11
         for i, a in enumerate(column):
             permuted[q[i]] = a
-        assert faddeev_leverrier(readings[name]) == (p, tuple(permuted))
+        assert faddeev_leverrier(matrix) == (p, tuple(permuted))
 
 
 def clear_spectral_caches():
@@ -350,8 +349,7 @@ def test_conjugator_must_be_a_slot_permutation_fixing_h(monkeypatch, q):
     # index-permuted equality; the oracle must still reject a q that is no
     # permutation, or one that moves slot 0
     ones = LatticeIsometry([[1] * 11] * 11)
-    monkeypatch.setattr(spectral, "candidate_composites", lambda: {"a": ones, "b": ones})
-    conjugators = {"a": ("a", tuple(range(11))), "b": ("a", q)}
-    monkeypatch.setattr(spectral, "candidate_conjugators", lambda: conjugators)
+    readings = [Reading("a", ones, "a", ones, tuple(range(11))), Reading("b", ones, "a", ones, q)]
+    monkeypatch.setattr(spectral, "candidate_readings", lambda: readings)
     with pytest.raises(CertificationError, match="conjugator of b does not carry a to it"):
         select_orientation()

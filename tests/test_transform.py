@@ -13,7 +13,7 @@ from voljump.lattice import (
 from voljump.transform import (
     LatticeIsometry,
     apply,
-    candidate_composites,
+    candidate_readings,
     composite_T,
     cremona_isometry,
     exceptional_shift,
@@ -123,10 +123,13 @@ def test_form_preserved_on_random_classes():
 
 
 def test_candidates_are_isometries_fixing_canonical():
-    candidates = candidate_composites()
-    assert len(candidates) == 14  # 16 readings, two coincidences
-    assert composite_T() in candidates.values()
-    for matrix in candidates.values():
+    readings = candidate_readings()
+    names = [n for r in readings for n in r.name.split(" = ")]
+    assert len(names) == len(set(names)) == 16
+    candidates = [r.matrix for r in readings]
+    assert len(candidates) == len(set(candidates)) == 14  # two coincidences
+    assert composite_T() in candidates
+    for matrix in candidates:
         assert verify_isometry(matrix).ok
         assert apply(matrix, canonical_class()) == canonical_class()
         assert matrix.determinant() in (-1, 1)
