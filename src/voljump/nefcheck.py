@@ -29,22 +29,26 @@ all: the recursion over the sorted patterns (`_canonical_walk`) carries the
 enclosure of the margin numerator down the prefix, one subtraction per
 level, and each leaf is a plain tuple (multiplicities, numerator bounds,
 extreme flag); degrees 1 and 2 take their numerators straight from the
-index subsets.  Candidate objects and margin enclosures are built only for
-the rows the report keeps.  The facts beyond the margins are exact: the
-line class has margin exactly zero because D - N_1 - N_2 - N_3 is the zero
-polynomial, the square-sum identity sum t_i^2 = 1 - 2 beta^2 / (1 - beta)^2
-is sum N_i^2 - D^2 + 2 B^2 = 0 mod s, and bigness follows from
-L^2 = 2 B^2 / D^2 with B(lambda) != 0.  The public functions on general
-witness enclosures (`margin`, `check_degree_one`, `cauchy_schwarz_cutoff`,
-`bigness_certificates`, ...) use interval arithmetic instead.
+index subsets, and the reference table is compared on the grid numerators
+of the quotients.  The report keeps the leaves of the rows it shows, and a
+row (candidate object and margin enclosure) is built on its first read, so
+a run that prints only verdicts builds none.  The facts beyond the margins
+are exact: the line class has margin exactly zero because
+D - N_1 - N_2 - N_3 is the zero polynomial, the square-sum identity
+sum t_i^2 = 1 - 2 beta^2 / (1 - beta)^2 is sum N_i^2 - D^2 + 2 B^2 = 0
+mod s, and bigness follows from L^2 = 2 B^2 / D^2 with B(lambda) != 0.
+The public functions on general witness enclosures (`margin`,
+`check_degree_one`, `cauchy_schwarz_cutoff`, `bigness_certificates`, ...)
+use interval arithmetic instead.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import isqrt
-from typing import NamedTuple, Sequence
+from functools import cache
+from math import isqrt, lcm
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import CertificationError, PrecisionBudgetError
 from .intervals import ClassEnclosure, RealEnclosure, decimal_string
@@ -159,18 +163,20 @@ def _canonical_walk(
     mults = [0] * 10
     leaves: list[tuple[tuple[int, ...], int, int, bool]] = []
 
-    def rec(pos: int, prev: int, total: int, square_total: int, lo: int, hi: int) -> None:
+    # rec takes itself as an argument: a closure cell holding it would make a
+    # reference cycle that keeps `leaves` alive until the cyclic collector runs
+    def rec(rec, pos: int, prev: int, total: int, square_total: int, lo: int, hi: int) -> None:
         if pos < 10:
             i, n_lo, n_hi = steps[pos]
             for v in range(min(prev, sum_budget - total, isqrt(sq_budget - square_total)), 0, -1):
                 mults[i] = v
-                rec(pos + 1, v, total + v, square_total + v * v, lo - v * n_hi, hi - v * n_lo)
+                rec(rec, pos + 1, v, total + v, square_total + v * v, lo - v * n_hi, hi - v * n_lo)
             mults[i] = 0
         # the multiplicities from pos on are zero
         extreme = not _feasible(d, total + 1, square_total + 2 * mults[9] + 1)
         leaves.append((tuple(mults), lo, hi, extreme))
 
-    rec(0, sum_budget, 0, 0, d * d_value[0], d * d_value[1])
+    rec(rec, 0, sum_budget, 0, 0, d * d_value[0], d * d_value[1])
     return leaves
 
 
@@ -293,31 +299,77 @@ def bigness_certificates(
 
 
 class DegreeSummary(NamedTuple):
+    """One degree of the enumeration: its counts and the leaves of the rows
+    the report keeps, whose rows `rows` builds on first read."""
+
     degree: int
     candidate_count: int
-    extreme_count: int
-    minimum: MarginRow
-    extreme_rows: tuple[MarginRow, ...]
+    minimum_leaf: tuple
+    extreme_leaves: tuple
+    rows: Callable[..., MarginRow]  # (degree, leaf, exact_zero=False) -> row, built once
+
+    @property
+    def extreme_count(self) -> int:
+        return len(self.extreme_leaves)
+
+    @property
+    def minimum(self) -> MarginRow:
+        return self.rows(self.degree, self.minimum_leaf)
+
+    @property
+    def extreme_rows(self) -> tuple[MarginRow, ...]:
+        return tuple(self.rows(self.degree, leaf) for leaf in self.extreme_leaves)
 
 
 class NefReport(NamedTuple):
-    """Aggregated evidence that the witness class is nef and big."""
+    """Aggregated evidence that the witness class is nef and big.
 
-    degree_one: tuple[MarginRow, ...]
+    The certificates (`checks`) and counts are decided on the margin
+    numerators; the row fields (`degree_one`, `degree_two_minimum`,
+    `zero_witnesses`, `extra_extreme_rows` and those of `degrees`) build
+    their `MarginRow`s on first read, so a run that prints only verdicts
+    builds none.
+    """
+
+    degree_one_leaves: tuple  # (degree, leaf): the line, the 45 two-point lines, the E_i
     degree_two_count: int
-    degree_two_minimum: MarginRow
+    degree_two_minimum_leaf: tuple
     degrees: tuple[DegreeSummary, ...]
     cutoff: int
     bigness: BignessData
-    zero_witnesses: tuple[MarginRow, ...]
     reference_rows_total: int
     reference_rows_matched: int
-    extra_extreme_rows: tuple[MarginRow, ...]
+    extra_leaves: tuple  # (degree, leaf) of extreme rows outside the reference table
+    rows: Callable[..., MarginRow]  # as in DegreeSummary
     checks: tuple[CheckResult, ...] = ()
 
+    @property
+    def degree_one(self) -> tuple[MarginRow, ...]:
+        return self.zero_witnesses + tuple(self.rows(*x) for x in self.degree_one_leaves[1:])
 
-def _reference_lookup() -> dict[tuple[int, tuple[int, ...]], Fraction]:
-    return {(d, a): m for d, a, m in TABLE_ROWS}
+    @property
+    def degree_two_minimum(self) -> MarginRow:
+        return self.rows(2, self.degree_two_minimum_leaf)
+
+    @property
+    def zero_witnesses(self) -> tuple[MarginRow, ...]:
+        return (self.rows(*self.degree_one_leaves[0], True),)
+
+    @property
+    def extra_extreme_rows(self) -> tuple[MarginRow, ...]:
+        return tuple(self.rows(*x) for x in self.extra_leaves)
+
+
+def _reference_numerators(bits: int) -> tuple[dict[tuple[int, tuple[int, ...]], int], int, int]:
+    """The reference table over L 2^(bits + 1), L the lcm of its
+    denominators and the tolerance's: ({(d, a): margin}, tolerance, L).  A
+    grid enclosure [lo, hi] / 2^bits has midpoint (lo + hi) L over it."""
+    scale = lcm(TABLE_TOLERANCE.denominator, *(m.denominator for *_, m in TABLE_ROWS))
+
+    def over(x: Fraction) -> int:
+        return x.numerator * (scale // x.denominator) << bits + 1
+
+    return {(d, a): over(m) for d, a, m in TABLE_ROWS}, over(TABLE_TOLERANCE), scale
 
 
 def _argmin(leaves):
@@ -330,18 +382,23 @@ def full_report(eigen: EigenSystem) -> NefReport:
     """Run every nef check against one certified eigensystem.
 
     Every margin is decided once, as the integer numerator
-    d D(lambda) - sum a_i N_i(lambda) over D(lambda) > 0; candidates and
-    enclosures are built only for the rows the report keeps.
+    d D(lambda) - sum a_i N_i(lambda) over D(lambda) > 0, and the reference
+    table on the grid numerators of the quotients; the report keeps the
+    leaves of the rows it shows and builds a row only when it is read.
     """
     d_poly, b_poly, *n_polys = eigen.witness_polynomials
     d_value, b_value, *n_values = eigen.witness_values
     checks: list[CheckResult] = []
 
+    @cache
+    def rows(degree: int, leaf: tuple, exact_zero: bool = False) -> MarginRow:
+        """The row of a leaf (mults, lo, hi, ...): the margin numerator over
+        D(lambda) > 0 put on the eigensystem's grid."""
+        margin = eigen.quotient(leaf[1:3], d_value)
+        return MarginRow(CandidateCurve(degree, leaf[0]), margin, exact_zero)
+
     def record(name: str, passed: bool, detail: str = "") -> None:
         checks.append(CheckResult(name, passed, detail))
-
-    def row(degree: int, leaf) -> MarginRow:
-        return MarginRow(CandidateCurve(degree, leaf[0]), eigen.quotient(leaf[1:3], d_value))
 
     # the premise of the canonical enumeration below: sorted multiplicities
     # along the weight order minimize the margin (rearrangement inequality)
@@ -354,39 +411,31 @@ def full_report(eigen: EigenSystem) -> NefReport:
         "strict descending chain",
     )
 
-    # degree <= 1
+    # degree <= 1; D - N1 - N2 - N3 = 0 makes the line's margin numerator exactly 0
     line_zero = combine((1, -1, -1, -1), (d_poly, *n_polys[:3])) == IntPoly([0])
     line_leaf, *lines = _subset_leaves(
         1, [(0, 1, 2), *itertools.combinations(range(10), 2)], d_value, n_values
-    )
-    line_row = MarginRow(
-        CandidateCurve.line(),
-        RealEnclosure.exact(0) if line_zero else eigen.quotient(line_leaf[1:3], d_value),
-        True,
     )
     record(
         "degree-1 line-class margin is exactly zero",
         line_zero,
         "D - N1 - N2 - N3 = 0 as polynomials, D(lambda) > 0",
     )
-    degree_one = (
-        (line_row,)
-        + tuple(row(1, leaf) for leaf in lines)
-        # E_i: margin t_i = N_i / D
-        + tuple(
-            MarginRow(CandidateCurve.exceptional(i), eigen.quotient(v, d_value))
-            for i, v in enumerate(n_values, start=1)
-        )
+    # E_i = 0 H - (-1) E_i: margin t_i = N_i / D
+    exceptionals = [(_indicator((i,), -1), *v) for i, v in enumerate(n_values)]
+    degree_one_leaves = (
+        (1, (line_leaf[0], 0, 0) if line_zero else line_leaf),
+        *((1, leaf) for leaf in lines),
+        *((0, leaf) for leaf in exceptionals),
     )
     record(
         "degree-1 margins positive",
         all(leaf[1] > 0 for leaf in lines) and all(lo > 0 for lo, _ in n_values),
-        f"{len(degree_one) - 1} classes (45 two-point lines, 10 exceptional)",
+        f"{len(degree_one_leaves) - 1} classes (45 two-point lines, 10 exceptional)",
     )
 
     # degree 2: conics through five distinct points
     conics = _subset_leaves(2, itertools.combinations(range(10), 5), d_value, n_values)
-    two_min = row(2, _argmin(conics))
     record(
         "degree-2 margins positive",
         all(leaf[1] > 0 for leaf in conics),
@@ -395,30 +444,28 @@ def full_report(eigen: EigenSystem) -> NefReport:
 
     # degrees 3..6
     summaries: list[DegreeSummary] = []
-    reference = _reference_lookup()
+    reference, tolerance, scale = _reference_numerators(eigen.grid_bits)
     matched = 0
-    extras: list[MarginRow] = []
+    extras: list[tuple] = []
     enumeration_positive = True
     extreme_agrees = True
     for d in range(3, 7):
         leaves = _canonical_walk(d, d_value, n_values)
-        extremes = [leaf for leaf in leaves if leaf[3]]
+        extremes = tuple(leaf for leaf in leaves if leaf[3])
         minimum = _argmin(leaves)
         if not all(leaf[1] > 0 for leaf in leaves):
             enumeration_positive = False
         if _argmin(extremes)[0] != minimum[0]:
             extreme_agrees = False
-        extreme_rows = tuple(row(d, leaf) for leaf in extremes)
-        for r in extreme_rows:
-            key = (d, r.candidate.mults)
+        for leaf in extremes:
+            key = (d, leaf[0])
             if key in reference:
-                if abs(r.margin.midpoint - reference[key]) <= TABLE_TOLERANCE:
+                lo, hi = eigen.grid_quotient(leaf[1:3], d_value)
+                if abs((lo + hi) * scale - reference[key]) <= tolerance:
                     matched += 1
             else:
-                extras.append(r)
-        summaries.append(
-            DegreeSummary(d, len(leaves), len(extreme_rows), row(d, minimum), extreme_rows)
-        )
+                extras.append((d, leaf))
+        summaries.append(DegreeSummary(d, len(leaves), minimum, extremes, rows))
     record(
         "degrees 3..6 full enumeration margins positive",
         enumeration_positive,
@@ -481,15 +528,15 @@ def full_report(eigen: EigenSystem) -> NefReport:
     )
 
     return NefReport(
-        degree_one=degree_one,
+        degree_one_leaves=degree_one_leaves,
         degree_two_count=len(conics),
-        degree_two_minimum=two_min,
+        degree_two_minimum_leaf=_argmin(conics),
         degrees=tuple(summaries),
         cutoff=cutoff,
         bigness=bigness,
-        zero_witnesses=(line_row,),
         reference_rows_total=len(TABLE_ROWS),
         reference_rows_matched=matched,
-        extra_extreme_rows=tuple(extras),
+        extra_leaves=tuple(extras),
+        rows=rows,
         checks=tuple(checks),
     )

@@ -40,7 +40,10 @@ class OrbitRecord(NamedTuple):
 
 
 def iterate(seed: DivisorClass, n: int) -> OrbitRecord:
-    """The class T^n(seed), computed by repeated squaring of the matrix."""
+    """The class T^n(seed), computed by repeated squaring of the matrix
+    (`LatticeIsometry.power`), not by `walk`'s stepping: the two stay
+    independent, so that tests comparing `iterate` with `orbit` compare two
+    computations of the orbit."""
     if n < 0:
         raise ValueError("orbit index must be nonnegative")
     vector, scale = seed.integral_multiple()

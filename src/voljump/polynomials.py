@@ -31,9 +31,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd as int_gcd
-from math import lcm
-from operator import mul
+from math import lcm, prod
+from operator import index, mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import CertificationError, PrecisionBudgetError
@@ -59,7 +60,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        values = [int(c) for c in coeffs]
+        values = list(map(index, coeffs))  # TypeError on a float or Fraction
         while len(values) > 1 and values[-1] == 0:
             values.pop()
         self.coeffs: tuple[int, ...] = tuple(values) if values else (0,)
@@ -507,46 +508,74 @@ def dominant_bracket(reduced: IntPoly) -> tuple[Fraction, Fraction]:
 # -- cyclotomic scan -----------------------------------------------------------
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    primes, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            primes.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return primes + [n] if n > 1 else primes
+
+
 def totient(n: int) -> int:
     result = n
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            while m % f == 0:
-                m //= f
-            result -= result // f
-        f += 1
-    if m > 1:
-        result -= result // m
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, by exact division of x^n - 1."""
+    """The n-th cyclotomic polynomial, the Möbius product
+    prod_{d | n} (x^d - 1)^mu(n/d).
+
+    mu(n/d) is nonzero only for n/d a product of r distinct primes of n,
+    where it is (-1)^r.  For n > 1 the exponents sum to 0, so the product is
+    prod (1 - x^d)^mu(n/d), a polynomial of degree phi(n): it is computed as
+    a power series modulo x^(phi(n) + 1), where multiplying by 1 - x^d and
+    dividing by it take one pass each.
+    """
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    num = IntPoly([-1] + [0] * (n - 1) + [1])
-    for d in range(1, n):
-        if n % d == 0:
-            quotient = num.divide_exact(cyclotomic(d))
-            _require(quotient is not None, "cyclotomic divisor of x^n - 1 does not divide")
-            num = quotient
-    return num
+    if n == 1:
+        return IntPoly([-1, 1])
+    primes = _prime_factors(n)
+    size = totient(n) + 1
+    series = [1] + [0] * (size - 1)
+    for r in range(len(primes) + 1):
+        for subset in combinations(primes, r):
+            d = n // prod(subset)
+            if r % 2:  # divide by 1 - x^d
+                for k in range(d, size):
+                    series[k] += series[k - d]
+            else:  # multiply by 1 - x^d
+                for k in range(size - 1, d - 1, -1):
+                    series[k] -= series[k - d]
+    return IntPoly(series)
 
 
 def cyclotomic_factors(p: IntPoly) -> list[tuple[int, int]]:
-    """All cyclotomic divisors of p with multiplicities, each stripped by
-    `_strip_factor` (for n = 1 the loop of `strip_rational_root`).
+    """All cyclotomic divisors of p with multiplicities: (x - 1)^k is
+    stripped (`strip_rational_root`), and the rest scanned
+    (`split_cyclotomic_factors`)."""
+    return split_cyclotomic_factors(*strip_rational_root(p, 1))
+
+
+def split_cyclotomic_factors(k: int, s: IntPoly) -> list[tuple[int, int]]:
+    """The cyclotomic divisors with multiplicities of (x - 1)^k s, for s
+    with s(1) != 0: (1, k) if k > 0, then each Phi_n, n >= 2, stripped from
+    s by `_strip_factor`.
 
     Scanning n <= 200 exhausts every cyclotomic polynomial of degree <= 11
     (indeed of degree well beyond), so the scan is complete for the
     characteristic polynomials handled here.
     """
-    scan = (n for n in range(1, 201) if totient(n) <= p.degree)
-    counts = ((n, _strip_factor(p, cyclotomic(n))[0]) for n in scan)
-    return [(n, k) for n, k in counts if k]
+    scan = (n for n in range(2, 201) if totient(n) <= s.degree)
+    counts = ((n, _strip_factor(s, cyclotomic(n))[0]) for n in scan)
+    return ([(1, k)] if k else []) + [(n, m) for n, m in counts if m]
 
 
 # -- certified unit-circle root count ------------------------------------------

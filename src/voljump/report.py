@@ -20,7 +20,7 @@ from .orbit import OrbitRecord, distinctness, growth_ratios, increase_start, wal
 from .polynomials import combine
 from .reference import WITNESS_TOLERANCE
 from .spectral import CharpolyFacts, EigenSystem, OrientationReport, eigensystem, select_orientation
-from .transform import apply, composite_T, verify_isometry
+from .transform import apply_integers, composite_T, verify_isometry
 
 SCHEMA_VERSION = "1"
 
@@ -102,8 +102,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
 
     t = composite_T()
     record("composite map preserves the intersection form", verify_isometry(t).ok)
-    k = canonical_class()
-    record("composite map fixes the canonical class", apply(t, k) == k)
+    record("composite map fixes the canonical class", apply_integers(t, CANONICAL) == CANONICAL)
     det = t.determinant()
     record("composite map is unimodular", det in (-1, 1), f"det = {det}")
 

@@ -15,14 +15,18 @@ D = 2 a_0 - B and N_i = -2 a_i - B l_i (l_i = 1 on the line indices 1..3),
 the line component is beta = B(lambda) / 2 a_0(lambda) and the witness
 coefficients are t_i = N_i(lambda) / D(lambda).  Every polynomial is
 enclosed at lambda once, as integer numerators over a power of the
-denominator of lambda's endpoints (`_column_values`), and each quotient goes
-onto a dyadic grid by integer floor and ceiling division
-(`_quotient_on_grid`).  Exact identities mod s (the zero pairings of the
-eigenvector, the square-sum identity of the witness) are decided on the
-polynomials themselves.  Also hosts the factor data of p (`CharpolyFacts`,
+denominator of lambda's endpoints (`_column_values`, `_enclose`), and each
+quotient goes onto a dyadic grid by integer floor and ceiling division
+(`_quotient_on_grid`).  The N_i off the line indices are the multiples
+-2 a_i, built and enclosed once per column (`_scaled_column`); the witness
+stage builds only D, B and N_1..N_3 (`_witness_stage`, the one path of
+`eigensystem` and of every oracle reading).  Exact identities mod s (the
+zero pairings of the eigenvector, the square-sum identity of the witness)
+are decided on the polynomials themselves.  Also hosts the factor data of p (`CharpolyFacts`,
 whose unit-circle count is k roots at 1 plus the count of s) and the
 orientation oracle over the 14 readings of the composite's notation, which
-runs `_spectral_core` once per conjugacy class (`select_orientation`).
+runs `_spectral_core` and `_scaled_column` once per conjugacy class and the
+witness stage once per reading (`select_orientation`).
 """
 
 from __future__ import annotations
@@ -39,11 +43,11 @@ from .polynomials import (
     IntPoly,
     UnitCircleCount,
     combine,
-    cyclotomic_factors,
     dominant_bracket,
     faddeev_leverrier,
     poly_gcd,
     refine_isolated_root,
+    split_cyclotomic_factors,
     squarefree_circle_count,
     strip_rational_root,
 )
@@ -82,33 +86,42 @@ def _dominant_spectrum(p: IntPoly) -> tuple[IntPoly, tuple[Fraction, Fraction]]:
 def _column_values(column: Sequence[IntPoly], lam: RealEnclosure) -> list[tuple[int, int]]:
     """Enclosures [lo_i, hi_i] / D^deg of a_i(lambda) for each column
     polynomial, as integer numerators over one power of the common
-    denominator D of lambda's endpoints.
+    denominator D of lambda's endpoints, deg the largest degree."""
+    powers = _endpoint_powers(lam, max(p.degree for p in column))
+    return [_enclose(p, powers) for p in column]
 
-    With lambda.lo = A/D and lambda.hi = B/D, each term c_k lambda^k lies
-    between c_k A^k/D^k and c_k B^k/D^k; the lower bound takes A^k for c_k > 0
-    and B^k for c_k < 0.  That needs lambda.lo > 0, which the callers
-    certify (lambda.lo > 1) in `_spectral_core`.
+
+def _endpoint_powers(lam: RealEnclosure, degree: int) -> tuple[list[int], list[int]]:
+    """With lambda.lo = A/D and lambda.hi = B/D: the numerators A^k D^(deg-k)
+    and B^k D^(deg-k) of the powers of the endpoints over D^deg, k <= deg.
+
+    Each term c_k lambda^k lies between c_k A^k/D^k and c_k B^k/D^k; the
+    lower bound takes A^k for c_k > 0 and B^k for c_k < 0 (`_enclose`).
+    That needs lambda.lo > 0, which the callers certify (lambda.lo > 1) in
+    `_spectral_core`.
     """
     if not lam.lo > 0:
         raise CertificationError("eigenvector evaluation needs a positive eigenvalue enclosure")
     den = lcm(lam.lo.denominator, lam.hi.denominator)
     a = lam.lo.numerator * (den // lam.lo.denominator)
     b = lam.hi.numerator * (den // lam.hi.denominator)
-    degree = max(p.degree for p in column)
     low = [a**k * den ** (degree - k) for k in range(degree + 1)]
     high = [b**k * den ** (degree - k) for k in range(degree + 1)]
-    values = []
-    for p in column:
-        lo_sum = hi_sum = 0
-        for c, x, y in zip(p.coeffs, low, high):
-            if c > 0:
-                lo_sum += c * x
-                hi_sum += c * y
-            elif c < 0:
-                lo_sum += c * y
-                hi_sum += c * x
-        values.append((lo_sum, hi_sum))
-    return values
+    return low, high
+
+
+def _enclose(p: IntPoly, powers: tuple[list[int], list[int]]) -> tuple[int, int]:
+    """Numerators [lo, hi] of p(lambda) over the denominator of `powers`
+    (`_endpoint_powers`), for p of degree at most theirs."""
+    lo_sum = hi_sum = 0
+    for c, x, y in zip(p.coeffs, *powers):
+        if c > 0:
+            lo_sum += c * x
+            hi_sum += c * y
+        elif c < 0:
+            lo_sum += c * y
+            hi_sum += c * x
+    return lo_sum, hi_sum
 
 
 def _quotient_on_grid(
@@ -167,29 +180,38 @@ def _eigen_relation(m: LatticeIsometry, column: Sequence[IntPoly], off_unit: Int
             raise CertificationError(f"eigen-relation row {i} of (xI - T) a = p e_0 fails")
 
 
-def _witness_polynomials(column: Sequence[IntPoly]) -> tuple[IntPoly, ...]:
-    """(D, B, N_1, ..., N_10) of the nef witness, from the adjugate column a.
-
-    With r_i = -a_i / a_0 the dominant class H - sum r_i E_i and
-    beta = (r_1 + r_2 + r_3 - 1) / 2, the witness coefficients
-    t_i = (r_i - beta l_i) / (1 - beta) are N_i / D, and beta = B / 2 a_0.
-    By construction D - N_1 - N_2 - N_3 is the zero polynomial.
-    """
-    b = combine((-1, -1, -1, -1), column[:4])
-    d = combine((2, -1), (column[0], b))
-    return (d, b) + tuple(
-        combine((-2, -1 if i in _LINE_INDICES else 0), (column[i], b))
-        for i in range(1, RANK)
-    )
+def _scaled_column(column: Sequence[IntPoly], lam: RealEnclosure) -> tuple:
+    """(multiples -2 a_j of the column a, their enclosures at lambda, the
+    endpoint powers they were enclosed with): the witness numerators N_i off
+    the line indices are among the multiples, and a reading of the same
+    conjugacy class only permutes them, so the oracle builds them once per
+    class."""
+    powers = _endpoint_powers(lam, max(a.degree for a in column))
+    multiples = [combine((-2,), (a,)) for a in column]
+    return multiples, [_enclose(p, powers) for p in multiples], powers
 
 
 def _witness(
-    column: Sequence[IntPoly], lam: RealEnclosure
+    column: Sequence[IntPoly], scaled: tuple, lam: RealEnclosure
 ) -> tuple[tuple[IntPoly, ...], tuple[tuple[int, int], ...]]:
-    """The witness polynomials, signed so that D(lambda) > 0 is certified, and
-    their enclosures at lambda over one common denominator."""
-    polys = _witness_polynomials(column)
-    values = tuple(_column_values(polys, lam))
+    """The witness polynomials (D, B, N_1, ..., N_10), signed so that
+    D(lambda) > 0 is certified, and their enclosures at lambda over one
+    common denominator, from the column a and its `_scaled_column` data,
+    both in the column's order.
+
+    With r_i = -a_i / a_0 the dominant class H - sum r_i E_i and
+    beta = (r_1 + r_2 + r_3 - 1) / 2, the witness coefficients
+    t_i = (r_i - beta l_i) / (1 - beta) are N_i / D: B = -(a_0 + ... + a_3),
+    D = 2 a_0 - B and N_i = -2 a_i - B l_i, and beta = B / 2 a_0.  By
+    construction D - N_1 - N_2 - N_3 is the zero polynomial.  Only D, B and
+    N_1..N_3 are built and enclosed here; N_4..N_10 are multiples.
+    """
+    multiples, multiple_values, powers = scaled
+    b = combine((-1, -1, -1, -1), column[:4])
+    heads = [combine((2, -1), (column[0], b)), b]
+    heads += [combine((-2, -1), (column[i], b)) for i in _LINE_INDICES]
+    polys = (*heads, *multiples[4:])
+    values = (*(_enclose(p, powers) for p in heads), *multiple_values[4:])
     d_lo, d_hi = values[0]
     if d_lo <= 0 <= d_hi:
         raise PrecisionBudgetError(
@@ -256,14 +278,23 @@ class EigenSystem(NamedTuple):
         """Multipliers t_i of the nef witness H - sum t_i E_i."""
         return self.nef_witness.multipliers()
 
-    def quotient(self, v: tuple[int, int], w: tuple[int, int]) -> RealEnclosure:
-        """v / w on this system's dyadic grid, for numerator enclosures over
+    @property
+    def grid_bits(self) -> int:
+        """This system's dyadic grid: quotients are numerators over 2^grid_bits."""
+        return _grid_bits(self.dominant_value)
+
+    def grid_quotient(self, v: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
+        """Numerators over 2^grid_bits of v / w, for numerator enclosures over
         one common denominator (such as the witness values), 0 not in w."""
-        return _grid_enclosure(v, w, _grid_bits(self.dominant_value))
+        return _quotient_on_grid(v, w, self.grid_bits)
+
+    def quotient(self, v: tuple[int, int], w: tuple[int, int]) -> RealEnclosure:
+        """`grid_quotient` as an enclosure."""
+        return _grid_enclosure(v, w, self.grid_bits)
 
     def witness_matches_reference(self) -> bool:
         """Whether the nef witness matches the reference (`_matches_reference`)."""
-        scale = 1 << _grid_bits(self.dominant_value)  # its endpoints are numerators over it
+        scale = 1 << self.grid_bits  # its endpoints are numerators over it
         witness = [(int(c.lo * scale), int(c.hi * scale)) for c in self.nef_witness.coeffs[1:]]
         return _matches_reference(witness, self.dominant_value)[0]
 
@@ -302,11 +333,13 @@ def _spectral_core(m: LatticeIsometry, tol: Fraction) -> tuple:
     return p, column, off_unit, lam, _grid_class(vector, bits)
 
 
-def _witness_stage(column: Sequence[IntPoly], lam: RealEnclosure, tol: Fraction) -> tuple:
+def _witness_stage(
+    column: Sequence[IntPoly], scaled: tuple, lam: RealEnclosure, tol: Fraction
+) -> tuple:
     """(witness polynomials, their values, beta, numerators over 2^bits
     (`_grid_bits`) of the E_i coefficients -t_i of the nef witness) of the
-    column a."""
-    polys, values = _witness(column, lam)
+    column a, with its `_scaled_column` data in the same order."""
+    polys, values = _witness(column, scaled, lam)
     bits = _grid_bits(lam)
     component = beta(values[0], values[1], bits)
     # t_i = -N_i / D: the negated quotient
@@ -323,8 +356,9 @@ def eigensystem(digits: int = 60) -> EigenSystem:
         raise ValueError("digits must be positive")
     m, tol = composite_T(), Fraction(1, 10**digits)
     core = _spectral_core(m, tol)
-    *witness_data, witness = _witness_stage(core[1], core[3], tol)
-    return EigenSystem(digits, m, *core, *witness_data, _grid_class(witness, _grid_bits(core[3])))
+    column, lam = core[1], core[3]
+    *witness_data, witness = _witness_stage(column, _scaled_column(column, lam), lam, tol)
+    return EigenSystem(digits, m, *core, *witness_data, _grid_class(witness, _grid_bits(lam)))
 
 
 class CharpolyFacts(NamedTuple):
@@ -342,7 +376,8 @@ class CharpolyFacts(NamedTuple):
 
         The check (x - 1)^k s = p, s(1) != 0 makes s the factor
         `_dominant_spectrum` proved squarefree, so the roots of p are k roots
-        at 1 and the roots of s, counted by `squarefree_circle_count`.
+        at 1 and the roots of s, counted by `squarefree_circle_count`; the
+        cyclotomic scan runs on s, after the factor (x - 1)^k.
         """
         p, off_unit = eigen.polynomial, eigen.off_unit_factor
         unit_mult = p.degree - off_unit.degree
@@ -350,7 +385,7 @@ class CharpolyFacts(NamedTuple):
             raise CertificationError("polynomial is not (x - 1)^k times its off-unit factor")
         outside, inside, on_circle = squarefree_circle_count(off_unit)
         circle = UnitCircleCount(outside, inside, on_circle + unit_mult)
-        return cls(p, unit_mult, off_unit, cyclotomic_factors(p), circle)
+        return cls(p, unit_mult, off_unit, split_cyclotomic_factors(unit_mult, off_unit), circle)
 
     def to_json(self) -> dict:
         return {
@@ -412,12 +447,14 @@ def select_orientation() -> OrientationReport:
     S_7 cremona(1, 2, 3) S_7^-1, and the reversal E_i -> E_(11-i) swaps the
     Cremona slot sets and turns S_k into S_-k.  From these, each reading M'
     has a representative M and a slot permutation q (`candidate_readings`).
-    The spectral core runs once per M; M'[q(i)][q(j)] == M[i][j] certifies
-    a'[q(i)] = a[i], and the witness is rebuilt from a' (B reads slots 1..3).
+    The spectral core runs once per M, and so do the multiples -2 a_j with
+    their values (`_scaled_column`); M'[q(i)][q(j)] == M[i][j] certifies
+    a'[q(i)] = a[i], so the witness of M' permutes them, and per reading only
+    B', D' and N'_1..N'_3, which read slots 0..3, are built and enclosed.
     """
     tol = Fraction(1, 10**12)
     readings = candidate_readings()
-    cores: dict[str, tuple] = {}
+    classes: dict[str, tuple] = {}
     assessments: list[CandidateAssessment] = []
     for name, matrix, rep, base, q in readings:
         if (q[0], *sorted(q[1:])) != tuple(range(RANK)) or any(  # q fixes slot 0
@@ -425,10 +462,14 @@ def select_orientation() -> OrientationReport:
         ):
             raise CertificationError(f"conjugator of {name} does not carry {rep} to it")
         try:
-            if rep not in cores:
-                cores[rep] = _spectral_core(base, tol)
-            core = cores[rep]  # the column a'[q(i)] = a[i] of M' gives its witness
-            witness = _witness_stage([a for _, a in sorted(zip(q, core[1]))], core[3], tol)[3]
+            if rep not in classes:
+                core = _spectral_core(base, tol)
+                classes[rep] = core, _scaled_column(core[1], core[3])
+            core, (multiples, values, powers) = classes[rep]
+            # the column of M' is a'[q(i)] = a[i], and so are its multiples
+            order = sorted(range(RANK), key=q.__getitem__)
+            column, *scaled = ([xs[i] for i in order] for xs in (core[1], multiples, values))
+            witness = _witness_stage(column, (*scaled, powers), core[3], tol)[3]
         except VerificationError as err:
             assessments.append(CandidateAssessment(name, False, f"no certified data: {err}"))
             continue

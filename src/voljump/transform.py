@@ -16,7 +16,7 @@ coefficients in `reference`.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .lattice import RANK, GRAM_DIAGONAL, DivisorClass
@@ -34,7 +34,8 @@ class LatticeIsometry:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(int(x) for x in row) for row in rows)
+        # index() raises TypeError on a float or Fraction entry
+        self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(map(index, row)) for row in rows)
         if len(self.rows) != RANK or any(len(r) != RANK for r in self.rows):
             raise ValueError(f"matrix must be {RANK}x{RANK}")
 
@@ -60,11 +61,15 @@ class LatticeIsometry:
             for c, other_row in zip(row, other.rows):
                 if c:
                     acc = [x + c * y for x, y in zip(acc, other_row)]
-            product.append(acc)
-        return LatticeIsometry(product)
+            product.append(tuple(acc))
+        # the rows are integer sums of integer rows: no conversion to repeat
+        result = object.__new__(LatticeIsometry)
+        result.rows = tuple(product)
+        return result
 
     def power(self, n: int) -> "LatticeIsometry":
-        """Exact n-th power by repeated squaring, n >= 0."""
+        """Exact n-th power by repeated squaring, n >= 0; `orbit.iterate`'s
+        route to T^n, independent of the orbit walk."""
         if n < 0:
             raise ValueError("negative powers not supported")
         result = LatticeIsometry.identity()

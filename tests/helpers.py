@@ -9,6 +9,7 @@ from math import isqrt
 from voljump.intervals import RealEnclosure
 from voljump.lattice import DivisorClass
 from voljump.nefcheck import CandidateCurve, _feasible
+from voljump.polynomials import IntPoly
 from voljump.reference import WEIGHT_ORDER
 
 
@@ -110,3 +111,14 @@ def degree_two_candidates() -> list[CandidateCurve]:
         CandidateCurve(2, tuple(1 if k in subset else 0 for k in range(1, 11)))
         for subset in itertools.combinations(range(1, 11), 5)
     ]
+
+
+def cyclotomic_by_division(n: int) -> IntPoly:
+    """The n-th cyclotomic polynomial as x^n - 1 divided exactly by every
+    Phi_d with d a proper divisor of n: the reference for the Möbius
+    product."""
+    num = IntPoly([-1] + [0] * (n - 1) + [1])
+    for d in range(1, n):
+        if n % d == 0:
+            num = num.divide_exact(cyclotomic_by_division(d))
+    return num

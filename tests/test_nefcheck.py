@@ -1,10 +1,13 @@
+import gc
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from voljump import nefcheck
+from voljump.cli import main
 from voljump.errors import CertificationError, PrecisionBudgetError
 from voljump.nefcheck import (
     CandidateCurve,
@@ -588,3 +591,41 @@ def test_degree_two_decides_every_conic(eigen):
     checks = {c.name: c.passed for c in report.checks}
     assert not checks["degree-2 margins positive"]
     assert checks["degree-1 margins positive"]
+
+
+def test_walk_leaves_no_reference_cycle():
+    # with the cyclic collector off, the leaves must go with the last reference
+    gc.collect()
+    gc.disable()
+    try:
+        _canonical_walk(5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_rows_are_built_on_first_read_only(monkeypatch, capsys):
+    built = []
+    row = nefcheck.MarginRow
+
+    def spy(candidate, *args):
+        built.append((candidate.degree, candidate.mults))
+        return row(candidate, *args)
+
+    monkeypatch.setattr(nefcheck, "MarginRow", spy)
+    assert main(["verify"]) == 0
+    assert main(["nef-verify"]) == 0
+    assert built == []
+    capsys.readouterr()
+    assert main(["report"]) == 0
+    nef = json.loads(capsys.readouterr().out)["nef"]
+    kept = (
+        nef["degree_one"]
+        + [nef["degree_two"]["minimum"]]
+        + [r for s in nef["degrees"] for r in [s["minimum"], *s["extreme_rows"]]]
+        + nef["zero_witnesses"]
+        + nef["extra_extreme_rows"]
+    )
+    # each kept row once, however many fields show it
+    assert sorted(built) == sorted({(r["d"], tuple(r["a"])) for r in kept})
+    assert len(built) == 106

@@ -29,6 +29,8 @@ from voljump.polynomials import (
 )
 from voljump.transform import LatticeIsometry, candidate_readings, composite_T
 
+from helpers import cyclotomic_by_division
+
 
 def poly_from_desc(*desc):
     return IntPoly(reversed(desc))
@@ -199,6 +201,14 @@ def test_small_cyclotomic_polynomials():
     assert cyclotomic(3) == IntPoly([1, 1, 1])
     assert cyclotomic(6) == IntPoly([1, -1, 1])
     assert cyclotomic(12) == IntPoly([1, 0, -1, 0, 1])
+
+
+def test_cyclotomic_moebius_product_matches_division():
+    indices = [n for n in range(1, 201) if totient(n) <= 12]
+    assert len(indices) == 26
+    for n in indices:
+        assert cyclotomic(n) == cyclotomic_by_division(n), n
+        assert cyclotomic(n).degree == totient(n)
 
 
 def test_cyclotomic_factors_examples():
@@ -373,7 +383,14 @@ def test_cauchy_index_of_derivative_counts_real_roots(seed):
     assert _cauchy_index(p, IntPoly(-c for c in p.derivative().coeffs)) == -_real_root_count(p)
 
 
+@pytest.mark.parametrize("coeffs", [[1.5, 2.9], [1, Fraction(1, 2)], [2.0], [Fraction(3)]])
+def test_intpoly_rejects_non_integer_coefficients(coeffs):
+    # int() would truncate 1.5 and 2.9 to 1 and 2 without a word
+    with pytest.raises(TypeError):
+        IntPoly(coeffs)
+
+
 def test_deflation_at_non_root_raises():
     # x^2 + 1 has no root at 1; the check survives python -O
     with pytest.raises(CertificationError, match="deflation at a non-root"):
-        _deflate([Fraction(1), Fraction(0), Fraction(1)], Fraction(1))
+        _deflate([1, 0, 1], Fraction(1))

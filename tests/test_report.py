@@ -138,7 +138,7 @@ def test_report_reuses_the_runs_charpoly_facts(run, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("recomputed on the report path")
 
-    for name in ("squarefree_circle_count", "cyclotomic_factors"):
+    for name in ("squarefree_circle_count", "split_cyclotomic_factors"):
         monkeypatch.setattr(spectral, name, forbidden)
     payload = build_report(run)
     assert payload["charpoly"]["roots"] == {

@@ -4,7 +4,7 @@ import pytest
 
 from voljump import spectral
 from voljump.config import RunConfig
-from voljump.errors import CertificationError, PrecisionBudgetError
+from voljump.errors import CertificationError, PrecisionBudgetError, VerificationError
 from voljump.intervals import RealEnclosure
 from voljump.lattice import GRAM_DIAGONAL, canonical_class
 from voljump.polynomials import (
@@ -17,10 +17,15 @@ from voljump.polynomials import (
 from voljump.reference import WEIGHT_ORDER, WITNESS_COEFFS, WITNESS_TOLERANCE
 from voljump.report import run_verification
 from voljump.spectral import (
+    CandidateAssessment,
     _column_values,
     _dominant_spectrum,
     _eigen_relation,
+    _matches_reference,
+    _scaled_column,
+    _spectral_core,
     _witness,
+    _witness_stage,
     beta,
     line_pairing_identity_certified,
     select_orientation,
@@ -226,14 +231,15 @@ def test_witness_polynomials_are_the_witness(eigen):
     # the signs are normalized to D(lambda) > 0: the negated column, whose
     # D, B and N_i all change sign, gives the same witness
     negated = [combine((-1,), (a,)) for a in column]
-    assert _witness(negated, lam) == (eigen.witness_polynomials, eigen.witness_values)
+    scaled = _scaled_column(negated, lam)
+    assert _witness(negated, scaled, lam) == (eigen.witness_polynomials, eigen.witness_values)
 
 
 def test_witness_requires_certified_denominator(eigen):
     # a_0 = 1, a_1 = -3: B = 2 and D = 2 a_0 - B = 0, i.e. beta = 1
     column = (IntPoly([1]), IntPoly([-3])) + (IntPoly([0]),) * 9
     with pytest.raises(PrecisionBudgetError, match="D\\(lambda\\)"):
-        _witness(column, eigen.dominant_value)
+        _witness(column, _scaled_column(column, eigen.dominant_value), eigen.dominant_value)
 
 
 def test_eigenvector_rejects_identity():
@@ -319,6 +325,24 @@ def test_oracle_runs_the_spectral_core_once_per_class(monkeypatch):
     clear_spectral_caches()
     assert run_verification(RunConfig()).verdict
     assert calls == representatives
+
+
+def test_per_class_oracle_matches_a_witness_stage_per_reading():
+    """Each reading's own spectral core and multiples give the assessment
+    that the oracle derives from its class representative."""
+    tol = Fraction(1, 10**12)
+    recomputed = []
+    for reading in candidate_readings():
+        try:
+            _, column, _, lam, _ = _spectral_core(reading.matrix, tol)
+            witness = _witness_stage(column, _scaled_column(column, lam), lam, tol)[3]
+        except VerificationError as err:
+            recomputed.append(CandidateAssessment(reading.name, False, f"no certified data: {err}"))
+            continue
+        recomputed.append(CandidateAssessment(reading.name, *_matches_reference(witness, lam)))
+    assessments = select_orientation().assessments
+    assert len(assessments) == 14
+    assert [repr(a) for a in assessments] == [repr(a) for a in recomputed]
 
 
 def test_core_failure_of_a_representative_reaches_its_class(monkeypatch):

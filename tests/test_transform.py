@@ -24,6 +24,21 @@ from voljump.transform import (
 from helpers import exceptional, hyperplane
 
 
+def with_entry(entry):
+    rows = [[0] * 11 for _ in range(11)]
+    rows[3][4] = entry
+    return rows
+
+
+@pytest.mark.parametrize(
+    "rows", [[[0.5] * 11] * 11, with_entry(1.0), with_entry(Fraction(1, 2)), with_entry(Fraction(1))]
+)
+def test_isometry_rejects_non_integer_entries(rows):
+    # int() would turn the all-0.5 matrix into the zero matrix
+    with pytest.raises(TypeError):
+        LatticeIsometry(rows)
+
+
 def test_cremona_action_on_hyperplane():
     image = apply(cremona_isometry(1, 2, 3), hyperplane())
     assert image == DivisorClass([2, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0])
