@@ -1,7 +1,18 @@
-"""Command-line interface.
+"""Command-line interface: `voljump COMMAND [options]`.
 
 Exit codes: 0 all certificates pass, 1 a certificate failed, 2 usage or
 configuration error, 3 working precision too low to decide a certificate.
+
+The parser reads the command table `COMMANDS`: each command's handler, help
+line and own options, plus the common options, which are the config-file
+keys of `config.KEY_FIELDS` (so a flag is cast and validated as its file
+key is), `--config` and `--out`.  An option is written `--opt VALUE` or
+`--opt=VALUE`, by its name or any unique prefix of it; a repeated option
+keeps its last value; `-h`/`--help` prints usage and options on stdout and
+exits 0.  Every usage and configuration error goes through `_usage_error`:
+usage and `voljump[ COMMAND]: error: <message>` on stderr, exit 2.  The
+grammar is argparse's, without argparse: importing it and building its
+parsers cost more than the nef pass, in every process.
 
 Start-up is most of a command's run time, so each command imports the
 modules it uses when it runs: `nef-verify` loads neither the orbit nor the
@@ -10,43 +21,151 @@ report module, and only the commands that print JSON or CSV load those.
 
 from __future__ import annotations
 
-import argparse
 import io
 import sys
 
-from .config import ConfigError, OUTPUT_FORMATS, RunConfig, resolve_config
+from .config import KEY_FIELDS, ConfigError, RunConfig, resolve_config
 from .errors import CertificationError, PrecisionBudgetError
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision-digits", type=int, metavar="N", help="working precision (>= 20, default 60)")
-    common.add_argument("--orbit-horizon", type=int, metavar="N", help="orbit length (default 50)")
-    common.add_argument("--format", dest="output_format", choices=OUTPUT_FORMATS, help="output format")
-    common.add_argument("--tol-digits", type=int, metavar="N", help="decimal digits for displayed values")
-    common.add_argument("--config", metavar="PATH", help="key=value config file (default: $VOLJUMP_CONFIG)")
-    common.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
+class Option:
+    """`--name` followed by `nargs` words, each cast by `cast` and checked
+    against `choices` if any; a flag (`nargs` 0) is True when given."""
 
-    parser = argparse.ArgumentParser(
-        prog="voljump",
-        description="Certified lattice computations behind a volume-jumping divisor class.",
+    __slots__ = ("name", "metavar", "help", "nargs", "cast", "choices", "required", "default")
+
+    def __init__(self, name, metavar, help, *, nargs=1, cast=str, choices=(), required=False,
+                 default=None):
+        self.name, self.metavar, self.help = name, metavar, help
+        self.nargs, self.cast, self.choices = nargs, cast, choices
+        self.required, self.default = required, default
+
+    def spelling(self) -> str:
+        return f"{self.name} {self.metavar}" if self.nargs else self.name
+
+    def usage(self) -> str:
+        return self.spelling() if self.required else f"[{self.spelling()}]"
+
+
+class Command:
+    """A `COMMANDS` entry: `run(args, cfg)` returns the output text and exit code."""
+
+    __slots__ = ("run", "help", "options")
+
+    def __init__(self, run, help, *options: Option):
+        self.run, self.help, self.options = run, help, options
+
+
+HELP = Option("--help", None, "show this help message and exit", nargs=0)
+COMMON = tuple(Option(f"--{key}", *spec[2:]) for key, spec in KEY_FIELDS.items()) + (
+    Option("--config", "PATH", "key=value config file (default: $VOLJUMP_CONFIG)"),
+    Option("--out", "PATH", "write output to a file instead of stdout"),
+)
+
+
+def _prog(command: str | None) -> str:
+    return f"voljump {command}" if command else "voljump"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: voljump [-h] COMMAND ..."
+    options = COMMON + COMMANDS[command].options
+    return f"usage: {_prog(command)} [-h] " + " ".join(o.usage() for o in options)
+
+
+def _usage_error(command: str | None, message: str):
+    """Print usage and the error on stderr; exit 2."""
+    sys.stderr.write(f"{_usage(command)}\n{_prog(command)}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _print_help(command: str | None):
+    """Usage, description and the commands or options on stdout; exit 0."""
+    options = [("-h, --help", HELP.help)]
+    if command is None:
+        description = "Certified lattice computations behind a volume-jumping divisor class."
+        sections = {"commands": [(name, c.help) for name, c in COMMANDS.items()]}
+    else:
+        description = COMMANDS[command].help
+        options += [(o.spelling(), o.help) for o in COMMON + COMMANDS[command].options]
+        sections = {}
+    sections["options"] = options
+    width = 2 + max(len(name) for entries in sections.values() for name, _ in entries)
+    lines = [_usage(command), "", description]
+    for title, entries in sections.items():
+        lines += ["", f"{title}:"] + [f"  {name:<{width}}{text}" for name, text in entries]
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def _is_option(word: str) -> bool:
+    """Whether a word names an option rather than a value: it starts with
+    '-' and is neither '-' nor a negative number nor contains a space."""
+    return (
+        len(word) > 1 and word[0] == "-" and " " not in word
+        and not word[1:].replace(".", "", 1).isdecimal()
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    sub.add_parser("dump-matrix", parents=[common], help="print the composite map as 11x11 integers")
-    sub.add_parser("charpoly", parents=[common], help="characteristic polynomial, unit-root factor, cyclotomic scan")
-    sub.add_parser("eigen", parents=[common], help="dominant eigenvalue and derived certified data")
-    sub.add_parser("nef-table", parents=[common], help="extreme-candidate margin table (md, csv or json)")
-    sub.add_parser("nef-verify", parents=[common], help="run the nef certificates; exit 0 iff all pass")
-    p_enum = sub.add_parser("enumerate", parents=[common], help="feasible candidate curves for one degree")
-    p_enum.add_argument("--d", type=int, required=True, metavar="D", help="degree, 3..6")
-    p_enum.add_argument("--extreme", action="store_true", help="only extreme candidates")
-    p_orbit = sub.add_parser("orbit", parents=[common], help="orbit of a class under the composite map")
-    p_orbit.add_argument("--seed", choices=("lbar", "K", "custom"), default="lbar")
-    p_orbit.add_argument("--coeffs", type=int, nargs=11, metavar="C", help="11 integers for --seed custom")
-    sub.add_parser("verify", parents=[common], help="run every certificate; exit 0 iff all pass")
-    sub.add_parser("report", parents=[common], help="emit the complete JSON artifact")
-    return parser
+
+def _parse_args(argv: list[str]) -> tuple[str, dict]:
+    """The command and its option values, keyed by option name without
+    `--`; options not given hold their defaults (None for a common one)."""
+    command, options, values, unknown = None, (HELP,), {}, []
+    i = 0
+    while i < len(argv):
+        word = argv[i]
+        i += 1
+        if not _is_option(word):
+            if command is not None:
+                unknown.append(word)
+            elif word in COMMANDS:
+                command, options = word, (HELP,) + COMMON + COMMANDS[word].options
+                values = {o.name[2:]: o.default for o in options[1:]}
+            else:
+                _usage_error(None, f"unknown command {word!r} (choose from {', '.join(COMMANDS)})")
+            continue
+        name, eq, inline = word.partition("=")
+        name = "--help" if name == "-h" else name
+        found = [o for o in options if o.name == name] or [
+            o for o in options if name.startswith("--") and len(name) > 2 and o.name.startswith(name)
+        ]
+        if not found:
+            unknown.append(word)
+            continue
+        if len(found) > 1:
+            _usage_error(command, f"ambiguous option: {name} could match "
+                        + ", ".join(o.name for o in found))
+        [option] = found
+        if eq:
+            given = [inline]
+        else:
+            given = argv[i : i + option.nargs]
+            given = given[: next((k for k, w in enumerate(given) if _is_option(w)), len(given))]
+            i += len(given)
+        if len(given) != option.nargs:
+            expected = f"expected {option.nargs} argument{'s' if option.nargs > 1 else ''}"
+            _usage_error(command, f"argument {option.name}: "
+                        + (expected if option.nargs else f"takes no value, got {inline!r}"))
+        if option is HELP:
+            _print_help(command)
+        try:
+            cast = [option.cast(w) for w in given]
+        except ValueError:
+            _usage_error(command, f"argument {option.name}: "
+                        f"invalid {option.cast.__name__} value in {' '.join(given)!r}")
+        if option.choices and cast[0] not in option.choices:
+            _usage_error(command, f"argument {option.name}: invalid choice {cast[0]!r} "
+                        f"(choose from {', '.join(option.choices)})")
+        values[option.name[2:]] = cast if option.nargs > 1 else cast[0] if cast else True
+    if command is None:
+        _usage_error(None, "the following arguments are required: COMMAND")
+    missing = [o.name for o in options if o.required and values[o.name[2:]] is None]
+    if missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _usage_error(command, f"unrecognized arguments: {' '.join(unknown)}")
+    return command, values
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -199,9 +318,10 @@ def cmd_nef_verify(args, cfg: RunConfig) -> tuple[str, int]:
 def cmd_enumerate(args, cfg: RunConfig) -> tuple[str, int]:
     from .nefcheck import enumerate_feasible, extreme_candidates
 
-    if not 3 <= args.d <= 6:
-        raise ConfigError(f"--d must be in 3..6, got {args.d}")
-    candidates = extreme_candidates(args.d) if args.extreme else enumerate_feasible(args.d)
+    d, extreme = args["d"], args["extreme"]
+    if not 3 <= d <= 6:
+        raise ConfigError(f"--d must be in 3..6, got {d}")
+    candidates = extreme_candidates(d) if extreme else enumerate_feasible(d)
     if cfg.output_format == "json":
         return _json_text([{"d": c.degree, "a": list(c.mults)} for c in candidates]), 0
     if cfg.output_format == "csv":
@@ -209,8 +329,8 @@ def cmd_enumerate(args, cfg: RunConfig) -> tuple[str, int]:
         rows = [[str(c.degree)] + [str(a) for a in c.mults] for c in candidates]
         return _csv_text(header, rows), 0
     lines = [" ".join(str(a) for a in c.mults) for c in candidates]
-    lines.append(f"# {len(candidates)} candidates at degree {args.d}"
-                 + (" (extreme only)" if args.extreme else ""))
+    lines.append(f"# {len(candidates)} candidates at degree {d}"
+                 + (" (extreme only)" if extreme else ""))
     return "\n".join(lines) + "\n", 0
 
 
@@ -218,14 +338,15 @@ def cmd_orbit(args, cfg: RunConfig) -> tuple[str, int]:
     from .lattice import DivisorClass, canonical_class, standard_line
     from .orbit import OrbitRecord, distinctness, walk
 
-    if (args.seed == "custom") != (args.coeffs is not None):
+    coeffs = args["coeffs"]
+    if (args["seed"] == "custom") != (coeffs is not None):
         raise ConfigError(
             "--seed custom requires --coeffs with 11 integers, and --coeffs requires --seed custom"
         )
-    if args.coeffs is not None:
-        seed = DivisorClass(args.coeffs)
+    if coeffs is not None:
+        seed = DivisorClass(coeffs)
     else:
-        seed = {"lbar": standard_line, "K": canonical_class}[args.seed]()
+        seed = {"lbar": standard_line, "K": canonical_class}[args["seed"]]()
     count = cfg.orbit_horizon
     vectors, scale = walk(seed, count)
     distinct = distinctness(vectors)
@@ -274,37 +395,41 @@ def cmd_report(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 COMMANDS = {
-    "dump-matrix": cmd_dump_matrix,
-    "charpoly": cmd_charpoly,
-    "eigen": cmd_eigen,
-    "nef-table": cmd_nef_table,
-    "nef-verify": cmd_nef_verify,
-    "enumerate": cmd_enumerate,
-    "orbit": cmd_orbit,
-    "verify": cmd_verify,
-    "report": cmd_report,
+    "dump-matrix": Command(cmd_dump_matrix, "print the composite map as 11x11 integers"),
+    "charpoly": Command(
+        cmd_charpoly, "characteristic polynomial, unit-root factor, cyclotomic scan"
+    ),
+    "eigen": Command(cmd_eigen, "dominant eigenvalue and derived certified data"),
+    "nef-table": Command(cmd_nef_table, "extreme-candidate margin table (md, csv or json)"),
+    "nef-verify": Command(cmd_nef_verify, "run the nef certificates; exit 0 iff all pass"),
+    "enumerate": Command(
+        cmd_enumerate,
+        "feasible candidate curves for one degree",
+        Option("--d", "D", "degree, 3..6", cast=int, required=True),
+        Option("--extreme", None, "only extreme candidates", nargs=0, default=False),
+    ),
+    "orbit": Command(
+        cmd_orbit,
+        "orbit of a class under the composite map",
+        Option("--seed", "{lbar,K,custom}", "seed class (default lbar)",
+               choices=("lbar", "K", "custom"), default="lbar"),
+        Option("--coeffs", "C1 ... C11", "11 integers for --seed custom", nargs=11, cast=int),
+    ),
+    "verify": Command(cmd_verify, "run every certificate; exit 0 iff all pass"),
+    "report": Command(cmd_report, "emit the complete JSON artifact"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    command, args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         cfg = resolve_config(
-            {
-                "precision_digits": args.precision_digits,
-                "orbit_horizon": args.orbit_horizon,
-                "output_format": args.output_format,
-                "table_digits": args.tol_digits,
-            },
-            config_path=args.config,
+            {key: args[key] for key in KEY_FIELDS if args[key] is not None},
+            config_path=args["config"],
         )
+        text, code = COMMANDS[command].run(args, cfg)
     except ConfigError as err:
-        parser.error(str(err))  # exits 2
-    try:
-        text, code = COMMANDS[args.command](args, cfg)
-    except ConfigError as err:
-        parser.error(str(err))
+        _usage_error(command, str(err))
     except PrecisionBudgetError as err:
         print(f"precision too low to decide a certificate: {err}", file=sys.stderr)
         return 3
@@ -312,9 +437,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"certificate failure: {err}", file=sys.stderr)
         return 1
     try:
-        _emit(text, args.out)
+        _emit(text, args["out"])
     except OSError as err:
-        parser.error(f"cannot write {args.out or 'stdout'}: {err.strerror or err}")
+        _usage_error(command, f"cannot write {args['out'] or 'stdout'}: {err.strerror or err}")
     return code
 
 

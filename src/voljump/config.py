@@ -49,12 +49,14 @@ class RunConfig:
             raise ConfigError("tol-digits must be positive")
 
 
-#: config-file/flag keys mapped to RunConfig fields.
-_KEY_FIELDS = {
-    "precision-digits": ("precision_digits", int),
-    "orbit-horizon": ("orbit_horizon", int),
-    "format": ("output_format", str),
-    "tol-digits": ("table_digits", int),
+#: Config-file keys, which are also the common flags (`--key VALUE`): the
+#: RunConfig field each sets, the cast from text, and the flag's metavar and
+#: help line.
+KEY_FIELDS = {
+    "precision-digits": ("precision_digits", int, "N", "working precision (>= 20, default 60)"),
+    "orbit-horizon": ("orbit_horizon", int, "N", "orbit length (default 50)"),
+    "format": ("output_format", str, "FMT", f"output format: {', '.join(OUTPUT_FORMATS)}"),
+    "tol-digits": ("table_digits", int, "N", "decimal digits for displayed values"),
 }
 
 
@@ -75,29 +77,26 @@ def read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEY_FIELDS:
+        if key not in KEY_FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
 
 
-def resolve_config(
-    overrides: dict[str, object], config_path: str | None = None
-) -> RunConfig:
-    """Defaults, overlaid by the config file (flag or environment), then flags."""
+def resolve_config(flags: dict[str, str], config_path: str | None = None) -> RunConfig:
+    """Defaults, overlaid by the config file (flag or environment), then by
+    the flags; `flags` maps config keys to text, which is cast and validated
+    as the file's values are."""
     cfg = RunConfig()
     path = config_path
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR) or None
-    if path is not None:
-        for key, raw in read_config_file(path).items():
-            field, cast = _KEY_FIELDS[key]
+    for values in (read_config_file(path) if path is not None else {}, flags):
+        for key, raw in values.items():
+            field, cast = KEY_FIELDS[key][:2]
             try:
                 setattr(cfg, field, cast(raw))
-            except ValueError as err:
-                raise ConfigError(f"config key {key}: {err}") from err
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
+            except ValueError:
+                raise ConfigError(f"{key}: invalid {cast.__name__} value {raw!r}") from None
     cfg.validate()
     return cfg

@@ -527,6 +527,17 @@ def totient(n: int) -> int:
     return result
 
 
+def _totients(limit: int) -> list[int]:
+    """phi(0..limit) by one sieve: each prime p takes phi(m) -= phi(m) / p
+    for its multiples m, as `totient` does for the primes of one n."""
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # untouched by a smaller prime: p is prime
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, the Möbius product
@@ -573,7 +584,8 @@ def split_cyclotomic_factors(k: int, s: IntPoly) -> list[tuple[int, int]]:
     (indeed of degree well beyond), so the scan is complete for the
     characteristic polynomials handled here.
     """
-    scan = (n for n in range(2, 201) if totient(n) <= s.degree)
+    phi = _totients(200)
+    scan = (n for n in range(2, 201) if phi[n] <= s.degree)
     counts = ((n, _strip_factor(s, cyclotomic(n))[0]) for n in scan)
     return ([(1, k)] if k else []) + [(n, m) for n, m in counts if m]
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import CertificationError, PrecisionBudgetError, VerificationError
@@ -457,8 +458,9 @@ def select_orientation() -> OrientationReport:
     classes: dict[str, tuple] = {}
     assessments: list[CandidateAssessment] = []
     for name, matrix, rep, base, q in readings:
-        if (q[0], *sorted(q[1:])) != tuple(range(RANK)) or any(  # q fixes slot 0
-            matrix.rows[q[i]][q[j]] != x for i, r in enumerate(base.rows) for j, x in enumerate(r)
+        permuted = itemgetter(*q)  # row i of the result is M'[q(i)][q(j)] over j
+        if (q[0], *sorted(q[1:])) != tuple(range(RANK)) or (  # q fixes slot 0
+            tuple(map(permuted, permuted(matrix.rows))) != base.rows
         ):
             raise CertificationError(f"conjugator of {name} does not carry {rep} to it")
         try:

@@ -181,6 +181,75 @@ def test_unknown_command_rejected(capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["verify", "--bogus"],
+        ["verify", "--precision-digits"],
+        ["verify", "--precision-digits", "x"],
+        ["verify", "--format", "xml"],
+        ["orbit", "--seed", "bogus"],
+        ["orbit", "--seed", "custom", "--coeffs", "1", "2", "3"],
+        ["enumerate"],
+    ],
+    ids=[
+        "no-command",
+        "unknown-command",
+        "unknown-option",
+        "option-without-value",
+        "non-integer-precision",
+        "unknown-format",
+        "unknown-seed",
+        "three-coeffs",
+        "enumerate-without-d",
+    ],
+)
+def test_usage_errors_exit_2_with_usage_and_message(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "variant,long_form",
+    [
+        (["dump-matrix", "--format=json"], ["dump-matrix", "--format", "json"]),
+        (["nef-verify", "--prec", "30"], ["nef-verify", "--precision-digits", "30"]),
+        (
+            ["orbit", "--orbit-horizon", "9", "--orbit-horizon", "3"],
+            ["orbit", "--orbit-horizon", "3"],
+        ),
+    ],
+    ids=["inline-value", "abbreviation", "repeated-option"],
+)
+def test_accepted_forms_print_what_the_long_form_prints(variant, long_form, capsys):
+    assert main(variant) == 0
+    out = capsys.readouterr().out
+    assert main(long_form) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_help_names_the_commands_and_the_options(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["-h"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    commands = (
+        "dump-matrix", "charpoly", "eigen", "nef-table", "nef-verify",
+        "enumerate", "orbit", "verify", "report",
+    )
+    assert all(name in out for name in commands)
+    with pytest.raises(SystemExit) as stop:
+        main(["orbit", "-h"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    assert "--seed" in out and "--coeffs" in out
+
+
 def test_config_file_and_env(tmp_path, monkeypatch, capsys):
     config = tmp_path / "voljump.cfg"
     config.write_text("orbit-horizon = 7  # short orbit\n")
@@ -283,7 +352,7 @@ def test_precision_budget_maps_to_exit_3(monkeypatch, capsys):
     def exhausted(args, cfg):
         raise PrecisionBudgetError("synthetic")
 
-    monkeypatch.setitem(cli.COMMANDS, "charpoly", exhausted)
+    monkeypatch.setattr(cli.COMMANDS["charpoly"], "run", exhausted)
     code = cli.main(["charpoly"])
     captured = capsys.readouterr()
     assert code == 3
@@ -297,7 +366,7 @@ def test_certification_failure_maps_to_exit_1(monkeypatch, capsys):
     def failing(args, cfg):
         raise CertificationError("synthetic")
 
-    monkeypatch.setitem(cli.COMMANDS, "charpoly", failing)
+    monkeypatch.setattr(cli.COMMANDS["charpoly"], "run", failing)
     code = cli.main(["charpoly"])
     captured = capsys.readouterr()
     assert code == 1

@@ -68,7 +68,7 @@ def test_resolve_precedence(tmp_path, monkeypatch):
     cfg = resolve_config({}, config_path=path)
     assert cfg.precision_digits == 45 and cfg.orbit_horizon == 33
     # flag overrides file
-    cfg = resolve_config({"precision_digits": 50}, config_path=path)
+    cfg = resolve_config({"precision-digits": "50"}, config_path=path)
     assert cfg.precision_digits == 50 and cfg.orbit_horizon == 33
     # environment supplies the file when no flag names one
     monkeypatch.setenv("VOLJUMP_CONFIG", str(path))

@@ -13,6 +13,7 @@ from voljump.polynomials import (
     _count_inside_off_circle,
     _deflate,
     _squarefree_layer,
+    _totients,
     cauchy_root_bound,
     char_poly,
     count_roots_outside_unit_circle,
@@ -209,6 +210,10 @@ def test_cyclotomic_moebius_product_matches_division():
     for n in indices:
         assert cyclotomic(n) == cyclotomic_by_division(n), n
         assert cyclotomic(n).degree == totient(n)
+
+
+def test_totient_sieve_matches_trial_division():
+    assert _totients(200) == [0] + [totient(n) for n in range(1, 201)]
 
 
 def test_cyclotomic_factors_examples():

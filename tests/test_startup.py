@@ -1,11 +1,13 @@
 """Start-up footprint, and the semantics of the record and value types.
 
-Start-up is most of a command's run time.  Four guards keep it small: the CLI
+Start-up is most of a command's run time.  Five guards keep it small: the CLI
 module loads no `dataclasses` (which pulls in `inspect`, `ast` and `dis`)
 and no `pathlib`, `nef-verify` loads neither the orbit and report modules
-nor the CSV and JSON writers it never uses, and `charpoly` loads none of
-the report, orbit and nef modules.  They compare module sets of fresh
-interpreters, never times.
+nor the CSV and JSON writers it never uses, `charpoly` loads none of the
+report, orbit and nef modules, and neither importing the CLI nor running
+`verify` or `nef-verify` loads an argument parser (`argparse`, `getopt`) or
+the `gettext` and `locale` modules argparse pulls in.  They compare module
+sets of fresh interpreters, never times.
 """
 
 import os
@@ -89,6 +91,19 @@ def test_charpoly_loads_no_report_orbit_or_nef_modules(tmp_path):
     assert "roots outside/inside/on the unit circle: 1/1/9" in out.read_text()
     assert "voljump.spectral" in loaded
     assert not loaded & {"voljump.report", "voljump.orbit", "voljump.nefcheck"}
+
+
+@pytest.mark.parametrize("command", [None, "verify", "nef-verify"])
+def test_cli_loads_no_argument_parser_and_no_locale(tmp_path, command):
+    if command is None:
+        loaded = new_modules("import voljump.cli")
+    else:
+        out = tmp_path / "out.txt"
+        loaded = new_modules(
+            "from voljump.cli import main\nstatus = main(sys.argv[1:])", command, "--out", str(out)
+        )
+        assert out.read_text().splitlines()[-1] == "verdict: pass"
+    assert not loaded & {"argparse", "getopt", "gettext", "locale"}
 
 
 def test_value_and_record_types_keep_their_semantics():
