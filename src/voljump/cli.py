@@ -47,20 +47,27 @@ class Option:
         return self.spelling() if self.required else f"[{self.spelling()}]"
 
 
-class Command:
-    """A `COMMANDS` entry: `run(args, cfg)` returns the output text and exit code."""
-
-    __slots__ = ("run", "help", "options")
-
-    def __init__(self, run, help, *options: Option):
-        self.run, self.help, self.options = run, help, options
-
-
 HELP = Option("--help", None, "show this help message and exit", nargs=0)
 COMMON = tuple(Option(f"--{key}", *spec[2:]) for key, spec in KEY_FIELDS.items()) + (
     Option("--config", "PATH", "key=value config file (default: $VOLJUMP_CONFIG)"),
     Option("--out", "PATH", "write output to a file instead of stdout"),
 )
+
+
+class Command:
+    """A `COMMANDS` entry: `run(args, cfg)` returns the output text and exit
+    code in `cfg.output_format`, one of `formats` (the first by default);
+    `options` are the common ones, `--format` listing `formats`, then its own."""
+
+    __slots__ = ("run", "help", "formats", "options")
+
+    def __init__(self, run, help, formats: tuple[str, ...], *options: Option):
+        self.run, self.help, self.formats = run, help, formats
+        listed = ", ".join(formats)
+        self.options = tuple(
+            Option(o.name, o.metavar, f"{o.help}: {listed}") if o.name == "--format" else o
+            for o in COMMON
+        ) + options
 
 
 def _prog(command: str | None) -> str:
@@ -70,7 +77,7 @@ def _prog(command: str | None) -> str:
 def _usage(command: str | None) -> str:
     if command is None:
         return "usage: voljump [-h] COMMAND ..."
-    options = COMMON + COMMANDS[command].options
+    options = COMMANDS[command].options
     return f"usage: {_prog(command)} [-h] " + " ".join(o.usage() for o in options)
 
 
@@ -88,7 +95,7 @@ def _print_help(command: str | None):
         sections = {"commands": [(name, c.help) for name, c in COMMANDS.items()]}
     else:
         description = COMMANDS[command].help
-        options += [(o.spelling(), o.help) for o in COMMON + COMMANDS[command].options]
+        options += [(o.spelling(), o.help) for o in COMMANDS[command].options]
         sections = {}
     sections["options"] = options
     width = 2 + max(len(name) for entries in sections.values() for name, _ in entries)
@@ -120,7 +127,7 @@ def _parse_args(argv: list[str]) -> tuple[str, dict]:
             if command is not None:
                 unknown.append(word)
             elif word in COMMANDS:
-                command, options = word, (HELP,) + COMMON + COMMANDS[word].options
+                command, options = word, (HELP,) + COMMANDS[word].options
                 values = {o.name[2:]: o.default for o in options[1:]}
             else:
                 _usage_error(None, f"unknown command {word!r} (choose from {', '.join(COMMANDS)})")
@@ -276,7 +283,7 @@ def cmd_nef_table(args, cfg: RunConfig) -> tuple[str, int]:
 
     digits = cfg.table_digits or 3
     rows = _table_rows(cfg)
-    fmt = cfg.output_format if cfg.output_format != "text" else "md"
+    fmt = cfg.output_format
     margin_column = "margin_midpoint" if fmt == "csv" else "margin"
     header = ["d"] + [f"a{i}" for i in range(1, 11)] + [margin_column]
     if fmt == "json":
@@ -395,28 +402,35 @@ def cmd_report(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 COMMANDS = {
-    "dump-matrix": Command(cmd_dump_matrix, "print the composite map as 11x11 integers"),
-    "charpoly": Command(
-        cmd_charpoly, "characteristic polynomial, unit-root factor, cyclotomic scan"
+    "dump-matrix": Command(
+        cmd_dump_matrix, "print the composite map as 11x11 integers", ("text", "json")
     ),
-    "eigen": Command(cmd_eigen, "dominant eigenvalue and derived certified data"),
-    "nef-table": Command(cmd_nef_table, "extreme-candidate margin table (md, csv or json)"),
-    "nef-verify": Command(cmd_nef_verify, "run the nef certificates; exit 0 iff all pass"),
+    "charpoly": Command(
+        cmd_charpoly, "characteristic polynomial, unit-root factor, cyclotomic scan",
+        ("text", "json"),
+    ),
+    "eigen": Command(cmd_eigen, "dominant eigenvalue and derived certified data", ("text", "json")),
+    "nef-table": Command(cmd_nef_table, "extreme-candidate margin table", ("md", "csv", "json")),
+    "nef-verify": Command(
+        cmd_nef_verify, "run the nef certificates; exit 0 iff all pass", ("text",)
+    ),
     "enumerate": Command(
         cmd_enumerate,
         "feasible candidate curves for one degree",
+        ("text", "json", "csv"),
         Option("--d", "D", "degree, 3..6", cast=int, required=True),
         Option("--extreme", None, "only extreme candidates", nargs=0, default=False),
     ),
     "orbit": Command(
         cmd_orbit,
         "orbit of a class under the composite map",
+        ("text", "json"),
         Option("--seed", "{lbar,K,custom}", "seed class (default lbar)",
                choices=("lbar", "K", "custom"), default="lbar"),
         Option("--coeffs", "C1 ... C11", "11 integers for --seed custom", nargs=11, cast=int),
     ),
-    "verify": Command(cmd_verify, "run every certificate; exit 0 iff all pass"),
-    "report": Command(cmd_report, "emit the complete JSON artifact"),
+    "verify": Command(cmd_verify, "run every certificate; exit 0 iff all pass", ("text",)),
+    "report": Command(cmd_report, "emit the complete JSON artifact", ("json",)),
 }
 
 
@@ -426,6 +440,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(
             {key: args[key] for key in KEY_FIELDS if args[key] is not None},
             config_path=args["config"],
+            formats=COMMANDS[command].formats,
         )
         text, code = COMMANDS[command].run(args, cfg)
     except ConfigError as err:

@@ -27,7 +27,7 @@ class RunConfig:
         self,
         precision_digits: int = 60,
         orbit_horizon: int = 50,
-        output_format: str = "text",
+        output_format: str | None = None,  # None: the command's first format
         table_digits: int | None = None,  # None: the command's own default
     ):
         self.precision_digits = precision_digits
@@ -35,7 +35,7 @@ class RunConfig:
         self.output_format = output_format
         self.table_digits = table_digits
 
-    def validate(self) -> None:
+    def validate(self, formats: tuple[str, ...] = OUTPUT_FORMATS) -> None:
         if self.precision_digits < MIN_PRECISION_DIGITS:
             raise ConfigError(
                 f"precision-digits must be at least {MIN_PRECISION_DIGITS}, "
@@ -43,8 +43,10 @@ class RunConfig:
             )
         if self.orbit_horizon < 1:
             raise ConfigError("orbit-horizon must be positive")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ConfigError(f"unknown output format {self.output_format!r}")
+        if self.output_format is not None and self.output_format not in formats:
+            raise ConfigError(
+                f"format: invalid choice {self.output_format!r} (choose from {', '.join(formats)})"
+            )
         if self.table_digits is not None and self.table_digits < 1:
             raise ConfigError("tol-digits must be positive")
 
@@ -55,7 +57,7 @@ class RunConfig:
 KEY_FIELDS = {
     "precision-digits": ("precision_digits", int, "N", "working precision (>= 20, default 60)"),
     "orbit-horizon": ("orbit_horizon", int, "N", "orbit length (default 50)"),
-    "format": ("output_format", str, "FMT", f"output format: {', '.join(OUTPUT_FORMATS)}"),
+    "format": ("output_format", str, "FMT", "output format"),  # each command lists its own
     "tol-digits": ("table_digits", int, "N", "decimal digits for displayed values"),
 }
 
@@ -83,10 +85,15 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def resolve_config(flags: dict[str, str], config_path: str | None = None) -> RunConfig:
+def resolve_config(
+    flags: dict[str, str],
+    config_path: str | None = None,
+    formats: tuple[str, ...] = OUTPUT_FORMATS,
+) -> RunConfig:
     """Defaults, overlaid by the config file (flag or environment), then by
     the flags; `flags` maps config keys to text, which is cast and validated
-    as the file's values are."""
+    as the file's values are.  The format must be one of `formats`, the
+    first of which is the default."""
     cfg = RunConfig()
     path = config_path
     if path is None:
@@ -98,5 +105,7 @@ def resolve_config(flags: dict[str, str], config_path: str | None = None) -> Run
                 setattr(cfg, field, cast(raw))
             except ValueError:
                 raise ConfigError(f"{key}: invalid {cast.__name__} value {raw!r}") from None
-    cfg.validate()
+    cfg.validate(formats)
+    if cfg.output_format is None:
+        cfg.output_format = formats[0]
     return cfg

@@ -8,13 +8,11 @@ true results with no rounding step at all.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
 from .errors import CertificationError
 from .lattice import RANK, DivisorClass, Rational, as_fraction
-
-_Operand = Union["RealEnclosure", int, Fraction]
 
 
 class RealEnclosure:
@@ -75,7 +73,7 @@ class RealEnclosure:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: _Operand) -> "RealEnclosure":
+    def __add__(self, other: RealEnclosure | int | Fraction) -> "RealEnclosure":
         o = _coerce(other)
         return RealEnclosure(self.lo + o.lo, self.hi + o.hi)
 
@@ -84,13 +82,13 @@ class RealEnclosure:
     def __neg__(self) -> "RealEnclosure":
         return RealEnclosure(-self.hi, -self.lo)
 
-    def __sub__(self, other: _Operand) -> "RealEnclosure":
+    def __sub__(self, other: RealEnclosure | int | Fraction) -> "RealEnclosure":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other: _Operand) -> "RealEnclosure":
+    def __rsub__(self, other: RealEnclosure | int | Fraction) -> "RealEnclosure":
         return _coerce(other) + (-self)
 
-    def __mul__(self, other: _Operand) -> "RealEnclosure":
+    def __mul__(self, other: RealEnclosure | int | Fraction) -> "RealEnclosure":
         o = _coerce(other)
         products = (
             self.lo * o.lo,
@@ -102,7 +100,7 @@ class RealEnclosure:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: _Operand) -> "RealEnclosure":
+    def __truediv__(self, other: RealEnclosure | int | Fraction) -> "RealEnclosure":
         o = _coerce(other)
         if o.contains_zero():
             raise CertificationError(
@@ -122,7 +120,7 @@ class RealEnclosure:
         return f"[{self.lo}, {self.hi}]"
 
 
-def _coerce(x: _Operand) -> RealEnclosure:
+def _coerce(x: RealEnclosure | int | Fraction) -> RealEnclosure:
     if isinstance(x, RealEnclosure):
         return x
     return RealEnclosure.exact(x)
@@ -160,7 +158,7 @@ class ClassEnclosure:
         """The ten positive multipliers m_i in H - sum m_i E_i (negated E-coeffs)."""
         return tuple(-c for c in self.coeffs[1:])
 
-    def pair(self, other: Union["ClassEnclosure", DivisorClass]) -> RealEnclosure:
+    def pair(self, other: ClassEnclosure | DivisorClass) -> RealEnclosure:
         """Intersection pairing with interval arithmetic."""
         if isinstance(other, DivisorClass):
             other = ClassEnclosure.from_class(other)

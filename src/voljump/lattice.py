@@ -8,10 +8,10 @@ float ever enters this module.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
 
 RANK = 11
 

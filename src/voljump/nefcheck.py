@@ -45,12 +45,12 @@ use interval arithmetic instead.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
-from typing import Callable, NamedTuple, Sequence
 
-from .errors import CertificationError, PrecisionBudgetError
+from .errors import CertificationError, PrecisionBudgetError, Record
 from .intervals import ClassEnclosure, RealEnclosure, decimal_string
 from .polynomials import IntPoly, combine
 from .reference import TABLE_ROWS, TABLE_TOLERANCE, WEIGHT_ORDER
@@ -103,7 +103,7 @@ class CandidateCurve:
         return cls(1, (1, 1, 1, 0, 0, 0, 0, 0, 0, 0))
 
 
-class MarginRow(NamedTuple):
+class MarginRow(Record):
     """A candidate with its certified margin d - sum a_i t_i."""
 
     candidate: CandidateCurve
@@ -111,7 +111,7 @@ class MarginRow(NamedTuple):
     exact_zero: bool = False
 
 
-class CheckResult(NamedTuple):
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str = ""
@@ -275,7 +275,7 @@ def cutoff_margin(witness: ClassEnclosure, line_component: RealEnclosure, d: int
     return RealEnclosure.exact(d * d) - witness.multiplier_square_sum() * (d * d + 2)
 
 
-class BignessData(NamedTuple):
+class BignessData(Record):
     """Certified positivity data: the witness is big, and so is the dominant class."""
 
     witness_self_pairing: RealEnclosure  # L^2 = 1 - sum t_i^2
@@ -298,7 +298,7 @@ def bigness_certificates(
     return BignessData(l_squared, lower)
 
 
-class DegreeSummary(NamedTuple):
+class DegreeSummary(Record):
     """One degree of the enumeration: its counts and the leaves of the rows
     the report keeps, whose rows `rows` builds on first read."""
 
@@ -321,7 +321,7 @@ class DegreeSummary(NamedTuple):
         return tuple(self.rows(self.degree, leaf) for leaf in self.extreme_leaves)
 
 
-class NefReport(NamedTuple):
+class NefReport(Record):
     """Aggregated evidence that the witness class is nef and big.
 
     The certificates (`checks`) and counts are decided on the margin

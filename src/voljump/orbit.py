@@ -13,14 +13,15 @@ records `orbit` and `iterate` return.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from .errors import Record
 from .lattice import CANONICAL, DivisorClass, Rational, pair_integers
 from .transform import apply_integers, composite_T
 
 
-class OrbitRecord(NamedTuple):
+class OrbitRecord(Record):
     """One orbit step: the class T^n(seed) with its basic invariants."""
 
     n: int
@@ -70,7 +71,7 @@ def orbit(seed: DivisorClass, count: int) -> Iterator[OrbitRecord]:
         yield OrbitRecord.of(n, vector, scale)
 
 
-class DistinctnessResult(NamedTuple):
+class DistinctnessResult(Record):
     distinct: bool
     collision: tuple[int, int] | None = None  # first (n, m) with equal classes
 

@@ -29,19 +29,17 @@ are scaled by positive factors only.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd as int_gcd
 from math import lcm, prod
 from operator import index, mul
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import CertificationError, PrecisionBudgetError
+from .errors import CertificationError, PrecisionBudgetError, Record
 from .intervals import RealEnclosure
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .transform import LatticeIsometry
+from .transform import LatticeIsometry
 
 
 def _require(holds: bool, message: str) -> None:
@@ -160,7 +158,7 @@ class IntPoly:
         return " ".join(terms) if terms else "0"
 
 
-def faddeev_leverrier(m: "LatticeIsometry") -> tuple[IntPoly, tuple[IntPoly, ...]]:
+def faddeev_leverrier(m: LatticeIsometry) -> tuple[IntPoly, tuple[IntPoly, ...]]:
     """det(xI - m) and column 0 of adj(xI - m), on integers only.
 
     The coefficients of det(xI - m) = sum c_k x^(n-k) come from the power
@@ -205,7 +203,7 @@ def faddeev_leverrier(m: "LatticeIsometry") -> tuple[IntPoly, tuple[IntPoly, ...
     return IntPoly(reversed(coeffs_desc)), tuple(IntPoly(reversed(c)) for c in column_desc)
 
 
-def char_poly(m: "LatticeIsometry") -> IntPoly:
+def char_poly(m: LatticeIsometry) -> IntPoly:
     """Exact characteristic polynomial det(xI - m)."""
     return faddeev_leverrier(m)[0]
 
@@ -593,7 +591,7 @@ def split_cyclotomic_factors(k: int, s: IntPoly) -> list[tuple[int, int]]:
 # -- certified unit-circle root count ------------------------------------------
 
 
-class UnitCircleCount(NamedTuple):
+class UnitCircleCount(Record):
     """Certified counts of roots by position relative to the unit circle."""
 
     outside: int

@@ -9,10 +9,9 @@ configuration emit byte-identical artifacts.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .config import ConfigError, RunConfig
-from .errors import CertificationError
+from .errors import CertificationError, Record
 from .intervals import ClassEnclosure, decimal_string, enclosure_json
 from .lattice import CANONICAL, GRAM_DIAGONAL, canonical_class, pair_integers, standard_line
 from .nefcheck import CheckResult, MarginRow, NefReport, full_report
@@ -25,7 +24,7 @@ from .transform import apply_integers, composite_T, verify_isometry
 SCHEMA_VERSION = "1"
 
 
-class OrbitEvidence(NamedTuple):
+class OrbitEvidence(Record):
     horizon: int
     distinct: bool
     collision: tuple[int, int] | None
@@ -72,7 +71,7 @@ def _orbit_evidence(eigen: EigenSystem, horizon: int) -> OrbitEvidence:
     )
 
 
-class VerificationRun(NamedTuple):
+class VerificationRun(Record):
     config: RunConfig
     eigen: EigenSystem
     nef: NefReport

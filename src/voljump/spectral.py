@@ -31,13 +31,13 @@ witness stage once per reading (`select_orientation`).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import itemgetter
-from typing import NamedTuple, Sequence
 
-from .errors import CertificationError, PrecisionBudgetError, VerificationError
+from .errors import CertificationError, PrecisionBudgetError, Record, VerificationError
 from .intervals import ClassEnclosure, RealEnclosure
 from .lattice import RANK
 from .polynomials import (
@@ -256,7 +256,7 @@ def line_pairing_identity_certified(r: ClassEnclosure) -> bool:
     return not s.contains(3)
 
 
-class EigenSystem(NamedTuple):
+class EigenSystem(Record):
     """Bundle of certified spectral data for one transform at one precision."""
 
     digits: int
@@ -362,7 +362,7 @@ def eigensystem(digits: int = 60) -> EigenSystem:
     return EigenSystem(digits, m, *core, *witness_data, _grid_class(witness, _grid_bits(lam)))
 
 
-class CharpolyFacts(NamedTuple):
+class CharpolyFacts(Record):
     """Factor data of the characteristic polynomial, computed once per run."""
 
     polynomial: IntPoly
@@ -405,13 +405,13 @@ class CharpolyFacts(NamedTuple):
 # -- orientation oracle ----------------------------------------------------------
 
 
-class CandidateAssessment(NamedTuple):
+class CandidateAssessment(Record):
     name: str
     matches: bool
     detail: str
 
 
-class OrientationReport(NamedTuple):
+class OrientationReport(Record):
     selected: str
     assessments: tuple[CandidateAssessment, ...]
 

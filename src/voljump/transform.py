@@ -15,10 +15,11 @@ coefficients in `reference`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from operator import index, mul
-from typing import Iterable, NamedTuple, Sequence
 
+from .errors import Record
 from .lattice import RANK, GRAM_DIAGONAL, DivisorClass
 
 
@@ -115,7 +116,7 @@ def apply_integers(m: LatticeIsometry, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, v)) for row in m.rows)
 
 
-class IsometryCheck(NamedTuple):
+class IsometryCheck(Record):
     """Outcome of the form-preservation check M^T G M = G.
 
     `residual` is M^T G M - G when the check fails, None otherwise.
@@ -209,7 +210,7 @@ def composite_T() -> LatticeIsometry:
     return cremona_isometry(1, 2, 3) @ exceptional_shift(3)
 
 
-class Reading(NamedTuple):
+class Reading(Record):
     """One matrix of the readings, with their names joined by " = ", the name
     and matrix (`base`) of its class representative C S_k, C = cremona(1, 2, 3)
     and S_k = exceptional_shift(k), and the slot permutation q with

@@ -214,6 +214,62 @@ def test_usage_errors_exit_2_with_usage_and_message(argv, capsys):
     assert "usage:" in err and "error:" in err
 
 
+FORMAT_ERRORS = [
+    (["verify", "--format", "json"], "text"),
+    (["nef-verify", "--format", "json"], "text"),
+    (["charpoly", "--format", "csv"], "text, json"),
+    (["dump-matrix", "--format", "md"], "text, json"),
+    (["eigen", "--format", "csv"], "text, json"),
+    (["orbit", "--format", "md"], "text, json"),
+    (["enumerate", "--d", "3", "--format", "md"], "text, json, csv"),
+    (["nef-table", "--format", "text"], "md, csv, json"),
+    (["report", "--format", "csv"], "json"),
+    (["report", "--format", "text"], "json"),
+]
+
+
+@pytest.mark.parametrize("argv,formats", FORMAT_ERRORS, ids=[" ".join(a) for a, _ in FORMAT_ERRORS])
+def test_a_format_the_command_cannot_print_exits_2(argv, formats, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"voljump {argv[0]}: error: format: invalid choice {argv[-1]!r} (choose from {formats})"
+    )
+
+
+def test_config_file_format_is_checked_per_command(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "voljump.cfg"
+    config.write_text("format = json\n")
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", "--config", str(config)])
+    assert stop.value.code == 2
+    assert "error: format: invalid choice 'json' (choose from text)" in capsys.readouterr().err
+    monkeypatch.setenv("VOLJUMP_CONFIG", str(config))
+    with pytest.raises(SystemExit) as stop:
+        main(["nef-verify"])
+    assert stop.value.code == 2
+    assert "(choose from text)" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "dump-matrix")
+    assert code == 0
+    assert json.loads(out) == [list(r) for r in composite_T().rows]
+
+
+@pytest.mark.parametrize(
+    "command,formats",
+    [("verify", "text"), ("charpoly", "text, json"), ("nef-table", "md, csv, json"),
+     ("enumerate", "text, json, csv"), ("report", "json")],
+)
+def test_help_lists_only_the_commands_formats(command, formats, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "-h"])
+    assert stop.value.code == 0
+    [line] = [line for line in capsys.readouterr().out.splitlines() if "output format" in line]
+    assert line.split() == ["--format", "FMT", "output", "format:", *formats.split()]
+
+
 @pytest.mark.parametrize(
     "variant,long_form",
     [

@@ -30,6 +30,16 @@ def test_validation_rejects_bad_values(field, value):
         cfg.validate()
 
 
+def test_format_defaults_to_the_first_of_the_commands_formats(monkeypatch):
+    monkeypatch.delenv("VOLJUMP_CONFIG", raising=False)
+    assert RunConfig().output_format is None
+    assert resolve_config({}).output_format == "text"
+    assert resolve_config({}, formats=("md", "csv")).output_format == "md"
+    assert resolve_config({"format": "csv"}, formats=("md", "csv")).output_format == "csv"
+    with pytest.raises(ConfigError, match=r"invalid choice 'json' \(choose from md, csv\)"):
+        resolve_config({"format": "json"}, formats=("md", "csv"))
+
+
 def test_read_config_file(tmp_path):
     path = tmp_path / "cfg"
     path.write_text(

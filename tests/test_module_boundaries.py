@@ -1,5 +1,8 @@
 """No voljump module reaches into another module's private (`_`-prefixed)
-names: a fact is produced in one module and read through its public API."""
+names: a fact is produced in one module and read through its public API.
+And no module imports `typing` or defines a `NamedTuple`: records derive from
+`errors.Record`, which costs microseconds per class where a named tuple of
+`typing` costs tenths of a millisecond, and no process loads `typing`."""
 
 import ast
 from pathlib import Path
@@ -43,3 +46,38 @@ def test_guard_sees_both_forms():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_another_modules_private_name(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def typing_uses(source: str) -> list[str]:
+    """The `typing` imports of a module's source and the classes it bases on
+    `NamedTuple` (by name or as `typing.NamedTuple`)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"import {a.name}" for a in node.names if a.name.split(".")[0] == "typing"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "typing":
+            found.append(f"from {node.module} import ...")
+        elif isinstance(node, ast.ClassDef):
+            names = {getattr(base, "id", None) or getattr(base, "attr", None) for base in node.bases}
+            if "NamedTuple" in names:
+                found.append(f"class {node.name}(NamedTuple)")
+    return found
+
+
+def test_typing_guard_sees_every_form():
+    source = (
+        "import typing\nfrom typing import NamedTuple\n"
+        "class A(NamedTuple):\n    x: int\nclass B(typing.NamedTuple):\n    y: int\n"
+        "class C(Record):\n    z: int\n"
+    )
+    assert typing_uses(source) == [
+        "import typing",
+        "from typing import ...",
+        "class A(NamedTuple)",
+        "class B(NamedTuple)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_typing_or_defines_a_named_tuple(path):
+    assert typing_uses(path.read_text(encoding="utf-8")) == []

@@ -1,15 +1,17 @@
 """Start-up footprint, and the semantics of the record and value types.
 
-Start-up is most of a command's run time.  Five guards keep it small: the CLI
+Start-up is most of a command's run time.  Six guards keep it small: the CLI
 module loads no `dataclasses` (which pulls in `inspect`, `ast` and `dis`)
 and no `pathlib`, `nef-verify` loads neither the orbit and report modules
 nor the CSV and JSON writers it never uses, `charpoly` loads none of the
-report, orbit and nef modules, and neither importing the CLI nor running
+report, orbit and nef modules, neither importing the CLI nor running
 `verify` or `nef-verify` loads an argument parser (`argparse`, `getopt`) or
-the `gettext` and `locale` modules argparse pulls in.  They compare module
-sets of fresh interpreters, never times.
+the `gettext` and `locale` modules argparse pulls in, and none of the three
+loads `typing` (the record classes derive from `errors.Record`).  They
+compare module sets of fresh interpreters, never times.
 """
 
+import copy
 import os
 import subprocess
 import sys
@@ -21,9 +23,10 @@ import pytest
 from voljump.config import RunConfig
 from voljump.intervals import ClassEnclosure, RealEnclosure
 from voljump.lattice import DivisorClass, standard_line
-from voljump.nefcheck import CandidateCurve, NefReport
+from voljump.nefcheck import CandidateCurve, CheckResult, MarginRow, NefReport
+from voljump.orbit import DistinctnessResult
 from voljump.polynomials import IntPoly
-from voljump.transform import LatticeIsometry
+from voljump.transform import IsometryCheck, LatticeIsometry
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -93,17 +96,33 @@ def test_charpoly_loads_no_report_orbit_or_nef_modules(tmp_path):
     assert not loaded & {"voljump.report", "voljump.orbit", "voljump.nefcheck"}
 
 
+def command_modules(tmp_path, command: str | None, flags: tuple[str, ...] = ()) -> set[str]:
+    """Modules `import voljump.cli` (command None) or a passing run of
+    `command` loads in a fresh interpreter started with `flags`."""
+    if command is None:
+        return new_modules("import voljump.cli", flags=flags)
+    out = tmp_path / "out.txt"
+    loaded = new_modules(
+        "from voljump.cli import main\nstatus = main(sys.argv[1:])",
+        command,
+        "--out",
+        str(out),
+        flags=flags,
+    )
+    assert out.read_text().splitlines()[-1] == "verdict: pass"
+    return loaded
+
+
 @pytest.mark.parametrize("command", [None, "verify", "nef-verify"])
 def test_cli_loads_no_argument_parser_and_no_locale(tmp_path, command):
-    if command is None:
-        loaded = new_modules("import voljump.cli")
-    else:
-        out = tmp_path / "out.txt"
-        loaded = new_modules(
-            "from voljump.cli import main\nstatus = main(sys.argv[1:])", command, "--out", str(out)
-        )
-        assert out.read_text().splitlines()[-1] == "verdict: pass"
+    loaded = command_modules(tmp_path, command)
     assert not loaded & {"argparse", "getopt", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("command", [None, "verify", "nef-verify"])
+def test_cli_loads_no_typing(tmp_path, command):
+    # -S skips the site hook, which may import typing on its own
+    assert "typing" not in command_modules(tmp_path, command, flags=("-S",))
 
 
 def test_value_and_record_types_keep_their_semantics():
@@ -126,4 +145,32 @@ def test_value_and_record_types_keep_their_semantics():
     cfg = RunConfig()
     cfg.precision_digits = 80
     assert cfg.precision_digits == 80
+    # records (errors.Record) are tuples with named fields
+    check = CheckResult("c", True)
+    assert CheckResult._fields == ("name", "passed", "detail")
+    assert check == CheckResult(name="c", passed=True) == CheckResult("c", passed=True, detail="")
+    assert check == ("c", True, "") and hash(check) == hash(("c", True, ""))
+    name, passed, detail = check
+    assert (name, passed, detail) == (check.name, check.passed, check.detail) == ("c", True, "")
+    assert repr(check) == "CheckResult(name='c', passed=True, detail='')"
+    # trailing defaults
     assert NefReport(*[None] * (len(NefReport._fields) - 1)).checks == ()
+    assert MarginRow("candidate", "margin") == ("candidate", "margin", False)
+    assert DistinctnessResult(True).collision is None
+    assert IsometryCheck(ok=True).residual is None
+    # a missing, extra, unknown or repeated field
+    for args, kwargs in [(("c",), {}), (("c", True, "", "x"), {}), (("c", True), {"bogus": 1}),
+                         (("c", True), {"name": "d"}), ((), {"passed": True})]:
+        with pytest.raises(TypeError):
+            CheckResult(*args, **kwargs)
+    changed = check._replace(passed=False)
+    assert type(changed) is CheckResult and changed == ("c", False, "") and check.passed
+    with pytest.raises(ValueError):
+        check._replace(bogus=1)
+    # immutable, with no instance dict
+    with pytest.raises(AttributeError):
+        check.passed = False
+    with pytest.raises(AttributeError):
+        check.extra = 1
+    assert not hasattr(check, "__dict__")
+    assert copy.copy(check) == copy.deepcopy(check) == check
