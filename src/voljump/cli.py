@@ -4,9 +4,11 @@ Exit codes: 0 all certificates pass, 1 a certificate failed, 2 usage or
 configuration error, 3 working precision too low to decide a certificate.
 
 The parser reads the command table `COMMANDS`: each command's handler, help
-line and own options, plus the common options, which are the config-file
-keys of `config.KEY_FIELDS` (so a flag is cast and validated as its file
-key is), `--config` and `--out`.  An option is written `--opt VALUE` or
+line, output formats and own options, plus the common options, which are
+the config-file keys of `config.KEY_FIELDS` (so a flag is cast and
+validated as its file key is), `--config` and `--out`.  A format the
+command does not list, from the flag or the config file, is a
+configuration error.  An option is written `--opt VALUE` or
 `--opt=VALUE`, by its name or any unique prefix of it; a repeated option
 keeps its last value; `-h`/`--help` prints usage and options on stdout and
 exits 0.  Every usage and configuration error goes through `_usage_error`:
