@@ -4,17 +4,19 @@ Exit codes: 0 all certificates pass, 1 a certificate failed, 2 usage or
 configuration error, 3 working precision too low to decide a certificate.
 
 The parser reads the command table `COMMANDS`: each command's handler, help
-line, output formats and own options, plus the common options, which are
-the config-file keys of `config.KEY_FIELDS` (so a flag is cast and
-validated as its file key is), `--config` and `--out`.  A format the
-command does not list, from the flag or the config file, is a
-configuration error.  An option is written `--opt VALUE` or
-`--opt=VALUE`, by its name or any unique prefix of it; a repeated option
-keeps its last value; `-h`/`--help` prints usage and options on stdout and
-exits 0.  Every usage and configuration error goes through `_usage_error`:
-usage and `voljump[ COMMAND]: error: <message>` on stderr, exit 2.  The
-grammar is argparse's, without argparse: importing it and building its
-parsers cost more than the nef pass, in every process.
+line, output formats, the config-file keys of `config.KEY_FIELDS` it reads
+and its own options.  Its flags are those keys (so a flag is cast and
+validated as its file key is), `--format`, `--config`, `--out` and its own
+options; any other flag is an unrecognized argument, while a config file,
+which serves every command, may set every key.  A format the command does
+not list, from the flag or the config file, is a configuration error.  An
+option is written `--opt VALUE` or `--opt=VALUE`, by its name or any unique
+prefix of it; a repeated option keeps its last value; `-h`/`--help` prints
+usage and options on stdout and exits 0.  Every usage and configuration
+error goes through `_usage_error`: usage and
+`voljump[ COMMAND]: error: <message>` on stderr, exit 2.  The grammar is
+argparse's, without argparse: importing it and building its parsers cost
+more than the nef pass, in every process.
 
 Start-up is most of a command's run time, so each command imports the
 modules it uses when it runs: `nef-verify` loads neither the orbit nor the
@@ -59,16 +61,18 @@ COMMON = tuple(Option(f"--{key}", *spec[2:]) for key, spec in KEY_FIELDS.items()
 class Command:
     """A `COMMANDS` entry: `run(args, cfg)` returns the output text and exit
     code in `cfg.output_format`, one of `formats` (the first by default);
-    `options` are the common ones, `--format` listing `formats`, then its own."""
+    `options` are the common ones for the config keys it reads (`keys`),
+    `--format` listing `formats`, `--config` and `--out`, then its own."""
 
     __slots__ = ("run", "help", "formats", "options")
 
-    def __init__(self, run, help, formats: tuple[str, ...], *options: Option):
+    def __init__(self, run, help, formats: tuple[str, ...], keys: tuple[str, ...],
+                 *options: Option):
         self.run, self.help, self.formats = run, help, formats
-        listed = ", ".join(formats)
+        listed, names = ", ".join(formats), keys + ("format", "config", "out")
         self.options = tuple(
             Option(o.name, o.metavar, f"{o.help}: {listed}") if o.name == "--format" else o
-            for o in COMMON
+            for o in COMMON if o.name[2:] in names
         ) + options
 
 
@@ -403,23 +407,31 @@ def cmd_report(args, cfg: RunConfig) -> tuple[str, int]:
     return render_report_json(run), 0 if run.verdict else 1
 
 
+PRECISION, HORIZON, TABLE = ("precision-digits",), ("orbit-horizon",), ("tol-digits",)
+
 COMMANDS = {
     "dump-matrix": Command(
-        cmd_dump_matrix, "print the composite map as 11x11 integers", ("text", "json")
+        cmd_dump_matrix, "print the composite map as 11x11 integers", ("text", "json"), ()
     ),
     "charpoly": Command(
         cmd_charpoly, "characteristic polynomial, unit-root factor, cyclotomic scan",
-        ("text", "json"),
+        ("text", "json"), PRECISION,
     ),
-    "eigen": Command(cmd_eigen, "dominant eigenvalue and derived certified data", ("text", "json")),
-    "nef-table": Command(cmd_nef_table, "extreme-candidate margin table", ("md", "csv", "json")),
+    "eigen": Command(
+        cmd_eigen, "dominant eigenvalue and derived certified data", ("text", "json"),
+        PRECISION + TABLE,
+    ),
+    "nef-table": Command(
+        cmd_nef_table, "extreme-candidate margin table", ("md", "csv", "json"), PRECISION + TABLE
+    ),
     "nef-verify": Command(
-        cmd_nef_verify, "run the nef certificates; exit 0 iff all pass", ("text",)
+        cmd_nef_verify, "run the nef certificates; exit 0 iff all pass", ("text",), PRECISION
     ),
     "enumerate": Command(
         cmd_enumerate,
         "feasible candidate curves for one degree",
         ("text", "json", "csv"),
+        (),
         Option("--d", "D", "degree, 3..6", cast=int, required=True),
         Option("--extreme", None, "only extreme candidates", nargs=0, default=False),
     ),
@@ -427,12 +439,17 @@ COMMANDS = {
         cmd_orbit,
         "orbit of a class under the composite map",
         ("text", "json"),
+        HORIZON,
         Option("--seed", "{lbar,K,custom}", "seed class (default lbar)",
                choices=("lbar", "K", "custom"), default="lbar"),
         Option("--coeffs", "C1 ... C11", "11 integers for --seed custom", nargs=11, cast=int),
     ),
-    "verify": Command(cmd_verify, "run every certificate; exit 0 iff all pass", ("text",)),
-    "report": Command(cmd_report, "emit the complete JSON artifact", ("json",)),
+    "verify": Command(
+        cmd_verify, "run every certificate; exit 0 iff all pass", ("text",), PRECISION + HORIZON
+    ),
+    "report": Command(
+        cmd_report, "emit the complete JSON artifact", ("json",), PRECISION + HORIZON
+    ),
 }
 
 
@@ -440,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     command, args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         cfg = resolve_config(
-            {key: args[key] for key in KEY_FIELDS if args[key] is not None},
+            {key: args[key] for key in KEY_FIELDS if args.get(key) is not None},
             config_path=args["config"],
             formats=COMMANDS[command].formats,
         )

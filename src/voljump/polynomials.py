@@ -11,9 +11,11 @@ interval endpoint, a returned enclosure or a returned value
 comes from integer power traces; gcds from a primitive pseudo-remainder
 sequence; Descartes isolation works on den^n p(y/den) over a
 common-denominator grid, and refinement picks the bisection's cell of that
-grid, guessed by integer Newton steps, by signs from a homogeneous integer
-Horner sum.  Exact division, divisibility (a pseudo-remainder) and deflation
-by a rational root (by D x - N, Gauss's lemma) stay integral.
+grid, guessed by integer Newton steps or, where the guess misses, bisected
+by its index, by signs from a homogeneous integer Horner sum; there is no
+second refinement routine.  Exact division, divisibility (a
+pseudo-remainder) and deflation by a rational root (by D x - N, Gauss's
+lemma) stay integral.
 
 The unit-circle count is exact.  The gcd layers p_0 = p,
 p_(k+1) = gcd(p_k, p_k') give squarefree parts p_k / p_(k+1) that together
@@ -358,66 +360,39 @@ def isolate_real_roots(p: IntPoly, lo: Fraction, hi: Fraction) -> list[tuple[Fra
     return sorted(out)
 
 
-def refine_root(
-    p: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction
-) -> RealEnclosure:
-    """Shrink a sign-change bracket around a root to width <= tol by bisection.
-
-    The bracket lives on a common-denominator grid, lo = a/D and hi = b/D,
-    and each midpoint is (a + b)/2D, so every sign comes from the integer
-    `_scaled_value` and the endpoints are the same rationals as a bisection
-    in `Fraction`s would give.  One evaluation per halving; see
-    `refine_isolated_root` for a bracket that isolates one root.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if p(lo) == 0:
-        return RealEnclosure.exact(lo)
-    if p(hi) == 0:
-        return RealEnclosure.exact(hi)
-    coeffs = p.coeffs
-    den = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (den // lo.denominator)
-    b = hi.numerator * (den // hi.denominator)
-    lo_positive = _scaled_value(coeffs, a, den) > 0
-    if lo_positive == (_scaled_value(coeffs, b, den) > 0):
-        raise CertificationError(f"no sign change on [{lo}, {hi}]")
-    while (b - a) * tol.denominator > tol.numerator * den:
-        mid, den = a + b, 2 * den
-        value = _scaled_value(coeffs, mid, den)
-        if value == 0:
-            return RealEnclosure.exact(Fraction(mid, den))
-        if (value > 0) == lo_positive:
-            a, b = mid, 2 * b
-        else:
-            a, b = 2 * a, mid
-    return RealEnclosure(Fraction(a, den), Fraction(b, den))
-
-
 def refine_isolated_root(p: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> RealEnclosure:
-    """`refine_root` on a bracket that isolates one root of p, none at an end
-    (lo == hi for an exact root): the same answer in O(log) evaluations.
+    """Shrink a bracket that isolates one root of p to width <= tol: the
+    enclosure bisection gives, in O(log) evaluations.
 
-    With lo = a/den and w = den (hi - lo), bisection ends after the least k
-    halvings with w / (den 2^k) <= tol, on the only cell
+    A root at an end (lo == hi for an exact root) is returned exactly; a
+    bracket without a sign change is a `CertificationError`.  With lo = a/den
+    and w = den (hi - lo), bisection ends after the least k halvings with
+    w / (den 2^k) <= tol, on the only cell
     [a 2^k + j w, a 2^k + (j + 1) w] / (den 2^k) with a sign change.  Integer
     Newton steps on numerators over den 2^e, e growing to k + 16 and each
     step kept inside a sign bracket, only guess j; two exact signs certify
-    cell j or a neighbour.  A zero sign (a rational root on the grid, where
-    bisection stops early) or none of them falls back to `refine_root`.
+    cell j or a neighbour.  If none of them has a strict sign change (a
+    rational root on the grid, or a guess more than one cell off), j is
+    bisected over [0, 2^k): those midpoints are bisection's own, so a grid
+    root is returned exactly where bisection would stop on it.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if lo == hi:
-        return RealEnclosure.exact(lo)
+    if lo > hi:
+        raise ValueError(f"inverted bracket [{lo}, {hi}]")
     coeffs, deriv = p.coeffs, p.derivative().coeffs
     den = lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
     w = hi.numerator * (den // hi.denominator) - a
+    at_lo, at_hi = _scaled_value(coeffs, a, den), _scaled_value(coeffs, a + w, den)
+    if not at_lo or not at_hi:
+        return RealEnclosure.exact(hi if at_lo else lo)
+    left = at_lo > 0
+    if left == (at_hi > 0):
+        raise CertificationError(f"no sign change on [{lo}, {hi}]")
     k = (-(-w * tol.denominator // (tol.numerator * den)) - 1).bit_length()
     e, top = min(k + 16, 48), k + 16
     low, high = a << e, (a + w) << e
-    left = _scaled_value(coeffs, a, den) > 0
     x = (low + high) >> 1
     for _ in range(96):
         value = _scaled_value(coeffs, x, den << e)
@@ -439,7 +414,14 @@ def refine_isolated_root(p: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) 
         ends = [_scaled_value(coeffs, start + n * w, grid) for n in (i, i + 1)]
         if 0 <= i < 1 << k and ends[0] * ends[1] < 0:
             return RealEnclosure(Fraction(start + i * w, grid), Fraction(start + (i + 1) * w, grid))
-    return refine_root(p, lo, hi, tol)
+    i, n = 0, 1 << k  # the sign change lies in cells i..n - 1
+    while n - i > 1:
+        mid = (i + n) >> 1
+        value = _scaled_value(coeffs, start + mid * w, grid)
+        if not value:
+            return RealEnclosure.exact(Fraction(start + mid * w, grid))
+        i, n = (mid, n) if (value > 0) == left else (i, mid)
+    return RealEnclosure(Fraction(start + i * w, grid), Fraction(start + n * w, grid))
 
 
 # -- gcd / squarefree structure ------------------------------------------------
@@ -518,16 +500,9 @@ def _prime_factors(n: int) -> list[int]:
     return primes + [n] if n > 1 else primes
 
 
-def totient(n: int) -> int:
-    result = n
-    for p in _prime_factors(n):
-        result -= result // p
-    return result
-
-
 def _totients(limit: int) -> list[int]:
     """phi(0..limit) by one sieve: each prime p takes phi(m) -= phi(m) / p
-    for its multiples m, as `totient` does for the primes of one n."""
+    for its multiples m, so phi(m) = m prod (1 - 1/p) over the primes of m."""
     phi = list(range(limit + 1))
     for p in range(2, limit + 1):
         if phi[p] == p:  # untouched by a smaller prime: p is prime
@@ -552,7 +527,7 @@ def cyclotomic(n: int) -> IntPoly:
     if n == 1:
         return IntPoly([-1, 1])
     primes = _prime_factors(n)
-    size = totient(n) + 1
+    size = n // prod(primes) * prod(p - 1 for p in primes) + 1  # phi(n) + 1
     series = [1] + [0] * (size - 1)
     for r in range(len(primes) + 1):
         for subset in combinations(primes, r):

@@ -63,13 +63,6 @@ _LINE_INDICES = (1, 2, 3)
 GUARD_DIGITS = 24
 
 
-def _times_unit_roots(s: IntPoly, degree: int) -> IntPoly:
-    """(x - 1)^k s of the given degree: p rebuilt from its off-unit factor."""
-    for _ in range(degree - s.degree):
-        s = s * IntPoly([-1, 1])
-    return s
-
-
 def _dominant_spectrum(p: IntPoly) -> tuple[IntPoly, tuple[Fraction, Fraction]]:
     """The factor s of p = (x - 1)^k s, s(1) != 0, and the isolating bracket
     of its largest root lambda > 1: s is squarefree by gcd(s, s') = 1, and
@@ -164,11 +157,10 @@ def _wider_than(quotients: Sequence[tuple[int, int]], bits: int, tol: Fraction) 
     return widest * tol.denominator > tol.numerator << bits
 
 
-def _eigen_relation(m: LatticeIsometry, column: Sequence[IntPoly], off_unit: IntPoly) -> None:
+def _eigen_relation(m: LatticeIsometry, column: Sequence[IntPoly], p: IntPoly) -> None:
     """Certify (xI - m) a = p e_0 for the adjugate column a of xI - m, which
     (xI - m) adj(xI - m) = p I gives, as polynomials with p = (x - 1)^k s:
     more than every row vanishing mod s, and without a division."""
-    p = _times_unit_roots(off_unit, len(m.rows))
     width = 1 + max(len(a.coeffs) for a in column)
     padded = [list(a.coeffs) + [0] * (width - len(a.coeffs)) for a in column]
     expected = list(p.coeffs) + [0] * (width - len(p.coeffs))
@@ -306,7 +298,7 @@ def _exact_core(m: LatticeIsometry) -> tuple:
     precision-free half of `_spectral_core`, once per matrix per run."""
     p, column = faddeev_leverrier(m)
     off_unit, bracket = _dominant_spectrum(p)
-    _eigen_relation(m, column, off_unit)
+    _eigen_relation(m, column, p)
     return p, column, off_unit, bracket
 
 
@@ -375,14 +367,16 @@ class CharpolyFacts(Record):
     def of(cls, eigen: EigenSystem) -> "CharpolyFacts":
         """Facts of the system's polynomial p from its certified factorization.
 
-        The check (x - 1)^k s = p, s(1) != 0 makes s the factor
-        `_dominant_spectrum` proved squarefree, so the roots of p are k roots
-        at 1 and the roots of s, counted by `squarefree_circle_count`; the
-        cyclotomic scan runs on s, after the factor (x - 1)^k.
+        Stripping (x - 1) from p until it no longer divides must give
+        exactly (k, s): that proves (x - 1)^k s = p and s(1) != 0, and makes
+        s the factor `_dominant_spectrum` proved squarefree, so the roots of
+        p are k roots at 1 and the roots of s, counted by
+        `squarefree_circle_count`; the cyclotomic scan runs on s, after the
+        factor (x - 1)^k.
         """
         p, off_unit = eigen.polynomial, eigen.off_unit_factor
         unit_mult = p.degree - off_unit.degree
-        if _times_unit_roots(off_unit, p.degree) != p or off_unit(1) == 0:
+        if strip_rational_root(p, 1) != (unit_mult, off_unit):
             raise CertificationError("polynomial is not (x - 1)^k times its off-unit factor")
         outside, inside, on_circle = squarefree_circle_count(off_unit)
         circle = UnitCircleCount(outside, inside, on_circle + unit_mult)

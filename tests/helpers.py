@@ -4,12 +4,13 @@ import itertools
 import json
 from fractions import Fraction
 from importlib import resources
-from math import isqrt
+from math import isqrt, lcm
 
+from voljump.errors import CertificationError
 from voljump.intervals import RealEnclosure
 from voljump.lattice import DivisorClass
 from voljump.nefcheck import CandidateCurve, _feasible
-from voljump.polynomials import IntPoly
+from voljump.polynomials import IntPoly, _prime_factors, _scaled_value
 from voljump.reference import WEIGHT_ORDER
 
 
@@ -122,3 +123,50 @@ def cyclotomic_by_division(n: int) -> IntPoly:
         if n % d == 0:
             num = num.divide_exact(cyclotomic_by_division(d))
     return num
+
+
+def totient(n: int) -> int:
+    """Euler's phi(n) by trial division: the reference for the sieve."""
+    result = n
+    for p in _prime_factors(n):
+        result -= result // p
+    return result
+
+
+# -- bisection reference for root refinement ------------------------------------
+
+
+def refine_root(
+    p: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction
+) -> RealEnclosure:
+    """Shrink a sign-change bracket around a root to width <= tol by bisection.
+
+    The bracket lives on a common-denominator grid, lo = a/D and hi = b/D,
+    and each midpoint is (a + b)/2D, so every sign comes from the integer
+    `_scaled_value` and the endpoints are the same rationals as a bisection
+    in `Fraction`s would give.  One evaluation per halving; see
+    `refine_isolated_root` for a bracket that isolates one root.
+    """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    if p(lo) == 0:
+        return RealEnclosure.exact(lo)
+    if p(hi) == 0:
+        return RealEnclosure.exact(hi)
+    coeffs = p.coeffs
+    den = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    lo_positive = _scaled_value(coeffs, a, den) > 0
+    if lo_positive == (_scaled_value(coeffs, b, den) > 0):
+        raise CertificationError(f"no sign change on [{lo}, {hi}]")
+    while (b - a) * tol.denominator > tol.numerator * den:
+        mid, den = a + b, 2 * den
+        value = _scaled_value(coeffs, mid, den)
+        if value == 0:
+            return RealEnclosure.exact(Fraction(mid, den))
+        if (value > 0) == lo_positive:
+            a, b = mid, 2 * b
+        else:
+            a, b = 2 * a, mid
+    return RealEnclosure(Fraction(a, den), Fraction(b, den))

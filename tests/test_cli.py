@@ -270,6 +270,45 @@ def test_help_lists_only_the_commands_formats(command, formats, capsys):
     assert line.split() == ["--format", "FMT", "output", "format:", *formats.split()]
 
 
+UNREAD_FLAGS = [
+    (["dump-matrix"], ["--tol-digits", "5"]),
+    (["charpoly"], ["--orbit-horizon", "2"]),
+    (["eigen"], ["--orbit-horizon", "7"]),
+    (["nef-table"], ["--orbit-horizon", "7"]),
+    (["nef-verify"], ["--orbit-horizon", "7"]),
+    (["enumerate", "--d", "3"], ["--precision-digits", "5"]),
+    (["orbit"], ["--precision-digits", "5"]),
+    (["verify"], ["--tol-digits", "5"]),
+    (["report"], ["--tol-digits", "5"]),
+]
+
+
+@pytest.mark.parametrize("argv,flag", UNREAD_FLAGS, ids=[a[0] for a, _ in UNREAD_FLAGS])
+def test_a_flag_the_command_never_reads_exits_2(argv, flag, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv + flag)
+    assert stop.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"voljump {argv[0]}: error: unrecognized arguments: {' '.join(flag)}"
+    )
+    with pytest.raises(SystemExit) as stop:
+        main([argv[0], "-h"])
+    assert stop.value.code == 0
+    assert flag[0] not in capsys.readouterr().out
+
+
+def test_config_file_sets_keys_the_command_never_reads(tmp_path, capsys):
+    config = tmp_path / "voljump.cfg"
+    config.write_text("precision-digits = 30\norbit-horizon = 5\ntol-digits = 4\n")
+    code, out, _ = run_cli(capsys, "orbit", "--config", str(config))
+    assert code == 0
+    assert len([line for line in out.splitlines() if line.startswith("n=")]) == 5
+    code, out, _ = run_cli(capsys, "dump-matrix", "--config", str(config))
+    assert code == 0 and len(out.splitlines()) == 11
+
+
 @pytest.mark.parametrize(
     "variant,long_form",
     [

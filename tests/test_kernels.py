@@ -21,7 +21,6 @@ from voljump.polynomials import (
     isolate_real_roots,
     poly_gcd,
     refine_isolated_root,
-    refine_root,
     strip_rational_root,
 )
 from voljump.spectral import (
@@ -32,7 +31,7 @@ from voljump.spectral import (
     _spectral_core,
 )
 
-from helpers import outward
+from helpers import outward, refine_root
 from voljump.transform import LatticeIsometry, candidate_readings, composite_T
 
 SEED = 20130517
@@ -161,9 +160,10 @@ def test_refine_root_rejects_a_nonpositive_tolerance(monkeypatch):
         raise AssertionError("evaluated before the tolerance check")
 
     monkeypatch.setattr(polynomials, "_scaled_value", forbidden)
-    for tol in (Fraction(0), Fraction(-1, 100)):
-        with pytest.raises(ValueError, match="tolerance must be positive"):
-            refine_root(IntPoly([-2, 0, 1]), Fraction(1), Fraction(2), tol)
+    for refine in (refine_isolated_root, refine_root):
+        for tol in (Fraction(0), Fraction(-1, 100)):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                refine(IntPoly([-2, 0, 1]), Fraction(1), Fraction(2), tol)
 
 
 # -- refinement of an isolating bracket ----------------------------------------
@@ -191,7 +191,7 @@ def off_unit_factors():
 
 def test_refine_isolated_root_matches_fraction_bisection():
     # isolating brackets of random squarefree polynomials; rational roots among
-    # them take the bisection fallback
+    # them are found by the bisection over the cell index
     rng = random.Random(SEED + 7)
     checked = 0
     while checked < 60:
@@ -210,20 +210,22 @@ def test_refine_isolated_root_matches_fraction_bisection():
 
 @pytest.mark.parametrize("digits", [12, 36, 84, 424])
 def test_refine_isolated_root_of_the_spectrum(monkeypatch, digits):
-    # lambda of both conjugacy classes, by Newton and two signs, no fallback;
-    # at 424 digits the integer bisection stands in for the Fraction one,
-    # which takes 0.7 s per polynomial there
-    fallbacks = counting(monkeypatch, "refine_root")
+    # lambda of both conjugacy classes, by Newton and two signs: no index
+    # bisection, which alone would take 3.3 evaluations per digit; at 424
+    # digits the integer bisection stands in for the Fraction one, which
+    # takes 0.7 s per polynomial there
+    evaluations = counting(monkeypatch, "_scaled_value")
     tol = Fraction(1, 10**digits)
     for s in off_unit_factors():
         lo, hi = dominant_bracket(s)
+        del evaluations[:]
         enc = refine_isolated_root(s, lo, hi, tol)
+        assert 0 < len(evaluations) < 40
         bisected = refine_root(s, lo, hi, tol)
         assert (enc.lo, enc.hi) == (bisected.lo, bisected.hi)
         if digits < 424:
             assert (enc.lo, enc.hi) == fraction_bisection(s, lo, hi, tol)
         assert enc.lo > 1 and enc.width <= tol
-    assert fallbacks == []
 
 
 @pytest.mark.parametrize(
@@ -237,11 +239,61 @@ def test_refine_isolated_root_of_the_spectrum(monkeypatch, digits):
         (IntPoly([-1, 1024]), Fraction(0), Fraction(1), Fraction(1, 1024)),
     ],
 )
-def test_refine_isolated_root_falls_back_on_a_grid_root(monkeypatch, p, lo, hi, root):
-    fallbacks = counting(monkeypatch, "refine_root")
-    enc = refine_isolated_root(p, lo, hi, Fraction(1, 1024))
-    assert (enc.lo, enc.hi) == (root, root) == fraction_bisection(p, lo, hi, Fraction(1, 1024))
-    assert len(fallbacks) == 1
+def test_refine_isolated_root_falls_back_on_a_grid_root(p, lo, hi, root):
+    # no cell has a strict sign change, so the cell index is bisected
+    tol = Fraction(1, 1024)
+    enc = refine_isolated_root(p, lo, hi, tol)
+    bisected = refine_root(p, lo, hi, tol)
+    assert (enc.lo, enc.hi) == (bisected.lo, bisected.hi) == (root, root)
+    assert (enc.lo, enc.hi) == fraction_bisection(p, lo, hi, tol)
+
+
+class WrongDerivative(IntPoly):
+    """A polynomial whose `derivative` is a given wrong constant, so that the
+    Newton steps of `refine_isolated_root` guess a wrong cell."""
+
+    __slots__ = ("wrong",)
+
+    def __init__(self, coeffs, wrong):
+        super().__init__(coeffs)
+        self.wrong = wrong
+
+    def derivative(self):
+        return IntPoly([self.wrong])
+
+
+@pytest.mark.parametrize("wrong", [1, 1 << 1000], ids=["one", "huge"])
+def test_refine_isolated_root_recovers_from_a_newton_miss(monkeypatch, wrong):
+    # p' = 1 makes each step p itself; a huge p' makes every step 0 or -1, so
+    # the guess stays at the midpoint 3/2, far from sqrt(2)
+    p, lo, hi = WrongDerivative([-2, 0, 1], wrong), Fraction(1), Fraction(2)
+    tol = Fraction(1, 10**40)
+    evaluations = counting(monkeypatch, "_scaled_value")
+    enc = refine_isolated_root(p, lo, hi, tol)
+    # the guess and its neighbours take 6 signs on the final grid of 2^133
+    # cells; the bisection over the cell index takes 133 more there
+    assert sum(d == 1 << 133 for _, _, d in evaluations) == 6 + 133
+    bisected = refine_root(p, lo, hi, tol)
+    assert (enc.lo, enc.hi) == (bisected.lo, bisected.hi) == fraction_bisection(p, lo, hi, tol)
+
+
+def test_refine_isolated_root_checks_its_bracket():
+    p, tol = IntPoly([-2, 0, 1]), Fraction(1, 10**6)
+    # a degenerate bracket is an exact root only where p vanishes
+    enc = refine_isolated_root(IntPoly([-4, 0, 1]), Fraction(2), Fraction(2), tol)
+    assert (enc.lo, enc.hi) == (2, 2)
+    with pytest.raises(CertificationError, match="no sign change"):
+        refine_isolated_root(p, Fraction(1), Fraction(1), tol)
+    with pytest.raises(ValueError, match="inverted bracket"):
+        refine_isolated_root(p, Fraction(2), Fraction(1), tol)
+    # a root at an end is returned exactly, as bisection returns it
+    for lo, hi in [(Fraction(2), Fraction(3)), (Fraction(1), Fraction(2))]:
+        q = IntPoly([-4, 0, 1])
+        enc, bisected = refine_isolated_root(q, lo, hi, tol), refine_root(q, lo, hi, tol)
+        assert (enc.lo, enc.hi) == (bisected.lo, bisected.hi) == (2, 2)
+    for lo, hi in [(Fraction(2), Fraction(3)), (Fraction(-3, 2), Fraction(3, 2))]:
+        with pytest.raises(CertificationError, match="no sign change"):
+            refine_isolated_root(p, lo, hi, tol)
 
 
 def test_refine_isolated_root_evaluation_count(monkeypatch):

@@ -2,7 +2,10 @@
 names: a fact is produced in one module and read through its public API.
 And no module imports `typing` or defines a `NamedTuple`: records derive from
 `errors.Record`, which costs microseconds per class where a named tuple of
-`typing` costs tenths of a millisecond, and no process loads `typing`."""
+`typing` costs tenths of a millisecond, and no process loads `typing`.
+And no public API exists only for tests: every public top-level function and
+class is read by another statement of `src`, by a frozen test file or by the
+benchmark."""
 
 import ast
 from pathlib import Path
@@ -81,3 +84,68 @@ def test_typing_guard_sees_every_form():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_typing_or_defines_a_named_tuple(path):
     assert typing_uses(path.read_text(encoding="utf-8")) == []
+
+
+ROOT = PACKAGE.parent.parent
+#: Readers of the public API besides `src` itself: the frozen test files and
+#: the benchmark.
+FROZEN_READERS = [
+    ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "test_stress.py",
+    *sorted((ROOT / "bench").glob("*.py")),
+]
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """The names a syntax tree reads: plain names, attributes, imports, and
+    the parts of string constants that are dotted names, as the benchmark's
+    spans (`"orbit.walk"`) are; a docstring's sentence is not one."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+    return names
+
+
+def unread_public_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """The public top-level functions and classes of `modules` that no other
+    top-level statement of `modules` reads, nor any of `readers`."""
+    outside = set().union(*(referenced_names(ast.parse(source)) for source in readers))
+    statements = [
+        (module, node, referenced_names(node))
+        for module, source in modules.items()
+        for node in ast.parse(source).body
+    ]
+    return [
+        f"{module}.{node.name}"
+        for module, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in outside
+        and not any(node.name in names for _, other, names in statements if other is not node)
+    ]
+
+
+def test_public_api_guard_sees_every_reader():
+    modules = {
+        "a": "def used():\n    pass\ndef only_self():\n    only_self()\nclass Read:\n    pass\n"
+             "def _private():\n    pass\n",
+        "b": "from .a import used\nx = a.Read\ndef by_frozen():\n    pass\n",
+    }
+    readers = ["from voljump.b import by_frozen\n", 'SPANS = ("a.by_span",)\n']
+    modules["c"] = '"""by_span is documented here, which is no read."""\ndef by_span():\n    pass\n'
+    assert unread_public_names(modules, readers) == ["a.only_self"]
+    assert unread_public_names(modules, []) == ["a.only_self", "b.by_frozen", "c.by_span"]
+
+
+def test_no_public_name_exists_only_for_tests():
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    readers = [path.read_text(encoding="utf-8") for path in FROZEN_READERS]
+    assert unread_public_names(modules, readers) == []

@@ -26,11 +26,10 @@ from voljump.polynomials import (
     refine_isolated_root,
     squarefree_circle_count,
     strip_rational_root,
-    totient,
 )
 from voljump.transform import LatticeIsometry, candidate_readings, composite_T
 
-from helpers import cyclotomic_by_division
+from helpers import cyclotomic_by_division, totient
 
 
 def poly_from_desc(*desc):

@@ -194,7 +194,7 @@ def test_eigenvector_rejects_corrupted_column(eigen):
     column = list(eigen.adjugate_column)
     column[4] = IntPoly((column[4].coeffs[0] + 1,) + column[4].coeffs[1:])
     with pytest.raises(CertificationError, match="eigen-relation row"):
-        _eigen_relation(eigen.transform, column, eigen.off_unit_factor)
+        _eigen_relation(eigen.transform, column, eigen.polynomial)
 
 
 def test_eigenvector_rejects_corrupted_first_entry(eigen):
@@ -203,7 +203,7 @@ def test_eigenvector_rejects_corrupted_first_entry(eigen):
     column = list(eigen.adjugate_column)
     column[0] = IntPoly((column[0].coeffs[0] + 1,) + column[0].coeffs[1:])
     with pytest.raises(CertificationError, match="eigen-relation row 0 "):
-        _eigen_relation(eigen.transform, column, eigen.off_unit_factor)
+        _eigen_relation(eigen.transform, column, eigen.polynomial)
 
 
 def test_eigenvector_requires_the_exact_adjugate_column(eigen):
@@ -212,7 +212,7 @@ def test_eigenvector_requires_the_exact_adjugate_column(eigen):
     column = list(eigen.adjugate_column)
     column[4] = combine((1, 1), (column[4], eigen.off_unit_factor))
     with pytest.raises(CertificationError, match="eigen-relation row 4 "):
-        _eigen_relation(eigen.transform, column, eigen.off_unit_factor)
+        _eigen_relation(eigen.transform, column, eigen.polynomial)
 
 
 def test_witness_polynomials_are_the_witness(eigen):
