@@ -8,15 +8,15 @@ line, output formats, the config-file keys of `config.KEY_FIELDS` it reads
 and its own options.  Its flags are those keys (so a flag is cast and
 validated as its file key is), `--format`, `--config`, `--out` and its own
 options; any other flag is an unrecognized argument, while a config file,
-which serves every command, may set every key.  A format the command does
-not list, from the flag or the config file, is a configuration error.  An
-option is written `--opt VALUE` or `--opt=VALUE`, by its name or any unique
-prefix of it; a repeated option keeps its last value; `-h`/`--help` prints
-usage and options on stdout and exits 0.  Every usage and configuration
-error goes through `_usage_error`: usage and
-`voljump[ COMMAND]: error: <message>` on stderr, exit 2.  The grammar is
-argparse's, without argparse: importing it and building its parsers cost
-more than the nef pass, in every process.
+which serves every command, may set every key, and a command ignores those
+it does not read.  A format the command does not list, from the flag or the
+config file, is a configuration error.  An option is written `--opt VALUE`
+or `--opt=VALUE`, by its name or any unique prefix of it; a repeated option
+keeps its last value; `-h`/`--help` prints usage and options on stdout and
+exits 0.  Every usage and configuration error goes through `_usage_error`:
+usage and `voljump[ COMMAND]: error: <message>` on stderr, exit 2.  The
+grammar is argparse's, without argparse: importing it and building its
+parsers cost more than the nef pass, in every process.
 
 Start-up is most of a command's run time, so each command imports the
 modules it uses when it runs: `nef-verify` loads neither the orbit nor the
@@ -61,15 +61,16 @@ COMMON = tuple(Option(f"--{key}", *spec[2:]) for key, spec in KEY_FIELDS.items()
 class Command:
     """A `COMMANDS` entry: `run(args, cfg)` returns the output text and exit
     code in `cfg.output_format`, one of `formats` (the first by default);
-    `options` are the common ones for the config keys it reads (`keys`),
-    `--format` listing `formats`, `--config` and `--out`, then its own."""
+    `keys` are the config keys it reads, `format` among them; `options` are
+    the common ones for those keys, `--format` listing `formats`, `--config`
+    and `--out`, then its own."""
 
-    __slots__ = ("run", "help", "formats", "options")
+    __slots__ = ("run", "help", "formats", "keys", "options")
 
     def __init__(self, run, help, formats: tuple[str, ...], keys: tuple[str, ...],
                  *options: Option):
-        self.run, self.help, self.formats = run, help, formats
-        listed, names = ", ".join(formats), keys + ("format", "config", "out")
+        self.run, self.help, self.formats, self.keys = run, help, formats, keys + ("format",)
+        listed, names = ", ".join(formats), self.keys + ("config", "out")
         self.options = tuple(
             Option(o.name, o.metavar, f"{o.help}: {listed}") if o.name == "--format" else o
             for o in COMMON if o.name[2:] in names
@@ -184,11 +185,9 @@ def _parse_args(argv: list[str]) -> tuple[str, dict]:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)
 
 
 def _json_text(payload, indent: int | None = 2) -> str:
@@ -456,12 +455,10 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     command, args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = resolve_config(
-            {key: args[key] for key in KEY_FIELDS if args.get(key) is not None},
-            config_path=args["config"],
-            formats=COMMANDS[command].formats,
-        )
-        text, code = COMMANDS[command].run(args, cfg)
+        spec = COMMANDS[command]
+        flags = {key: args[key] for key in spec.keys if args[key] is not None}
+        cfg = resolve_config(flags, spec.keys, config_path=args["config"], formats=spec.formats)
+        text, code = spec.run(args, cfg)
     except ConfigError as err:
         _usage_error(command, str(err))
     except PrecisionBudgetError as err:

@@ -87,18 +87,21 @@ def read_config_file(path: str) -> dict[str, str]:
 
 def resolve_config(
     flags: dict[str, str],
+    keys: tuple[str, ...],
     config_path: str | None = None,
     formats: tuple[str, ...] = OUTPUT_FORMATS,
 ) -> RunConfig:
-    """Defaults, overlaid by the config file (flag or environment), then by
-    the flags; `flags` maps config keys to text, which is cast and validated
-    as the file's values are.  The format must be one of `formats`, the
-    first of which is the default."""
+    """Defaults, overlaid by the config file's values for `keys`, the keys
+    the command reads (the file from the flag or the environment; any other
+    key of the file is ignored), then by the flags; `flags` maps config keys
+    to text, which is cast and validated as the file's values are.  The
+    format must be one of `formats`, the first of which is the default."""
     cfg = RunConfig()
     path = config_path
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR) or None
-    for values in (read_config_file(path) if path is not None else {}, flags):
+    read = read_config_file(path) if path is not None else {}
+    for values in ({k: v for k, v in read.items() if k in keys}, flags):
         for key, raw in values.items():
             field, cast = KEY_FIELDS[key][:2]
             try:

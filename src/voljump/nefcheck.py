@@ -29,8 +29,9 @@ all: the recursion over the sorted patterns (`_canonical_walk`) carries the
 enclosure of the margin numerator down the prefix, one subtraction per
 level, and each leaf is a plain tuple (multiplicities, numerator bounds,
 extreme flag); degrees 1 and 2 take their numerators straight from the
-index subsets, and the reference table is compared on the grid numerators
-of the quotients.  The report keeps the leaves of the rows it shows, and a
+index subsets.  A row of the reference table is reproduced only when its
+whole margin enclosure lies within the tolerance (`reference.deviations`).
+The report keeps the leaves of the rows it shows, and a
 row (candidate object and margin enclosure) is built on its first read, so
 a run that prints only verdicts builds none.  The facts beyond the margins
 are exact: the line class has margin exactly zero because
@@ -48,12 +49,12 @@ import itertools
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cache
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import CertificationError, PrecisionBudgetError, Record
 from .intervals import ClassEnclosure, RealEnclosure, decimal_string
 from .polynomials import IntPoly, combine
-from .reference import TABLE_ROWS, TABLE_TOLERANCE, WEIGHT_ORDER
+from .reference import TABLE_ROWS, TABLE_TOLERANCE, WEIGHT_ORDER, deviations
 from .spectral import EigenSystem
 
 
@@ -360,18 +361,6 @@ class NefReport(Record):
         return tuple(self.rows(*x) for x in self.extra_leaves)
 
 
-def _reference_numerators(bits: int) -> tuple[dict[tuple[int, tuple[int, ...]], int], int, int]:
-    """The reference table over L 2^(bits + 1), L the lcm of its
-    denominators and the tolerance's: ({(d, a): margin}, tolerance, L).  A
-    grid enclosure [lo, hi] / 2^bits has midpoint (lo + hi) L over it."""
-    scale = lcm(TABLE_TOLERANCE.denominator, *(m.denominator for *_, m in TABLE_ROWS))
-
-    def over(x: Fraction) -> int:
-        return x.numerator * (scale // x.denominator) << bits + 1
-
-    return {(d, a): over(m) for d, a, m in TABLE_ROWS}, over(TABLE_TOLERANCE), scale
-
-
 def _argmin(leaves):
     """The leaf (mults, lo, hi, ...) of least midpoint numerator, ties broken
     by the multiplicities."""
@@ -383,7 +372,7 @@ def full_report(eigen: EigenSystem) -> NefReport:
 
     Every margin is decided once, as the integer numerator
     d D(lambda) - sum a_i N_i(lambda) over D(lambda) > 0, and the reference
-    table on the grid numerators of the quotients; the report keeps the
+    table on the whole grid enclosures of the quotients; the report keeps the
     leaves of the rows it shows and builds a row only when it is read.
     """
     d_poly, b_poly, *n_polys = eigen.witness_polynomials
@@ -444,9 +433,8 @@ def full_report(eigen: EigenSystem) -> NefReport:
 
     # degrees 3..6
     summaries: list[DegreeSummary] = []
-    reference, tolerance, scale = _reference_numerators(eigen.grid_bits)
-    matched = 0
-    extras: list[tuple] = []
+    table = {(d, a): m for d, a, m in TABLE_ROWS}
+    enclosures, references, extras = [], [], []
     enumeration_positive = True
     extreme_agrees = True
     for d in range(3, 7):
@@ -458,13 +446,12 @@ def full_report(eigen: EigenSystem) -> NefReport:
         if _argmin(extremes)[0] != minimum[0]:
             extreme_agrees = False
         for leaf in extremes:
-            key = (d, leaf[0])
-            if key in reference:
-                lo, hi = eigen.grid_quotient(leaf[1:3], d_value)
-                if abs((lo + hi) * scale - reference[key]) <= tolerance:
-                    matched += 1
-            else:
+            reference = table.get((d, leaf[0]))
+            if reference is None:
                 extras.append((d, leaf))
+            else:
+                enclosures.append(eigen.grid_quotient(leaf[1:3], d_value))
+                references.append(reference)
         summaries.append(DegreeSummary(d, len(leaves), minimum, extremes, rows))
     record(
         "degrees 3..6 full enumeration margins positive",
@@ -476,6 +463,8 @@ def full_report(eigen: EigenSystem) -> NefReport:
         extreme_agrees,
         "full-set and extreme-set minimizers coincide",
     )
+    distances, tolerance, _ = deviations(enclosures, references, TABLE_TOLERANCE, eigen.grid_bits)
+    matched = sum(x <= tolerance for x in distances)
     record(
         "reference table reproduced",
         matched == len(TABLE_ROWS),

@@ -2,8 +2,8 @@
 
 The construction under verification comes with rounded reference values: the
 ten coefficients of the nef witness printed to three decimals, their strict
-ordering, and a table of extreme candidate curves with margins.  They serve
-two purposes here:
+ordering, and a table of extreme candidate curves with margins.  Both are
+matched on whole enclosures (`deviations`), for two purposes:
 
 * the witness coefficients are the only data that pins down which reading of
   the composite map's block notation is intended (the orientation oracle);
@@ -15,6 +15,7 @@ hard-coded anywhere; everything except this data is derived at run time.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def _milli(n: int) -> Fraction:
@@ -82,3 +83,14 @@ TABLE_ROWS: tuple[tuple[int, tuple[int, ...], Fraction], ...] = tuple(
         (6, (2, 2, 2, 3, 3, 2, 1, 1, 1, 1), 195),
     )
 )
+
+
+def deviations(enclosures, references, tolerance: Fraction, bits: int) -> tuple[list, int, int]:
+    """Each grid enclosure [lo, hi] / 2^bits's largest distance
+    max(r - lo / 2^bits, hi / 2^bits - r) from its reference r, and the
+    tolerance, as numerators over one denominator L 2^bits, L the lcm of the
+    references' and the tolerance's: (distances, tolerance, L 2^bits)."""
+    scale = lcm(tolerance.denominator, *(r.denominator for r in references))
+    bound, *refs = (x.numerator * scale // x.denominator << bits for x in (tolerance, *references))
+    distances = [max(r - lo * scale, hi * scale - r) for (lo, hi), r in zip(enclosures, refs)]
+    return distances, bound, scale << bits

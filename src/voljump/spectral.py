@@ -411,25 +411,16 @@ class OrientationReport(Record):
 
 
 def _matches_reference(witness: Sequence[tuple[int, int]], lam: RealEnclosure) -> tuple[bool, str]:
-    """Whether each t_i is within `WITNESS_TOLERANCE` of `WITNESS_COEFFS[i]`,
-    from numerators (lo, hi) of -t_i over 2^bits (`_witness_stage`):
-    max(ref - t_i.lo, t_i.hi - ref) = max(ref + hi, -lo - ref), all over
-    D 2^bits with D the references' common denominator."""
-    from .reference import WITNESS_COEFFS, WITNESS_TOLERANCE
+    """Whether each t_i is within `WITNESS_TOLERANCE` of `WITNESS_COEFFS[i]`
+    (`reference.deviations`), from numerators (lo, hi) of -t_i over 2^bits."""
+    from .reference import WITNESS_COEFFS, WITNESS_TOLERANCE, deviations
 
-    bits = _grid_bits(lam)
-    scale = lcm(WITNESS_TOLERANCE.denominator, *(r.denominator for r in WITNESS_COEFFS))
-    bound, *references = (
-        x.numerator * (scale // x.denominator) << bits for x in (WITNESS_TOLERANCE, *WITNESS_COEFFS)
-    )
-    worst = 0
-    for (lo, hi), ref in zip(witness, references):
-        deviation = max(ref + hi * scale, -lo * scale - ref)
-        if deviation > bound:
-            deviation = Fraction(deviation, scale << bits)
-            return False, f"coefficient off reference by up to {float(deviation):.4f}"
-        worst = max(worst, deviation)
-    return True, f"all coefficients within {float(Fraction(worst, scale << bits)):.2e} of reference"
+    t = [(-hi, -lo) for lo, hi in witness]
+    distances, bound, den = deviations(t, WITNESS_COEFFS, WITNESS_TOLERANCE, _grid_bits(lam))
+    off = [x for x in distances if x > bound]
+    if off:
+        return False, f"coefficient off reference by up to {off[0] / den:.4f}"
+    return True, f"all coefficients within {max(distances) / den:.2e} of reference"
 
 
 def select_orientation() -> OrientationReport:

@@ -309,6 +309,21 @@ def test_config_file_sets_keys_the_command_never_reads(tmp_path, capsys):
     assert code == 0 and len(out.splitlines()) == 11
 
 
+def test_config_file_values_a_command_never_reads_are_ignored(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("VOLJUMP_CONFIG", raising=False)
+    config = tmp_path / "voljump.cfg"
+    config.write_text("precision-digits = 5\n")
+    for argv in (["orbit"], ["dump-matrix"], ["enumerate", "--d", "3"]):
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--config", str(config)]) == 0
+        assert capsys.readouterr().out == plain
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", "--config", str(config)])
+    assert stop.value.code == 2
+    assert "error: precision-digits must be at least 20, got 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "variant,long_form",
     [
@@ -521,20 +536,40 @@ def test_wrong_conjugator_fails_the_oracle_naming_the_candidate(monkeypatch, cap
     ) in out.splitlines()
 
 
-def test_verify_rejects_orbit_horizon_below_three(capsys):
-    with pytest.raises(SystemExit) as stop:
-        main(["verify", "--orbit-horizon", "2"])
-    assert stop.value.code == 2
-    assert "orbit-horizon" in capsys.readouterr().err
+def test_verify_at_horizon_one_fails_both_growth_certificates(capsys):
+    # a horizon too short to test growth is a failed certificate, not a usage error
+    code, out, err = run_cli(capsys, "verify", "--orbit-horizon", "1")
+    assert code == 1
+    assert "failed: orbit growth ratio converges to the eigenvalue" in err
+    lines = out.splitlines()
+    assert (
+        "[FAIL] orbit growth ratio converges to the eigenvalue "
+        "(no ratio from step 3 within horizon 1)"
+    ) in lines
+    assert (
+        "[FAIL] orbit max-norm eventually strictly increasing "
+        "(no strictly increasing tail within horizon 1)"
+    ) in lines
 
 
 def test_verify_fails_growth_certificate_without_tested_ratio(capsys):
-    code, out, err = run_cli(capsys, "verify", "--orbit-horizon", "4")
+    for horizon in (2, 4):
+        code, out, err = run_cli(capsys, "verify", "--orbit-horizon", str(horizon))
+        assert code == 1
+        assert "failed: orbit growth ratio converges to the eigenvalue" in err
+        assert (
+            "[FAIL] orbit growth ratio converges to the eigenvalue "
+            f"(no ratio from step 3 within horizon {horizon})"
+        ) in out.splitlines()
+
+
+@pytest.mark.parametrize("horizon", [5, 6])
+def test_verify_growth_failure_says_the_ratios_are_not_within_1_percent(horizon, capsys):
+    code, out, err = run_cli(capsys, "verify", "--orbit-horizon", str(horizon))
     assert code == 1
     assert "failed: orbit growth ratio converges to the eigenvalue" in err
     assert (
-        "[FAIL] orbit growth ratio converges to the eigenvalue "
-        "(no ratio from step 3 within horizon 4)"
+        "[FAIL] orbit growth ratio converges to the eigenvalue (not within 1% from step 3)"
     ) in out.splitlines()
 
 

@@ -629,3 +629,23 @@ def test_rows_are_built_on_first_read_only(monkeypatch, capsys):
     # each kept row once, however many fields show it
     assert sorted(built) == sorted({(r["d"], tuple(r["a"])) for r in kept})
     assert len(built) == 106
+
+
+def test_reference_rows_are_decided_on_the_whole_margin_enclosure(eigen):
+    # widening D(lambda)'s enclosure by 0.5% widens every margin to about
+    # +-0.02 around nearly the same midpoint: each table row's midpoint stays
+    # within the tolerance, but no row's enclosure does
+    (d_lo, d_hi), *rest = eigen.witness_values
+    slack = d_lo // 200
+    report = full_report(eigen._replace(witness_values=((d_lo - slack, d_hi + slack), *rest)))
+    table = {(d, a): m for d, a, m in TABLE_ROWS}
+    rows = [r for s in report.degrees for r in s.extreme_rows
+            if (r.candidate.degree, r.candidate.mults) in table]
+    assert len(rows) == len(TABLE_ROWS)
+    for row in rows:
+        reference = table[row.candidate.degree, row.candidate.mults]
+        assert abs(row.margin.midpoint - reference) <= TABLE_TOLERANCE
+        assert max(reference - row.margin.lo, row.margin.hi - reference) > TABLE_TOLERANCE
+    assert report.reference_rows_matched == 0
+    [check] = [c for c in report.checks if c.name == "reference table reproduced"]
+    assert (check.passed, check.detail) == (False, "0/34 rows within 0.01")

@@ -25,6 +25,15 @@ PINNED = [
     (("charpoly", "--format", "json"), 0, "84e4ba5a3aa0ab12dab63ad24c79c2db335447525eb02b09f975281d5d260c9a"),
     (("orbit", "--format", "json"), 0, "61ce2e65fb1a4d87e928fa8c4b611aad8893716c9434207bf102b9d04cd2e556"),
     (("dump-matrix",), 0, "5f72cbe010b4f478d6284bd33b817d8cfb1133113796e01bf8d2c5c29fa27d2b"),
+    (("charpoly",), 0, "4e161c1f30650a637fc37d776f67b1d81dfab4d5eaa7d93c030197b00b20c861"),
+    (("eigen",), 0, "096b8bd9524dcacc40de1790f3fab3b784714564a8210cda2106ecd3854d7b09"),
+    (("orbit",), 0, "d7bacf968623725a48f1742073820bd006fc5e5d4701044e7bee236f9c98094c"),
+    (("dump-matrix", "--format", "json"), 0, "b229b198f91a8064c440e324b1623a81be816e22cff690bc6f454fd92cd2e159"),
+    (("enumerate", "--d", "5", "--format", "json"), 0, "4b16bc6b022fbe69828f33b3bd6fe81f7075d94ac8afb02aa02499ea538ddb8f"),
+    (("enumerate", "--d", "6", "--extreme", "--format", "csv"), 0, "9dccf505ccc860fee238c1ad191fb5758fb6f062016b9ac9391ea8041ab4335c"),
+    (("nef-table", "--precision-digits", "20", "--format", "csv"), 0, "289ea3ed8512973cad213d020e7e9cfb8542351691187ae8dc829b4bd6b17bde"),
+    (("report", "--precision-digits", "20"), 0, "edb6f4f82be0f52d45b1abbf429c85ee50806555d634e78d31567e90c05ee0b2"),
+    (("report", "--precision-digits", "400", "--orbit-horizon", "400"), 0, "393cf6dd6aa28ff7665b4d2bb56dcac9fad324901dc80ca153aba4dfe3420792"),
 ]
 
 

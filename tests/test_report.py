@@ -92,6 +92,16 @@ def test_report_contains_no_floats(run):
     walk(json.loads(render_report_json(run)))
 
 
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_a_horizon_too_short_for_growth_reports_a_failed_certificate(horizon):
+    result = run_verification(RunConfig(orbit_horizon=horizon))
+    failed = [c.name for c in result.certificates if not c.passed]
+    assert failed[0] == "orbit growth ratio converges to the eigenvalue"
+    payload = json.loads(render_report_json(result))
+    jsonschema.validate(payload, load_schema())
+    assert payload["verdict"] == "fail" and payload["orbit"]["horizon"] == horizon
+
+
 def test_shorter_orbit_horizon(run):
     short = run_verification(RunConfig(orbit_horizon=40))
     assert short.verdict
