@@ -263,12 +263,12 @@ def cmd_eigen(args, cfg: RunConfig) -> tuple[str, int]:
             "t": [enclosure_json(e, digits) for e in eigen.t()],
         }
         return _json_text(payload), 0
-    lines = [f"lambda = {decimal_string(eigen.dominant_value.midpoint, digits)}"]
+    lines = [f"lambda = {decimal_string(*eigen.dominant_value.midpoint.as_integer_ratio(), digits)}"]
     for i, e in enumerate(eigen.r(), start=1):
-        lines.append(f"r{i:<2} = {decimal_string(e.midpoint, digits)}")
-    lines.append(f"beta = {decimal_string(eigen.line_component.midpoint, digits)}")
+        lines.append(f"r{i:<2} = {decimal_string(*e.midpoint.as_integer_ratio(), digits)}")
+    lines.append(f"beta = {decimal_string(*eigen.line_component.midpoint.as_integer_ratio(), digits)}")
     for i, e in enumerate(eigen.t(), start=1):
-        lines.append(f"t{i:<2} = {decimal_string(e.midpoint, digits)}")
+        lines.append(f"t{i:<2} = {decimal_string(*e.midpoint.as_integer_ratio(), digits)}")
     return "\n".join(lines) + "\n", 0
 
 
@@ -304,7 +304,7 @@ def cmd_nef_table(args, cfg: RunConfig) -> tuple[str, int]:
     table = [
         [str(r.candidate.degree)]
         + [str(a) for a in r.candidate.mults]
-        + [decimal_string(r.margin.midpoint, digits)]
+        + [decimal_string(*r.margin.midpoint.as_integer_ratio(), digits)]
         for r in rows
     ]
     if fmt == "csv":
@@ -360,7 +360,8 @@ def cmd_orbit(args, cfg: RunConfig) -> tuple[str, int]:
     else:
         seed = {"lbar": standard_line, "K": canonical_class}[args["seed"]]()
     count = cfg.orbit_horizon
-    vectors, scale = walk(seed, count)
+    vector, scale = seed.integral_multiple()
+    vectors = walk(vector, count)
     distinct = distinctness(vectors)
     records = [OrbitRecord.of(n, v, scale) for n, v in enumerate(vectors)]
     if cfg.output_format == "json":

@@ -3,16 +3,17 @@
 A RealEnclosure is a closed interval [lo, hi] with Fraction endpoints that
 provably contains one real quantity.  All operations here are outward-exact:
 because endpoints are rationals, sums and products of enclosures enclose the
-true results with no rounding step at all.
+true results with no rounding step at all.  The run path keeps [lo, hi] / den
+as integers; it builds an enclosure (`RealEnclosure.over`) only where one is
+read, and `decimal_string` renders a numerator over a denominator.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from fractions import Fraction
 
 from .errors import CertificationError
-from .lattice import RANK, DivisorClass, Rational, as_fraction
+from .lattice import RANK, DivisorClass, as_fraction, fraction_type
 
 
 class RealEnclosure:
@@ -23,8 +24,8 @@ class RealEnclosure:
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: Rational, hi: Rational):
-        if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
+    def __init__(self, lo: int | Fraction, hi: int | Fraction):
+        if not type(lo) is type(hi) is fraction_type():
             lo, hi = as_fraction(lo), as_fraction(hi)
         if lo > hi:
             raise ValueError(f"inverted interval [{lo}, {hi}]")
@@ -43,9 +44,15 @@ class RealEnclosure:
         return f"RealEnclosure({self.lo!r}, {self.hi!r})"
 
     @classmethod
-    def exact(cls, value: Rational) -> "RealEnclosure":
+    def exact(cls, value: int | Fraction) -> "RealEnclosure":
         v = as_fraction(value)
         return cls(v, v)
+
+    @classmethod
+    def over(cls, lo: int, hi: int, den: int) -> "RealEnclosure":
+        """The enclosure [lo, hi] / den of integer numerators, den > 0."""
+        fraction = fraction_type()
+        return cls(fraction(lo, den), fraction(hi, den))
 
     # -- queries ------------------------------------------------------------
 
@@ -57,7 +64,7 @@ class RealEnclosure:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, value: Rational) -> bool:
+    def contains(self, value: int | Fraction) -> bool:
         v = as_fraction(value)
         return self.lo <= v <= self.hi
 
@@ -112,7 +119,7 @@ class RealEnclosure:
     def square(self) -> "RealEnclosure":
         """Tight square (unlike self * self when the interval straddles 0)."""
         if self.contains_zero():
-            return RealEnclosure(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
+            return RealEnclosure(0, max(self.lo * self.lo, self.hi * self.hi))
         values = (self.lo * self.lo, self.hi * self.hi)
         return RealEnclosure(min(values), max(values))
 
@@ -182,18 +189,16 @@ class ClassEnclosure:
         return total
 
 
-def decimal_string(value: Fraction, digits: int) -> str:
-    """Render an exact rational as a decimal string with `digits` places.
+def decimal_string(numerator: int, denominator: int, digits: int) -> str:
+    """Render numerator / denominator > 0 as a decimal with `digits` places.
 
     Rounds half away from zero; fully deterministic (no float involved).
     """
     if digits < 0:
         raise ValueError("digits must be nonnegative")
-    sign = "-" if value < 0 else ""
-    mag = -value if value < 0 else value
-    scaled = mag * 10**digits
-    units, rem = divmod(scaled.numerator, scaled.denominator)
-    if 2 * rem >= scaled.denominator:
+    sign = "-" if numerator < 0 else ""
+    units, rem = divmod(abs(numerator) * 10**digits, denominator)
+    if 2 * rem >= denominator:
         units += 1
     text = str(units).rjust(digits + 1, "0")
     if digits == 0:
@@ -210,5 +215,5 @@ def enclosure_json(enc: RealEnclosure, digits: int = 40) -> dict:
     return {
         "lo": f"{enc.lo.numerator}/{enc.lo.denominator}",
         "hi": f"{enc.hi.numerator}/{enc.hi.denominator}",
-        "mid": decimal_string(enc.midpoint, digits),
+        "mid": decimal_string(*enc.midpoint.as_integer_ratio(), digits),
     }

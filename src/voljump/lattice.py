@@ -9,7 +9,7 @@ float ever enters this module.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import mul
 
@@ -21,14 +21,22 @@ GRAM_DIAGONAL = (1,) + (-1,) * 10
 #: Coefficients of the canonical class -3H + E1 + ... + E10.
 CANONICAL = (-3,) + (1,) * 10
 
-Rational = int | Fraction
+LINE = (1, -1, -1, -1) + (0,) * 7  # the distinguished line class H - E1 - E2 - E3
 
 
-def as_fraction(x: Rational) -> Fraction:
-    if isinstance(x, Fraction):
+@cache
+def fraction_type() -> type:
+    """`fractions.Fraction`, imported on first use (it loads `decimal` and `re`)."""
+    from fractions import Fraction
+    return Fraction
+
+
+def as_fraction(x: int | Fraction) -> Fraction:
+    fraction = fraction_type()
+    if isinstance(x, fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return fraction(x)
     raise TypeError(f"exact rational required, got {type(x).__name__}")
 
 
@@ -41,7 +49,7 @@ class DivisorClass:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Rational]):
+    def __init__(self, coeffs: Iterable[int | Fraction]):
         self.coeffs: tuple[Fraction, ...] = tuple(as_fraction(c) for c in coeffs)
         if len(self.coeffs) != RANK:
             raise ValueError(f"expected {RANK} coefficients, got {len(self.coeffs)}")
@@ -66,7 +74,7 @@ class DivisorClass:
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(-a for a in self.coeffs)
 
-    def __rmul__(self, scalar: Rational) -> "DivisorClass":
+    def __rmul__(self, scalar: int | Fraction) -> "DivisorClass":
         s = as_fraction(scalar)
         return DivisorClass(s * a for a in self.coeffs)
 
@@ -100,9 +108,9 @@ def line_through(i: int, j: int, k: int) -> DivisorClass:
     for idx in (i, j, k):
         if not 1 <= idx <= 10:
             raise ValueError(f"index out of range 1..10: {idx}")
-    coeffs = [Fraction(1)] + [Fraction(0)] * 10
+    coeffs = [1] + [0] * 10
     for idx in (i, j, k):
-        coeffs[idx] = Fraction(-1)
+        coeffs[idx] = -1
     return DivisorClass(coeffs)
 
 

@@ -47,14 +47,14 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 from functools import cache
 from math import isqrt
 
 from .errors import CertificationError, PrecisionBudgetError, Record
 from .intervals import ClassEnclosure, RealEnclosure, decimal_string
+from .lattice import fraction_type
 from .polynomials import IntPoly, combine
-from .reference import TABLE_ROWS, TABLE_TOLERANCE, WEIGHT_ORDER, deviations
+from .reference import TABLE_MILLI, TABLE_TOLERANCE_MILLI, WEIGHT_ORDER, deviations
 from .spectral import EigenSystem
 
 
@@ -129,7 +129,7 @@ def margin(c: CandidateCurve, witness: ClassEnclosure) -> RealEnclosure:
 
 def margin_at_midpoints(c: CandidateCurve, witness: ClassEnclosure) -> Fraction:
     """Margin against the exact rational midpoints of the witness enclosure."""
-    total = Fraction(c.degree)
+    total = fraction_type()(c.degree)
     for a, coeff in zip(c.mults, witness.coeffs[1:]):
         total += a * coeff.midpoint
     return total
@@ -337,12 +337,14 @@ class NefReport(Record):
     degree_two_minimum_leaf: tuple
     degrees: tuple[DegreeSummary, ...]
     cutoff: int
-    bigness: BignessData
+    bigness_grid: tuple  # L^2 and (1 - beta)^2 L^2 as (lo, hi, den)
     reference_rows_total: int
     reference_rows_matched: int
     extra_leaves: tuple  # (degree, leaf) of extreme rows outside the reference table
     rows: Callable[..., MarginRow]  # as in DegreeSummary
     checks: tuple[CheckResult, ...] = ()
+
+    bigness = property(lambda self: BignessData(*(RealEnclosure.over(*x) for x in self.bigness_grid)))
 
     @property
     def degree_one(self) -> tuple[MarginRow, ...]:
@@ -391,14 +393,10 @@ def full_report(eigen: EigenSystem) -> NefReport:
 
     # the premise of the canonical enumeration below: sorted multiplicities
     # along the weight order minimize the margin (rearrangement inequality)
-    record(
-        "witness coefficient ordering certified",
-        all(
-            n_values[a - 1][0] > n_values[b - 1][1]
-            for a, b in zip(WEIGHT_ORDER, WEIGHT_ORDER[1:])
-        ),
-        "strict descending chain",
-    )
+    chain = zip(WEIGHT_ORDER, WEIGHT_ORDER[1:])
+    ordering = all(n_values[a - 1][0] > n_values[b - 1][1] for a, b in chain)
+    record("witness coefficient ordering certified", ordering, "strict descending chain")
+    premise = "" if ordering else "premise failed: witness coefficient ordering certified"
 
     # degree <= 1; D - N1 - N2 - N3 = 0 makes the line's margin numerator exactly 0
     line_zero = combine((1, -1, -1, -1), (d_poly, *n_polys[:3])) == IntPoly([0])
@@ -433,7 +431,7 @@ def full_report(eigen: EigenSystem) -> NefReport:
 
     # degrees 3..6
     summaries: list[DegreeSummary] = []
-    table = {(d, a): m for d, a, m in TABLE_ROWS}
+    table = {(d, a): m for d, a, m in TABLE_MILLI}
     enclosures, references, extras = [], [], []
     enumeration_positive = True
     extreme_agrees = True
@@ -455,20 +453,21 @@ def full_report(eigen: EigenSystem) -> NefReport:
         summaries.append(DegreeSummary(d, len(leaves), minimum, extremes, rows))
     record(
         "degrees 3..6 full enumeration margins positive",
-        enumeration_positive,
-        f"{sum(s.candidate_count for s in summaries)} canonical candidates",
+        ordering and enumeration_positive,
+        premise or f"{sum(s.candidate_count for s in summaries)} canonical candidates",
     )
     record(
         "degrees 3..6 minimum attained on the extreme set",
-        extreme_agrees,
-        "full-set and extreme-set minimizers coincide",
+        ordering and extreme_agrees,
+        premise or "full-set and extreme-set minimizers coincide",
     )
-    distances, tolerance, _ = deviations(enclosures, references, TABLE_TOLERANCE, eigen.grid_bits)
+    bits = eigen.grid_bits
+    distances, tolerance, _ = deviations(enclosures, references, TABLE_TOLERANCE_MILLI, bits)
     matched = sum(x <= tolerance for x in distances)
     record(
         "reference table reproduced",
-        matched == len(TABLE_ROWS),
-        f"{matched}/{len(TABLE_ROWS)} rows within {float(TABLE_TOLERANCE)}",
+        matched == len(TABLE_MILLI),
+        f"{matched}/{len(TABLE_MILLI)} rows within {TABLE_TOLERANCE_MILLI / 1000}",
     )
 
     # sum t_i^2 = 1 - 2 B^2 / D^2, on which the cutoff and bigness rest
@@ -487,10 +486,9 @@ def full_report(eigen: EigenSystem) -> NefReport:
     if b_lo <= 0 <= b_hi:
         raise PrecisionBudgetError("B(lambda) not certified nonzero; L^2 = 2 B^2 / D^2 undecided")
     b_squared = sorted((b_lo * b_lo, b_hi * b_hi))
-    bigness = BignessData(
-        eigen.quotient((2 * b_squared[0], 2 * b_squared[1]), (d_lo * d_lo, d_hi * d_hi)),
-        2 * eigen.line_component.square(),
-    )
+    l_squared = eigen.grid_quotient((2 * b_squared[0], 2 * b_squared[1]), (d_lo**2, d_hi**2))
+    beta_lo, beta_hi = eigen.line_numerators  # 0 < beta_lo, certified by `spectral.beta`
+    volume = (2 * beta_lo**2, 2 * beta_hi**2, 1 << 2 * bits)
 
     # large degrees: (sum t_i^2)(d^2 + 2) < d^2 iff d^2 B^2 > D^2 - 2 B^2.
     # `_cutoff_degree` proves d^2 gap > bound at the cutoff, and with gap > 0
@@ -505,14 +503,14 @@ def full_report(eigen: EigenSystem) -> NefReport:
 
     record(
         "witness self-intersection positive (big)",
-        square_sum and bigness.witness_self_pairing.is_positive(),
-        f"L^2 = 2 B^2 / D^2 = {decimal_string(bigness.witness_self_pairing.midpoint, 6)}... "
+        square_sum and l_squared[0] > 0,
+        f"L^2 = 2 B^2 / D^2 = {decimal_string(l_squared[0] + l_squared[1], 2 << bits, 6)}... "
         "by the square-sum identity, B(lambda) != 0",
     )
     record(
         "volume lower bound for the dominant class positive",
-        square_sum and bigness.volume_lower_bound.is_positive(),
-        f"(1-beta)^2 L^2 = 2 beta^2 = {decimal_string(bigness.volume_lower_bound.midpoint, 6)}... "
+        square_sum and volume[0] > 0,
+        f"(1-beta)^2 L^2 = 2 beta^2 = {decimal_string(volume[0] + volume[1], 2 * volume[2], 6)}... "
         "by the square-sum identity, beta > 0",
     )
 
@@ -522,8 +520,8 @@ def full_report(eigen: EigenSystem) -> NefReport:
         degree_two_minimum_leaf=_argmin(conics),
         degrees=tuple(summaries),
         cutoff=cutoff,
-        bigness=bigness,
-        reference_rows_total=len(TABLE_ROWS),
+        bigness_grid=((*l_squared, 1 << bits), volume),
+        reference_rows_total=len(TABLE_MILLI),
         reference_rows_matched=matched,
         extra_leaves=tuple(extras),
         rows=rows,

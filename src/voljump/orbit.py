@@ -6,18 +6,17 @@ checked with no tolerance at all.  The walk runs on bare integers: T is
 linear, so `walk` steps the integral class D * seed (D the lcm of the
 seed's denominators).  Every orbit fact is decided on those vectors, which
 share the scale D: equal classes are equal vectors, max-norms keep their
-order and h_(n+1) / h_n is a ratio of first entries.  An `OrbitRecord`,
-with its `Fraction`s, is built only for output: a printed orbit, or the
-records `orbit` and `iterate` return.
+order and h_(n+1) / h_n is a ratio of first entries (`ratio_pairs`).  An
+`OrbitRecord`, with its `Fraction`s, is built only for output: a printed
+orbit, or the records `orbit` and `iterate` return.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from fractions import Fraction
 
 from .errors import Record
-from .lattice import CANONICAL, DivisorClass, Rational, pair_integers
+from .lattice import CANONICAL, DivisorClass, fraction_type, pair_integers
 from .transform import apply_integers, composite_T
 
 
@@ -32,11 +31,12 @@ class OrbitRecord(Record):
     @classmethod
     def of(cls, n: int, vector: tuple[int, ...], scale: int) -> "OrbitRecord":
         """The record of the class vector / scale, paired in integers."""
+        fraction = fraction_type()
         return cls(
             n,
-            DivisorClass(Fraction(c, scale) for c in vector),
-            Fraction(pair_integers(vector, vector), scale * scale),
-            Fraction(pair_integers(vector, CANONICAL), scale),
+            DivisorClass(fraction(c, scale) for c in vector),
+            fraction(pair_integers(vector, vector), scale * scale),
+            fraction(pair_integers(vector, CANONICAL), scale),
         )
 
 
@@ -51,24 +51,22 @@ def iterate(seed: DivisorClass, n: int) -> OrbitRecord:
     return OrbitRecord.of(n, apply_integers(composite_T().power(n), vector), scale)
 
 
-def walk(seed: DivisorClass, count: int) -> tuple[list[tuple[int, ...]], int]:
-    """(vectors, scale): the integer vectors scale * T^n(seed) for n < count,
-    by naive stepping, with scale the lcm of the seed's denominators."""
+def walk(vector: Sequence[int], count: int) -> list[tuple[int, ...]]:
+    """The integer vectors T^n(vector) for n < count, by naive stepping."""
     if count < 0:
         raise ValueError("orbit length must be nonnegative")
     t = composite_T()
-    vector, scale = seed.integral_multiple()
-    vectors = [vector]
+    vectors = [tuple(vector)]
     while len(vectors) < count:
         vectors.append(apply_integers(t, vectors[-1]))
-    return vectors[:count], scale
+    return vectors[:count]
 
 
 def orbit(seed: DivisorClass, count: int) -> Iterator[OrbitRecord]:
     """Records for T^0(seed) .. T^{count-1}(seed), from one `walk`."""
-    vectors, scale = walk(seed, count)
-    for n, vector in enumerate(vectors):
-        yield OrbitRecord.of(n, vector, scale)
+    vector, scale = seed.integral_multiple()
+    for n, v in enumerate(walk(vector, count)):
+        yield OrbitRecord.of(n, v, scale)
 
 
 class DistinctnessResult(Record):
@@ -80,7 +78,7 @@ def verify_distinct(seed: DivisorClass, count: int) -> DistinctnessResult:
     """Exact pairwise distinctness of T^0(seed) .. T^{count-1}(seed)."""
     if count < 1:
         raise ValueError("need at least one orbit element")
-    return distinctness(walk(seed, count)[0])
+    return distinctness(walk(seed.integral_multiple()[0], count))
 
 
 def distinctness(vectors: Sequence[tuple[int, ...]]) -> DistinctnessResult:
@@ -103,18 +101,20 @@ def growth_profile(seed: DivisorClass, count: int) -> list[tuple[int, Fraction]]
     """
     if count < 3:
         raise ValueError("growth profile needs at least three steps")
-    vectors, scale = walk(seed, count)
-    return [(n, Fraction(v[0], scale)) for n, v in enumerate(vectors)]
+    vector, scale = seed.integral_multiple()
+    return [(n, fraction_type()(v[0], scale)) for n, v in enumerate(walk(vector, count))]
 
 
-def growth_ratios(profile: Sequence[tuple[int, Rational]]) -> list[tuple[int, Fraction]]:
-    """Ratios h_{n+1} / h_n for consecutive nonzero H-coefficients; the
-    h_n may share any positive scale, such as a walk's integers."""
-    out = []
-    for (n, a), (_, b) in zip(profile, profile[1:]):
-        if a != 0:
-            out.append((n, Fraction(b, a)))
-    return out
+def growth_ratios(profile: Sequence[tuple[int, int | Fraction]]) -> list[tuple[int, Fraction]]:
+    """Ratios h_{n+1} / h_n for consecutive nonzero H-coefficients (`ratio_pairs`)."""
+    return [(n, fraction_type()(b, a)) for n, a, b in ratio_pairs(profile)]
+
+
+def ratio_pairs(profile: Sequence[tuple[int, int | Fraction]]) -> list[tuple]:
+    """(n, a, b), a > 0, b / a = h_(n+1) / h_n, for consecutive H-coefficients
+    with h_n != 0, which may share any positive scale: b / a lies in [x, y]
+    iff a x <= b <= a y."""
+    return [(n, a, b) if a > 0 else (n, -a, -b) for (n, a), (_, b) in zip(profile, profile[1:]) if a]
 
 
 def max_norm_increase_start(seed: DivisorClass, count: int) -> int | None:
@@ -122,7 +122,7 @@ def max_norm_increase_start(seed: DivisorClass, count: int) -> int | None:
 
     Returns None if the norm is still not monotone at the end of the window.
     """
-    return increase_start(walk(seed, count)[0])
+    return increase_start(walk(seed.integral_multiple()[0], count))
 
 
 def increase_start(vectors: Iterable[tuple[int, ...]]) -> int | None:

@@ -5,17 +5,17 @@ with the first column of the adjugate of xI - m, real-root isolation and
 refinement with rational endpoints, a cyclotomic divisibility scan, and a
 certified count of roots outside the unit circle.
 
-Every kernel runs on Python integers; a `Fraction` appears only as an
-interval endpoint, a returned enclosure or a returned value
-(`IntPoly.__call__`, `cauchy_root_bound`).  The characteristic polynomial
-comes from integer power traces; gcds from a primitive pseudo-remainder
-sequence; Descartes isolation works on den^n p(y/den) over a
-common-denominator grid, and refinement picks the bisection's cell of that
-grid, guessed by integer Newton steps or, where the guess misses, bisected
-by its index, by signs from a homogeneous integer Horner sum; there is no
-second refinement routine.  Exact division, divisibility (a
-pseudo-remainder) and deflation by a rational root (by D x - N, Gauss's
-lemma) stay integral.
+Every kernel runs on Python integers.  The characteristic polynomial comes
+from integer power traces; gcds from a primitive pseudo-remainder sequence;
+Descartes isolation (`isolating_brackets`) works on den^n p(y/den) over a
+common-denominator grid, and refinement (`refine_bracket`) picks the
+bisection's cell of that grid, guessed by integer Newton steps or, where the
+guess misses, bisected by its index, by signs from a homogeneous integer
+Horner sum; there is no second refinement routine.  Both take and return
+brackets [a, b] / den of integers; `isolate_real_roots`,
+`refine_isolated_root` and `dominant_root` are their `Fraction` forms.
+Exact division, divisibility (a pseudo-remainder) and deflation by a
+rational root (by D x - N, Gauss's lemma) stay integral.
 
 The unit-circle count is exact.  The gcd layers p_0 = p,
 p_(k+1) = gcd(p_k, p_k') give squarefree parts p_k / p_(k+1) that together
@@ -32,7 +32,6 @@ are scaled by positive factors only.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd as int_gcd
@@ -41,6 +40,7 @@ from operator import index, mul
 
 from .errors import CertificationError, PrecisionBudgetError, Record
 from .intervals import RealEnclosure
+from .lattice import fraction_type
 from .transform import LatticeIsometry
 
 
@@ -86,7 +86,7 @@ class IntPoly:
 
     def __call__(self, x: int | Fraction) -> Fraction:
         d = x.denominator
-        return Fraction(_scaled_value(self.coeffs, x.numerator, d), d ** (len(self.coeffs) - 1))
+        return fraction_type()(_scaled_value(self.coeffs, x.numerator, d), d ** (len(self.coeffs) - 1))
 
     def derivative(self) -> "IntPoly":
         if self.degree < 1:
@@ -220,12 +220,12 @@ def combine(weights: Sequence[int], polys: Sequence[IntPoly]) -> IntPoly:
     return IntPoly(out)
 
 
-def cauchy_root_bound(p: IntPoly) -> Fraction:
-    """1 + max |a_i / a_n|: every complex root has modulus strictly below it."""
+def cauchy_root_bound(p: IntPoly) -> tuple[int, int]:
+    """(n, d), n / d = 1 + max |a_i / a_n|: every root's modulus is below it."""
     if p.degree < 1:
         raise ValueError("root bound needs degree >= 1")
     lead = abs(p.leading)
-    return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
+    return lead + max(map(abs, p.coeffs[:-1])), lead
 
 
 # -- integer kernels -----------------------------------------------------------
@@ -267,10 +267,10 @@ def _pseudo_remainder(num: Sequence[int], den: Sequence[int]) -> list[int]:
     return rest
 
 
-def _deflate(coeffs: Sequence[int], root: Fraction) -> tuple[int, ...]:
-    """p / (D x - N) for the root N/D of p, integral by Gauss's lemma; the
-    division must be exact."""
-    quotient = IntPoly(coeffs).divide_exact(IntPoly([-root.numerator, root.denominator]))
+def _deflate(coeffs: Sequence[int], n: int, d: int) -> tuple[int, ...]:
+    """p / (D x - N) for the root n/d = N/D of p in lowest terms, integral by
+    Gauss's lemma; the division must be exact."""
+    quotient = IntPoly(coeffs).divide_exact(IntPoly([-n, d]).primitive())
     _require(quotient is not None, "deflation at a non-root")
     return quotient.coeffs
 
@@ -320,77 +320,85 @@ def _descartes_bound(coeffs: Sequence[int], a: int, b: int, den: int) -> int:
 _ISOLATION_DEPTH = 80
 
 
-def isolate_real_roots(p: IntPoly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint isolating intervals for the roots of squarefree p in (lo, hi).
+def common_grid(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(a, b, den) with [lo, hi] = [a, b] / den, den the lcm of denominators."""
+    den = lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
-    Returns open intervals (a, b) with exactly one root each and none at an
-    end; exact rational roots appear as degenerate pairs (r, r), deflated, and
-    bisection goes on past them.  Requires p(lo) != 0 != p(hi).  Brackets stay
-    on a common-denominator grid, a/den and b/den, with integer numerators.
-    """
-    if p(lo) == 0 or p(hi) == 0:
+
+def isolate_real_roots(p: IntPoly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """`isolating_brackets` on (lo, hi), as pairs of `Fraction`s."""
+    brackets = isolating_brackets(p, *common_grid(lo, hi))
+    return [(e.lo, e.hi) for e in (RealEnclosure.over(*b) for b in brackets)]
+
+
+def isolating_brackets(p: IntPoly, a: int, b: int, den: int) -> list[tuple[int, int, int]]:
+    """Disjoint isolating intervals, ascending, for the roots of squarefree p
+    in (a, b) / den, den > 0: open intervals (a_k, b_k) / den_k with exactly
+    one root each and none at an end; exact rational roots appear as
+    degenerate (r, r, den_k), deflated, and bisection goes on past them.
+    Requires p(a / den) != 0 != p(b / den)."""
+    if not (_scaled_value(p.coeffs, a, den) and _scaled_value(p.coeffs, b, den)):
         raise ValueError("isolation endpoints must not be roots")
-    out: list[tuple[Fraction, Fraction]] = []
+    out: list[tuple[int, int, int]] = []
 
     def recurse(cs: Sequence[int], a: int, b: int, den: int, depth: int) -> None:
         bound = _descartes_bound(cs, a, b, den)
         if bound == 0:
             return
         if bound == 1 and _scaled_value(p.coeffs, a, den) and _scaled_value(p.coeffs, b, den):
-            out.append((Fraction(a, den), Fraction(b, den)))
+            out.append((a, b, den))
             return
         if depth <= 0:
-            raise PrecisionBudgetError(
-                f"root isolation did not terminate on ({Fraction(a, den)}, {Fraction(b, den)})"
-            )
+            raise PrecisionBudgetError(f"root isolation did not terminate on ({a}, {b}) / {den}")
         mid, den = a + b, 2 * den
         a, b = 2 * a, 2 * b
-        if _scaled_value(cs, mid, den) == 0:
-            root = Fraction(mid, den)
-            cs = _deflate(cs, root)
-            out.append((root, root))
+        root = _scaled_value(cs, mid, den) == 0
+        if root:
+            cs = _deflate(cs, mid, den)
         recurse(cs, a, mid, den, depth - 1)
+        if root:
+            out.append((mid, mid, den))
         recurse(cs, mid, b, den, depth - 1)
 
-    den = lcm(lo.denominator, hi.denominator)
-    recurse(
-        p.coeffs, lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator),
-        den, _ISOLATION_DEPTH,
-    )
-    return sorted(out)
+    recurse(p.coeffs, a, b, den, _ISOLATION_DEPTH)
+    return out
 
 
 def refine_isolated_root(p: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> RealEnclosure:
-    """Shrink a bracket that isolates one root of p to width <= tol: the
-    enclosure bisection gives, in O(log) evaluations.
+    """`refine_bracket` on [lo, hi] to width <= tol, as an enclosure."""
+    return RealEnclosure.over(*refine_bracket(p, common_grid(lo, hi), tol.as_integer_ratio()))
 
-    A root at an end (lo == hi for an exact root) is returned exactly; a
-    bracket without a sign change is a `CertificationError`.  With lo = a/den
-    and w = den (hi - lo), bisection ends after the least k halvings with
-    w / (den 2^k) <= tol, on the only cell
-    [a 2^k + j w, a 2^k + (j + 1) w] / (den 2^k) with a sign change.  Integer
-    Newton steps on numerators over den 2^e, e growing to k + 16 and each
-    step kept inside a sign bracket, only guess j; two exact signs certify
-    cell j or a neighbour.  If none of them has a strict sign change (a
-    rational root on the grid, or a guess more than one cell off), j is
-    bisected over [0, 2^k): those midpoints are bisection's own, so a grid
-    root is returned exactly where bisection would stop on it.
+
+def refine_bracket(p: IntPoly, bracket: tuple, tol: tuple[int, int]) -> tuple[int, int, int]:
+    """Shrink a bracket [a, b] / den that isolates one root of p to width
+    <= tol = t / u: the enclosure [lo, hi] / den bisection gives, in O(log)
+    evaluations.
+
+    A root at an end (a == b for an exact root) is returned exactly; a
+    bracket without a sign change is a `CertificationError`.  With w = b - a,
+    bisection ends after the least k halvings with w / (den 2^k) <= tol, on
+    the only cell [a 2^k + j w, a 2^k + (j + 1) w] / (den 2^k) with a sign
+    change.  Integer Newton steps on numerators over den 2^e, e growing to
+    k + 16 and each step kept inside a sign bracket, only guess j; two exact
+    signs certify cell j or a neighbour.  If none of them has a strict sign
+    change (a rational root on the grid, or a guess more than one cell off),
+    j is bisected over [0, 2^k): those midpoints are bisection's own, so a
+    grid root is returned exactly where bisection would stop on it.
     """
-    if tol <= 0:
+    (a, b, den), (t, u) = bracket, tol
+    if t <= 0:
         raise ValueError("tolerance must be positive")
-    if lo > hi:
-        raise ValueError(f"inverted bracket [{lo}, {hi}]")
-    coeffs, deriv = p.coeffs, p.derivative().coeffs
-    den = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (den // lo.denominator)
-    w = hi.numerator * (den // hi.denominator) - a
-    at_lo, at_hi = _scaled_value(coeffs, a, den), _scaled_value(coeffs, a + w, den)
+    if a > b:
+        raise ValueError(f"inverted bracket [{a}/{den}, {b}/{den}]")
+    coeffs, deriv, w = p.coeffs, p.derivative().coeffs, b - a
+    at_lo, at_hi = _scaled_value(coeffs, a, den), _scaled_value(coeffs, b, den)
     if not at_lo or not at_hi:
-        return RealEnclosure.exact(hi if at_lo else lo)
+        return (b, b, den) if at_lo else (a, a, den)
     left = at_lo > 0
     if left == (at_hi > 0):
-        raise CertificationError(f"no sign change on [{lo}, {hi}]")
-    k = (-(-w * tol.denominator // (tol.numerator * den)) - 1).bit_length()
+        raise CertificationError(f"no sign change on [{a}/{den}, {b}/{den}]")
+    k = (-(-w * u // (t * den)) - 1).bit_length()
     e, top = min(k + 16, 48), k + 16
     low, high = a << e, (a + w) << e
     x = (low + high) >> 1
@@ -413,15 +421,15 @@ def refine_isolated_root(p: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) 
     for i in (j, j - 1, j + 1):
         ends = [_scaled_value(coeffs, start + n * w, grid) for n in (i, i + 1)]
         if 0 <= i < 1 << k and ends[0] * ends[1] < 0:
-            return RealEnclosure(Fraction(start + i * w, grid), Fraction(start + (i + 1) * w, grid))
+            return start + i * w, start + (i + 1) * w, grid
     i, n = 0, 1 << k  # the sign change lies in cells i..n - 1
     while n - i > 1:
         mid = (i + n) >> 1
         value = _scaled_value(coeffs, start + mid * w, grid)
         if not value:
-            return RealEnclosure.exact(Fraction(start + mid * w, grid))
+            return start + mid * w, start + mid * w, grid
         i, n = (mid, n) if (value > 0) == left else (i, mid)
-    return RealEnclosure(Fraction(start + i * w, grid), Fraction(start + n * w, grid))
+    return start + i * w, start + n * w, grid
 
 
 # -- gcd / squarefree structure ------------------------------------------------
@@ -472,14 +480,15 @@ def dominant_root(p: IntPoly, tol: Fraction) -> RealEnclosure:
         raise CertificationError("dominant root of a constant polynomial")
     # roots exactly at 1 are not "greater than 1"; remove before isolating
     reduced = strip_rational_root(_squarefree_layer(p)[0], 1)[1]
-    return refine_isolated_root(reduced, *dominant_bracket(reduced), tol)
+    bracket = RealEnclosure.over(*dominant_bracket(reduced))
+    return refine_isolated_root(reduced, bracket.lo, bracket.hi, tol)
 
 
-def dominant_bracket(reduced: IntPoly) -> tuple[Fraction, Fraction]:
-    """The isolating bracket of the largest real root, which must exceed 1, of
-    a squarefree polynomial without the root 1."""
-    bound = cauchy_root_bound(reduced) if reduced.degree >= 1 else 1
-    brackets = isolate_real_roots(reduced, Fraction(1), bound) if bound > 1 else []
+def dominant_bracket(reduced: IntPoly) -> tuple[int, int, int]:
+    """The isolating bracket [a, b] / den of the largest real root, which must
+    exceed 1, of a squarefree polynomial without the root 1."""
+    top, lead = cauchy_root_bound(reduced) if reduced.degree >= 1 else (1, 1)
+    brackets = isolating_brackets(reduced, lead, top, lead) if top > lead else []
     if not brackets:
         raise CertificationError("no real root greater than 1")
     return brackets[-1]
@@ -666,7 +675,7 @@ def squarefree_circle_count(f: IntPoly) -> UnitCircleCount:
     )
     m = mirror.degree // 2
     if m:
-        pairs = len(isolate_real_roots(_trace_polynomial(mirror), Fraction(-2), Fraction(2)))
+        pairs = len(isolating_brackets(_trace_polynomial(mirror), -2, 2, 1))
         on_circle += 2 * pairs
         inside += m - pairs
         outside += m - pairs

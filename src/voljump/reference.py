@@ -12,23 +12,16 @@ matched on whole enclosures (`deviations`), for two purposes:
 
 Only rounded reference values live here.  The dominant eigenvalue is never
 hard-coded anywhere; everything except this data is derived at run time.
+
+Every value is stored as integer thousandths, which `deviations` reads;
+`__getattr__` gives the `Fraction` forms under the names without `_MILLI`.
 """
 
-from fractions import Fraction
-from math import lcm
-
-
-def _milli(n: int) -> Fraction:
-    return Fraction(n, 1000)
-
-
 #: Rounded coefficients (t_1..t_10) of the nef witness H - sum t_i E_i.
-WITNESS_COEFFS = tuple(
-    _milli(n) for n in (354, 342, 304, 371, 363, 336, 260, 253, 235, 181)
-)
+WITNESS_MILLI = (354, 342, 304, 371, 363, 336, 260, 253, 235, 181)
 
 #: Certified computations must land within this distance of each coefficient.
-WITNESS_TOLERANCE = _milli(2)
+WITNESS_TOLERANCE_MILLI = 2
 
 #: Strict descending order of the witness coefficients, as 1-based indices:
 #: t4 > t5 > t1 > t2 > t6 > t3 > t7 > t8 > t9 > t10.
@@ -36,7 +29,7 @@ WEIGHT_ORDER = (4, 5, 1, 2, 6, 3, 7, 8, 9, 10)
 
 #: Reference margin tolerance for table rows (values printed to 3 decimals;
 #: with multiplicity sums up to 18 the rounding can accumulate to ~0.009).
-TABLE_TOLERANCE = Fraction(1, 100)
+TABLE_TOLERANCE_MILLI = 10
 
 #: Reference table of extreme candidates: (degree, multiplicities a1..a10,
 #: margin d - sum a_i t_i).  34 reproducible rows; one further published row
@@ -44,53 +37,63 @@ TABLE_TOLERANCE = Fraction(1, 100)
 #: stated coefficients (recomputation gives ~1.677) and is deliberately not
 #: part of the reference set.  It still appears in reports as an extreme
 #: candidate with its recomputed margin.
-TABLE_ROWS: tuple[tuple[int, tuple[int, ...], Fraction], ...] = tuple(
-    (d, a, _milli(m))
-    for d, a, m in (
-        (3, (1, 0, 0, 3, 1, 0, 0, 0, 0, 0), 1169),
-        (3, (1, 1, 0, 2, 2, 1, 0, 0, 0, 0), 500),
-        (3, (1, 1, 1, 2, 1, 1, 1, 1, 0, 0), 45),
-        (3, (1, 1, 1, 1, 1, 1, 1, 1, 1, 0), 181),
-        (4, (1, 0, 0, 4, 1, 0, 0, 0, 0, 0), 1798),
-        (4, (0, 0, 0, 3, 3, 0, 0, 0, 0, 0), 1798),
-        (4, (2, 1, 0, 3, 2, 0, 0, 0, 0, 0), 1110),
-        (4, (1, 1, 1, 3, 2, 1, 1, 0, 0, 0), 564),
-        (4, (1, 1, 1, 3, 1, 1, 1, 1, 1, 1), 257),
-        (4, (2, 2, 1, 2, 2, 1, 0, 0, 0, 0), 500),
-        (4, (2, 1, 1, 2, 2, 1, 1, 1, 1, 0), 93),
-        (5, (1, 0, 0, 5, 1, 0, 0, 0, 0, 0), 2426),
-        (5, (1, 1, 0, 4, 3, 0, 0, 0, 0, 0), 1730),
-        (5, (2, 1, 1, 4, 2, 1, 0, 0, 0, 0), 1098),
-        (5, (1, 1, 1, 4, 2, 1, 1, 1, 1, 0), 704),
-        (5, (3, 0, 0, 3, 3, 0, 0, 0, 0, 0), 1735),
-        (5, (2, 2, 0, 3, 3, 1, 0, 0, 0, 0), 1070),
-        (5, (2, 1, 1, 3, 3, 1, 1, 1, 0, 0), 594),
-        (5, (2, 2, 1, 3, 2, 2, 1, 0, 0, 0), 532),
-        (5, (2, 2, 1, 3, 2, 1, 1, 1, 1, 1), 199),
-        (5, (2, 2, 2, 2, 2, 2, 1, 1, 1, 0), 111),
-        (6, (1, 0, 0, 6, 1, 0, 0, 0, 0, 0), 3054),
-        (6, (2, 0, 0, 5, 3, 0, 0, 0, 0, 0), 2346),
-        (6, (1, 1, 1, 5, 3, 1, 0, 0, 0, 0), 1718),
-        (6, (2, 2, 0, 5, 2, 1, 0, 0, 0, 0), 1689),
-        (6, (2, 1, 1, 5, 2, 1, 1, 1, 0, 0), 1214),
-        (6, (3, 2, 0, 4, 3, 0, 0, 0, 0, 0), 1680),
-        (6, (3, 1, 1, 4, 3, 1, 1, 0, 0, 0), 1122),
-        (6, (2, 2, 1, 4, 3, 2, 0, 0, 0, 0), 1058),
-        (6, (2, 2, 1, 4, 3, 1, 1, 1, 1, 0), 646),
-        (6, (3, 3, 1, 3, 3, 1, 0, 0, 0, 0), 1070),
-        (6, (3, 2, 1, 3, 3, 2, 1, 1, 0, 0), 562),
-        (6, (2, 2, 2, 3, 3, 2, 2, 0, 0, 0), 606),
-        (6, (2, 2, 2, 3, 3, 2, 1, 1, 1, 1), 195),
-    )
+TABLE_MILLI: tuple[tuple[int, tuple[int, ...], int], ...] = (
+    (3, (1, 0, 0, 3, 1, 0, 0, 0, 0, 0), 1169),
+    (3, (1, 1, 0, 2, 2, 1, 0, 0, 0, 0), 500),
+    (3, (1, 1, 1, 2, 1, 1, 1, 1, 0, 0), 45),
+    (3, (1, 1, 1, 1, 1, 1, 1, 1, 1, 0), 181),
+    (4, (1, 0, 0, 4, 1, 0, 0, 0, 0, 0), 1798),
+    (4, (0, 0, 0, 3, 3, 0, 0, 0, 0, 0), 1798),
+    (4, (2, 1, 0, 3, 2, 0, 0, 0, 0, 0), 1110),
+    (4, (1, 1, 1, 3, 2, 1, 1, 0, 0, 0), 564),
+    (4, (1, 1, 1, 3, 1, 1, 1, 1, 1, 1), 257),
+    (4, (2, 2, 1, 2, 2, 1, 0, 0, 0, 0), 500),
+    (4, (2, 1, 1, 2, 2, 1, 1, 1, 1, 0), 93),
+    (5, (1, 0, 0, 5, 1, 0, 0, 0, 0, 0), 2426),
+    (5, (1, 1, 0, 4, 3, 0, 0, 0, 0, 0), 1730),
+    (5, (2, 1, 1, 4, 2, 1, 0, 0, 0, 0), 1098),
+    (5, (1, 1, 1, 4, 2, 1, 1, 1, 1, 0), 704),
+    (5, (3, 0, 0, 3, 3, 0, 0, 0, 0, 0), 1735),
+    (5, (2, 2, 0, 3, 3, 1, 0, 0, 0, 0), 1070),
+    (5, (2, 1, 1, 3, 3, 1, 1, 1, 0, 0), 594),
+    (5, (2, 2, 1, 3, 2, 2, 1, 0, 0, 0), 532),
+    (5, (2, 2, 1, 3, 2, 1, 1, 1, 1, 1), 199),
+    (5, (2, 2, 2, 2, 2, 2, 1, 1, 1, 0), 111),
+    (6, (1, 0, 0, 6, 1, 0, 0, 0, 0, 0), 3054),
+    (6, (2, 0, 0, 5, 3, 0, 0, 0, 0, 0), 2346),
+    (6, (1, 1, 1, 5, 3, 1, 0, 0, 0, 0), 1718),
+    (6, (2, 2, 0, 5, 2, 1, 0, 0, 0, 0), 1689),
+    (6, (2, 1, 1, 5, 2, 1, 1, 1, 0, 0), 1214),
+    (6, (3, 2, 0, 4, 3, 0, 0, 0, 0, 0), 1680),
+    (6, (3, 1, 1, 4, 3, 1, 1, 0, 0, 0), 1122),
+    (6, (2, 2, 1, 4, 3, 2, 0, 0, 0, 0), 1058),
+    (6, (2, 2, 1, 4, 3, 1, 1, 1, 1, 0), 646),
+    (6, (3, 3, 1, 3, 3, 1, 0, 0, 0, 0), 1070),
+    (6, (3, 2, 1, 3, 3, 2, 1, 1, 0, 0), 562),
+    (6, (2, 2, 2, 3, 3, 2, 2, 0, 0, 0), 606),
+    (6, (2, 2, 2, 3, 3, 2, 1, 1, 1, 1), 195),
 )
 
 
-def deviations(enclosures, references, tolerance: Fraction, bits: int) -> tuple[list, int, int]:
+def __getattr__(name: str):
+    """`WITNESS_COEFFS`, `WITNESS_TOLERANCE`, `TABLE_ROWS`, `TABLE_TOLERANCE`:
+    the thousandths above as `Fraction`s."""
+    if name not in ("WITNESS_COEFFS", "WITNESS_TOLERANCE", "TABLE_ROWS", "TABLE_TOLERANCE"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from fractions import Fraction
+
+    if name == "TABLE_ROWS":
+        return tuple((d, a, Fraction(m, 1000)) for d, a, m in TABLE_MILLI)
+    if name == "WITNESS_COEFFS":
+        return tuple(Fraction(n, 1000) for n in WITNESS_MILLI)
+    return Fraction(globals()[f"{name}_MILLI"], 1000)
+
+
+def deviations(enclosures, references, tolerance: int, bits: int) -> tuple[list, int, int]:
     """Each grid enclosure [lo, hi] / 2^bits's largest distance
     max(r - lo / 2^bits, hi / 2^bits - r) from its reference r, and the
-    tolerance, as numerators over one denominator L 2^bits, L the lcm of the
-    references' and the tolerance's: (distances, tolerance, L 2^bits)."""
-    scale = lcm(tolerance.denominator, *(r.denominator for r in references))
-    bound, *refs = (x.numerator * scale // x.denominator << bits for x in (tolerance, *references))
-    distances = [max(r - lo * scale, hi * scale - r) for (lo, hi), r in zip(enclosures, refs)]
-    return distances, bound, scale << bits
+    tolerance, as numerators over 1000 2^bits, from references and tolerance
+    in thousandths: (distances, tolerance, 1000 2^bits)."""
+    bound, *refs = (x << bits for x in (tolerance, *references))
+    distances = [max(r - lo * 1000, hi * 1000 - r) for (lo, hi), r in zip(enclosures, refs)]
+    return distances, bound, 1000 << bits

@@ -8,16 +8,14 @@ configuration emit byte-identical artifacts.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .config import RunConfig
 from .errors import CertificationError, Record
-from .intervals import ClassEnclosure, decimal_string, enclosure_json
-from .lattice import CANONICAL, GRAM_DIAGONAL, canonical_class, pair_integers, standard_line
+from .intervals import ClassEnclosure, RealEnclosure, decimal_string, enclosure_json
+from .lattice import CANONICAL, GRAM_DIAGONAL, LINE, canonical_class, pair_integers, standard_line
 from .nefcheck import CheckResult, MarginRow, NefReport, full_report
-from .orbit import OrbitRecord, distinctness, growth_ratios, increase_start, walk
+from .orbit import OrbitRecord, distinctness, increase_start, ratio_pairs, walk
 from .polynomials import combine
-from .reference import WITNESS_TOLERANCE
+from .reference import WITNESS_TOLERANCE_MILLI
 from .spectral import CharpolyFacts, EigenSystem, OrientationReport, eigensystem, select_orientation
 from .transform import apply_integers, composite_T, verify_isometry
 
@@ -34,28 +32,25 @@ class OrbitEvidence(Record):
     ratios_tested: int
     ratios_converged: bool
     max_norm_increasing_from: int | None
-    vectors: list  # scale * T^n(seed) as integers, n < horizon
-    scale: int
+    vectors: list  # T^n(line) as integers, n < horizon
 
     @property
     def records(self) -> tuple[OrbitRecord, ...]:
         """The walk as records, built only for the report's output."""
-        return tuple(OrbitRecord.of(n, v, self.scale) for n, v in enumerate(self.vectors))
+        return tuple(OrbitRecord.of(n, v, 1) for n, v in enumerate(self.vectors))
 
 
 def _orbit_evidence(eigen: EigenSystem, horizon: int) -> OrbitEvidence:
     """Every orbit fact from one integer walk of the line class."""
-    vectors, scale = walk(standard_line(), horizon)
+    vectors = walk(LINE, horizon)
     distinct = distinctness(vectors)
-    self_ok = all(pair_integers(v, v) == -2 * scale * scale for v in vectors)
+    self_ok = all(pair_integers(v, v) == -2 for v in vectors)
     k_ok = all(pair_integers(v, CANONICAL) == 0 for v in vectors)
     start = 30 if horizon >= 33 else max(3, horizon - 3)
-    lam = eigen.dominant_value
-    low = lam.lo * Fraction(99, 100)
-    high = lam.hi * Fraction(101, 100)
-    profile = [(n, vectors[n][0]) for n in range(start, horizon)]
-    tested = [ratio for _, ratio in growth_ratios(profile)]
-    converged = bool(tested) and all(low <= ratio <= high for ratio in tested)
+    lo, hi, den = eigen.eigenvalue
+    # h_(n+1) / h_n = b / a, a > 0, within [0.99 lambda.lo, 1.01 lambda.hi]
+    tested = ratio_pairs([(n, vectors[n][0]) for n in range(start, horizon)])
+    converged = bool(tested) and all(99 * lo * a <= 100 * den * b <= 101 * a * hi for _, a, b in tested)
     return OrbitEvidence(
         horizon=horizon,
         distinct=distinct.distinct,
@@ -67,7 +62,6 @@ def _orbit_evidence(eigen: EigenSystem, horizon: int) -> OrbitEvidence:
         ratios_converged=converged,
         max_norm_increasing_from=increase_start(vectors),
         vectors=vectors,
-        scale=scale,
     )
 
 
@@ -134,27 +128,28 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         f"outside {circle.outside}, inside {circle.inside}, on circle {circle.on_circle}",
     )
 
-    lam = eigen.dominant_value
+    lo, hi, den = eigen.eigenvalue
     record(
         "dominant eigenvalue exceeds 1",
-        lam.lo > 1,
-        f"lambda = {decimal_string(lam.midpoint, 12)}...",
+        lo > den,
+        f"lambda = {decimal_string(lo + hi, 2 * den, 12)}...",
     )
-    r = eigen.r()
-    r_sum = r[0] + r[1] + r[2]
+    # r_i = -q_i for the eigenvector's q_i = a_i(lambda) / a_0(lambda) over 2^bits
+    bits = eigen.grid_bits
+    q_lo, q_hi = (sum(q[k] for q in eigen.eigenvector[:3]) for k in (0, 1))
     record(
         "r1 + r2 + r3 exceeds 1",
-        r_sum.lo > 1,
-        f"sum = {decimal_string(r_sum.midpoint, 12)}...",
+        -q_hi > 1 << bits,
+        f"sum = {decimal_string(-q_lo - q_hi, 2 << bits, 12)}...",
     )
     # v = a(lambda) / a_0(lambda) with a_0(lambda) != 0 certified, so v.v and
     # v.K vanish iff these polynomials vanish at lambda, a root of s
     a, s = eigen.adjugate_column, eigen.off_unit_factor
-    self_pairing = eigen.dominant_class.self_pair()
+    v_lo, v_hi, v_den = eigen.self_pairing()
     record(
         "dominant class has self-intersection zero",
         combine(GRAM_DIAGONAL, [ai * ai for ai in a]).is_multiple_of(s),
-        f"sum g_i a_i^2 = 0 mod s; interval {enclosure_json(self_pairing, 35)['mid']}",
+        f"sum g_i a_i^2 = 0 mod s; interval {decimal_string(v_lo + v_hi, 2 * v_den, 35)}",
     )
     k_weights = [g * c for g, c in zip(GRAM_DIAGONAL, CANONICAL)]
     record(
@@ -166,7 +161,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
     record(
         "witness coefficients match the reference decimals",
         eigen.witness_matches_reference(),
-        f"all within {float(WITNESS_TOLERANCE)}",
+        f"all within {WITNESS_TOLERANCE_MILLI / 1000}",
     )
 
     nef = full_report(eigen)
@@ -260,7 +255,7 @@ def build_report(run: VerificationRun) -> dict:
             "r": [enclosure_json(e, digits) for e in eigen.r()],
             "beta": enclosure_json(eigen.line_component, digits),
             "t": [enclosure_json(e, digits) for e in eigen.t()],
-            "pair_self": enclosure_json(eigen.dominant_class.self_pair(), digits),
+            "pair_self": enclosure_json(RealEnclosure.over(*eigen.self_pairing()), digits),
             "pair_canonical": enclosure_json(
                 eigen.dominant_class.pair(canonical_class()), digits
             ),

@@ -7,7 +7,7 @@ s squarefree, and the dominant eigenvalue lambda is isolated on s itself
 (`_dominant_spectrum`) -> the eigen-relation (xI - T) a = p e_0 as
 polynomials.  None of that depends on the precision, so `_exact_core`
 computes it once per matrix per run.  Per precision, lambda is refined on
-its isolating bracket (`refine_isolated_root`: integer Newton steps only
+its isolating bracket (`refine_bracket`: integer Newton steps only
 guess the cell, two exact signs certify it) -> the normalized dominant
 eigenvector a(lambda) / a_0(lambda) -> the nef witness as integer
 polynomials of the column: with B = -(a_0 + a_1 + a_2 + a_3),
@@ -15,26 +15,26 @@ D = 2 a_0 - B and N_i = -2 a_i - B l_i (l_i = 1 on the line indices 1..3),
 the line component is beta = B(lambda) / 2 a_0(lambda) and the witness
 coefficients are t_i = N_i(lambda) / D(lambda).  Every polynomial is
 enclosed at lambda once, as integer numerators over a power of the
-denominator of lambda's endpoints (`_column_values`, `_enclose`), and each
+denominator of lambda's enclosure (`_column_values`, `_enclose`), and each
 quotient goes onto a dyadic grid by integer floor and ceiling division
-(`_quotient_on_grid`).  The N_i off the line indices are the multiples
--2 a_i, built and enclosed once per column (`_scaled_column`); the witness
-stage builds only D, B and N_1..N_3 (`_witness_stage`, the one path of
-`eigensystem` and of every oracle reading).  Exact identities mod s (the
-zero pairings of the eigenvector, the square-sum identity of the witness)
-are decided on the polynomials themselves.  Also hosts the factor data of p (`CharpolyFacts`,
-whose unit-circle count is k roots at 1 plus the count of s) and the
-orientation oracle over the 14 readings of the composite's notation, which
-runs `_spectral_core` and `_scaled_column` once per conjugacy class and the
+(`_quotient_on_grid`); none of them is a `Fraction`.  The N_i off the line
+indices are the multiples -2 a_i, built and enclosed once per column
+(`_scaled_column`); the witness stage builds only D, B and N_1..N_3
+(`_witness_stage`, the one path of `eigensystem` and of every oracle
+reading).  Exact identities mod s (the zero pairings of the eigenvector,
+the square-sum identity of the witness) are decided on the polynomials
+themselves.  Also hosts the factor data of p (`CharpolyFacts`, whose
+unit-circle count is k roots at 1 plus the count of s) and the orientation
+oracle over the 14 readings of the composite's notation, which runs
+`_spectral_core` and `_scaled_column` once per conjugacy class and the
 witness stage once per reading (`select_orientation`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd
 from operator import itemgetter
 
 from .errors import CertificationError, PrecisionBudgetError, Record, VerificationError
@@ -47,7 +47,7 @@ from .polynomials import (
     dominant_bracket,
     faddeev_leverrier,
     poly_gcd,
-    refine_isolated_root,
+    refine_bracket,
     split_cyclotomic_factors,
     squarefree_circle_count,
     strip_rational_root,
@@ -63,7 +63,7 @@ _LINE_INDICES = (1, 2, 3)
 GUARD_DIGITS = 24
 
 
-def _dominant_spectrum(p: IntPoly) -> tuple[IntPoly, tuple[Fraction, Fraction]]:
+def _dominant_spectrum(p: IntPoly) -> tuple[IntPoly, tuple[int, int, int]]:
     """The factor s of p = (x - 1)^k s, s(1) != 0, and the isolating bracket
     of its largest root lambda > 1: s is squarefree by gcd(s, s') = 1, and
     lambda is isolated on s itself, so it is a simple root of p."""
@@ -77,28 +77,26 @@ def _dominant_spectrum(p: IntPoly) -> tuple[IntPoly, tuple[Fraction, Fraction]]:
     return s, dominant_bracket(s)
 
 
-def _column_values(column: Sequence[IntPoly], lam: RealEnclosure) -> list[tuple[int, int]]:
+def _column_values(column: Sequence[IntPoly], lam: tuple[int, int, int]) -> list[tuple[int, int]]:
     """Enclosures [lo_i, hi_i] / D^deg of a_i(lambda) for each column
-    polynomial, as integer numerators over one power of the common
-    denominator D of lambda's endpoints, deg the largest degree."""
+    polynomial, as integer numerators over one power of the denominator D of
+    lambda's enclosure [A, B] / D, deg the largest degree."""
     powers = _endpoint_powers(lam, max(p.degree for p in column))
     return [_enclose(p, powers) for p in column]
 
 
-def _endpoint_powers(lam: RealEnclosure, degree: int) -> tuple[list[int], list[int]]:
-    """With lambda.lo = A/D and lambda.hi = B/D: the numerators A^k D^(deg-k)
-    and B^k D^(deg-k) of the powers of the endpoints over D^deg, k <= deg.
+def _endpoint_powers(lam: tuple[int, int, int], degree: int) -> tuple[list[int], list[int]]:
+    """With lambda in [A, B] / D: the numerators A^k D^(deg-k) and
+    B^k D^(deg-k) of the powers of the endpoints over D^deg, k <= deg.
 
     Each term c_k lambda^k lies between c_k A^k/D^k and c_k B^k/D^k; the
     lower bound takes A^k for c_k > 0 and B^k for c_k < 0 (`_enclose`).
-    That needs lambda.lo > 0, which the callers certify (lambda.lo > 1) in
+    That needs A > 0, which the callers certify (lambda.lo > 1) in
     `_spectral_core`.
     """
-    if not lam.lo > 0:
+    a, b, den = lam
+    if not a > 0:
         raise CertificationError("eigenvector evaluation needs a positive eigenvalue enclosure")
-    den = lcm(lam.lo.denominator, lam.hi.denominator)
-    a = lam.lo.numerator * (den // lam.lo.denominator)
-    b = lam.hi.numerator * (den // lam.hi.denominator)
     low = [a**k * den ** (degree - k) for k in range(degree + 1)]
     high = [b**k * den ** (degree - k) for k in range(degree + 1)]
     return low, high
@@ -131,30 +129,26 @@ def _quotient_on_grid(
     return lo, hi
 
 
-def _grid_bits(lam: RealEnclosure) -> int:
-    """The quotients are only as tight as lambda's enclosure; a grid 2^64
-    times finer than lambda's own keeps their denominators small."""
-    return lam.hi.denominator.bit_length() + 64
+def _grid_bits(lam: tuple[int, int, int]) -> int:
+    """The quotients are only as tight as lambda's enclosure [A, B] / D; a grid
+    2^64 times finer than lambda's own (B / D in lowest terms) keeps them small."""
+    _, b, den = lam
+    return (den // gcd(b, den)).bit_length() + 64
 
 
-def _grid_enclosure(v: tuple[int, int], w: tuple[int, int], bits: int) -> RealEnclosure:
-    lo, hi = _quotient_on_grid(v, w, bits)
-    return RealEnclosure(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
-
-
-def _grid_class(quotients: Sequence[tuple[int, int]], bits: int) -> ClassEnclosure:
-    """The class H + sum q_i E_i for numerators (lo_i, hi_i) over 2^bits."""
+@lru_cache(maxsize=8)
+def _grid_class(quotients: tuple[tuple[int, int], ...], bits: int) -> ClassEnclosure:
+    """The class H + sum q_i E_i for numerators (lo_i, hi_i) over 2^bits, built once."""
     scale = 1 << bits
     return ClassEnclosure(
-        [RealEnclosure.exact(1)]
-        + [RealEnclosure(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in quotients]
+        [RealEnclosure.exact(1)] + [RealEnclosure.over(lo, hi, scale) for lo, hi in quotients]
     )
 
 
-def _wider_than(quotients: Sequence[tuple[int, int]], bits: int, tol: Fraction) -> bool:
-    """Whether an enclosure with numerators over 2^bits is wider than tol."""
+def _wider_than(quotients: Sequence[tuple[int, int]], bits: int, tol: int, slack: int) -> bool:
+    """Whether an enclosure with numerators over 2^bits is wider than slack / tol."""
     widest = max(hi - lo for lo, hi in quotients)
-    return widest * tol.denominator > tol.numerator << bits
+    return widest * tol > slack << bits
 
 
 def _eigen_relation(m: LatticeIsometry, column: Sequence[IntPoly], p: IntPoly) -> None:
@@ -173,7 +167,7 @@ def _eigen_relation(m: LatticeIsometry, column: Sequence[IntPoly], p: IntPoly) -
             raise CertificationError(f"eigen-relation row {i} of (xI - T) a = p e_0 fails")
 
 
-def _scaled_column(column: Sequence[IntPoly], lam: RealEnclosure) -> tuple:
+def _scaled_column(column: Sequence[IntPoly], lam: tuple[int, int, int]) -> tuple:
     """(multiples -2 a_j of the column a, their enclosures at lambda, the
     endpoint powers they were enclosed with): the witness numerators N_i off
     the line indices are among the multiples, and a reading of the same
@@ -185,7 +179,7 @@ def _scaled_column(column: Sequence[IntPoly], lam: RealEnclosure) -> tuple:
 
 
 def _witness(
-    column: Sequence[IntPoly], scaled: tuple, lam: RealEnclosure
+    column: Sequence[IntPoly], scaled: tuple
 ) -> tuple[tuple[IntPoly, ...], tuple[tuple[int, int], ...]]:
     """The witness polynomials (D, B, N_1, ..., N_10), signed so that
     D(lambda) > 0 is certified, and their enclosures at lambda over one
@@ -216,9 +210,10 @@ def _witness(
     return polys, values
 
 
-def beta(d: tuple[int, int], b: tuple[int, int], bits: int) -> RealEnclosure:
-    """Line component B(lambda) / 2 a_0(lambda) = B / (D + B) on the 2^-bits
-    grid, from enclosures of D(lambda) > 0 and B(lambda) over one denominator.
+def beta(d: tuple[int, int], b: tuple[int, int], bits: int) -> tuple[int, int]:
+    """Numerators over 2^bits of the line component
+    B(lambda) / 2 a_0(lambda) = B / (D + B), from enclosures of D(lambda) > 0
+    and B(lambda) over one denominator.
 
     With D > 0, 0 < beta < 1 holds iff B > 0: an enclosure of B that
     straddles 0 asks for refined input, one below 0 is a genuine failure.
@@ -229,7 +224,7 @@ def beta(d: tuple[int, int], b: tuple[int, int], bits: int) -> RealEnclosure:
         raise PrecisionBudgetError(
             "line component not certified inside (0, 1): B(lambda) not sign-certified"
         )
-    return _grid_enclosure(b, (d[0] + b[0], d[1] + b[1]), bits)
+    return _quotient_on_grid(b, (d[0] + b[0], d[1] + b[1]), bits)
 
 
 def line_pairing_identity_certified(r: ClassEnclosure) -> bool:
@@ -249,19 +244,27 @@ def line_pairing_identity_certified(r: ClassEnclosure) -> bool:
 
 
 class EigenSystem(Record):
-    """Bundle of certified spectral data for one transform at one precision."""
+    """Bundle of certified spectral data for one transform at one precision;
+    the enclosures are integer numerators, built into enclosures when read."""
 
     digits: int
     transform: LatticeIsometry
     polynomial: IntPoly
     adjugate_column: tuple[IntPoly, ...]  # a = adj(xI - T) e_0, eigenvector a(lambda)
     off_unit_factor: IntPoly  # s, with lambda a certified simple root
-    dominant_value: RealEnclosure
-    dominant_class: ClassEnclosure
+    eigenvalue: tuple[int, int, int]  # lambda in [lo, hi] / den
+    eigenvector: tuple[tuple[int, int], ...]  # a_i(lambda) / a_0(lambda) = -r_i, i = 1..10
     witness_polynomials: tuple[IntPoly, ...]  # (D, B, N_1..N_10), D(lambda) > 0
     witness_values: tuple[tuple[int, int], ...]  # their enclosures, one denominator
-    line_component: RealEnclosure
-    nef_witness: ClassEnclosure
+    line_numerators: tuple[int, int]  # beta, over 2^grid_bits as below
+    witness_numerators: tuple[tuple[int, int], ...]  # the E_i coefficients -t_i
+
+    dominant_value = property(lambda self: RealEnclosure.over(*self.eigenvalue))
+    dominant_class = property(lambda self: _grid_class(self.eigenvector, self.grid_bits))
+    line_component = property(
+        lambda self: RealEnclosure.over(*self.line_numerators, 1 << self.grid_bits)
+    )
+    nef_witness = property(lambda self: _grid_class(self.witness_numerators, self.grid_bits))
 
     def r(self) -> tuple[RealEnclosure, ...]:
         """Multipliers r_i of the dominant class H - sum r_i E_i."""
@@ -274,7 +277,7 @@ class EigenSystem(Record):
     @property
     def grid_bits(self) -> int:
         """This system's dyadic grid: quotients are numerators over 2^grid_bits."""
-        return _grid_bits(self.dominant_value)
+        return _grid_bits(self.eigenvalue)
 
     def grid_quotient(self, v: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
         """Numerators over 2^grid_bits of v / w, for numerator enclosures over
@@ -283,13 +286,19 @@ class EigenSystem(Record):
 
     def quotient(self, v: tuple[int, int], w: tuple[int, int]) -> RealEnclosure:
         """`grid_quotient` as an enclosure."""
-        return _grid_enclosure(v, w, self.grid_bits)
+        return RealEnclosure.over(*self.grid_quotient(v, w), 1 << self.grid_bits)
+
+    def self_pairing(self) -> tuple[int, int, int]:
+        """v.v = 1 - sum r_i^2 of the dominant class as [lo, hi] / 4^grid_bits,
+        each square tight: [0, max] where r_i's enclosure holds 0."""
+        squares = [sorted((lo * lo, hi * hi)) for lo, hi in self.eigenvector]
+        low = sum(s[0] for s, (lo, hi) in zip(squares, self.eigenvector) if lo > 0 or hi < 0)
+        one = 1 << 2 * self.grid_bits
+        return one - sum(s[1] for s in squares), one - low, one
 
     def witness_matches_reference(self) -> bool:
         """Whether the nef witness matches the reference (`_matches_reference`)."""
-        scale = 1 << self.grid_bits  # its endpoints are numerators over it
-        witness = [(int(c.lo * scale), int(c.hi * scale)) for c in self.nef_witness.coeffs[1:]]
-        return _matches_reference(witness, self.dominant_value)[0]
+        return _matches_reference(self.witness_numerators, self.grid_bits)[0]
 
 
 @lru_cache(maxsize=4)
@@ -302,15 +311,16 @@ def _exact_core(m: LatticeIsometry) -> tuple:
     return p, column, off_unit, bracket
 
 
-def _spectral_core(m: LatticeIsometry, tol: Fraction) -> tuple:
-    """(p, a, s, lambda, eigenvector) of m; a conjugate Q m Q^T permutes a and the eigenvector.
+def _spectral_core(m: LatticeIsometry, tol: int) -> tuple:
+    """(p, a, s, lambda, eigenvector) of m as `EigenSystem` keeps them, the
+    eigenvector at most 1 / tol wide; a conjugate Q m Q^T permutes a and it.
 
     a_0(lambda) != 0 is certified by its enclosure; each a_i(lambda) / a_0(lambda)
     goes onto the grid by floor and ceiling division, its width compared there.
     """
     p, column, off_unit, bracket = _exact_core(m)
-    lam = refine_isolated_root(off_unit, *bracket, tol / 10**GUARD_DIGITS)
-    if not lam.lo > 1:
+    lam = refine_bracket(off_unit, bracket, (1, tol * 10**GUARD_DIGITS))
+    if not lam[0] > lam[2]:
         raise CertificationError(
             "eigenvalue enclosure must lie strictly above 1 (dominant, not unit root)"
         )
@@ -318,26 +328,27 @@ def _spectral_core(m: LatticeIsometry, tol: Fraction) -> tuple:
     if values[0][0] <= 0 <= values[0][1]:
         raise PrecisionBudgetError("a_0(lambda) not certified nonzero; refine the eigenvalue")
     bits = _grid_bits(lam)
-    vector = [_quotient_on_grid(v, values[0], bits) for v in values[1:]]
-    if _wider_than(vector, bits, tol):
+    vector = tuple(_quotient_on_grid(v, values[0], bits) for v in values[1:])
+    if _wider_than(vector, bits, tol, 1):
         raise PrecisionBudgetError(
             "eigenvector enclosure wider than requested; refine the eigenvalue"
         )
-    return p, column, off_unit, lam, _grid_class(vector, bits)
+    return p, column, off_unit, lam, vector
 
 
 def _witness_stage(
-    column: Sequence[IntPoly], scaled: tuple, lam: RealEnclosure, tol: Fraction
+    column: Sequence[IntPoly], scaled: tuple, lam: tuple[int, int, int], tol: int
 ) -> tuple:
-    """(witness polynomials, their values, beta, numerators over 2^bits
-    (`_grid_bits`) of the E_i coefficients -t_i of the nef witness) of the
-    column a, with its `_scaled_column` data in the same order."""
-    polys, values = _witness(column, scaled, lam)
+    """(witness polynomials, their values, numerators over 2^bits
+    (`_grid_bits`) of beta and of the nef witness's E_i coefficients -t_i) of
+    the column a, with its `_scaled_column` data in the same order."""
+    polys, values = _witness(column, scaled)
     bits = _grid_bits(lam)
     component = beta(values[0], values[1], bits)
     # t_i = -N_i / D: the negated quotient
-    witness = [(-hi, -lo) for lo, hi in (_quotient_on_grid(n, values[0], bits) for n in values[2:])]
-    if _wider_than(witness, bits, tol * 10**6):
+    quotients = (_quotient_on_grid(n, values[0], bits) for n in values[2:])
+    witness = tuple((-hi, -lo) for lo, hi in quotients)
+    if _wider_than(witness, bits, tol, 10**6):
         raise PrecisionBudgetError("nef witness enclosure wider than requested")
     return polys, values, component, witness
 
@@ -347,11 +358,10 @@ def eigensystem(digits: int = 60) -> EigenSystem:
     """Certified spectral data of the fixed composite map (cached)."""
     if digits < 1:
         raise ValueError("digits must be positive")
-    m, tol = composite_T(), Fraction(1, 10**digits)
+    m, tol = composite_T(), 10**digits
     core = _spectral_core(m, tol)
     column, lam = core[1], core[3]
-    *witness_data, witness = _witness_stage(column, _scaled_column(column, lam), lam, tol)
-    return EigenSystem(digits, m, *core, *witness_data, _grid_class(witness, _grid_bits(lam)))
+    return EigenSystem(digits, m, *core, *_witness_stage(column, _scaled_column(column, lam), lam, tol))
 
 
 class CharpolyFacts(Record):
@@ -410,13 +420,13 @@ class OrientationReport(Record):
     assessments: tuple[CandidateAssessment, ...]
 
 
-def _matches_reference(witness: Sequence[tuple[int, int]], lam: RealEnclosure) -> tuple[bool, str]:
-    """Whether each t_i is within `WITNESS_TOLERANCE` of `WITNESS_COEFFS[i]`
+def _matches_reference(witness: Sequence[tuple[int, int]], bits: int) -> tuple[bool, str]:
+    """Whether each t_i is within `WITNESS_TOLERANCE_MILLI` of `WITNESS_MILLI[i]`
     (`reference.deviations`), from numerators (lo, hi) of -t_i over 2^bits."""
-    from .reference import WITNESS_COEFFS, WITNESS_TOLERANCE, deviations
+    from .reference import WITNESS_MILLI, WITNESS_TOLERANCE_MILLI, deviations
 
     t = [(-hi, -lo) for lo, hi in witness]
-    distances, bound, den = deviations(t, WITNESS_COEFFS, WITNESS_TOLERANCE, _grid_bits(lam))
+    distances, bound, den = deviations(t, WITNESS_MILLI, WITNESS_TOLERANCE_MILLI, bits)
     off = [x for x in distances if x > bound]
     if off:
         return False, f"coefficient off reference by up to {off[0] / den:.4f}"
@@ -438,7 +448,7 @@ def select_orientation() -> OrientationReport:
     a'[q(i)] = a[i], so the witness of M' permutes them, and per reading only
     B', D' and N'_1..N'_3, which read slots 0..3, are built and enclosed.
     """
-    tol = Fraction(1, 10**12)
+    tol = 10**12
     readings = candidate_readings()
     classes: dict[str, tuple] = {}
     assessments: list[CandidateAssessment] = []
@@ -460,7 +470,7 @@ def select_orientation() -> OrientationReport:
         except VerificationError as err:
             assessments.append(CandidateAssessment(name, False, f"no certified data: {err}"))
             continue
-        assessments.append(CandidateAssessment(name, *_matches_reference(witness, core[3])))
+        assessments.append(CandidateAssessment(name, *_matches_reference(witness, _grid_bits(core[3]))))
     matching = [r for r, a in zip(readings, assessments) if a.matches]
     if len(matching) != 1:
         raise CertificationError(

@@ -633,11 +633,9 @@ def test_corrupted_adjugate_column_fails_self_intersection(monkeypatch, capsys):
 
 def test_orbit_of_a_non_curve_class_fails_the_self_intersection(monkeypatch, capsys):
     from voljump import report
-    from voljump.lattice import DivisorClass
 
     # H - E1 - E2: self-intersection -1 and canonical degree -1 at every step
-    seed = DivisorClass([1, -1, -1] + [0] * 8)
-    monkeypatch.setattr(report, "standard_line", lambda: seed)
+    monkeypatch.setattr(report, "LINE", (1, -1, -1) + (0,) * 8)
     code, out, err = run_cli(capsys, "verify")
     assert code == 1
     assert "failed: orbit self-intersections all -2" in err
@@ -681,9 +679,9 @@ def test_non_isometric_transform_fails_the_form_certificate(monkeypatch, capsys)
 def test_shifted_reference_coefficient_fails_the_witness_certificate(monkeypatch, capsys):
     from voljump import reference
 
-    shifted = (reference.WITNESS_COEFFS[0] + Fraction(3, 1000),) + reference.WITNESS_COEFFS[1:]
+    shifted = (reference.WITNESS_MILLI[0] + 3,) + reference.WITNESS_MILLI[1:]
     # the oracle and the report read the reference data through one predicate
-    monkeypatch.setattr(reference, "WITNESS_COEFFS", shifted)
+    monkeypatch.setattr(reference, "WITNESS_MILLI", shifted)
     code, out, err = run_cli(capsys, "verify")
     assert code == 1
     lines = out.splitlines()
@@ -705,7 +703,7 @@ def test_corrupted_line_numerator_fails_the_line_class_certificate(monkeypatch, 
     polys = (d, b, *n)
     corrupted = eigen._replace(
         witness_polynomials=polys,
-        witness_values=tuple(_column_values(polys, eigen.dominant_value)),
+        witness_values=tuple(_column_values(polys, eigen.eigenvalue)),
     )
     monkeypatch.setattr(report, "eigensystem", lambda digits: corrupted)
     code, out, err = run_cli(capsys, "verify")

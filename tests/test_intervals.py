@@ -62,12 +62,14 @@ def test_outward_rounding_contains_and_is_dyadic():
 
 
 def test_decimal_string_rounding():
-    assert decimal_string(Fraction(1, 3), 5) == "0.33333"
-    assert decimal_string(Fraction(2, 3), 4) == "0.6667"
-    assert decimal_string(Fraction(5, 1000), 2) == "0.01"  # half away from zero
-    assert decimal_string(Fraction(-5, 1000), 2) == "-0.01"
-    assert decimal_string(Fraction(7), 0) == "7"
-    assert decimal_string(Fraction(-3, 2), 3) == "-1.500"
+    assert decimal_string(1, 3, 5) == "0.33333"
+    assert decimal_string(2, 3, 4) == "0.6667"
+    assert decimal_string(5, 1000, 2) == "0.01"  # half away from zero
+    assert decimal_string(-5, 1000, 2) == "-0.01"
+    assert decimal_string(7, 1, 0) == "7"
+    assert decimal_string(-3, 2, 3) == "-1.500"
+    # the denominator need not be in lowest terms
+    assert decimal_string(-6, 4, 3) == "-1.500" and decimal_string(10, 30, 5) == "0.33333"
 
 
 def test_class_enclosure_pairing_matches_exact():

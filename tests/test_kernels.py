@@ -16,10 +16,12 @@ from voljump.polynomials import (
     _cauchy_index,
     _descartes_bound,
     cauchy_root_bound,
+    common_grid,
     dominant_bracket,
     faddeev_leverrier,
     isolate_real_roots,
     poly_gcd,
+    refine_bracket,
     refine_isolated_root,
     strip_rational_root,
 )
@@ -182,6 +184,12 @@ def counting(monkeypatch, name):
     return calls
 
 
+def fraction_bracket(bracket):
+    """An integer bracket (a, b, den) as the pair a / den, b / den."""
+    a, b, den = bracket
+    return Fraction(a, den), Fraction(b, den)
+
+
 def off_unit_factors():
     """s of p = (x - 1)^k s for both distinct char polys of the oracle's readings."""
     polys = {faddeev_leverrier(r.matrix)[0] for r in candidate_readings()}
@@ -198,7 +206,7 @@ def test_refine_isolated_root_matches_fraction_bisection():
         p = random_poly(rng, rng.randint(1, 9))
         if poly_gcd(p, p.derivative()).degree > 0:
             continue
-        bound = cauchy_root_bound(p)
+        bound = Fraction(*cauchy_root_bound(p))
         for lo, hi in isolate_real_roots(p, -bound, bound):
             tol = Fraction(1, rng.choice([10, 3**7, 10**12, 2**40 * 7, 10**40]))
             enc = refine_isolated_root(p, lo, hi, tol)
@@ -217,7 +225,7 @@ def test_refine_isolated_root_of_the_spectrum(monkeypatch, digits):
     evaluations = counting(monkeypatch, "_scaled_value")
     tol = Fraction(1, 10**digits)
     for s in off_unit_factors():
-        lo, hi = dominant_bracket(s)
+        lo, hi = fraction_bracket(dominant_bracket(s))
         del evaluations[:]
         enc = refine_isolated_root(s, lo, hi, tol)
         assert 0 < len(evaluations) < 40
@@ -299,7 +307,7 @@ def test_refine_isolated_root_checks_its_bracket():
 def test_refine_isolated_root_evaluation_count(monkeypatch):
     # bisection takes one exact evaluation per halving: 286 at 84 digits
     s = strip_rational_root(faddeev_leverrier(composite_T())[0], 1)[1]
-    lo, hi = dominant_bracket(s)
+    lo, hi = fraction_bracket(dominant_bracket(s))
     evaluations = counting(monkeypatch, "_scaled_value")
     refine_isolated_root(s, lo, hi, Fraction(1, 10**84))
     assert 0 < len(evaluations) < 40
@@ -654,7 +662,7 @@ def column_enclosures(column, lam):
     scale = lcm(lam.lo.denominator, lam.hi.denominator) ** max(a.degree for a in column)
     return [
         RealEnclosure(Fraction(lo, scale), Fraction(hi, scale))
-        for lo, hi in _column_values(column, lam)
+        for lo, hi in _column_values(column, common_grid(lam.lo, lam.hi))
     ]
 
 
@@ -670,10 +678,12 @@ def test_eigenvector_equals_interval_route(digits):
             _, _, s, bracket = _exact_core(m)
         except VerificationError:
             continue
-        lam = refine_isolated_root(s, *bracket, tol / 10**GUARD_DIGITS)
+        lam = RealEnclosure.over(*refine_bracket(s, bracket, (1, 10 ** (digits + GUARD_DIGITS))))
         values, quotients = interval_route(column, lam, tol)
         assert column_enclosures(column, lam) == values
-        assert list(_spectral_core(m, tol)[4].coeffs[1:]) == quotients
+        bits = lam.hi.denominator.bit_length() + 64
+        vector = _spectral_core(m, 10**digits)[4]
+        assert [RealEnclosure.over(lo, hi, 1 << bits) for lo, hi in vector] == quotients
         checked += 1
     assert checked >= 1
 
@@ -711,6 +721,6 @@ def test_quotient_on_grid_matches_interval_division():
 
 def test_eigenvector_rejects_nonpositive_enclosure(eigen):
     column = eigen.adjugate_column
-    for lam in (RealEnclosure(Fraction(-1), Fraction(3)), RealEnclosure(Fraction(0), Fraction(3))):
+    for lam in ((-1, 3, 1), (0, 3, 1), (0, 6, 2)):
         with pytest.raises(CertificationError, match="positive"):
             _column_values(column, lam)

@@ -28,7 +28,7 @@ from voljump.nefcheck import (
 )
 from voljump.intervals import ClassEnclosure, RealEnclosure
 from voljump.polynomials import IntPoly, combine
-from voljump.reference import TABLE_ROWS, TABLE_TOLERANCE
+from voljump.reference import TABLE_ROWS, TABLE_TOLERANCE, WEIGHT_ORDER
 from voljump.spectral import _column_values
 
 from helpers import (
@@ -416,7 +416,7 @@ def test_report_rows_come_from_the_numerators(eigen, nef):
 
 def with_witness(eigen, polys):
     """The eigensystem with other witness polynomials and their values."""
-    values = tuple(_column_values(polys, eigen.dominant_value))
+    values = tuple(_column_values(polys, eigen.eigenvalue))
     return eigen._replace(witness_polynomials=tuple(polys), witness_values=values)
 
 
@@ -427,6 +427,24 @@ def shifted(p, k=0):
 
 def verdicts(eigen):
     return {c.name: c.passed for c in full_report(eigen).checks}
+
+
+def test_enumeration_lines_fail_when_the_ordering_premise_fails(eigen):
+    # N_4 and N_5 carry the two heaviest weights (WEIGHT_ORDER[:2]); swapped,
+    # the t-ordering fails, and the sorted patterns no longer cover every
+    # candidate (rearrangement inequality)
+    assert WEIGHT_ORDER[:2] == (4, 5)
+    values = list(eigen.witness_values)  # D, B, N_1..N_10
+    values[5], values[6] = values[6], values[5]
+    checks = {c.name: c for c in full_report(eigen._replace(witness_values=tuple(values))).checks}
+    premise = "witness coefficient ordering certified"
+    assert not checks[premise].passed
+    for name in (
+        "degrees 3..6 full enumeration margins positive",
+        "degrees 3..6 minimum attained on the extreme set",
+    ):
+        assert not checks[name].passed
+        assert checks[name].detail == f"premise failed: {premise}"
 
 
 def test_line_class_numerator_is_the_zero_polynomial(eigen, nef):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from voljump.lattice import DivisorClass, canonical_class, pair, standard_line
+from voljump.lattice import LINE, DivisorClass, canonical_class, pair, standard_line
 from voljump.orbit import (
     DistinctnessResult,
     distinctness,
@@ -187,7 +187,8 @@ def _fraction_increase_start(records):
     ],
 )
 def test_vector_facts_of_a_rational_seed_match_fraction_records(seed, start):
-    vectors, scale = walk(seed, 30)
+    vector, scale = seed.integral_multiple()
+    vectors = walk(vector, 30)
     assert scale > 1
     assert increase_start(vectors) == start
     records = list(orbit(seed, 30))
@@ -204,7 +205,8 @@ def test_vector_facts_of_a_rational_seed_match_fraction_records(seed, start):
 
 
 def test_fixed_canonical_class_collides_at_the_first_step():
-    vectors, scale = walk(canonical_class(), 6)
+    vector, scale = canonical_class().integral_multiple()
+    vectors = walk(vector, 6)
     assert scale == 1
     assert vectors == [(-3,) + (1,) * 10] * 6
     assert distinctness(vectors) == DistinctnessResult(False, (0, 1))
@@ -213,7 +215,7 @@ def test_fixed_canonical_class_collides_at_the_first_step():
 
 def test_walk_lengths():
     for count in (0, 1, 2, 5):
-        vectors, _ = walk(standard_line(), count)
-        assert len(vectors) == count
+        assert len(walk(LINE, count)) == count
+    assert standard_line().integral_multiple() == (LINE, 1)
     with pytest.raises(ValueError, match="nonnegative"):
-        walk(standard_line(), -1)
+        walk(LINE, -1)

@@ -149,7 +149,9 @@ def test_dominant_root_past_a_rational_midpoint_root():
     # must not end on it, or the refinement returns 4
     p = x_minus(4) * x_minus(6)
     tol = Fraction(1, 10**20)
-    for enclosure in (dominant_root(p, tol), refine_isolated_root(p, *dominant_bracket(p), tol)):
+    a, b, den = dominant_bracket(p)
+    bracket = (Fraction(a, den), Fraction(b, den))
+    for enclosure in (dominant_root(p, tol), refine_isolated_root(p, *bracket, tol)):
         assert enclosure.contains(6) and not enclosure.contains(4)
         assert enclosure.width <= tol
     assert all(p(end) != 0 for a, b in isolate_real_roots(p, Fraction(1), Fraction(25))
@@ -166,7 +168,7 @@ def test_isolation_finds_all_roots():
 
 def test_cauchy_bound_dominates_roots():
     p = x_minus(2) * x_minus(-7)
-    assert cauchy_root_bound(p) > 7
+    assert Fraction(*cauchy_root_bound(p)) > 7
 
 
 # -- squarefree structure ---------------------------------------------------------
@@ -397,4 +399,4 @@ def test_intpoly_rejects_non_integer_coefficients(coeffs):
 def test_deflation_at_non_root_raises():
     # x^2 + 1 has no root at 1; the check survives python -O
     with pytest.raises(CertificationError, match="deflation at a non-root"):
-        _deflate([1, 0, 1], Fraction(1))
+        _deflate([1, 0, 1], 1, 1)

@@ -3,10 +3,14 @@ matched against the rounded reference data."""
 
 from fractions import Fraction
 
+import pytest
+
+from voljump import reference
 from voljump.reference import (
-    TABLE_TOLERANCE,
-    WITNESS_COEFFS,
-    WITNESS_TOLERANCE,
+    TABLE_MILLI,
+    TABLE_TOLERANCE_MILLI,
+    WITNESS_MILLI,
+    WITNESS_TOLERANCE_MILLI,
     deviations,
 )
 from voljump.spectral import _matches_reference
@@ -18,23 +22,21 @@ def fraction_distance(lo, hi, reference):
 
 def test_a_distance_equal_to_the_tolerance_is_within():
     # [1/4, 1/4] lies exactly 1/100 below 26/100; one grid step lower does not
-    distances, bound, denominator = deviations(
-        [(1, 1), (0, 1)], [Fraction(26, 100)] * 2, TABLE_TOLERANCE, 2
-    )
-    assert denominator == 400
-    assert distances == [4, 104]
-    assert bound == 4
+    distances, bound, denominator = deviations([(1, 1), (0, 1)], [260] * 2, TABLE_TOLERANCE_MILLI, 2)
+    assert denominator == 4000
+    assert distances == [40, 1040]
+    assert bound == 40
     assert [x <= bound for x in distances] == [True, False]
 
 
 def test_distances_match_fraction_arithmetic():
     bits = 7
     enclosures = [(-300, -250), (10, 11), (64, 64), (-5, 3)]
-    references = [Fraction(-2), Fraction(3, 40), Fraction(1, 2), Fraction(-1, 3)]
-    distances, bound, denominator = deviations(enclosures, references, Fraction(1, 6), bits)
-    assert Fraction(bound, denominator) == Fraction(1, 6)
+    references = [-2000, 75, 500, -333]
+    distances, bound, denominator = deviations(enclosures, references, 167, bits)
+    assert Fraction(bound, denominator) == Fraction(167, 1000)
     for (lo, hi), r, x in zip(enclosures, references, distances):
-        expected = fraction_distance(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits), r)
+        expected = fraction_distance(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits), r / Fraction(1000))
         assert Fraction(x, denominator) == expected
 
 
@@ -43,16 +45,29 @@ def test_negated_witness_pairs_are_the_coefficients(eigen):
     # (-hi, -lo) enclose t_i, which the reference prints
     bits = eigen.grid_bits
     scale = 1 << bits
-    witness = [(int(c.lo * scale), int(c.hi * scale)) for c in eigen.nef_witness.coeffs[1:]]
+    witness = eigen.witness_numerators
+    assert [(c.lo * scale, c.hi * scale) for c in eigen.nef_witness.coeffs[1:]] == list(witness)
     negated = [(-hi, -lo) for lo, hi in witness]
-    distances, bound, denominator = deviations(negated, WITNESS_COEFFS, WITNESS_TOLERANCE, bits)
-    for t, r, x in zip(eigen.t(), WITNESS_COEFFS, distances):
+    distances, bound, denominator = deviations(negated, WITNESS_MILLI, WITNESS_TOLERANCE_MILLI, bits)
+    for t, r, x in zip(eigen.t(), reference.WITNESS_COEFFS, distances):
         assert Fraction(x, denominator) == fraction_distance(t.lo, t.hi, r)
         assert x <= bound
-    assert _matches_reference(witness, eigen.dominant_value)[0]
+    assert _matches_reference(witness, bits)[0]
     # the pairs as the stage gives them are about 2 t_i off their references
-    assert not _matches_reference(negated, eigen.dominant_value)[0]
+    assert not _matches_reference(negated, bits)[0]
 
 
 def test_empty_input():
-    assert deviations([], [], TABLE_TOLERANCE, 5) == ([], 1 << 5, 100 << 5)
+    assert deviations([], [], TABLE_TOLERANCE_MILLI, 5) == ([], 10 << 5, 1000 << 5)
+
+
+def test_fraction_forms_are_the_thousandths():
+    # the frozen names are built from the integer data on first read
+    assert reference.WITNESS_COEFFS == tuple(Fraction(n, 1000) for n in WITNESS_MILLI)
+    assert reference.WITNESS_COEFFS[3] == Fraction(371, 1000)
+    assert reference.WITNESS_TOLERANCE == Fraction(1, 500)
+    assert reference.TABLE_TOLERANCE == Fraction(1, 100)
+    assert reference.TABLE_ROWS == tuple((d, a, Fraction(m, 1000)) for d, a, m in TABLE_MILLI)
+    assert reference.TABLE_ROWS[0] == (3, (1, 0, 0, 3, 1, 0, 0, 0, 0, 0), Fraction(1169, 1000))
+    with pytest.raises(AttributeError, match="TABLE_MARGINS"):
+        reference.TABLE_MARGINS

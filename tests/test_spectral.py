@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from voljump.polynomials import (
     IntPoly,
     combine,
     faddeev_leverrier,
+    isolate_real_roots,
     refine_isolated_root,
     strip_rational_root,
 )
@@ -73,6 +75,17 @@ def test_self_intersection_zero(eigen):
     pairing = eigen.dominant_class.self_pair()
     assert pairing.contains_zero()
     assert pairing.width <= WIDTH_BOUND
+    # the integer form the run reads is the interval route's enclosure
+    assert RealEnclosure.over(*eigen.self_pairing()) == pairing
+
+
+def test_self_pairing_squares_are_tight_where_an_enclosure_holds_zero(eigen):
+    # an entry [-1, 2] / 2^bits squares to [0, 4] / 4^bits, as `square` gives,
+    # so v.v = 1 - sum of squares reaches higher than with r_1 > 0
+    straddling = eigen._replace(eigenvector=((-1, 2),) + eigen.eigenvector[1:])
+    pairing = RealEnclosure.over(*straddling.self_pairing())
+    assert pairing == straddling.dominant_class.self_pair()
+    assert pairing.hi - RealEnclosure.over(*eigen.self_pairing()).hi > 0
 
 
 def test_canonical_pairing_zero(eigen):
@@ -83,10 +96,10 @@ def test_canonical_pairing_zero(eigen):
 
 def test_beta_exact_example():
     # B = 1 and D = 3 exactly give beta = B / (D + B) = 1/4, on any grid
-    assert beta((3, 3), (1, 1), 8) == RealEnclosure.exact(Fraction(1, 4))
+    assert beta((3, 3), (1, 1), 8) == (64, 64)
     # r1 = r2 = r3 = 2/5 gives beta = 1/10: B / 2 a_0 = (6/5 - 1) / 2
-    value = beta((9, 9), (1, 1), 40)
-    assert value.contains(Fraction(1, 10)) and value.width <= Fraction(1, 2**40)
+    lo, hi = beta((9, 9), (1, 1), 40)
+    assert lo <= Fraction(2**40, 10) <= hi and hi - lo <= 1
 
 
 def test_beta_requires_certifiable_sign():
@@ -220,7 +233,7 @@ def test_witness_polynomials_are_the_witness(eigen):
     column = eigen.adjugate_column
     assert max(p.degree for p in (d, b, *n)) <= 10
     assert max(abs(c) for p in (d, b, *n) for c in p.coeffs) <= 6
-    assert eigen.witness_values == tuple(_column_values((d, b, *n), eigen.dominant_value))
+    assert eigen.witness_values == tuple(_column_values((d, b, *n), eigen.eigenvalue))
     assert eigen.witness_values[0][0] > 0  # D(lambda) > 0, so 1 - beta > 0
     # beta = B / 2 a_0 and t_i = N_i / D across lambda's enclosure
     lam = eigen.dominant_value
@@ -231,15 +244,15 @@ def test_witness_polynomials_are_the_witness(eigen):
     # the signs are normalized to D(lambda) > 0: the negated column, whose
     # D, B and N_i all change sign, gives the same witness
     negated = [combine((-1,), (a,)) for a in column]
-    scaled = _scaled_column(negated, lam)
-    assert _witness(negated, scaled, lam) == (eigen.witness_polynomials, eigen.witness_values)
+    scaled = _scaled_column(negated, eigen.eigenvalue)
+    assert _witness(negated, scaled) == (eigen.witness_polynomials, eigen.witness_values)
 
 
 def test_witness_requires_certified_denominator(eigen):
     # a_0 = 1, a_1 = -3: B = 2 and D = 2 a_0 - B = 0, i.e. beta = 1
     column = (IntPoly([1]), IntPoly([-3])) + (IntPoly([0]),) * 9
     with pytest.raises(PrecisionBudgetError, match="D\\(lambda\\)"):
-        _witness(column, _scaled_column(column, eigen.dominant_value), eigen.dominant_value)
+        _witness(column, _scaled_column(column, eigen.eigenvalue))
 
 
 def test_eigenvector_rejects_identity():
@@ -256,9 +269,9 @@ def test_spectrum_rejects_repeated_roots_beyond_unit():
     p = IntPoly([-1, 1]) * IntPoly([-3, 1]) * square * square
     with pytest.raises(CertificationError, match="repeated roots beyond"):
         _dominant_spectrum(p)
-    s, bracket = _dominant_spectrum(IntPoly([-1, 1]) * IntPoly([-3, 1]) * square)
+    s, (a, b, den) = _dominant_spectrum(IntPoly([-1, 1]) * IntPoly([-3, 1]) * square)
     assert s == IntPoly([-3, 1]) * square
-    assert refine_isolated_root(s, *bracket, Fraction(1, 10**6)).contains(3)
+    assert refine_isolated_root(s, Fraction(a, den), Fraction(b, den), Fraction(1, 10**6)).contains(3)
 
 
 def test_orientation_oracle_selects_fixed_composite():
@@ -330,7 +343,7 @@ def test_oracle_runs_the_spectral_core_once_per_class(monkeypatch):
 def test_per_class_oracle_matches_a_witness_stage_per_reading():
     """Each reading's own spectral core and multiples give the assessment
     that the oracle derives from its class representative."""
-    tol = Fraction(1, 10**12)
+    tol = 10**12
     recomputed = []
     for reading in candidate_readings():
         try:
@@ -339,7 +352,8 @@ def test_per_class_oracle_matches_a_witness_stage_per_reading():
         except VerificationError as err:
             recomputed.append(CandidateAssessment(reading.name, False, f"no certified data: {err}"))
             continue
-        recomputed.append(CandidateAssessment(reading.name, *_matches_reference(witness, lam)))
+        bits = RealEnclosure.over(*lam).hi.denominator.bit_length() + 64
+        recomputed.append(CandidateAssessment(reading.name, *_matches_reference(witness, bits)))
     assessments = select_orientation().assessments
     assert len(assessments) == 14
     assert [repr(a) for a in assessments] == [repr(a) for a in recomputed]
@@ -377,3 +391,31 @@ def test_conjugator_must_be_a_slot_permutation_fixing_h(monkeypatch, q):
     monkeypatch.setattr(spectral, "candidate_readings", lambda: readings)
     with pytest.raises(CertificationError, match="conjugator of b does not carry a to it"):
         select_orientation()
+
+
+#: SHA-256 of what the frozen API reads of `eigensystem(d)`, computed before
+#: the run path dropped `Fraction`s: a grid or bracket kept in other terms
+#: (such as an unreduced denominator of lambda.hi) moves these first.
+FROZEN_API_DIGESTS = {
+    20: "b037f5f597735e5b8fd4e2f28a663de9da95f0544b83e051134b3f76cca84325",
+    60: "58e315fb60abcb9a4c38a75bb64610032aa7da96bbcd5f572dcd8d6a3280a444",
+    400: "01823eb0f7f673ff1ad970b4bab0d73477c17982f282ccba9bca049bffe77271",
+}
+
+
+@pytest.mark.parametrize("digits", sorted(FROZEN_API_DIGESTS))
+def test_frozen_api_values_are_pinned(digits):
+    eigen = spectral.eigensystem(digits)
+    s = eigen.off_unit_factor
+    bound = 1 + Fraction(max(map(abs, s.coeffs[:-1])), abs(s.leading))
+    brackets = isolate_real_roots(s, -bound, bound)
+    parts = [
+        eigen.grid_bits,
+        (eigen.dominant_value.lo, eigen.dominant_value.hi),
+        [(c.lo, c.hi) for c in eigen.nef_witness.coeffs],
+        (eigen.line_component.lo, eigen.line_component.hi),
+        brackets,
+        [refine_isolated_root(s, lo, hi, Fraction(1, 10**digits)) for lo, hi in brackets],
+    ]
+    digest = hashlib.sha256(repr(parts).encode()).hexdigest()
+    assert digest == FROZEN_API_DIGESTS[digits]

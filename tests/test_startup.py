@@ -1,14 +1,16 @@
 """Start-up footprint, and the semantics of the record and value types.
 
-Start-up is most of a command's run time.  Six guards keep it small: the CLI
-module loads no `dataclasses` (which pulls in `inspect`, `ast` and `dis`)
-and no `pathlib`, `nef-verify` loads neither the orbit and report modules
-nor the CSV and JSON writers it never uses, `charpoly` loads none of the
-report, orbit and nef modules, neither importing the CLI nor running
+Start-up is most of a command's run time.  Seven guards keep it small: the
+CLI module loads no `dataclasses` (which pulls in `inspect`, `ast` and
+`dis`) and no `pathlib`, `nef-verify` loads neither the orbit and report
+modules nor the CSV and JSON writers it never uses, `charpoly` loads none of
+the report, orbit and nef modules, neither importing the CLI nor running
 `verify` or `nef-verify` loads an argument parser (`argparse`, `getopt`) or
-the `gettext` and `locale` modules argparse pulls in, and none of the three
-loads `typing` (the record classes derive from `errors.Record`).  They
-compare module sets of fresh interpreters, never times.
+the `gettext` and `locale` modules argparse pulls in, none of the three
+loads `typing` (the record classes derive from `errors.Record`), and
+neither `verify` nor `nef-verify` loads `fractions` with the `decimal`,
+`numbers` and `re` it imports (the run path keeps integer numerators).
+They compare module sets of fresh interpreters, never times.
 """
 
 import copy
@@ -123,6 +125,13 @@ def test_cli_loads_no_argument_parser_and_no_locale(tmp_path, command):
 def test_cli_loads_no_typing(tmp_path, command):
     # -S skips the site hook, which may import typing on its own
     assert "typing" not in command_modules(tmp_path, command, flags=("-S",))
+
+
+@pytest.mark.parametrize("command", ["verify", "nef-verify"])
+def test_run_path_loads_no_fractions(tmp_path, command):
+    # -S skips the site hook, which may import re on its own
+    loaded = command_modules(tmp_path, command, flags=("-S",))
+    assert not loaded & {"fractions", "decimal", "_decimal", "numbers", "re"}
 
 
 def test_value_and_record_types_keep_their_semantics():
