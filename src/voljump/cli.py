@@ -349,6 +349,7 @@ def cmd_enumerate(args, cfg: RunConfig) -> tuple[str, int]:
 def cmd_orbit(args, cfg: RunConfig) -> tuple[str, int]:
     from .lattice import DivisorClass, canonical_class, standard_line
     from .orbit import OrbitRecord, distinctness, walk
+    from .transform import composite_T
 
     coeffs = args["coeffs"]
     if (args["seed"] == "custom") != (coeffs is not None):
@@ -361,7 +362,7 @@ def cmd_orbit(args, cfg: RunConfig) -> tuple[str, int]:
         seed = {"lbar": standard_line, "K": canonical_class}[args["seed"]]()
     count = cfg.orbit_horizon
     vector, scale = seed.integral_multiple()
-    vectors = walk(vector, count)
+    vectors = walk(composite_T(), vector, count)
     distinct = distinctness(vectors)
     records = [OrbitRecord.of(n, v, scale) for n, v in enumerate(vectors)]
     if cfg.output_format == "json":

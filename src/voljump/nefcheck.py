@@ -394,8 +394,10 @@ def full_report(eigen: EigenSystem) -> NefReport:
     # the premise of the canonical enumeration below: sorted multiplicities
     # along the weight order minimize the margin (rearrangement inequality)
     chain = zip(WEIGHT_ORDER, WEIGHT_ORDER[1:])
-    ordering = all(n_values[a - 1][0] > n_values[b - 1][1] for a, b in chain)
-    record("witness coefficient ordering certified", ordering, "strict descending chain")
+    broken = next(((a, b) for a, b in chain if not n_values[a - 1][0] > n_values[b - 1][1]), None)
+    ordering = broken is None
+    detail = "strict descending chain" if ordering else "t_{} > t_{} not certified".format(*broken)
+    record("witness coefficient ordering certified", ordering, detail)
     premise = "" if ordering else "premise failed: witness coefficient ordering certified"
 
     # degree <= 1; D - N1 - N2 - N3 = 0 makes the line's margin numerator exactly 0
@@ -406,7 +408,9 @@ def full_report(eigen: EigenSystem) -> NefReport:
     record(
         "degree-1 line-class margin is exactly zero",
         line_zero,
-        "D - N1 - N2 - N3 = 0 as polynomials, D(lambda) > 0",
+        "D - N1 - N2 - N3 = 0 as polynomials, D(lambda) > 0"
+        if line_zero
+        else "D - N1 - N2 - N3 != 0 as polynomials",
     )
     # E_i = 0 H - (-1) E_i: margin t_i = N_i / D
     exceptionals = [(_indicator((i,), -1), *v) for i, v in enumerate(n_values)]
@@ -477,8 +481,11 @@ def full_report(eigen: EigenSystem) -> NefReport:
     record(
         "square-sum identity certified",
         square_sum,
-        "sum N_i^2 - D^2 + 2 B^2 = 0 mod s: sum t_i^2 = 1 - 2 beta^2 / (1 - beta)^2",
+        "sum N_i^2 - D^2 + 2 B^2 = 0 mod s: sum t_i^2 = 1 - 2 beta^2 / (1 - beta)^2"
+        if square_sum
+        else "sum N_i^2 - D^2 + 2 B^2 != 0 mod s",
     )
+    squares = "" if square_sum else "premise failed: square-sum identity certified"
 
     # L^2 = 1 - sum t_i^2 = 2 B^2 / D^2 and (1 - beta)^2 L^2 = 2 beta^2 by the
     # square-sum identity; both rest on B(lambda) != 0
@@ -498,19 +505,21 @@ def full_report(eigen: EigenSystem) -> NefReport:
     record(
         "Cauchy-Schwarz cutoff covers all higher degrees",
         square_sum and cutoff <= 7,
-        f"cutoff degree {cutoff}",
+        squares or f"cutoff degree {cutoff}",
     )
 
     record(
         "witness self-intersection positive (big)",
         square_sum and l_squared[0] > 0,
-        f"L^2 = 2 B^2 / D^2 = {decimal_string(l_squared[0] + l_squared[1], 2 << bits, 6)}... "
+        squares
+        or f"L^2 = 2 B^2 / D^2 = {decimal_string(l_squared[0] + l_squared[1], 2 << bits, 6)}... "
         "by the square-sum identity, B(lambda) != 0",
     )
     record(
         "volume lower bound for the dominant class positive",
         square_sum and volume[0] > 0,
-        f"(1-beta)^2 L^2 = 2 beta^2 = {decimal_string(volume[0] + volume[1], 2 * volume[2], 6)}... "
+        squares
+        or f"(1-beta)^2 L^2 = 2 beta^2 = {decimal_string(volume[0] + volume[1], 2 * volume[2], 6)}... "
         "by the square-sum identity, beta > 0",
     )
 

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import Record
 from .lattice import CANONICAL, DivisorClass, fraction_type, pair_integers
-from .transform import apply_integers, composite_T
+from .transform import LatticeIsometry, apply_integers, composite_T
 
 
 class OrbitRecord(Record):
@@ -51,21 +51,20 @@ def iterate(seed: DivisorClass, n: int) -> OrbitRecord:
     return OrbitRecord.of(n, apply_integers(composite_T().power(n), vector), scale)
 
 
-def walk(vector: Sequence[int], count: int) -> list[tuple[int, ...]]:
-    """The integer vectors T^n(vector) for n < count, by naive stepping."""
+def walk(m: LatticeIsometry, vector: Sequence[int], count: int) -> list[tuple[int, ...]]:
+    """The integer vectors m^n(vector) for n < count, by naive stepping of m."""
     if count < 0:
         raise ValueError("orbit length must be nonnegative")
-    t = composite_T()
     vectors = [tuple(vector)]
     while len(vectors) < count:
-        vectors.append(apply_integers(t, vectors[-1]))
+        vectors.append(apply_integers(m, vectors[-1]))
     return vectors[:count]
 
 
 def orbit(seed: DivisorClass, count: int) -> Iterator[OrbitRecord]:
     """Records for T^0(seed) .. T^{count-1}(seed), from one `walk`."""
     vector, scale = seed.integral_multiple()
-    for n, v in enumerate(walk(vector, count)):
+    for n, v in enumerate(walk(composite_T(), vector, count)):
         yield OrbitRecord.of(n, v, scale)
 
 
@@ -78,7 +77,7 @@ def verify_distinct(seed: DivisorClass, count: int) -> DistinctnessResult:
     """Exact pairwise distinctness of T^0(seed) .. T^{count-1}(seed)."""
     if count < 1:
         raise ValueError("need at least one orbit element")
-    return distinctness(walk(seed.integral_multiple()[0], count))
+    return distinctness(walk(composite_T(), seed.integral_multiple()[0], count))
 
 
 def distinctness(vectors: Sequence[tuple[int, ...]]) -> DistinctnessResult:
@@ -102,7 +101,7 @@ def growth_profile(seed: DivisorClass, count: int) -> list[tuple[int, Fraction]]
     if count < 3:
         raise ValueError("growth profile needs at least three steps")
     vector, scale = seed.integral_multiple()
-    return [(n, fraction_type()(v[0], scale)) for n, v in enumerate(walk(vector, count))]
+    return [(n, fraction_type()(v[0], scale)) for n, v in enumerate(walk(composite_T(), vector, count))]
 
 
 def growth_ratios(profile: Sequence[tuple[int, int | Fraction]]) -> list[tuple[int, Fraction]]:
@@ -122,7 +121,7 @@ def max_norm_increase_start(seed: DivisorClass, count: int) -> int | None:
 
     Returns None if the norm is still not monotone at the end of the window.
     """
-    return increase_start(walk(seed.integral_multiple()[0], count))
+    return increase_start(walk(composite_T(), seed.integral_multiple()[0], count))
 
 
 def increase_start(vectors: Iterable[tuple[int, ...]]) -> int | None:

@@ -13,11 +13,11 @@ from .errors import CertificationError, Record
 from .intervals import ClassEnclosure, RealEnclosure, decimal_string, enclosure_json
 from .lattice import CANONICAL, GRAM_DIAGONAL, LINE, canonical_class, pair_integers, standard_line
 from .nefcheck import CheckResult, MarginRow, NefReport, full_report
-from .orbit import OrbitRecord, distinctness, increase_start, ratio_pairs, walk
+from .orbit import distinctness, increase_start, ratio_pairs, walk
 from .polynomials import combine
 from .reference import WITNESS_TOLERANCE_MILLI
 from .spectral import CharpolyFacts, EigenSystem, OrientationReport, eigensystem, select_orientation
-from .transform import apply_integers, composite_T, verify_isometry
+from .transform import apply_integers, verify_isometry
 
 SCHEMA_VERSION = "1"
 
@@ -34,15 +34,10 @@ class OrbitEvidence(Record):
     max_norm_increasing_from: int | None
     vectors: list  # T^n(line) as integers, n < horizon
 
-    @property
-    def records(self) -> tuple[OrbitRecord, ...]:
-        """The walk as records, built only for the report's output."""
-        return tuple(OrbitRecord.of(n, v, 1) for n, v in enumerate(self.vectors))
-
 
 def _orbit_evidence(eigen: EigenSystem, horizon: int) -> OrbitEvidence:
     """Every orbit fact from one integer walk of the line class."""
-    vectors = walk(LINE, horizon)
+    vectors = walk(eigen.transform, LINE, horizon)
     distinct = distinctness(vectors)
     self_ok = all(pair_integers(v, v) == -2 for v in vectors)
     k_ok = all(pair_integers(v, CANONICAL) == 0 for v in vectors)
@@ -81,7 +76,7 @@ class VerificationRun(Record):
 
 
 def run_verification(config: RunConfig | None = None) -> VerificationRun:
-    """Evaluate every certificate in a fixed order and collect the evidence."""
+    """Evaluate every certificate in a fixed order on `eigen.transform`; collect the evidence."""
     cfg = config or RunConfig()
     cfg.validate()
     checks: list[CheckResult] = []
@@ -89,14 +84,15 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
     def record(name: str, passed: bool, detail: str = "") -> None:
         checks.append(CheckResult(name, passed, detail))
 
-    t = composite_T()
+    eigen = eigensystem(cfg.precision_digits)
+    t = eigen.transform
     record("composite map preserves the intersection form", verify_isometry(t).ok)
     record("composite map fixes the canonical class", apply_integers(t, CANONICAL) == CANONICAL)
     det = t.determinant()
     record("composite map is unimodular", det in (-1, 1), f"det = {det}")
 
     try:
-        orientation = select_orientation()
+        orientation = select_orientation(t)
     except CertificationError as err:
         orientation = OrientationReport("", ())
         record("orientation oracle selects the fixed composite", False, str(err))
@@ -107,7 +103,6 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
             orientation.selected,
         )
 
-    eigen = eigensystem(cfg.precision_digits)
     p = eigen.polynomial
     record("characteristic polynomial has degree 11", p.degree == 11)
     record(
@@ -146,22 +141,26 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
     # v.K vanish iff these polynomials vanish at lambda, a root of s
     a, s = eigen.adjugate_column, eigen.off_unit_factor
     v_lo, v_hi, v_den = eigen.self_pairing()
+    self_zero = combine(GRAM_DIAGONAL, [ai * ai for ai in a]).is_multiple_of(s)
     record(
         "dominant class has self-intersection zero",
-        combine(GRAM_DIAGONAL, [ai * ai for ai in a]).is_multiple_of(s),
-        f"sum g_i a_i^2 = 0 mod s; interval {decimal_string(v_lo + v_hi, 2 * v_den, 35)}",
+        self_zero,
+        f"sum g_i a_i^2 {'=' if self_zero else '!='} 0 mod s; "
+        f"interval {decimal_string(v_lo + v_hi, 2 * v_den, 35)}",
     )
     k_weights = [g * c for g, c in zip(GRAM_DIAGONAL, CANONICAL)]
+    k_zero = combine(k_weights, a).is_multiple_of(s)
     record(
         "dominant class pairs to zero with the canonical class",
-        combine(k_weights, a).is_multiple_of(s),
-        "sum g_i K_i a_i = 0 mod s",
+        k_zero,
+        f"sum g_i K_i a_i {'=' if k_zero else '!='} 0 mod s",
     )
 
+    matches, detail = eigen.witness_matches_reference()
     record(
         "witness coefficients match the reference decimals",
-        eigen.witness_matches_reference(),
-        f"all within {WITNESS_TOLERANCE_MILLI / 1000}",
+        matches,
+        f"all within {WITNESS_TOLERANCE_MILLI / 1000}" if matches else detail,
     )
 
     nef = full_report(eigen)
@@ -299,12 +298,12 @@ def build_report(run: VerificationRun) -> dict:
             "max_norm_increasing_from": run.orbit.max_norm_increasing_from,
             "records": [
                 {
-                    "n": r.n,
-                    "class": r.divisor.to_json_array(),
-                    "self_intersection": f"{r.self_intersection.numerator}/{r.self_intersection.denominator}",
-                    "canonical_degree": f"{r.canonical_degree.numerator}/{r.canonical_degree.denominator}",
+                    "n": n,
+                    "class": [f"{c}/1" for c in v],
+                    "self_intersection": f"{pair_integers(v, v)}/1",
+                    "canonical_degree": f"{pair_integers(v, CANONICAL)}/1",
                 }
-                for r in run.orbit.records
+                for n, v in enumerate(run.orbit.vectors)
             ],
         },
     }

@@ -296,9 +296,9 @@ class EigenSystem(Record):
         one = 1 << 2 * self.grid_bits
         return one - sum(s[1] for s in squares), one - low, one
 
-    def witness_matches_reference(self) -> bool:
-        """Whether the nef witness matches the reference (`_matches_reference`)."""
-        return _matches_reference(self.witness_numerators, self.grid_bits)[0]
+    def witness_matches_reference(self) -> tuple[bool, str]:
+        """Whether the nef witness matches the reference, and why (`_matches_reference`)."""
+        return _matches_reference(self.witness_numerators, self.grid_bits)
 
 
 @lru_cache(maxsize=4)
@@ -355,7 +355,7 @@ def _witness_stage(
 
 @lru_cache(maxsize=8)
 def eigensystem(digits: int = 60) -> EigenSystem:
-    """Certified spectral data of the fixed composite map (cached)."""
+    """Certified spectral data of the fixed composite map (cached): a run's one `composite_T`."""
     if digits < 1:
         raise ValueError("digits must be positive")
     m, tol = composite_T(), 10**digits
@@ -433,12 +433,12 @@ def _matches_reference(witness: Sequence[tuple[int, int]], bits: int) -> tuple[b
     return True, f"all coefficients within {max(distances) / den:.2e} of reference"
 
 
-def select_orientation() -> OrientationReport:
+def select_orientation(t: LatticeIsometry) -> OrientationReport:
     """Evaluate every reading of the composite's notation against the reference.
 
     Exactly one candidate must reproduce the reference witness coefficients,
-    and it must be the matrix `composite_T` returns; anything else is a
-    certification failure.  The 14 readings form 2 conjugacy classes: with
+    and it must be t, the run's matrix (`eigensystem`'s transform); anything
+    else is a certification failure.  The 14 readings form 2 conjugacy classes: with
     S_k = exceptional_shift(k), a @ b = b^-1 (b @ a) b, cremona(8, 9, 10) =
     S_7 cremona(1, 2, 3) S_7^-1, and the reversal E_i -> E_(11-i) swaps the
     Cremona slot sets and turns S_k into S_-k.  From these, each reading M'
@@ -476,7 +476,7 @@ def select_orientation() -> OrientationReport:
         raise CertificationError(
             f"orientation oracle must single out one candidate, found {len(matching)}"
         )
-    if matching[0].matrix != composite_T():
+    if matching[0].matrix != t:
         raise CertificationError(
             f"orientation oracle selected {matching[0].name}, which differs from the fixed composite"
         )

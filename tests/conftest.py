@@ -1,5 +1,6 @@
 import pytest
 
+from voljump import spectral
 from voljump.nefcheck import full_report
 from voljump.spectral import eigensystem
 
@@ -13,3 +14,22 @@ def eigen():
 @pytest.fixture(scope="session")
 def nef(eigen):
     return full_report(eigen)
+
+
+@pytest.fixture
+def bind_transform(monkeypatch):
+    """bind(m) makes m the run's matrix at its one binding, `spectral.composite_T`.
+
+    The spectral caches are cleared before and after: a cached eigensystem of
+    either matrix would otherwise reach the other's run.
+    """
+    caches = (spectral.eigensystem, spectral._exact_core)
+
+    def bind(m):
+        for cached in caches:
+            cached.cache_clear()
+        monkeypatch.setattr(spectral, "composite_T", lambda: m)
+
+    yield bind
+    for cached in caches:
+        cached.cache_clear()

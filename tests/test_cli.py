@@ -415,8 +415,8 @@ def test_verify_passes(capsys):
 def test_verify_computes_each_squarefree_part_once(monkeypatch, capsys):
     # from cold caches, as in a fresh process: gcd(s, s') of the off-unit
     # factor s once for each of the oracle's two distinct char polys
-    # (eigensystem(60) reuses the exact core of the composite, the shift+3
-    # representative), then the mirror gcd(s, reverse s) of the unit-circle
+    # (the oracle reuses eigensystem(60)'s exact core of the composite, its
+    # shift+3 representative), then the mirror gcd(s, reverse s) of the unit-circle
     # count; a gcd layer gcd(p, p') of the degree-11 p would show as (11, 10)
     for cached in (
         spectral._exact_core, spectral.eigensystem, transform.composite_T, polynomials.cyclotomic
@@ -612,7 +612,7 @@ def test_nef_verify_checks_its_ordering_premise(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "nef-verify")
     assert code == 1
     assert "failed: witness coefficient ordering certified" in err
-    assert "[FAIL] witness coefficient ordering certified (strict descending chain)" in out
+    assert "[FAIL] witness coefficient ordering certified (t_5 > t_4 not certified)" in out
 
 
 def test_corrupted_adjugate_column_fails_self_intersection(monkeypatch, capsys):
@@ -662,18 +662,22 @@ def test_refinement_budget_flag_rejected(capsys):
     assert "--refinement-budget" in capsys.readouterr().err
 
 
-def test_non_isometric_transform_fails_the_form_certificate(monkeypatch, capsys):
-    from voljump import report
+def test_non_isometric_transform_fails_the_form_certificate(bind_transform, capsys):
     from voljump.transform import LatticeIsometry
 
     rows = [list(r) for r in composite_T().rows]
-    rows[10] = [2 * x for x in rows[10]]  # E10 row doubled: not an isometry
-    monkeypatch.setattr(report, "composite_T", lambda: LatticeIsometry(rows))
+    # one unit moved from E2 to E1 in the E2 row: K is still fixed (K_1 = K_2),
+    # the form is not, and the eigensystem still certifies
+    rows[2][1] += 1
+    rows[2][2] -= 1
+    bind_transform(LatticeIsometry(rows))
     code, out, err = run_cli(capsys, "verify")
     assert code == 1
     assert "failed: composite map preserves the intersection form" in err
-    assert "[FAIL] composite map preserves the intersection form" in out.splitlines()
-    assert out.splitlines()[-1] == "verdict: fail"
+    lines = out.splitlines()
+    assert "[FAIL] composite map preserves the intersection form" in lines
+    assert "[PASS] composite map fixes the canonical class" in lines
+    assert lines[-1] == "verdict: fail"
 
 
 def test_shifted_reference_coefficient_fails_the_witness_certificate(monkeypatch, capsys):
@@ -685,7 +689,10 @@ def test_shifted_reference_coefficient_fails_the_witness_certificate(monkeypatch
     code, out, err = run_cli(capsys, "verify")
     assert code == 1
     lines = out.splitlines()
-    assert "[FAIL] witness coefficients match the reference decimals (all within 0.002)" in lines
+    assert (
+        "[FAIL] witness coefficients match the reference decimals "
+        "(coefficient off reference by up to 0.0026)"
+    ) in lines
     # no reading of the composite matches the shifted reference either
     assert "failed: orientation oracle selects the fixed composite" in err
     assert lines[-1] == "verdict: fail"
@@ -711,8 +718,7 @@ def test_corrupted_line_numerator_fails_the_line_class_certificate(monkeypatch, 
     assert "failed: degree-1 line-class margin is exactly zero" in err
     lines = out.splitlines()
     assert (
-        "[FAIL] degree-1 line-class margin is exactly zero "
-        "(D - N1 - N2 - N3 = 0 as polynomials, D(lambda) > 0)"
+        "[FAIL] degree-1 line-class margin is exactly zero (D - N1 - N2 - N3 != 0 as polynomials)"
     ) in lines
     assert any(line.startswith("[FAIL] square-sum identity certified") for line in lines)
     assert lines[-1] == "verdict: fail"

@@ -464,15 +464,16 @@ def test_square_sum_identity_is_divisible_by_s(eigen):
     assert square_sum != IntPoly([0]) and square_sum.is_multiple_of(s)
     # a mutation of B keeps the line class but breaks the identity, and with
     # it the cutoff and bigness that rest on it
-    checks = verdicts(with_witness(eigen, (d, shifted(b), *n)))
-    assert checks["degree-1 line-class margin is exactly zero"]
+    checks = {c.name: c for c in full_report(with_witness(eigen, (d, shifted(b), *n))).checks}
+    assert checks["degree-1 line-class margin is exactly zero"].passed
+    assert not checks["square-sum identity certified"].passed
+    # the three lines that rest on the identity name it as their failed premise
     for name in (
-        "square-sum identity certified",
         "Cauchy-Schwarz cutoff covers all higher degrees",
         "witness self-intersection positive (big)",
         "volume lower bound for the dominant class positive",
     ):
-        assert not checks[name]
+        assert checks[name] == (name, False, "premise failed: square-sum identity certified")
     # so does a mutation of a non-line N_i
     checks = verdicts(with_witness(eigen, (d, b, *n[:9], shifted(n[9], 2))))
     assert not checks["square-sum identity certified"]

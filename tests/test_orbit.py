@@ -188,7 +188,7 @@ def _fraction_increase_start(records):
 )
 def test_vector_facts_of_a_rational_seed_match_fraction_records(seed, start):
     vector, scale = seed.integral_multiple()
-    vectors = walk(vector, 30)
+    vectors = walk(composite_T(), vector, 30)
     assert scale > 1
     assert increase_start(vectors) == start
     records = list(orbit(seed, 30))
@@ -206,7 +206,7 @@ def test_vector_facts_of_a_rational_seed_match_fraction_records(seed, start):
 
 def test_fixed_canonical_class_collides_at_the_first_step():
     vector, scale = canonical_class().integral_multiple()
-    vectors = walk(vector, 6)
+    vectors = walk(composite_T(), vector, 6)
     assert scale == 1
     assert vectors == [(-3,) + (1,) * 10] * 6
     assert distinctness(vectors) == DistinctnessResult(False, (0, 1))
@@ -215,7 +215,7 @@ def test_fixed_canonical_class_collides_at_the_first_step():
 
 def test_walk_lengths():
     for count in (0, 1, 2, 5):
-        assert len(walk(LINE, count)) == count
+        assert len(walk(composite_T(), LINE, count)) == count
     assert standard_line().integral_multiple() == (LINE, 1)
     with pytest.raises(ValueError, match="nonnegative"):
-        walk(LINE, -1)
+        walk(composite_T(), LINE, -1)

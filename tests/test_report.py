@@ -1,4 +1,5 @@
 import json
+import re
 
 import jsonschema
 import pytest
@@ -14,14 +15,14 @@ from voljump.orbit import (
     orbit,
     verify_distinct,
 )
-from voljump.polynomials import IntPoly
+from voljump.polynomials import IntPoly, combine
 from voljump.report import (
     _orbit_evidence,
     build_report,
     render_report_json,
     run_verification,
 )
-from voljump.spectral import CharpolyFacts
+from voljump.spectral import CharpolyFacts, _column_values
 
 from helpers import load_schema
 
@@ -105,14 +106,16 @@ def test_a_horizon_too_short_for_growth_reports_a_failed_certificate(horizon):
 def test_shorter_orbit_horizon(run):
     short = run_verification(RunConfig(orbit_horizon=40))
     assert short.verdict
-    assert len(short.orbit.records) == 40
+    assert len(short.orbit.vectors) == 40
 
 
 @pytest.mark.parametrize("horizon", [3, 4, 50, 400])
 def test_orbit_evidence_matches_separate_walks(run, horizon):
     evidence = _orbit_evidence(run.eigen, horizon)
     seed = standard_line()
-    assert evidence.records == tuple(orbit(seed, horizon))
+    assert [r.divisor.integral_multiple() for r in orbit(seed, horizon)] == [
+        (v, 1) for v in evidence.vectors
+    ]
     assert evidence.distinct == verify_distinct(seed, horizon).distinct
     assert evidence.max_norm_increasing_from == max_norm_increase_start(seed, horizon)
     ratios = growth_ratios(growth_profile(seed, horizon))
@@ -136,10 +139,87 @@ def test_verification_builds_no_orbit_record(monkeypatch):
     monkeypatch.setattr(OrbitRecord, "of", classmethod(counted))
     result = run_verification(RunConfig())
     assert result.verdict
+    # the report prints its records straight from the run's integer vectors
+    records = build_report(result)["orbit"]["records"]
     assert built == []
-    # the report's records are the only ones, built from the run's vectors
-    assert len(build_report(result)["orbit"]["records"]) == 50
-    assert built == list(range(50))
+    assert len(records) == 50
+    assert records[0] == {
+        "n": 0,
+        "class": standard_line().to_json_array(),
+        "self_intersection": "-2/1",
+        "canonical_degree": "0/1",
+    }
+
+
+def _shift_reference(eigen, monkeypatch):
+    from voljump import reference
+
+    shifted = (reference.WITNESS_MILLI[0] + 3,) + reference.WITNESS_MILLI[1:]
+    monkeypatch.setattr(reference, "WITNESS_MILLI", shifted)
+    return eigen
+
+
+def _swap_heaviest_weights(eigen, monkeypatch):
+    values = list(eigen.witness_values)  # D, B, N_1..N_10: N_4 and N_5 swapped
+    values[5], values[6] = values[6], values[5]
+    return eigen._replace(witness_values=tuple(values))
+
+
+def _shift_witness(index):
+    """The mutation adding 1 to witness polynomial `index` of (D, B, N_1..N_10)."""
+
+    def mutate(eigen, monkeypatch):
+        polys = list(eigen.witness_polynomials)
+        polys[index] = combine((1, 1), (polys[index], IntPoly([1])))
+        values = tuple(_column_values(polys, eigen.eigenvalue))
+        return eigen._replace(witness_polynomials=tuple(polys), witness_values=values)
+
+    return mutate
+
+
+def _shift_adjugate_entry(eigen, monkeypatch):
+    column = list(eigen.adjugate_column)
+    column[4] = combine((1, 1), (column[4], IntPoly([1])))
+    return eigen._replace(adjugate_column=tuple(column))
+
+
+@pytest.mark.parametrize(
+    "mutate, name, detail",
+    [
+        (
+            _shift_reference,
+            "witness coefficients match the reference decimals",
+            r"coefficient off reference by up to 0\.0026",
+        ),
+        (_swap_heaviest_weights, "witness coefficient ordering certified", r"t_4 > t_5 not certified"),
+        (
+            _shift_witness(4),
+            "degree-1 line-class margin is exactly zero",
+            r"D - N1 - N2 - N3 != 0 as polynomials",
+        ),
+        (_shift_witness(1), "square-sum identity certified", r"sum N_i\^2 - D\^2 \+ 2 B\^2 != 0 mod s"),
+        (
+            _shift_adjugate_entry,
+            "dominant class has self-intersection zero",
+            r"sum g_i a_i\^2 != 0 mod s; interval -?[0-9.]+",
+        ),
+        (
+            _shift_adjugate_entry,
+            "dominant class pairs to zero with the canonical class",
+            r"sum g_i K_i a_i != 0 mod s",
+        ),
+    ],
+    ids=["reference", "ordering", "line-class", "square-sum", "self-pairing", "canonical-pairing"],
+)
+def test_a_failed_certificate_names_what_failed(eigen, monkeypatch, mutate, name, detail):
+    """A FAIL line's detail says what failed; it never restates the claim."""
+    from voljump import report
+
+    mutated = mutate(eigen, monkeypatch)
+    monkeypatch.setattr(report, "eigensystem", lambda digits: mutated)
+    checks = {c.name: c for c in run_verification(RunConfig()).certificates}
+    assert not checks[name].passed
+    assert re.fullmatch(detail, checks[name].detail)
 
 
 def test_report_reuses_the_runs_charpoly_facts(run, monkeypatch):
@@ -167,3 +247,94 @@ def test_charpoly_facts_check_the_off_unit_factor(eigen):
     for wrong in (s * IntPoly([-1, 1]), IntPoly((s.coeffs[0] + 1,) + s.coeffs[1:])):
         with pytest.raises(CertificationError, match="times its off-unit factor"):
             CharpolyFacts.of(eigen._replace(off_unit_factor=wrong))
+
+
+def test_the_run_binds_its_matrix_once(monkeypatch):
+    """`eigensystem` is the run's one call of `composite_T`; every other stage
+    certifies `eigen.transform`."""
+    from voljump import orbit, report, spectral, transform
+
+    calls = []
+
+    def counted(module):
+        def bound():
+            calls.append(module.__name__)
+            return transform.composite_T()
+
+        return bound
+
+    for module in (spectral, orbit):
+        monkeypatch.setattr(module, "composite_T", counted(module))
+    assert not hasattr(report, "composite_T")
+    spectral.eigensystem.cache_clear()
+    assert run_verification(RunConfig()).verdict
+    assert calls == ["voljump.spectral"]
+
+
+#: The run on McMullen's Coxeter element, whose lambda is Lehmer's number:
+#: (certificate name, passed), in the run's order.
+COXETER_VERDICTS = [
+    ("composite map preserves the intersection form", True),
+    ("composite map fixes the canonical class", True),
+    ("composite map is unimodular", True),
+    ("orientation oracle selects the fixed composite", False),
+    ("characteristic polynomial has degree 11", True),
+    ("characteristic polynomial anti-reciprocal", True),
+    ("characteristic polynomial divisible by x - 1", True),
+    ("cyclotomic scan finds only the factor at n = 1", True),
+    ("exactly one root outside the unit circle", True),
+    ("dominant eigenvalue exceeds 1", True),
+    ("r1 + r2 + r3 exceeds 1", True),
+    ("dominant class has self-intersection zero", True),
+    ("dominant class pairs to zero with the canonical class", True),
+    ("witness coefficients match the reference decimals", False),
+    ("witness coefficient ordering certified", False),
+    ("degree-1 line-class margin is exactly zero", True),
+    ("degree-1 margins positive", True),
+    ("degree-2 margins positive", True),
+    ("degrees 3..6 full enumeration margins positive", False),
+    ("degrees 3..6 minimum attained on the extreme set", False),
+    ("reference table reproduced", False),
+    ("square-sum identity certified", True),
+    ("Cauchy-Schwarz cutoff covers all higher degrees", False),
+    ("witness self-intersection positive (big)", True),
+    ("volume lower bound for the dominant class positive", True),
+    ("orbit classes pairwise distinct", True),
+    ("orbit self-intersections all -2", True),
+    ("orbit canonical degrees all 0", True),
+    ("orbit growth ratio converges to the eigenvalue", True),
+    ("orbit max-norm eventually strictly increasing", True),
+]
+
+
+def test_coxeter_element_is_a_known_answer_negative_control(bind_transform):
+    """Every certificate runs on the matrix bound in `eigensystem`, the one
+    binding patched here: McMullen's Coxeter element cremona(1, 2, 3) S_1 is
+    an isometry fixing K with a Salem factor, but not the paper's map.  A stage
+    that bound the composite on its own would flip a pinned value: the
+    oracle would PASS, and a walk of the composite would fail the growth line
+    (its ratios tend to the composite's lambda, not Lehmer's number)."""
+    import mpmath as mp
+
+    from voljump.transform import cremona_isometry, exceptional_shift
+
+    bind_transform(cremona_isometry(1, 2, 3) @ exceptional_shift(1))
+    result = run_verification(RunConfig())
+    assert [(c.name, c.passed) for c in result.certificates] == COXETER_VERDICTS
+    details = {c.name: c.detail for c in result.certificates}
+    assert "selected cremona(1, 2, 3), shift+3" in details["orientation oracle selects the fixed composite"]
+    assert details["reference table reproduced"].startswith("0/34 rows")
+    assert details["Cauchy-Schwarz cutoff covers all higher degrees"] == "cutoff degree 13"
+    assert details["orbit max-norm eventually strictly increasing"] == "from step 12"
+    # (x - 1) times Lehmer's polynomial x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1
+    lehmer = IntPoly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+    assert result.eigen.polynomial == IntPoly([-1, 1]) * lehmer
+    assert result.eigen.polynomial.coeffs == (-1, 0, 1, 1, 0, 0, 0, 0, -1, -1, 0, 1)
+    # lambda's enclosure is about 1e-84 wide: compare above that resolution
+    with mp.workdps(120):
+        roots = mp.polyroots([mp.mpf(c) for c in reversed(lehmer.coeffs)], maxsteps=400, extraprec=400)
+        largest = max(mp.re(r) for r in roots if abs(mp.im(r)) < mp.mpf(10) ** -100)
+        lam = result.eigen.dominant_value
+        assert mp.mpf(lam.lo.numerator) / lam.lo.denominator < largest
+        assert largest < mp.mpf(lam.hi.numerator) / lam.hi.denominator
+        assert mp.nstr(largest, 12) == "1.17628081826"

@@ -275,7 +275,7 @@ def test_spectrum_rejects_repeated_roots_beyond_unit():
 
 
 def test_orientation_oracle_selects_fixed_composite():
-    report = select_orientation()
+    report = select_orientation(composite_T())
     assert [a.name for a in report.assessments if a.matches] == [report.selected]
     assert "shift+3" in report.selected
     # both cycle-notation readings (one-slot rotations) fail the oracle
@@ -325,19 +325,20 @@ def test_oracle_runs_the_spectral_core_once_per_class(monkeypatch):
 
     monkeypatch.setattr(spectral, "faddeev_leverrier", counted)
     clear_spectral_caches()
-    select_orientation()
+    select_orientation(composite_T())
     representatives = [
         cremona_isometry(1, 2, 3) @ exceptional_shift(1),
         cremona_isometry(1, 2, 3) @ exceptional_shift(3),
     ]
     assert calls == representatives
-    # a whole verification run adds no pass: eigensystem(60) reuses the exact
-    # core of its shift+3 representative, the composite itself
+    # a whole verification run adds no pass: the run binds its matrix in
+    # eigensystem(60) first, and the oracle reuses that exact core for its
+    # shift+3 representative, the composite itself
     assert representatives[1] == composite_T()
     calls.clear()
     clear_spectral_caches()
     assert run_verification(RunConfig()).verdict
-    assert calls == representatives
+    assert calls == representatives[::-1]
 
 
 def test_per_class_oracle_matches_a_witness_stage_per_reading():
@@ -354,7 +355,7 @@ def test_per_class_oracle_matches_a_witness_stage_per_reading():
             continue
         bits = RealEnclosure.over(*lam).hi.denominator.bit_length() + 64
         recomputed.append(CandidateAssessment(reading.name, *_matches_reference(witness, bits)))
-    assessments = select_orientation().assessments
+    assessments = select_orientation(composite_T()).assessments
     assert len(assessments) == 14
     assert [repr(a) for a in assessments] == [repr(a) for a in recomputed]
 
@@ -373,7 +374,7 @@ def test_core_failure_of_a_representative_reaches_its_class(monkeypatch):
     monkeypatch.setattr(spectral, "_dominant_spectrum", failing)
     # a cached exact core would bypass the patched spectrum
     clear_spectral_caches()
-    report = select_orientation()
+    report = select_orientation(composite_T())
     assert one_slot in seen
     assert "shift+3" in report.selected
     one_slot_class = [a for a in report.assessments if "shift+1" in a.name or "shift-1" in a.name]
@@ -390,7 +391,7 @@ def test_conjugator_must_be_a_slot_permutation_fixing_h(monkeypatch, q):
     readings = [Reading("a", ones, "a", ones, tuple(range(11))), Reading("b", ones, "a", ones, q)]
     monkeypatch.setattr(spectral, "candidate_readings", lambda: readings)
     with pytest.raises(CertificationError, match="conjugator of b does not carry a to it"):
-        select_orientation()
+        select_orientation(composite_T())
 
 
 #: SHA-256 of what the frozen API reads of `eigensystem(d)`, computed before
