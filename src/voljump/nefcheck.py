@@ -118,6 +118,25 @@ class CheckResult(Record):
     detail: str = ""
 
 
+class Certificates(list):
+    """A run's certificate lines in order.  `record` adds one; a line whose
+    premise (an earlier line, by name) failed fails and names that premise."""
+
+    def record(self, name: str, passed: bool, detail: str = "", *premises: str) -> None:
+        lines = {c.name: c.passed for c in self}
+        if name in lines:
+            raise ValueError(f"certificate {name!r} recorded twice")
+        if unknown := [premise for premise in premises if premise not in lines]:
+            raise ValueError(f"premise {unknown[0]!r} of {name!r} names no earlier line")
+        if failed := [premise for premise in premises if not lines[premise]]:
+            passed, detail = False, f"premise failed: {failed[0]}"
+        self.append(CheckResult(name, passed, detail))
+
+
+ORDERING = "witness coefficient ordering certified"
+SQUARE_SUM = "square-sum identity certified"
+
+
 def margin(c: CandidateCurve, witness: ClassEnclosure) -> RealEnclosure:
     """Certified enclosure of d - sum a_i t_i (the pairing with the witness)."""
     total = RealEnclosure.exact(c.degree)
@@ -379,7 +398,8 @@ def full_report(eigen: EigenSystem) -> NefReport:
     """
     d_poly, b_poly, *n_polys = eigen.witness_polynomials
     d_value, b_value, *n_values = eigen.witness_values
-    checks: list[CheckResult] = []
+    checks = Certificates()
+    record = checks.record
 
     @cache
     def rows(degree: int, leaf: tuple, exact_zero: bool = False) -> MarginRow:
@@ -388,17 +408,13 @@ def full_report(eigen: EigenSystem) -> NefReport:
         margin = eigen.quotient(leaf[1:3], d_value)
         return MarginRow(CandidateCurve(degree, leaf[0]), margin, exact_zero)
 
-    def record(name: str, passed: bool, detail: str = "") -> None:
-        checks.append(CheckResult(name, passed, detail))
-
     # the premise of the canonical enumeration below: sorted multiplicities
     # along the weight order minimize the margin (rearrangement inequality)
     chain = zip(WEIGHT_ORDER, WEIGHT_ORDER[1:])
     broken = next(((a, b) for a, b in chain if not n_values[a - 1][0] > n_values[b - 1][1]), None)
     ordering = broken is None
     detail = "strict descending chain" if ordering else "t_{} > t_{} not certified".format(*broken)
-    record("witness coefficient ordering certified", ordering, detail)
-    premise = "" if ordering else "premise failed: witness coefficient ordering certified"
+    record(ORDERING, ordering, detail)
 
     # degree <= 1; D - N1 - N2 - N3 = 0 makes the line's margin numerator exactly 0
     line_zero = combine((1, -1, -1, -1), (d_poly, *n_polys[:3])) == IntPoly([0])
@@ -432,21 +448,26 @@ def full_report(eigen: EigenSystem) -> NefReport:
         all(leaf[1] > 0 for leaf in conics),
         f"{len(conics)} conic classes",
     )
+    # free the 252 leaves before the walks below, where the run's memory peaks
+    degree_two_count, degree_two_minimum = len(conics), _argmin(conics)
+    del conics
 
     # degrees 3..6
     summaries: list[DegreeSummary] = []
     table = {(d, a): m for d, a, m in TABLE_MILLI}
     enclosures, references, extras = [], [], []
     enumeration_positive = True
-    extreme_agrees = True
+    undecided = []  # degrees whose least margin is not certified on the extreme set
     for d in range(3, 7):
         leaves = _canonical_walk(d, d_value, n_values)
         extremes = tuple(leaf for leaf in leaves if leaf[3])
         minimum = _argmin(leaves)
         if not all(leaf[1] > 0 for leaf in leaves):
             enumeration_positive = False
-        if _argmin(extremes)[0] != minimum[0]:
-            extreme_agrees = False
+        # on whole enclosures: no other leaf's lo lies below the least extreme hi
+        least = min((leaf[2] for leaf in extremes), default=None)
+        if any(least is None or leaf[1] < least for leaf in leaves if not leaf[3]):
+            undecided.append(d)
         for leaf in extremes:
             reference = table.get((d, leaf[0]))
             if reference is None:
@@ -457,13 +478,17 @@ def full_report(eigen: EigenSystem) -> NefReport:
         summaries.append(DegreeSummary(d, len(leaves), minimum, extremes, rows))
     record(
         "degrees 3..6 full enumeration margins positive",
-        ordering and enumeration_positive,
-        premise or f"{sum(s.candidate_count for s in summaries)} canonical candidates",
+        enumeration_positive,
+        f"{sum(s.candidate_count for s in summaries)} canonical candidates",
+        ORDERING,
     )
     record(
         "degrees 3..6 minimum attained on the extreme set",
-        ordering and extreme_agrees,
-        premise or "full-set and extreme-set minimizers coincide",
+        not undecided,
+        "full-set and extreme-set minimizers coincide"
+        if not undecided
+        else f"extreme-set minimum not certified least at degree {undecided[0]}",
+        ORDERING,
     )
     bits = eigen.grid_bits
     distances, tolerance, _ = deviations(enclosures, references, TABLE_TOLERANCE_MILLI, bits)
@@ -479,13 +504,12 @@ def full_report(eigen: EigenSystem) -> NefReport:
         (1,) * len(n_polys) + (-1, 2), [p * p for p in (*n_polys, d_poly, b_poly)]
     ).is_multiple_of(eigen.off_unit_factor)
     record(
-        "square-sum identity certified",
+        SQUARE_SUM,
         square_sum,
         "sum N_i^2 - D^2 + 2 B^2 = 0 mod s: sum t_i^2 = 1 - 2 beta^2 / (1 - beta)^2"
         if square_sum
         else "sum N_i^2 - D^2 + 2 B^2 != 0 mod s",
     )
-    squares = "" if square_sum else "premise failed: square-sum identity certified"
 
     # L^2 = 1 - sum t_i^2 = 2 B^2 / D^2 and (1 - beta)^2 L^2 = 2 beta^2 by the
     # square-sum identity; both rest on B(lambda) != 0
@@ -504,29 +528,30 @@ def full_report(eigen: EigenSystem) -> NefReport:
     cutoff = _cutoff_degree(gap, bound)
     record(
         "Cauchy-Schwarz cutoff covers all higher degrees",
-        square_sum and cutoff <= 7,
-        squares or f"cutoff degree {cutoff}",
+        cutoff <= 7,
+        f"cutoff degree {cutoff}",
+        SQUARE_SUM,
     )
 
     record(
         "witness self-intersection positive (big)",
-        square_sum and l_squared[0] > 0,
-        squares
-        or f"L^2 = 2 B^2 / D^2 = {decimal_string(l_squared[0] + l_squared[1], 2 << bits, 6)}... "
+        l_squared[0] > 0,
+        f"L^2 = 2 B^2 / D^2 = {decimal_string(l_squared[0] + l_squared[1], 2 << bits, 6)}... "
         "by the square-sum identity, B(lambda) != 0",
+        SQUARE_SUM,
     )
     record(
         "volume lower bound for the dominant class positive",
-        square_sum and volume[0] > 0,
-        squares
-        or f"(1-beta)^2 L^2 = 2 beta^2 = {decimal_string(volume[0] + volume[1], 2 * volume[2], 6)}... "
+        volume[0] > 0,
+        f"(1-beta)^2 L^2 = 2 beta^2 = {decimal_string(volume[0] + volume[1], 2 * volume[2], 6)}... "
         "by the square-sum identity, beta > 0",
+        SQUARE_SUM,
     )
 
     return NefReport(
         degree_one_leaves=degree_one_leaves,
-        degree_two_count=len(conics),
-        degree_two_minimum_leaf=_argmin(conics),
+        degree_two_count=degree_two_count,
+        degree_two_minimum_leaf=degree_two_minimum,
         degrees=tuple(summaries),
         cutoff=cutoff,
         bigness_grid=((*l_squared, 1 << bits), volume),

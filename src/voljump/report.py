@@ -12,7 +12,7 @@ from .config import RunConfig
 from .errors import CertificationError, Record
 from .intervals import ClassEnclosure, RealEnclosure, decimal_string, enclosure_json
 from .lattice import CANONICAL, GRAM_DIAGONAL, LINE, canonical_class, pair_integers, standard_line
-from .nefcheck import CheckResult, MarginRow, NefReport, full_report
+from .nefcheck import Certificates, CheckResult, MarginRow, NefReport, full_report
 from .orbit import distinctness, increase_start, ratio_pairs, walk
 from .polynomials import combine
 from .reference import WITNESS_TOLERANCE_MILLI
@@ -79,11 +79,8 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
     """Evaluate every certificate in a fixed order on `eigen.transform`; collect the evidence."""
     cfg = config or RunConfig()
     cfg.validate()
-    checks: list[CheckResult] = []
-
-    def record(name: str, passed: bool, detail: str = "") -> None:
-        checks.append(CheckResult(name, passed, detail))
-
+    checks = Certificates()
+    record = checks.record
     eigen = eigensystem(cfg.precision_digits)
     t = eigen.transform
     record("composite map preserves the intersection form", verify_isometry(t).ok)

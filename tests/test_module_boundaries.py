@@ -5,7 +5,8 @@ And no module imports `typing` or defines a `NamedTuple`: records derive from
 `typing` costs tenths of a millisecond, and no process loads `typing`.
 And no public API exists only for tests: every public top-level function and
 class is read by another statement of `src`, by a frozen test file or by the
-benchmark."""
+benchmark.  And every certificate line is built in `Certificates.record`, which
+settles its premises, so no line can bypass that rule."""
 
 import ast
 from pathlib import Path
@@ -149,3 +150,47 @@ def test_no_public_name_exists_only_for_tests():
     modules = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     readers = [path.read_text(encoding="utf-8") for path in FROZEN_READERS]
     assert unread_public_names(modules, readers) == []
+
+
+def check_result_calls(source: str) -> list[str]:
+    """The scopes (dotted class and function names, `<module>` at top level)
+    in which a module's source calls `CheckResult`, by name or as an
+    attribute."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, ast.Call) and "CheckResult" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            found.append(".".join(scope) or "<module>")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        elif isinstance(node, ast.Lambda):
+            scope = (*scope, "<lambda>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_check_result_guard_sees_every_scope():
+    source = (
+        "from . import nefcheck\nfrom .nefcheck import CheckResult\n"
+        "class Certificates(list):\n    def record(self, name):\n"
+        "        self.append(CheckResult(name, True))\n"
+        "def run(checks):\n    checks.append(nefcheck.CheckResult('a', False))\n"
+        "    return lambda: CheckResult('b', True)\n"
+        "FIXED = [CheckResult('c', True)]\n"
+    )
+    assert check_result_calls(source) == ["Certificates.record", "run", "run.<lambda>", "<module>"]
+
+
+def test_every_certificate_line_is_built_in_record():
+    calls = {
+        path.name: check_result_calls(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: found for name, found in calls.items() if found} == {
+        "nefcheck.py": ["Certificates.record"]
+    }

@@ -10,7 +10,10 @@ from voljump import nefcheck
 from voljump.cli import main
 from voljump.errors import CertificationError, PrecisionBudgetError
 from voljump.nefcheck import (
+    ORDERING,
     CandidateCurve,
+    Certificates,
+    CheckResult,
     MarginRow,
     _canonical_walk,
     _degree_one_candidates,
@@ -477,6 +480,77 @@ def test_square_sum_identity_is_divisible_by_s(eigen):
     # so does a mutation of a non-line N_i
     checks = verdicts(with_witness(eigen, (d, b, *n[:9], shifted(n[9], 2))))
     assert not checks["square-sum identity certified"]
+
+
+def test_extreme_set_minimum_is_decided_on_whole_enclosures(eigen, monkeypatch):
+    """An extreme leaf [10, 30] and a non-extreme leaf [5, 40]: the extreme
+    midpoint is the lower, yet the other margin may lie below it."""
+    extreme, other = (2,) + (1,) * 9, (1,) * 10
+    decided = [(extreme, 5, 9, True), (other, 9, 40, False)]
+    undecided = [(extreme, 10, 30, True), (other, 5, 40, False)]
+    name = "degrees 3..6 minimum attained on the extreme set"
+
+    def line(walks):
+        monkeypatch.setattr(nefcheck, "_canonical_walk", lambda d, d_value, n_values: walks[d])
+        [check] = [c for c in full_report(eigen).checks if c.name == name]
+        return check
+
+    assert line(dict.fromkeys(range(3, 7), decided)).passed
+    check = line({3: decided, 4: undecided, 5: decided, 6: undecided})
+    assert check == (name, False, "extreme-set minimum not certified least at degree 4")
+    # a degree with no extreme leaf decides nothing either
+    check = line({3: decided, 4: decided, 5: [(other, 5, 40, False)], 6: decided})
+    assert check == (name, False, "extreme-set minimum not certified least at degree 5")
+
+
+# -- the premise rule ------------------------------------------------------------------
+
+
+def test_a_line_whose_premise_failed_fails_naming_it():
+    checks = Certificates()
+    checks.record("premise", False, "its own detail")
+    checks.record("held", True)
+    checks.record("claim", True, "its own test holds", "held", "premise")
+    assert checks[-1] == CheckResult("claim", False, "premise failed: premise")
+    # with every premise passed the line keeps its own verdict and detail
+    checks.record("other claim", True, "its own test holds", "held")
+    checks.record("failed claim", False, "its own test fails", "held")
+    assert checks[-2:] == [
+        ("other claim", True, "its own test holds"),
+        ("failed claim", False, "its own test fails"),
+    ]
+
+
+def test_a_chained_failure_names_the_direct_premise():
+    checks = Certificates()
+    checks.record("a", False)
+    checks.record("b", True, "", "a")
+    checks.record("c", True, "", "b")
+    assert checks == [("a", False, ""), ("b", False, "premise failed: a"), ("c", False, "premise failed: b")]
+
+
+def test_a_premise_must_name_an_earlier_line():
+    checks = Certificates()
+    checks.record("a", True)
+    with pytest.raises(ValueError, match="premise 'later' of 'claim' names no earlier line"):
+        checks.record("claim", True, "", "a", "later")
+    assert checks == [("a", True, "")]
+
+
+def test_a_line_is_recorded_once():
+    # a line that arrived settled, as the nef lines do in a run, counts too
+    checks = Certificates([CheckResult("a", True)])
+    with pytest.raises(ValueError, match="certificate 'a' recorded twice"):
+        checks.record("a", False)
+    assert checks == [("a", True, "")]
+
+
+def test_a_default_run_has_distinct_line_names():
+    from voljump.report import run_verification
+
+    names = [c.name for c in run_verification().certificates]
+    assert len(names) == len(set(names)) == 30
+    assert names.index(ORDERING) < names.index("degrees 3..6 full enumeration margins positive")
 
 
 def test_bigness_rejects_b_enclosing_zero(eigen):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -338,3 +339,17 @@ def test_coxeter_element_is_a_known_answer_negative_control(bind_transform):
         assert mp.mpf(lam.lo.numerator) / lam.lo.denominator < largest
         assert largest < mp.mpf(lam.hi.numerator) / lam.hi.denominator
         assert mp.nstr(largest, 12) == "1.17628081826"
+
+
+def test_coxeter_certificate_text_is_pinned(bind_transform):
+    """The whole text of the control's failing run, details and verdict, is
+    pinned as `tests/test_outputs.py` pins passing runs: both degrees 3..6
+    lines read `premise failed: witness coefficient ordering certified`."""
+    from voljump.cli import _certificate_text
+    from voljump.transform import cremona_isometry, exceptional_shift
+
+    bind_transform(cremona_isometry(1, 2, 3) @ exceptional_shift(1))
+    text, code = _certificate_text(run_verification(RunConfig()).certificates)
+    assert code == 1 and len(text.splitlines()) == 31
+    digest = "6b23e262e294deb01d72f234a1a9aa927f4b2c8e16ebb6769d3aa5b5fa668595"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
