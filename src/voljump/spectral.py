@@ -15,19 +15,20 @@ D = 2 a_0 - B and N_i = -2 a_i - B l_i (l_i = 1 on the line indices 1..3),
 the line component is beta = B(lambda) / 2 a_0(lambda) and the witness
 coefficients are t_i = N_i(lambda) / D(lambda).  Every polynomial is
 enclosed at lambda once, as integer numerators over a power of the
-denominator of lambda's enclosure (`_column_values`, `_enclose`), and each
-quotient goes onto a dyadic grid by integer floor and ceiling division
+denominator of lambda's enclosure (`_endpoint_powers`, `_enclose`), and
+each quotient goes onto a dyadic grid by integer floor and ceiling division
 (`_quotient_on_grid`); none of them is a `Fraction`.  The N_i off the line
-indices are the multiples -2 a_i, built and enclosed once per column
-(`_scaled_column`); the witness stage builds only D, B and N_1..N_3
+indices are the multiples -2 a_i, enclosed as (-2 hi, -2 lo) of a_i by
+`_spectral_core`; the witness stage builds only D, B and N_1..N_3
 (`_witness_stage`, the one path of `eigensystem` and of every oracle
 reading).  Exact identities mod s (the zero pairings of the eigenvector,
 the square-sum identity of the witness) are decided on the polynomials
 themselves.  Also hosts the factor data of p (`CharpolyFacts`, whose
 unit-circle count is k roots at 1 plus the count of s) and the orientation
 oracle over the 14 readings of the composite's notation, which runs
-`_spectral_core` and `_scaled_column` once per conjugacy class and the
-witness stage once per reading (`select_orientation`).
+`_spectral_core` once per conjugacy class and the witness stage once per
+reading (`select_orientation`); a reading matches or fails to match only on
+whole enclosures, and is otherwise undecided (`_matches_reference`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import lru_cache
 from math import gcd
 from operator import itemgetter
 
-from .errors import CertificationError, PrecisionBudgetError, Record, VerificationError
+from .errors import CertificationError, PrecisionBudgetError, Record
 from .intervals import ClassEnclosure, RealEnclosure
 from .lattice import RANK
 from .polynomials import (
@@ -75,14 +76,6 @@ def _dominant_spectrum(p: IntPoly) -> tuple[IntPoly, tuple[int, int, int]]:
             "repeated roots beyond (x - 1): the dominant eigenvalue is not certified simple"
         )
     return s, dominant_bracket(s)
-
-
-def _column_values(column: Sequence[IntPoly], lam: tuple[int, int, int]) -> list[tuple[int, int]]:
-    """Enclosures [lo_i, hi_i] / D^deg of a_i(lambda) for each column
-    polynomial, as integer numerators over one power of the denominator D of
-    lambda's enclosure [A, B] / D, deg the largest degree."""
-    powers = _endpoint_powers(lam, max(p.degree for p in column))
-    return [_enclose(p, powers) for p in column]
 
 
 def _endpoint_powers(lam: tuple[int, int, int], degree: int) -> tuple[list[int], list[int]]:
@@ -167,24 +160,13 @@ def _eigen_relation(m: LatticeIsometry, column: Sequence[IntPoly], p: IntPoly) -
             raise CertificationError(f"eigen-relation row {i} of (xI - T) a = p e_0 fails")
 
 
-def _scaled_column(column: Sequence[IntPoly], lam: tuple[int, int, int]) -> tuple:
-    """(multiples -2 a_j of the column a, their enclosures at lambda, the
-    endpoint powers they were enclosed with): the witness numerators N_i off
-    the line indices are among the multiples, and a reading of the same
-    conjugacy class only permutes them, so the oracle builds them once per
-    class."""
-    powers = _endpoint_powers(lam, max(a.degree for a in column))
-    multiples = [combine((-2,), (a,)) for a in column]
-    return multiples, [_enclose(p, powers) for p in multiples], powers
-
-
 def _witness(
     column: Sequence[IntPoly], scaled: tuple
 ) -> tuple[tuple[IntPoly, ...], tuple[tuple[int, int], ...]]:
     """The witness polynomials (D, B, N_1, ..., N_10), signed so that
     D(lambda) > 0 is certified, and their enclosures at lambda over one
-    common denominator, from the column a and its `_scaled_column` data,
-    both in the column's order.
+    common denominator, from the column a and its scaled data
+    (`_spectral_core`), both in the column's order.
 
     With r_i = -a_i / a_0 the dominant class H - sum r_i E_i and
     beta = (r_1 + r_2 + r_3 - 1) / 2, the witness coefficients
@@ -313,10 +295,12 @@ def _exact_core(m: LatticeIsometry) -> tuple:
 
 def _spectral_core(m: LatticeIsometry, tol: int) -> tuple:
     """(p, a, s, lambda, eigenvector) of m as `EigenSystem` keeps them, the
-    eigenvector at most 1 / tol wide; a conjugate Q m Q^T permutes a and it.
-
-    a_0(lambda) != 0 is certified by its enclosure; each a_i(lambda) / a_0(lambda)
-    goes onto the grid by floor and ceiling division, its width compared there.
+    eigenvector at most 1 / tol wide, and the scaled data `_witness` reads:
+    the multiples -2 a_j, their enclosures (-2 hi, -2 lo) from a_j's, the
+    endpoint powers.  A conjugate Q m Q^T permutes a, the vector and the
+    multiples.  a_0(lambda) != 0 is certified by its enclosure; each
+    a_i(lambda) / a_0(lambda) goes onto the grid by floor and ceiling
+    division, its width compared there.
     """
     p, column, off_unit, bracket = _exact_core(m)
     lam = refine_bracket(off_unit, bracket, (1, tol * 10**GUARD_DIGITS))
@@ -324,7 +308,8 @@ def _spectral_core(m: LatticeIsometry, tol: int) -> tuple:
         raise CertificationError(
             "eigenvalue enclosure must lie strictly above 1 (dominant, not unit root)"
         )
-    values = _column_values(column, lam)
+    powers = _endpoint_powers(lam, max(a.degree for a in column))
+    values = [_enclose(a, powers) for a in column]
     if values[0][0] <= 0 <= values[0][1]:
         raise PrecisionBudgetError("a_0(lambda) not certified nonzero; refine the eigenvalue")
     bits = _grid_bits(lam)
@@ -333,7 +318,9 @@ def _spectral_core(m: LatticeIsometry, tol: int) -> tuple:
         raise PrecisionBudgetError(
             "eigenvector enclosure wider than requested; refine the eigenvalue"
         )
-    return p, column, off_unit, lam, vector
+    multiples = [combine((-2,), (a,)) for a in column]
+    scaled = multiples, [(-2 * hi, -2 * lo) for lo, hi in values], powers
+    return p, column, off_unit, lam, vector, scaled
 
 
 def _witness_stage(
@@ -341,7 +328,7 @@ def _witness_stage(
 ) -> tuple:
     """(witness polynomials, their values, numerators over 2^bits
     (`_grid_bits`) of beta and of the nef witness's E_i coefficients -t_i) of
-    the column a, with its `_scaled_column` data in the same order."""
+    the column a, with its scaled data (`_spectral_core`) in the same order."""
     polys, values = _witness(column, scaled)
     bits = _grid_bits(lam)
     component = beta(values[0], values[1], bits)
@@ -359,9 +346,8 @@ def eigensystem(digits: int = 60) -> EigenSystem:
     if digits < 1:
         raise ValueError("digits must be positive")
     m, tol = composite_T(), 10**digits
-    core = _spectral_core(m, tol)
-    column, lam = core[1], core[3]
-    return EigenSystem(digits, m, *core, *_witness_stage(column, _scaled_column(column, lam), lam, tol))
+    *core, scaled = _spectral_core(m, tol)
+    return EigenSystem(digits, m, *core, *_witness_stage(core[1], scaled, core[3], tol))
 
 
 class CharpolyFacts(Record):
@@ -422,15 +408,23 @@ class OrientationReport(Record):
 
 def _matches_reference(witness: Sequence[tuple[int, int]], bits: int) -> tuple[bool, str]:
     """Whether each t_i is within `WITNESS_TOLERANCE_MILLI` of `WITNESS_MILLI[i]`
-    (`reference.deviations`), from numerators (lo, hi) of -t_i over 2^bits."""
+    (`reference.deviations`), from numerators (lo, hi) of -t_i over 2^bits.
+
+    Both answers are proofs: every whole enclosure lies in its band, or one
+    lies wholly outside (its nearest distance, the largest less its width,
+    exceeds the tolerance); otherwise one straddles a band edge, undecided.
+    """
     from .reference import WITNESS_MILLI, WITNESS_TOLERANCE_MILLI, deviations
 
     t = [(-hi, -lo) for lo, hi in witness]
     distances, bound, den = deviations(t, WITNESS_MILLI, WITNESS_TOLERANCE_MILLI, bits)
     off = [x for x in distances if x > bound]
-    if off:
-        return False, f"coefficient off reference by up to {off[0] / den:.4f}"
-    return True, f"all coefficients within {max(distances) / den:.2e} of reference"
+    if not off:
+        return True, f"all coefficients within {max(distances) / den:.2e} of reference"
+    if not any(x - (hi - lo) * 1000 > bound for x, (lo, hi) in zip(distances, t)):
+        straddling = next(i for i, x in enumerate(distances, 1) if x > bound)
+        raise PrecisionBudgetError(f"t_{straddling} enclosure straddles its reference band's edge")
+    return False, f"coefficient off reference by up to {off[0] / den:.4f}"
 
 
 def select_orientation(t: LatticeIsometry) -> OrientationReport:
@@ -443,10 +437,12 @@ def select_orientation(t: LatticeIsometry) -> OrientationReport:
     S_7 cremona(1, 2, 3) S_7^-1, and the reversal E_i -> E_(11-i) swaps the
     Cremona slot sets and turns S_k into S_-k.  From these, each reading M'
     has a representative M and a slot permutation q (`candidate_readings`).
-    The spectral core runs once per M, and so do the multiples -2 a_j with
-    their values (`_scaled_column`); M'[q(i)][q(j)] == M[i][j] certifies
-    a'[q(i)] = a[i], so the witness of M' permutes them, and per reading only
-    B', D' and N'_1..N'_3, which read slots 0..3, are built and enclosed.
+    The spectral core, with the multiples -2 a_j and their values, runs once
+    per M; M'[q(i)][q(j)] == M[i][j] certifies a'[q(i)] = a[i], so the
+    witness of M' permutes them, and per reading only B', D' and
+    N'_1..N'_3, which read slots 0..3, are built and enclosed.  A reading
+    whose data fail to certify does not match; one undecided at 12 digits
+    raises `PrecisionBudgetError` naming it.
     """
     tol = 10**12
     readings = candidate_readings()
@@ -460,17 +456,17 @@ def select_orientation(t: LatticeIsometry) -> OrientationReport:
             raise CertificationError(f"conjugator of {name} does not carry {rep} to it")
         try:
             if rep not in classes:
-                core = _spectral_core(base, tol)
-                classes[rep] = core, _scaled_column(core[1], core[3])
-            core, (multiples, values, powers) = classes[rep]
+                classes[rep] = _spectral_core(base, tol)
+            _, column, _, lam, _, (multiples, values, powers) = classes[rep]
             # the column of M' is a'[q(i)] = a[i], and so are its multiples
             order = sorted(range(RANK), key=q.__getitem__)
-            column, *scaled = ([xs[i] for i in order] for xs in (core[1], multiples, values))
-            witness = _witness_stage(column, (*scaled, powers), core[3], tol)[3]
-        except VerificationError as err:
+            column, *scaled = ([xs[i] for i in order] for xs in (column, multiples, values))
+            witness = _witness_stage(column, (*scaled, powers), lam, tol)[3]
+            assessments.append(CandidateAssessment(name, *_matches_reference(witness, _grid_bits(lam))))
+        except CertificationError as err:
             assessments.append(CandidateAssessment(name, False, f"no certified data: {err}"))
-            continue
-        assessments.append(CandidateAssessment(name, *_matches_reference(witness, _grid_bits(core[3]))))
+        except PrecisionBudgetError as err:
+            raise PrecisionBudgetError(f"orientation reading {name}: {err}") from err
     matching = [r for r, a in zip(readings, assessments) if a.matches]
     if len(matching) != 1:
         raise CertificationError(

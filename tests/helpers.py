@@ -12,6 +12,7 @@ from voljump.lattice import DivisorClass
 from voljump.nefcheck import CandidateCurve, _feasible
 from voljump.polynomials import IntPoly, _prime_factors, _scaled_value
 from voljump.reference import WEIGHT_ORDER
+from voljump.spectral import _enclose, _endpoint_powers
 
 
 def load_schema() -> dict:
@@ -48,6 +49,13 @@ def outward(enc: RealEnclosure, bits: int) -> RealEnclosure:
     lo = Fraction(enc.lo.numerator * scale // enc.lo.denominator, scale)
     hi = Fraction(-((-enc.hi.numerator * scale) // enc.hi.denominator), scale)
     return RealEnclosure(lo, hi)
+
+
+def column_values(polys, lam: tuple[int, int, int]) -> list[tuple[int, int]]:
+    """Enclosures [lo, hi] of each p(lambda), numerators over one power of
+    the denominator of lambda's enclosure, as the spectral core's column."""
+    powers = _endpoint_powers(lam, max(p.degree for p in polys))
+    return [_enclose(p, powers) for p in polys]
 
 
 # -- per-candidate reference for the nef enumeration ----------------------------------

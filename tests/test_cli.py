@@ -701,7 +701,7 @@ def test_shifted_reference_coefficient_fails_the_witness_certificate(monkeypatch
 def test_corrupted_line_numerator_fails_the_line_class_certificate(monkeypatch, capsys):
     from voljump import report
     from voljump.polynomials import IntPoly, combine
-    from voljump.spectral import _column_values
+    from helpers import column_values
 
     eigen = report.eigensystem(60)
     d, b, *n = eigen.witness_polynomials
@@ -710,7 +710,7 @@ def test_corrupted_line_numerator_fails_the_line_class_certificate(monkeypatch, 
     polys = (d, b, *n)
     corrupted = eigen._replace(
         witness_polynomials=polys,
-        witness_values=tuple(_column_values(polys, eigen.eigenvalue)),
+        witness_values=tuple(column_values(polys, eigen.eigenvalue)),
     )
     monkeypatch.setattr(report, "eigensystem", lambda digits: corrupted)
     code, out, err = run_cli(capsys, "verify")

@@ -27,13 +27,13 @@ from voljump.polynomials import (
 )
 from voljump.spectral import (
     GUARD_DIGITS,
-    _column_values,
+    _endpoint_powers,
     _exact_core,
     _quotient_on_grid,
     _spectral_core,
 )
 
-from helpers import outward, refine_root
+from helpers import column_values, outward, refine_root
 from voljump.transform import LatticeIsometry, candidate_readings, composite_T
 
 SEED = 20130517
@@ -658,11 +658,11 @@ def interval_route(column, lam, tol):
 
 
 def column_enclosures(column, lam):
-    """`_column_values` as enclosures: numerators over lcm(denominators)^deg."""
+    """`column_values` as enclosures: numerators over lcm(denominators)^deg."""
     scale = lcm(lam.lo.denominator, lam.hi.denominator) ** max(a.degree for a in column)
     return [
         RealEnclosure(Fraction(lo, scale), Fraction(hi, scale))
-        for lo, hi in _column_values(column, common_grid(lam.lo, lam.hi))
+        for lo, hi in column_values(column, common_grid(lam.lo, lam.hi))
     ]
 
 
@@ -723,4 +723,4 @@ def test_eigenvector_rejects_nonpositive_enclosure(eigen):
     column = eigen.adjugate_column
     for lam in ((-1, 3, 1), (0, 3, 1), (0, 6, 2)):
         with pytest.raises(CertificationError, match="positive"):
-            _column_values(column, lam)
+            _endpoint_powers(lam, max(a.degree for a in column))

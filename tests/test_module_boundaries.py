@@ -6,7 +6,9 @@ And no module imports `typing` or defines a `NamedTuple`: records derive from
 And no public API exists only for tests: every public top-level function and
 class is read by another statement of `src`, by a frozen test file or by the
 benchmark.  And every certificate line is built in `Certificates.record`, which
-settles its premises, so no line can bypass that rule."""
+settles its premises, so no line can bypass that rule.  And no module catches
+`VerificationError` or anything wider, so an undecided value
+(`PrecisionBudgetError`) cannot become a verdict."""
 
 import ast
 from pathlib import Path
@@ -194,3 +196,39 @@ def test_every_certificate_line_is_built_in_record():
     assert {name: found for name, found in calls.items() if found} == {
         "nefcheck.py": ["Certificates.record"]
     }
+
+
+#: The handlers that would catch a `PrecisionBudgetError` along with a
+#: `CertificationError`; `None` is a bare `except:`.
+TOO_WIDE = {"VerificationError", "Exception", "BaseException", None}
+
+
+def wide_handlers(source: str) -> list[str]:
+    """The `except` clauses of a module's source that catch `VerificationError`
+    or wider, by name, as an attribute or in a tuple, as `line: name`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for t in caught:
+                name = getattr(t, "id", None) or getattr(t, "attr", None)
+                if name in TOO_WIDE:
+                    found.append(f"{node.lineno}: {name or 'bare except'}")
+    return found
+
+
+def test_wide_handler_guard_sees_every_form():
+    source = (
+        "try:\n    f()\nexcept CertificationError:\n    pass\n"
+        "except errors.VerificationError:\n    pass\n"
+        "try:\n    f()\nexcept (ValueError, VerificationError) as err:\n    pass\n"
+        "try:\n    f()\nexcept Exception:\n    pass\nexcept:\n    pass\n"
+    )
+    assert wide_handlers(source) == [
+        "5: VerificationError", "9: VerificationError", "13: Exception", "15: bare except"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_catches_an_undecided_value(path):
+    assert wide_handlers(path.read_text(encoding="utf-8")) == []

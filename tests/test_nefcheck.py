@@ -32,11 +32,11 @@ from voljump.nefcheck import (
 from voljump.intervals import ClassEnclosure, RealEnclosure
 from voljump.polynomials import IntPoly, combine
 from voljump.reference import TABLE_ROWS, TABLE_TOLERANCE, WEIGHT_ORDER
-from voljump.spectral import _column_values
 
 from helpers import (
     bump_minimum_weight,
     canonical_candidates,
+    column_values,
     degree_two_candidates,
     is_canonical,
     is_feasible,
@@ -419,7 +419,7 @@ def test_report_rows_come_from_the_numerators(eigen, nef):
 
 def with_witness(eigen, polys):
     """The eigensystem with other witness polynomials and their values."""
-    values = tuple(_column_values(polys, eigen.eigenvalue))
+    values = tuple(column_values(polys, eigen.eigenvalue))
     return eigen._replace(witness_polynomials=tuple(polys), witness_values=values)
 
 

@@ -13,6 +13,7 @@ from voljump.reference import (
     WITNESS_TOLERANCE_MILLI,
     deviations,
 )
+from voljump.errors import PrecisionBudgetError
 from voljump.spectral import _matches_reference
 
 
@@ -55,6 +56,32 @@ def test_negated_witness_pairs_are_the_coefficients(eigen):
     assert _matches_reference(witness, bits)[0]
     # the pairs as the stage gives them are about 2 t_i off their references
     assert not _matches_reference(negated, bits)[0]
+
+
+def on_grid(milli_pairs, bits):
+    """Numerators (lo, hi) over 2^bits of -t_i, as the witness stage gives
+    them, for t_i in [lo, hi] / 1000, rounded outward."""
+    return [((-hi << bits) // 1000, -((lo << bits) // 1000)) for lo, hi in milli_pairs]
+
+
+def test_a_straddling_coefficient_leaves_the_witness_undecided(eigen):
+    # t_1 in [0.355, 0.357] against 0.354 +- 0.002: the band ends at 0.356,
+    # so neither a match nor a mismatch is proven
+    bits = eigen.grid_bits
+    exact = [(r, r) for r in WITNESS_MILLI]
+    straddling = on_grid([(355, 357)] + exact[1:], bits)
+    with pytest.raises(PrecisionBudgetError, match="t_1 enclosure straddles"):
+        _matches_reference(straddling, bits)
+    with pytest.raises(PrecisionBudgetError, match="t_1 enclosure straddles"):
+        eigen._replace(witness_numerators=tuple(straddling)).witness_matches_reference()
+    # a whole enclosure outside its band proves the mismatch, with the
+    # detail naming the first coefficient not proven within
+    assert _matches_reference(on_grid([(357, 358)] + exact[1:], bits), bits) == (
+        False, "coefficient off reference by up to 0.0040"
+    )
+    outside = on_grid([(355, 357)] + exact[1:9] + [(185, 186)], bits)
+    assert _matches_reference(outside, bits) == (False, "coefficient off reference by up to 0.0030")
+    assert _matches_reference(on_grid([(353, 355)] + exact[1:], bits), bits)[0]
 
 
 def test_empty_input():

@@ -23,9 +23,9 @@ from voljump.report import (
     render_report_json,
     run_verification,
 )
-from voljump.spectral import CharpolyFacts, _column_values
+from voljump.spectral import CharpolyFacts
 
-from helpers import load_schema
+from helpers import column_values, load_schema
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +172,7 @@ def _shift_witness(index):
     def mutate(eigen, monkeypatch):
         polys = list(eigen.witness_polynomials)
         polys[index] = combine((1, 1), (polys[index], IntPoly([1])))
-        values = tuple(_column_values(polys, eigen.eigenvalue))
+        values = tuple(column_values(polys, eigen.eigenvalue))
         return eigen._replace(witness_polynomials=tuple(polys), witness_values=values)
 
     return mutate

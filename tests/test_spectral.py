@@ -5,7 +5,7 @@ import pytest
 
 from voljump import spectral
 from voljump.config import RunConfig
-from voljump.errors import CertificationError, PrecisionBudgetError, VerificationError
+from voljump.errors import CertificationError, PrecisionBudgetError
 from voljump.intervals import RealEnclosure
 from voljump.lattice import GRAM_DIAGONAL, canonical_class
 from voljump.polynomials import (
@@ -20,11 +20,10 @@ from voljump.reference import WEIGHT_ORDER, WITNESS_COEFFS, WITNESS_TOLERANCE
 from voljump.report import run_verification
 from voljump.spectral import (
     CandidateAssessment,
-    _column_values,
     _dominant_spectrum,
     _eigen_relation,
+    _endpoint_powers,
     _matches_reference,
-    _scaled_column,
     _spectral_core,
     _witness,
     _witness_stage,
@@ -41,7 +40,17 @@ from voljump.transform import (
     exceptional_shift,
 )
 
+from helpers import column_values
+
 WIDTH_BOUND = Fraction(1, 10**30)
+
+
+def enclosed_multiples(column, lam):
+    """The scaled data `_witness` reads, each multiple -2 a_j enclosed on its
+    own rather than derived from a_j's enclosure as the spectral core does."""
+    multiples = [combine((-2,), (a,)) for a in column]
+    powers = _endpoint_powers(lam, max(a.degree for a in column))
+    return multiples, column_values(multiples, lam), powers
 
 
 def test_dominant_value_exceeds_one(eigen):
@@ -233,7 +242,7 @@ def test_witness_polynomials_are_the_witness(eigen):
     column = eigen.adjugate_column
     assert max(p.degree for p in (d, b, *n)) <= 10
     assert max(abs(c) for p in (d, b, *n) for c in p.coeffs) <= 6
-    assert eigen.witness_values == tuple(_column_values((d, b, *n), eigen.eigenvalue))
+    assert eigen.witness_values == tuple(column_values((d, b, *n), eigen.eigenvalue))
     assert eigen.witness_values[0][0] > 0  # D(lambda) > 0, so 1 - beta > 0
     # beta = B / 2 a_0 and t_i = N_i / D across lambda's enclosure
     lam = eigen.dominant_value
@@ -244,7 +253,7 @@ def test_witness_polynomials_are_the_witness(eigen):
     # the signs are normalized to D(lambda) > 0: the negated column, whose
     # D, B and N_i all change sign, gives the same witness
     negated = [combine((-1,), (a,)) for a in column]
-    scaled = _scaled_column(negated, eigen.eigenvalue)
+    scaled = enclosed_multiples(negated, eigen.eigenvalue)
     assert _witness(negated, scaled) == (eigen.witness_polynomials, eigen.witness_values)
 
 
@@ -252,7 +261,7 @@ def test_witness_requires_certified_denominator(eigen):
     # a_0 = 1, a_1 = -3: B = 2 and D = 2 a_0 - B = 0, i.e. beta = 1
     column = (IntPoly([1]), IntPoly([-3])) + (IntPoly([0]),) * 9
     with pytest.raises(PrecisionBudgetError, match="D\\(lambda\\)"):
-        _witness(column, _scaled_column(column, eigen.eigenvalue))
+        _witness(column, enclosed_multiples(column, eigen.eigenvalue))
 
 
 def test_eigenvector_rejects_identity():
@@ -342,15 +351,15 @@ def test_oracle_runs_the_spectral_core_once_per_class(monkeypatch):
 
 
 def test_per_class_oracle_matches_a_witness_stage_per_reading():
-    """Each reading's own spectral core and multiples give the assessment
-    that the oracle derives from its class representative."""
+    """Each reading's own spectral core and directly enclosed multiples give
+    the assessment that the oracle derives from its class representative."""
     tol = 10**12
     recomputed = []
     for reading in candidate_readings():
         try:
-            _, column, _, lam, _ = _spectral_core(reading.matrix, tol)
-            witness = _witness_stage(column, _scaled_column(column, lam), lam, tol)[3]
-        except VerificationError as err:
+            _, column, _, lam, _, _ = _spectral_core(reading.matrix, tol)
+            witness = _witness_stage(column, enclosed_multiples(column, lam), lam, tol)[3]
+        except CertificationError as err:
             recomputed.append(CandidateAssessment(reading.name, False, f"no certified data: {err}"))
             continue
         bits = RealEnclosure.over(*lam).hi.denominator.bit_length() + 64
@@ -358,6 +367,47 @@ def test_per_class_oracle_matches_a_witness_stage_per_reading():
     assessments = select_orientation(composite_T()).assessments
     assert len(assessments) == 14
     assert [repr(a) for a in assessments] == [repr(a) for a in recomputed]
+
+
+def test_a_cold_run_encloses_each_spectral_core_once(monkeypatch):
+    # eigensystem(60) and one core per oracle class: each takes the endpoint
+    # powers once, for its column and the multiples -2 a_j alike
+    calls = []
+
+    def counted(lam, degree):
+        calls.append(lam)
+        return _endpoint_powers(lam, degree)
+
+    monkeypatch.setattr(spectral, "_endpoint_powers", counted)
+    clear_spectral_caches()
+    assert run_verification(RunConfig()).verdict
+    assert len(calls) == 3
+
+
+def test_an_undecided_reading_stops_the_oracle(monkeypatch, capsys):
+    # a reading undecided at the oracle's 12 digits is no mismatch: the run
+    # stops with exit 3 and names it, though the other readings still single
+    # out the composite
+    from voljump import cli
+
+    undecided = candidate_readings()[2].name
+    assert undecided != select_orientation(composite_T()).selected
+    stage, calls = spectral._witness_stage, []
+
+    def budget(column, scaled, lam, tol):
+        if tol == 10**12:
+            calls.append(column)
+            if len(calls) == 3:
+                raise PrecisionBudgetError("synthetic")
+        return stage(column, scaled, lam, tol)
+
+    monkeypatch.setattr(spectral, "_witness_stage", budget)
+    with pytest.raises(PrecisionBudgetError) as raised:
+        select_orientation(composite_T())
+    assert str(raised.value) == f"orientation reading {undecided}: synthetic"
+    calls.clear()
+    assert cli.main(["verify"]) == 3
+    assert f"orientation reading {undecided}: synthetic" in capsys.readouterr().err
 
 
 def test_core_failure_of_a_representative_reaches_its_class(monkeypatch):
