@@ -29,12 +29,14 @@ all: the recursion over the sorted patterns (`_canonical_walk`) carries the
 enclosure of the margin numerator down the prefix, one subtraction per
 level, and each leaf is a plain tuple (multiplicities, numerator bounds,
 extreme flag); degrees 1 and 2 take their numerators straight from the
-index subsets.  A row of the reference table is reproduced only when its
-whole margin enclosure lies within the tolerance (`reference.deviations`).
-The report keeps the leaves of the rows it shows, and a
-row (candidate object and margin enclosure) is built on its first read, so
-a run that prints only verdicts builds none.  The facts beyond the margins
-are exact: the line class has margin exactly zero because
+index subsets.  A reference table row is reproduced only when its whole
+margin enclosure lies within the tolerance (`reference.deviations`, the one
+rule for printed data): a row straddling its band's edge, with none wholly
+outside, is undecided (exit 3), as is an ordering pair whose enclosures
+overlap, with none proven out of order.  The report keeps the leaves of the
+rows it shows, and a row (candidate object and margin enclosure) is built on
+its first read, so a run that prints only verdicts builds none.  The facts
+beyond the margins are exact: the line's margin is exactly zero as
 D - N_1 - N_2 - N_3 is the zero polynomial, the square-sum identity
 sum t_i^2 = 1 - 2 beta^2 / (1 - beta)^2 is sum N_i^2 - D^2 + 2 B^2 = 0
 mod s, and bigness follows from L^2 = 2 B^2 / D^2 with B(lambda) != 0.
@@ -408,11 +410,14 @@ def full_report(eigen: EigenSystem) -> NefReport:
         margin = eigen.quotient(leaf[1:3], d_value)
         return MarginRow(CandidateCurve(degree, leaf[0]), margin, exact_zero)
 
-    # the premise of the canonical enumeration below: sorted multiplicities
-    # along the weight order minimize the margin (rearrangement inequality)
-    chain = zip(WEIGHT_ORDER, WEIGHT_ORDER[1:])
-    broken = next(((a, b) for a, b in chain if not n_values[a - 1][0] > n_values[b - 1][1]), None)
-    ordering = broken is None
+    # the premise of the canonical enumeration below: sorted multiplicities along the weight
+    # order minimize the margin (rearrangement inequality); N_a.hi <= N_b.lo proves t_a <= t_b
+    chain = list(zip(WEIGHT_ORDER, WEIGHT_ORDER[1:]))
+    broken = next(((a, b) for a, b in chain if n_values[a - 1][1] <= n_values[b - 1][0]), None)
+    overlap = next(((a, b) for a, b in chain if n_values[a - 1][0] <= n_values[b - 1][1]), None)
+    if broken is None and overlap is not None:
+        raise PrecisionBudgetError("t_{} > t_{} not certified: enclosures overlap".format(*overlap))
+    ordering = overlap is None
     detail = "strict descending chain" if ordering else "t_{} > t_{} not certified".format(*broken)
     record(ORDERING, ordering, detail)
 
@@ -455,7 +460,7 @@ def full_report(eigen: EigenSystem) -> NefReport:
     # degrees 3..6
     summaries: list[DegreeSummary] = []
     table = {(d, a): m for d, a, m in TABLE_MILLI}
-    enclosures, references, extras = [], [], []
+    enclosures, references, names, extras = [], [], [], []
     enumeration_positive = True
     undecided = []  # degrees whose least margin is not certified on the extreme set
     for d in range(3, 7):
@@ -475,6 +480,7 @@ def full_report(eigen: EigenSystem) -> NefReport:
             else:
                 enclosures.append(eigen.grid_quotient(leaf[1:3], d_value))
                 references.append(reference)
+                names.append(f"table row d = {d}, a = {leaf[0]}")
         summaries.append(DegreeSummary(d, len(leaves), minimum, extremes, rows))
     record(
         "degrees 3..6 full enumeration margins positive",
@@ -491,7 +497,7 @@ def full_report(eigen: EigenSystem) -> NefReport:
         ORDERING,
     )
     bits = eigen.grid_bits
-    distances, tolerance, _ = deviations(enclosures, references, TABLE_TOLERANCE_MILLI, bits)
+    distances, tolerance, _ = deviations(enclosures, references, TABLE_TOLERANCE_MILLI, bits, names)
     matched = sum(x <= tolerance for x in distances)
     record(
         "reference table reproduced",

@@ -3,10 +3,13 @@
 The construction under verification comes with rounded reference values: the
 ten coefficients of the nef witness printed to three decimals, their strict
 ordering, and a table of extreme candidate curves with margins.  Both are
-matched on whole enclosures (`deviations`), for two purposes:
+matched on whole enclosures by one rule (`deviations`), which leaves a
+comparison undecided (`PrecisionBudgetError`, exit 3, naming the row) when an
+enclosure straddles its band's edge and none lies wholly outside.  Two uses:
 
 * the witness coefficients are the only data that pins down which reading of
-  the composite map's block notation is intended (the orientation oracle);
+  the composite map's block notation is intended (the orientation oracle and
+  the run's witness line, both through `witness_matches`);
 * the table rows are reproduced, at the stated tolerances, as part of the
   acceptance checks.
 
@@ -16,6 +19,8 @@ hard-coded anywhere; everything except this data is derived at run time.
 Every value is stored as integer thousandths, which `deviations` reads;
 `__getattr__` gives the `Fraction` forms under the names without `_MILLI`.
 """
+
+from .errors import PrecisionBudgetError
 
 #: Rounded coefficients (t_1..t_10) of the nef witness H - sum t_i E_i.
 WITNESS_MILLI = (354, 342, 304, 371, 363, 336, 260, 253, 235, 181)
@@ -89,11 +94,30 @@ def __getattr__(name: str):
     return Fraction(globals()[f"{name}_MILLI"], 1000)
 
 
-def deviations(enclosures, references, tolerance: int, bits: int) -> tuple[list, int, int]:
+def deviations(enclosures, references, tolerance: int, bits: int, names) -> tuple[list, int, int]:
     """Each grid enclosure [lo, hi] / 2^bits's largest distance
     max(r - lo / 2^bits, hi / 2^bits - r) from its reference r, and the
     tolerance, as numerators over 1000 2^bits, from references and tolerance
-    in thousandths: (distances, tolerance, 1000 2^bits)."""
+    in thousandths: (distances, tolerance, 1000 2^bits).  Both are proofs:
+    every enclosure lies in its band, or one lies wholly outside (its largest
+    distance less its width exceeds the tolerance); otherwise the first one
+    outside its band, by its name in `names`, straddles the edge, undecided."""
     bound, *refs = (x << bits for x in (tolerance, *references))
     distances = [max(r - lo * 1000, hi * 1000 - r) for (lo, hi), r in zip(enclosures, refs)]
+    if not any(x - (hi - lo) * 1000 > bound for x, (lo, hi) in zip(distances, enclosures)):
+        name = next((name for name, x in zip(names, distances) if x > bound), None)
+        if name is not None:
+            raise PrecisionBudgetError(f"{name} enclosure straddles its reference band's edge")
     return distances, bound, 1000 << bits
+
+
+def witness_matches(witness, bits: int) -> tuple[bool, str]:
+    """Whether each t_i is within `WITNESS_TOLERANCE_MILLI` of `WITNESS_MILLI[i]`,
+    and why, from numerators (lo, hi) of -t_i over 2^bits (`deviations`)."""
+    t = [(-hi, -lo) for lo, hi in witness]
+    names = [f"t_{i}" for i in range(1, len(t) + 1)]
+    distances, bound, den = deviations(t, WITNESS_MILLI, WITNESS_TOLERANCE_MILLI, bits, names)
+    off = [x for x in distances if x > bound]
+    if not off:
+        return True, f"all coefficients within {max(distances) / den:.2e} of reference"
+    return False, f"coefficient off reference by up to {off[0] / den:.4f}"

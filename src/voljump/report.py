@@ -15,7 +15,7 @@ from .lattice import CANONICAL, GRAM_DIAGONAL, LINE, canonical_class, pair_integ
 from .nefcheck import Certificates, CheckResult, MarginRow, NefReport, full_report
 from .orbit import distinctness, increase_start, ratio_pairs, walk
 from .polynomials import combine
-from .reference import WITNESS_TOLERANCE_MILLI
+from .reference import WITNESS_TOLERANCE_MILLI, witness_matches
 from .spectral import CharpolyFacts, EigenSystem, OrientationReport, eigensystem, select_orientation
 from .transform import apply_integers, verify_isometry
 
@@ -25,7 +25,6 @@ SCHEMA_VERSION = "1"
 class OrbitEvidence(Record):
     horizon: int
     distinct: bool
-    collision: tuple[int, int] | None
     all_self_intersection_minus_two: bool
     all_canonical_degree_zero: bool
     ratio_start: int
@@ -49,7 +48,6 @@ def _orbit_evidence(eigen: EigenSystem, horizon: int) -> OrbitEvidence:
     return OrbitEvidence(
         horizon=horizon,
         distinct=distinct.distinct,
-        collision=distinct.collision,
         all_self_intersection_minus_two=self_ok,
         all_canonical_degree_zero=k_ok,
         ratio_start=start,
@@ -83,7 +81,10 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
     record = checks.record
     eigen = eigensystem(cfg.precision_digits)
     t = eigen.transform
-    record("composite map preserves the intersection form", verify_isometry(t).ok)
+    isometry = verify_isometry(t)
+    defects = [(i, j, x) for i, row in enumerate(isometry.residual or ()) for j, x in enumerate(row) if x]
+    detail = "(M^T G M - G)[{}][{}] = {}".format(*defects[0]) if defects else ""
+    record("composite map preserves the intersection form", isometry.ok, detail)
     record("composite map fixes the canonical class", apply_integers(t, CANONICAL) == CANONICAL)
     det = t.determinant()
     record("composite map is unimodular", det in (-1, 1), f"det = {det}")
@@ -153,7 +154,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         f"sum g_i K_i a_i {'=' if k_zero else '!='} 0 mod s",
     )
 
-    matches, detail = eigen.witness_matches_reference()
+    matches, detail = witness_matches(eigen.witness_numerators, bits)
     record(
         "witness coefficients match the reference decimals",
         matches,

@@ -27,8 +27,8 @@ themselves.  Also hosts the factor data of p (`CharpolyFacts`, whose
 unit-circle count is k roots at 1 plus the count of s) and the orientation
 oracle over the 14 readings of the composite's notation, which runs
 `_spectral_core` once per conjugacy class and the witness stage once per
-reading (`select_orientation`); a reading matches or fails to match only on
-whole enclosures, and is otherwise undecided (`_matches_reference`).
+reading (`select_orientation`), judged by `reference.witness_matches` (the
+one rule for printed data; an undecided reading stops the oracle, exit 3).
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .polynomials import (
     squarefree_circle_count,
     strip_rational_root,
 )
+from .reference import witness_matches
 from .transform import LatticeIsometry, candidate_readings, composite_T
 
 #: Exceptional indices carried by the distinguished line class H - E1 - E2 - E3.
@@ -229,7 +230,6 @@ class EigenSystem(Record):
     """Bundle of certified spectral data for one transform at one precision;
     the enclosures are integer numerators, built into enclosures when read."""
 
-    digits: int
     transform: LatticeIsometry
     polynomial: IntPoly
     adjugate_column: tuple[IntPoly, ...]  # a = adj(xI - T) e_0, eigenvector a(lambda)
@@ -277,10 +277,6 @@ class EigenSystem(Record):
         low = sum(s[0] for s, (lo, hi) in zip(squares, self.eigenvector) if lo > 0 or hi < 0)
         one = 1 << 2 * self.grid_bits
         return one - sum(s[1] for s in squares), one - low, one
-
-    def witness_matches_reference(self) -> tuple[bool, str]:
-        """Whether the nef witness matches the reference, and why (`_matches_reference`)."""
-        return _matches_reference(self.witness_numerators, self.grid_bits)
 
 
 @lru_cache(maxsize=4)
@@ -347,7 +343,7 @@ def eigensystem(digits: int = 60) -> EigenSystem:
         raise ValueError("digits must be positive")
     m, tol = composite_T(), 10**digits
     *core, scaled = _spectral_core(m, tol)
-    return EigenSystem(digits, m, *core, *_witness_stage(core[1], scaled, core[3], tol))
+    return EigenSystem(m, *core, *_witness_stage(core[1], scaled, core[3], tol))
 
 
 class CharpolyFacts(Record):
@@ -406,27 +402,6 @@ class OrientationReport(Record):
     assessments: tuple[CandidateAssessment, ...]
 
 
-def _matches_reference(witness: Sequence[tuple[int, int]], bits: int) -> tuple[bool, str]:
-    """Whether each t_i is within `WITNESS_TOLERANCE_MILLI` of `WITNESS_MILLI[i]`
-    (`reference.deviations`), from numerators (lo, hi) of -t_i over 2^bits.
-
-    Both answers are proofs: every whole enclosure lies in its band, or one
-    lies wholly outside (its nearest distance, the largest less its width,
-    exceeds the tolerance); otherwise one straddles a band edge, undecided.
-    """
-    from .reference import WITNESS_MILLI, WITNESS_TOLERANCE_MILLI, deviations
-
-    t = [(-hi, -lo) for lo, hi in witness]
-    distances, bound, den = deviations(t, WITNESS_MILLI, WITNESS_TOLERANCE_MILLI, bits)
-    off = [x for x in distances if x > bound]
-    if not off:
-        return True, f"all coefficients within {max(distances) / den:.2e} of reference"
-    if not any(x - (hi - lo) * 1000 > bound for x, (lo, hi) in zip(distances, t)):
-        straddling = next(i for i, x in enumerate(distances, 1) if x > bound)
-        raise PrecisionBudgetError(f"t_{straddling} enclosure straddles its reference band's edge")
-    return False, f"coefficient off reference by up to {off[0] / den:.4f}"
-
-
 def select_orientation(t: LatticeIsometry) -> OrientationReport:
     """Evaluate every reading of the composite's notation against the reference.
 
@@ -462,7 +437,7 @@ def select_orientation(t: LatticeIsometry) -> OrientationReport:
             order = sorted(range(RANK), key=q.__getitem__)
             column, *scaled = ([xs[i] for i in order] for xs in (column, multiples, values))
             witness = _witness_stage(column, (*scaled, powers), lam, tol)[3]
-            assessments.append(CandidateAssessment(name, *_matches_reference(witness, _grid_bits(lam))))
+            assessments.append(CandidateAssessment(name, *witness_matches(witness, _grid_bits(lam))))
         except CertificationError as err:
             assessments.append(CandidateAssessment(name, False, f"no certified data: {err}"))
         except PrecisionBudgetError as err:

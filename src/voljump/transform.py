@@ -128,20 +128,14 @@ class IsometryCheck(Record):
 
 def verify_isometry(m: LatticeIsometry) -> IsometryCheck:
     """Check exactly that m preserves the intersection form."""
-    rows = m.rows
-    residual = []
-    ok = True
-    for i in range(RANK):
-        res_row = []
-        for j in range(RANK):
-            # (M^T G M)[i][j] = sum_k M[k][i] * g_k * M[k][j]
-            entry = sum(rows[k][i] * GRAM_DIAGONAL[k] * rows[k][j] for k in range(RANK))
-            expected = GRAM_DIAGONAL[i] if i == j else 0
-            res_row.append(entry - expected)
-            if entry != expected:
-                ok = False
-        residual.append(tuple(res_row))
-    return IsometryCheck(ok, None if ok else tuple(residual))
+    columns = tuple(zip(*m.rows))
+    # (M^T G M - G)[i][j] = sum_k M[k][i] g_k M[k][j] - G[i][j]
+    residual = tuple(
+        tuple(sum(map(mul, ga, b)) - (i == j) * GRAM_DIAGONAL[i] for j, b in enumerate(columns))
+        for i, ga in enumerate([tuple(map(mul, GRAM_DIAGONAL, a)) for a in columns])
+    )
+    ok = not any(map(any, residual))
+    return IsometryCheck(ok, None if ok else residual)
 
 
 def cremona_isometry(c1: int, c2: int, c3: int) -> LatticeIsometry:

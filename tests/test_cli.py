@@ -228,6 +228,23 @@ FORMAT_ERRORS = [
 ]
 
 
+USAGE_MESSAGES = [
+    (["verify", "--o", "5"], "ambiguous option: --o could match --orbit-horizon, --out"),
+    (["enumerate", "--d", "x"], "argument --d: invalid int value in 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_MESSAGES, ids=[" ".join(a) for a, _ in USAGE_MESSAGES])
+def test_a_usage_error_names_what_is_wrong(argv, message, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0].startswith(f"usage: voljump {argv[0]} ")
+    assert err.splitlines()[-1] == f"voljump {argv[0]}: error: {message}"
+
+
 @pytest.mark.parametrize("argv,formats", FORMAT_ERRORS, ids=[" ".join(a) for a, _ in FORMAT_ERRORS])
 def test_a_format_the_command_cannot_print_exits_2(argv, formats, capsys):
     with pytest.raises(SystemExit) as stop:
@@ -615,6 +632,18 @@ def test_nef_verify_checks_its_ordering_premise(monkeypatch, capsys):
     assert "[FAIL] witness coefficient ordering certified (t_5 > t_4 not certified)" in out
 
 
+def test_nef_verify_stops_on_an_overlapping_ordering_pair(monkeypatch, capsys):
+    # N_4's enclosure widened down to N_5's lower end: t_4 > t_5 is neither
+    # proven nor refuted, so the premise is undecided (exit 3), not failed
+    eigen = spectral.eigensystem(60)
+    values = list(eigen.witness_values)  # D, B, N_1..N_10
+    values[5] = (values[6][0], values[5][1])
+    monkeypatch.setattr(spectral, "eigensystem", lambda digits: eigen._replace(witness_values=tuple(values)))
+    code, out, err = run_cli(capsys, "nef-verify")
+    assert (code, out) == (3, "")
+    assert err == "precision too low to decide a certificate: t_4 > t_5 not certified: enclosures overlap\n"
+
+
 def test_corrupted_adjugate_column_fails_self_intersection(monkeypatch, capsys):
     from voljump import report
     from voljump.polynomials import IntPoly
@@ -675,9 +704,23 @@ def test_non_isometric_transform_fails_the_form_certificate(bind_transform, caps
     assert code == 1
     assert "failed: composite map preserves the intersection form" in err
     lines = out.splitlines()
-    assert "[FAIL] composite map preserves the intersection form" in lines
+    assert "[FAIL] composite map preserves the intersection form ((M^T G M - G)[0][1] = 1)" in lines
     assert "[PASS] composite map fixes the canonical class" in lines
     assert lines[-1] == "verdict: fail"
+
+
+def test_a_failed_isometry_names_its_first_nonzero_residual_entry(monkeypatch, capsys):
+    from voljump import report
+    from voljump.transform import IsometryCheck
+
+    residual = [[0] * 11 for _ in range(11)]
+    residual[3][7] = residual[7][3] = -2
+    failing = IsometryCheck(False, tuple(map(tuple, residual)))
+    monkeypatch.setattr(report, "verify_isometry", lambda m: failing)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1
+    assert "failed: composite map preserves the intersection form" in err
+    assert "[FAIL] composite map preserves the intersection form ((M^T G M - G)[3][7] = -2)" in out.splitlines()
 
 
 def test_shifted_reference_coefficient_fails_the_witness_certificate(monkeypatch, capsys):

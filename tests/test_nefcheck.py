@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from voljump import nefcheck
+from voljump import nefcheck, spectral
 from voljump.cli import main
 from voljump.errors import CertificationError, PrecisionBudgetError
 from voljump.nefcheck import (
@@ -31,7 +31,7 @@ from voljump.nefcheck import (
 )
 from voljump.intervals import ClassEnclosure, RealEnclosure
 from voljump.polynomials import IntPoly, combine
-from voljump.reference import TABLE_ROWS, TABLE_TOLERANCE, WEIGHT_ORDER
+from voljump.reference import TABLE_MILLI, TABLE_ROWS, TABLE_TOLERANCE, WEIGHT_ORDER
 
 from helpers import (
     bump_minimum_weight,
@@ -450,6 +450,16 @@ def test_enumeration_lines_fail_when_the_ordering_premise_fails(eigen):
         assert checks[name].detail == f"premise failed: {premise}"
 
 
+def test_the_ordering_line_fails_only_on_a_pair_proven_out_of_order(eigen):
+    # (t_4, t_5) overlap, which alone would leave the premise undecided, but
+    # swapping N_2 and N_6 proves t_2 < t_6: the line fails and names that pair
+    values = list(eigen.witness_values)  # D, B, N_1..N_10
+    values[5] = (values[6][0], values[5][1])
+    values[3], values[7] = values[7], values[3]
+    checks = {c.name: c for c in full_report(eigen._replace(witness_values=tuple(values))).checks}
+    assert (checks[ORDERING].passed, checks[ORDERING].detail) == (False, "t_2 > t_6 not certified")
+
+
 def test_line_class_numerator_is_the_zero_polynomial(eigen, nef):
     d, b, *n = eigen.witness_polynomials
     assert combine((1, -1, -1, -1), (d, *n[:3])) == IntPoly([0])
@@ -724,13 +734,28 @@ def test_rows_are_built_on_first_read_only(monkeypatch, capsys):
     assert len(built) == 106
 
 
-def test_reference_rows_are_decided_on_the_whole_margin_enclosure(eigen):
+def test_reference_rows_are_decided_on_the_whole_margin_enclosure(eigen, monkeypatch, capsys):
     # widening D(lambda)'s enclosure by 0.5% widens every margin to about
     # +-0.02 around nearly the same midpoint: each table row's midpoint stays
-    # within the tolerance, but no row's enclosure does
+    # within the tolerance, but no row's enclosure lies within its band or
+    # wholly outside it, so the table line is undecided and names its first row
     (d_lo, d_hi), *rest = eigen.witness_values
     slack = d_lo // 200
-    report = full_report(eigen._replace(witness_values=((d_lo - slack, d_hi + slack), *rest)))
+    widened = eigen._replace(witness_values=((d_lo - slack, d_hi + slack), *rest))
+    first = "table row d = 3, a = (1, 0, 0, 3, 1, 0, 0, 0, 0, 0)"
+    with pytest.raises(PrecisionBudgetError) as raised:
+        full_report(widened)
+    assert str(raised.value) == f"{first} enclosure straddles its reference band's edge"
+    monkeypatch.setattr(spectral, "eigensystem", lambda digits: widened)
+    assert main(["nef-verify"]) == 3
+    assert capsys.readouterr().err == (
+        f"precision too low to decide a certificate: {first} enclosure straddles its reference band's edge\n"
+    )
+    # one row wholly outside its band (its reference moved by 0.1) decides
+    # the line, and every row is counted on its whole enclosure: none is within
+    moved = ((*TABLE_MILLI[0][:2], TABLE_MILLI[0][2] + 100), *TABLE_MILLI[1:])
+    monkeypatch.setattr(nefcheck, "TABLE_MILLI", moved)
+    report = full_report(widened)
     table = {(d, a): m for d, a, m in TABLE_ROWS}
     rows = [r for s in report.degrees for r in s.extreme_rows
             if (r.candidate.degree, r.candidate.mults) in table]

@@ -16,14 +16,13 @@ from voljump.polynomials import (
     refine_isolated_root,
     strip_rational_root,
 )
-from voljump.reference import WEIGHT_ORDER, WITNESS_COEFFS, WITNESS_TOLERANCE
+from voljump.reference import WEIGHT_ORDER, WITNESS_COEFFS, WITNESS_TOLERANCE, witness_matches
 from voljump.report import run_verification
 from voljump.spectral import (
     CandidateAssessment,
     _dominant_spectrum,
     _eigen_relation,
     _endpoint_powers,
-    _matches_reference,
     _spectral_core,
     _witness,
     _witness_stage,
@@ -363,7 +362,7 @@ def test_per_class_oracle_matches_a_witness_stage_per_reading():
             recomputed.append(CandidateAssessment(reading.name, False, f"no certified data: {err}"))
             continue
         bits = RealEnclosure.over(*lam).hi.denominator.bit_length() + 64
-        recomputed.append(CandidateAssessment(reading.name, *_matches_reference(witness, bits)))
+        recomputed.append(CandidateAssessment(reading.name, *witness_matches(witness, bits)))
     assessments = select_orientation(composite_T()).assessments
     assert len(assessments) == 14
     assert [repr(a) for a in assessments] == [repr(a) for a in recomputed]
@@ -408,6 +407,23 @@ def test_an_undecided_reading_stops_the_oracle(monkeypatch, capsys):
     calls.clear()
     assert cli.main(["verify"]) == 3
     assert f"orientation reading {undecided}: synthetic" in capsys.readouterr().err
+
+
+def test_a_coarse_eigenvalue_leaves_the_eigenvector_undecided(monkeypatch, capsys):
+    # lambda refined only to width 2^-20: the eigenvector's enclosure is wider
+    # than 10^-12, let alone 10^-60, which asks for a finer eigenvalue
+    from voljump import cli
+
+    refine = spectral.refine_bracket
+    monkeypatch.setattr(spectral, "refine_bracket", lambda p, bracket, tol: refine(p, bracket, (1, 1 << 20)))
+    clear_spectral_caches()
+    message = "eigenvector enclosure wider than requested; refine the eigenvalue"
+    for tol in (10**12, 10**60):
+        with pytest.raises(PrecisionBudgetError) as raised:
+            _spectral_core(composite_T(), tol)
+        assert str(raised.value) == message
+    assert cli.main(["verify"]) == 3
+    assert capsys.readouterr().err == f"precision too low to decide a certificate: {message}\n"
 
 
 def test_core_failure_of_a_representative_reaches_its_class(monkeypatch):
