@@ -25,6 +25,7 @@ report module, and only the commands that print JSON or CSV load those.
 
 from __future__ import annotations
 
+import gc
 import io
 import sys
 
@@ -476,5 +477,11 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def entry() -> int:
+    """`main()` as a process: the start-up heap is frozen, so exit's collections skip it."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -28,7 +28,8 @@ which is how the enumeration stays small.  One integer pass decides them
 all: the recursion over the sorted patterns (`_canonical_walk`) carries the
 enclosure of the margin numerator down the prefix, one subtraction per
 level, and each leaf is a plain tuple (multiplicities, numerator bounds,
-extreme flag); degrees 1 and 2 take their numerators straight from the
+extreme flag), decided as the walk emits it and kept only if extreme
+(`_decided_walk`); degrees 1 and 2 take their numerators straight from the
 index subsets.  A reference table row is reproduced only when its whole
 margin enclosure lies within the tolerance (`reference.deviations`, the one
 rule for printed data): a row straddling its band's edge, with none wholly
@@ -166,12 +167,13 @@ def _indicator(indices, value: int = 1) -> tuple[int, ...]:
 
 def _canonical_walk(
     d: int,
+    emit: Callable[[tuple[tuple[int, ...], int, int, bool]], object],
     d_value: tuple[int, int] = (0, 0),
     n_values: Sequence[tuple[int, int]] = ((0, 0),) * 10,
-) -> list[tuple[tuple[int, ...], int, int, bool]]:
+) -> None:
     """Every feasible multiplicity vector of degree d that is nonincreasing
-    along the weight order, as leaves (mults, lo, hi, extreme) in descending
-    order of the sorted pattern.
+    along the weight order, passed to `emit` as leaves (mults, lo, hi,
+    extreme) in descending order of the sorted pattern; the walk keeps none.
 
     [lo, hi] encloses d D(lambda) - sum a_i N_i(lambda), the margin times
     D(lambda), from the enclosures of D(lambda) and N_i(lambda) over one
@@ -183,10 +185,9 @@ def _canonical_walk(
     sq_budget, sum_budget = d * d + 2, 3 * d
     steps = [(index - 1, *n_values[index - 1]) for index in WEIGHT_ORDER]
     mults = [0] * 10
-    leaves: list[tuple[tuple[int, ...], int, int, bool]] = []
 
     # rec takes itself as an argument: a closure cell holding it would make a
-    # reference cycle that keeps `leaves` alive until the cyclic collector runs
+    # reference cycle that keeps `emit` alive until the cyclic collector runs
     def rec(rec, pos: int, prev: int, total: int, square_total: int, lo: int, hi: int) -> None:
         if pos < 10:
             i, n_lo, n_hi = steps[pos]
@@ -196,10 +197,9 @@ def _canonical_walk(
             mults[i] = 0
         # the multiplicities from pos on are zero
         extreme = not _feasible(d, total + 1, square_total + 2 * mults[9] + 1)
-        leaves.append((tuple(mults), lo, hi, extreme))
+        emit((tuple(mults), lo, hi, extreme))
 
     rec(rec, 0, sum_budget, 0, 0, d * d_value[0], d * d_value[1])
-    return leaves
 
 
 def _subset_leaves(
@@ -226,14 +226,18 @@ def enumerate_feasible(d: int) -> list[CandidateCurve]:
     along the weight order (one representative per rearrangement class)."""
     if not 3 <= d <= 6:
         raise ValueError(f"enumeration degree must be in 3..6, got {d}")
-    return [CandidateCurve(d, leaf[0]) for leaf in _canonical_walk(d)]
+    leaves: list = []
+    _canonical_walk(d, leaves.append)
+    return [CandidateCurve(d, leaf[0]) for leaf in leaves]
 
 
 def extreme_candidates(d: int) -> list[CandidateCurve]:
     """Canonical feasible vectors made infeasible by bumping a_10."""
     if not 3 <= d <= 6:
         raise ValueError(f"enumeration degree must be in 3..6, got {d}")
-    return [CandidateCurve(d, leaf[0]) for leaf in _canonical_walk(d) if leaf[3]]
+    leaves: list = []
+    _canonical_walk(d, leaves.append)
+    return [CandidateCurve(d, leaf[0]) for leaf in leaves if leaf[3]]
 
 
 def _degree_one_candidates() -> list[CandidateCurve]:
@@ -390,6 +394,29 @@ def _argmin(leaves):
     return min(leaves, key=lambda leaf: (leaf[1] + leaf[2], leaf[0]))
 
 
+def _decided_walk(d: int, d_value: tuple[int, int], n_values: Sequence[tuple[int, int]]):
+    """Degree d's walk with each leaf decided as `_canonical_walk` emits it and
+    kept only if extreme: (leaf count, the `_argmin` leaf, the extreme leaves,
+    whether every lo > 0, the least lo of a non-extreme leaf or None)."""
+    extremes: list = []
+    count, minimum, key, positive, least_other = 0, None, None, True, None
+
+    def take(leaf):
+        nonlocal count, minimum, key, positive, least_other
+        count += 1
+        leaf_key = (leaf[1] + leaf[2], leaf[0])
+        if key is None or leaf_key < key:
+            minimum, key = leaf, leaf_key
+        positive = positive and leaf[1] > 0
+        if leaf[3]:
+            extremes.append(leaf)
+        elif least_other is None or leaf[1] < least_other:
+            least_other = leaf[1]
+
+    _canonical_walk(d, take, d_value, n_values)
+    return count, minimum, tuple(extremes), positive, least_other
+
+
 def full_report(eigen: EigenSystem) -> NefReport:
     """Run every nef check against one certified eigensystem.
 
@@ -464,14 +491,12 @@ def full_report(eigen: EigenSystem) -> NefReport:
     enumeration_positive = True
     undecided = []  # degrees whose least margin is not certified on the extreme set
     for d in range(3, 7):
-        leaves = _canonical_walk(d, d_value, n_values)
-        extremes = tuple(leaf for leaf in leaves if leaf[3])
-        minimum = _argmin(leaves)
-        if not all(leaf[1] > 0 for leaf in leaves):
-            enumeration_positive = False
+        count, minimum, extremes, positive, least_other = _decided_walk(d, d_value, n_values)
+        enumeration_positive = enumeration_positive and positive
         # on whole enclosures: no other leaf's lo lies below the least extreme hi
-        least = min((leaf[2] for leaf in extremes), default=None)
-        if any(least is None or leaf[1] < least for leaf in leaves if not leaf[3]):
+        if least_other is not None and (
+            not extremes or least_other < min(leaf[2] for leaf in extremes)
+        ):
             undecided.append(d)
         for leaf in extremes:
             reference = table.get((d, leaf[0]))
@@ -481,7 +506,7 @@ def full_report(eigen: EigenSystem) -> NefReport:
                 enclosures.append(eigen.grid_quotient(leaf[1:3], d_value))
                 references.append(reference)
                 names.append(f"table row d = {d}, a = {leaf[0]}")
-        summaries.append(DegreeSummary(d, len(leaves), minimum, extremes, rows))
+        summaries.append(DegreeSummary(d, count, minimum, extremes, rows))
     record(
         "degrees 3..6 full enumeration margins positive",
         enumeration_positive,

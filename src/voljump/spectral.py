@@ -85,8 +85,8 @@ def _endpoint_powers(lam: tuple[int, int, int], degree: int) -> tuple[list[int],
 
     Each term c_k lambda^k lies between c_k A^k/D^k and c_k B^k/D^k; the
     lower bound takes A^k for c_k > 0 and B^k for c_k < 0 (`_enclose`).
-    That needs A > 0, which the callers certify (lambda.lo > 1) in
-    `_spectral_core`.
+    That needs A > 0: `dominant_bracket` isolates lambda on [1, top] and s(1)
+    != 0, so A >= D and lambda > 1 hold for every refinement of it.
     """
     a, b, den = lam
     if not a > 0:
@@ -300,10 +300,6 @@ def _spectral_core(m: LatticeIsometry, tol: int) -> tuple:
     """
     p, column, off_unit, bracket = _exact_core(m)
     lam = refine_bracket(off_unit, bracket, (1, tol * 10**GUARD_DIGITS))
-    if not lam[0] > lam[2]:
-        raise CertificationError(
-            "eigenvalue enclosure must lie strictly above 1 (dominant, not unit root)"
-        )
     powers = _endpoint_powers(lam, max(a.degree for a in column))
     values = [_enclose(a, powers) for a in column]
     if values[0][0] <= 0 <= values[0][1]:

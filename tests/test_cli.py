@@ -620,6 +620,57 @@ def test_verify_passes_with_asserts_stripped():
     assert done.stdout.splitlines()[-1] == "verdict: pass"
 
 
+def test_entry_freezes_once_before_main_and_returns_its_code(monkeypatch):
+    from voljump import cli
+
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+    assert cli.entry() == 7
+    assert calls == ["freeze", "main"]
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    import gc
+
+    frozen = gc.get_freeze_count()
+    assert main(["verify"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_importing_the_cli_freezes_nothing():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = "import gc, voljump.cli; print(gc.get_freeze_count())"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
+
+
+def test_installed_script_is_the_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"voljump": "voljump.cli:entry"}
+
+
+def test_entry_process_writes_what_main_writes(capsys):
+    # the frozen start-up heap and the normal interpreter exit lose no output
+    code, out, _ = run_cli(capsys, "report")
+    assert code == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "voljump.cli", "report"], capture_output=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == out.encode()
+
+
 def test_nef_verify_checks_its_ordering_premise(monkeypatch, capsys):
     from voljump import nefcheck
 

@@ -16,6 +16,7 @@ from voljump.nefcheck import (
     CheckResult,
     MarginRow,
     _canonical_walk,
+    _decided_walk,
     _degree_one_candidates,
     _subset_leaves,
     bigness_certificates,
@@ -501,7 +502,9 @@ def test_extreme_set_minimum_is_decided_on_whole_enclosures(eigen, monkeypatch):
     name = "degrees 3..6 minimum attained on the extreme set"
 
     def line(walks):
-        monkeypatch.setattr(nefcheck, "_canonical_walk", lambda d, d_value, n_values: walks[d])
+        monkeypatch.setattr(
+            nefcheck, "_canonical_walk", lambda d, emit, d_value, n_values: [*map(emit, walks[d])]
+        )
         [check] = [c for c in full_report(eigen).checks if c.name == name]
         return check
 
@@ -582,11 +585,18 @@ def test_bigness_of_the_report_is_exact(eigen, nef):
 # -- the one-pass kernel against the per-candidate reference ----------------------------
 
 
+def walk(d, *values):
+    """The leaves `_canonical_walk` emits, in order."""
+    leaves = []
+    _canonical_walk(d, leaves.append, *values)
+    return leaves
+
+
 @pytest.mark.parametrize("degree", [3, 4, 5, 6])
 def test_canonical_walk_matches_the_per_candidate_reference(eigen, degree):
     d, _, *n = eigen.witness_values
     reference = canonical_candidates(degree)
-    leaves = _canonical_walk(degree, d, n)
+    leaves = walk(degree, d, n)
     assert [leaf[0] for leaf in leaves] == [c.mults for c in reference]
     for (_, lo, hi, extreme), c in zip(leaves, reference):
         assert (lo, hi) == margin_numerator(c, d, n)
@@ -596,6 +606,28 @@ def test_canonical_walk_matches_the_per_candidate_reference(eigen, degree):
     assert extreme_candidates(degree) == [
         c for c, leaf in zip(reference, leaves) if leaf[3]
     ]
+
+
+@pytest.mark.parametrize("case", ["run", 7, 8, "straddling"])
+@pytest.mark.parametrize("degree", [3, 4, 5, 6])
+def test_decided_walk_keeps_what_the_list_of_leaves_gives(eigen, degree, case):
+    # the run's values, wide random ones with either sign, and values that
+    # make every margin enclosure hold 0 (lo <= 0 < hi)
+    d, _, *n = eigen.witness_values
+    if case == "straddling":
+        d, n = (0, 2**90), [(k, 2 * k) for k in range(1, 11)]
+    elif case != "run":
+        rng = random.Random(case)
+        lows = [rng.randrange(-(2**80), 2**80) for _ in range(11)]
+        d, *n = ((lo, lo + rng.randrange(2**80)) for lo in lows)
+    leaves = walk(degree, d, n)
+    assert _decided_walk(degree, d, n) == (
+        len(leaves),
+        nefcheck._argmin(leaves),
+        tuple(leaf for leaf in leaves if leaf[3]),
+        all(leaf[1] > 0 for leaf in leaves),
+        min((leaf[1] for leaf in leaves if not leaf[3]), default=None),
+    )
 
 
 def test_subset_leaves_match_the_per_candidate_reference(eigen):
@@ -639,7 +671,7 @@ def test_subset_leaves_match_the_reference_on_wide_random_values(seed):
 def test_walk_finds_a10_through_the_weight_order(monkeypatch):
     # with a_10 first in the weight order, bumping it never breaks the order
     monkeypatch.setattr(nefcheck, "WEIGHT_ORDER", (10, 4, 5, 1, 2, 6, 3, 7, 8, 9))
-    leaves = _canonical_walk(4)
+    leaves = walk(4)
     assert len(leaves) == 62
     last_differs = False
     for mults, _, _, extreme in leaves:
@@ -701,7 +733,7 @@ def test_walk_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        _canonical_walk(5)
+        _canonical_walk(5, [].append)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -426,6 +426,23 @@ def test_a_coarse_eigenvalue_leaves_the_eigenvector_undecided(monkeypatch, capsy
     assert capsys.readouterr().err == f"precision too low to decide a certificate: {message}\n"
 
 
+def test_the_unrefined_bracket_leaves_the_eigenvector_undecided(monkeypatch, capsys):
+    # lambda's isolating bracket on s starts at 1, and s(1) != 0 puts lambda
+    # above 1 there: unrefined, it is too coarse (exit 3), not a failed certificate
+    from voljump import cli
+
+    _, _, _, bracket = spectral._exact_core(composite_T())
+    assert bracket[0] == bracket[2]
+    monkeypatch.setattr(spectral, "refine_bracket", lambda p, bracket, tol: bracket)
+    clear_spectral_caches()
+    message = "eigenvector enclosure wider than requested; refine the eigenvalue"
+    with pytest.raises(PrecisionBudgetError) as raised:
+        _spectral_core(composite_T(), 10**12)
+    assert str(raised.value) == message
+    assert cli.main(["verify"]) == 3
+    assert capsys.readouterr().err == f"precision too low to decide a certificate: {message}\n"
+
+
 def test_core_failure_of_a_representative_reaches_its_class(monkeypatch):
     one_slot = faddeev_leverrier(cremona_isometry(1, 2, 3) @ exceptional_shift(1))[0]
     spectrum = spectral._dominant_spectrum
