@@ -478,9 +478,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> int:
-    """`main()` as a process: the start-up heap is frozen, so exit's collections skip it."""
+    """`main()` as a process: with the cyclic collector off and the heap frozen
+    at start-up and when `main()` returns, neither the run nor exit collects."""
+    gc.disable()
     gc.freeze()
-    return main()
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

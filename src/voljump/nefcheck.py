@@ -30,20 +30,21 @@ enclosure of the margin numerator down the prefix, one subtraction per
 level, and each leaf is a plain tuple (multiplicities, numerator bounds,
 extreme flag), decided as the walk emits it and kept only if extreme
 (`_decided_walk`); degrees 1 and 2 take their numerators straight from the
-index subsets.  A reference table row is reproduced only when its whole
-margin enclosure lies within the tolerance (`reference.deviations`, the one
-rule for printed data): a row straddling its band's edge, with none wholly
-outside, is undecided (exit 3), as is an ordering pair whose enclosures
-overlap, with none proven out of order.  The report keeps the leaves of the
-rows it shows, and a row (candidate object and margin enclosure) is built on
-its first read, so a run that prints only verdicts builds none.  The facts
-beyond the margins are exact: the line's margin is exactly zero as
-D - N_1 - N_2 - N_3 is the zero polynomial, the square-sum identity
-sum t_i^2 = 1 - 2 beta^2 / (1 - beta)^2 is sum N_i^2 - D^2 + 2 B^2 = 0
-mod s, and bigness follows from L^2 = 2 B^2 / D^2 with B(lambda) != 0.
-The public functions on general witness enclosures (`margin`,
-`check_degree_one`, `cauchy_schwarz_cutoff`, `bigness_certificates`, ...)
-use interval arithmetic instead.
+index subsets (`_subset_leaves`), and the 252 degree-2 leaves go through the
+same decider as they are made, so none is kept but the least.  A reference
+table row is reproduced only when its whole margin enclosure lies within the
+tolerance (`reference.deviations`, the one rule for printed data): a row
+straddling its band's edge, with none wholly outside, is undecided (exit 3),
+as is an ordering pair whose enclosures overlap, with none proven out of
+order.  The report keeps the leaves of the rows it shows, and a row
+(candidate object and margin enclosure) is built on its first read, so a run
+that prints only verdicts builds none.  The facts beyond the margins are
+exact: the line's margin is exactly zero as D - N_1 - N_2 - N_3 is the zero
+polynomial, the square-sum identity sum t_i^2 = 1 - 2 beta^2 / (1 - beta)^2
+is sum N_i^2 - D^2 + 2 B^2 = 0 mod s, and bigness follows from
+L^2 = 2 B^2 / D^2 with B(lambda) != 0.  The public functions on general
+witness enclosures (`margin`, `check_degree_one`, `cauchy_schwarz_cutoff`,
+`bigness_certificates`, ...) use interval arithmetic instead.
 """
 
 from __future__ import annotations
@@ -203,13 +204,17 @@ def _canonical_walk(
 
 
 def _subset_leaves(
-    degree: int, subsets, d_value: tuple[int, int], n_values: Sequence[tuple[int, int]]
-) -> list[tuple[tuple[int, ...], int, int]]:
-    """Leaves (mults, lo, hi) of the classes degree H - sum_{k in s} E_k, one
-    per subset s of 0-based indices, bounds as in `_canonical_walk`: one
-    pass over s sets each multiplicity and lowers both bounds."""
+    degree: int,
+    subsets,
+    emit: Callable[[tuple], None],
+    d_value: tuple[int, int],
+    n_values: Sequence[tuple[int, int]],
+) -> None:
+    """Pass `emit` the leaf (mults, lo, hi, False) of each class
+    degree H - sum_{k in s} E_k, one per subset s of 0-based indices, bounds
+    as in `_canonical_walk` and none extreme: one pass over s sets each
+    multiplicity and lowers both bounds."""
     d_lo, d_hi = degree * d_value[0], degree * d_value[1]
-    leaves = []
     for s in subsets:
         mults, lo, hi = [0] * 10, d_lo, d_hi
         for k in s:
@@ -217,8 +222,7 @@ def _subset_leaves(
             n_lo, n_hi = n_values[k]
             lo -= n_hi
             hi -= n_lo
-        leaves.append((tuple(mults), lo, hi))
-    return leaves
+        emit((tuple(mults), lo, hi, False))
 
 
 def enumerate_feasible(d: int) -> list[CandidateCurve]:
@@ -388,15 +392,10 @@ class NefReport(Record):
         return tuple(self.rows(*x) for x in self.extra_leaves)
 
 
-def _argmin(leaves):
-    """The leaf (mults, lo, hi, ...) of least midpoint numerator, ties broken
-    by the multiplicities."""
-    return min(leaves, key=lambda leaf: (leaf[1] + leaf[2], leaf[0]))
-
-
-def _decided_walk(d: int, d_value: tuple[int, int], n_values: Sequence[tuple[int, int]]):
-    """Degree d's walk with each leaf decided as `_canonical_walk` emits it and
-    kept only if extreme: (leaf count, the `_argmin` leaf, the extreme leaves,
+def _decided_walk(produce: Callable[[Callable[[tuple], None]], None]):
+    """The leaves (mults, lo, hi, extreme) that `produce(emit)` emits, each
+    decided as emitted and kept only if extreme: (leaf count, the leaf of least
+    midpoint numerator, ties broken by the multiplicities, the extreme leaves,
     whether every lo > 0, the least lo of a non-extreme leaf or None)."""
     extremes: list = []
     count, minimum, key, positive, least_other = 0, None, None, True, None
@@ -413,7 +412,7 @@ def _decided_walk(d: int, d_value: tuple[int, int], n_values: Sequence[tuple[int
         elif least_other is None or leaf[1] < least_other:
             least_other = leaf[1]
 
-    _canonical_walk(d, take, d_value, n_values)
+    produce(take)
     return count, minimum, tuple(extremes), positive, least_other
 
 
@@ -450,9 +449,10 @@ def full_report(eigen: EigenSystem) -> NefReport:
 
     # degree <= 1; D - N1 - N2 - N3 = 0 makes the line's margin numerator exactly 0
     line_zero = combine((1, -1, -1, -1), (d_poly, *n_polys[:3])) == IntPoly([0])
-    line_leaf, *lines = _subset_leaves(
-        1, [(0, 1, 2), *itertools.combinations(range(10), 2)], d_value, n_values
-    )
+    leaves: list = []
+    subsets = [(0, 1, 2), *itertools.combinations(range(10), 2)]
+    _subset_leaves(1, subsets, leaves.append, d_value, n_values)
+    line_leaf, *lines = leaves
     record(
         "degree-1 line-class margin is exactly zero",
         line_zero,
@@ -473,16 +473,12 @@ def full_report(eigen: EigenSystem) -> NefReport:
         f"{len(degree_one_leaves) - 1} classes (45 two-point lines, 10 exceptional)",
     )
 
-    # degree 2: conics through five distinct points
-    conics = _subset_leaves(2, itertools.combinations(range(10), 5), d_value, n_values)
-    record(
-        "degree-2 margins positive",
-        all(leaf[1] > 0 for leaf in conics),
-        f"{len(conics)} conic classes",
+    # degree 2: conics through five distinct points, each decided as it is made
+    conics = itertools.combinations(range(10), 5)
+    degree_two_count, degree_two_minimum, _, positive, _ = _decided_walk(
+        lambda emit: _subset_leaves(2, conics, emit, d_value, n_values)
     )
-    # free the 252 leaves before the walks below, where the run's memory peaks
-    degree_two_count, degree_two_minimum = len(conics), _argmin(conics)
-    del conics
+    record("degree-2 margins positive", positive, f"{degree_two_count} conic classes")
 
     # degrees 3..6
     summaries: list[DegreeSummary] = []
@@ -491,7 +487,9 @@ def full_report(eigen: EigenSystem) -> NefReport:
     enumeration_positive = True
     undecided = []  # degrees whose least margin is not certified on the extreme set
     for d in range(3, 7):
-        count, minimum, extremes, positive, least_other = _decided_walk(d, d_value, n_values)
+        count, minimum, extremes, positive, least_other = _decided_walk(
+            lambda emit: _canonical_walk(d, emit, d_value, n_values)
+        )
         enumeration_positive = enumeration_positive and positive
         # on whole enclosures: no other leaf's lo lies below the least extreme hi
         if least_other is not None and (

@@ -19,16 +19,17 @@ denominator of lambda's enclosure (`_endpoint_powers`, `_enclose`), and
 each quotient goes onto a dyadic grid by integer floor and ceiling division
 (`_quotient_on_grid`); none of them is a `Fraction`.  The N_i off the line
 indices are the multiples -2 a_i, enclosed as (-2 hi, -2 lo) of a_i by
-`_spectral_core`; the witness stage builds only D, B and N_1..N_3
-(`_witness_stage`, the one path of `eigensystem` and of every oracle
-reading).  Exact identities mod s (the zero pairings of the eigenvector,
-the square-sum identity of the witness) are decided on the polynomials
-themselves.  Also hosts the factor data of p (`CharpolyFacts`, whose
-unit-circle count is k roots at 1 plus the count of s) and the orientation
-oracle over the 14 readings of the composite's notation, which runs
-`_spectral_core` once per conjugacy class and the witness stage once per
-reading (`select_orientation`), judged by `reference.witness_matches` (the
-one rule for printed data; an undecided reading stops the oracle, exit 3).
+`_spectral_core`; the witness stage builds only D and B, decides the
+signs of D(lambda) and B(lambda), and then N_1..N_3 (`_witness_stage`, the
+one path of `eigensystem` and of every oracle reading).  Exact identities
+mod s (the zero pairings of the eigenvector, the square-sum identity of the
+witness) are decided on the polynomials themselves.  Also hosts the factor
+data of p (`CharpolyFacts`, whose unit-circle count is k roots at 1 plus the
+count of s) and the orientation oracle over the 14 readings of the
+composite's notation, which runs `_spectral_core` once per conjugacy class
+and the witness stage once per reading (`select_orientation`), judged by
+`reference.witness_matches` (the one rule for printed data; an undecided
+reading stops the oracle, exit 3).
 """
 
 from __future__ import annotations
@@ -162,35 +163,39 @@ def _eigen_relation(m: LatticeIsometry, column: Sequence[IntPoly], p: IntPoly) -
 
 
 def _witness(
-    column: Sequence[IntPoly], scaled: tuple
-) -> tuple[tuple[IntPoly, ...], tuple[tuple[int, int], ...]]:
+    column: Sequence[IntPoly], scaled: tuple, bits: int
+) -> tuple[tuple[IntPoly, ...], tuple[tuple[int, int], ...], tuple[int, int]]:
     """The witness polynomials (D, B, N_1, ..., N_10), signed so that
-    D(lambda) > 0 is certified, and their enclosures at lambda over one
-    common denominator, from the column a and its scaled data
-    (`_spectral_core`), both in the column's order.
+    D(lambda) > 0 is certified, their enclosures at lambda over one common
+    denominator, and beta's numerators over 2^bits (`beta`), from the
+    column a and its scaled data (`_spectral_core`), both in the column's order.
 
     With r_i = -a_i / a_0 the dominant class H - sum r_i E_i and
     beta = (r_1 + r_2 + r_3 - 1) / 2, the witness coefficients
     t_i = (r_i - beta l_i) / (1 - beta) are N_i / D: B = -(a_0 + ... + a_3),
     D = 2 a_0 - B and N_i = -2 a_i - B l_i, and beta = B / 2 a_0.  By
-    construction D - N_1 - N_2 - N_3 is the zero polynomial.  Only D, B and
-    N_1..N_3 are built and enclosed here; N_4..N_10 are multiples.
+    construction D - N_1 - N_2 - N_3 is the zero polynomial.  D and B are
+    enclosed and their signs decided (`beta`) before N_1..N_3 are built and
+    enclosed; N_4..N_10 are multiples.
     """
     multiples, multiple_values, powers = scaled
     b = combine((-1, -1, -1, -1), column[:4])
     heads = [combine((2, -1), (column[0], b)), b]
-    heads += [combine((-2, -1), (column[i], b)) for i in _LINE_INDICES]
-    polys = (*heads, *multiples[4:])
-    values = (*(_enclose(p, powers) for p in heads), *multiple_values[4:])
+    values = [_enclose(p, powers) for p in heads]
     d_lo, d_hi = values[0]
     if d_lo <= 0 <= d_hi:
         raise PrecisionBudgetError(
             "D(lambda) = 2 (1 - beta) a_0(lambda) not certified nonzero; refine the eigenvalue"
         )
+    signed = values if d_lo > 0 else [(-hi, -lo) for lo, hi in values]
+    component = beta(*signed, bits)
+    heads += [combine((-2, -1), (column[i], b)) for i in _LINE_INDICES]
+    polys = (*heads, *multiples[4:])
+    values = (*values, *(_enclose(p, powers) for p in heads[2:]), *multiple_values[4:])
     if d_hi < 0:
         polys = tuple(combine((-1,), (p,)) for p in polys)
         values = tuple((-hi, -lo) for lo, hi in values)
-    return polys, values
+    return polys, values, component
 
 
 def beta(d: tuple[int, int], b: tuple[int, int], bits: int) -> tuple[int, int]:
@@ -321,9 +326,8 @@ def _witness_stage(
     """(witness polynomials, their values, numerators over 2^bits
     (`_grid_bits`) of beta and of the nef witness's E_i coefficients -t_i) of
     the column a, with its scaled data (`_spectral_core`) in the same order."""
-    polys, values = _witness(column, scaled)
     bits = _grid_bits(lam)
-    component = beta(values[0], values[1], bits)
+    polys, values, component = _witness(column, scaled, bits)
     # t_i = -N_i / D: the negated quotient
     quotients = (_quotient_on_grid(n, values[0], bits) for n in values[2:])
     witness = tuple((-hi, -lo) for lo, hi in quotients)
@@ -410,10 +414,10 @@ def select_orientation(t: LatticeIsometry) -> OrientationReport:
     has a representative M and a slot permutation q (`candidate_readings`).
     The spectral core, with the multiples -2 a_j and their values, runs once
     per M; M'[q(i)][q(j)] == M[i][j] certifies a'[q(i)] = a[i], so the
-    witness of M' permutes them, and per reading only B', D' and
-    N'_1..N'_3, which read slots 0..3, are built and enclosed.  A reading
-    whose data fail to certify does not match; one undecided at 12 digits
-    raises `PrecisionBudgetError` naming it.
+    witness of M' permutes them.  Per reading only B' and D' are built and
+    enclosed, then N'_1..N'_3 if B'(lambda) > 0 is certified; all of them
+    read slots 0..3.  A reading whose data fail to certify does not match;
+    one undecided at 12 digits raises `PrecisionBudgetError` naming it.
     """
     tol = 10**12
     readings = candidate_readings()

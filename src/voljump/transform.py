@@ -58,11 +58,14 @@ class LatticeIsometry:
     def __matmul__(self, other: "LatticeIsometry") -> "LatticeIsometry":
         product = []
         for row in self.rows:
-            acc = [0] * RANK
+            acc = None  # a row starts from its first term; a 1 takes the other row as is
             for c, other_row in zip(row, other.rows):
                 if c:
-                    acc = [x + c * y for x, y in zip(acc, other_row)]
-            product.append(tuple(acc))
+                    if acc is None:
+                        acc = other_row if c == 1 else [c * y for y in other_row]
+                    else:
+                        acc = [x + c * y for x, y in zip(acc, other_row)]
+            product.append((0,) * RANK if acc is None else tuple(acc))
         # the rows are integer sums of integer rows: no conversion to repeat
         result = object.__new__(LatticeIsometry)
         result.rows = tuple(product)

@@ -620,22 +620,41 @@ def test_verify_passes_with_asserts_stripped():
     assert done.stdout.splitlines()[-1] == "verdict: pass"
 
 
-def test_entry_freezes_once_before_main_and_returns_its_code(monkeypatch):
+def test_entry_freezes_around_main_with_the_collector_off_and_returns_its_code(monkeypatch):
     from voljump import cli
 
     calls = []
+    monkeypatch.setattr(cli.gc, "disable", lambda: calls.append("disable"))
     monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
     assert cli.entry() == 7
-    assert calls == ["freeze", "main"]
+    assert calls == ["disable", "freeze", "main", "freeze"]
 
 
 def test_main_in_process_freezes_nothing(capsys):
     import gc
 
-    frozen = gc.get_freeze_count()
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
     assert main(["verify"]) == 0
-    assert gc.get_freeze_count() == frozen
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+
+
+def test_an_entry_run_starts_no_collection():
+    # collections started while entry() runs `verify`, counted by a callback
+    # registered once the CLI is imported; the last line is their number
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = (
+        "import gc, sys; from voljump.cli import entry; starts = []; "
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info)); "
+        "sys.argv[1:] = ['verify']; code = entry(); print(len(starts)); sys.exit(code)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["verdict: pass", "0"]
 
 
 def test_importing_the_cli_freezes_nothing():

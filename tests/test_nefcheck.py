@@ -609,7 +609,7 @@ def test_canonical_walk_matches_the_per_candidate_reference(eigen, degree):
 
 
 @pytest.mark.parametrize("case", ["run", 7, 8, "straddling"])
-@pytest.mark.parametrize("degree", [3, 4, 5, 6])
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
 def test_decided_walk_keeps_what_the_list_of_leaves_gives(eigen, degree, case):
     # the run's values, wide random ones with either sign, and values that
     # make every margin enclosure hold 0 (lo <= 0 < hi)
@@ -620,27 +620,45 @@ def test_decided_walk_keeps_what_the_list_of_leaves_gives(eigen, degree, case):
         rng = random.Random(case)
         lows = [rng.randrange(-(2**80), 2**80) for _ in range(11)]
         d, *n = ((lo, lo + rng.randrange(2**80)) for lo in lows)
-    leaves = walk(degree, d, n)
-    assert _decided_walk(degree, d, n) == (
+    if degree == 2:
+        # the conics, their leaves built one candidate at a time
+        leaves = [(c.mults, *margin_numerator(c, d, n), False) for c in degree_two_candidates()]
+        assert len(leaves) == 252
+
+        def produce(emit):
+            _subset_leaves(2, itertools.combinations(range(10), 5), emit, d, n)
+    else:
+        leaves = walk(degree, d, n)
+
+        def produce(emit):
+            _canonical_walk(degree, emit, d, n)
+    assert _decided_walk(produce) == (
         len(leaves),
-        nefcheck._argmin(leaves),
+        min(leaves, key=lambda leaf: (leaf[1] + leaf[2], leaf[0])),
         tuple(leaf for leaf in leaves if leaf[3]),
         all(leaf[1] > 0 for leaf in leaves),
         min((leaf[1] for leaf in leaves if not leaf[3]), default=None),
     )
 
 
+def subset_leaves(degree, subsets, d, n):
+    """The leaves `_subset_leaves` emits, as a list."""
+    leaves = []
+    _subset_leaves(degree, subsets, leaves.append, d, n)
+    return leaves
+
+
 def test_subset_leaves_match_the_per_candidate_reference(eigen):
     d, _, *n = eigen.witness_values
     conics = degree_two_candidates()
-    leaves = _subset_leaves(2, itertools.combinations(range(10), 5), d, n)
+    leaves = subset_leaves(2, itertools.combinations(range(10), 5), d, n)
     assert [leaf[0] for leaf in leaves] == [c.mults for c in conics]
-    assert [leaf[1:] for leaf in leaves] == [margin_numerator(c, d, n) for c in conics]
+    assert [leaf[1:] for leaf in leaves] == [(*margin_numerator(c, d, n), False) for c in conics]
     lines = _degree_one_candidates()[:46]
     subsets = [(0, 1, 2)] + list(itertools.combinations(range(10), 2))
-    leaves = _subset_leaves(1, subsets, d, n)
+    leaves = subset_leaves(1, subsets, d, n)
     assert [leaf[0] for leaf in leaves] == [c.mults for c in lines]
-    assert [leaf[1:] for leaf in leaves] == [margin_numerator(c, d, n) for c in lines]
+    assert [leaf[1:] for leaf in leaves] == [(*margin_numerator(c, d, n), False) for c in lines]
     # the exceptional classes E_i: the numerator is N_i itself
     exceptional = _degree_one_candidates()[46:]
     assert [margin_numerator(c, d, n) for c in exceptional] == list(n)
@@ -660,12 +678,14 @@ def test_subset_leaves_match_the_reference_on_wide_random_values(seed):
         (1, [(0, 1, 2), *itertools.combinations(range(10), 2)]),
         (2, list(itertools.combinations(range(10), 5))),
     ):
-        leaves = _subset_leaves(degree, subsets, d, n)
+        leaves = subset_leaves(degree, subsets, d, n)
         reference = [
             CandidateCurve(degree, tuple(int(k in s) for k in range(10))) for s in subsets
         ]
         assert [leaf[0] for leaf in leaves] == [c.mults for c in reference]
-        assert [leaf[1:] for leaf in leaves] == [margin_numerator(c, d, n) for c in reference]
+        assert [leaf[1:] for leaf in leaves] == [
+            (*margin_numerator(c, d, n), False) for c in reference
+        ]
 
 
 def test_walk_finds_a10_through_the_weight_order(monkeypatch):

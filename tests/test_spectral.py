@@ -22,6 +22,7 @@ from voljump.spectral import (
     CandidateAssessment,
     _dominant_spectrum,
     _eigen_relation,
+    _enclose,
     _endpoint_powers,
     _spectral_core,
     _witness,
@@ -253,14 +254,58 @@ def test_witness_polynomials_are_the_witness(eigen):
     # D, B and N_i all change sign, gives the same witness
     negated = [combine((-1,), (a,)) for a in column]
     scaled = enclosed_multiples(negated, eigen.eigenvalue)
-    assert _witness(negated, scaled) == (eigen.witness_polynomials, eigen.witness_values)
+    assert _witness(negated, scaled, eigen.grid_bits) == (
+        eigen.witness_polynomials,
+        eigen.witness_values,
+        eigen.line_numerators,
+    )
 
 
 def test_witness_requires_certified_denominator(eigen):
     # a_0 = 1, a_1 = -3: B = 2 and D = 2 a_0 - B = 0, i.e. beta = 1
     column = (IntPoly([1]), IntPoly([-3])) + (IntPoly([0]),) * 9
     with pytest.raises(PrecisionBudgetError, match="D\\(lambda\\)"):
-        _witness(column, enclosed_multiples(column, eigen.eigenvalue))
+        _witness(column, enclosed_multiples(column, eigen.eigenvalue), eigen.grid_bits)
+
+
+def test_the_witness_stage_decides_d_and_b_before_building_n(eigen, monkeypatch):
+    # the errors and their order are D's budget error, then beta's; a column
+    # that fails either encloses D and B only, none of N_1..N_3
+    s, lam, tol = eigen.off_unit_factor, eigen.eigenvalue, 10**12
+    one, zero = IntPoly([1]), IntPoly([0])
+    enclosed = []
+
+    def counted(p, powers):
+        enclosed.append(p)
+        return _enclose(p, powers)
+
+    monkeypatch.setattr(spectral, "_enclose", counted)
+    # a_0 = s - 1, a_1 = 3 - s: B = -2 < 0 and D = 2 s, whose enclosure holds 0
+    column = (combine((1, -1), (s, one)), combine((-1, 3), (s, one)), *(zero,) * 9)
+    with pytest.raises(PrecisionBudgetError) as raised:
+        _witness_stage(column, enclosed_multiples(column, lam), lam, tol)
+    assert str(raised.value) == (
+        "D(lambda) = 2 (1 - beta) a_0(lambda) not certified nonzero; refine the eigenvalue"
+    )
+    assert len(enclosed) == 2
+    # a_0 = 1: B = -1 < 0 < D = 3, and negated, D = -3 < 0 < B = 1, signed as D > 0
+    for a_0 in (1, -1):
+        enclosed.clear()
+        column = (IntPoly([a_0]), *(zero,) * 10)
+        with pytest.raises(CertificationError) as raised:
+            _witness_stage(column, enclosed_multiples(column, lam), lam, tol)
+        assert str(raised.value) == "line component outside (0, 1): B(lambda) < 0 < D(lambda)"
+        assert len(enclosed) == 2
+
+
+def test_the_oracle_assessments_are_pinned():
+    # SHA-256 of the 14 assessments (names, verdicts, details) as computed
+    # when every reading built N'_1..N'_3 before its sign checks
+    assessments = select_orientation(composite_T()).assessments
+    assert len(assessments) == 14
+    assert sum(a.detail.endswith("B(lambda) < 0 < D(lambda)") for a in assessments) == 8
+    digest = hashlib.sha256(repr(assessments).encode()).hexdigest()
+    assert digest == "5da1f5d64f263887d99d59a33d2eec28080fd0beb1b80236dc64ec00fcdc9d00"
 
 
 def test_eigenvector_rejects_identity():

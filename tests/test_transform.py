@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -168,3 +169,46 @@ def test_power_matches_repeated_products():
         acc = acc @ t
     with pytest.raises(ValueError):
         t.power(-1)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_product_equals_the_triple_sum(seed):
+    # random entries with a unit row, a -1 row, a row with one non-unit entry
+    # and an all-zero row on either side; the rows of a product of tuples
+    # are tuples whichever way they start
+    rng = random.Random(seed)
+
+    def matrix():
+        entries = (0, 0, 0, 1, -1, rng.randint(-9, 9))
+        rows = [[rng.choice(entries) for _ in range(11)] for _ in range(11)]
+        special = rng.sample(range(11), 4)
+        rows[special[0]] = [0] * 11
+        rows[special[0]][rng.randrange(11)] = 1
+        rows[special[1]] = [0] * 11
+        rows[special[1]][rng.randrange(11)] = -1
+        rows[special[2]] = [0] * 11
+        rows[special[2]][rng.randrange(11)] = rng.choice((2, -3, 7))
+        rows[special[3]] = [0] * 11
+        return LatticeIsometry(rows)
+
+    for _ in range(5):
+        a, b = matrix(), matrix()
+        expected = tuple(
+            tuple(sum(a.rows[i][k] * b.rows[k][j] for k in range(11)) for j in range(11))
+            for i in range(11)
+        )
+        product = a @ b
+        assert product.rows == expected
+        assert all(type(row) is tuple for row in product.rows)
+    assert (a @ LatticeIsometry.identity()).rows == a.rows
+    assert (LatticeIsometry.identity() @ a).rows == a.rows
+
+
+def test_the_readings_are_pinned():
+    # SHA-256 of the composite's rows and of each reading's name, matrix and
+    # representative matrix, as computed by summing into zero rows
+    matrices = [composite_T().rows] + [
+        (r.name, r.matrix.rows, r.base.rows) for r in candidate_readings()
+    ]
+    digest = hashlib.sha256(repr(matrices).encode()).hexdigest()
+    assert digest == "a6a31f6fd1ab76f7a7508d6d6e6abf4e42c001ca81ecc7327821a60a3e1d5d18"
