@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import gc
 import io
+import os
 import sys
 
 from .config import KEY_FIELDS, ConfigError, RunConfig, resolve_config
@@ -478,13 +479,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> int:
-    """`main()` as a process: with the cyclic collector off and the heap frozen
-    at start-up and when `main()` returns, neither the run nor exit collects."""
+    """`main()` as a process: the collector off, and `os._exit` once stdout and stderr flush."""
     gc.disable()
-    gc.freeze()
     code = main()
-    gc.freeze()
-    return code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

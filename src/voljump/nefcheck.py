@@ -7,7 +7,7 @@ follows the construction's case split:
 * d = 1: only the distinguished line (margin exactly zero by construction)
   and lines through at most two of the points occur as curves; the degree-0
   exceptional classes are checked alongside.
-* d = 2: only conics through five of the points occur (252 index quintuples).
+* d = 2: only conics through five points occur; the five largest t_i decide.
 * 3 <= d <= 6: adjunction and canonical-degree bounds
   (sum a_i^2 <= d^2 + 2, sum a_i <= 3d) leave finitely many multiplicity
   vectors; all of them are checked, not just the extreme ones.
@@ -30,8 +30,8 @@ enclosure of the margin numerator down the prefix, one subtraction per
 level, and each leaf is a plain tuple (multiplicities, numerator bounds,
 extreme flag), decided as the walk emits it and kept only if extreme
 (`_decided_walk`); degrees 1 and 2 take their numerators straight from the
-index subsets (`_subset_leaves`), and the 252 degree-2 leaves go through the
-same decider as they are made, so none is kept but the least.  A reference
+index subsets (`_subset_leaves`), and two leaves, at the five largest N_k,
+decide all 252 conics (`_conics`).  A reference
 table row is reproduced only when its whole margin enclosure lies within the
 tolerance (`reference.deviations`, the one rule for printed data): a row
 straddling its band's edge, with none wholly outside, is undecided (exit 3),
@@ -52,7 +52,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Sequence
 from functools import cache
-from math import isqrt
+from math import comb, isqrt
 
 from .errors import CertificationError, PrecisionBudgetError, Record
 from .intervals import ClassEnclosure, RealEnclosure, decimal_string
@@ -416,6 +416,16 @@ def _decided_walk(produce: Callable[[Callable[[tuple], None]], None]):
     return count, minimum, tuple(extremes), positive, least_other
 
 
+def _conics(d_value: tuple[int, int], n_values: Sequence[tuple[int, int]]) -> tuple:
+    """`_decided_walk`'s count, minimum and "every lo > 0" of the 252 conics, from two leaves: lo
+    falls with sum_S N_k.hi, lo + hi with sum_S (N_k.lo + N_k.hi); ties go to the least mults."""
+    weights = ([hi for _, hi in n_values], [lo + hi for lo, hi in n_values])
+    top = [sorted(range(10), key=lambda k: (w[k], k))[5:] for w in weights]
+    leaves: list = []
+    _subset_leaves(2, top, leaves.append, d_value, n_values)
+    return comb(10, 5), leaves[1], leaves[0][1] > 0
+
+
 def full_report(eigen: EigenSystem) -> NefReport:
     """Run every nef check against one certified eigensystem.
 
@@ -473,11 +483,8 @@ def full_report(eigen: EigenSystem) -> NefReport:
         f"{len(degree_one_leaves) - 1} classes (45 two-point lines, 10 exceptional)",
     )
 
-    # degree 2: conics through five distinct points, each decided as it is made
-    conics = itertools.combinations(range(10), 5)
-    degree_two_count, degree_two_minimum, _, positive, _ = _decided_walk(
-        lambda emit: _subset_leaves(2, conics, emit, d_value, n_values)
-    )
+    # degree 2: conics through five distinct points, decided by two of them
+    degree_two_count, degree_two_minimum, positive = _conics(d_value, n_values)
     record("degree-2 margins positive", positive, f"{degree_two_count} conic classes")
 
     # degrees 3..6

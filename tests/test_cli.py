@@ -620,15 +620,56 @@ def test_verify_passes_with_asserts_stripped():
     assert done.stdout.splitlines()[-1] == "verdict: pass"
 
 
-def test_entry_freezes_around_main_with_the_collector_off_and_returns_its_code(monkeypatch):
+class Stream:
+    """A stand-in for stdout or stderr that logs its flushes, or fails them."""
+
+    def __init__(self, name, calls, error=None):
+        self.name, self.calls, self.error = name, calls, error
+
+    def flush(self):
+        self.calls.append(f"flush {self.name}")
+        if self.error:
+            raise self.error
+
+
+def test_entry_flushes_then_ends_the_process_with_mains_code(monkeypatch):
     from voljump import cli
 
     calls = []
     monkeypatch.setattr(cli.gc, "disable", lambda: calls.append("disable"))
     monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
-    assert cli.entry() == 7
-    assert calls == ["disable", "freeze", "main", "freeze"]
+    monkeypatch.setattr(cli.sys, "stdout", Stream("stdout", calls))
+    monkeypatch.setattr(cli.sys, "stderr", Stream("stderr", calls))
+    monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(f"_exit {code}"))
+    cli.entry()
+    assert calls == ["disable", "main", "flush stdout", "flush stderr", "_exit 7"]
+
+
+def test_entry_returns_the_code_when_a_flush_fails(monkeypatch):
+    # the normal exit then retries the flush and reports its failure
+    from voljump import cli
+
+    calls = []
+    monkeypatch.setattr(cli.gc, "disable", lambda: None)
+    monkeypatch.setattr(cli, "main", lambda: 5)
+    monkeypatch.setattr(cli.sys, "stdout", Stream("stdout", calls, BrokenPipeError(32, "x")))
+    monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(f"_exit {code}"))
+    assert cli.entry() == 5
+    assert calls == ["flush stdout"]
+
+
+def test_entry_lets_a_system_exit_from_main_through(monkeypatch):
+    from voljump import cli
+
+    calls = []
+    monkeypatch.setattr(cli.gc, "disable", lambda: None)
+    monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(code))
+    monkeypatch.setattr(cli.sys, "argv", ["voljump", "--help"])
+    with pytest.raises(SystemExit) as excinfo:
+        cli.entry()
+    assert excinfo.value.code == 0
+    assert calls == []
 
 
 def test_main_in_process_freezes_nothing(capsys):
@@ -645,10 +686,13 @@ def test_an_entry_run_starts_no_collection():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    # entry() ends the process by os._exit, so the probe's stand-in prints the
+    # count and then ends it
     probe = (
-        "import gc, sys; from voljump.cli import entry; starts = []; "
+        "import gc, os, sys; from voljump.cli import entry; starts = []; "
         "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info)); "
-        "sys.argv[1:] = ['verify']; code = entry(); print(len(starts)); sys.exit(code)"
+        "end = os._exit; os._exit = lambda code: (print(len(starts), flush=True), end(code)); "
+        "sys.argv[1:] = ['verify']; entry()"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=300
@@ -677,7 +721,7 @@ def test_installed_script_is_the_entry():
 
 
 def test_entry_process_writes_what_main_writes(capsys):
-    # the frozen start-up heap and the normal interpreter exit lose no output
+    # ending the process by os._exit loses no output
     code, out, _ = run_cli(capsys, "report")
     assert code == 0
     src = Path(__file__).resolve().parent.parent / "src"
@@ -688,6 +732,51 @@ def test_entry_process_writes_what_main_writes(capsys):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == out.encode()
+
+
+def cli_process(*argv, stdout=subprocess.PIPE):
+    """`python -m voljump.cli ARGV` on this checkout's sources, output as bytes,
+    with stdout block-buffered as a pipe's is by default."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env.pop("VOLJUMP_CONFIG", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "voljump.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=300,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["nef-verify"], ["verify", "--orbit-horizon", "3"], ["report", "--out", "{}"]],
+    ids=" ".join,
+)
+def test_entry_process_matches_main_in_process(argv, tmp_path, capsys):
+    # stdout, stderr, exit code and the --out file's bytes of a process that
+    # ends by os._exit are those of main() run in this process
+    code, out, err = run_cli(capsys, *(a.format(tmp_path / "main.out") for a in argv))
+    done = cli_process(*(a.format(tmp_path / "process.out") for a in argv))
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
+    if "--out" in argv:
+        assert (tmp_path / "process.out").read_bytes() == (tmp_path / "main.out").read_bytes()
+    if argv[-1] == "3":
+        assert code == 1 and "[FAIL]" in out
+
+
+def test_a_closed_stdout_pipe_exits_2():
+    # the report is larger than stdout's buffer, so main()'s write meets the
+    # closed pipe and fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = cli_process("report", stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert b"voljump report: error: cannot write stdout" in done.stderr
+    assert b"Traceback" not in done.stderr
 
 
 def test_nef_verify_checks_its_ordering_premise(monkeypatch, capsys):

@@ -8,7 +8,9 @@ class is read by another statement of `src`, by a frozen test file or by the
 benchmark.  And every certificate line is built in `Certificates.record`, which
 settles its premises, so no line can bypass that rule.  And no module catches
 `VerificationError` or anything wider, so an undecided value
-(`PrecisionBudgetError`) cannot become a verdict."""
+(`PrecisionBudgetError`) cannot become a verdict.  And no module imports
+`atexit` or `threading`: the CLI process ends by `os._exit` once its output is
+flushed, which runs no exit handler and waits for no thread."""
 
 import ast
 from pathlib import Path
@@ -232,3 +234,36 @@ def test_wide_handler_guard_sees_every_form():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_catches_an_undecided_value(path):
     assert wide_handlers(path.read_text(encoding="utf-8")) == []
+
+
+EXIT_BOUND = {"atexit", "threading"}
+
+
+def exit_bound_imports(source: str) -> list[str]:
+    """The modules of `EXIT_BOUND` a module's source imports, in any form."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [name for name in names if name.partition(".")[0] in EXIT_BOUND]
+    return found
+
+
+def test_exit_guard_sees_every_form():
+    source = (
+        "import atexit\nimport os, threading as t\nfrom threading import Thread\n"
+        "from atexit import register\nfrom . import threading\nimport sys\n"
+        "def f():\n    import atexit\n"
+    )
+    assert exit_bound_imports(source) == [
+        "atexit", "threading", "threading", "atexit", "atexit"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_atexit_or_threading(path):
+    assert exit_bound_imports(path.read_text(encoding="utf-8")) == []

@@ -16,6 +16,7 @@ from voljump.nefcheck import (
     CheckResult,
     MarginRow,
     _canonical_walk,
+    _conics,
     _decided_walk,
     _degree_one_candidates,
     _subset_leaves,
@@ -639,6 +640,23 @@ def test_decided_walk_keeps_what_the_list_of_leaves_gives(eigen, degree, case):
         all(leaf[1] > 0 for leaf in leaves),
         min((leaf[1] for leaf in leaves if not leaf[3]), default=None),
     )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_conics_give_what_the_252_decided_leaves_give(seed):
+    # bounds from small ranges, so that the fifth-largest N_k.hi and
+    # N_k.lo + N_k.hi often tie and "every lo > 0" goes either way
+    rng = random.Random(seed)
+
+    def bounds(low, high):
+        lo = rng.randrange(low, high)
+        return lo, lo + rng.randrange(5)
+
+    d, n = bounds(8, 20), [bounds(-1, 6) for _ in range(10)]
+    count, minimum, _, positive, _ = _decided_walk(
+        lambda emit: _subset_leaves(2, itertools.combinations(range(10), 5), emit, d, n)
+    )
+    assert _conics(d, n) == (count, minimum, positive)
 
 
 def subset_leaves(degree, subsets, d, n):
