@@ -111,7 +111,7 @@ def _print_help(command: str | None):
     lines = [_usage(command), "", description]
     for title, entries in sections.items():
         lines += ["", f"{title}:"] + [f"  {name:<{width}}{text}" for name, text in entries]
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit(command, "\n".join(lines) + "\n", None)
     raise SystemExit(0)
 
 
@@ -184,12 +184,17 @@ def _parse_args(argv: list[str]) -> tuple[str, dict]:
     return command, values
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as handle:
-            handle.write(text)
+def _emit(command: str | None, text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout and flush it: failing is a usage error."""
+    try:
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(out, "w") as handle:
+                handle.write(text)
+    except OSError as err:
+        _usage_error(command, f"cannot write {out or 'stdout'}: {err.strerror or err}")
 
 
 def _json_text(payload, indent: int | None = 2) -> str:
@@ -471,19 +476,19 @@ def main(argv: list[str] | None = None) -> int:
     except CertificationError as err:
         print(f"certificate failure: {err}", file=sys.stderr)
         return 1
-    try:
-        _emit(text, args["out"])
-    except OSError as err:
-        _usage_error(command, f"cannot write {args['out'] or 'stdout'}: {err.strerror or err}")
+    _emit(command, text, args["out"])
     return code
 
 
 def entry() -> int:
-    """`main()` as a process: the collector off, and `os._exit` once stdout and stderr flush."""
+    """`main()` as a process: the collector off, and `os._exit` with main's or its
+    `SystemExit`'s code once stderr flushes (`_emit` flushed stdout, or failed to)."""
     gc.disable()
-    code = main()
     try:
-        sys.stdout.flush()
+        code = main()
+    except SystemExit as stop:
+        code = stop.code
+    try:
         sys.stderr.flush()
     except OSError:
         return code

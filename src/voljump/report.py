@@ -90,7 +90,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
     record("composite map is unimodular", det in (-1, 1), f"det = {det}")
 
     try:
-        orientation = select_orientation(t)
+        orientation = select_orientation(eigen)
     except CertificationError as err:
         orientation = OrientationReport("", ())
         record("orientation oracle selects the fixed composite", False, str(err))

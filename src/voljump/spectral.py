@@ -5,10 +5,9 @@ polynomial p and the column a(x) = adj(xI - T) e_0 of integer polynomials
 -> the factorization p = (x - 1)^k s with s(1) != 0: gcd(s, s') = 1 proves
 s squarefree, and the dominant eigenvalue lambda is isolated on s itself
 (`_dominant_spectrum`) -> the eigen-relation (xI - T) a = p e_0 as
-polynomials.  None of that depends on the precision, so `_exact_core`
-computes it once per matrix per run.  Per precision, lambda is refined on
-its isolating bracket (`refine_bracket`: integer Newton steps only
-guess the cell, two exact signs certify it) -> the normalized dominant
+polynomials -> lambda refined to the precision on its isolating bracket
+(`refine_bracket`: integer Newton steps only guess the cell, two exact
+signs certify it), all in `_spectral_core` -> the normalized dominant
 eigenvector a(lambda) / a_0(lambda) -> the nef witness as integer
 polynomials of the column: with B = -(a_0 + a_1 + a_2 + a_3),
 D = 2 a_0 - B and N_i = -2 a_i - B l_i (l_i = 1 on the line indices 1..3),
@@ -26,10 +25,10 @@ mod s (the zero pairings of the eigenvector, the square-sum identity of the
 witness) are decided on the polynomials themselves.  Also hosts the factor
 data of p (`CharpolyFacts`, whose unit-circle count is k roots at 1 plus the
 count of s) and the orientation oracle over the 14 readings of the
-composite's notation, which runs `_spectral_core` once per conjugacy class
-and the witness stage once per reading (`select_orientation`), judged by
-`reference.witness_matches` (the one rule for printed data; an undecided
-reading stops the oracle, exit 3).
+composite's notation, which reads the run's core for its matrix's class,
+runs `_spectral_core` once for the other and the witness stage once per
+reading (`select_orientation`), judged by `reference.witness_matches` (the
+one rule for printed data; an undecided reading stops the oracle, exit 3).
 """
 
 from __future__ import annotations
@@ -232,8 +231,8 @@ def line_pairing_identity_certified(r: ClassEnclosure) -> bool:
 
 
 class EigenSystem(Record):
-    """Bundle of certified spectral data for one transform at one precision;
-    the enclosures are integer numerators, built into enclosures when read."""
+    """Certified spectral data of one transform at one precision: fields 1..6 are its
+    `_spectral_core`; enclosures are integer numerators, built into enclosures when read."""
 
     transform: LatticeIsometry
     polynomial: IntPoly
@@ -241,6 +240,7 @@ class EigenSystem(Record):
     off_unit_factor: IntPoly  # s, with lambda a certified simple root
     eigenvalue: tuple[int, int, int]  # lambda in [lo, hi] / den
     eigenvector: tuple[tuple[int, int], ...]  # a_i(lambda) / a_0(lambda) = -r_i, i = 1..10
+    scaled_column: tuple  # -2 a_j, their enclosures, the endpoint powers (`_spectral_core`)
     witness_polynomials: tuple[IntPoly, ...]  # (D, B, N_1..N_10), D(lambda) > 0
     witness_values: tuple[tuple[int, int], ...]  # their enclosures, one denominator
     line_numerators: tuple[int, int]  # beta, over 2^grid_bits as below
@@ -284,26 +284,18 @@ class EigenSystem(Record):
         return one - sum(s[1] for s in squares), one - low, one
 
 
-@lru_cache(maxsize=4)
-def _exact_core(m: LatticeIsometry) -> tuple:
-    """(p, a, s, lambda's isolating bracket) of m, with the eigen-relation: the
-    precision-free half of `_spectral_core`, once per matrix per run."""
+def _spectral_core(m: LatticeIsometry, tol: int) -> tuple:
+    """`EigenSystem`'s fields 1..6 for m, from the integer pass on: p, a, s,
+    lambda, the eigenvector at most 1 / tol wide, and the scaled data
+    `_witness` reads (the multiples -2 a_j, their enclosures (-2 hi, -2 lo)
+    from a_j's, the endpoint powers).  A conjugate Q m Q^T permutes a, the
+    vector and the multiples.  a_0(lambda) != 0 is certified by its
+    enclosure; each a_i(lambda) / a_0(lambda) goes onto the grid by floor
+    and ceiling division, its width compared there.
+    """
     p, column = faddeev_leverrier(m)
     off_unit, bracket = _dominant_spectrum(p)
     _eigen_relation(m, column, p)
-    return p, column, off_unit, bracket
-
-
-def _spectral_core(m: LatticeIsometry, tol: int) -> tuple:
-    """(p, a, s, lambda, eigenvector) of m as `EigenSystem` keeps them, the
-    eigenvector at most 1 / tol wide, and the scaled data `_witness` reads:
-    the multiples -2 a_j, their enclosures (-2 hi, -2 lo) from a_j's, the
-    endpoint powers.  A conjugate Q m Q^T permutes a, the vector and the
-    multiples.  a_0(lambda) != 0 is certified by its enclosure; each
-    a_i(lambda) / a_0(lambda) goes onto the grid by floor and ceiling
-    division, its width compared there.
-    """
-    p, column, off_unit, bracket = _exact_core(m)
     lam = refine_bracket(off_unit, bracket, (1, tol * 10**GUARD_DIGITS))
     powers = _endpoint_powers(lam, max(a.degree for a in column))
     values = [_enclose(a, powers) for a in column]
@@ -342,8 +334,8 @@ def eigensystem(digits: int = 60) -> EigenSystem:
     if digits < 1:
         raise ValueError("digits must be positive")
     m, tol = composite_T(), 10**digits
-    *core, scaled = _spectral_core(m, tol)
-    return EigenSystem(m, *core, *_witness_stage(core[1], scaled, core[3], tol))
+    core = _spectral_core(m, tol)
+    return EigenSystem(m, *core, *_witness_stage(core[1], core[5], core[3], tol))
 
 
 class CharpolyFacts(Record):
@@ -402,24 +394,26 @@ class OrientationReport(Record):
     assessments: tuple[CandidateAssessment, ...]
 
 
-def select_orientation(t: LatticeIsometry) -> OrientationReport:
+def select_orientation(eigen: EigenSystem) -> OrientationReport:
     """Evaluate every reading of the composite's notation against the reference.
 
     Exactly one candidate must reproduce the reference witness coefficients,
-    and it must be t, the run's matrix (`eigensystem`'s transform); anything
-    else is a certification failure.  The 14 readings form 2 conjugacy classes: with
+    and it must be the run's matrix t = `eigen.transform`; anything else is a
+    certification failure.  The 14 readings form 2 conjugacy classes: with
     S_k = exceptional_shift(k), a @ b = b^-1 (b @ a) b, cremona(8, 9, 10) =
     S_7 cremona(1, 2, 3) S_7^-1, and the reversal E_i -> E_(11-i) swaps the
     Cremona slot sets and turns S_k into S_-k.  From these, each reading M'
     has a representative M and a slot permutation q (`candidate_readings`).
-    The spectral core, with the multiples -2 a_j and their values, runs once
-    per M; M'[q(i)][q(j)] == M[i][j] certifies a'[q(i)] = a[i], so the
-    witness of M' permutes them.  Per reading only B' and D' are built and
-    enclosed, then N'_1..N'_3 if B'(lambda) > 0 is certified; all of them
-    read slots 0..3.  A reading whose data fail to certify does not match;
-    one undecided at 12 digits raises `PrecisionBudgetError` naming it.
+    The class of M = t reads the run's spectral core (`eigen`, at the run's
+    precision), the other runs `_spectral_core` once at 12 digits, each with
+    the multiples -2 a_j and their values; M'[q(i)][q(j)] == M[i][j]
+    certifies a'[q(i)] = a[i], so the witness of M' permutes them.  Per
+    reading only B' and D' are built and enclosed, then N'_1..N'_3 if
+    B'(lambda) > 0 is certified; all read slots 0..3, and widths are asked
+    at 12 digits.  A reading whose data fail to certify does not match; an
+    undecided one raises `PrecisionBudgetError` naming it.
     """
-    tol = 10**12
+    tol, t = 10**12, eigen.transform
     readings = candidate_readings()
     classes: dict[str, tuple] = {}
     assessments: list[CandidateAssessment] = []
@@ -431,7 +425,7 @@ def select_orientation(t: LatticeIsometry) -> OrientationReport:
             raise CertificationError(f"conjugator of {name} does not carry {rep} to it")
         try:
             if rep not in classes:
-                classes[rep] = _spectral_core(base, tol)
+                classes[rep] = eigen[1:7] if base == t else _spectral_core(base, tol)  # the run's core
             _, column, _, lam, _, (multiples, values, powers) = classes[rep]
             # the column of M' is a'[q(i)] = a[i], and so are its multiples
             order = sorted(range(RANK), key=q.__getitem__)

@@ -4,6 +4,8 @@ from voljump import spectral
 from voljump.nefcheck import full_report
 from voljump.spectral import eigensystem
 
+from helpers import clear_run_caches
+
 
 @pytest.fixture(scope="session")
 def eigen():
@@ -20,16 +22,13 @@ def nef(eigen):
 def bind_transform(monkeypatch):
     """bind(m) makes m the run's matrix at its one binding, `spectral.composite_T`.
 
-    The spectral caches are cleared before and after: a cached eigensystem of
-    either matrix would otherwise reach the other's run.
+    The caches are cleared before and after: a cached eigensystem of either
+    matrix would otherwise reach the other's run.
     """
-    caches = (spectral.eigensystem, spectral._exact_core)
 
     def bind(m):
-        for cached in caches:
-            cached.cache_clear()
+        clear_run_caches()
         monkeypatch.setattr(spectral, "composite_T", lambda: m)
 
     yield bind
-    for cached in caches:
-        cached.cache_clear()
+    clear_run_caches()

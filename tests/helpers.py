@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 from fractions import Fraction
 from importlib import resources
 from math import isqrt, lcm
@@ -18,6 +19,16 @@ from voljump.spectral import _enclose, _endpoint_powers
 def load_schema() -> dict:
     """The packaged JSON schema of the report."""
     return json.loads(resources.files("voljump.schemas").joinpath("report-v1.json").read_text())
+
+
+def clear_run_caches() -> None:
+    """Empty every `functools` cache of the loaded voljump modules, as a fresh
+    process starts without them."""
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "voljump":
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 def hyperplane() -> DivisorClass:

@@ -14,7 +14,7 @@ from voljump.polynomials import poly_gcd
 from voljump.reference import TABLE_ROWS, TABLE_TOLERANCE
 from voljump.transform import composite_T
 
-from helpers import load_schema
+from helpers import clear_run_caches, load_schema
 
 
 def run_cli(capsys, *argv):
@@ -432,13 +432,10 @@ def test_verify_passes(capsys):
 def test_verify_computes_each_squarefree_part_once(monkeypatch, capsys):
     # from cold caches, as in a fresh process: gcd(s, s') of the off-unit
     # factor s once for each of the oracle's two distinct char polys
-    # (the oracle reuses eigensystem(60)'s exact core of the composite, its
+    # (the oracle reads eigensystem(60)'s core for the composite, its
     # shift+3 representative), then the mirror gcd(s, reverse s) of the unit-circle
     # count; a gcd layer gcd(p, p') of the degree-11 p would show as (11, 10)
-    for cached in (
-        spectral._exact_core, spectral.eigensystem, transform.composite_T, polynomials.cyclotomic
-    ):
-        cached.cache_clear()
+    clear_run_caches()
     calls = []
 
     def counted(a, b):
@@ -633,6 +630,7 @@ class Stream:
 
 
 def test_entry_flushes_then_ends_the_process_with_mains_code(monkeypatch):
+    # main() has flushed stdout, in `_emit`; stdout is not flushed again
     from voljump import cli
 
     calls = []
@@ -643,7 +641,7 @@ def test_entry_flushes_then_ends_the_process_with_mains_code(monkeypatch):
     monkeypatch.setattr(cli.sys, "stderr", Stream("stderr", calls))
     monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(f"_exit {code}"))
     cli.entry()
-    assert calls == ["disable", "main", "flush stdout", "flush stderr", "_exit 7"]
+    assert calls == ["disable", "main", "flush stderr", "_exit 7"]
 
 
 def test_entry_returns_the_code_when_a_flush_fails(monkeypatch):
@@ -653,23 +651,26 @@ def test_entry_returns_the_code_when_a_flush_fails(monkeypatch):
     calls = []
     monkeypatch.setattr(cli.gc, "disable", lambda: None)
     monkeypatch.setattr(cli, "main", lambda: 5)
-    monkeypatch.setattr(cli.sys, "stdout", Stream("stdout", calls, BrokenPipeError(32, "x")))
+    monkeypatch.setattr(cli.sys, "stderr", Stream("stderr", calls, BrokenPipeError(32, "x")))
     monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(f"_exit {code}"))
     assert cli.entry() == 5
-    assert calls == ["flush stdout"]
+    assert calls == ["flush stderr"]
 
 
-def test_entry_lets_a_system_exit_from_main_through(monkeypatch):
+def test_entry_ends_the_process_with_a_system_exits_code(monkeypatch, capsys):
+    # --help and usage errors end the process as main()'s return does
     from voljump import cli
 
     calls = []
     monkeypatch.setattr(cli.gc, "disable", lambda: None)
     monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(code))
-    monkeypatch.setattr(cli.sys, "argv", ["voljump", "--help"])
-    with pytest.raises(SystemExit) as excinfo:
+    for argv, code in (["--help"], 0), (["verify", "--help"], 0), (["bogus"], 2):
+        calls.clear()
+        monkeypatch.setattr(cli.sys, "argv", ["voljump", *argv])
         cli.entry()
-    assert excinfo.value.code == 0
-    assert calls == []
+        assert calls == [code]
+        out, err = capsys.readouterr()
+        assert (out if code == 0 else err).startswith("usage: voljump")
 
 
 def test_main_in_process_freezes_nothing(capsys):
@@ -734,14 +735,16 @@ def test_entry_process_writes_what_main_writes(capsys):
     assert done.stdout == out.encode()
 
 
-def cli_process(*argv, stdout=subprocess.PIPE):
+def cli_process(*argv, stdout=subprocess.PIPE, unbuffered=False):
     """`python -m voljump.cli ARGV` on this checkout's sources, output as bytes,
-    with stdout block-buffered as a pipe's is by default."""
+    with stdout block-buffered as a pipe's is by default, or unbuffered."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     env.pop("VOLJUMP_CONFIG", None)
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, "-m", "voljump.cli", *argv],
         stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=300,
@@ -765,18 +768,27 @@ def test_entry_process_matches_main_in_process(argv, tmp_path, capsys):
         assert code == 1 and "[FAIL]" in out
 
 
-def test_a_closed_stdout_pipe_exits_2():
-    # the report is larger than stdout's buffer, so main()'s write meets the
-    # closed pipe and fails
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["nef-verify"], ["dump-matrix"], ["report"], ["--help"], ["verify", "--help"]],
+    ids=" ".join,
+)
+def test_a_closed_stdout_pipe_exits_2(argv, unbuffered):
+    # the report is larger than stdout's buffer, the other texts fit it: each
+    # meets the closed pipe in `_emit`'s write or flush, and the process ends
+    # without flushing stdout again
     read, write = os.pipe()
     os.close(read)
     try:
-        done = cli_process("report", stdout=write)
+        done = cli_process(*argv, stdout=write, unbuffered=unbuffered)
     finally:
         os.close(write)
+    prog = " ".join(["voljump", *argv[:1]]) if argv[0] != "--help" else "voljump"
     assert done.returncode == 2
-    assert b"voljump report: error: cannot write stdout" in done.stderr
+    assert done.stderr.splitlines()[-1].startswith(f"{prog}: error: cannot write stdout: ".encode())
     assert b"Traceback" not in done.stderr
+    assert b"Exception ignored" not in done.stderr
 
 
 def test_nef_verify_checks_its_ordering_premise(monkeypatch, capsys):

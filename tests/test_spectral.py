@@ -40,7 +40,7 @@ from voljump.transform import (
     exceptional_shift,
 )
 
-from helpers import column_values
+from helpers import clear_run_caches, column_values
 
 WIDTH_BOUND = Fraction(1, 10**30)
 
@@ -300,12 +300,14 @@ def test_the_witness_stage_decides_d_and_b_before_building_n(eigen, monkeypatch)
 
 def test_the_oracle_assessments_are_pinned():
     # SHA-256 of the 14 assessments (names, verdicts, details) as computed
-    # when every reading built N'_1..N'_3 before its sign checks
-    assessments = select_orientation(composite_T()).assessments
-    assert len(assessments) == 14
-    assert sum(a.detail.endswith("B(lambda) < 0 < D(lambda)") for a in assessments) == 8
-    digest = hashlib.sha256(repr(assessments).encode()).hexdigest()
-    assert digest == "5da1f5d64f263887d99d59a33d2eec28080fd0beb1b80236dc64ec00fcdc9d00"
+    # when every reading built N'_1..N'_3 before its sign checks and every
+    # class was read at 12 digits; the composite's class is read at the run's
+    for digits in (20, 60, 400):
+        assessments = select_orientation(spectral.eigensystem(digits)).assessments
+        assert len(assessments) == 14
+        assert sum(a.detail.endswith("B(lambda) < 0 < D(lambda)") for a in assessments) == 8
+        digest = hashlib.sha256(repr(assessments).encode()).hexdigest()
+        assert digest == "5da1f5d64f263887d99d59a33d2eec28080fd0beb1b80236dc64ec00fcdc9d00"
 
 
 def test_eigenvector_rejects_identity():
@@ -327,8 +329,8 @@ def test_spectrum_rejects_repeated_roots_beyond_unit():
     assert refine_isolated_root(s, Fraction(a, den), Fraction(b, den), Fraction(1, 10**6)).contains(3)
 
 
-def test_orientation_oracle_selects_fixed_composite():
-    report = select_orientation(composite_T())
+def test_orientation_oracle_selects_fixed_composite(eigen):
+    report = select_orientation(eigen)
     assert [a.name for a in report.assessments if a.matches] == [report.selected]
     assert "shift+3" in report.selected
     # both cycle-notation readings (one-slot rotations) fail the oracle
@@ -363,12 +365,6 @@ def test_conjugators_transfer_the_adjugate_column():
         assert faddeev_leverrier(matrix) == (p, tuple(permuted))
 
 
-def clear_spectral_caches():
-    """Cold caches, as in a fresh process."""
-    for cached in (spectral._exact_core, spectral.eigensystem, composite_T):
-        cached.cache_clear()
-
-
 def test_oracle_runs_the_spectral_core_once_per_class(monkeypatch):
     calls = []
 
@@ -377,26 +373,35 @@ def test_oracle_runs_the_spectral_core_once_per_class(monkeypatch):
         return faddeev_leverrier(m)
 
     monkeypatch.setattr(spectral, "faddeev_leverrier", counted)
-    clear_spectral_caches()
-    select_orientation(composite_T())
+    clear_run_caches()
     representatives = [
-        cremona_isometry(1, 2, 3) @ exceptional_shift(1),
         cremona_isometry(1, 2, 3) @ exceptional_shift(3),
+        cremona_isometry(1, 2, 3) @ exceptional_shift(1),
     ]
+    # the shift+3 representative is the composite itself: its class reads
+    # the system's core, and the oracle runs the shift+1 class's alone
+    assert representatives[0] == composite_T()
+    eigen = spectral.eigensystem(60)
+    assert calls == representatives[:1]
+    select_orientation(eigen)
     assert calls == representatives
     # a whole verification run adds no pass: the run binds its matrix in
-    # eigensystem(60) first, and the oracle reuses that exact core for its
-    # shift+3 representative, the composite itself
-    assert representatives[1] == composite_T()
+    # eigensystem(60) first, and the oracle reads that system
     calls.clear()
-    clear_spectral_caches()
+    clear_run_caches()
     assert run_verification(RunConfig()).verdict
+    assert calls == representatives
+    # a system of neither representative leaves the oracle both classes
+    calls.clear()
+    with pytest.raises(CertificationError, match="differs from the fixed composite"):
+        select_orientation(eigen._replace(transform=LatticeIsometry.identity()))
     assert calls == representatives[::-1]
 
 
-def test_per_class_oracle_matches_a_witness_stage_per_reading():
-    """Each reading's own spectral core and directly enclosed multiples give
-    the assessment that the oracle derives from its class representative."""
+def test_per_class_oracle_matches_a_witness_stage_per_reading(eigen):
+    """Each reading's own spectral core at 12 digits and directly enclosed
+    multiples give the assessment that the oracle derives from its class
+    representative, the composite's class at the run's 60 digits."""
     tol = 10**12
     recomputed = []
     for reading in candidate_readings():
@@ -408,50 +413,65 @@ def test_per_class_oracle_matches_a_witness_stage_per_reading():
             continue
         bits = RealEnclosure.over(*lam).hi.denominator.bit_length() + 64
         recomputed.append(CandidateAssessment(reading.name, *witness_matches(witness, bits)))
-    assessments = select_orientation(composite_T()).assessments
+    assessments = select_orientation(eigen).assessments
     assert len(assessments) == 14
     assert [repr(a) for a in assessments] == [repr(a) for a in recomputed]
 
 
-def test_a_cold_run_encloses_each_spectral_core_once(monkeypatch):
-    # eigensystem(60) and one core per oracle class: each takes the endpoint
-    # powers once, for its column and the multiples -2 a_j alike
+def test_a_cold_run_encloses_each_spectral_core_once(monkeypatch, capsys):
+    # eigensystem(60), whose core the oracle reads for the composite's class,
+    # and the oracle's core of the shift+1 class at its 12 digits: each runs
+    # one integer pass and one refinement, and takes the endpoint powers
+    # once, for its column and the multiples -2 a_j alike
+    from voljump import cli
+
     calls = []
 
-    def counted(lam, degree):
-        calls.append(lam)
-        return _endpoint_powers(lam, degree)
+    def count(name):
+        kernel = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name, lambda *args: calls.append((name, args)) or kernel(*args))
 
-    monkeypatch.setattr(spectral, "_endpoint_powers", counted)
-    clear_spectral_caches()
-    assert run_verification(RunConfig()).verdict
-    assert len(calls) == 3
+    for name in ("faddeev_leverrier", "refine_bracket", "_endpoint_powers"):
+        count(name)
+    clear_run_caches()
+    assert cli.main(["verify"]) == 0
+    assert capsys.readouterr().out.endswith("verdict: pass\n")
+    assert [name for name, _ in calls] == ["faddeev_leverrier", "refine_bracket", "_endpoint_powers"] * 2
+    one_slot = cremona_isometry(1, 2, 3) @ exceptional_shift(1)
+    assert [calls[0][1], calls[3][1]] == [(composite_T(),), (one_slot,)]
+    guard = 10**spectral.GUARD_DIGITS
+    assert [calls[1][1][2], calls[4][1][2]] == [(1, 10**60 * guard), (1, 10**12 * guard)]
+    assert calls[2][1][0] == spectral.eigensystem(60).eigenvalue
 
 
 def test_an_undecided_reading_stops_the_oracle(monkeypatch, capsys):
-    # a reading undecided at the oracle's 12 digits is no mismatch: the run
-    # stops with exit 3 and names it, though the other readings still single
-    # out the composite
+    # a reading undecided by the oracle is no mismatch: the run stops with
+    # exit 3 and names it, though the other readings still single out the
+    # composite; this one is in the composite's class, so it is decided on
+    # the run's core, at the run's 60 digits
     from voljump import cli
 
-    undecided = candidate_readings()[2].name
-    assert undecided != select_orientation(composite_T()).selected
+    eigen = spectral.eigensystem(60)
+    undecided = candidate_readings()[2]
+    assert undecided.base == eigen.transform
+    assert undecided.name != select_orientation(eigen).selected
     stage, calls = spectral._witness_stage, []
 
     def budget(column, scaled, lam, tol):
-        if tol == 10**12:
-            calls.append(column)
+        if tol == 10**12:  # the oracle's, not eigensystem(60)'s
+            calls.append(lam)
             if len(calls) == 3:
                 raise PrecisionBudgetError("synthetic")
         return stage(column, scaled, lam, tol)
 
     monkeypatch.setattr(spectral, "_witness_stage", budget)
     with pytest.raises(PrecisionBudgetError) as raised:
-        select_orientation(composite_T())
-    assert str(raised.value) == f"orientation reading {undecided}: synthetic"
+        select_orientation(eigen)
+    assert str(raised.value) == f"orientation reading {undecided.name}: synthetic"
+    assert calls[2] == eigen.eigenvalue
     calls.clear()
     assert cli.main(["verify"]) == 3
-    assert f"orientation reading {undecided}: synthetic" in capsys.readouterr().err
+    assert f"orientation reading {undecided.name}: synthetic" in capsys.readouterr().err
 
 
 def test_a_coarse_eigenvalue_leaves_the_eigenvector_undecided(monkeypatch, capsys):
@@ -461,7 +481,7 @@ def test_a_coarse_eigenvalue_leaves_the_eigenvector_undecided(monkeypatch, capsy
 
     refine = spectral.refine_bracket
     monkeypatch.setattr(spectral, "refine_bracket", lambda p, bracket, tol: refine(p, bracket, (1, 1 << 20)))
-    clear_spectral_caches()
+    clear_run_caches()
     message = "eigenvector enclosure wider than requested; refine the eigenvalue"
     for tol in (10**12, 10**60):
         with pytest.raises(PrecisionBudgetError) as raised:
@@ -476,10 +496,10 @@ def test_the_unrefined_bracket_leaves_the_eigenvector_undecided(monkeypatch, cap
     # above 1 there: unrefined, it is too coarse (exit 3), not a failed certificate
     from voljump import cli
 
-    _, _, _, bracket = spectral._exact_core(composite_T())
+    _, bracket = _dominant_spectrum(faddeev_leverrier(composite_T())[0])
     assert bracket[0] == bracket[2]
     monkeypatch.setattr(spectral, "refine_bracket", lambda p, bracket, tol: bracket)
-    clear_spectral_caches()
+    clear_run_caches()
     message = "eigenvector enclosure wider than requested; refine the eigenvalue"
     with pytest.raises(PrecisionBudgetError) as raised:
         _spectral_core(composite_T(), 10**12)
@@ -488,7 +508,7 @@ def test_the_unrefined_bracket_leaves_the_eigenvector_undecided(monkeypatch, cap
     assert capsys.readouterr().err == f"precision too low to decide a certificate: {message}\n"
 
 
-def test_core_failure_of_a_representative_reaches_its_class(monkeypatch):
+def test_core_failure_of_a_representative_reaches_its_class(monkeypatch, eigen):
     one_slot = faddeev_leverrier(cremona_isometry(1, 2, 3) @ exceptional_shift(1))[0]
     spectrum = spectral._dominant_spectrum
     seen = []
@@ -500,10 +520,10 @@ def test_core_failure_of_a_representative_reaches_its_class(monkeypatch):
         return spectrum(p)
 
     monkeypatch.setattr(spectral, "_dominant_spectrum", failing)
-    # a cached exact core would bypass the patched spectrum
-    clear_spectral_caches()
-    report = select_orientation(composite_T())
-    assert one_slot in seen
+    report = select_orientation(eigen)
+    # the composite's class reads the system; the shift+1 core fails and is
+    # not kept, so each of its class's 8 readings runs it again
+    assert seen == [one_slot] * 8
     assert "shift+3" in report.selected
     one_slot_class = [a for a in report.assessments if "shift+1" in a.name or "shift-1" in a.name]
     assert len(one_slot_class) == 8
@@ -511,7 +531,7 @@ def test_core_failure_of_a_representative_reaches_its_class(monkeypatch):
 
 
 @pytest.mark.parametrize("q", [(0,) * 11, (1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10)])
-def test_conjugator_must_be_a_slot_permutation_fixing_h(monkeypatch, q):
+def test_conjugator_must_be_a_slot_permutation_fixing_h(monkeypatch, q, eigen):
     # every entry of the all-ones matrix is 1, so any q passes the
     # index-permuted equality; the oracle must still reject a q that is no
     # permutation, or one that moves slot 0
@@ -519,7 +539,7 @@ def test_conjugator_must_be_a_slot_permutation_fixing_h(monkeypatch, q):
     readings = [Reading("a", ones, "a", ones, tuple(range(11))), Reading("b", ones, "a", ones, q)]
     monkeypatch.setattr(spectral, "candidate_readings", lambda: readings)
     with pytest.raises(CertificationError, match="conjugator of b does not carry a to it"):
-        select_orientation(composite_T())
+        select_orientation(eigen)
 
 
 #: SHA-256 of what the frozen API reads of `eigensystem(d)`, computed before
