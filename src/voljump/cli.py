@@ -4,13 +4,12 @@ Exit codes: 0 all certificates pass, 1 a certificate failed, 2 usage or
 configuration error, 3 working precision too low to decide a certificate.
 
 The parser reads the command table `COMMANDS`: each command's handler, help
-line, output formats, the config-file keys of `config.KEY_FIELDS` it reads
-and its own options.  Its flags are those keys (so a flag is cast and
-validated as its file key is), `--format`, `--config`, `--out` and its own
-options; any other flag is an unrecognized argument, while a config file,
-which serves every command, may set every key, and a command ignores those
-it does not read.  A format the command does not list, from the flag or the
-config file, is a configuration error.  An option is written `--opt VALUE`
+line, output formats, the settings of `SETTINGS` it reads and its own
+options.  Its flags are those settings, `--format`, `--out` and its own
+options; any other flag is an unrecognized argument.  The parser casts each
+value and checks it against the option's choices, so a format the command
+does not list is a usage error; `main` builds the run's one `RunConfig` from
+the values and checks its ranges.  An option is written `--opt VALUE`
 or `--opt=VALUE`, by its name or any unique prefix of it; a repeated option
 keeps its last value; `-h`/`--help` prints usage and options on stdout and
 exits 0.  Every usage and configuration error goes through `_usage_error`:
@@ -30,7 +29,7 @@ import io
 import os
 import sys
 
-from .config import KEY_FIELDS, ConfigError, RunConfig, resolve_config
+from .config import ConfigError, RunConfig
 from .errors import CertificationError, PrecisionBudgetError
 
 
@@ -54,27 +53,32 @@ class Option:
 
 
 HELP = Option("--help", None, "show this help message and exit", nargs=0)
-COMMON = tuple(Option(f"--{key}", *spec[2:]) for key, spec in KEY_FIELDS.items()) + (
-    Option("--config", "PATH", "key=value config file (default: $VOLJUMP_CONFIG)"),
-    Option("--out", "PATH", "write output to a file instead of stdout"),
-)
+#: The common options that set a `RunConfig` field, by that field.
+SETTINGS = {
+    "precision_digits": Option("--precision-digits", "N", "working precision (>= 20, default 60)",
+                               cast=int),
+    "orbit_horizon": Option("--orbit-horizon", "N", "orbit length (default 50)", cast=int),
+    "output_format": Option("--format", "FMT", "output format"),  # each command lists its own
+    "table_digits": Option("--tol-digits", "N", "decimal digits for displayed values", cast=int),
+}
+COMMON = (*SETTINGS.values(), Option("--out", "PATH", "write output to a file instead of stdout"))
 
 
 class Command:
     """A `COMMANDS` entry: `run(args, cfg)` returns the output text and exit
     code in `cfg.output_format`, one of `formats` (the first by default);
-    `keys` are the config keys it reads, `format` among them; `options` are
-    the common ones for those keys, `--format` listing `formats`, `--config`
-    and `--out`, then its own."""
+    `keys` name the settings it reads besides the format; `options` are the
+    common ones for those keys, `--format` choosing among `formats`, and
+    `--out`, then its own."""
 
-    __slots__ = ("run", "help", "formats", "keys", "options")
+    __slots__ = ("run", "help", "options")
 
     def __init__(self, run, help, formats: tuple[str, ...], keys: tuple[str, ...],
                  *options: Option):
-        self.run, self.help, self.formats, self.keys = run, help, formats, keys + ("format",)
-        listed, names = ", ".join(formats), self.keys + ("config", "out")
+        self.run, self.help, names = run, help, keys + ("format", "out")
         self.options = tuple(
-            Option(o.name, o.metavar, f"{o.help}: {listed}") if o.name == "--format" else o
+            Option(o.name, o.metavar, f"{o.help}: {', '.join(formats)}", choices=formats,
+                   default=formats[0]) if o.name == "--format" else o
             for o in COMMON if o.name[2:] in names
         ) + options
 
@@ -126,7 +130,8 @@ def _is_option(word: str) -> bool:
 
 def _parse_args(argv: list[str]) -> tuple[str, dict]:
     """The command and its option values, keyed by option name without
-    `--`; options not given hold their defaults (None for a common one)."""
+    `--`; options not given hold their defaults (the command's first format
+    for `--format`, None for the other common ones)."""
     command, options, values, unknown = None, (HELP,), {}, []
     i = 0
     while i < len(argv):
@@ -464,10 +469,10 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     command, args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        spec = COMMANDS[command]
-        flags = {key: args[key] for key in spec.keys if args[key] is not None}
-        cfg = resolve_config(flags, spec.keys, config_path=args["config"], formats=spec.formats)
-        text, code = spec.run(args, cfg)
+        given = {field: args.get(option.name[2:]) for field, option in SETTINGS.items()}
+        cfg = RunConfig(**{field: value for field, value in given.items() if value is not None})
+        cfg.validate()
+        text, code = COMMANDS[command].run(args, cfg)
     except ConfigError as err:
         _usage_error(command, str(err))
     except PrecisionBudgetError as err:

@@ -410,8 +410,9 @@ def select_orientation(eigen: EigenSystem) -> OrientationReport:
     certifies a'[q(i)] = a[i], so the witness of M' permutes them.  Per
     reading only B' and D' are built and enclosed, then N'_1..N'_3 if
     B'(lambda) > 0 is certified; all read slots 0..3, and widths are asked
-    at 12 digits.  A reading whose data fail to certify does not match; an
-    undecided one raises `PrecisionBudgetError` naming it.
+    at 12 digits.  A reading whose data fail to certify does not match, and a
+    class core that fails to certify fails each reading of its class with
+    the same error; an undecided one raises `PrecisionBudgetError` naming it.
     """
     tol, t = 10**12, eigen.transform
     readings = candidate_readings()
@@ -425,8 +426,14 @@ def select_orientation(eigen: EigenSystem) -> OrientationReport:
             raise CertificationError(f"conjugator of {name} does not carry {rep} to it")
         try:
             if rep not in classes:
-                classes[rep] = eigen[1:7] if base == t else _spectral_core(base, tol)  # the run's core
-            _, column, _, lam, _, (multiples, values, powers) = classes[rep]
+                try:  # the class of t reads the run's core
+                    classes[rep] = eigen[1:7] if base == t else _spectral_core(base, tol)
+                except CertificationError as err:
+                    classes[rep] = err  # kept: the class's later readings fail with it
+            core = classes[rep]
+            if isinstance(core, CertificationError):
+                raise core
+            _, column, _, lam, _, (multiples, values, powers) = core
             # the column of M' is a'[q(i)] = a[i], and so are its multiples
             order = sorted(range(RANK), key=q.__getitem__)
             column, *scaled = ([xs[i] for i in order] for xs in (column, multiples, values))

@@ -10,7 +10,8 @@ settles its premises, so no line can bypass that rule.  And no module catches
 `VerificationError` or anything wider, so an undecided value
 (`PrecisionBudgetError`) cannot become a verdict.  And no module imports
 `atexit` or `threading`: the CLI process ends by `os._exit` once its output is
-flushed, which runs no exit handler and waits for no thread."""
+flushed, which runs no exit handler and waits for no thread.  And no module
+reads the environment: a run's settings are its command-line flags alone."""
 
 import ast
 from pathlib import Path
@@ -267,3 +268,37 @@ def test_exit_guard_sees_every_form():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_atexit_or_threading(path):
     assert exit_bound_imports(path.read_text(encoding="utf-8")) == []
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """The environment reads of a module's source: `os.environ`, `os.environb`,
+    `os.getenv` (or `getenvb`) as attributes, and those names imported from
+    `os`, as `line: read` in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            found.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" and not node.level:
+            found += [(node.lineno, f"from os import {a.name}") for a in node.names
+                      if a.name in ENVIRONMENT]
+    return [f"{line}: {read}" for line, read in sorted(found)]
+
+
+def test_environment_guard_sees_every_form():
+    source = (
+        "import os\nos.environ.get('A')\nx = os.getenv('B')\ny = os.environb\n"
+        "from os import environ, getenv, path\nfrom os import getenv as g\n"
+        "from . import os\nos.path.join('a', 'b')\n"
+    )
+    assert environment_reads(source) == [
+        "2: .environ", "3: .getenv", "4: .environb",
+        "5: from os import environ", "5: from os import getenv", "6: from os import getenv",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
