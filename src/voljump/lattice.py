@@ -101,22 +101,9 @@ def canonical_class() -> DivisorClass:
     return DivisorClass(CANONICAL)
 
 
-def line_through(i: int, j: int, k: int) -> DivisorClass:
-    """The class H - E_i - E_j - E_k of a line through three of the points."""
-    if len({i, j, k}) != 3:
-        raise ValueError(f"indices must be pairwise distinct, got ({i}, {j}, {k})")
-    for idx in (i, j, k):
-        if not 1 <= idx <= 10:
-            raise ValueError(f"index out of range 1..10: {idx}")
-    coeffs = [1] + [0] * 10
-    for idx in (i, j, k):
-        coeffs[idx] = -1
-    return DivisorClass(coeffs)
-
-
 def standard_line() -> DivisorClass:
     """The distinguished line class H - E1 - E2 - E3 (self-intersection -2)."""
-    return line_through(1, 2, 3)
+    return DivisorClass(LINE)
 
 
 def pair(a: DivisorClass, b: DivisorClass) -> Fraction:

@@ -361,7 +361,7 @@ class NefReport(Record):
     builds none.
     """
 
-    degree_one_leaves: tuple  # (degree, leaf): the line, the 45 two-point lines, the E_i
+    degree_one_leaves: tuple  # (1, leaf, exact_zero) of the line, (degree, leaf) of the other 55
     degree_two_count: int
     degree_two_minimum_leaf: tuple
     degrees: tuple[DegreeSummary, ...]
@@ -377,7 +377,7 @@ class NefReport(Record):
 
     @property
     def degree_one(self) -> tuple[MarginRow, ...]:
-        return self.zero_witnesses + tuple(self.rows(*x) for x in self.degree_one_leaves[1:])
+        return tuple(self.rows(*x) for x in self.degree_one_leaves)
 
     @property
     def degree_two_minimum(self) -> MarginRow:
@@ -385,7 +385,7 @@ class NefReport(Record):
 
     @property
     def zero_witnesses(self) -> tuple[MarginRow, ...]:
-        return (self.rows(*self.degree_one_leaves[0], True),)
+        return tuple(self.rows(*x) for x in self.degree_one_leaves[:1] if x[2])
 
     @property
     def extra_extreme_rows(self) -> tuple[MarginRow, ...]:
@@ -473,7 +473,7 @@ def full_report(eigen: EigenSystem) -> NefReport:
     # E_i = 0 H - (-1) E_i: margin t_i = N_i / D
     exceptionals = [(_indicator((i,), -1), *v) for i, v in enumerate(n_values)]
     degree_one_leaves = (
-        (1, (line_leaf[0], 0, 0) if line_zero else line_leaf),
+        (1, (line_leaf[0], 0, 0) if line_zero else line_leaf, line_zero),
         *((1, leaf) for leaf in lines),
         *((0, leaf) for leaf in exceptionals),
     )
@@ -554,7 +554,7 @@ def full_report(eigen: EigenSystem) -> NefReport:
         raise PrecisionBudgetError("B(lambda) not certified nonzero; L^2 = 2 B^2 / D^2 undecided")
     b_squared = sorted((b_lo * b_lo, b_hi * b_hi))
     l_squared = eigen.grid_quotient((2 * b_squared[0], 2 * b_squared[1]), (d_lo**2, d_hi**2))
-    beta_lo, beta_hi = eigen.line_numerators  # 0 < beta_lo, certified by `spectral.beta`
+    beta_lo, beta_hi = eigen.line_numerators  # 0 < beta_lo by `spectral._witness_stage`
     volume = (2 * beta_lo**2, 2 * beta_hi**2, 1 << 2 * bits)
 
     # large degrees: (sum t_i^2)(d^2 + 2) < d^2 iff d^2 B^2 > D^2 - 2 B^2.

@@ -18,9 +18,10 @@ denominator of lambda's enclosure (`_endpoint_powers`, `_enclose`), and
 each quotient goes onto a dyadic grid by integer floor and ceiling division
 (`_quotient_on_grid`); none of them is a `Fraction`.  The N_i off the line
 indices are the multiples -2 a_i, enclosed as (-2 hi, -2 lo) of a_i by
-`_spectral_core`; the witness stage builds only D and B, decides the
-signs of D(lambda) and B(lambda), and then N_1..N_3 (`_witness_stage`, the
-one path of `eigensystem` and of every oracle reading).  Exact identities
+`_spectral_core`.  One function builds the witness (`_witness_stage`, the
+one path of `eigensystem` and of every oracle reading): it builds D and B,
+decides the signs of D(lambda) and B(lambda), which put beta in (0, 1),
+then builds N_1..N_3 and puts beta and the t_i on the grid.  Exact identities
 mod s (the zero pairings of the eigenvector, the square-sum identity of the
 witness) are decided on the polynomials themselves.  Also hosts the factor
 data of p (`CharpolyFacts`, whose unit-circle count is k roots at 1 plus the
@@ -130,9 +131,8 @@ def _grid_bits(lam: tuple[int, int, int]) -> int:
     return (den // gcd(b, den)).bit_length() + 64
 
 
-@lru_cache(maxsize=8)
 def _grid_class(quotients: tuple[tuple[int, int], ...], bits: int) -> ClassEnclosure:
-    """The class H + sum q_i E_i for numerators (lo_i, hi_i) over 2^bits, built once."""
+    """The class H + sum q_i E_i for numerators (lo_i, hi_i) over 2^bits."""
     scale = 1 << bits
     return ClassEnclosure(
         [RealEnclosure.exact(1)] + [RealEnclosure.over(lo, hi, scale) for lo, hi in quotients]
@@ -159,59 +159,6 @@ def _eigen_relation(m: LatticeIsometry, column: Sequence[IntPoly], p: IntPoly) -
                 residual = [r - c * y for r, y in zip(residual, padded[j])]
         if any(residual) if i else residual != expected:
             raise CertificationError(f"eigen-relation row {i} of (xI - T) a = p e_0 fails")
-
-
-def _witness(
-    column: Sequence[IntPoly], scaled: tuple, bits: int
-) -> tuple[tuple[IntPoly, ...], tuple[tuple[int, int], ...], tuple[int, int]]:
-    """The witness polynomials (D, B, N_1, ..., N_10), signed so that
-    D(lambda) > 0 is certified, their enclosures at lambda over one common
-    denominator, and beta's numerators over 2^bits (`beta`), from the
-    column a and its scaled data (`_spectral_core`), both in the column's order.
-
-    With r_i = -a_i / a_0 the dominant class H - sum r_i E_i and
-    beta = (r_1 + r_2 + r_3 - 1) / 2, the witness coefficients
-    t_i = (r_i - beta l_i) / (1 - beta) are N_i / D: B = -(a_0 + ... + a_3),
-    D = 2 a_0 - B and N_i = -2 a_i - B l_i, and beta = B / 2 a_0.  By
-    construction D - N_1 - N_2 - N_3 is the zero polynomial.  D and B are
-    enclosed and their signs decided (`beta`) before N_1..N_3 are built and
-    enclosed; N_4..N_10 are multiples.
-    """
-    multiples, multiple_values, powers = scaled
-    b = combine((-1, -1, -1, -1), column[:4])
-    heads = [combine((2, -1), (column[0], b)), b]
-    values = [_enclose(p, powers) for p in heads]
-    d_lo, d_hi = values[0]
-    if d_lo <= 0 <= d_hi:
-        raise PrecisionBudgetError(
-            "D(lambda) = 2 (1 - beta) a_0(lambda) not certified nonzero; refine the eigenvalue"
-        )
-    signed = values if d_lo > 0 else [(-hi, -lo) for lo, hi in values]
-    component = beta(*signed, bits)
-    heads += [combine((-2, -1), (column[i], b)) for i in _LINE_INDICES]
-    polys = (*heads, *multiples[4:])
-    values = (*values, *(_enclose(p, powers) for p in heads[2:]), *multiple_values[4:])
-    if d_hi < 0:
-        polys = tuple(combine((-1,), (p,)) for p in polys)
-        values = tuple((-hi, -lo) for lo, hi in values)
-    return polys, values, component
-
-
-def beta(d: tuple[int, int], b: tuple[int, int], bits: int) -> tuple[int, int]:
-    """Numerators over 2^bits of the line component
-    B(lambda) / 2 a_0(lambda) = B / (D + B), from enclosures of D(lambda) > 0
-    and B(lambda) over one denominator.
-
-    With D > 0, 0 < beta < 1 holds iff B > 0: an enclosure of B that
-    straddles 0 asks for refined input, one below 0 is a genuine failure.
-    """
-    if b[1] < 0:
-        raise CertificationError("line component outside (0, 1): B(lambda) < 0 < D(lambda)")
-    if b[0] <= 0:
-        raise PrecisionBudgetError(
-            "line component not certified inside (0, 1): B(lambda) not sign-certified"
-        )
-    return _quotient_on_grid(b, (d[0] + b[0], d[1] + b[1]), bits)
 
 
 def line_pairing_identity_certified(r: ClassEnclosure) -> bool:
@@ -287,7 +234,7 @@ class EigenSystem(Record):
 def _spectral_core(m: LatticeIsometry, tol: int) -> tuple:
     """`EigenSystem`'s fields 1..6 for m, from the integer pass on: p, a, s,
     lambda, the eigenvector at most 1 / tol wide, and the scaled data
-    `_witness` reads (the multiples -2 a_j, their enclosures (-2 hi, -2 lo)
+    `_witness_stage` reads (the multiples -2 a_j, their enclosures (-2 hi, -2 lo)
     from a_j's, the endpoint powers).  A conjugate Q m Q^T permutes a, the
     vector and the multiples.  a_0(lambda) != 0 is certified by its
     enclosure; each a_i(lambda) / a_0(lambda) goes onto the grid by floor
@@ -315,11 +262,47 @@ def _spectral_core(m: LatticeIsometry, tol: int) -> tuple:
 def _witness_stage(
     column: Sequence[IntPoly], scaled: tuple, lam: tuple[int, int, int], tol: int
 ) -> tuple:
-    """(witness polynomials, their values, numerators over 2^bits
-    (`_grid_bits`) of beta and of the nef witness's E_i coefficients -t_i) of
-    the column a, with its scaled data (`_spectral_core`) in the same order."""
+    """The witness of the column a, from its scaled data (`_spectral_core`) in
+    the same order: the polynomials (D, B, N_1, ..., N_10), signed so that
+    D(lambda) > 0 is certified, their enclosures at lambda over one common
+    denominator, and numerators over 2^bits (`_grid_bits`) of beta and of the
+    nef witness's E_i coefficients -t_i.
+
+    With r_i = -a_i / a_0 the dominant class H - sum r_i E_i and
+    beta = (r_1 + r_2 + r_3 - 1) / 2, the witness coefficients
+    t_i = (r_i - beta l_i) / (1 - beta) are N_i / D: B = -(a_0 + ... + a_3),
+    D = 2 a_0 - B and N_i = -2 a_i - B l_i, and beta = B / 2 a_0 = B / (D + B).
+    By construction D - N_1 - N_2 - N_3 is the zero polynomial.  With D > 0,
+    0 < beta < 1 holds iff B > 0: an enclosure of D or B that holds 0 asks for
+    a refined eigenvalue, B < 0 is a genuine failure.  Both signs are decided
+    before N_1..N_3 are built and enclosed; N_4..N_10 are multiples.
+    """
+    multiples, multiple_values, powers = scaled
     bits = _grid_bits(lam)
-    polys, values, component = _witness(column, scaled, bits)
+    b = combine((-1, -1, -1, -1), column[:4])
+    heads = [combine((2, -1), (column[0], b)), b]
+    values = [_enclose(p, powers) for p in heads]
+    (d_lo, d_hi), (b_lo, b_hi) = values
+    if d_lo <= 0 <= d_hi:
+        raise PrecisionBudgetError(
+            "D(lambda) = 2 (1 - beta) a_0(lambda) not certified nonzero; refine the eigenvalue"
+        )
+    flip = d_hi < 0
+    if flip:
+        d_lo, d_hi, b_lo, b_hi = -d_hi, -d_lo, -b_hi, -b_lo
+    if b_hi < 0:
+        raise CertificationError("line component outside (0, 1): B(lambda) < 0 < D(lambda)")
+    if b_lo <= 0:
+        raise PrecisionBudgetError(
+            "line component not certified inside (0, 1): B(lambda) not sign-certified"
+        )
+    component = _quotient_on_grid((b_lo, b_hi), (d_lo + b_lo, d_hi + b_hi), bits)
+    heads += [combine((-2, -1), (column[i], b)) for i in _LINE_INDICES]
+    polys = (*heads, *multiples[4:])
+    values = (*values, *(_enclose(p, powers) for p in heads[2:]), *multiple_values[4:])
+    if flip:
+        polys = tuple(combine((-1,), (p,)) for p in polys)
+        values = tuple((-hi, -lo) for lo, hi in values)
     # t_i = -N_i / D: the negated quotient
     quotients = (_quotient_on_grid(n, values[0], bits) for n in values[2:])
     witness = tuple((-hi, -lo) for lo, hi in quotients)

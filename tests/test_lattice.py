@@ -6,7 +6,6 @@ import pytest
 from voljump.lattice import (
     DivisorClass,
     canonical_class,
-    line_through,
     pair,
     standard_line,
 )
@@ -56,20 +55,16 @@ def test_canonical_class_coefficients():
     assert canonical_class().coeffs == (Fraction(-3),) + (Fraction(1),) * 10
 
 
-def test_line_through_coefficients():
-    assert line_through(1, 2, 3).coeffs == tuple(
+def test_standard_line_coefficients():
+    assert standard_line().coeffs == tuple(
         Fraction(c) for c in (1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0)
     )
 
 
-@pytest.mark.parametrize("bad", [(1, 1, 2), (0, 1, 2), (1, 2, 11)])
-def test_line_through_rejects_bad_indices(bad):
-    with pytest.raises(ValueError):
-        line_through(*bad)
-
-
 def test_disjoint_lines_meet_once():
-    assert pair(line_through(1, 2, 3), line_through(4, 5, 6)) == 1
+    # H - E4 - E5 - E6 shares no point with H - E1 - E2 - E3
+    other = DivisorClass((1, 0, 0, 0, -1, -1, -1, 0, 0, 0, 0))
+    assert pair(standard_line(), other) == 1
 
 
 def test_linear_combination_cancellation():

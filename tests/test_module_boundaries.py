@@ -11,7 +11,9 @@ settles its premises, so no line can bypass that rule.  And no module catches
 (`PrecisionBudgetError`) cannot become a verdict.  And no module imports
 `atexit` or `threading`: the CLI process ends by `os._exit` once its output is
 flushed, which runs no exit handler and waits for no thread.  And no module
-reads the environment: a run's settings are its command-line flags alone."""
+reads the environment: a run's settings are its command-line flags alone.
+And every module-level `functools` cache is one the benchmark clears before
+each op, so no run cache carries work from one op to the next."""
 
 import ast
 from pathlib import Path
@@ -302,3 +304,61 @@ def test_environment_guard_sees_every_form():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_reads_the_environment(path):
     assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+CACHE_WRAPPERS = {"cache", "lru_cache"}
+
+#: The one module-level cache the benchmark need not clear: it memoizes an
+#: import, which a fresh process pays once whatever the op.
+IMPORT_CACHES = {"lattice.fraction_type"}
+
+
+def cache_wrapped(node: ast.AST) -> bool:
+    """Whether an expression is `cache`, `lru_cache` or a call of either, by
+    name or as an attribute (`functools.lru_cache(maxsize=8)`)."""
+    while isinstance(node, ast.Call):
+        node = node.func
+    return (getattr(node, "id", None) or getattr(node, "attr", None)) in CACHE_WRAPPERS
+
+
+def module_caches(source: str) -> list[str]:
+    """The top-level functions of a module's source that a `functools` cache
+    wraps, as a decorator or by assignment (`f = cache(g)`)."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and any(map(cache_wrapped, node.decorator_list)):
+            found.append(node.name)
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            if cache_wrapped(node.value.func):
+                found += [target.id for target in node.targets if isinstance(target, ast.Name)]
+    return found
+
+
+def benchmark_caches() -> set[str]:
+    """The dotted names in the `CACHES` tuple of the benchmark's source."""
+    source = (ROOT / "bench" / "layers.py").read_text(encoding="utf-8")
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "CACHES":
+            return {ast.unparse(element) for element in node.value.elts}
+    raise AssertionError("the benchmark defines no CACHES tuple")
+
+
+def test_cache_guard_sees_every_form():
+    source = (
+        "from functools import cache, lru_cache\nimport functools\n"
+        "@cache\ndef a():\n    pass\n@lru_cache(maxsize=8)\ndef b():\n    pass\n"
+        "@functools.lru_cache\ndef c():\n    pass\n@functools.cache\ndef d():\n    pass\n"
+        "e = lru_cache(maxsize=2)(a)\nf = functools.cache(b)\ng = sorted(a)\n"
+        "def h():\n    @cache\n    def inner():\n        pass\n@property\ndef i():\n    pass\n"
+    )
+    assert module_caches(source) == ["a", "b", "c", "d", "e", "f"]
+
+
+def test_every_module_cache_is_cleared_by_the_benchmark():
+    caches = {
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in module_caches(path.read_text(encoding="utf-8"))
+    }
+    assert "spectral.eigensystem" in caches & benchmark_caches()
+    assert sorted(caches - benchmark_caches() - IMPORT_CACHES) == []

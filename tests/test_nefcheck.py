@@ -472,6 +472,23 @@ def test_line_class_numerator_is_the_zero_polynomial(eigen, nef):
         assert not checks["degree-1 line-class margin is exactly zero"]
 
 
+def test_a_failed_line_identity_reports_no_exact_zero(eigen, nef):
+    # N_1 + x^12 breaks D - N1 - N2 - N3 = 0 while the values stay, so the
+    # line's margin straddles 0: its row is not exact and no zero witness is kept
+    d, b, *n = eigen.witness_polynomials
+    report = full_report(eigen._replace(witness_polynomials=(d, b, shifted(n[0], 12), *n[1:])))
+    checks = {c.name: c.passed for c in report.checks}
+    assert not checks["degree-1 line-class margin is exactly zero"]
+    line = report.degree_one[0]
+    assert line.candidate == CandidateCurve.line() and not line.exact_zero
+    assert line.margin.contains_zero() and line.margin != RealEnclosure.exact(0)
+    assert report.zero_witnesses == ()
+    assert len(report.degree_one) == len(nef.degree_one) == 56
+    assert report.degree_one[1:] == nef.degree_one[1:]
+    # the certified identity keeps the exact zero row in both fields
+    assert nef.zero_witnesses == nef.degree_one[:1] and nef.degree_one[0].exact_zero
+
+
 def test_square_sum_identity_is_divisible_by_s(eigen):
     d, b, *n = eigen.witness_polynomials
     s = eigen.off_unit_factor

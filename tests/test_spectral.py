@@ -25,9 +25,7 @@ from voljump.spectral import (
     _enclose,
     _endpoint_powers,
     _spectral_core,
-    _witness,
     _witness_stage,
-    beta,
     line_pairing_identity_certified,
     select_orientation,
 )
@@ -46,7 +44,7 @@ WIDTH_BOUND = Fraction(1, 10**30)
 
 
 def enclosed_multiples(column, lam):
-    """The scaled data `_witness` reads, each multiple -2 a_j enclosed on its
+    """The scaled data `_witness_stage` reads, each multiple -2 a_j enclosed on its
     own rather than derived from a_j's enclosure as the spectral core does."""
     multiples = [combine((-2,), (a,)) for a in column]
     powers = _endpoint_powers(lam, max(a.degree for a in column))
@@ -103,23 +101,41 @@ def test_canonical_pairing_zero(eigen):
     assert pairing.width <= WIDTH_BOUND
 
 
-def test_beta_exact_example():
-    # B = 1 and D = 3 exactly give beta = B / (D + B) = 1/4, on any grid
-    assert beta((3, 3), (1, 1), 8) == (64, 64)
+def constant_column(*head):
+    """The column a_0, a_1, ... = head, 0, ... of constant polynomials."""
+    return tuple(IntPoly([a]) for a in head) + (IntPoly([0]),) * (11 - len(head))
+
+
+def witness_of(column, lam, tol=10**12):
+    """`_witness_stage` of a crafted column, its multiples enclosed on their own."""
+    return _witness_stage(column, enclosed_multiples(column, lam), lam, tol)
+
+
+def test_beta_exact_example(eigen):
+    # a_0 = 2, a_1 = -3: B = 1 and D = 3 exactly give beta = B / (D + B) = 1/4
+    # on the grid, whichever the sign of the column
+    lam, bits = eigen.eigenvalue, eigen.grid_bits
+    for sign in (1, -1):
+        polys, _, component, _ = witness_of(constant_column(2 * sign, -3 * sign), lam)
+        assert polys[:2] == (IntPoly([3]), IntPoly([1]))
+        assert component == (1 << bits - 2, 1 << bits - 2)
     # r1 = r2 = r3 = 2/5 gives beta = 1/10: B / 2 a_0 = (6/5 - 1) / 2
-    lo, hi = beta((9, 9), (1, 1), 40)
-    assert lo <= Fraction(2**40, 10) <= hi and hi - lo <= 1
+    lo, hi = witness_of(constant_column(5, -2, -2, -2), lam)[2]
+    assert lo <= Fraction(2**bits, 10) <= hi and hi - lo <= 1
 
 
-def test_beta_requires_certifiable_sign():
-    # B(lambda) in [-1, 2] with D(lambda) > 0: beta straddles 0
-    with pytest.raises(PrecisionBudgetError):
-        beta((10, 11), (-1, 2), 8)
+def test_beta_requires_certifiable_sign(eigen):
+    # a_0 = 1, a_1 = -1 - s: B = s, whose enclosure holds 0, with D = 2 - s > 0
+    s, one = eigen.off_unit_factor, IntPoly([1])
+    column = (one, combine((-1, -1), (one, s))) + (IntPoly([0]),) * 9
+    with pytest.raises(PrecisionBudgetError, match="B\\(lambda\\) not sign-certified"):
+        witness_of(column, eigen.eigenvalue)
 
 
-def test_beta_rejects_certainly_outside():
+def test_beta_rejects_certainly_outside(eigen):
+    # a_0 = 10, a_1 = -7: B = -3 < 0 < D = 23
     with pytest.raises(CertificationError, match="outside"):
-        beta((10, 11), (-3, -2), 8)
+        witness_of(constant_column(10, -7), eigen.eigenvalue)
 
 
 def test_beta_within_reference_implied_interval(eigen):
@@ -253,19 +269,18 @@ def test_witness_polynomials_are_the_witness(eigen):
     # the signs are normalized to D(lambda) > 0: the negated column, whose
     # D, B and N_i all change sign, gives the same witness
     negated = [combine((-1,), (a,)) for a in column]
-    scaled = enclosed_multiples(negated, eigen.eigenvalue)
-    assert _witness(negated, scaled, eigen.grid_bits) == (
+    assert witness_of(negated, eigen.eigenvalue) == (
         eigen.witness_polynomials,
         eigen.witness_values,
         eigen.line_numerators,
+        eigen.witness_numerators,
     )
 
 
 def test_witness_requires_certified_denominator(eigen):
     # a_0 = 1, a_1 = -3: B = 2 and D = 2 a_0 - B = 0, i.e. beta = 1
-    column = (IntPoly([1]), IntPoly([-3])) + (IntPoly([0]),) * 9
     with pytest.raises(PrecisionBudgetError, match="D\\(lambda\\)"):
-        _witness(column, enclosed_multiples(column, eigen.eigenvalue), eigen.grid_bits)
+        witness_of(constant_column(1, -3), eigen.eigenvalue)
 
 
 def test_the_witness_stage_decides_d_and_b_before_building_n(eigen, monkeypatch):
@@ -296,6 +311,15 @@ def test_the_witness_stage_decides_d_and_b_before_building_n(eigen, monkeypatch)
             _witness_stage(column, enclosed_multiples(column, lam), lam, tol)
         assert str(raised.value) == "line component outside (0, 1): B(lambda) < 0 < D(lambda)"
         assert len(enclosed) == 2
+    # a_0 = 1, a_1 = -1 - s: D = 2 - s > 0 and B = s, whose enclosure holds 0
+    enclosed.clear()
+    column = (one, combine((-1, -1), (one, s)), *(zero,) * 9)
+    with pytest.raises(PrecisionBudgetError) as raised:
+        _witness_stage(column, enclosed_multiples(column, lam), lam, tol)
+    assert str(raised.value) == (
+        "line component not certified inside (0, 1): B(lambda) not sign-certified"
+    )
+    assert len(enclosed) == 2
 
 
 def test_the_oracle_assessments_are_pinned():
