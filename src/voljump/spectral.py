@@ -168,9 +168,10 @@ def line_pairing_identity_certified(r: ClassEnclosure) -> bool:
     With s = r1 + r2 + r3 and beta = (s - 1)/2, the witness coefficients give
     t1 + t2 + t3 = (s - 3*beta) / (1 - beta) = (3 - s)/(3 - s) = 1 identically
     whenever s != 3.  Certifying 3 outside the enclosure of s therefore
-    certifies the exact-zero margin of the line class symbolically.  The
-    verification run decides the same fact as the polynomial identity
-    D - N_1 - N_2 - N_3 = 0.
+    certifies the exact-zero margin of the line class symbolically.  On the
+    verification run the same fact holds by the witness's construction
+    (D - N_1 - N_2 - N_3 is the zero polynomial, `_witness_stage`), and the
+    line "degree-1 margins nonnegative" checks it as its premise.
     """
     multipliers = r.multipliers()
     s = multipliers[0] + multipliers[1] + multipliers[2]

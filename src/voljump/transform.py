@@ -229,16 +229,12 @@ def candidate_readings() -> list[Reading]:
     composition order.  The 16 readings give 14 matrices; one that several
     readings give keeps the representative and q of its first name.
     """
-    cremona = cremona_isometry(1, 2, 3)
-    bases = {
-        k: (f"cremona(1, 2, 3), shift+{k}, rotate-then-cremona", cremona @ exceptional_shift(k))
-        for k in (1, 3)
-    }
+    shifts = {k: exceptional_shift(k) for k in (1, -1, 3, -3)}
+    bases: dict[int, tuple[str, LatticeIsometry]] = {}
     grouped: dict[LatticeIsometry, list[tuple]] = {}
     for slots in ((1, 2, 3), (8, 9, 10)):
         a = cremona_isometry(*slots)
-        for shift in (1, -1, 3, -3):
-            b = exceptional_shift(shift)
+        for shift, b in shifts.items():
             far = (slots == (8, 9, 10)) != (shift < 0)  # S_7 C S_-7 = cremona(8, 9, 10), once reversed
             for order, matrix, turn in (
                 ("rotate-then-cremona", a @ b, 0),
@@ -247,7 +243,9 @@ def candidate_readings() -> list[Reading]:
                 q = [(i - 1 + 7 * far + turn) % 10 + 1 for i in range(1, RANK)]
                 q = [11 - i for i in q] if shift < 0 else q  # the reversal
                 name = f"cremona{slots}, shift{shift:+d}, {order}"
-                grouped.setdefault(matrix, []).append((name, *bases[abs(shift)], (0, *q)))
+                # the first reading of each |shift| k is its class representative C S_k
+                base = bases.setdefault(abs(shift), (name, matrix))
+                grouped.setdefault(matrix, []).append((name, *base, (0, *q)))
     return sorted(
         Reading(" = ".join(sorted(g[0] for g in group)), matrix, *min(group)[1:])
         for matrix, group in grouped.items()

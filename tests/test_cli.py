@@ -871,10 +871,8 @@ def test_corrupted_line_numerator_fails_the_line_class_certificate(monkeypatch, 
     monkeypatch.setattr(report, "eigensystem", lambda digits: corrupted)
     code, out, err = run_cli(capsys, "verify")
     assert code == 1
-    assert "failed: degree-1 line-class margin is exactly zero" in err
+    assert "failed: degree-1 margins nonnegative" in err
     lines = out.splitlines()
-    assert (
-        "[FAIL] degree-1 line-class margin is exactly zero (D - N1 - N2 - N3 != 0 as polynomials)"
-    ) in lines
+    assert "[FAIL] degree-1 margins nonnegative (D - N1 - N2 - N3 != 0 as polynomials)" in lines
     assert any(line.startswith("[FAIL] square-sum identity certified") for line in lines)
     assert lines[-1] == "verdict: fail"

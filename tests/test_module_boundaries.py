@@ -6,7 +6,8 @@ And no module imports `typing` or defines a `NamedTuple`: records derive from
 And no public API exists only for tests: every public top-level function and
 class is read by another statement of `src`, by a frozen test file or by the
 benchmark.  And every certificate line is built in `Certificates.record`, which
-settles its premises, so no line can bypass that rule.  And no module catches
+settles its premises, so no line can bypass that rule, and no `record` call
+passes a constant verdict: no certificate is hard-coded.  And no module catches
 `VerificationError` or anything wider, so an undecided value
 (`PrecisionBudgetError`) cannot become a verdict.  And no module imports
 `atexit` or `threading`: the CLI process ends by `os._exit` once its output is
@@ -201,6 +202,33 @@ def test_every_certificate_line_is_built_in_record():
     assert {name: found for name, found in calls.items() if found} == {
         "nefcheck.py": ["Certificates.record"]
     }
+
+
+def constant_verdicts(source: str) -> list[str]:
+    """The `record(...)` calls of a module's source, by name or as an attribute,
+    whose verdict (the second argument, or `passed=`) is a constant, as
+    `line: value`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "record" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            verdicts = node.args[1:2] + [k.value for k in node.keywords if k.arg == "passed"]
+            found += [f"{v.lineno}: {v.value!r}" for v in verdicts if isinstance(v, ast.Constant)]
+    return found
+
+
+def test_constant_verdict_guard_sees_every_form():
+    source = (
+        "record('a', True)\nchecks.record('b', x == 1, 'detail')\n"
+        "self.record('c', passed=False)\nrecord('d', ok)\nrecord('e', 1, '', 'a')\n"
+    )
+    assert constant_verdicts(source) == ["1: True", "3: False", "5: 1"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_certificate_has_a_constant_verdict(path):
+    assert constant_verdicts(path.read_text(encoding="utf-8")) == []
 
 
 #: The handlers that would catch a `PrecisionBudgetError` along with a

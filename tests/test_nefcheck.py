@@ -220,16 +220,25 @@ def test_uncanonical_enumeration_covers_orderings(eigen):
     assert {tuple(sorted(c.mults, reverse=True)) for c in expanded} == {
         tuple(sorted(c.mults, reverse=True)) for c in canonical
     }
-    # rearrangement inequality: the canonical representative minimizes the margin
+    # rearrangement inequality: the canonical representative minimizes the margin.
+    # The witness's midpoints are (lo_i + hi_i) / 2^(bits + 1), so each margin
+    # at the midpoints is an integer numerator over that one denominator
+    bits, witness = eigen.grid_bits, eigen.nef_witness
+    mids = [lo + hi for lo, hi in eigen.witness_numerators]  # -t_i
+
+    def numerator(c):
+        return (c.degree << bits + 1) + sum(a * m for a, m in zip(c.mults, mids) if a)
+
     worst_by_pattern = {}
     for c in expanded:
         key = tuple(sorted(c.mults, reverse=True))
-        value = margin_at_midpoints(c, eigen.nef_witness)
+        value = numerator(c)
         if key not in worst_by_pattern or value < worst_by_pattern[key]:
             worst_by_pattern[key] = value
     for c in canonical:
         key = tuple(sorted(c.mults, reverse=True))
-        assert margin_at_midpoints(c, eigen.nef_witness) == worst_by_pattern[key]
+        assert margin_at_midpoints(c, witness) == Fraction(numerator(c), 2 << bits)
+        assert numerator(c) == worst_by_pattern[key]
 
 
 # -- extreme candidates ---------------------------------------------------------------
@@ -462,14 +471,18 @@ def test_the_ordering_line_fails_only_on_a_pair_proven_out_of_order(eigen):
     assert (checks[ORDERING].passed, checks[ORDERING].detail) == (False, "t_2 > t_6 not certified")
 
 
+DEGREE_ONE = "degree-1 margins nonnegative"
+
+
 def test_line_class_numerator_is_the_zero_polynomial(eigen, nef):
-    d, b, *n = eigen.witness_polynomials
-    assert combine((1, -1, -1, -1), (d, *n[:3])) == IntPoly([0])
+    # the identity D - N1 - N2 - N3 = 0 itself is pinned on `_witness_stage`
+    # (tests/test_spectral.py); here it is the degree-1 line's premise
     assert nef.zero_witnesses[0].margin == RealEnclosure.exact(0)
+    d, b, *n = eigen.witness_polynomials
     # a mutation of D or of a line-index N_i breaks the identity
     for polys in ((shifted(d), b, *n), (d, b, shifted(n[0], 3), *n[1:])):
-        checks = verdicts(with_witness(eigen, polys))
-        assert not checks["degree-1 line-class margin is exactly zero"]
+        checks = {c.name: c for c in full_report(with_witness(eigen, polys)).checks}
+        assert checks[DEGREE_ONE] == (DEGREE_ONE, False, "D - N1 - N2 - N3 != 0 as polynomials")
 
 
 def test_a_failed_line_identity_reports_no_exact_zero(eigen, nef):
@@ -477,8 +490,8 @@ def test_a_failed_line_identity_reports_no_exact_zero(eigen, nef):
     # line's margin straddles 0: its row is not exact and no zero witness is kept
     d, b, *n = eigen.witness_polynomials
     report = full_report(eigen._replace(witness_polynomials=(d, b, shifted(n[0], 12), *n[1:])))
-    checks = {c.name: c.passed for c in report.checks}
-    assert not checks["degree-1 line-class margin is exactly zero"]
+    checks = {c.name: c for c in report.checks}
+    assert checks[DEGREE_ONE] == (DEGREE_ONE, False, "D - N1 - N2 - N3 != 0 as polynomials")
     line = report.degree_one[0]
     assert line.candidate == CandidateCurve.line() and not line.exact_zero
     assert line.margin.contains_zero() and line.margin != RealEnclosure.exact(0)
@@ -489,6 +502,15 @@ def test_a_failed_line_identity_reports_no_exact_zero(eigen, nef):
     assert nef.zero_witnesses == nef.degree_one[:1] and nef.degree_one[0].exact_zero
 
 
+def test_a_nonpositive_exceptional_class_fails_the_degree_one_line(eigen):
+    # N_10(lambda) < 0 with every polynomial kept: the identity holds, t_10 > 0 does not
+    values = list(eigen.witness_values)  # D, B, N_1..N_10
+    values[11] = (-values[11][1], -values[11][0])
+    checks = {c.name: c for c in full_report(eigen._replace(witness_values=tuple(values))).checks}
+    detail = "a two-point line or exceptional class not certified positive"
+    assert checks[DEGREE_ONE] == (DEGREE_ONE, False, detail)
+
+
 def test_square_sum_identity_is_divisible_by_s(eigen):
     d, b, *n = eigen.witness_polynomials
     s = eigen.off_unit_factor
@@ -497,7 +519,7 @@ def test_square_sum_identity_is_divisible_by_s(eigen):
     # a mutation of B keeps the line class but breaks the identity, and with
     # it the cutoff and bigness that rest on it
     checks = {c.name: c for c in full_report(with_witness(eigen, (d, shifted(b), *n))).checks}
-    assert checks["degree-1 line-class margin is exactly zero"].passed
+    assert checks[DEGREE_ONE].passed
     assert not checks["square-sum identity certified"].passed
     # the three lines that rest on the identity name it as their failed premise
     for name in (
@@ -580,7 +602,7 @@ def test_a_default_run_has_distinct_line_names():
     from voljump.report import run_verification
 
     names = [c.name for c in run_verification().certificates]
-    assert len(names) == len(set(names)) == 30
+    assert len(names) == len(set(names)) == 28
     assert names.index(ORDERING) < names.index("degrees 3..6 full enumeration margins positive")
 
 
@@ -780,7 +802,7 @@ def test_degree_two_decides_every_conic(eigen):
     assert report.degree_two_minimum.margin.is_positive()
     checks = {c.name: c.passed for c in report.checks}
     assert not checks["degree-2 margins positive"]
-    assert checks["degree-1 margins positive"]
+    assert checks[DEGREE_ONE]
 
 
 def test_walk_leaves_no_reference_cycle():

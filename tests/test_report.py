@@ -195,7 +195,7 @@ def _shift_adjugate_entry(eigen, monkeypatch):
         (_swap_heaviest_weights, "witness coefficient ordering certified", r"t_4 > t_5 not certified"),
         (
             _shift_witness(4),
-            "degree-1 line-class margin is exactly zero",
+            "degree-1 margins nonnegative",
             r"D - N1 - N2 - N3 != 0 as polynomials",
         ),
         (_shift_witness(1), "square-sum identity certified", r"sum N_i\^2 - D\^2 \+ 2 B\^2 != 0 mod s"),
@@ -279,7 +279,6 @@ COXETER_VERDICTS = [
     ("composite map fixes the canonical class", True),
     ("composite map is unimodular", True),
     ("orientation oracle selects the fixed composite", False),
-    ("characteristic polynomial has degree 11", True),
     ("characteristic polynomial anti-reciprocal", True),
     ("characteristic polynomial divisible by x - 1", True),
     ("cyclotomic scan finds only the factor at n = 1", True),
@@ -290,8 +289,7 @@ COXETER_VERDICTS = [
     ("dominant class pairs to zero with the canonical class", True),
     ("witness coefficients match the reference decimals", False),
     ("witness coefficient ordering certified", False),
-    ("degree-1 line-class margin is exactly zero", True),
-    ("degree-1 margins positive", True),
+    ("degree-1 margins nonnegative", True),
     ("degree-2 margins positive", True),
     ("degrees 3..6 full enumeration margins positive", False),
     ("degrees 3..6 minimum attained on the extreme set", False),
@@ -350,6 +348,6 @@ def test_coxeter_certificate_text_is_pinned(bind_transform):
 
     bind_transform(cremona_isometry(1, 2, 3) @ exceptional_shift(1))
     text, code = _certificate_text(run_verification(RunConfig()).certificates)
-    assert code == 1 and len(text.splitlines()) == 31
-    digest = "6b23e262e294deb01d72f234a1a9aa927f4b2c8e16ebb6769d3aa5b5fa668595"
+    assert code == 1 and len(text.splitlines()) == 29
+    digest = "b99dc674035870a03ca1f14ff09761a98f90e937753f6b1fb7647f923ce2a459"
     assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -275,6 +276,44 @@ def test_witness_polynomials_are_the_witness(eigen):
         eigen.line_numerators,
         eigen.witness_numerators,
     )
+
+
+def line_identity(polys):
+    """D - N1 - N2 - N3 of the witness polynomials (D, B, N_1, ..., N_10)."""
+    d, _, *n = polys
+    return combine((1, -1, -1, -1), (d, *n[:3]))
+
+
+def test_the_witness_stage_makes_the_line_margin_zero(eigen):
+    """D - N1 - N2 - N3 = 2 (a_0 + a_1 + a_2 + a_3) + 2 B = 0 for every column
+    the stage certifies: the run's, each oracle reading's permuted column, and
+    crafted columns with either sign of D(lambda)."""
+    zero, tol = IntPoly([0]), 10**12
+    assert line_identity(eigen.witness_polynomials) == zero
+    certified = 0
+    for reading in candidate_readings():
+        base = eigen[1:7] if reading.base == eigen.transform else _spectral_core(reading.base, tol)
+        _, column, _, lam, _, _ = base
+        column = [column[i] for i in sorted(range(11), key=reading.q.__getitem__)]
+        try:
+            polys = witness_of(column, lam, tol)[0]
+        except CertificationError as err:  # the 8 readings with B(lambda) < 0
+            assert str(err).endswith("B(lambda) < 0 < D(lambda)")
+            continue
+        assert line_identity(polys) == zero
+        certified += 1
+    assert certified == 6
+    # a_0 = 2000, a_1 = -3000 + r_1, a_2 = r_2, a_3 = r_3 with |r_i(lambda)| < 240
+    # (coefficients in -2..2, degree <= 10, lambda < 1.44) certify
+    # 0 < B(lambda) < D(lambda); the negated column has D(lambda) < 0
+    rng = random.Random(2013)
+    for _ in range(20):
+        r = [IntPoly([rng.randint(-2, 2) for _ in range(11)]) for _ in range(10)]
+        column = [IntPoly([2000]), combine((1, 1), (IntPoly([-3000]), r[0])), *r[1:]]
+        for sign in (1, -1):
+            signed = [combine((sign,), (a,)) for a in column]
+            polys = witness_of(signed, eigen.eigenvalue)[0]
+            assert line_identity(polys) == zero
 
 
 def test_witness_requires_certified_denominator(eigen):
