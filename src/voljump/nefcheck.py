@@ -43,8 +43,9 @@ exact: D - N_1 - N_2 - N_3 is the zero polynomial by the witness's
 construction, and the degree-1 line checks it as the premise of the line's
 zero margin; the square-sum identity sum t_i^2 = 1 - 2 beta^2 / (1 - beta)^2
 is sum N_i^2 - D^2 + 2 B^2 = 0 mod s, and bigness follows from
-L^2 = 2 B^2 / D^2 with B(lambda) != 0.  The public functions on general
-witness enclosures (`margin`, `check_degree_one`, `cauchy_schwarz_cutoff`,
+L^2 = 2 B^2 / D^2 with B(lambda) > 0, which the witness stage decided
+(`spectral._witness_stage`).  The public functions on general witness
+enclosures (`margin`, `check_degree_one`, `cauchy_schwarz_cutoff`,
 `bigness_certificates`, ...) use interval arithmetic instead.
 """
 
@@ -546,19 +547,16 @@ def full_report(eigen: EigenSystem) -> NefReport:
     )
 
     # L^2 = 1 - sum t_i^2 = 2 B^2 / D^2 and (1 - beta)^2 L^2 = 2 beta^2 by the
-    # square-sum identity; both rest on B(lambda) != 0
+    # square-sum identity; 0 < B(lambda) and 0 < D(lambda) by `spectral._witness_stage`
     (d_lo, d_hi), (b_lo, b_hi) = d_value, b_value
-    if b_lo <= 0 <= b_hi:
-        raise PrecisionBudgetError("B(lambda) not certified nonzero; L^2 = 2 B^2 / D^2 undecided")
-    b_squared = sorted((b_lo * b_lo, b_hi * b_hi))
-    l_squared = eigen.grid_quotient((2 * b_squared[0], 2 * b_squared[1]), (d_lo**2, d_hi**2))
+    l_squared = eigen.grid_quotient((2 * b_lo**2, 2 * b_hi**2), (d_lo**2, d_hi**2))
     beta_lo, beta_hi = eigen.line_numerators  # 0 < beta_lo by `spectral._witness_stage`
     volume = (2 * beta_lo**2, 2 * beta_hi**2, 1 << 2 * bits)
 
     # large degrees: (sum t_i^2)(d^2 + 2) < d^2 iff d^2 B^2 > D^2 - 2 B^2.
     # `_cutoff_degree` proves d^2 gap > bound at the cutoff, and with gap > 0
     # the left side grows with d, so it holds for every d >= cutoff
-    gap, bound = b_squared[0], d_hi * d_hi - 2 * b_squared[0]
+    gap, bound = b_lo**2, d_hi * d_hi - 2 * b_lo**2
     cutoff = _cutoff_degree(gap, bound)
     record(
         "Cauchy-Schwarz cutoff covers all higher degrees",

@@ -24,10 +24,11 @@ decides the signs of D(lambda) and B(lambda), which put beta in (0, 1),
 then builds N_1..N_3 and puts beta and the t_i on the grid.  Exact identities
 mod s (the zero pairings of the eigenvector, the square-sum identity of the
 witness) are decided on the polynomials themselves.  Also hosts the factor
-data of p (`CharpolyFacts`, whose unit-circle count is k roots at 1 plus the
-count of s) and the orientation oracle over the 14 readings of the
-composite's notation, which reads the run's core for its matrix's class,
-runs `_spectral_core` once for the other and the witness stage once per
+data of p (`CharpolyFacts`, which reads k = deg p - deg s off the core's
+factorization; its unit-circle count is k roots at 1 plus the count of s)
+and the orientation oracle over the 14 readings of the composite's
+notation, which reads the run's core for its matrix's class, runs
+`_spectral_core` once for the other and the witness stage once per
 reading (`select_orientation`), judged by `reference.witness_matches` (the
 one rule for printed data; an undecided reading stops the oracle, exit 3).
 """
@@ -333,19 +334,16 @@ class CharpolyFacts(Record):
 
     @classmethod
     def of(cls, eigen: EigenSystem) -> "CharpolyFacts":
-        """Facts of the system's polynomial p from its certified factorization.
+        """Facts of the system's polynomial p from the core's factorization.
 
-        Stripping (x - 1) from p until it no longer divides must give
-        exactly (k, s): that proves (x - 1)^k s = p and s(1) != 0, and makes
-        s the factor `_dominant_spectrum` proved squarefree, so the roots of
-        p are k roots at 1 and the roots of s, counted by
-        `squarefree_circle_count`; the cyclotomic scan runs on s, after the
-        factor (x - 1)^k.
+        `_dominant_spectrum` found s by exact division, p = (x - 1)^k s with
+        s(1) != 0, and proved s squarefree, so k = deg p - deg s, the roots
+        of p are k roots at 1 and the roots of s, counted by
+        `squarefree_circle_count`, and the cyclotomic scan runs on s, after
+        the factor (x - 1)^k.
         """
         p, off_unit = eigen.polynomial, eigen.off_unit_factor
         unit_mult = p.degree - off_unit.degree
-        if strip_rational_root(p, 1) != (unit_mult, off_unit):
-            raise CertificationError("polynomial is not (x - 1)^k times its off-unit factor")
         outside, inside, on_circle = squarefree_circle_count(off_unit)
         circle = UnitCircleCount(outside, inside, on_circle + unit_mult)
         return cls(p, unit_mult, off_unit, split_cyclotomic_factors(unit_mult, off_unit), circle)

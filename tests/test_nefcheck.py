@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -149,26 +150,15 @@ def test_degree_two_quintuples(eigen):
 # -- enumeration --------------------------------------------------------------------
 
 
-def brute_force_canonical_count(d):
-    """Oracle: enumerate the whole box without the sortedness constraint,
-    then deduplicate by sorted multiplicity pattern."""
-    square_budget, sum_budget = d * d + 2, 3 * d
-    seen = set()
-    vec = [0] * 10
-
-    def rec(pos, total, square_total):
-        if pos == 10:
-            seen.add(tuple(sorted(vec, reverse=True)))
-            return
-        v = 0
-        while total + v <= sum_budget and square_total + v * v <= square_budget:
-            vec[pos] = v
-            rec(pos + 1, total + v, square_total + v * v)
-            v += 1
-        vec[pos] = 0
-
-    rec(0, 0, 0)
-    return len(seen)
+def brute_force_canonical_patterns(d):
+    """Oracle: every multiset of ten multiplicities within the two budgets
+    (sum a_i^2 <= d^2 + 2, sum a_i <= 3d), as its pattern sorted descending."""
+    box = range(isqrt(d * d + 2) + 1)
+    return {
+        combo[::-1]
+        for combo in itertools.combinations_with_replacement(box, 10)
+        if sum(a * a for a in combo) <= d * d + 2 and sum(combo) <= 3 * d
+    }
 
 
 @pytest.mark.parametrize(
@@ -177,8 +167,9 @@ def brute_force_canonical_count(d):
 def test_enumeration_counts(degree, count):
     candidates = enumerate_feasible(degree)
     assert len(candidates) == count
-    assert len(candidates) == brute_force_canonical_count(degree)
-    assert len({c.mults for c in candidates}) == count
+    patterns = {tuple(sorted(c.mults, reverse=True)) for c in candidates}
+    assert len(patterns) == count  # one representative per rearrangement class
+    assert patterns == brute_force_canonical_patterns(degree)
     for c in candidates:
         assert is_feasible(c) and is_canonical(c)
 
@@ -602,15 +593,8 @@ def test_a_default_run_has_distinct_line_names():
     from voljump.report import run_verification
 
     names = [c.name for c in run_verification().certificates]
-    assert len(names) == len(set(names)) == 28
+    assert len(names) == len(set(names)) == 26
     assert names.index(ORDERING) < names.index("degrees 3..6 full enumeration margins positive")
-
-
-def test_bigness_rejects_b_enclosing_zero(eigen):
-    values = eigen.witness_values
-    straddling = eigen._replace(witness_values=(values[0], (-1, 1)) + values[2:])
-    with pytest.raises(PrecisionBudgetError, match="B\\(lambda\\) not certified nonzero"):
-        full_report(straddling)
 
 
 def test_bigness_of_the_report_is_exact(eigen, nef):

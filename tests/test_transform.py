@@ -11,6 +11,7 @@ from voljump.lattice import (
     pair,
     standard_line,
 )
+from voljump.polynomials import faddeev_leverrier, split_cyclotomic_factors, strip_rational_root
 from voljump.transform import (
     LatticeIsometry,
     apply,
@@ -149,6 +150,35 @@ def test_candidates_are_isometries_fixing_canonical():
         assert verify_isometry(matrix).ok
         assert apply(matrix, canonical_class()) == canonical_class()
         assert matrix.determinant() in (-1, 1)
+
+
+def test_an_isometry_is_unimodular_and_anti_reciprocal_iff_det_is_one():
+    """M^T G M = G with det G = 1 forces det M = +-1; in odd rank 11 the
+    characteristic polynomial p of such an M is anti-reciprocal iff det M = 1,
+    and then p(1) = 0, and reciprocal iff det M = -1; and the cyclotomic scan
+    lists n = 1 iff (x - 1) divides p.  So the run's isometry, anti-reciprocal
+    and cyclotomic-scan lines imply det M = 1 and p(1) = 0."""
+    rng = random.Random(35)
+    dets = set()
+    for _ in range(200):
+        m = LatticeIsometry.identity()
+        for _ in range(rng.randint(1, 4)):
+            images = [0] + rng.sample(range(1, 11), 10)
+            m = m @ cremona_isometry(*sorted(rng.sample(range(1, 11), 3)))
+            m = m @ rng.choice((exceptional_shift(rng.randint(1, 9)), permutation_isometry(images)))
+        assert verify_isometry(m).ok
+        det = m.determinant()
+        assert det in (-1, 1)
+        dets.add(det)
+        p, _ = faddeev_leverrier(m)
+        anti = p.reversed().coeffs == tuple(-c for c in p.coeffs)
+        assert anti == (det == 1)
+        assert (p.reversed() == p) == (det == -1)
+        if anti:
+            assert p(1) == 0
+        k, s = strip_rational_root(p, 1)
+        assert ((1, k) in split_cyclotomic_factors(k, s)) == (k >= 1)
+    assert dets == {-1, 1}
 
 
 def test_product_composes_the_actions():
