@@ -190,7 +190,7 @@ class ClassEnclosure:
 
 
 def decimal_string(numerator: int, denominator: int, digits: int) -> str:
-    """Render numerator / denominator > 0 as a decimal with `digits` places.
+    """Render numerator / denominator (denominator > 0, "-" iff numerator < 0) with `digits` places.
 
     Rounds half away from zero; fully deterministic (no float involved).
     """

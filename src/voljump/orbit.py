@@ -1,14 +1,14 @@
-"""Orbits of divisor classes under the composite map.
+"""Orbits of divisor classes under the composite map, walked on exact integers.
 
-Iterating the exact integer matrix keeps every orbit computation exact, so
-distinctness of orbit classes, self-intersections and canonical degrees are
-checked with no tolerance at all.  The walk runs on bare integers: T is
-linear, so `walk` steps the integral class D * seed (D the lcm of the
-seed's denominators).  Every orbit fact is decided on those vectors, which
-share the scale D: equal classes are equal vectors, max-norms keep their
-order and h_(n+1) / h_n is a ratio of first entries (`ratio_pairs`).  An
-`OrbitRecord`, with its `Fraction`s, is built only for output: a printed
-orbit, or the records `orbit` and `iterate` return.
+T is linear, so `walk` steps the integral class D * seed (D the lcm of the
+seed's denominators), and a walk's facts are decided on those vectors,
+which share the scale D: equal classes are equal vectors, max-norms keep
+their order and h_(n+1) / h_n is a ratio of first entries (`ratio_pairs`).
+A verification run walks only for its growth and max-norm lines and the
+report's records; its distinctness, self-intersection and canonical-degree
+lines hold for every n, deduced in `report`, and the walks here are the
+tests' reference for them.  An `OrbitRecord`, with its `Fraction`s, is built
+only for output: a printed orbit, or the records `orbit` and `iterate` return.
 """
 
 from __future__ import annotations

@@ -1,32 +1,34 @@
 """Full verification run and the deterministic JSON artifact.
 
 Every certificate the package can produce is evaluated here in a fixed
-order; the JSON report contains exact rational interval endpoints (decimal
-fields are display-only midpoints) so that two runs with the same
-configuration emit byte-identical artifacts.
+order (the all-n orbit lines from the seed's pairings and named premises, a
+walk only for growth, max-norm and the records); the JSON report holds exact
+rational endpoints (decimal fields are display-only midpoints), so two runs
+with the same configuration emit byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 from .config import RunConfig
-from .errors import CertificationError, Record
+from .errors import CertificationError, PrecisionBudgetError, Record
 from .intervals import ClassEnclosure, RealEnclosure, decimal_string, enclosure_json
 from .lattice import CANONICAL, GRAM_DIAGONAL, LINE, canonical_class, pair_integers, standard_line
 from .nefcheck import Certificates, CheckResult, MarginRow, NefReport, full_report
-from .orbit import distinctness, increase_start, ratio_pairs, walk
+from .orbit import increase_start, ratio_pairs, walk
 from .polynomials import combine
 from .reference import WITNESS_TOLERANCE_MILLI, witness_matches
 from .spectral import CharpolyFacts, EigenSystem, OrientationReport, eigensystem, select_orientation
 from .transform import apply_integers, verify_isometry
 
 SCHEMA_VERSION = "1"
+ISOMETRY = "composite map preserves the intersection form"
+K_FIXED = "composite map fixes the canonical class"
+RELATION = "eigen-relation (xI - T) a = p e_0 holds as polynomials"
+EIGENVALUE = "dominant eigenvalue exceeds 1"
+DISTINCT = "orbit classes pairwise distinct"
 
 
 class OrbitEvidence(Record):
-    horizon: int
-    distinct: bool
-    all_self_intersection_minus_two: bool
-    all_canonical_degree_zero: bool
     ratio_start: int
     ratios_tested: int
     ratios_converged: bool
@@ -35,21 +37,14 @@ class OrbitEvidence(Record):
 
 
 def _orbit_evidence(eigen: EigenSystem, horizon: int) -> OrbitEvidence:
-    """Every orbit fact from one integer walk of the line class."""
+    """The growth and max-norm facts and the records, from one integer walk of the line class."""
     vectors = walk(eigen.transform, LINE, horizon)
-    distinct = distinctness(vectors)
-    self_ok = all(pair_integers(v, v) == -2 for v in vectors)
-    k_ok = all(pair_integers(v, CANONICAL) == 0 for v in vectors)
     start = 30 if horizon >= 33 else max(3, horizon - 3)
     lo, hi, den = eigen.eigenvalue
     # h_(n+1) / h_n = b / a, a > 0, within [0.99 lambda.lo, 1.01 lambda.hi]
     tested = ratio_pairs([(n, vectors[n][0]) for n in range(start, horizon)])
     converged = bool(tested) and all(99 * lo * a <= 100 * den * b <= 101 * a * hi for _, a, b in tested)
     return OrbitEvidence(
-        horizon=horizon,
-        distinct=distinct.distinct,
-        all_self_intersection_minus_two=self_ok,
-        all_canonical_degree_zero=k_ok,
         ratio_start=start,
         ratios_tested=len(tested),
         ratios_converged=converged,
@@ -84,8 +79,11 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
     isometry = verify_isometry(t)
     defects = [(i, j, x) for i, row in enumerate(isometry.residual or ()) for j, x in enumerate(row) if x]
     detail = "(M^T G M - G)[{}][{}] = {}".format(*defects[0]) if defects else ""
-    record("composite map preserves the intersection form", isometry.ok, detail)
-    record("composite map fixes the canonical class", apply_integers(t, CANONICAL) == CANONICAL)
+    record(ISOMETRY, isometry.ok, detail)
+    record(K_FIXED, apply_integers(t, CANONICAL) == CANONICAL)
+    # at p(lambda) = 0 the relation gives T a(lambda) = lambda a(lambda), a_0(lambda) != 0
+    row = eigen.relation_row
+    record(RELATION, row is None, "T v = lambda v" if row is None else f"row {row} fails")
 
     try:
         orientation, failure = select_orientation(eigen), None
@@ -95,6 +93,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         "orientation oracle selects the fixed composite",
         failure is None,
         orientation.selected if failure is None else failure,
+        RELATION,
     )
 
     p = eigen.polynomial
@@ -119,7 +118,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
 
     lo, hi, den = eigen.eigenvalue
     record(
-        "dominant eigenvalue exceeds 1",
+        EIGENVALUE,
         lo > den,
         f"lambda = {decimal_string(lo + hi, 2 * den, 12)}...",
     )
@@ -160,20 +159,26 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
     nef = full_report(eigen)
     checks.extend(nef.checks)
 
+    # for every n: T^n is an isometry fixing K, and T v = lambda v gives
+    # (T^n l).v = l.(T^-n v) = lambda^-n (l.v), so T^n l = T^m l forces n = m
+    weights = [g * c for g, c in zip(GRAM_DIAGONAL[1:], LINE[1:])]
+    lv_lo, lv_hi = (  # l.v over 2^bits: each q_i's endpoint by the sign of its weight
+        (LINE[0] << bits) + sum(w * q[k if w > 0 else 1 - k] for w, q in zip(weights, eigen.eigenvector))
+        for k in (0, 1)
+    )
+    if lv_lo <= 0 <= lv_hi:
+        raise PrecisionBudgetError(f"{DISTINCT}: l.v not certified nonzero")
+    lv = decimal_string(lv_lo + lv_hi, 2 << bits, 12)
+    detail = f"(T^n l).v = lambda^-n (l.v) with l.v = {lv}... != 0 and lambda > 1, for every n"
+    record(DISTINCT, lv_hi < 0 or lv_lo > 0, detail, ISOMETRY, RELATION, EIGENVALUE)
+    l2, lk = pair_integers(LINE, LINE), pair_integers(LINE, CANONICAL)
+    record("orbit self-intersections all -2", l2 == -2, f"(T^n l)^2 = l^2 = {l2} for every n", ISOMETRY)
+    detail = f"(T^n l).K = l.K = {lk} for every n"
+    record("orbit canonical degrees all 0", lk == 0, detail, ISOMETRY, K_FIXED)
     orbit_data = _orbit_evidence(eigen, cfg.orbit_horizon)
-    record(
-        "orbit classes pairwise distinct",
-        orbit_data.distinct,
-        f"horizon {orbit_data.horizon}",
-    )
-    record(
-        "orbit self-intersections all -2",
-        orbit_data.all_self_intersection_minus_two,
-    )
-    record("orbit canonical degrees all 0", orbit_data.all_canonical_degree_zero)
     growth = f"within 1% from step {orbit_data.ratio_start}"
     if not orbit_data.ratios_tested:
-        growth = f"no ratio from step {orbit_data.ratio_start} within horizon {orbit_data.horizon}"
+        growth = f"no ratio from step {orbit_data.ratio_start} within horizon {cfg.orbit_horizon}"
     elif not orbit_data.ratios_converged:
         growth = "not " + growth
     record("orbit growth ratio converges to the eigenvalue", orbit_data.ratios_converged, growth)
@@ -183,7 +188,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         increasing is not None,
         f"from step {increasing}"
         if increasing is not None
-        else f"no strictly increasing tail within horizon {orbit_data.horizon}",
+        else f"no strictly increasing tail within horizon {cfg.orbit_horizon}",
     )
 
     return VerificationRun(
@@ -285,8 +290,8 @@ def build_report(run: VerificationRun) -> dict:
         },
         "orbit": {
             "seed": standard_line().to_json_array(),
-            "horizon": run.orbit.horizon,
-            "distinct": run.orbit.distinct,
+            "horizon": cfg.orbit_horizon,
+            "distinct": next(c.passed for c in run.certificates if c.name == DISTINCT),
             "ratio_start": run.orbit.ratio_start,
             "ratios_converged": run.orbit.ratios_converged,
             "max_norm_increasing_from": run.orbit.max_norm_increasing_from,

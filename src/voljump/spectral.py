@@ -4,11 +4,12 @@ Pipeline: one integer pass (`faddeev_leverrier`) gives the characteristic
 polynomial p and the column a(x) = adj(xI - T) e_0 of integer polynomials
 -> the factorization p = (x - 1)^k s with s(1) != 0: gcd(s, s') = 1 proves
 s squarefree, and the dominant eigenvalue lambda is isolated on s itself
-(`_dominant_spectrum`) -> the eigen-relation (xI - T) a = p e_0 as
-polynomials -> lambda refined to the precision on its isolating bracket
-(`refine_bracket`: integer Newton steps only guess the cell, two exact
-signs certify it), all in `_spectral_core` -> the normalized dominant
-eigenvector a(lambda) / a_0(lambda) -> the nef witness as integer
+(`_dominant_spectrum`) -> lambda refined to the precision on its isolating
+bracket (`refine_bracket`: integer Newton steps only guess the cell, two
+exact signs certify it) -> the normalized dominant eigenvector
+a(lambda) / a_0(lambda) -> the first row of the eigen-relation
+(xI - T) a = p e_0 that fails as polynomials, None if none does, all in
+`_spectral_core` -> the nef witness as integer
 polynomials of the column: with B = -(a_0 + a_1 + a_2 + a_3),
 D = 2 a_0 - B and N_i = -2 a_i - B l_i (l_i = 1 on the line indices 1..3),
 the line component is beta = B(lambda) / 2 a_0(lambda) and the witness
@@ -146,10 +147,11 @@ def _wider_than(quotients: Sequence[tuple[int, int]], bits: int, tol: int, slack
     return widest * tol > slack << bits
 
 
-def _eigen_relation(m: LatticeIsometry, column: Sequence[IntPoly], p: IntPoly) -> None:
-    """Certify (xI - m) a = p e_0 for the adjugate column a of xI - m, which
-    (xI - m) adj(xI - m) = p I gives, as polynomials with p = (x - 1)^k s:
-    more than every row vanishing mod s, and without a division."""
+def _eigen_relation(m: LatticeIsometry, column: Sequence[IntPoly], p: IntPoly) -> int | None:
+    """The first row of (xI - m) a = p e_0 that fails, None if none does, for
+    the adjugate column a of xI - m, which (xI - m) adj(xI - m) = p I gives:
+    as polynomials with p = (x - 1)^k s, more than every row vanishing mod s,
+    and without a division."""
     width = 1 + max(len(a.coeffs) for a in column)
     padded = [list(a.coeffs) + [0] * (width - len(a.coeffs)) for a in column]
     expected = list(p.coeffs) + [0] * (width - len(p.coeffs))
@@ -159,7 +161,8 @@ def _eigen_relation(m: LatticeIsometry, column: Sequence[IntPoly], p: IntPoly) -
             if c:
                 residual = [r - c * y for r, y in zip(residual, padded[j])]
         if any(residual) if i else residual != expected:
-            raise CertificationError(f"eigen-relation row {i} of (xI - T) a = p e_0 fails")
+            return i
+    return None
 
 
 def line_pairing_identity_certified(r: ClassEnclosure) -> bool:
@@ -180,7 +183,7 @@ def line_pairing_identity_certified(r: ClassEnclosure) -> bool:
 
 
 class EigenSystem(Record):
-    """Certified spectral data of one transform at one precision: fields 1..6 are its
+    """Certified spectral data of one transform at one precision: fields 1..7 are its
     `_spectral_core`; enclosures are integer numerators, built into enclosures when read."""
 
     transform: LatticeIsometry
@@ -190,6 +193,7 @@ class EigenSystem(Record):
     eigenvalue: tuple[int, int, int]  # lambda in [lo, hi] / den
     eigenvector: tuple[tuple[int, int], ...]  # a_i(lambda) / a_0(lambda) = -r_i, i = 1..10
     scaled_column: tuple  # -2 a_j, their enclosures, the endpoint powers (`_spectral_core`)
+    relation_row: int | None  # first failing row of (xI - T) a = p e_0, None if it holds
     witness_polynomials: tuple[IntPoly, ...]  # (D, B, N_1..N_10), D(lambda) > 0
     witness_values: tuple[tuple[int, int], ...]  # their enclosures, one denominator
     line_numerators: tuple[int, int]  # beta, over 2^grid_bits as below
@@ -234,17 +238,17 @@ class EigenSystem(Record):
 
 
 def _spectral_core(m: LatticeIsometry, tol: int) -> tuple:
-    """`EigenSystem`'s fields 1..6 for m, from the integer pass on: p, a, s,
-    lambda, the eigenvector at most 1 / tol wide, and the scaled data
+    """`EigenSystem`'s fields 1..7 for m, from the integer pass on: p, a, s,
+    lambda, the eigenvector at most 1 / tol wide, the scaled data
     `_witness_stage` reads (the multiples -2 a_j, their enclosures (-2 hi, -2 lo)
-    from a_j's, the endpoint powers).  A conjugate Q m Q^T permutes a, the
-    vector and the multiples.  a_0(lambda) != 0 is certified by its
-    enclosure; each a_i(lambda) / a_0(lambda) goes onto the grid by floor
-    and ceiling division, its width compared there.
+    from a_j's, the endpoint powers) and the failing row of the eigen-relation
+    (`_eigen_relation`).  A conjugate Q m Q^T permutes a, the vector and the
+    multiples.  a_0(lambda) != 0 is certified by its enclosure; each
+    a_i(lambda) / a_0(lambda) goes onto the grid by floor and ceiling
+    division, its width compared there.
     """
     p, column = faddeev_leverrier(m)
     off_unit, bracket = _dominant_spectrum(p)
-    _eigen_relation(m, column, p)
     lam = refine_bracket(off_unit, bracket, (1, tol * 10**GUARD_DIGITS))
     powers = _endpoint_powers(lam, max(a.degree for a in column))
     values = [_enclose(a, powers) for a in column]
@@ -258,7 +262,7 @@ def _spectral_core(m: LatticeIsometry, tol: int) -> tuple:
         )
     multiples = [combine((-2,), (a,)) for a in column]
     scaled = multiples, [(-2 * hi, -2 * lo) for lo, hi in values], powers
-    return p, column, off_unit, lam, vector, scaled
+    return p, column, off_unit, lam, vector, scaled, _eigen_relation(m, column, p)
 
 
 def _witness_stage(
@@ -393,8 +397,9 @@ def select_orientation(eigen: EigenSystem) -> OrientationReport:
     reading only B' and D' are built and enclosed, then N'_1..N'_3 if
     B'(lambda) > 0 is certified; all read slots 0..3, and widths are asked
     at 12 digits.  A reading whose data fail to certify does not match, and a
-    class core that fails to certify fails each reading of its class with
-    the same error; an undecided one raises `PrecisionBudgetError` naming it.
+    class core that fails to certify, or whose eigen-relation fails, fails
+    each reading of its class with the same error; an undecided one raises
+    `PrecisionBudgetError` naming it.
     """
     tol, t = 10**12, eigen.transform
     readings = candidate_readings()
@@ -409,13 +414,15 @@ def select_orientation(eigen: EigenSystem) -> OrientationReport:
         try:
             if rep not in classes:
                 try:  # the class of t reads the run's core
-                    classes[rep] = eigen[1:7] if base == t else _spectral_core(base, tol)
+                    classes[rep] = eigen[1:8] if base == t else _spectral_core(base, tol)
                 except CertificationError as err:
                     classes[rep] = err  # kept: the class's later readings fail with it
             core = classes[rep]
             if isinstance(core, CertificationError):
                 raise core
-            _, column, _, lam, _, (multiples, values, powers) = core
+            _, column, _, lam, _, (multiples, values, powers), row = core
+            if row is not None:
+                raise CertificationError(f"eigen-relation row {row} of (xI - T) a = p e_0 fails")
             # the column of M' is a'[q(i)] = a[i], and so are its multiples
             order = sorted(range(RANK), key=q.__getitem__)
             column, *scaled = ([xs[i] for i in order] for xs in (column, multiples, values))

@@ -791,10 +791,61 @@ def test_orbit_of_a_non_curve_class_fails_the_self_intersection(monkeypatch, cap
     assert code == 1
     assert "failed: orbit self-intersections all -2" in err
     lines = out.splitlines()
-    assert "[PASS] orbit classes pairwise distinct (horizon 50)" in lines
-    assert "[FAIL] orbit self-intersections all -2" in lines
-    assert "[FAIL] orbit canonical degrees all 0" in lines
+    assert (
+        "[PASS] orbit classes pairwise distinct ((T^n l).v = lambda^-n (l.v) with "
+        "l.v = 0.107691618505... != 0 and lambda > 1, for every n)"
+    ) in lines
+    assert "[FAIL] orbit self-intersections all -2 ((T^n l)^2 = l^2 = -1 for every n)" in lines
+    assert "[FAIL] orbit canonical degrees all 0 ((T^n l).K = l.K = -1 for every n)" in lines
     assert lines[-1] == "verdict: fail"
+
+
+def test_an_orbit_of_the_canonical_class_leaves_distinctness_undecided(monkeypatch, capsys):
+    from voljump import report
+    from voljump.lattice import CANONICAL, canonical_class
+    from voljump.orbit import DistinctnessResult, verify_distinct
+
+    # T K = K, so the orbit of K is one class; K.v = 0 exactly, so no
+    # enclosure of l.v excludes 0, at any precision
+    assert verify_distinct(canonical_class(), 2) == DistinctnessResult(False, (0, 1))
+    monkeypatch.setattr(report, "LINE", CANONICAL)
+    code, out, err = run_cli(capsys, "verify")
+    assert (code, out) == (3, "")
+    assert err == (
+        "precision too low to decide a certificate: "
+        "orbit classes pairwise distinct: l.v not certified nonzero\n"
+    )
+
+
+def test_a_failed_eigen_relation_fails_the_lines_that_rest_on_it(monkeypatch, capsys):
+    """a_4 + s leaves a(lambda), the eigenvector and the witness as they are,
+    and only row 4 of (xI - T) a = p e_0 fails: the relation line names it,
+    and the two lines that rest on T v = lambda v fail by their premise."""
+    from voljump.polynomials import combine
+
+    composite, s = composite_T(), spectral.eigensystem(60).off_unit_factor
+    kernel = spectral.faddeev_leverrier
+
+    def corrupted(m):
+        p, column = kernel(m)
+        if m == composite:
+            column = (*column[:4], combine((1, 1), (column[4], s)), *column[5:])
+        return p, column
+
+    monkeypatch.setattr(spectral, "faddeev_leverrier", corrupted)
+    clear_run_caches()
+    try:
+        code, out, err = run_cli(capsys, "verify")
+    finally:
+        clear_run_caches()
+    assert code == 1
+    relation = "eigen-relation (xI - T) a = p e_0 holds as polynomials"
+    assert [line for line in out.splitlines() if not line.startswith("[PASS]")] == [
+        f"[FAIL] {relation} (row 4 fails)",
+        f"[FAIL] orientation oracle selects the fixed composite (premise failed: {relation})",
+        f"[FAIL] orbit classes pairwise distinct (premise failed: {relation})",
+        "verdict: fail",
+    ]
 
 
 def test_refinement_budget_flag_rejected(capsys):

@@ -593,7 +593,7 @@ def test_a_default_run_has_distinct_line_names():
     from voljump.report import run_verification
 
     names = [c.name for c in run_verification().certificates]
-    assert len(names) == len(set(names)) == 26
+    assert len(names) == len(set(names)) == 27
     assert names.index(ORDERING) < names.index("degrees 3..6 full enumeration margins positive")
 
 

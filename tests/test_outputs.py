@@ -13,9 +13,9 @@ import pytest
 from voljump.cli import main
 
 PINNED = [
-    (("verify",), 0, "ac4d138ec61823bca7afd66af79d4bd6528319b59cd4da4ade90ebdb84e87615"),
+    (("verify",), 0, "bacd5f66cbfa1a49f0d6ff0735f3c1b63214c27c82ab0f07c45af356d3857902"),
     (("nef-verify",), 0, "300244f3efc08b39531ac6b568fb9a6e1b8e282e6d9af2dc9f467c0daacb8467"),
-    (("report",), 0, "1bcbaa9c8d7bcc4b245f11ad851faad645cfed2fd5e50814ad57062fd2b20812"),
+    (("report",), 0, "95a189c299bbd6c78309baf5f5de2c72c1b892cd3748fc8c23d4876100128e55"),
     (("nef-table", "--format", "md"), 0, "e59f3b6f9737cfbf7890915de67981d1fbeae092190e1198be005c4c44c9fd03"),
     (("nef-table", "--format", "csv"), 0, "289ea3ed8512973cad213d020e7e9cfb8542351691187ae8dc829b4bd6b17bde"),
     (("nef-table", "--format", "json"), 0, "bf1c4364c98b6b71d75a2a6b9669689125d739855ea5ce4630b6420e46870c5e"),
@@ -32,8 +32,8 @@ PINNED = [
     (("enumerate", "--d", "5", "--format", "json"), 0, "4b16bc6b022fbe69828f33b3bd6fe81f7075d94ac8afb02aa02499ea538ddb8f"),
     (("enumerate", "--d", "6", "--extreme", "--format", "csv"), 0, "9dccf505ccc860fee238c1ad191fb5758fb6f062016b9ac9391ea8041ab4335c"),
     (("nef-table", "--precision-digits", "20", "--format", "csv"), 0, "289ea3ed8512973cad213d020e7e9cfb8542351691187ae8dc829b4bd6b17bde"),
-    (("report", "--precision-digits", "20"), 0, "4c49d0eb690454de9cf3e9eb1aa9129bacbf7cf73760c68111f1b84ee9b36b10"),
-    (("report", "--precision-digits", "400", "--orbit-horizon", "400"), 0, "4e593014b31e9e33defa82e8d5b6ffc06c1849f3c9b0ea13cacac1b775b7362f"),
+    (("report", "--precision-digits", "20"), 0, "34c2ef45e5e5a5943555efa210293a60e18d887fe82292b3809846b2b5dbf10a"),
+    (("report", "--precision-digits", "400", "--orbit-horizon", "400"), 0, "912fd2b6d0b0f85e110f3d2315080bd3de715b4e728bf0acac8cd2c5c810753a"),
 ]
 
 

@@ -116,7 +116,6 @@ def test_orbit_evidence_matches_separate_walks(run, horizon):
     assert [r.divisor.integral_multiple() for r in orbit(seed, horizon)] == [
         (v, 1) for v in evidence.vectors
     ]
-    assert evidence.distinct == verify_distinct(seed, horizon).distinct
     assert evidence.max_norm_increasing_from == max_norm_increase_start(seed, horizon)
     ratios = growth_ratios(growth_profile(seed, horizon))
     lam = run.eigen.dominant_value
@@ -126,6 +125,51 @@ def test_orbit_evidence_matches_separate_walks(run, horizon):
         lam.lo * 99 / 100 <= r <= lam.hi * 101 / 100 for r in tested
     )
     assert evidence.ratios_converged == converged
+
+
+ALL_N_LINES = (
+    "orbit classes pairwise distinct",
+    "orbit self-intersections all -2",
+    "orbit canonical degrees all 0",
+)
+
+
+@pytest.mark.parametrize("coxeter", [False, True], ids=["composite", "coxeter"])
+def test_the_deduced_orbit_lines_agree_with_a_long_walk(bind_transform, monkeypatch, coxeter):
+    """The walk is the reference of the all-n lines: 400 steps of the run's
+    matrix, on the composite and on the Coxeter control, agree with each verdict."""
+    from voljump import orbit as orbit_module
+    from voljump.transform import composite_T, cremona_isometry, exceptional_shift
+
+    m = cremona_isometry(1, 2, 3) @ exceptional_shift(1) if coxeter else composite_T()
+    bind_transform(m)
+    monkeypatch.setattr(orbit_module, "composite_T", lambda: m)
+    lines = {c.name: c.passed for c in run_verification(RunConfig()).certificates}
+    seed = standard_line()
+    records = list(orbit(seed, 400))
+    walked = (
+        verify_distinct(seed, 400).distinct,
+        all(r.self_intersection == -2 for r in records),
+        all(r.canonical_degree == 0 for r in records),
+    )
+    assert tuple(lines[name] for name in ALL_N_LINES) == walked == (True, True, True)
+
+
+def test_the_all_n_orbit_lines_read_no_walk(run, monkeypatch):
+    """Neither the horizon nor a walk of garbage moves the three all-n lines
+    or the report's `orbit.distinct`."""
+    from voljump import report
+
+    def all_n(result):
+        return [c for c in result.certificates if c.name in ALL_N_LINES]
+
+    assert len(all_n(run)) == 3
+    for horizon in (1, 3, 400):
+        assert all_n(run_verification(RunConfig(orbit_horizon=horizon))) == all_n(run)
+    monkeypatch.setattr(report, "walk", lambda m, vector, count: [(7,) * 11] * count)
+    garbage = run_verification(RunConfig())
+    assert all_n(garbage) == all_n(run)
+    assert build_report(garbage)["orbit"]["distinct"] is True
 
 
 def test_verification_builds_no_orbit_record(monkeypatch):
@@ -258,18 +302,14 @@ def test_a_run_decides_no_determinant(monkeypatch):
 
 
 def test_charpoly_facts_strip_nothing(eigen, monkeypatch):
-    """k and s come from the spectral core's factorization, not a second strip."""
+    """k and s come from the spectral core's factorization, not a second strip:
+    k = 1, and s is the core's own factor."""
     from voljump import spectral
 
     def forbidden(*args, **kwargs):
         raise AssertionError("(x - 1) stripped again")
 
     monkeypatch.setattr(spectral, "strip_rational_root", forbidden)
-    facts = CharpolyFacts.of(eigen)
-    assert (facts.unit_root_multiplicity, facts.off_unit_factor) == (1, eigen.off_unit_factor)
-
-
-def test_charpoly_facts_check_the_off_unit_factor(eigen):
     facts = CharpolyFacts.of(eigen)
     assert (facts.unit_root_multiplicity, facts.off_unit_factor) == (1, eigen.off_unit_factor)
 
@@ -301,6 +341,7 @@ def test_the_run_binds_its_matrix_once(monkeypatch):
 COXETER_VERDICTS = [
     ("composite map preserves the intersection form", True),
     ("composite map fixes the canonical class", True),
+    ("eigen-relation (xI - T) a = p e_0 holds as polynomials", True),
     ("orientation oracle selects the fixed composite", False),
     ("characteristic polynomial anti-reciprocal", True),
     ("cyclotomic scan finds only the factor at n = 1", True),
@@ -375,6 +416,6 @@ def test_coxeter_certificate_text_is_pinned(bind_transform):
 
     bind_transform(cremona_isometry(1, 2, 3) @ exceptional_shift(1))
     text, code = _certificate_text(run_verification(RunConfig()).certificates)
-    assert code == 1 and len(text.splitlines()) == 27
-    digest = "8b360f660cb81bd82c0d69f1a3319b7dd760aee0bc97555ffb38282080cbfb1a"
+    assert code == 1 and len(text.splitlines()) == 28
+    digest = "beb325ad52d0a901b68d6ca3ec90299c7f319dd25ec63cb6be3bea13299d4e60"
     assert hashlib.sha256(text.encode()).hexdigest() == digest

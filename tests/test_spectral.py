@@ -230,10 +230,12 @@ def test_adjugate_column_of_identity():
 
 
 def test_eigenvector_rejects_corrupted_column(eigen):
+    # a_4 + 1 adds x to row 4 of (xI - T) a; rows 0..3 never read a_4
+    assert _eigen_relation(eigen.transform, eigen.adjugate_column, eigen.polynomial) is None
+    assert eigen.relation_row is None
     column = list(eigen.adjugate_column)
     column[4] = IntPoly((column[4].coeffs[0] + 1,) + column[4].coeffs[1:])
-    with pytest.raises(CertificationError, match="eigen-relation row"):
-        _eigen_relation(eigen.transform, column, eigen.polynomial)
+    assert _eigen_relation(eigen.transform, column, eigen.polynomial) == 4
 
 
 def test_eigenvector_rejects_corrupted_first_entry(eigen):
@@ -241,8 +243,7 @@ def test_eigenvector_rejects_corrupted_first_entry(eigen):
     # p = (x - 1) s; row 0 is checked first
     column = list(eigen.adjugate_column)
     column[0] = IntPoly((column[0].coeffs[0] + 1,) + column[0].coeffs[1:])
-    with pytest.raises(CertificationError, match="eigen-relation row 0 "):
-        _eigen_relation(eigen.transform, column, eigen.polynomial)
+    assert _eigen_relation(eigen.transform, column, eigen.polynomial) == 0
 
 
 def test_eigenvector_requires_the_exact_adjugate_column(eigen):
@@ -250,8 +251,7 @@ def test_eigenvector_requires_the_exact_adjugate_column(eigen):
     # unchanged; rows 1..10 must still vanish as polynomials
     column = list(eigen.adjugate_column)
     column[4] = combine((1, 1), (column[4], eigen.off_unit_factor))
-    with pytest.raises(CertificationError, match="eigen-relation row 4 "):
-        _eigen_relation(eigen.transform, column, eigen.polynomial)
+    assert _eigen_relation(eigen.transform, column, eigen.polynomial) == 4
 
 
 def test_witness_polynomials_are_the_witness(eigen):
@@ -292,8 +292,8 @@ def test_the_witness_stage_makes_the_line_margin_zero(eigen):
     assert line_identity(eigen.witness_polynomials) == zero
     certified = 0
     for reading in candidate_readings():
-        base = eigen[1:7] if reading.base == eigen.transform else _spectral_core(reading.base, tol)
-        _, column, _, lam, _, _ = base
+        base = eigen[1:8] if reading.base == eigen.transform else _spectral_core(reading.base, tol)
+        _, column, _, lam, _, _, _ = base
         column = [column[i] for i in sorted(range(11), key=reading.q.__getitem__)]
         try:
             polys = witness_of(column, lam, tol)[0]
@@ -469,7 +469,7 @@ def test_per_class_oracle_matches_a_witness_stage_per_reading(eigen):
     recomputed = []
     for reading in candidate_readings():
         try:
-            _, column, _, lam, _, _ = _spectral_core(reading.matrix, tol)
+            _, column, _, lam, _, _, _ = _spectral_core(reading.matrix, tol)
             witness = _witness_stage(column, enclosed_multiples(column, lam), lam, tol)[3]
         except CertificationError as err:
             recomputed.append(CandidateAssessment(reading.name, False, f"no certified data: {err}"))
@@ -591,6 +591,28 @@ def test_core_failure_of_a_representative_reaches_its_class(monkeypatch, eigen):
     one_slot_class = [a for a in report.assessments if "shift+1" in a.name or "shift-1" in a.name]
     assert len(one_slot_class) == 8
     assert all(a == (a.name, False, "no certified data: synthetic") for a in one_slot_class)
+
+
+def test_a_failed_eigen_relation_of_the_other_class_fails_its_readings(monkeypatch, eigen):
+    # a_4 + s leaves the shift+1 core's a(lambda) as it is, but not row 4 of
+    # its relation: each reading of the class has no certified data
+    one_slot = cremona_isometry(1, 2, 3) @ exceptional_shift(1)
+    kernel = spectral.faddeev_leverrier
+
+    def corrupted(m):
+        p, column = kernel(m)
+        if m == one_slot:
+            s = _dominant_spectrum(p)[0]
+            column = (*column[:4], combine((1, 1), (column[4], s)), *column[5:])
+        return p, column
+
+    monkeypatch.setattr(spectral, "faddeev_leverrier", corrupted)
+    report = select_orientation(eigen)
+    assert "shift+3" in report.selected
+    one_slot_class = [a for a in report.assessments if "shift+1" in a.name or "shift-1" in a.name]
+    assert len(one_slot_class) == 8
+    detail = "no certified data: eigen-relation row 4 of (xI - T) a = p e_0 fails"
+    assert all(a == (a.name, False, detail) for a in one_slot_class)
 
 
 @pytest.mark.parametrize("q", [(0,) * 11, (1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10)])
