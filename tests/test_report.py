@@ -314,6 +314,11 @@ def test_charpoly_facts_strip_nothing(eigen, monkeypatch):
     assert (facts.unit_root_multiplicity, facts.off_unit_factor) == (1, eigen.off_unit_factor)
 
 
+def test_charpoly_facts_check_the_off_unit_factor(eigen):
+    facts = CharpolyFacts.of(eigen)
+    assert (facts.unit_root_multiplicity, facts.off_unit_factor) == (1, eigen.off_unit_factor)
+
+
 def test_the_run_binds_its_matrix_once(monkeypatch):
     """`eigensystem` is the run's one call of `composite_T`; every other stage
     certifies `eigen.transform`."""
