@@ -42,7 +42,9 @@ that prints only verdicts builds none.  The facts beyond the margins are
 exact: D - N_1 - N_2 - N_3 is the zero polynomial by the witness's
 construction, and the degree-1 line checks it as the premise of the line's
 zero margin; the square-sum identity sum t_i^2 = 1 - 2 beta^2 / (1 - beta)^2
-is sum N_i^2 - D^2 + 2 B^2 = 0 mod s, and bigness follows from
+is sum N_i^2 - D^2 + 2 B^2 = 0 mod s, decided by the one rule for a fact at
+lambda (`spectral.sign_at`: 0 iff s divides it, exit 3 where a nonzero
+remainder's enclosure holds 0), and bigness follows from
 L^2 = 2 B^2 / D^2 with B(lambda) > 0, which the witness stage decided
 (`spectral._witness_stage`).  The public functions on general witness
 enclosures (`margin`, `check_degree_one`, `cauchy_schwarz_cutoff`,
@@ -61,7 +63,7 @@ from .intervals import ClassEnclosure, RealEnclosure, decimal_string
 from .lattice import fraction_type
 from .polynomials import IntPoly, combine
 from .reference import TABLE_MILLI, TABLE_TOLERANCE_MILLI, WEIGHT_ORDER, deviations
-from .spectral import EigenSystem
+from .spectral import EigenSystem, sign_at
 
 
 def _feasible(degree: int, total: int, square_total: int) -> bool:
@@ -535,9 +537,9 @@ def full_report(eigen: EigenSystem) -> NefReport:
     )
 
     # sum t_i^2 = 1 - 2 B^2 / D^2, on which the cutoff and bigness rest
-    square_sum = combine(
-        (1,) * len(n_polys) + (-1, 2), [p * p for p in (*n_polys, d_poly, b_poly)]
-    ).is_multiple_of(eigen.off_unit_factor)
+    squares = combine((1,) * len(n_polys) + (-1, 2), [p * p for p in (*n_polys, d_poly, b_poly)])
+    undecided = "sum N_i^2 - D^2 + 2 B^2 mod s not sign-certified"
+    square_sum = not sign_at(squares, eigen.off_unit_factor, eigen.scaled_column[2], undecided)
     record(
         SQUARE_SUM,
         square_sum,

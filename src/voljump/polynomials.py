@@ -137,11 +137,24 @@ class IntPoly:
             return None
         return IntPoly(out)
 
-    def is_multiple_of(self, divisor: "IntPoly") -> bool:
-        """Whether the nonzero divisor divides self over Q (it divides 0)."""
+    def scaled_remainder(self, divisor: "IntPoly") -> "IntPoly":
+        """A positive multiple of the remainder of self by the nonzero divisor
+        over Q, 0 iff the divisor divides self: each step scales the rest by
+        |lc(divisor)| before cancelling its top term, which keeps the signs."""
         if divisor.degree < 0:
             raise ZeroDivisionError("division by zero polynomial")
-        return not _pseudo_remainder(self.coeffs, divisor.coeffs)
+        den, n = divisor.coeffs, divisor.degree
+        scale, sign = abs(den[-1]), (1 if den[-1] > 0 else -1)
+        rest = list(self.coeffs)  # its top coefficient is nonzero, or rest = [0]
+        while len(rest) > n:
+            top = sign * rest.pop()
+            shift = len(rest) - n
+            rest = [scale * c for c in rest]
+            for j, d in enumerate(den[:-1]):
+                rest[shift + j] -= top * d
+            while rest and rest[-1] == 0:
+                rest.pop()
+        return IntPoly(rest)
 
     def __str__(self) -> str:
         terms = []
@@ -242,29 +255,6 @@ def _scaled_value(coeffs: Sequence[int], n: int, d: int) -> int:
         acc = acc * n + c * scale
         scale *= d
     return acc
-
-
-def _pseudo_remainder(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    """A positive multiple of the remainder of num by den over Q, with zero
-    top coefficients dropped ([] for 0); den has a nonzero top coefficient.
-
-    Each step scales the rest by |lc(den)| before cancelling its top term, so
-    the result keeps the sign pattern of the true remainder.
-    """
-    lead, n = den[-1], len(den) - 1
-    scale, sign = abs(lead), (1 if lead > 0 else -1)
-    rest = list(num)
-    while rest and rest[-1] == 0:
-        rest.pop()
-    while len(rest) > n:
-        top = sign * rest.pop()
-        shift = len(rest) - n
-        rest = [scale * c for c in rest]
-        for j, d in enumerate(den[:-1]):
-            rest[shift + j] -= top * d
-        while rest and rest[-1] == 0:
-            rest.pop()
-    return rest
 
 
 def _deflate(coeffs: Sequence[int], n: int, d: int) -> tuple[int, ...]:
@@ -440,7 +430,7 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     pseudo-remainder sequence (Collins; Brown-Traub): integers throughout."""
     a, b = a.primitive(), b.primitive()
     while b.degree >= 0:
-        a, b = b, IntPoly(_pseudo_remainder(a.coeffs, b.coeffs)).primitive()
+        a, b = b, a.scaled_remainder(b).primitive()
     return a
 
 
@@ -612,7 +602,7 @@ def _cauchy_index(p: IntPoly, q: IntPoly) -> int:
     """
     chain = [p, q]
     while chain[-1].degree >= 0:
-        chain.append(IntPoly(-c for c in _pseudo_remainder(chain[-2].coeffs, chain[-1].coeffs)))
+        chain.append(IntPoly(-c for c in chain[-2].scaled_remainder(chain[-1]).coeffs))
     chain.pop()
     at_plus = [f.leading for f in chain]
     at_minus = [-f.leading if f.degree % 2 else f.leading for f in chain]

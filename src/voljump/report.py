@@ -10,14 +10,14 @@ with the same configuration emit byte-identical artifacts.
 from __future__ import annotations
 
 from .config import RunConfig
-from .errors import CertificationError, PrecisionBudgetError, Record
+from .errors import CertificationError, Record
 from .intervals import ClassEnclosure, RealEnclosure, decimal_string, enclosure_json
 from .lattice import CANONICAL, GRAM_DIAGONAL, LINE, canonical_class, pair_integers, standard_line
 from .nefcheck import Certificates, CheckResult, MarginRow, NefReport, full_report
 from .orbit import increase_start, ratio_pairs, walk
 from .polynomials import combine
 from .reference import WITNESS_TOLERANCE_MILLI, witness_matches
-from .spectral import CharpolyFacts, EigenSystem, OrientationReport, eigensystem, select_orientation
+from .spectral import CharpolyFacts, EigenSystem, eigensystem, select_orientation, sign_at
 from .transform import apply_integers, verify_isometry
 
 SCHEMA_VERSION = "1"
@@ -85,14 +85,16 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
     row = eigen.relation_row
     record(RELATION, row is None, "T v = lambda v" if row is None else f"row {row} fails")
 
-    try:
-        orientation, failure = select_orientation(eigen), None
-    except CertificationError as err:
-        orientation, failure = OrientationReport("", ()), str(err)
+    (selected, candidates), failure = ("", ()), None
+    if row is None:  # else the oracle line fails by its premise, with nothing to select
+        try:
+            selected, candidates = select_orientation(eigen)
+        except CertificationError as err:
+            failure = str(err)
     record(
         "orientation oracle selects the fixed composite",
         failure is None,
-        orientation.selected if failure is None else failure,
+        selected if failure is None else failure,
         RELATION,
     )
 
@@ -130,11 +132,10 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         -q_hi > 1 << bits,
         f"sum = {decimal_string(-q_lo - q_hi, 2 << bits, 12)}...",
     )
-    # v = a(lambda) / a_0(lambda) with a_0(lambda) != 0 certified, so v.v and
-    # v.K vanish iff these polynomials vanish at lambda, a root of s
-    a, s = eigen.adjugate_column, eigen.off_unit_factor
+    # v = a(lambda) / a_0(lambda), a_0(lambda) != 0: v.v and v.K are 0 iff these polynomials are
+    a, s, powers = eigen.adjugate_column, eigen.off_unit_factor, eigen.scaled_column[2]
     v_lo, v_hi, v_den = eigen.self_pairing()
-    self_zero = combine(GRAM_DIAGONAL, [ai * ai for ai in a]).is_multiple_of(s)
+    self_zero = not sign_at(combine(GRAM_DIAGONAL, [ai * ai for ai in a]), s, powers, "v.v undecided")
     record(
         "dominant class has self-intersection zero",
         self_zero,
@@ -142,7 +143,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         f"interval {decimal_string(v_lo + v_hi, 2 * v_den, 35)}",
     )
     k_weights = [g * c for g, c in zip(GRAM_DIAGONAL, CANONICAL)]
-    k_zero = combine(k_weights, a).is_multiple_of(s)
+    k_zero = not sign_at(combine(k_weights, a), s, powers, "v.K undecided")
     record(
         "dominant class pairs to zero with the canonical class",
         k_zero,
@@ -159,18 +160,19 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
     nef = full_report(eigen)
     checks.extend(nef.checks)
 
-    # for every n: T^n is an isometry fixing K, and T v = lambda v gives
-    # (T^n l).v = l.(T^-n v) = lambda^-n (l.v), so T^n l = T^m l forces n = m
+    # for every n: T^n is an isometry fixing K, and T v = lambda v gives (T^n l).v = lambda^-n (l.v)
+    # for l.v = sum g_i l_i a_i(lambda) / a_0(lambda); so with l.v != 0, T^n l = T^m l forces n = m
     weights = [g * c for g, c in zip(GRAM_DIAGONAL[1:], LINE[1:])]
     lv_lo, lv_hi = (  # l.v over 2^bits: each q_i's endpoint by the sign of its weight
         (LINE[0] << bits) + sum(w * q[k if w > 0 else 1 - k] for w, q in zip(weights, eigen.eigenvector))
         for k in (0, 1)
     )
-    if lv_lo <= 0 <= lv_hi:
-        raise PrecisionBudgetError(f"{DISTINCT}: l.v not certified nonzero")
+    undecided = f"{DISTINCT}: l.v not certified nonzero"
+    distinct = sign_at(combine((LINE[0], *weights), a), s, powers, undecided, (lv_lo, lv_hi)) != 0
     lv = decimal_string(lv_lo + lv_hi, 2 << bits, 12)
     detail = f"(T^n l).v = lambda^-n (l.v) with l.v = {lv}... != 0 and lambda > 1, for every n"
-    record(DISTINCT, lv_hi < 0 or lv_lo > 0, detail, ISOMETRY, RELATION, EIGENVALUE)
+    detail = detail if distinct else "sum g_i l_i a_i = 0 mod s: l.v = 0"
+    record(DISTINCT, distinct, detail, ISOMETRY, RELATION, EIGENVALUE)
     l2, lk = pair_integers(LINE, LINE), pair_integers(LINE, CANONICAL)
     record("orbit self-intersections all -2", l2 == -2, f"(T^n l)^2 = l^2 = {l2} for every n", ISOMETRY)
     detail = f"(T^n l).K = l.K = {lk} for every n"
@@ -197,8 +199,8 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         nef=nef,
         orbit=orbit_data,
         certificates=tuple(checks),
-        orientation_selected=orientation.selected,
-        orientation_candidates=orientation.assessments,
+        orientation_selected=selected,
+        orientation_candidates=candidates,
         charpoly=facts,
     )
 

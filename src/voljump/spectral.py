@@ -22,11 +22,15 @@ indices are the multiples -2 a_i, enclosed as (-2 hi, -2 lo) of a_i by
 `_spectral_core`.  One function builds the witness (`_witness_stage`, the
 one path of `eigensystem` and of every oracle reading): it builds D and B,
 decides the signs of D(lambda) and B(lambda), which put beta in (0, 1),
-then builds N_1..N_3 and puts beta and the t_i on the grid.  Exact identities
-mod s (the zero pairings of the eigenvector, the square-sum identity of the
-witness) are decided on the polynomials themselves.  Also hosts the factor
-data of p (`CharpolyFacts`, which reads k = deg p - deg s off the core's
-factorization; its unit-circle count is k roots at 1 plus the count of s)
+then builds N_1..N_3 and puts beta and the t_i on the grid.  One rule decides
+every fact at lambda (`sign_at`): the sign of an integer polynomial p at the
+root lambda of s is 0 exactly when s | p, else that of an enclosure clear of 0
+(the caller's own, where a division needs that one, else of p's remainder mod
+s), and anything else raises `PrecisionBudgetError`; a_0, D and B above, and
+v.v, v.K, the square-sum identity and l.v in `report` and `nefcheck`, are
+decided by it, and no other module tests a polynomial mod s.  Also hosts the
+factor data of p (`CharpolyFacts`, which reads k = deg p - deg s off the
+core's factorization; its unit-circle count is k roots at 1 plus the count of s)
 and the orientation oracle over the 14 readings of the composite's
 notation, which reads the run's core for its matrix's class, runs
 `_spectral_core` once for the other and the witness stage once per
@@ -111,6 +115,21 @@ def _enclose(p: IntPoly, powers: tuple[list[int], list[int]]) -> tuple[int, int]
             lo_sum += c * y
             hi_sum += c * x
     return lo_sum, hi_sum
+
+
+def sign_at(p: IntPoly, s: IntPoly, powers: tuple, undecided: str, value: tuple | None = None) -> int:
+    """The one rule for a fact at lambda, a root of s: the sign (-1, 0 or 1) of
+    c p(lambda), for the caller's enclosure `value` of c p(lambda), c != 0 (c = 1
+    without one).  0 exactly when s | p.  Else the sign of `value` if it is clear
+    of 0 (then no remainder is taken), or, without `value`, of p's remainder mod s
+    (degree < deg s <= deg `powers`) enclosed on `powers` if that is clear of 0;
+    else `PrecisionBudgetError(undecided)`."""
+    if value is None or value[0] <= 0 <= value[1]:
+        if (rest := p.scaled_remainder(s)).degree < 0:
+            return 0
+        if value is not None or (value := _enclose(rest, powers))[0] <= 0 <= value[1]:
+            raise PrecisionBudgetError(undecided)
+    return 1 if value[0] > 0 else -1
 
 
 def _quotient_on_grid(
@@ -243,17 +262,18 @@ def _spectral_core(m: LatticeIsometry, tol: int) -> tuple:
     `_witness_stage` reads (the multiples -2 a_j, their enclosures (-2 hi, -2 lo)
     from a_j's, the endpoint powers) and the failing row of the eigen-relation
     (`_eigen_relation`).  A conjugate Q m Q^T permutes a, the vector and the
-    multiples.  a_0(lambda) != 0 is certified by its enclosure; each
-    a_i(lambda) / a_0(lambda) goes onto the grid by floor and ceiling
-    division, its width compared there.
+    multiples.  `sign_at` decides a_0(lambda) != 0 on its enclosure, the one
+    each a_i(lambda) / a_0(lambda) divides by to go onto the grid by floor and
+    ceiling division, its width compared there.
     """
     p, column = faddeev_leverrier(m)
     off_unit, bracket = _dominant_spectrum(p)
     lam = refine_bracket(off_unit, bracket, (1, tol * 10**GUARD_DIGITS))
     powers = _endpoint_powers(lam, max(a.degree for a in column))
     values = [_enclose(a, powers) for a in column]
-    if values[0][0] <= 0 <= values[0][1]:
-        raise PrecisionBudgetError("a_0(lambda) not certified nonzero; refine the eigenvalue")
+    undecided = "a_0(lambda) not certified nonzero; refine the eigenvalue"
+    if not sign_at(column[0], off_unit, powers, undecided, values[0]):
+        raise CertificationError("a_0(lambda) = 0: a_0 = 0 mod s")
     bits = _grid_bits(lam)
     vector = tuple(_quotient_on_grid(v, values[0], bits) for v in values[1:])
     if _wider_than(vector, bits, tol, 1):
@@ -266,7 +286,7 @@ def _spectral_core(m: LatticeIsometry, tol: int) -> tuple:
 
 
 def _witness_stage(
-    column: Sequence[IntPoly], scaled: tuple, lam: tuple[int, int, int], tol: int
+    column: Sequence[IntPoly], scaled: tuple, s: IntPoly, lam: tuple[int, int, int], tol: int
 ) -> tuple:
     """The witness of the column a, from its scaled data (`_spectral_core`) in
     the same order: the polynomials (D, B, N_1, ..., N_10), signed so that
@@ -278,35 +298,27 @@ def _witness_stage(
     beta = (r_1 + r_2 + r_3 - 1) / 2, the witness coefficients
     t_i = (r_i - beta l_i) / (1 - beta) are N_i / D: B = -(a_0 + ... + a_3),
     D = 2 a_0 - B and N_i = -2 a_i - B l_i, and beta = B / 2 a_0 = B / (D + B).
-    By construction D - N_1 - N_2 - N_3 is the zero polynomial.  With D > 0,
-    0 < beta < 1 holds iff B > 0: an enclosure of D or B that holds 0 asks for
-    a refined eigenvalue, B < 0 is a genuine failure.  Both signs are decided
-    before N_1..N_3 are built and enclosed; N_4..N_10 are multiples.
+    By construction D - N_1 - N_2 - N_3 is the zero polynomial, and
+    0 < beta < 1 holds iff B and D share a sign.  `sign_at` decides both signs
+    before N_1..N_3 are built and enclosed (N_4..N_10 are multiples): D or B
+    zero mod s, or of opposite signs, is a genuine failure.
     """
     multiples, multiple_values, powers = scaled
     bits = _grid_bits(lam)
     b = combine((-1, -1, -1, -1), column[:4])
     heads = [combine((2, -1), (column[0], b)), b]
     values = [_enclose(p, powers) for p in heads]
-    (d_lo, d_hi), (b_lo, b_hi) = values
-    if d_lo <= 0 <= d_hi:
-        raise PrecisionBudgetError(
-            "D(lambda) = 2 (1 - beta) a_0(lambda) not certified nonzero; refine the eigenvalue"
-        )
-    flip = d_hi < 0
-    if flip:
-        d_lo, d_hi, b_lo, b_hi = -d_hi, -d_lo, -b_hi, -b_lo
-    if b_hi < 0:
-        raise CertificationError("line component outside (0, 1): B(lambda) < 0 < D(lambda)")
-    if b_lo <= 0:
-        raise PrecisionBudgetError(
-            "line component not certified inside (0, 1): B(lambda) not sign-certified"
-        )
-    component = _quotient_on_grid((b_lo, b_hi), (d_lo + b_lo, d_hi + b_hi), bits)
+    undecided = "D(lambda) = 2 (1 - beta) a_0(lambda) not certified nonzero; refine the eigenvalue"
+    sign = sign_at(heads[0], s, powers, undecided, values[0])
+    undecided = "line component not certified inside (0, 1): B(lambda) not sign-certified"
+    if (shared := sign and sign * sign_at(b, s, powers, undecided, values[1])) <= 0:
+        state = "B(lambda) < 0 < D(lambda)" if shared else "B(lambda) D(lambda) = 0"
+        raise CertificationError(f"line component outside (0, 1): {state}")
+    component = _quotient_on_grid(values[1], map(sum, zip(*values)), bits)  # beta = B / (D + B)
     heads += [combine((-2, -1), (column[i], b)) for i in _LINE_INDICES]
     polys = (*heads, *multiples[4:])
     values = (*values, *(_enclose(p, powers) for p in heads[2:]), *multiple_values[4:])
-    if flip:
+    if sign < 0:
         polys = tuple(combine((-1,), (p,)) for p in polys)
         values = tuple((-hi, -lo) for lo, hi in values)
     # t_i = -N_i / D: the negated quotient
@@ -324,7 +336,7 @@ def eigensystem(digits: int = 60) -> EigenSystem:
         raise ValueError("digits must be positive")
     m, tol = composite_T(), 10**digits
     core = _spectral_core(m, tol)
-    return EigenSystem(m, *core, *_witness_stage(core[1], core[5], core[3], tol))
+    return EigenSystem(m, *core, *_witness_stage(core[1], core[5], core[2], core[3], tol))
 
 
 class CharpolyFacts(Record):
@@ -420,13 +432,13 @@ def select_orientation(eigen: EigenSystem) -> OrientationReport:
             core = classes[rep]
             if isinstance(core, CertificationError):
                 raise core
-            _, column, _, lam, _, (multiples, values, powers), row = core
+            _, column, s, lam, _, (multiples, values, powers), row = core
             if row is not None:
                 raise CertificationError(f"eigen-relation row {row} of (xI - T) a = p e_0 fails")
             # the column of M' is a'[q(i)] = a[i], and so are its multiples
             order = sorted(range(RANK), key=q.__getitem__)
             column, *scaled = ([xs[i] for i in order] for xs in (column, multiples, values))
-            witness = _witness_stage(column, (*scaled, powers), lam, tol)[3]
+            witness = _witness_stage(column, (*scaled, powers), s, lam, tol)[3]
             assessments.append(CandidateAssessment(name, *witness_matches(witness, _grid_bits(lam))))
         except CertificationError as err:
             assessments.append(CandidateAssessment(name, False, f"no certified data: {err}"))

@@ -806,9 +806,27 @@ def test_an_orbit_of_the_canonical_class_leaves_distinctness_undecided(monkeypat
     from voljump.orbit import DistinctnessResult, verify_distinct
 
     # T K = K, so the orbit of K is one class; K.v = 0 exactly, so no
-    # enclosure of l.v excludes 0, at any precision
+    # enclosure of l.v excludes 0, at any precision, and sum g_i K_i a_i = 0
+    # mod s decides it: the line fails, it is not left undecided
     assert verify_distinct(canonical_class(), 2) == DistinctnessResult(False, (0, 1))
     monkeypatch.setattr(report, "LINE", CANONICAL)
+    for digits in ("20", "60"):
+        code, out, err = run_cli(capsys, "verify", "--precision-digits", digits)
+        assert code == 1
+        assert "failed: orbit classes pairwise distinct" in err
+        line = "[FAIL] orbit classes pairwise distinct (sum g_i l_i a_i = 0 mod s: l.v = 0)"
+        assert line in out.splitlines()
+
+
+def test_a_straddling_l_v_that_is_not_zero_leaves_distinctness_undecided(monkeypatch, capsys):
+    from voljump import report
+
+    # r_1's enclosure widened by 1 each way: l.v = 1 - r_1 - r_2 - r_3 = -0.30...
+    # is enclosed in about [-1.3, 0.7], while sum g_i l_i a_i != 0 mod s
+    eigen = report.eigensystem(60)
+    (lo, hi), one = eigen.eigenvector[0], 1 << eigen.grid_bits
+    straddling = eigen._replace(eigenvector=((lo - one, hi + one),) + eigen.eigenvector[1:])
+    monkeypatch.setattr(report, "eigensystem", lambda digits: straddling)
     code, out, err = run_cli(capsys, "verify")
     assert (code, out) == (3, "")
     assert err == (
@@ -820,7 +838,9 @@ def test_an_orbit_of_the_canonical_class_leaves_distinctness_undecided(monkeypat
 def test_a_failed_eigen_relation_fails_the_lines_that_rest_on_it(monkeypatch, capsys):
     """a_4 + s leaves a(lambda), the eigenvector and the witness as they are,
     and only row 4 of (xI - T) a = p e_0 fails: the relation line names it,
-    and the two lines that rest on T v = lambda v fail by their premise."""
+    and the two lines that rest on T v = lambda v fail by their premise; the
+    oracle, whose line is decided by that premise, is never run."""
+    from voljump import report
     from voljump.polynomials import combine
 
     composite, s = composite_T(), spectral.eigensystem(60).off_unit_factor
@@ -832,7 +852,11 @@ def test_a_failed_eigen_relation_fails_the_lines_that_rest_on_it(monkeypatch, ca
             column = (*column[:4], combine((1, 1), (column[4], s)), *column[5:])
         return p, column
 
+    def forbidden(eigen):
+        raise AssertionError("the oracle ran though its line fails by its premise")
+
     monkeypatch.setattr(spectral, "faddeev_leverrier", corrupted)
+    monkeypatch.setattr(report, "select_orientation", forbidden)
     clear_run_caches()
     try:
         code, out, err = run_cli(capsys, "verify")

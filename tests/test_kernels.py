@@ -350,7 +350,10 @@ def _division_cases():
 @pytest.mark.parametrize("num, den", _division_cases())
 def test_exact_division_matches_fraction_division(num, den):
     quotient, rem = fraction_division(num, den)
-    assert num.is_multiple_of(den) == (not rem)
+    # the scaled remainder is the remainder over Q times a positive number
+    scaled = list(num.scaled_remainder(den).coeffs)
+    ratio = Fraction(scaled[-1]) / rem[-1] if rem else None
+    assert scaled == [0] if not rem else ratio > 0 and [ratio * r for r in rem] == scaled
     if num.degree < den.degree or rem or any(q.denominator != 1 for q in quotient):
         assert num.divide_exact(den) is None
     else:
@@ -358,7 +361,7 @@ def test_exact_division_matches_fraction_division(num, den):
 
 
 def test_division_by_zero_polynomial():
-    for op in (IntPoly.divide_exact, IntPoly.is_multiple_of):
+    for op in (IntPoly.divide_exact, IntPoly.scaled_remainder):
         with pytest.raises(ZeroDivisionError):
             op(IntPoly([1, 1]), IntPoly([0]))
 

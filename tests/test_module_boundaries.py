@@ -14,7 +14,10 @@ passes a constant verdict: no certificate is hard-coded.  And no module catches
 flushed, which runs no exit handler and waits for no thread.  And no module
 reads the environment: a run's settings are its command-line flags alone.
 And every module-level `functools` cache is one the benchmark clears before
-each op, so no run cache carries work from one op to the next."""
+each op, so no run cache carries work from one op to the next.  And no module
+holds an `assert`, which `python -O` strips, so no certificate rests on one.
+And no module but `polynomials` and `spectral` tests p = 0 mod s: every fact at
+lambda is decided by `spectral.sign_at`."""
 
 import ast
 from pathlib import Path
@@ -390,3 +393,58 @@ def test_every_module_cache_is_cleared_by_the_benchmark():
     }
     assert "spectral.eigensystem" in caches & benchmark_caches()
     assert sorted(caches - benchmark_caches() - IMPORT_CACHES) == []
+
+
+def module_asserts(source: str) -> list[int]:
+    """The lines of a module's source that hold an `assert` statement, at any depth."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_guard_sees_every_form():
+    source = (
+        "assert x\ndef f(y):\n    assert y > 0, 'positive'\n"
+        "class A:\n    def g(self):\n        if self:\n            assert (self, 1)\n"
+        "check = 'assert z'\n"
+    )
+    assert module_asserts(source) == [1, 3, 7]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_asserts(path):
+    """A certificate never rests on an `assert`: `python -O` strips them."""
+    assert module_asserts(path.read_text(encoding="utf-8")) == []
+
+
+#: The names of an exact test of p = 0 mod s: `IntPoly.scaled_remainder`, which
+#: `polynomials` defines and `spectral.sign_at` runs for a fact at lambda, and
+#: `is_multiple_of`, its boolean form, should one come back.
+MOD_S_TESTS = {"is_multiple_of", "scaled_remainder"}
+
+
+def mod_s_calls(source: str) -> list[str]:
+    """The calls of a module's source to a `MOD_S_TESTS` name, by name or as an
+    attribute, as `line: name`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in MOD_S_TESTS:
+                found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_mod_s_guard_sees_every_form():
+    source = (
+        "zero = p.is_multiple_of(s)\nrest = combine(w, a).scaled_remainder(s)\n"
+        "f = IntPoly.is_multiple_of\nscaled_remainder(p, s)\nx = p.remainder(s)\n"
+    )
+    assert mod_s_calls(source) == ["1: is_multiple_of", "2: scaled_remainder", "4: scaled_remainder"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.stem not in ("polynomials", "spectral")],
+    ids=lambda p: p.name,
+)
+def test_no_module_but_spectral_decides_a_fact_mod_s(path):
+    assert mod_s_calls(path.read_text(encoding="utf-8")) == []

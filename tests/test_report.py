@@ -15,7 +15,7 @@ from voljump.orbit import (
     orbit,
     verify_distinct,
 )
-from voljump.polynomials import IntPoly, combine
+from voljump.polynomials import IntPoly, combine, poly_gcd
 from voljump.report import (
     _orbit_evidence,
     build_report,
@@ -315,8 +315,16 @@ def test_charpoly_facts_strip_nothing(eigen, monkeypatch):
 
 
 def test_charpoly_facts_check_the_off_unit_factor(eigen):
+    """The facts' s and k, checked by arithmetic of their own: s(1) != 0,
+    p = (x - 1)^k s as a product of `IntPoly`s, and gcd(s, s') constant."""
     facts = CharpolyFacts.of(eigen)
-    assert (facts.unit_root_multiplicity, facts.off_unit_factor) == (1, eigen.off_unit_factor)
+    s, k = facts.off_unit_factor, facts.unit_root_multiplicity
+    assert s(1) != 0
+    product = s
+    for _ in range(k):
+        product = product * IntPoly([-1, 1])
+    assert product == eigen.polynomial
+    assert poly_gcd(s, s.derivative()).degree == 0
 
 
 def test_the_run_binds_its_matrix_once(monkeypatch):

@@ -29,6 +29,7 @@ from voljump.spectral import (
     _witness_stage,
     line_pairing_identity_certified,
     select_orientation,
+    sign_at,
 )
 from voljump.transform import (
     LatticeIsometry,
@@ -107,9 +108,66 @@ def constant_column(*head):
     return tuple(IntPoly([a]) for a in head) + (IntPoly([0]),) * (11 - len(head))
 
 
-def witness_of(column, lam, tol=10**12):
-    """`_witness_stage` of a crafted column, its multiples enclosed on their own."""
-    return _witness_stage(column, enclosed_multiples(column, lam), lam, tol)
+def witness_of(column, lam, tol=10**12, s=None):
+    """`_witness_stage` of a crafted column, its multiples enclosed on their own;
+    lam encloses a root of s, the composite's off-unit factor by default."""
+    s = s or spectral.eigensystem(60).off_unit_factor
+    return _witness_stage(column, enclosed_multiples(column, lam), s, lam, tol)
+
+
+#: A multiplier K with K s(lambda) enclosed wider than 1 at the run's 60 digits:
+#: K s + c is c mod s, nonzero for c != 0, and its enclosure holds 0 for small c.
+WIDE = 10**90
+
+
+def test_sign_at_decides_zero_mod_s_and_signs_at_lambda(eigen, monkeypatch):
+    """On p = q s + r: 0 iff r = 0, else the sign of p at both ends of lambda's
+    84-digit enclosure, in exact `Fraction`s; undecided only where the
+    enclosure holds 0 and s does not divide p."""
+    s, powers, (lo, hi, den) = eigen.off_unit_factor, eigen.scaled_column[2], eigen.eigenvalue
+    ends = (Fraction(lo, den), Fraction(hi, den))
+    rng = random.Random(37)
+    for _ in range(200):
+        q = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 11))])
+        r = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 10))] if rng.randrange(4) else [0])
+        p = combine((1, 1), (q * s, r))
+        sign = sign_at(p, s, powers, "undecided")
+        if r == IntPoly([0]):
+            assert sign == 0
+        else:
+            assert sign != 0 and all(p(x) * sign > 0 for x in ends)
+        # the caller's enclosure, where clear, decides alone; where it holds 0,
+        # the zero test decides or the message is raised
+        assert sign_at(p, s, powers, "undecided", (-5, -1)) == -1
+        if r == IntPoly([0]):
+            assert sign_at(p, s, powers, "undecided", (-1, 1)) == 0
+        else:
+            with pytest.raises(PrecisionBudgetError, match="^undecided$"):
+                sign_at(p, s, powers, "undecided", (-1, 1))
+    # r = den x - lo is nonzero mod s, and its enclosure on lambda's is [0, hi - lo]
+    with pytest.raises(PrecisionBudgetError, match="^r not sign-certified$"):
+        sign_at(IntPoly([-lo, den]), s, powers, "r not sign-certified")
+    monkeypatch.setattr(IntPoly, "scaled_remainder", None)  # a clear value takes no remainder
+    assert sign_at(s, s, powers, "undecided", (1, 2)) == 1
+
+
+def test_a_0_is_decided_by_the_rule(monkeypatch):
+    """a_0(lambda) != 0 is certified by a_0's own enclosure; a_0 = 0 mod s is a
+    failure, and a_0 nonzero mod s whose enclosure holds 0 is undecided."""
+    kernel, s = spectral.faddeev_leverrier, spectral.eigensystem(60).off_unit_factor
+    for head, error, message in (
+        (combine((WIDE, 1), (s, IntPoly([1]))), PrecisionBudgetError,
+         "a_0(lambda) not certified nonzero; refine the eigenvalue"),
+        (combine((3,), (s,)), CertificationError, "a_0(lambda) = 0: a_0 = 0 mod s"),
+    ):
+        def corrupted(m, head=head):
+            p, column = kernel(m)
+            return p, (head, *column[1:])
+
+        monkeypatch.setattr(spectral, "faddeev_leverrier", corrupted)
+        with pytest.raises(error) as raised:
+            _spectral_core(composite_T(), 10**60)
+        assert str(raised.value) == message
 
 
 def test_beta_exact_example(eigen):
@@ -126,11 +184,17 @@ def test_beta_exact_example(eigen):
 
 
 def test_beta_requires_certifiable_sign(eigen):
-    # a_0 = 1, a_1 = -1 - s: B = s, whose enclosure holds 0, with D = 2 - s > 0
+    # a_0 = K s + 1, a_1 = -3 K s - 2: D = 1 and B = 2 K s + 1, which is 1 mod s
+    # but whose enclosure holds 0
     s, one = eigen.off_unit_factor, IntPoly([1])
-    column = (one, combine((-1, -1), (one, s))) + (IntPoly([0]),) * 9
+    column = (combine((WIDE, 1), (s, one)), combine((-3 * WIDE, -2), (s, one))) + (IntPoly([0]),) * 9
     with pytest.raises(PrecisionBudgetError, match="B\\(lambda\\) not sign-certified"):
         witness_of(column, eigen.eigenvalue)
+    # a_0 = 1, a_1 = -1 - s: B = s is 0 at lambda, so beta = 0, a genuine failure
+    column = (one, combine((-1, -1), (one, s))) + (IntPoly([0]),) * 9
+    with pytest.raises(CertificationError) as raised:
+        witness_of(column, eigen.eigenvalue)
+    assert str(raised.value) == "line component outside (0, 1): B(lambda) D(lambda) = 0"
 
 
 def test_beta_rejects_certainly_outside(eigen):
@@ -204,14 +268,14 @@ def test_adjugate_column_is_exact_eigendata(eigen):
     assert max(abs(c) for a in column for c in a.coeffs) <= 3  # two bits
     # (xI - T) a = p e_0 as polynomials, which fixes a of degree < 11
     assert _eigen_residuals(t, column) == [p] + [IntPoly([0])] * 10
-    assert all(r.is_multiple_of(s) for r in _eigen_residuals(t, column))
+    assert all(r.scaled_remainder(s) == IntPoly([0]) for r in _eigen_residuals(t, column))
     # v.v = 0 and v.K = 0 hold mod s, not identically
     self_pairing = combine(GRAM_DIAGONAL, [a * a for a in column])
     k, _ = canonical_class().integral_multiple()
     k_pairing = combine([g * c for g, c in zip(GRAM_DIAGONAL, k)], column)
     for poly in (self_pairing, k_pairing):
         assert poly != IntPoly([0])
-        assert poly.is_multiple_of(s)
+        assert poly.scaled_remainder(s) == IntPoly([0])
     # the enclosures hold a(x) / a_0(x) across lambda's enclosure
     lam = eigen.dominant_value
     for x in (lam.lo, lam.hi):
@@ -293,10 +357,10 @@ def test_the_witness_stage_makes_the_line_margin_zero(eigen):
     certified = 0
     for reading in candidate_readings():
         base = eigen[1:8] if reading.base == eigen.transform else _spectral_core(reading.base, tol)
-        _, column, _, lam, _, _, _ = base
+        _, column, s, lam, _, _, _ = base
         column = [column[i] for i in sorted(range(11), key=reading.q.__getitem__)]
         try:
-            polys = witness_of(column, lam, tol)[0]
+            polys = witness_of(column, lam, tol, s)[0]
         except CertificationError as err:  # the 8 readings with B(lambda) < 0
             assert str(err).endswith("B(lambda) < 0 < D(lambda)")
             continue
@@ -317,9 +381,15 @@ def test_the_witness_stage_makes_the_line_margin_zero(eigen):
 
 
 def test_witness_requires_certified_denominator(eigen):
-    # a_0 = 1, a_1 = -3: B = 2 and D = 2 a_0 - B = 0, i.e. beta = 1
-    with pytest.raises(PrecisionBudgetError, match="D\\(lambda\\)"):
+    # a_0 = 1, a_1 = -3: B = 2 and D = 2 a_0 - B = 0, i.e. beta = 1, a genuine
+    # failure; a_0 = K s, a_1 = 2 - K s: D = 2 K s + 2, which is 2 mod s but
+    # whose enclosure holds 0, is undecided
+    with pytest.raises(CertificationError, match="B\\(lambda\\) D\\(lambda\\) = 0"):
         witness_of(constant_column(1, -3), eigen.eigenvalue)
+    s, two = eigen.off_unit_factor, IntPoly([2])
+    column = (combine((WIDE,), (s,)), combine((1, -WIDE), (two, s))) + (IntPoly([0]),) * 9
+    with pytest.raises(PrecisionBudgetError, match="D\\(lambda\\)"):
+        witness_of(column, eigen.eigenvalue)
 
 
 def test_the_witness_stage_decides_d_and_b_before_building_n(eigen, monkeypatch):
@@ -334,10 +404,10 @@ def test_the_witness_stage_decides_d_and_b_before_building_n(eigen, monkeypatch)
         return _enclose(p, powers)
 
     monkeypatch.setattr(spectral, "_enclose", counted)
-    # a_0 = s - 1, a_1 = 3 - s: B = -2 < 0 and D = 2 s, whose enclosure holds 0
-    column = (combine((1, -1), (s, one)), combine((-1, 3), (s, one)), *(zero,) * 9)
+    # a_0 = K s, a_1 = 2 - K s: B = -2 < 0 and D = 2 K s + 2, whose enclosure holds 0
+    column = (combine((WIDE,), (s,)), combine((-WIDE, 2), (s, one)), *(zero,) * 9)
     with pytest.raises(PrecisionBudgetError) as raised:
-        _witness_stage(column, enclosed_multiples(column, lam), lam, tol)
+        _witness_stage(column, enclosed_multiples(column, lam), s, lam, tol)
     assert str(raised.value) == (
         "D(lambda) = 2 (1 - beta) a_0(lambda) not certified nonzero; refine the eigenvalue"
     )
@@ -347,14 +417,14 @@ def test_the_witness_stage_decides_d_and_b_before_building_n(eigen, monkeypatch)
         enclosed.clear()
         column = (IntPoly([a_0]), *(zero,) * 10)
         with pytest.raises(CertificationError) as raised:
-            _witness_stage(column, enclosed_multiples(column, lam), lam, tol)
+            _witness_stage(column, enclosed_multiples(column, lam), s, lam, tol)
         assert str(raised.value) == "line component outside (0, 1): B(lambda) < 0 < D(lambda)"
         assert len(enclosed) == 2
-    # a_0 = 1, a_1 = -1 - s: D = 2 - s > 0 and B = s, whose enclosure holds 0
+    # a_0 = K s + 1, a_1 = -3 K s - 2: D = 1 > 0 and B = 2 K s + 1, whose enclosure holds 0
     enclosed.clear()
-    column = (one, combine((-1, -1), (one, s)), *(zero,) * 9)
+    column = (combine((WIDE, 1), (s, one)), combine((-3 * WIDE, -2), (s, one)), *(zero,) * 9)
     with pytest.raises(PrecisionBudgetError) as raised:
-        _witness_stage(column, enclosed_multiples(column, lam), lam, tol)
+        _witness_stage(column, enclosed_multiples(column, lam), s, lam, tol)
     assert str(raised.value) == (
         "line component not certified inside (0, 1): B(lambda) not sign-certified"
     )
@@ -469,8 +539,8 @@ def test_per_class_oracle_matches_a_witness_stage_per_reading(eigen):
     recomputed = []
     for reading in candidate_readings():
         try:
-            _, column, _, lam, _, _, _ = _spectral_core(reading.matrix, tol)
-            witness = _witness_stage(column, enclosed_multiples(column, lam), lam, tol)[3]
+            _, column, s, lam, _, _, _ = _spectral_core(reading.matrix, tol)
+            witness = _witness_stage(column, enclosed_multiples(column, lam), s, lam, tol)[3]
         except CertificationError as err:
             recomputed.append(CandidateAssessment(reading.name, False, f"no certified data: {err}"))
             continue
@@ -520,12 +590,12 @@ def test_an_undecided_reading_stops_the_oracle(monkeypatch, capsys):
     assert undecided.name != select_orientation(eigen).selected
     stage, calls = spectral._witness_stage, []
 
-    def budget(column, scaled, lam, tol):
+    def budget(column, scaled, s, lam, tol):
         if tol == 10**12:  # the oracle's, not eigensystem(60)'s
             calls.append(lam)
             if len(calls) == 3:
                 raise PrecisionBudgetError("synthetic")
-        return stage(column, scaled, lam, tol)
+        return stage(column, scaled, s, lam, tol)
 
     monkeypatch.setattr(spectral, "_witness_stage", budget)
     with pytest.raises(PrecisionBudgetError) as raised:
