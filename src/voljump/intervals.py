@@ -190,16 +190,17 @@ class ClassEnclosure:
 
 
 def decimal_string(numerator: int, denominator: int, digits: int) -> str:
-    """Render numerator / denominator (denominator > 0, "-" iff numerator < 0) with `digits` places.
+    """Render numerator / denominator (denominator > 0) with `digits` places,
+    "-" iff the rounded value is negative (never "-0.000").
 
     Rounds half away from zero; fully deterministic (no float involved).
     """
     if digits < 0:
         raise ValueError("digits must be nonnegative")
-    sign = "-" if numerator < 0 else ""
     units, rem = divmod(abs(numerator) * 10**digits, denominator)
     if 2 * rem >= denominator:
         units += 1
+    sign = "-" if numerator < 0 and units else ""
     text = str(units).rjust(digits + 1, "0")
     if digits == 0:
         return sign + text

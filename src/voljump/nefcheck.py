@@ -44,9 +44,10 @@ construction, and the degree-1 line checks it as the premise of the line's
 zero margin; the square-sum identity sum t_i^2 = 1 - 2 beta^2 / (1 - beta)^2
 is sum N_i^2 - D^2 + 2 B^2 = 0 mod s, decided by the one rule for a fact at
 lambda (`spectral.sign_at`: 0 iff s divides it, exit 3 where a nonzero
-remainder's enclosure holds 0), and bigness follows from
-L^2 = 2 B^2 / D^2 with B(lambda) > 0, which the witness stage decided
-(`spectral._witness_stage`).  The public functions on general witness
+remainder's enclosure holds 0).  Bigness has no line of its own: given the
+identity, L^2 = 2 B^2 / D^2 and (1 - beta)^2 L^2 = 2 beta^2 are squares of
+B(lambda) and beta, proved nonzero by `spectral._witness_stage`, and the
+identity's line prints both.  The public functions on general witness
 enclosures (`margin`, `check_degree_one`, `cauchy_schwarz_cutoff`,
 `bigness_certificates`, ...) use interval arithmetic instead.
 """
@@ -536,24 +537,24 @@ def full_report(eigen: EigenSystem) -> NefReport:
         f"{matched}/{len(TABLE_MILLI)} rows within {TABLE_TOLERANCE_MILLI / 1000}",
     )
 
-    # sum t_i^2 = 1 - 2 B^2 / D^2, on which the cutoff and bigness rest
+    # sum t_i^2 = 1 - 2 B^2 / D^2, on which the cutoff rests; with it L^2 = 2 B^2 / D^2 and
+    # (1 - beta)^2 L^2 = 2 beta^2, squares of values `spectral._witness_stage` proved nonzero
+    (d_lo, d_hi), (b_lo, b_hi) = d_value, b_value
+    l_squared = eigen.grid_quotient((2 * b_lo**2, 2 * b_hi**2), (d_lo**2, d_hi**2))
+    beta_lo, beta_hi = eigen.line_numerators
+    volume = (2 * beta_lo**2, 2 * beta_hi**2, 1 << 2 * bits)
     squares = combine((1,) * len(n_polys) + (-1, 2), [p * p for p in (*n_polys, d_poly, b_poly)])
     undecided = "sum N_i^2 - D^2 + 2 B^2 mod s not sign-certified"
     square_sum = not sign_at(squares, eigen.off_unit_factor, eigen.scaled_column[2], undecided)
     record(
         SQUARE_SUM,
         square_sum,
-        "sum N_i^2 - D^2 + 2 B^2 = 0 mod s: sum t_i^2 = 1 - 2 beta^2 / (1 - beta)^2"
+        "sum N_i^2 - D^2 + 2 B^2 = 0 mod s: "
+        f"L^2 = 2 B^2 / D^2 = {decimal_string(l_squared[0] + l_squared[1], 2 << bits, 6)}..., "
+        f"(1 - beta)^2 L^2 = 2 beta^2 = {decimal_string(volume[0] + volume[1], 2 * volume[2], 6)}..."
         if square_sum
         else "sum N_i^2 - D^2 + 2 B^2 != 0 mod s",
     )
-
-    # L^2 = 1 - sum t_i^2 = 2 B^2 / D^2 and (1 - beta)^2 L^2 = 2 beta^2 by the
-    # square-sum identity; 0 < B(lambda) and 0 < D(lambda) by `spectral._witness_stage`
-    (d_lo, d_hi), (b_lo, b_hi) = d_value, b_value
-    l_squared = eigen.grid_quotient((2 * b_lo**2, 2 * b_hi**2), (d_lo**2, d_hi**2))
-    beta_lo, beta_hi = eigen.line_numerators  # 0 < beta_lo by `spectral._witness_stage`
-    volume = (2 * beta_lo**2, 2 * beta_hi**2, 1 << 2 * bits)
 
     # large degrees: (sum t_i^2)(d^2 + 2) < d^2 iff d^2 B^2 > D^2 - 2 B^2.
     # `_cutoff_degree` proves d^2 gap > bound at the cutoff, and with gap > 0
@@ -564,21 +565,6 @@ def full_report(eigen: EigenSystem) -> NefReport:
         "Cauchy-Schwarz cutoff covers all higher degrees",
         cutoff <= 7,
         f"cutoff degree {cutoff}",
-        SQUARE_SUM,
-    )
-
-    record(
-        "witness self-intersection positive (big)",
-        l_squared[0] > 0,
-        f"L^2 = 2 B^2 / D^2 = {decimal_string(l_squared[0] + l_squared[1], 2 << bits, 6)}... "
-        "by the square-sum identity, B(lambda) != 0",
-        SQUARE_SUM,
-    )
-    record(
-        "volume lower bound for the dominant class positive",
-        volume[0] > 0,
-        f"(1-beta)^2 L^2 = 2 beta^2 = {decimal_string(volume[0] + volume[1], 2 * volume[2], 6)}... "
-        "by the square-sum identity, beta > 0",
         SQUARE_SUM,
     )
 

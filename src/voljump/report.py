@@ -24,7 +24,6 @@ SCHEMA_VERSION = "1"
 ISOMETRY = "composite map preserves the intersection form"
 K_FIXED = "composite map fixes the canonical class"
 RELATION = "eigen-relation (xI - T) a = p e_0 holds as polynomials"
-EIGENVALUE = "dominant eigenvalue exceeds 1"
 DISTINCT = "orbit classes pairwise distinct"
 
 
@@ -112,35 +111,21 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         f"factors: {facts.cyclotomic}",
     )
     circle = facts.circle
+    # lambda > 1: `dominant_bracket` isolates it in (1, top), else the run stops there
+    lo, hi, den = eigen.eigenvalue
     record(
         "exactly one root outside the unit circle",
         circle.outside == 1,
-        f"outside {circle.outside}, inside {circle.inside}, on circle {circle.on_circle}",
-    )
-
-    lo, hi, den = eigen.eigenvalue
-    record(
-        EIGENVALUE,
-        lo > den,
+        f"outside {circle.outside}, inside {circle.inside}, on circle {circle.on_circle}; "
         f"lambda = {decimal_string(lo + hi, 2 * den, 12)}...",
-    )
-    # r_i = -q_i for the eigenvector's q_i = a_i(lambda) / a_0(lambda) over 2^bits
-    bits = eigen.grid_bits
-    q_lo, q_hi = (sum(q[k] for q in eigen.eigenvector[:3]) for k in (0, 1))
-    record(
-        "r1 + r2 + r3 exceeds 1",
-        -q_hi > 1 << bits,
-        f"sum = {decimal_string(-q_lo - q_hi, 2 << bits, 12)}...",
     )
     # v = a(lambda) / a_0(lambda), a_0(lambda) != 0: v.v and v.K are 0 iff these polynomials are
     a, s, powers = eigen.adjugate_column, eigen.off_unit_factor, eigen.scaled_column[2]
-    v_lo, v_hi, v_den = eigen.self_pairing()
     self_zero = not sign_at(combine(GRAM_DIAGONAL, [ai * ai for ai in a]), s, powers, "v.v undecided")
     record(
         "dominant class has self-intersection zero",
         self_zero,
-        f"sum g_i a_i^2 {'=' if self_zero else '!='} 0 mod s; "
-        f"interval {decimal_string(v_lo + v_hi, 2 * v_den, 35)}",
+        f"sum g_i a_i^2 {'=' if self_zero else '!='} 0 mod s",
     )
     k_weights = [g * c for g, c in zip(GRAM_DIAGONAL, CANONICAL)]
     k_zero = not sign_at(combine(k_weights, a), s, powers, "v.K undecided")
@@ -150,6 +135,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
         f"sum g_i K_i a_i {'=' if k_zero else '!='} 0 mod s",
     )
 
+    bits = eigen.grid_bits
     matches, detail = witness_matches(eigen.witness_numerators, bits)
     record(
         "witness coefficients match the reference decimals",
@@ -172,7 +158,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
     lv = decimal_string(lv_lo + lv_hi, 2 << bits, 12)
     detail = f"(T^n l).v = lambda^-n (l.v) with l.v = {lv}... != 0 and lambda > 1, for every n"
     detail = detail if distinct else "sum g_i l_i a_i = 0 mod s: l.v = 0"
-    record(DISTINCT, distinct, detail, ISOMETRY, RELATION, EIGENVALUE)
+    record(DISTINCT, distinct, detail, ISOMETRY, RELATION)
     l2, lk = pair_integers(LINE, LINE), pair_integers(LINE, CANONICAL)
     record("orbit self-intersections all -2", l2 == -2, f"(T^n l)^2 = l^2 = {l2} for every n", ISOMETRY)
     detail = f"(T^n l).K = l.K = {lk} for every n"

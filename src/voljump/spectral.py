@@ -3,8 +3,9 @@
 Pipeline: one integer pass (`faddeev_leverrier`) gives the characteristic
 polynomial p and the column a(x) = adj(xI - T) e_0 of integer polynomials
 -> the factorization p = (x - 1)^k s with s(1) != 0: gcd(s, s') = 1 proves
-s squarefree, and the dominant eigenvalue lambda is isolated on s itself
-(`_dominant_spectrum`) -> lambda refined to the precision on its isolating
+s squarefree, and the dominant eigenvalue lambda is isolated on s itself, in
+(1, top), which is the one proof of lambda > 1 (`_dominant_spectrum`; no real
+root above 1 stops the run) -> lambda refined to the precision on its isolating
 bracket (`refine_bracket`: integer Newton steps only guess the cell, two
 exact signs certify it) -> the normalized dominant eigenvector
 a(lambda) / a_0(lambda) -> the first row of the eigen-relation
@@ -21,8 +22,10 @@ each quotient goes onto a dyadic grid by integer floor and ceiling division
 indices are the multiples -2 a_i, enclosed as (-2 hi, -2 lo) of a_i by
 `_spectral_core`.  One function builds the witness (`_witness_stage`, the
 one path of `eigensystem` and of every oracle reading): it builds D and B,
-decides the signs of D(lambda) and B(lambda), which put beta in (0, 1),
-then builds N_1..N_3 and puts beta and the t_i on the grid.  One rule decides
+decides the signs of D(lambda) and B(lambda), which put beta in (0, 1) (the
+one proof of r_1 + r_2 + r_3 > 1, and of L^2 > 0 and 2 beta^2 > 0 given the
+square-sum identity), then builds N_1..N_3 and puts beta and the t_i on the
+grid.  One rule decides
 every fact at lambda (`sign_at`): the sign of an integer polynomial p at the
 root lambda of s is 0 exactly when s | p, else that of an enclosure clear of 0
 (the caller's own, where a division needs that one, else of p's remainder mod
@@ -301,7 +304,11 @@ def _witness_stage(
     By construction D - N_1 - N_2 - N_3 is the zero polynomial, and
     0 < beta < 1 holds iff B and D share a sign.  `sign_at` decides both signs
     before N_1..N_3 are built and enclosed (N_4..N_10 are multiples): D or B
-    zero mod s, or of opposite signs, is a genuine failure.
+    zero mod s, or of opposite signs, is a genuine failure.  So this stage is
+    the one producer of three facts no certificate line restates:
+    0 < beta < 1; r_1 + r_2 + r_3 - 1 = B / a_0 = 2 beta > 0, as
+    a_0 = (D + B) / 2; and B(lambda) != 0 and beta > 0, which make
+    L^2 = 2 B^2 / D^2 and (1 - beta)^2 L^2 = 2 beta^2 positive.
     """
     multiples, multiple_values, powers = scaled
     bits = _grid_bits(lam)

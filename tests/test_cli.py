@@ -897,6 +897,28 @@ def test_non_isometric_transform_fails_the_form_certificate(bind_transform, caps
     assert lines[-1] == "verdict: fail"
 
 
+@pytest.mark.parametrize("command", ["verify", "nef-verify"])
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (
+            transform.exceptional_shift(3) @ transform.cremona_isometry(1, 2, 3),
+            "line component outside (0, 1): B(lambda) < 0 < D(lambda)",
+        ),
+        (transform.exceptional_shift(1), "no real root greater than 1"),
+    ],
+    ids=["beta-outside", "no-lambda"],
+)
+def test_lambda_above_1_and_beta_in_0_1_stop_the_run_where_they_fail(
+    bind_transform, capsys, command, matrix, message
+):
+    """No line restates lambda > 1 (`dominant_bracket` isolates it in (1, top))
+    or 0 < beta < 1 (the witness stage's shared sign of D and B): a map
+    without them stops there, before any line is printed."""
+    bind_transform(matrix)
+    assert run_cli(capsys, command) == (1, "", f"certificate failure: {message}\n")
+
+
 def test_a_failed_isometry_names_its_first_nonzero_residual_entry(monkeypatch, capsys):
     from voljump import report
     from voljump.transform import IsometryCheck

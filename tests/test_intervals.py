@@ -66,6 +66,7 @@ def test_decimal_string_rounding():
     assert decimal_string(2, 3, 4) == "0.6667"
     assert decimal_string(5, 1000, 2) == "0.01"  # half away from zero
     assert decimal_string(-5, 1000, 2) == "-0.01"
+    assert decimal_string(-1, 10**9, 3) == "0.000"  # no sign on a value that rounds to 0
     assert decimal_string(7, 1, 0) == "7"
     assert decimal_string(-3, 2, 3) == "-1.500"
     # the denominator need not be in lowest terms

@@ -32,7 +32,7 @@ from voljump.nefcheck import (
     margin,
     margin_at_midpoints,
 )
-from voljump.intervals import ClassEnclosure, RealEnclosure
+from voljump.intervals import ClassEnclosure, RealEnclosure, decimal_string
 from voljump.polynomials import IntPoly, combine
 from voljump.reference import TABLE_MILLI, TABLE_ROWS, TABLE_TOLERANCE, WEIGHT_ORDER
 
@@ -508,17 +508,13 @@ def test_square_sum_identity_is_divisible_by_s(eigen):
     square_sum = combine((1,) * 10 + (-1, 2), [p * p for p in (*n, d, b)])
     assert square_sum != IntPoly([0]) and square_sum.scaled_remainder(s) == IntPoly([0])
     # a mutation of B keeps the line class but breaks the identity, and with
-    # it the cutoff and bigness that rest on it
+    # it the cutoff that rests on it
     checks = {c.name: c for c in full_report(with_witness(eigen, (d, shifted(b), *n))).checks}
     assert checks[DEGREE_ONE].passed
     assert not checks["square-sum identity certified"].passed
-    # the three lines that rest on the identity name it as their failed premise
-    for name in (
-        "Cauchy-Schwarz cutoff covers all higher degrees",
-        "witness self-intersection positive (big)",
-        "volume lower bound for the dominant class positive",
-    ):
-        assert checks[name] == (name, False, "premise failed: square-sum identity certified")
+    # the line that rests on the identity names it as its failed premise
+    name = "Cauchy-Schwarz cutoff covers all higher degrees"
+    assert checks[name] == (name, False, "premise failed: square-sum identity certified")
     # so does a mutation of a non-line N_i
     checks = verdicts(with_witness(eigen, (d, b, *n[:9], shifted(n[9], 2))))
     assert not checks["square-sum identity certified"]
@@ -593,7 +589,7 @@ def test_a_default_run_has_distinct_line_names():
     from voljump.report import run_verification
 
     names = [c.name for c in run_verification().certificates]
-    assert len(names) == len(set(names)) == 27
+    assert len(names) == len(set(names)) == 23
     assert names.index(ORDERING) < names.index("degrees 3..6 full enumeration margins positive")
 
 
@@ -604,6 +600,14 @@ def test_bigness_of_the_report_is_exact(eigen, nef):
     assert nef.bigness.volume_lower_bound == 2 * eigen.line_component.square()
     # the direct interval evaluation of L^2 agrees
     assert l_squared.overlaps(eigen.nef_witness.self_pair())
+    # the square-sum line prints both, rounded to 6 places
+    [detail] = [c.detail for c in nef.checks if c.name == "square-sum identity certified"]
+    mids = [decimal_string(*e.midpoint.as_integer_ratio(), 6) for e in nef.bigness]
+    assert detail == (
+        f"sum N_i^2 - D^2 + 2 B^2 = 0 mod s: L^2 = 2 B^2 / D^2 = {mids[0]}..., "
+        f"(1 - beta)^2 L^2 = 2 beta^2 = {mids[1]}..."
+    )
+    assert mids == ["0.062866", "0.045357"]
 
 
 # -- the one-pass kernel against the per-candidate reference ----------------------------

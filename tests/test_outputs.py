@@ -13,9 +13,9 @@ import pytest
 from voljump.cli import main
 
 PINNED = [
-    (("verify",), 0, "bacd5f66cbfa1a49f0d6ff0735f3c1b63214c27c82ab0f07c45af356d3857902"),
-    (("nef-verify",), 0, "300244f3efc08b39531ac6b568fb9a6e1b8e282e6d9af2dc9f467c0daacb8467"),
-    (("report",), 0, "95a189c299bbd6c78309baf5f5de2c72c1b892cd3748fc8c23d4876100128e55"),
+    (("verify",), 0, "7562a8346a9534280585418c52c471c2ae6fe584a2342dc33d948122ab49b8eb"),
+    (("nef-verify",), 0, "b6e40e094509b81d23c542653991d26af4decf92b7beae01ad61891bda66807b"),
+    (("report",), 0, "6eabbae1ab8bf9b1141428dc92b1bb05af35604d35535e2634a4ed3855ecc775"),
     (("nef-table", "--format", "md"), 0, "e59f3b6f9737cfbf7890915de67981d1fbeae092190e1198be005c4c44c9fd03"),
     (("nef-table", "--format", "csv"), 0, "289ea3ed8512973cad213d020e7e9cfb8542351691187ae8dc829b4bd6b17bde"),
     (("nef-table", "--format", "json"), 0, "bf1c4364c98b6b71d75a2a6b9669689125d739855ea5ce4630b6420e46870c5e"),
@@ -32,8 +32,8 @@ PINNED = [
     (("enumerate", "--d", "5", "--format", "json"), 0, "4b16bc6b022fbe69828f33b3bd6fe81f7075d94ac8afb02aa02499ea538ddb8f"),
     (("enumerate", "--d", "6", "--extreme", "--format", "csv"), 0, "9dccf505ccc860fee238c1ad191fb5758fb6f062016b9ac9391ea8041ab4335c"),
     (("nef-table", "--precision-digits", "20", "--format", "csv"), 0, "289ea3ed8512973cad213d020e7e9cfb8542351691187ae8dc829b4bd6b17bde"),
-    (("report", "--precision-digits", "20"), 0, "34c2ef45e5e5a5943555efa210293a60e18d887fe82292b3809846b2b5dbf10a"),
-    (("report", "--precision-digits", "400", "--orbit-horizon", "400"), 0, "912fd2b6d0b0f85e110f3d2315080bd3de715b4e728bf0acac8cd2c5c810753a"),
+    (("report", "--precision-digits", "20"), 0, "663b3e7ff5770735c6d599a94b84840c8664e7f656e352a6bf3ff7a5b837f486"),
+    (("report", "--precision-digits", "400", "--orbit-horizon", "400"), 0, "3cfb9b386880b8b80b858db6c5e51e035c3bffdc5a23574ba0431f258ed5ddbd"),
 ]
 
 
