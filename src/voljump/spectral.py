@@ -15,17 +15,17 @@ polynomials of the column: with B = -(a_0 + a_1 + a_2 + a_3),
 D = 2 a_0 - B and N_i = -2 a_i - B l_i (l_i = 1 on the line indices 1..3),
 the line component is beta = B(lambda) / 2 a_0(lambda) and the witness
 coefficients are t_i = N_i(lambda) / D(lambda).  Every polynomial is
-enclosed at lambda once, as integer numerators over a power of the
-denominator of lambda's enclosure (`_endpoint_powers`, `_enclose`), and
-each quotient goes onto a dyadic grid by integer floor and ceiling division
-(`_quotient_on_grid`); none of them is a `Fraction`.  The N_i off the line
-indices are the multiples -2 a_i, enclosed as (-2 hi, -2 lo) of a_i by
-`_spectral_core`.  One function builds the witness (`_witness_stage`, the
-one path of `eigensystem` and of every oracle reading): it builds D and B,
-decides the signs of D(lambda) and B(lambda), which put beta in (0, 1) (the
-one proof of r_1 + r_2 + r_3 > 1, and of L^2 > 0 and 2 beta^2 > 0 given the
-square-sum identity), then builds N_1..N_3 and puts beta and the t_i on the
-grid.  One rule decides
+enclosed at lambda once, as integer numerators over one power of 2 sized to
+lambda's enclosure, on outward-rounded powers of its endpoints
+(`_endpoint_powers`, `_enclose`), and each quotient goes onto a dyadic grid
+by integer floor and ceiling division (`_quotient_on_grid`); none of them is
+a `Fraction`.  The N_i off the line indices are the multiples -2 a_i,
+enclosed as (-2 hi, -2 lo) of a_i by `_spectral_core`.  One function builds
+the witness (`_witness_stage`, the one path of `eigensystem` and of every
+oracle reading): it builds D and B, decides the signs of D(lambda) and
+B(lambda), which put beta in (0, 1) (the one proof of r_1 + r_2 + r_3 > 1,
+and of L^2 > 0 and 2 beta^2 > 0 given the square-sum identity), then builds
+N_1..N_3 and puts beta and the t_i on the grid.  One rule decides
 every fact at lambda (`sign_at`): the sign of an integer polynomial p at the
 root lambda of s is 0 exactly when s | p, else that of an enclosure clear of 0
 (the caller's own, where a division needs that one, else of p's remainder mod
@@ -90,24 +90,31 @@ def _dominant_spectrum(p: IntPoly) -> tuple[IntPoly, tuple[int, int, int]]:
 
 
 def _endpoint_powers(lam: tuple[int, int, int], degree: int) -> tuple[list[int], list[int]]:
-    """With lambda in [A, B] / D: the numerators A^k D^(deg-k) and
-    B^k D^(deg-k) of the powers of the endpoints over D^deg, k <= deg.
+    """With lambda in [A, B] / D: numerators over 2^S, S = 2 bitlen(D) + 64, of
+    outward-rounded bounds low_k <= lambda^k 2^S <= high_k, k <= deg, from
+    low_0 = high_0 = 2^S by low_(k+1) = floor(low_k A / D) and
+    high_(k+1) = ceil(high_k B / D); what the rounding loses lies far below
+    lambda's width 1 / D and the quotients' grid (`_grid_bits`).
 
-    Each term c_k lambda^k lies between c_k A^k/D^k and c_k B^k/D^k; the
-    lower bound takes A^k for c_k > 0 and B^k for c_k < 0 (`_enclose`).
-    That needs A > 0: `dominant_bracket` isolates lambda on [1, top] and s(1)
-    != 0, so A >= D and lambda > 1 hold for every refinement of it.
+    Each term c_k lambda^k lies between c_k low_k and c_k high_k over 2^S; the
+    lower bound takes low_k for c_k > 0 and high_k for c_k < 0 (`_enclose`).
+    Both steps round outward only for A > 0: `dominant_bracket` isolates lambda
+    on [1, top] and s(1) != 0, so A >= D and lambda > 1 hold for every
+    refinement of it.
     """
     a, b, den = lam
     if not a > 0:
         raise CertificationError("eigenvector evaluation needs a positive eigenvalue enclosure")
-    low = [a**k * den ** (degree - k) for k in range(degree + 1)]
-    high = [b**k * den ** (degree - k) for k in range(degree + 1)]
+    low = [1 << 2 * den.bit_length() + 64]
+    high = low[:]
+    for _ in range(degree):
+        low.append(low[-1] * a // den)
+        high.append(-(-high[-1] * b // den))
     return low, high
 
 
 def _enclose(p: IntPoly, powers: tuple[list[int], list[int]]) -> tuple[int, int]:
-    """Numerators [lo, hi] of p(lambda) over the denominator of `powers`
+    """Numerators [lo, hi] of p(lambda) over the 2^S of `powers`
     (`_endpoint_powers`), for p of degree at most theirs."""
     lo_sum = hi_sum = 0
     for c, x, y in zip(p.coeffs, *powers):
@@ -217,7 +224,7 @@ class EigenSystem(Record):
     scaled_column: tuple  # -2 a_j, their enclosures, the endpoint powers (`_spectral_core`)
     relation_row: int | None  # first failing row of (xI - T) a = p e_0, None if it holds
     witness_polynomials: tuple[IntPoly, ...]  # (D, B, N_1..N_10), D(lambda) > 0
-    witness_values: tuple[tuple[int, int], ...]  # their enclosures, one denominator
+    witness_values: tuple[tuple[int, int], ...]  # their enclosures, over the powers' 2^S
     line_numerators: tuple[int, int]  # beta, over 2^grid_bits as below
     witness_numerators: tuple[tuple[int, int], ...]  # the E_i coefficients -t_i
 

@@ -63,8 +63,8 @@ def outward(enc: RealEnclosure, bits: int) -> RealEnclosure:
 
 
 def column_values(polys, lam: tuple[int, int, int]) -> list[tuple[int, int]]:
-    """Enclosures [lo, hi] of each p(lambda), numerators over one power of
-    the denominator of lambda's enclosure, as the spectral core's column."""
+    """Enclosures [lo, hi] of each p(lambda), numerators over the 2^S of the
+    endpoint powers (`_endpoint_powers`), as the spectral core's column."""
     powers = _endpoint_powers(lam, max(p.degree for p in polys))
     return [_enclose(p, powers) for p in polys]
 

@@ -145,6 +145,7 @@ def test_sign_at_decides_zero_mod_s_and_signs_at_lambda(eigen, monkeypatch):
             with pytest.raises(PrecisionBudgetError, match="^undecided$"):
                 sign_at(p, s, powers, "undecided", (-1, 1))
     # r = den x - lo is nonzero mod s, and its enclosure on lambda's is [0, hi - lo]
+    # rounded outward
     with pytest.raises(PrecisionBudgetError, match="^r not sign-certified$"):
         sign_at(IntPoly([-lo, den]), s, powers, "r not sign-certified")
     monkeypatch.setattr(IntPoly, "scaled_remainder", None)  # a clear value takes no remainder
@@ -429,6 +430,16 @@ def test_the_witness_stage_decides_d_and_b_before_building_n(eigen, monkeypatch)
         "line component not certified inside (0, 1): B(lambda) not sign-certified"
     )
     assert len(enclosed) == 2
+
+
+@pytest.mark.parametrize("digits", [20, 60, 400])
+def test_enclosures_at_lambda_are_sized_to_its_bracket(digits):
+    # over 2^S, S = 2 bitlen(D) + 64 for lambda in [A, B] / D, the numerators are
+    # about S bits plus the column's own size, not a multiple of bitlen(D) by the degree
+    eigen = spectral.eigensystem(digits)
+    (_, multiple_values, powers), den = eigen.scaled_column, eigen.eigenvalue[2]
+    numerators = [x for xs in (*eigen.witness_values, *multiple_values, *powers) for x in xs]
+    assert max(abs(x).bit_length() for x in numerators) <= 2 * den.bit_length() + 96
 
 
 def test_the_oracle_assessments_are_pinned():
