@@ -20,6 +20,10 @@ parsers cost more than the nef pass, in every process.
 Start-up is most of a command's run time, so each command imports the
 modules it uses when it runs: `nef-verify` loads neither the orbit nor the
 report module, and only the commands that print JSON or CSV load those.
+
+The data commands print their JSON with the report's section builders
+(`CharpolyFacts.to_json`, `EigenSystem.to_json`, `MarginRow.to_json`,
+`orbit.record_json`), and `orbit` its text straight from the integer walk.
 """
 
 from __future__ import annotations
@@ -262,19 +266,13 @@ def cmd_charpoly(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_eigen(args, cfg: RunConfig) -> tuple[str, int]:
-    from .intervals import decimal_string, enclosure_json
+    from .intervals import decimal_string
     from .spectral import eigensystem
 
     digits = cfg.table_digits or 30
     eigen = eigensystem(cfg.precision_digits)
     if cfg.output_format == "json":
-        payload = {
-            "lambda": enclosure_json(eigen.dominant_value, digits),
-            "r": [enclosure_json(e, digits) for e in eigen.r()],
-            "beta": enclosure_json(eigen.line_component, digits),
-            "t": [enclosure_json(e, digits) for e in eigen.t()],
-        }
-        return _json_text(payload), 0
+        return _json_text(eigen.to_json(digits)), 0
     lines = [f"lambda = {decimal_string(*eigen.dominant_value.midpoint.as_integer_ratio(), digits)}"]
     for i, e in enumerate(eigen.r(), start=1):
         lines.append(f"r{i:<2} = {decimal_string(*e.midpoint.as_integer_ratio(), digits)}")
@@ -296,23 +294,15 @@ def _table_rows(cfg: RunConfig) -> list:
 
 
 def cmd_nef_table(args, cfg: RunConfig) -> tuple[str, int]:
-    from .intervals import decimal_string, enclosure_json
+    from .intervals import decimal_string
 
     digits = cfg.table_digits or 3
     rows = _table_rows(cfg)
     fmt = cfg.output_format
+    if fmt == "json":
+        return _json_text([r.to_json(digits) for r in rows]), 0
     margin_column = "margin_midpoint" if fmt == "csv" else "margin"
     header = ["d"] + [f"a{i}" for i in range(1, 11)] + [margin_column]
-    if fmt == "json":
-        payload = [
-            {
-                "d": r.candidate.degree,
-                "a": list(r.candidate.mults),
-                "margin": enclosure_json(r.margin, digits),
-            }
-            for r in rows
-        ]
-        return _json_text(payload), 0
     table = [
         [str(r.candidate.degree)]
         + [str(a) for a in r.candidate.mults]
@@ -359,8 +349,8 @@ def cmd_enumerate(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_orbit(args, cfg: RunConfig) -> tuple[str, int]:
-    from .lattice import DivisorClass, canonical_class, standard_line
-    from .orbit import OrbitRecord, distinctness, walk
+    from .lattice import CANONICAL, LINE, pair_integers
+    from .orbit import distinctness, record_json, walk
     from .transform import composite_T
 
     coeffs = args["coeffs"]
@@ -368,38 +358,25 @@ def cmd_orbit(args, cfg: RunConfig) -> tuple[str, int]:
         raise ConfigError(
             "--seed custom requires --coeffs with 11 integers, and --coeffs requires --seed custom"
         )
-    if coeffs is not None:
-        seed = DivisorClass(coeffs)
-    else:
-        seed = {"lbar": standard_line, "K": canonical_class}[args["seed"]]()
-    count = cfg.orbit_horizon
-    vector, scale = seed.integral_multiple()
-    vectors = walk(composite_T(), vector, count)
+    # every seed is integral, so the walk's vectors are the classes T^n(seed) themselves
+    seed = coeffs if coeffs is not None else {"lbar": LINE, "K": CANONICAL}[args["seed"]]
+    vectors = walk(composite_T(), seed, cfg.orbit_horizon)
     distinct = distinctness(vectors)
-    records = [OrbitRecord.of(n, v, scale) for n, v in enumerate(vectors)]
     if cfg.output_format == "json":
+        records = [record_json(n, v) for n, v in enumerate(vectors)]
         payload = {
-            "seed": seed.to_json_array(),
-            "count": count,
+            "seed": records[0]["class"],  # T^0(seed); the horizon is positive
+            "count": cfg.orbit_horizon,
             "distinct": distinct.distinct,
             "collision": list(distinct.collision) if distinct.collision else None,
-            "records": [
-                {
-                    "n": r.n,
-                    "class": r.divisor.to_json_array(),
-                    "self_intersection": str(r.self_intersection),
-                    "canonical_degree": str(r.canonical_degree),
-                }
-                for r in records
-            ],
+            "records": records,
         }
         return _json_text(payload), 0
-    lines = []
-    for r in records:
-        coeffs = " ".join(str(c) for c in r.divisor.coeffs)
-        lines.append(
-            f"n={r.n:<3} [{coeffs}]  C^2={r.self_intersection}  C.K={r.canonical_degree}"
-        )
+    lines = [
+        f"n={n:<3} [{' '.join(map(str, v))}]  "
+        f"C^2={pair_integers(v, v)}  C.K={pair_integers(v, CANONICAL)}"
+        for n, v in enumerate(vectors)
+    ]
     lines.append(
         f"distinct: {distinct.distinct}"
         + (f" (collision at {distinct.collision})" if distinct.collision else "")

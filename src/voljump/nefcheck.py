@@ -24,10 +24,12 @@ every margin is (d D - sum a_i N_i) / D, positive iff its numerator is,
 since D(lambda) > 0 is certified.  Since every t_i is certified positive
 and the t-ordering is certified, checking multiplicity vectors sorted along
 the weight order covers all rearrangements (rearrangement inequality),
-which is how the enumeration stays small.  One integer pass decides them
-all: the recursion over the sorted patterns (`_canonical_walk`) carries the
-enclosure of the margin numerator down the prefix, one subtraction per
-level, and each leaf is a plain tuple (multiplicities, numerator bounds,
+which is how the enumeration stays small.  For the same reason a degree's
+least margin lies on an extreme leaf (bumping a_10 lowers a margin by
+t_10 > 0, and re-sorting lowers it again), so no line restates it.  One
+integer pass decides them all: the recursion over the sorted patterns
+(`_canonical_walk`) carries the enclosure of the margin numerator down the
+prefix, one subtraction per level, and each leaf is a plain tuple (multiplicities, numerator bounds,
 extreme flag), decided as the walk emits it and kept only if extreme
 (`_decided_walk`); degrees 1 and 2 take their numerators straight from the
 index subsets (`_subset_leaves`), and two leaves, at the five largest N_k,
@@ -42,14 +44,15 @@ that prints only verdicts builds none.  The facts beyond the margins are
 exact: D - N_1 - N_2 - N_3 is the zero polynomial by the witness's
 construction, and the degree-1 line checks it as the premise of the line's
 zero margin; the square-sum identity sum t_i^2 = 1 - 2 beta^2 / (1 - beta)^2
-is sum N_i^2 - D^2 + 2 B^2 = 0 mod s, decided by the one rule for a fact at
-lambda (`spectral.sign_at`: 0 iff s divides it, exit 3 where a nonzero
-remainder's enclosure holds 0).  Bigness has no line of its own: given the
-identity, L^2 = 2 B^2 / D^2 and (1 - beta)^2 L^2 = 2 beta^2 are squares of
-B(lambda) and beta, proved nonzero by `spectral._witness_stage`, and the
-identity's line prints both.  The public functions on general witness
+is sum N_i^2 - D^2 + 2 B^2 = 0 at lambda, decided by the one rule for a fact
+at lambda (`spectral.sign_at`, exit 3 where it cannot decide).  Bigness has
+no line of its own: given the identity, L^2 = 2 B^2 / D^2 and
+(1 - beta)^2 L^2 = 2 beta^2 are squares of B(lambda) and beta, proved
+nonzero by `spectral._witness_stage`, and the identity's line prints both.  The public functions on general witness
 enclosures (`margin`, `check_degree_one`, `cauchy_schwarz_cutoff`,
-`bigness_certificates`, ...) use interval arithmetic instead.
+`bigness_certificates`, ...) use interval arithmetic instead.  The report's
+`nef` section has one builder, `NefReport.to_json`, whose rows
+`MarginRow.to_json` builds, as it does the rows of `nef-table --format json`.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from functools import cache
 from math import comb, isqrt
 
 from .errors import CertificationError, PrecisionBudgetError, Record
-from .intervals import ClassEnclosure, RealEnclosure, decimal_string
+from .intervals import ClassEnclosure, RealEnclosure, decimal_string, enclosure_json
 from .lattice import fraction_type
 from .polynomials import IntPoly, combine
 from .reference import TABLE_MILLI, TABLE_TOLERANCE_MILLI, WEIGHT_ORDER, deviations
@@ -119,6 +122,15 @@ class MarginRow(Record):
     candidate: CandidateCurve
     margin: RealEnclosure
     exact_zero: bool = False
+
+    def to_json(self, digits: int) -> dict:
+        """A row of the report's `nef` section, and of `nef-table --format json`."""
+        return {
+            "d": self.candidate.degree,
+            "a": list(self.candidate.mults),
+            "margin": enclosure_json(self.margin, digits),
+            "exact_zero": self.exact_zero,
+        }
 
 
 class CheckResult(Record):
@@ -396,17 +408,51 @@ class NefReport(Record):
     def extra_extreme_rows(self) -> tuple[MarginRow, ...]:
         return tuple(self.rows(*x) for x in self.extra_leaves)
 
+    def to_json(self, digits: int) -> dict:
+        """The report's `nef` section, rows by `MarginRow.to_json`."""
+
+        def listed(rows):
+            return [row.to_json(digits) for row in rows]
+
+        bigness = self.bigness
+        return {
+            "degree_one": listed(self.degree_one),
+            "degree_two": {
+                "count": self.degree_two_count,
+                "minimum": self.degree_two_minimum.to_json(digits),
+            },
+            "degrees": [
+                {
+                    "degree": s.degree,
+                    "candidates": s.candidate_count,
+                    "extremes": s.extreme_count,
+                    "minimum": s.minimum.to_json(digits),
+                    "extreme_rows": listed(s.extreme_rows),
+                }
+                for s in self.degrees
+            ],
+            "cutoff": self.cutoff,
+            "l_squared": enclosure_json(bigness.witness_self_pairing, digits),
+            "volume_lower_bound": enclosure_json(bigness.volume_lower_bound, digits),
+            "zero_witnesses": listed(self.zero_witnesses),
+            "reference_rows": {
+                "total": self.reference_rows_total,
+                "matched": self.reference_rows_matched,
+            },
+            "extra_extreme_rows": listed(self.extra_extreme_rows),
+        }
+
 
 def _decided_walk(produce: Callable[[Callable[[tuple], None]], None]):
     """The leaves (mults, lo, hi, extreme) that `produce(emit)` emits, each
     decided as emitted and kept only if extreme: (leaf count, the leaf of least
     midpoint numerator, ties broken by the multiplicities, the extreme leaves,
-    whether every lo > 0, the least lo of a non-extreme leaf or None)."""
+    whether every lo > 0)."""
     extremes: list = []
-    count, minimum, key, positive, least_other = 0, None, None, True, None
+    count, minimum, key, positive = 0, None, None, True
 
     def take(leaf):
-        nonlocal count, minimum, key, positive, least_other
+        nonlocal count, minimum, key, positive
         count += 1
         leaf_key = (leaf[1] + leaf[2], leaf[0])
         if key is None or leaf_key < key:
@@ -414,11 +460,9 @@ def _decided_walk(produce: Callable[[Callable[[tuple], None]], None]):
         positive = positive and leaf[1] > 0
         if leaf[3]:
             extremes.append(leaf)
-        elif least_other is None or leaf[1] < least_other:
-            least_other = leaf[1]
 
     produce(take)
-    return count, minimum, tuple(extremes), positive, least_other
+    return count, minimum, tuple(extremes), positive
 
 
 def _conics(d_value: tuple[int, int], n_values: Sequence[tuple[int, int]]) -> tuple:
@@ -494,17 +538,11 @@ def full_report(eigen: EigenSystem) -> NefReport:
     table = {(d, a): m for d, a, m in TABLE_MILLI}
     enclosures, references, names, extras = [], [], [], []
     enumeration_positive = True
-    undecided = []  # degrees whose least margin is not certified on the extreme set
     for d in range(3, 7):
-        count, minimum, extremes, positive, least_other = _decided_walk(
+        count, minimum, extremes, positive = _decided_walk(
             lambda emit: _canonical_walk(d, emit, d_value, n_values)
         )
         enumeration_positive = enumeration_positive and positive
-        # on whole enclosures: no other leaf's lo lies below the least extreme hi
-        if least_other is not None and (
-            not extremes or least_other < min(leaf[2] for leaf in extremes)
-        ):
-            undecided.append(d)
         for leaf in extremes:
             reference = table.get((d, leaf[0]))
             if reference is None:
@@ -518,14 +556,6 @@ def full_report(eigen: EigenSystem) -> NefReport:
         "degrees 3..6 full enumeration margins positive",
         enumeration_positive,
         f"{sum(s.candidate_count for s in summaries)} canonical candidates",
-        ORDERING,
-    )
-    record(
-        "degrees 3..6 minimum attained on the extreme set",
-        not undecided,
-        "full-set and extreme-set minimizers coincide"
-        if not undecided
-        else f"extreme-set minimum not certified least at degree {undecided[0]}",
         ORDERING,
     )
     bits = eigen.grid_bits
@@ -544,16 +574,16 @@ def full_report(eigen: EigenSystem) -> NefReport:
     beta_lo, beta_hi = eigen.line_numerators
     volume = (2 * beta_lo**2, 2 * beta_hi**2, 1 << 2 * bits)
     squares = combine((1,) * len(n_polys) + (-1, 2), [p * p for p in (*n_polys, d_poly, b_poly)])
-    undecided = "sum N_i^2 - D^2 + 2 B^2 mod s not sign-certified"
+    undecided = "sum N_i^2 - D^2 + 2 B^2 at lambda not sign-certified"
     square_sum = not sign_at(squares, eigen.off_unit_factor, eigen.scaled_column[2], undecided)
     record(
         SQUARE_SUM,
         square_sum,
-        "sum N_i^2 - D^2 + 2 B^2 = 0 mod s: "
+        "sum N_i^2 - D^2 + 2 B^2 = 0 at lambda: "
         f"L^2 = 2 B^2 / D^2 = {decimal_string(l_squared[0] + l_squared[1], 2 << bits, 6)}..., "
         f"(1 - beta)^2 L^2 = 2 beta^2 = {decimal_string(volume[0] + volume[1], 2 * volume[2], 6)}..."
         if square_sum
-        else "sum N_i^2 - D^2 + 2 B^2 != 0 mod s",
+        else "sum N_i^2 - D^2 + 2 B^2 != 0 at lambda",
     )
 
     # large degrees: (sum t_i^2)(d^2 + 2) < d^2 iff d^2 B^2 > D^2 - 2 B^2.

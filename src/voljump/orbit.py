@@ -7,8 +7,10 @@ their order and h_(n+1) / h_n is a ratio of first entries (`ratio_pairs`).
 A verification run walks only for its growth and max-norm lines and the
 report's records; its distinctness, self-intersection and canonical-degree
 lines hold for every n, deduced in `report`, and the walks here are the
-tests' reference for them.  An `OrbitRecord`, with its `Fraction`s, is built
-only for output: a printed orbit, or the records `orbit` and `iterate` return.
+tests' reference for them.  A printed orbit and the report's records are
+built from the integer vectors, `record_json` the one builder of a JSON
+record; an `OrbitRecord`, with its `Fraction`s, is built only for the
+records `orbit` and `iterate` return.
 """
 
 from __future__ import annotations
@@ -59,6 +61,17 @@ def walk(m: LatticeIsometry, vector: Sequence[int], count: int) -> list[tuple[in
     while len(vectors) < count:
         vectors.append(apply_integers(m, vectors[-1]))
     return vectors[:count]
+
+
+def record_json(n: int, vector: Sequence[int]) -> dict:
+    """The JSON record of T^n(seed) for an integral seed, vector = T^n(seed): the
+    class and its invariants as exact "p/q" strings, paired in integers."""
+    return {
+        "n": n,
+        "class": [f"{c}/1" for c in vector],
+        "self_intersection": f"{pair_integers(vector, vector)}/1",
+        "canonical_degree": f"{pair_integers(vector, CANONICAL)}/1",
+    }
 
 
 def orbit(seed: DivisorClass, count: int) -> Iterator[OrbitRecord]:

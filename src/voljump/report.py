@@ -4,17 +4,21 @@ Every certificate the package can produce is evaluated here in a fixed
 order (the all-n orbit lines from the seed's pairings and named premises, a
 walk only for growth, max-norm and the records); the JSON report holds exact
 rational endpoints (decimal fields are display-only midpoints), so two runs
-with the same configuration emit byte-identical artifacts.
+with the same configuration emit byte-identical artifacts.  Each section with
+data is built beside its type (`CharpolyFacts.to_json`, `EigenSystem.to_json`,
+`NefReport.to_json`, `orbit.record_json`), by the builder the data commands
+print with, so a fact's JSON has one form; this module builds no enclosure's
+JSON itself.
 """
 
 from __future__ import annotations
 
 from .config import RunConfig
 from .errors import CertificationError, Record
-from .intervals import ClassEnclosure, RealEnclosure, decimal_string, enclosure_json
-from .lattice import CANONICAL, GRAM_DIAGONAL, LINE, canonical_class, pair_integers, standard_line
-from .nefcheck import Certificates, CheckResult, MarginRow, NefReport, full_report
-from .orbit import increase_start, ratio_pairs, walk
+from .intervals import decimal_string
+from .lattice import CANONICAL, GRAM_DIAGONAL, LINE, pair_integers, standard_line
+from .nefcheck import Certificates, CheckResult, NefReport, full_report
+from .orbit import increase_start, ratio_pairs, record_json, walk
 from .polynomials import combine
 from .reference import WITNESS_TOLERANCE_MILLI, witness_matches
 from .spectral import CharpolyFacts, EigenSystem, eigensystem, select_orientation, sign_at
@@ -125,14 +129,14 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
     record(
         "dominant class has self-intersection zero",
         self_zero,
-        f"sum g_i a_i^2 {'=' if self_zero else '!='} 0 mod s",
+        f"sum g_i a_i^2 {'=' if self_zero else '!='} 0 at lambda",
     )
     k_weights = [g * c for g, c in zip(GRAM_DIAGONAL, CANONICAL)]
     k_zero = not sign_at(combine(k_weights, a), s, powers, "v.K undecided")
     record(
         "dominant class pairs to zero with the canonical class",
         k_zero,
-        f"sum g_i K_i a_i {'=' if k_zero else '!='} 0 mod s",
+        f"sum g_i K_i a_i {'=' if k_zero else '!='} 0 at lambda",
     )
 
     bits = eigen.grid_bits
@@ -157,7 +161,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
     distinct = sign_at(combine((LINE[0], *weights), a), s, powers, undecided, (lv_lo, lv_hi)) != 0
     lv = decimal_string(lv_lo + lv_hi, 2 << bits, 12)
     detail = f"(T^n l).v = lambda^-n (l.v) with l.v = {lv}... != 0 and lambda > 1, for every n"
-    detail = detail if distinct else "sum g_i l_i a_i = 0 mod s: l.v = 0"
+    detail = detail if distinct else "sum g_i l_i a_i = 0 at lambda: l.v = 0"
     record(DISTINCT, distinct, detail, ISOMETRY, RELATION)
     l2, lk = pair_integers(LINE, LINE), pair_integers(LINE, CANONICAL)
     record("orbit self-intersections all -2", l2 == -2, f"(T^n l)^2 = l^2 = {l2} for every n", ISOMETRY)
@@ -194,19 +198,6 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
 # -- JSON assembly ---------------------------------------------------------------
 
 
-def _row_json(row: MarginRow, digits: int) -> dict:
-    return {
-        "d": row.candidate.degree,
-        "a": list(row.candidate.mults),
-        "margin": enclosure_json(row.margin, digits),
-        "exact_zero": row.exact_zero,
-    }
-
-
-def _class_enclosure_json(enc: ClassEnclosure, digits: int) -> list[dict]:
-    return [enclosure_json(c, digits) for c in enc.coeffs]
-
-
 def build_report(run: VerificationRun) -> dict:
     """The complete JSON artifact for one verification run."""
     cfg = run.config
@@ -235,47 +226,8 @@ def build_report(run: VerificationRun) -> dict:
             },
         },
         "charpoly": run.charpoly.to_json(),
-        "eigen": {
-            "lambda": enclosure_json(eigen.dominant_value, digits),
-            "dominant_class": _class_enclosure_json(eigen.dominant_class, digits),
-            "r": [enclosure_json(e, digits) for e in eigen.r()],
-            "beta": enclosure_json(eigen.line_component, digits),
-            "t": [enclosure_json(e, digits) for e in eigen.t()],
-            "pair_self": enclosure_json(RealEnclosure.over(*eigen.self_pairing()), digits),
-            "pair_canonical": enclosure_json(
-                eigen.dominant_class.pair(canonical_class()), digits
-            ),
-        },
-        "nef": {
-            "degree_one": [_row_json(r, digits) for r in run.nef.degree_one],
-            "degree_two": {
-                "count": run.nef.degree_two_count,
-                "minimum": _row_json(run.nef.degree_two_minimum, digits),
-            },
-            "degrees": [
-                {
-                    "degree": s.degree,
-                    "candidates": s.candidate_count,
-                    "extremes": s.extreme_count,
-                    "minimum": _row_json(s.minimum, digits),
-                    "extreme_rows": [_row_json(r, digits) for r in s.extreme_rows],
-                }
-                for s in run.nef.degrees
-            ],
-            "cutoff": run.nef.cutoff,
-            "l_squared": enclosure_json(run.nef.bigness.witness_self_pairing, digits),
-            "volume_lower_bound": enclosure_json(
-                run.nef.bigness.volume_lower_bound, digits
-            ),
-            "zero_witnesses": [_row_json(r, digits) for r in run.nef.zero_witnesses],
-            "reference_rows": {
-                "total": run.nef.reference_rows_total,
-                "matched": run.nef.reference_rows_matched,
-            },
-            "extra_extreme_rows": [
-                _row_json(r, digits) for r in run.nef.extra_extreme_rows
-            ],
-        },
+        "eigen": eigen.to_json(digits),
+        "nef": run.nef.to_json(digits),
         "orbit": {
             "seed": standard_line().to_json_array(),
             "horizon": cfg.orbit_horizon,
@@ -283,15 +235,7 @@ def build_report(run: VerificationRun) -> dict:
             "ratio_start": run.orbit.ratio_start,
             "ratios_converged": run.orbit.ratios_converged,
             "max_norm_increasing_from": run.orbit.max_norm_increasing_from,
-            "records": [
-                {
-                    "n": n,
-                    "class": [f"{c}/1" for c in v],
-                    "self_intersection": f"{pair_integers(v, v)}/1",
-                    "canonical_degree": f"{pair_integers(v, CANONICAL)}/1",
-                }
-                for n, v in enumerate(run.orbit.vectors)
-            ],
+            "records": [record_json(n, v) for n, v in enumerate(run.orbit.vectors)],
         },
     }
 

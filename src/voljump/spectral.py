@@ -25,20 +25,25 @@ the witness (`_witness_stage`, the one path of `eigensystem` and of every
 oracle reading): it builds D and B, decides the signs of D(lambda) and
 B(lambda), which put beta in (0, 1) (the one proof of r_1 + r_2 + r_3 > 1,
 and of L^2 > 0 and 2 beta^2 > 0 given the square-sum identity), then builds
-N_1..N_3 and puts beta and the t_i on the grid.  One rule decides
-every fact at lambda (`sign_at`): the sign of an integer polynomial p at the
-root lambda of s is 0 exactly when s | p, else that of an enclosure clear of 0
-(the caller's own, where a division needs that one, else of p's remainder mod
-s), and anything else raises `PrecisionBudgetError`; a_0, D and B above, and
-v.v, v.K, the square-sum identity and l.v in `report` and `nefcheck`, are
-decided by it, and no other module tests a polynomial mod s.  Also hosts the
-factor data of p (`CharpolyFacts`, which reads k = deg p - deg s off the
-core's factorization; its unit-circle count is k roots at 1 plus the count of s)
-and the orientation oracle over the 14 readings of the composite's
-notation, which reads the run's core for its matrix's class, runs
-`_spectral_core` once for the other and the witness stage once per
-reading (`select_orientation`), judged by `reference.witness_matches` (the
-one rule for printed data; an undecided reading stops the oracle, exit 3).
+N_1..N_3 and puts beta and the t_i on the grid, whose size it returns for
+the system to keep (`EigenSystem.grid_bits`).  One rule decides every fact at
+lambda (`sign_at`): the sign of an integer polynomial p at the simple root
+lambda of s is that of an enclosure clear of 0 (the caller's own, where a
+division needs that one, else of p's remainder mod s), and 0 when s | p, or
+when lambda is a root of the factor g = gcd(s, remainder) because s / g is
+enclosed clear of 0 (s reducible); anything else raises
+`PrecisionBudgetError`; a_0, D and B above, and v.v, v.K, the square-sum
+identity and l.v in `report` and `nefcheck`, are decided by it, and no other
+module tests a polynomial mod s.  `EigenSystem.to_json` is the one builder of
+the `eigen` JSON section, for `report` and `eigen --format json`.  Also hosts
+the factor data of p (`CharpolyFacts`, which reads k = deg p - deg s off the
+core's factorization; its unit-circle count is k roots at 1 plus the count of
+s; its `to_json` likewise serves `report` and `charpoly`) and the
+orientation oracle over the 14 readings of the composite's notation, which
+reads the run's core for its matrix's class, runs `_spectral_core` once for
+the other and the witness stage once per reading (`select_orientation`),
+judged by `reference.witness_matches` (the one rule for printed data; an
+undecided reading stops the oracle, exit 3).
 """
 
 from __future__ import annotations
@@ -49,8 +54,8 @@ from math import gcd
 from operator import itemgetter
 
 from .errors import CertificationError, PrecisionBudgetError, Record
-from .intervals import ClassEnclosure, RealEnclosure
-from .lattice import RANK
+from .intervals import ClassEnclosure, RealEnclosure, enclosure_json
+from .lattice import RANK, canonical_class
 from .polynomials import (
     IntPoly,
     UnitCircleCount,
@@ -128,17 +133,24 @@ def _enclose(p: IntPoly, powers: tuple[list[int], list[int]]) -> tuple[int, int]
 
 
 def sign_at(p: IntPoly, s: IntPoly, powers: tuple, undecided: str, value: tuple | None = None) -> int:
-    """The one rule for a fact at lambda, a root of s: the sign (-1, 0 or 1) of
-    c p(lambda), for the caller's enclosure `value` of c p(lambda), c != 0 (c = 1
-    without one).  0 exactly when s | p.  Else the sign of `value` if it is clear
-    of 0 (then no remainder is taken), or, without `value`, of p's remainder mod s
-    (degree < deg s <= deg `powers`) enclosed on `powers` if that is clear of 0;
-    else `PrecisionBudgetError(undecided)`."""
+    """The one rule for a fact at lambda, a simple root of the monic s: the sign
+    (-1, 0 or 1) of c p(lambda), for the caller's enclosure `value` of c p(lambda),
+    c != 0 (c = 1 without one).  The sign of `value` if it is clear of 0 (then no
+    remainder is taken).  Else 0 if s | p; without `value`, the sign of p's
+    remainder mod s enclosed on `powers` if that is clear of 0; and 0 if
+    g = gcd(s, remainder) is nonconstant and s / g is enclosed clear of 0 (so
+    lambda is a root of g, which divides the remainder).  Anything else raises
+    `PrecisionBudgetError(undecided)`.  The remainder and s / g have degree at
+    most that of `powers`, for deg s <= deg `powers` + 1."""
     if value is None or value[0] <= 0 <= value[1]:
         if (rest := p.scaled_remainder(s)).degree < 0:
             return 0
         if value is not None or (value := _enclose(rest, powers))[0] <= 0 <= value[1]:
-            raise PrecisionBudgetError(undecided)
+            # lambda is a root of exactly one of g and s / g
+            g = poly_gcd(s, rest)
+            if g.degree < 1 or (other := _enclose(s.divide_exact(g), powers))[0] <= 0 <= other[1]:
+                raise PrecisionBudgetError(undecided)
+            return 0
     return 1 if value[0] > 0 else -1
 
 
@@ -225,8 +237,9 @@ class EigenSystem(Record):
     relation_row: int | None  # first failing row of (xI - T) a = p e_0, None if it holds
     witness_polynomials: tuple[IntPoly, ...]  # (D, B, N_1..N_10), D(lambda) > 0
     witness_values: tuple[tuple[int, int], ...]  # their enclosures, over the powers' 2^S
-    line_numerators: tuple[int, int]  # beta, over 2^grid_bits as below
-    witness_numerators: tuple[tuple[int, int], ...]  # the E_i coefficients -t_i
+    line_numerators: tuple[int, int]  # beta, over 2^grid_bits
+    witness_numerators: tuple[tuple[int, int], ...]  # the E_i coefficients -t_i, likewise
+    grid_bits: int  # the dyadic grid of the quotients (`_grid_bits`)
 
     dominant_value = property(lambda self: RealEnclosure.over(*self.eigenvalue))
     dominant_class = property(lambda self: _grid_class(self.eigenvector, self.grid_bits))
@@ -242,11 +255,6 @@ class EigenSystem(Record):
     def t(self) -> tuple[RealEnclosure, ...]:
         """Multipliers t_i of the nef witness H - sum t_i E_i."""
         return self.nef_witness.multipliers()
-
-    @property
-    def grid_bits(self) -> int:
-        """This system's dyadic grid: quotients are numerators over 2^grid_bits."""
-        return _grid_bits(self.eigenvalue)
 
     def grid_quotient(self, v: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
         """Numerators over 2^grid_bits of v / w, for numerator enclosures over
@@ -264,6 +272,20 @@ class EigenSystem(Record):
         low = sum(s[0] for s, (lo, hi) in zip(squares, self.eigenvector) if lo > 0 or hi < 0)
         one = 1 << 2 * self.grid_bits
         return one - sum(s[1] for s in squares), one - low, one
+
+    def to_json(self, digits: int) -> dict:
+        """The report's `eigen` section, which `eigen --format json` prints: each
+        enclosure by `enclosure_json` with a `digits`-place midpoint."""
+        v = self.dominant_class
+        return {
+            "lambda": enclosure_json(self.dominant_value, digits),
+            "dominant_class": [enclosure_json(c, digits) for c in v.coeffs],
+            "r": [enclosure_json(e, digits) for e in v.multipliers()],
+            "beta": enclosure_json(self.line_component, digits),
+            "t": [enclosure_json(e, digits) for e in self.t()],
+            "pair_self": enclosure_json(RealEnclosure.over(*self.self_pairing()), digits),
+            "pair_canonical": enclosure_json(v.pair(canonical_class()), digits),
+        }
 
 
 def _spectral_core(m: LatticeIsometry, tol: int) -> tuple:
@@ -283,7 +305,7 @@ def _spectral_core(m: LatticeIsometry, tol: int) -> tuple:
     values = [_enclose(a, powers) for a in column]
     undecided = "a_0(lambda) not certified nonzero; refine the eigenvalue"
     if not sign_at(column[0], off_unit, powers, undecided, values[0]):
-        raise CertificationError("a_0(lambda) = 0: a_0 = 0 mod s")
+        raise CertificationError("a_0(lambda) = 0: a_0 = 0 at lambda")
     bits = _grid_bits(lam)
     vector = tuple(_quotient_on_grid(v, values[0], bits) for v in values[1:])
     if _wider_than(vector, bits, tol, 1):
@@ -301,8 +323,8 @@ def _witness_stage(
     """The witness of the column a, from its scaled data (`_spectral_core`) in
     the same order: the polynomials (D, B, N_1, ..., N_10), signed so that
     D(lambda) > 0 is certified, their enclosures at lambda over one common
-    denominator, and numerators over 2^bits (`_grid_bits`) of beta and of the
-    nef witness's E_i coefficients -t_i.
+    denominator, numerators over 2^bits of beta and of the nef witness's E_i
+    coefficients -t_i, and bits (`_grid_bits`).
 
     With r_i = -a_i / a_0 the dominant class H - sum r_i E_i and
     beta = (r_1 + r_2 + r_3 - 1) / 2, the witness coefficients
@@ -311,7 +333,7 @@ def _witness_stage(
     By construction D - N_1 - N_2 - N_3 is the zero polynomial, and
     0 < beta < 1 holds iff B and D share a sign.  `sign_at` decides both signs
     before N_1..N_3 are built and enclosed (N_4..N_10 are multiples): D or B
-    zero mod s, or of opposite signs, is a genuine failure.  So this stage is
+    zero at lambda, or of opposite signs, is a genuine failure.  So this stage is
     the one producer of three facts no certificate line restates:
     0 < beta < 1; r_1 + r_2 + r_3 - 1 = B / a_0 = 2 beta > 0, as
     a_0 = (D + B) / 2; and B(lambda) != 0 and beta > 0, which make
@@ -340,7 +362,7 @@ def _witness_stage(
     witness = tuple((-hi, -lo) for lo, hi in quotients)
     if _wider_than(witness, bits, tol, 10**6):
         raise PrecisionBudgetError("nef witness enclosure wider than requested")
-    return polys, values, component, witness
+    return polys, values, component, witness, bits
 
 
 @lru_cache(maxsize=8)
@@ -452,8 +474,8 @@ def select_orientation(eigen: EigenSystem) -> OrientationReport:
             # the column of M' is a'[q(i)] = a[i], and so are its multiples
             order = sorted(range(RANK), key=q.__getitem__)
             column, *scaled = ([xs[i] for i in order] for xs in (column, multiples, values))
-            witness = _witness_stage(column, (*scaled, powers), s, lam, tol)[3]
-            assessments.append(CandidateAssessment(name, *witness_matches(witness, _grid_bits(lam))))
+            *_, witness, bits = _witness_stage(column, (*scaled, powers), s, lam, tol)
+            assessments.append(CandidateAssessment(name, *witness_matches(witness, bits)))
         except CertificationError as err:
             assessments.append(CandidateAssessment(name, False, f"no certified data: {err}"))
         except PrecisionBudgetError as err:

@@ -806,15 +806,15 @@ def test_an_orbit_of_the_canonical_class_leaves_distinctness_undecided(monkeypat
     from voljump.orbit import DistinctnessResult, verify_distinct
 
     # T K = K, so the orbit of K is one class; K.v = 0 exactly, so no
-    # enclosure of l.v excludes 0, at any precision, and sum g_i K_i a_i = 0
-    # mod s decides it: the line fails, it is not left undecided
+    # enclosure of l.v excludes 0, at any precision, and s | sum g_i K_i a_i
+    # decides it: the line fails, it is not left undecided
     assert verify_distinct(canonical_class(), 2) == DistinctnessResult(False, (0, 1))
     monkeypatch.setattr(report, "LINE", CANONICAL)
     for digits in ("20", "60"):
         code, out, err = run_cli(capsys, "verify", "--precision-digits", digits)
         assert code == 1
         assert "failed: orbit classes pairwise distinct" in err
-        line = "[FAIL] orbit classes pairwise distinct (sum g_i l_i a_i = 0 mod s: l.v = 0)"
+        line = "[FAIL] orbit classes pairwise distinct (sum g_i l_i a_i = 0 at lambda: l.v = 0)"
         assert line in out.splitlines()
 
 
@@ -972,4 +972,68 @@ def test_corrupted_line_numerator_fails_the_line_class_certificate(monkeypatch, 
     lines = out.splitlines()
     assert "[FAIL] degree-1 margins nonnegative (D - N1 - N2 - N3 != 0 as polynomials)" in lines
     assert any(line.startswith("[FAIL] square-sum identity certified") for line in lines)
+    assert lines[-1] == "verdict: fail"
+
+
+def test_each_data_command_prints_the_report_section(capsys):
+    """`eigen`, `nef-table` and `orbit` print what the report holds, built by
+    one section builder each: the eigen section whole, each table row as its
+    `extreme_rows` entry, and the orbit records."""
+    _, out, _ = run_cli(capsys, "report", "--orbit-horizon", "12")
+    report = json.loads(out)
+    _, out, _ = run_cli(capsys, "eigen", "--format", "json", "--tol-digits", "40")
+    assert json.loads(out) == report["eigen"]
+    _, out, _ = run_cli(capsys, "nef-table", "--format", "json", "--tol-digits", "40")
+    table = json.loads(out)
+    rows = {
+        (row["d"], tuple(row["a"])): row
+        for degree in report["nef"]["degrees"]
+        for row in degree["extreme_rows"]
+    }
+    assert len(table) == len(rows) and all(row == rows[row["d"], tuple(row["a"])] for row in table)
+    _, out, _ = run_cli(capsys, "orbit", "--format", "json", "--orbit-horizon", "12")
+    orbit = json.loads(out)
+    assert orbit["records"] == report["orbit"]["records"] and len(orbit["records"]) == 12
+    assert orbit["seed"] == report["orbit"]["seed"]
+
+
+#: The E1 coordinate negated: an isometry of the form that moves K.
+NEGATE_E1 = transform.LatticeIsometry(
+    [[-1 if i == j == 1 else int(i == j) for j in range(11)] for i in range(11)]
+)
+
+
+@pytest.mark.parametrize("digits", ["20", "60", "200"])
+def test_a_map_that_moves_k_fails_the_k_and_cyclotomic_lines(bind_transform, capsys, digits):
+    # det -1 makes k = 0, so s = p of degree 11 carries Phi_2 and Phi_6 beside the
+    # Salem factor; v.v(lambda) = 0 with s not dividing v.v, decided by the
+    # factor gcd(s, v.v mod s) and s over it, at every precision
+    bind_transform(composite_T() @ NEGATE_E1)
+    code, out, err = run_cli(capsys, "verify", "--precision-digits", digits)
+    assert code == 1
+    assert err.splitlines()[0] == "failed: composite map fixes the canonical class"
+    lines = out.splitlines()
+    assert "[FAIL] composite map fixes the canonical class" in lines
+    assert "[FAIL] cyclotomic scan finds only the factor at n = 1 (factors: [(2, 1), (6, 1)])" in lines
+    assert "[PASS] dominant class has self-intersection zero (sum g_i a_i^2 = 0 at lambda)" in lines
+    assert lines[-1] == "verdict: fail"
+
+
+def test_a_second_root_outside_the_circle_fails_its_line(monkeypatch, capsys):
+    from voljump import report
+    from voljump.polynomials import IntPoly
+
+    # p and s times (x - 2): the facts at lambda hold, as x - 2 is clear of 0 there
+    eigen = report.eigensystem(60)
+    x_2 = IntPoly([-2, 1])
+    mutated = eigen._replace(
+        polynomial=eigen.polynomial * x_2, off_unit_factor=eigen.off_unit_factor * x_2
+    )
+    monkeypatch.setattr(report, "eigensystem", lambda digits: mutated)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1
+    lines = out.splitlines()
+    [line] = [line for line in lines if "exactly one root outside the unit circle" in line]
+    assert line.startswith("[FAIL] exactly one root outside the unit circle (outside 2, inside 1, on circle 9;")
+    assert "[PASS] dominant class has self-intersection zero (sum g_i a_i^2 = 0 at lambda)" in lines
     assert lines[-1] == "verdict: fail"

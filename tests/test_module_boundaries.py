@@ -17,7 +17,10 @@ And every module-level `functools` cache is one the benchmark clears before
 each op, so no run cache carries work from one op to the next.  And no module
 holds an `assert`, which `python -O` strips, so no certificate rests on one.
 And no module but `polynomials` and `spectral` tests p = 0 mod s: every fact at
-lambda is decided by `spectral.sign_at`."""
+lambda is decided by `spectral.sign_at`.  And neither `cli` nor `report` builds
+an enclosure's JSON: each section has one builder beside its data type
+(`EigenSystem.to_json`, `MarginRow.to_json`, `NefReport.to_json`), which the
+data commands and the report share."""
 
 import ast
 from pathlib import Path
@@ -448,3 +451,35 @@ def test_mod_s_guard_sees_every_form():
 )
 def test_no_module_but_spectral_decides_a_fact_mod_s(path):
     assert mod_s_calls(path.read_text(encoding="utf-8")) == []
+
+
+#: The modules that print sections rather than build them.
+SECTION_READERS = ("cli", "report")
+
+
+def enclosure_json_uses(source: str) -> list[str]:
+    """The references of a module's source to `enclosure_json`: a name, an
+    attribute or an imported name, as `line: form` in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "enclosure_json":
+            found.append((node.lineno, "name"))
+        elif isinstance(node, ast.Attribute) and node.attr == "enclosure_json":
+            found.append((node.lineno, "attribute"))
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "enclosure_json" for a in node.names):
+            found.append((node.lineno, "import"))
+    return [f"{line}: {form}" for line, form in sorted(found)]
+
+
+def test_enclosure_json_guard_sees_every_form():
+    source = (
+        "from .intervals import decimal_string, enclosure_json as e\n"
+        "x = enclosure_json(lam, 40)\ny = intervals.enclosure_json\n"
+        "z = row.to_json(40)\nenclosure = 'enclosure_json'\n"
+    )
+    assert enclosure_json_uses(source) == ["1: import", "2: name", "3: attribute"]
+
+
+@pytest.mark.parametrize("name", SECTION_READERS)
+def test_no_section_reader_builds_an_enclosure_json(name):
+    assert enclosure_json_uses((PACKAGE / f"{name}.py").read_text(encoding="utf-8")) == []

@@ -444,12 +444,9 @@ def test_enumeration_lines_fail_when_the_ordering_premise_fails(eigen):
     checks = {c.name: c for c in full_report(eigen._replace(witness_values=tuple(values))).checks}
     premise = "witness coefficient ordering certified"
     assert not checks[premise].passed
-    for name in (
-        "degrees 3..6 full enumeration margins positive",
-        "degrees 3..6 minimum attained on the extreme set",
-    ):
-        assert not checks[name].passed
-        assert checks[name].detail == f"premise failed: {premise}"
+    name = "degrees 3..6 full enumeration margins positive"
+    assert not checks[name].passed
+    assert checks[name].detail == f"premise failed: {premise}"
 
 
 def test_the_ordering_line_fails_only_on_a_pair_proven_out_of_order(eigen):
@@ -520,29 +517,6 @@ def test_square_sum_identity_is_divisible_by_s(eigen):
     assert not checks["square-sum identity certified"]
 
 
-def test_extreme_set_minimum_is_decided_on_whole_enclosures(eigen, monkeypatch):
-    """An extreme leaf [10, 30] and a non-extreme leaf [5, 40]: the extreme
-    midpoint is the lower, yet the other margin may lie below it."""
-    extreme, other = (2,) + (1,) * 9, (1,) * 10
-    decided = [(extreme, 5, 9, True), (other, 9, 40, False)]
-    undecided = [(extreme, 10, 30, True), (other, 5, 40, False)]
-    name = "degrees 3..6 minimum attained on the extreme set"
-
-    def line(walks):
-        monkeypatch.setattr(
-            nefcheck, "_canonical_walk", lambda d, emit, d_value, n_values: [*map(emit, walks[d])]
-        )
-        [check] = [c for c in full_report(eigen).checks if c.name == name]
-        return check
-
-    assert line(dict.fromkeys(range(3, 7), decided)).passed
-    check = line({3: decided, 4: undecided, 5: decided, 6: undecided})
-    assert check == (name, False, "extreme-set minimum not certified least at degree 4")
-    # a degree with no extreme leaf decides nothing either
-    check = line({3: decided, 4: decided, 5: [(other, 5, 40, False)], 6: decided})
-    assert check == (name, False, "extreme-set minimum not certified least at degree 5")
-
-
 # -- the premise rule ------------------------------------------------------------------
 
 
@@ -589,7 +563,7 @@ def test_a_default_run_has_distinct_line_names():
     from voljump.report import run_verification
 
     names = [c.name for c in run_verification().certificates]
-    assert len(names) == len(set(names)) == 23
+    assert len(names) == len(set(names)) == 22
     assert names.index(ORDERING) < names.index("degrees 3..6 full enumeration margins positive")
 
 
@@ -604,7 +578,7 @@ def test_bigness_of_the_report_is_exact(eigen, nef):
     [detail] = [c.detail for c in nef.checks if c.name == "square-sum identity certified"]
     mids = [decimal_string(*e.midpoint.as_integer_ratio(), 6) for e in nef.bigness]
     assert detail == (
-        f"sum N_i^2 - D^2 + 2 B^2 = 0 mod s: L^2 = 2 B^2 / D^2 = {mids[0]}..., "
+        f"sum N_i^2 - D^2 + 2 B^2 = 0 at lambda: L^2 = 2 B^2 / D^2 = {mids[0]}..., "
         f"(1 - beta)^2 L^2 = 2 beta^2 = {mids[1]}..."
     )
     assert mids == ["0.062866", "0.045357"]
@@ -665,7 +639,6 @@ def test_decided_walk_keeps_what_the_list_of_leaves_gives(eigen, degree, case):
         min(leaves, key=lambda leaf: (leaf[1] + leaf[2], leaf[0])),
         tuple(leaf for leaf in leaves if leaf[3]),
         all(leaf[1] > 0 for leaf in leaves),
-        min((leaf[1] for leaf in leaves if not leaf[3]), default=None),
     )
 
 
@@ -680,7 +653,7 @@ def test_conics_give_what_the_252_decided_leaves_give(seed):
         return lo, lo + rng.randrange(5)
 
     d, n = bounds(8, 20), [bounds(-1, 6) for _ in range(10)]
-    count, minimum, _, positive, _ = _decided_walk(
+    count, minimum, _, positive = _decided_walk(
         lambda emit: _subset_leaves(2, itertools.combinations(range(10), 5), emit, d, n)
     )
     assert _conics(d, n) == (count, minimum, positive)

@@ -13,17 +13,17 @@ import pytest
 from voljump.cli import main
 
 PINNED = [
-    (("verify",), 0, "7562a8346a9534280585418c52c471c2ae6fe584a2342dc33d948122ab49b8eb"),
-    (("nef-verify",), 0, "b6e40e094509b81d23c542653991d26af4decf92b7beae01ad61891bda66807b"),
-    (("report",), 0, "6eabbae1ab8bf9b1141428dc92b1bb05af35604d35535e2634a4ed3855ecc775"),
+    (("verify",), 0, "247145738a6bd2b6e0b51d319784af75fa7fba8719436b725945e6491f29ca2f"),
+    (("nef-verify",), 0, "3ca5c645b93dad6264081d1a36b9d38c2d066a7900db0319ec5cc913ee91a516"),
+    (("report",), 0, "a6856aee37808d936d265818a12f9e60375c0fe62142f6374a4bea6fcb266aad"),
     (("nef-table", "--format", "md"), 0, "e59f3b6f9737cfbf7890915de67981d1fbeae092190e1198be005c4c44c9fd03"),
     (("nef-table", "--format", "csv"), 0, "289ea3ed8512973cad213d020e7e9cfb8542351691187ae8dc829b4bd6b17bde"),
-    (("nef-table", "--format", "json"), 0, "bf1c4364c98b6b71d75a2a6b9669689125d739855ea5ce4630b6420e46870c5e"),
+    (("nef-table", "--format", "json"), 0, "ed448481c745802ccf6fc96aa665e076566ea53026171d97841d0b0f2c94a789"),
     (("enumerate", "--d", "6"), 0, "5c38d598106cec4fcd4a7e85165fb4fe27c93b69ac52c9bb0ce4ad83040f43bc"),
     (("enumerate", "--d", "6", "--extreme"), 0, "0b21488fe4374d6070083b461a95eedafc972143383175193b8eb2bd42361d7f"),
-    (("eigen", "--format", "json"), 0, "f426141ffdf2f356dad4330645956f2c4735a4e192b837d71c9d17101290b353"),
+    (("eigen", "--format", "json"), 0, "85af21e2d7407769c1c0614d9e6bda54152d8dae29e0d0cb7a9bc26d9318d6de"),
     (("charpoly", "--format", "json"), 0, "84e4ba5a3aa0ab12dab63ad24c79c2db335447525eb02b09f975281d5d260c9a"),
-    (("orbit", "--format", "json"), 0, "61ce2e65fb1a4d87e928fa8c4b611aad8893716c9434207bf102b9d04cd2e556"),
+    (("orbit", "--format", "json"), 0, "23ec0223a67212cbf15a40e476ebc1a263890a813fcba25fb86b3c07478aee8d"),
     (("dump-matrix",), 0, "5f72cbe010b4f478d6284bd33b817d8cfb1133113796e01bf8d2c5c29fa27d2b"),
     (("charpoly",), 0, "4e161c1f30650a637fc37d776f67b1d81dfab4d5eaa7d93c030197b00b20c861"),
     (("eigen",), 0, "096b8bd9524dcacc40de1790f3fab3b784714564a8210cda2106ecd3854d7b09"),
@@ -32,8 +32,8 @@ PINNED = [
     (("enumerate", "--d", "5", "--format", "json"), 0, "4b16bc6b022fbe69828f33b3bd6fe81f7075d94ac8afb02aa02499ea538ddb8f"),
     (("enumerate", "--d", "6", "--extreme", "--format", "csv"), 0, "9dccf505ccc860fee238c1ad191fb5758fb6f062016b9ac9391ea8041ab4335c"),
     (("nef-table", "--precision-digits", "20", "--format", "csv"), 0, "289ea3ed8512973cad213d020e7e9cfb8542351691187ae8dc829b4bd6b17bde"),
-    (("report", "--precision-digits", "20"), 0, "663b3e7ff5770735c6d599a94b84840c8664e7f656e352a6bf3ff7a5b837f486"),
-    (("report", "--precision-digits", "400", "--orbit-horizon", "400"), 0, "3cfb9b386880b8b80b858db6c5e51e035c3bffdc5a23574ba0431f258ed5ddbd"),
+    (("report", "--precision-digits", "20"), 0, "6a5f39d6bd8a603fd11aebfc0d11621ae93ff803c9fe332cd374a3fe61fd4c72"),
+    (("report", "--precision-digits", "400", "--orbit-horizon", "400"), 0, "5fea281bc29390dd4dd02de091d707fbf493ae0f3f9da1277970f68efa6143b6"),
 ]
 
 

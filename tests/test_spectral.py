@@ -9,6 +9,7 @@ from voljump.config import RunConfig
 from voljump.errors import CertificationError, PrecisionBudgetError
 from voljump.intervals import RealEnclosure
 from voljump.lattice import GRAM_DIAGONAL, canonical_class
+from voljump.nefcheck import full_report
 from voljump.polynomials import (
     IntPoly,
     combine,
@@ -152,14 +153,46 @@ def test_sign_at_decides_zero_mod_s_and_signs_at_lambda(eigen, monkeypatch):
     assert sign_at(s, s, powers, "undecided", (1, 2)) == 1
 
 
+def test_sign_at_decides_a_root_of_a_factor_of_a_reducible_s(eigen):
+    """With s = s_0 (x - 2), lambda a root of s_0: p = s_0 + K s leaves the
+    remainder s_0, whose enclosure holds 0, and gcd(s, s_0) = s_0 with
+    s / s_0 = x - 2 clear of 0 decides p(lambda) = 0; a remainder prime to s
+    whose enclosure holds 0 stays undecided."""
+    s_0, powers = eigen.off_unit_factor, eigen.scaled_column[2]
+    s = s_0 * IntPoly([-2, 1])
+    assert s.degree == 11 == len(powers[0])  # powers of lambda up to lambda^10
+    for k in (0, 1, -7):
+        p = combine((1, k), (s_0, s))
+        assert sign_at(p, s, powers, "undecided") == 0
+        assert sign_at(p, s, powers, "undecided", (-1, 1)) == 0
+    # x - 2 and s_0 + 1 keep their signs at lambda, about 1.43
+    assert sign_at(IntPoly([-2, 1]), s, powers, "undecided") == -1
+    assert sign_at(combine((1, 1), (s_0, IntPoly([1]))), s, powers, "undecided") == 1
+    # WIDE s_0 + 1 is prime to s, and its enclosure holds 0
+    with pytest.raises(PrecisionBudgetError, match="^undecided$"):
+        sign_at(combine((WIDE, 1), (s_0, IntPoly([1]))), s, powers, "undecided")
+
+
+def test_the_grid_is_read_not_recomputed(eigen, monkeypatch):
+    """`grid_bits` is a field set when the system is built: no reader reruns
+    `_grid_bits`."""
+
+    def forbidden(lam):
+        raise AssertionError("grid recomputed")
+
+    monkeypatch.setattr(spectral, "_grid_bits", forbidden)
+    assert all(c.passed for c in full_report(eigen).checks)
+    assert eigen.nef_witness.coeffs[1].hi * 2**eigen.grid_bits == eigen.witness_numerators[0][1]
+
+
 def test_a_0_is_decided_by_the_rule(monkeypatch):
-    """a_0(lambda) != 0 is certified by a_0's own enclosure; a_0 = 0 mod s is a
-    failure, and a_0 nonzero mod s whose enclosure holds 0 is undecided."""
+    """a_0(lambda) != 0 is certified by a_0's own enclosure; a_0 = 0 at lambda is
+    a failure, and a_0 nonzero mod s whose enclosure holds 0 is undecided."""
     kernel, s = spectral.faddeev_leverrier, spectral.eigensystem(60).off_unit_factor
     for head, error, message in (
         (combine((WIDE, 1), (s, IntPoly([1]))), PrecisionBudgetError,
          "a_0(lambda) not certified nonzero; refine the eigenvalue"),
-        (combine((3,), (s,)), CertificationError, "a_0(lambda) = 0: a_0 = 0 mod s"),
+        (combine((3,), (s,)), CertificationError, "a_0(lambda) = 0: a_0 = 0 at lambda"),
     ):
         def corrupted(m, head=head):
             p, column = kernel(m)
@@ -176,7 +209,7 @@ def test_beta_exact_example(eigen):
     # on the grid, whichever the sign of the column
     lam, bits = eigen.eigenvalue, eigen.grid_bits
     for sign in (1, -1):
-        polys, _, component, _ = witness_of(constant_column(2 * sign, -3 * sign), lam)
+        polys, _, component, _, _ = witness_of(constant_column(2 * sign, -3 * sign), lam)
         assert polys[:2] == (IntPoly([3]), IntPoly([1]))
         assert component == (1 << bits - 2, 1 << bits - 2)
     # r1 = r2 = r3 = 2/5 gives beta = 1/10: B / 2 a_0 = (6/5 - 1) / 2
@@ -340,6 +373,7 @@ def test_witness_polynomials_are_the_witness(eigen):
         eigen.witness_values,
         eigen.line_numerators,
         eigen.witness_numerators,
+        eigen.grid_bits,
     )
 
 
