@@ -8,8 +8,8 @@ comparison undecided (`PrecisionBudgetError`, exit 3, naming the row) when an
 enclosure straddles its band's edge and none lies wholly outside.  Two uses:
 
 * the witness coefficients are the only data that pins down which reading of
-  the composite map's block notation is intended (the orientation oracle and
-  the run's witness line, both through `witness_matches`);
+  the composite map's block notation is intended (the orientation oracle,
+  the one caller of `witness_matches`);
 * the table rows are reproduced, at the stated tolerances, as part of the
   acceptance checks.
 

@@ -32,18 +32,20 @@ lambda of s is that of an enclosure clear of 0 (the caller's own, where a
 division needs that one, else of p's remainder mod s), and 0 when s | p, or
 when lambda is a root of the factor g = gcd(s, remainder) because s / g is
 enclosed clear of 0 (s reducible); anything else raises
-`PrecisionBudgetError`; a_0, D and B above, and v.v, v.K, the square-sum
-identity and l.v in `report` and `nefcheck`, are decided by it, and no other
-module tests a polynomial mod s.  `EigenSystem.to_json` is the one builder of
-the `eigen` JSON section, for `report` and `eigen --format json`.  Also hosts
+`PrecisionBudgetError`; a_0, D and B above, and the square-sum identity
+(whose polynomial is -4 sum g_i a_i^2, so it decides v.v = 0) and l.v in
+`nefcheck` and `report`, are decided by it, and no other module tests a
+polynomial mod s.  `EigenSystem.to_json` is the one builder of the `eigen`
+JSON section, for `report` and `eigen --format json`.  Also hosts
 the factor data of p (`CharpolyFacts`, which reads k = deg p - deg s off the
 core's factorization; its unit-circle count is k roots at 1 plus the count of
 s; its `to_json` likewise serves `report` and `charpoly`) and the
 orientation oracle over the 14 readings of the composite's notation, which
 reads the run's core for its matrix's class, runs `_spectral_core` once for
-the other and the witness stage once per reading (`select_orientation`),
-judged by `reference.witness_matches` (the one rule for printed data; an
-undecided reading stops the oracle, exit 3).
+the other and the witness stage once per reading but t's, which is the run's
+own witness (`select_orientation`), judged by `reference.witness_matches`
+(the one rule for printed data, and its one caller; an undecided reading
+stops the oracle, exit 3).
 """
 
 from __future__ import annotations
@@ -441,13 +443,14 @@ def select_orientation(eigen: EigenSystem) -> OrientationReport:
     The class of M = t reads the run's spectral core (`eigen`, at the run's
     precision), the other runs `_spectral_core` once at 12 digits, each with
     the multiples -2 a_j and their values; M'[q(i)][q(j)] == M[i][j]
-    certifies a'[q(i)] = a[i], so the witness of M' permutes them.  Per
-    reading only B' and D' are built and enclosed, then N'_1..N'_3 if
-    B'(lambda) > 0 is certified; all read slots 0..3, and widths are asked
-    at 12 digits.  A reading whose data fail to certify does not match, and a
-    class core that fails to certify, or whose eigen-relation fails, fails
-    each reading of its class with the same error; an undecided one raises
-    `PrecisionBudgetError` naming it.
+    certifies a'[q(i)] = a[i], so the witness of M' permutes them.  The
+    reading M' = t has a' = a whatever q is, so it takes the run's witness,
+    whose width bound is the run's.  Per other reading only B' and D' are
+    built and enclosed, then N'_1..N'_3 if B'(lambda) > 0 is certified; all
+    read slots 0..3, and widths are asked at 12 digits.  A reading whose data
+    fail to certify does not match, and a class core that fails to certify, or
+    whose eigen-relation fails, fails each reading of its class with the same
+    error; an undecided one raises `PrecisionBudgetError` naming it.
     """
     tol, t = 10**12, eigen.transform
     readings = candidate_readings()
@@ -471,10 +474,12 @@ def select_orientation(eigen: EigenSystem) -> OrientationReport:
             _, column, s, lam, _, (multiples, values, powers), row = core
             if row is not None:
                 raise CertificationError(f"eigen-relation row {row} of (xI - T) a = p e_0 fails")
-            # the column of M' is a'[q(i)] = a[i], and so are its multiples
-            order = sorted(range(RANK), key=q.__getitem__)
-            column, *scaled = ([xs[i] for i in order] for xs in (column, multiples, values))
-            *_, witness, bits = _witness_stage(column, (*scaled, powers), s, lam, tol)
+            if matrix == t:  # a' = adj(xI - t) e_0 = a whatever q is: the run's own witness
+                witness, bits = eigen.witness_numerators, eigen.grid_bits
+            else:  # the column of M' is a'[q(i)] = a[i], and so are its multiples
+                order = sorted(range(RANK), key=q.__getitem__)
+                column, *scaled = ([xs[i] for i in order] for xs in (column, multiples, values))
+                *_, witness, bits = _witness_stage(column, (*scaled, powers), s, lam, tol)
             assessments.append(CandidateAssessment(name, *witness_matches(witness, bits)))
         except CertificationError as err:
             assessments.append(CandidateAssessment(name, False, f"no certified data: {err}"))

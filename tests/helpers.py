@@ -14,6 +14,11 @@ from voljump.nefcheck import CandidateCurve, _feasible
 from voljump.polynomials import IntPoly, _prime_factors, _scaled_value
 from voljump.reference import WEIGHT_ORDER
 from voljump.spectral import _enclose, _endpoint_powers
+from voljump.transform import LatticeIsometry
+
+
+#: The E1 coordinate negated: an isometry of the form that moves K.
+NEGATE_E1 = LatticeIsometry([[-1 if i == j == 1 else int(i == j) for j in range(11)] for i in range(11)])
 
 
 def load_schema() -> dict:

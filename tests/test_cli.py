@@ -11,11 +11,11 @@ import pytest
 
 from voljump import polynomials, spectral, transform
 from voljump.cli import main
-from voljump.polynomials import poly_gcd
+from voljump.polynomials import combine, poly_gcd
 from voljump.reference import TABLE_ROWS, TABLE_TOLERANCE
 from voljump.transform import composite_T
 
-from helpers import clear_run_caches, load_schema
+from helpers import NEGATE_E1, clear_run_caches, load_schema
 from test_outputs import PINNED
 
 
@@ -766,22 +766,6 @@ def test_nef_verify_stops_on_an_overlapping_ordering_pair(monkeypatch, capsys):
     assert err == "precision too low to decide a certificate: t_4 > t_5 not certified: enclosures overlap\n"
 
 
-def test_corrupted_adjugate_column_fails_self_intersection(monkeypatch, capsys):
-    from voljump import report
-    from voljump.polynomials import IntPoly
-
-    eigen = report.eigensystem(60)
-    column = list(eigen.adjugate_column)
-    column[4] = IntPoly((column[4].coeffs[0] + 1,) + column[4].coeffs[1:])
-    corrupted = eigen._replace(adjugate_column=tuple(column))
-    monkeypatch.setattr(report, "eigensystem", lambda digits: corrupted)
-    code, out, err = run_cli(capsys, "verify")
-    assert code == 1
-    assert "failed: dominant class has self-intersection zero" in err
-    assert "[FAIL] dominant class pairs to zero with the canonical class" in out
-    assert out.splitlines()[-1] == "verdict: fail"
-
-
 def test_orbit_of_a_non_curve_class_fails_the_self_intersection(monkeypatch, capsys):
     from voljump import report
 
@@ -800,7 +784,7 @@ def test_orbit_of_a_non_curve_class_fails_the_self_intersection(monkeypatch, cap
     assert lines[-1] == "verdict: fail"
 
 
-def test_an_orbit_of_the_canonical_class_leaves_distinctness_undecided(monkeypatch, capsys):
+def test_an_orbit_of_the_canonical_class_fails_distinctness(monkeypatch, capsys):
     from voljump import report
     from voljump.lattice import CANONICAL, canonical_class
     from voljump.orbit import DistinctnessResult, verify_distinct
@@ -937,17 +921,28 @@ def test_shifted_reference_coefficient_fails_the_witness_certificate(monkeypatch
     from voljump import reference
 
     shifted = (reference.WITNESS_MILLI[0] + 3,) + reference.WITNESS_MILLI[1:]
-    # the oracle and the report read the reference data through one predicate
     monkeypatch.setattr(reference, "WITNESS_MILLI", shifted)
+    # the oracle judges the run's own witness as its reading of t, by the one
+    # predicate for the printed data
+    judged, judge = [], spectral.witness_matches
+
+    def recorded(witness, bits):
+        judged.append((witness, judge(witness, bits)))
+        return judged[-1][1]
+
+    monkeypatch.setattr(spectral, "witness_matches", recorded)
     code, out, err = run_cli(capsys, "verify")
     assert code == 1
+    assert err.splitlines()[0] == "failed: orientation oracle selects the fixed composite"
     lines = out.splitlines()
     assert (
-        "[FAIL] witness coefficients match the reference decimals "
-        "(coefficient off reference by up to 0.0026)"
+        "[FAIL] orientation oracle selects the fixed composite "
+        "(orientation oracle must single out one candidate, found 0)"
     ) in lines
-    # no reading of the composite matches the shifted reference either
-    assert "failed: orientation oracle selects the fixed composite" in err
+    own = spectral.eigensystem(60).witness_numerators
+    off = (False, "coefficient off reference by up to 0.0026")
+    assert [verdict for witness, verdict in judged if witness is own] == [off]
+    assert len(judged) == 6  # the 8 readings with B(lambda) < 0 < D(lambda) reach no judgement
     assert lines[-1] == "verdict: fail"
 
 
@@ -997,25 +992,27 @@ def test_each_data_command_prints_the_report_section(capsys):
     assert orbit["seed"] == report["orbit"]["seed"]
 
 
-#: The E1 coordinate negated: an isometry of the form that moves K.
-NEGATE_E1 = transform.LatticeIsometry(
-    [[-1 if i == j == 1 else int(i == j) for j in range(11)] for i in range(11)]
-)
-
-
 @pytest.mark.parametrize("digits", ["20", "60", "200"])
 def test_a_map_that_moves_k_fails_the_k_and_cyclotomic_lines(bind_transform, capsys, digits):
     # det -1 makes k = 0, so s = p of degree 11 carries Phi_2 and Phi_6 beside the
-    # Salem factor; v.v(lambda) = 0 with s not dividing v.v, decided by the
-    # factor gcd(s, v.v mod s) and s over it, at every precision
+    # Salem factor; the square-sum polynomial is 0 at lambda, but s does not
+    # divide it: the factor gcd(s, its remainder) and s over it decide it, at
+    # every precision
     bind_transform(composite_T() @ NEGATE_E1)
+    eigen = spectral.eigensystem(int(digits))
+    d, b, *n = eigen.witness_polynomials
+    squares = combine((1,) * 10 + (-1, 2), [p * p for p in (*n, d, b)])
+    assert squares.scaled_remainder(eigen.off_unit_factor).degree >= 0
     code, out, err = run_cli(capsys, "verify", "--precision-digits", digits)
     assert code == 1
     assert err.splitlines()[0] == "failed: composite map fixes the canonical class"
     lines = out.splitlines()
     assert "[FAIL] composite map fixes the canonical class" in lines
     assert "[FAIL] cyclotomic scan finds only the factor at n = 1 (factors: [(2, 1), (6, 1)])" in lines
-    assert "[PASS] dominant class has self-intersection zero (sum g_i a_i^2 = 0 at lambda)" in lines
+    assert (
+        "[PASS] square-sum identity certified (sum N_i^2 - D^2 + 2 B^2 = 0 at lambda: "
+        "L^2 = 2 B^2 / D^2 = 0.166655..., (1 - beta)^2 L^2 = 2 beta^2 = 0.100355...)"
+    ) in lines
     assert lines[-1] == "verdict: fail"
 
 
@@ -1035,5 +1032,8 @@ def test_a_second_root_outside_the_circle_fails_its_line(monkeypatch, capsys):
     lines = out.splitlines()
     [line] = [line for line in lines if "exactly one root outside the unit circle" in line]
     assert line.startswith("[FAIL] exactly one root outside the unit circle (outside 2, inside 1, on circle 9;")
-    assert "[PASS] dominant class has self-intersection zero (sum g_i a_i^2 = 0 at lambda)" in lines
+    assert (
+        "[PASS] square-sum identity certified (sum N_i^2 - D^2 + 2 B^2 = 0 at lambda: "
+        "L^2 = 2 B^2 / D^2 = 0.062866..., (1 - beta)^2 L^2 = 2 beta^2 = 0.045357...)"
+    ) in lines
     assert lines[-1] == "verdict: fail"

@@ -563,7 +563,7 @@ def test_a_default_run_has_distinct_line_names():
     from voljump.report import run_verification
 
     names = [c.name for c in run_verification().certificates]
-    assert len(names) == len(set(names)) == 22
+    assert len(names) == len(set(names)) == 19
     assert names.index(ORDERING) < names.index("degrees 3..6 full enumeration margins positive")
 
 

@@ -13,9 +13,9 @@ import pytest
 from voljump.cli import main
 
 PINNED = [
-    (("verify",), 0, "247145738a6bd2b6e0b51d319784af75fa7fba8719436b725945e6491f29ca2f"),
+    (("verify",), 0, "a2502c95b96d7de61c30d919043b16d6d127fe79e5e114fbf06d0b1bb5b73cbd"),
     (("nef-verify",), 0, "3ca5c645b93dad6264081d1a36b9d38c2d066a7900db0319ec5cc913ee91a516"),
-    (("report",), 0, "a6856aee37808d936d265818a12f9e60375c0fe62142f6374a4bea6fcb266aad"),
+    (("report",), 0, "28b4d8169e6d7aae01fbf2c535ca66df2bf342109b9cced2aef307d757f4984e"),
     (("nef-table", "--format", "md"), 0, "e59f3b6f9737cfbf7890915de67981d1fbeae092190e1198be005c4c44c9fd03"),
     (("nef-table", "--format", "csv"), 0, "289ea3ed8512973cad213d020e7e9cfb8542351691187ae8dc829b4bd6b17bde"),
     (("nef-table", "--format", "json"), 0, "ed448481c745802ccf6fc96aa665e076566ea53026171d97841d0b0f2c94a789"),
@@ -32,8 +32,8 @@ PINNED = [
     (("enumerate", "--d", "5", "--format", "json"), 0, "4b16bc6b022fbe69828f33b3bd6fe81f7075d94ac8afb02aa02499ea538ddb8f"),
     (("enumerate", "--d", "6", "--extreme", "--format", "csv"), 0, "9dccf505ccc860fee238c1ad191fb5758fb6f062016b9ac9391ea8041ab4335c"),
     (("nef-table", "--precision-digits", "20", "--format", "csv"), 0, "289ea3ed8512973cad213d020e7e9cfb8542351691187ae8dc829b4bd6b17bde"),
-    (("report", "--precision-digits", "20"), 0, "6a5f39d6bd8a603fd11aebfc0d11621ae93ff803c9fe332cd374a3fe61fd4c72"),
-    (("report", "--precision-digits", "400", "--orbit-horizon", "400"), 0, "5fea281bc29390dd4dd02de091d707fbf493ae0f3f9da1277970f68efa6143b6"),
+    (("report", "--precision-digits", "20"), 0, "2d9ab635896d3a0646c662e94d4becbb10a53b439373f45768123cca020db8e8"),
+    (("report", "--precision-digits", "400", "--orbit-horizon", "400"), 0, "b4311112f5755a4bb4af51c604f226af21604d21da30aca741a2950aee45f46f"),
 ]
 
 

@@ -5,8 +5,9 @@ import re
 import jsonschema
 import pytest
 
+from voljump import nefcheck, reference, report
 from voljump.config import RunConfig
-from voljump.lattice import standard_line
+from voljump.lattice import CANONICAL, standard_line
 from voljump.orbit import (
     OrbitRecord,
     growth_profile,
@@ -24,7 +25,7 @@ from voljump.report import (
 )
 from voljump.spectral import CharpolyFacts
 
-from helpers import column_values, load_schema
+from helpers import NEGATE_E1, column_values, load_schema
 
 
 @pytest.fixture(scope="module")
@@ -195,79 +196,220 @@ def test_verification_builds_no_orbit_record(monkeypatch):
     }
 
 
-def _shift_reference(eigen, monkeypatch):
-    from voljump import reference
+def _eigen(change):
+    """The mutation running the report on `change(eigen)` in place of its eigensystem."""
 
-    shifted = (reference.WITNESS_MILLI[0] + 3,) + reference.WITNESS_MILLI[1:]
-    monkeypatch.setattr(reference, "WITNESS_MILLI", shifted)
-    return eigen
+    def mutate(eigen, monkeypatch, bind):
+        mutated = change(eigen)
+        monkeypatch.setattr(report, "eigensystem", lambda digits: mutated)
+
+    return mutate
 
 
-def _swap_heaviest_weights(eigen, monkeypatch):
+def _bound(matrix):
+    """The mutation binding `matrix()` as the run's transform."""
+    return lambda eigen, monkeypatch, bind: bind(matrix())
+
+
+def _patched(module, attribute, value):
+    """The mutation setting `module.attribute` to `value`."""
+    return lambda eigen, monkeypatch, bind: monkeypatch.setattr(module, attribute, value)
+
+
+def _horizon(horizon):
+    return lambda eigen, monkeypatch, bind: RunConfig(orbit_horizon=horizon)
+
+
+def _not_an_isometry():
+    """One unit moved from E2 to E1 in the E2 row: K stays fixed, the form does not."""
+    from voljump.transform import LatticeIsometry, composite_T
+
+    rows = [list(r) for r in composite_T().rows]
+    rows[2][1] += 1
+    rows[2][2] -= 1
+    return LatticeIsometry(rows)
+
+
+def _moving_k():
+    """The composite after E1 -> -E1: an isometry that moves K, whose s of
+    degree 11 carries Phi_2 and Phi_6."""
+    from voljump.transform import composite_T
+
+    return composite_T() @ NEGATE_E1
+
+
+def _break_relation_row_4(eigen, monkeypatch, bind):
+    """a_4 + s: a(lambda) and the witness stay, row 4 of (xI - T) a = p e_0 fails."""
+    from voljump import spectral
+    from voljump.transform import composite_T
+
+    composite, s, kernel = composite_T(), eigen.off_unit_factor, spectral.faddeev_leverrier
+
+    def corrupted(m):
+        p, column = kernel(m)
+        if m == composite:
+            column = (*column[:4], combine((1, 1), (column[4], s)), *column[5:])
+        return p, column
+
+    monkeypatch.setattr(spectral, "faddeev_leverrier", corrupted)
+    bind(composite)  # clears the cached systems, so the run takes the corrupted pass
+
+
+def _negate_constant_term(eigen):
+    p = eigen.polynomial  # p(0) = -1 becomes 1, i.e. det T = -1
+    return eigen._replace(polynomial=IntPoly((-p.coeffs[0],) + p.coeffs[1:]))
+
+
+def _second_root_outside(eigen):
+    """p and s times x - 2, which is clear of 0 at lambda."""
+    x_2 = IntPoly([-2, 1])
+    return eigen._replace(polynomial=eigen.polynomial * x_2, off_unit_factor=eigen.off_unit_factor * x_2)
+
+
+def _swap_heaviest_weights(eigen):
     values = list(eigen.witness_values)  # D, B, N_1..N_10: N_4 and N_5 swapped
     values[5], values[6] = values[6], values[5]
     return eigen._replace(witness_values=tuple(values))
 
 
-def _shift_witness(index):
-    """The mutation adding 1 to witness polynomial `index` of (D, B, N_1..N_10)."""
+def _raise_n_values(indices, hundredths):
+    """The values N_i(lambda), i in `indices`, raised by `hundredths` / 100 D(lambda):
+    t_i grows by about that much, and the witness polynomials stay."""
 
-    def mutate(eigen, monkeypatch):
+    def change(eigen):
+        values = list(eigen.witness_values)  # D, B, N_1..N_10
+        step = values[0][1] * hundredths // 100
+        for i in indices:
+            lo, hi = values[i + 1]
+            values[i + 1] = (lo + step, hi + step)
+        return eigen._replace(witness_values=tuple(values))
+
+    return change
+
+
+def _lower_b(eigen):
+    """B(lambda)'s lower end halved: the cutoff reads B.lo, the square-sum line the polynomials."""
+    values = list(eigen.witness_values)
+    values[1] = (values[1][0] // 2, values[1][1])
+    return eigen._replace(witness_values=tuple(values))
+
+
+def _shift_witness(index):
+    """Witness polynomial `index` of (D, B, N_1..N_10) plus 1, with its values."""
+
+    def change(eigen):
         polys = list(eigen.witness_polynomials)
         polys[index] = combine((1, 1), (polys[index], IntPoly([1])))
         values = tuple(column_values(polys, eigen.eigenvalue))
         return eigen._replace(witness_polynomials=tuple(polys), witness_values=values)
 
-    return mutate
+    return change
 
 
-def _negate_constant_term(eigen, monkeypatch):
-    p = eigen.polynomial  # p(0) = -1 becomes 1, i.e. det T = -1
-    return eigen._replace(polynomial=IntPoly((-p.coeffs[0],) + p.coeffs[1:]))
+#: The census: for each line of a default run, in its order, an input under
+#: which that line FAILs by its own detail (id, mutation, name, detail).  A
+#: mutation takes (eigen, monkeypatch, bind_transform) and may return a config.
+CENSUS = [
+    (
+        "isometry",
+        _bound(_not_an_isometry),
+        "composite map preserves the intersection form",
+        r"\(M\^T G M - G\)\[0\]\[1\] = 1",
+    ),
+    ("k-fixed", _bound(_moving_k), "composite map fixes the canonical class", ""),
+    ("relation", _break_relation_row_4, "eigen-relation (xI - T) a = p e_0 holds as polynomials", "row 4 fails"),
+    (
+        "oracle",
+        _patched(reference, "WITNESS_MILLI", (reference.WITNESS_MILLI[0] + 3, *reference.WITNESS_MILLI[1:])),
+        "orientation oracle selects the fixed composite",
+        "orientation oracle must single out one candidate, found 0",
+    ),
+    (
+        "anti-reciprocal",
+        _eigen(_negate_constant_term),
+        "characteristic polynomial anti-reciprocal",
+        r"p\(x\) != -x\^11 p\(1/x\)",
+    ),
+    (
+        "cyclotomic",
+        _bound(_moving_k),
+        "cyclotomic scan finds only the factor at n = 1",
+        r"factors: \[\(2, 1\), \(6, 1\)\]",
+    ),
+    (
+        "circle",
+        _eigen(_second_root_outside),
+        "exactly one root outside the unit circle",
+        r"outside 2, inside 1, on circle 9; lambda = 1\.431000959137\.\.\.",
+    ),
+    ("ordering", _eigen(_swap_heaviest_weights), "witness coefficient ordering certified", r"t_4 > t_5 not certified"),
+    ("line-class", _eigen(_shift_witness(4)), "degree-1 margins nonnegative", r"D - N1 - N2 - N3 != 0 as polynomials"),
+    # t_4, t_5, t_1, t_2, t_6 up by 0.05: a conic through their points goes
+    # negative, the two-point lines and the ordering hold
+    ("conics", _eigen(_raise_n_values((4, 5, 1, 2, 6), 5)), "degree-2 margins positive", "252 conic classes"),
+    # every t_i up by 0.01: the conics lose 0.05 of their least margin 0.23,
+    # the cubic (1, 1, 1, 2, 1, 1, 1, 1, 0, 0) loses 0.09 of its 0.045
+    (
+        "enumeration",
+        _eigen(_raise_n_values(range(1, 11), 1)),
+        "degrees 3..6 full enumeration margins positive",
+        "518 canonical candidates",
+    ),
+    (
+        "table",
+        # the first row's reference margin 1.169 moved to 1.269
+        _patched(nefcheck, "TABLE_MILLI", ((*reference.TABLE_MILLI[0][:2], 1269), *reference.TABLE_MILLI[1:])),
+        "reference table reproduced",
+        r"33/34 rows within 0\.01",
+    ),
+    (
+        "square-sum",
+        _eigen(_shift_witness(1)),
+        "square-sum identity certified",
+        r"sum N_i\^2 - D\^2 \+ 2 B\^2 != 0 at lambda",
+    ),
+    ("cutoff", _eigen(_lower_b), "Cauchy-Schwarz cutoff covers all higher degrees", "cutoff degree 12"),
+    (
+        "distinct",
+        _patched(report, "LINE", CANONICAL),
+        "orbit classes pairwise distinct",
+        "sum g_i l_i a_i = 0 at lambda: l.v = 0",
+    ),
+    (
+        "self-intersection",
+        _patched(report, "LINE", (1, -1, -1) + (0,) * 8),
+        "orbit self-intersections all -2",
+        r"\(T\^n l\)\^2 = l\^2 = -1 for every n",
+    ),
+    (
+        "canonical-degree",
+        _patched(report, "LINE", (1, -1, -1) + (0,) * 8),
+        "orbit canonical degrees all 0",
+        r"\(T\^n l\)\.K = l\.K = -1 for every n",
+    ),
+    ("growth", _horizon(3), "orbit growth ratio converges to the eigenvalue", "no ratio from step 3 within horizon 3"),
+    (
+        "max-norm",
+        _horizon(1),
+        "orbit max-norm eventually strictly increasing",
+        "no strictly increasing tail within horizon 1",
+    ),
+]
 
 
-def _shift_adjugate_entry(eigen, monkeypatch):
-    column = list(eigen.adjugate_column)
-    column[4] = combine((1, 1), (column[4], IntPoly([1])))
-    return eigen._replace(adjugate_column=tuple(column))
+def test_the_census_covers_every_line_of_a_default_run(run):
+    """A new line arrives with its failing input, and a retired one takes its entry along."""
+    assert [name for _, _, name, _ in CENSUS] == [c.name for c in run.certificates]
 
 
 @pytest.mark.parametrize(
-    "mutate, name, detail",
-    [
-        (_negate_constant_term, "characteristic polynomial anti-reciprocal", r"p\(x\) != -x\^11 p\(1/x\)"),
-        (
-            _shift_reference,
-            "witness coefficients match the reference decimals",
-            r"coefficient off reference by up to 0\.0026",
-        ),
-        (_swap_heaviest_weights, "witness coefficient ordering certified", r"t_4 > t_5 not certified"),
-        (
-            _shift_witness(4),
-            "degree-1 margins nonnegative",
-            r"D - N1 - N2 - N3 != 0 as polynomials",
-        ),
-        (_shift_witness(1), "square-sum identity certified", r"sum N_i\^2 - D\^2 \+ 2 B\^2 != 0 at lambda"),
-        (
-            _shift_adjugate_entry,
-            "dominant class has self-intersection zero",
-            r"sum g_i a_i\^2 != 0 at lambda",
-        ),
-        (
-            _shift_adjugate_entry,
-            "dominant class pairs to zero with the canonical class",
-            r"sum g_i K_i a_i != 0 at lambda",
-        ),
-    ],
-    ids=["anti-reciprocal", "reference", "ordering", "line-class", "square-sum", "self-pairing", "canonical-pairing"],
+    "mutate, name, detail", [entry[1:] for entry in CENSUS], ids=[entry[0] for entry in CENSUS]
 )
-def test_a_failed_certificate_names_what_failed(eigen, monkeypatch, mutate, name, detail):
-    """A FAIL line's detail says what failed; it never restates the claim."""
-    from voljump import report
-
-    mutated = mutate(eigen, monkeypatch)
-    monkeypatch.setattr(report, "eigensystem", lambda digits: mutated)
-    checks = {c.name: c for c in run_verification(RunConfig()).certificates}
+def test_a_failed_certificate_names_what_failed(eigen, monkeypatch, bind_transform, mutate, name, detail):
+    """A FAIL line's detail says what failed; it never restates the claim, and
+    never reads `premise failed`."""
+    config = mutate(eigen, monkeypatch, bind_transform) or RunConfig()
+    checks = {c.name: c for c in run_verification(config).certificates}
     assert not checks[name].passed
     assert re.fullmatch(detail, checks[name].detail)
 
@@ -302,8 +444,9 @@ def test_a_run_decides_no_determinant(monkeypatch):
 
 
 def test_a_run_computes_no_self_pairing(monkeypatch):
-    """v.v = 0 is decided mod s; the run encloses no v.v of its own, which
-    only the report's `eigen.pair_self` reads."""
+    """No line decides v.v = 0 (the square-sum line decides -4 v.v at lambda);
+    the run encloses no v.v of its own, which only the report's
+    `eigen.pair_self` reads."""
     from voljump.spectral import EigenSystem
 
     def forbidden(self):
@@ -371,9 +514,6 @@ COXETER_VERDICTS = [
     ("characteristic polynomial anti-reciprocal", True),
     ("cyclotomic scan finds only the factor at n = 1", True),
     ("exactly one root outside the unit circle", True),
-    ("dominant class has self-intersection zero", True),
-    ("dominant class pairs to zero with the canonical class", True),
-    ("witness coefficients match the reference decimals", False),
     ("witness coefficient ordering certified", False),
     ("degree-1 margins nonnegative", True),
     ("degree-2 margins positive", True),
@@ -436,6 +576,6 @@ def test_coxeter_certificate_text_is_pinned(bind_transform):
 
     bind_transform(cremona_isometry(1, 2, 3) @ exceptional_shift(1))
     text, code = _certificate_text(run_verification(RunConfig()).certificates)
-    assert code == 1 and len(text.splitlines()) == 23
-    digest = "8c66e3915a728e5a2ec651115a877887e837a7ef1a9cb16b78fbb621b2e43a97"
+    assert code == 1 and len(text.splitlines()) == 20
+    digest = "f3e61f9dc01482002919e9709b3b718eebd4c002f67673111e8fd79ab93d8543"
     assert hashlib.sha256(text.encode()).hexdigest() == digest

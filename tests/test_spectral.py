@@ -8,7 +8,7 @@ from voljump import spectral
 from voljump.config import RunConfig
 from voljump.errors import CertificationError, PrecisionBudgetError
 from voljump.intervals import RealEnclosure
-from voljump.lattice import GRAM_DIAGONAL, canonical_class
+from voljump.lattice import CANONICAL, GRAM_DIAGONAL, canonical_class
 from voljump.nefcheck import full_report
 from voljump.polynomials import (
     IntPoly,
@@ -36,9 +36,11 @@ from voljump.transform import (
     LatticeIsometry,
     Reading,
     candidate_readings,
+    apply_integers,
     composite_T,
     cremona_isometry,
     exceptional_shift,
+    permutation_isometry,
 )
 
 from helpers import clear_run_caches, column_values
@@ -102,6 +104,62 @@ def test_canonical_pairing_zero(eigen):
     pairing = eigen.dominant_class.pair(canonical_class())
     assert pairing.contains_zero()
     assert pairing.width <= WIDTH_BOUND
+
+
+def pairing_polynomials(column):
+    """v.v and v.K of v = a(lambda) / a_0(lambda), times a_0(lambda)^2 and a_0(lambda):
+    sum g_i a_i^2 and sum g_i K_i a_i."""
+    k_weights = [g * c for g, c in zip(GRAM_DIAGONAL, CANONICAL)]
+    return combine(GRAM_DIAGONAL, [a * a for a in column]), combine(k_weights, column)
+
+
+@pytest.mark.parametrize("coxeter", [False, True], ids=["composite", "coxeter"])
+def test_the_witness_polynomials_carry_v_v_and_v_k(coxeter):
+    """No line decides v.v = 0 or v.K = 0 on its own: as polynomials of the
+    column, sum N_i^2 - D^2 + 2 B^2 = -4 sum g_i a_i^2, so the square-sum line
+    decides v.v = 0, and 3 D - sum N_i = -2 sum g_i K_i a_i, up to the sign
+    the witness stage gives D, so L.K = 0 is v.K = 0."""
+    m = cremona_isometry(1, 2, 3) @ exceptional_shift(1) if coxeter else composite_T()
+    _, column, s, lam, _, scaled, _ = _spectral_core(m, 10**12)
+    d, b, *n = _witness_stage(column, scaled, s, lam, 10**12)[0]
+    sign = 1 if d == combine((3, 1, 1, 1), column[:4]) else -1  # D = 2 a_0 - B, B = -(a_0 + ... + a_3)
+    assert d == combine((3 * sign, sign, sign, sign), column[:4])
+    v_v, v_k = pairing_polynomials(column)
+    assert combine((1,) * 10 + (-1, 2), [p * p for p in (*n, d, b)]) == combine((-4,), (v_v,))
+    assert combine((3,) + (-1,) * 10, (d, *n)) == combine((-2 * sign,), (v_k,))
+    # neither identity is a multiple of s by accident: both sides are nonzero polynomials
+    assert v_v.degree >= 0 and v_k.degree >= 0
+
+
+def test_v_v_and_v_k_vanish_at_lambda_for_products_of_the_generators():
+    """v.v = (Tv).(Tv) = lambda^2 v.v and v.K = (Tv).(TK) = lambda v.K with
+    lambda > 1: for an isometry that fixes K and satisfies the eigen-relation,
+    both are 0, so the isometry, K-fixed and eigen-relation lines decide them.
+    Seeded products of Cremona maps and slot permutations, each kept if its
+    spectral core certifies with the relation holding."""
+    rng = random.Random(42)
+    kept = reducible = 0
+    for _ in range(100):
+        m = LatticeIsometry.identity()
+        for _ in range(rng.randint(1, 3)):
+            slots = exceptional_shift(rng.randint(1, 9))
+            if rng.random() < 0.5:
+                slots = permutation_isometry([0, *rng.sample(range(1, 11), 10)])
+            m = m @ cremona_isometry(*rng.sample(range(1, 11), 3)) @ slots
+        if apply_integers(m, CANONICAL) != CANONICAL:
+            continue
+        try:
+            _, column, s, _, _, (_, _, powers), row = _spectral_core(m, 10**12)
+        except CertificationError:
+            continue
+        if row is not None:
+            continue
+        kept += 1
+        reducible += any(p.scaled_remainder(s).degree >= 0 for p in pairing_polynomials(column))
+        for p in pairing_polynomials(column):
+            assert sign_at(p, s, powers, "undecided") == 0
+    assert kept >= 10  # most products have no lambda > 1, or a repeated root
+    assert reducible > 0  # some are decided by sign_at's branch for a reducible s
 
 
 def constant_column(*head):
@@ -574,6 +632,21 @@ def test_oracle_runs_the_spectral_core_once_per_class(monkeypatch):
     with pytest.raises(CertificationError, match="differs from the fixed composite"):
         select_orientation(eigen._replace(transform=LatticeIsometry.identity()))
     assert calls == representatives[::-1]
+
+
+def test_the_oracle_reads_the_witness_of_t_from_the_run(eigen, monkeypatch):
+    """The reading M' = t has a' = adj(xI - t) e_0 = a, whatever its slot
+    permutation: it takes the run's witness, and the other 13 readings run the
+    witness stage."""
+    calls, stage = [], spectral._witness_stage
+    monkeypatch.setattr(spectral, "_witness_stage", lambda *args: calls.append(args) or stage(*args))
+    report = select_orientation(eigen)
+    assert len(calls) == 13
+    [own] = [r for r in candidate_readings() if r.matrix == eigen.transform]
+    assert report.selected == own.name
+    # the run's witness, read by the oracle, is what the selected reading was judged on
+    [assessment] = [a for a in report.assessments if a.name == own.name]
+    assert assessment == CandidateAssessment(own.name, *witness_matches(eigen.witness_numerators, eigen.grid_bits))
 
 
 def test_per_class_oracle_matches_a_witness_stage_per_reading(eigen):
