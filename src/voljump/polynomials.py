@@ -20,13 +20,13 @@ rational root (by D x - N, Gauss's lemma) stay integral.
 The unit-circle count is exact.  The gcd layers p_0 = p,
 p_(k+1) = gcd(p_k, p_k') give squarefree parts p_k / p_(k+1) that together
 hold each root of p as often as its multiplicity.  Per squarefree part
-(`squarefree_circle_count`), after the roots at +-1 are divided out, the
-mirror part gcd(f, reverse(f)) holds every root on the circle; writing it
-as z^m q(z + 1/z), its circle roots are the real roots of q in (-2, 2),
-counted by Descartes isolation.  The rest has no root on the circle and is
-counted inside the disk by a Cayley transform to the left half-plane and a
-Sturm chain for the Cauchy index (Routh-Hurwitz) whose pseudo-remainders
-are scaled by positive factors only.
+(`squarefree_circle_count`), after the roots at +-1 are divided out, one
+Routh-Hurwitz count decides every root.  The Cayley transform R of f takes
+the circle to the imaginary axis, and the real and imaginary parts A, B of
+R(iy) share exactly the circle roots and the pairs z, 1/z: the real roots
+of gcd(A, B) are the circle roots, and the Cauchy index of B/A counts the
+roots inside.  Both counts are Sturm chains whose pseudo-remainders are
+scaled by positive factors only.
 """
 
 from __future__ import annotations
@@ -99,10 +99,6 @@ class IntPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPoly(out)
-
-    def reversed(self) -> "IntPoly":
-        """x^deg * p(1/x): coefficient sequence reversed."""
-        return IntPoly(reversed(self.coeffs))
 
     def primitive(self) -> "IntPoly":
         """Divide out the content; normalize the leading coefficient positive."""
@@ -573,32 +569,14 @@ class UnitCircleCount(Record):
     on_circle: int
 
 
-def _trace_polynomial(g: IntPoly) -> IntPoly:
-    """q with g(z) = z^m q(z + 1/z), for g palindromic of degree 2m.
-
-    Uses z^k + z^-k = P_k(z + 1/z) with P_0 = 2, P_1 = x and
-    P_k = x P_{k-1} - P_{k-2}.
-    """
-    m = g.degree // 2
-    out = [g.coeffs[m]] + [0] * m
-    older, current = [2], [0, 1]
-    for k in range(1, m + 1):
-        for j, c in enumerate(current):
-            out[j] += g.coeffs[m + k] * c
-        following = [0] + current
-        for j, c in enumerate(older):
-            following[j] -= c
-        older, current = current, following
-    return IntPoly(out)
-
-
 def _cauchy_index(p: IntPoly, q: IntPoly) -> int:
     """Cauchy index of q/p over the whole real line, for deg q < deg p.
 
     Sturm: the sign variations of p, q, -rem(p, q), ... at -inf minus those
     at +inf, with each remainder replaced by a positive multiple (an integer
-    pseudo-remainder), which changes no sign.  A common factor of p and q
-    without real roots ends the chain and changes no variation count.
+    pseudo-remainder), which changes no sign.  A common factor g of p and q
+    ends the chain and multiplies every entry, so its sign at each end
+    changes no variation count: the index is that of the reduced fraction.
     """
     chain = [p, q]
     while chain[-1].degree >= 0:
@@ -609,73 +587,62 @@ def _cauchy_index(p: IntPoly, q: IntPoly) -> int:
     return _sign_variations(at_minus) - _sign_variations(at_plus)
 
 
-def _count_inside_off_circle(r: IntPoly) -> int:
-    """Roots of r inside the unit circle, for r without roots on the circle.
+def _cayley_parts(f: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """(A, B) with R(iy) = A(y) + i B(y), for the Cayley transform
+    R(w) = (1 - w)^n f((1 + w) / (1 - w)) of f of degree n with f(-1) != 0.
 
-    The Cayley transform z = (1 + w) / (1 - w) maps the left half-plane onto
-    the open disk; R(w) = sum a_k (1 + w)^k (1 - w)^(n - k) has degree n
-    exactly (its top coefficient is (-1)^n r(-1), nonzero) and no root on
-    the imaginary axis.  With R(iy) = A(y) + i B(y), the argument of R(iy)
-    turns by pi * (left - right), which the Cauchy index of the lower-degree
-    part over the degree-n part gives.
+    z = (1 + w) / (1 - w) = -1 + 2 / (1 - w) maps the left half-plane onto
+    the open disk and the imaginary axis onto the circle less -1.  With
+    f(x - 1) = sum c_k x^k, R(w) = h(1 - w) for h(u) = sum c_k 2^k u^(n - k),
+    and with h(u + 1) = sum e_j u^j, R(iy) = sum e_j (-i)^j y^j: two Taylor
+    shifts.  The top coefficient e_n = f(-1) is nonzero, so deg R = n.
     """
-    n = r.degree
-    cayley = [0] * (n + 1)
-    for k, a in enumerate(r.coeffs):
-        term = IntPoly([a])
-        for factor in [IntPoly([1, 1])] * k + [IntPoly([1, -1])] * (n - k):
-            term = term * factor
-        for j, c in enumerate(term.coeffs):
-            cayley[j] += c
-    _require(cayley[n] != 0, "Cayley transform lost degree")
-    # i^j = (-1)^(j // 2) for even j and i * (-1)^(j // 2) for odd j
+    n = f.degree
+    h = [c << k for k, c in enumerate(_taylor_shift(f.coeffs, -1))][::-1]
+    shifted = _taylor_shift(h, 1)
+    _require(shifted[n] != 0, "Cayley transform lost degree")
     parts = [[0] * (n + 1), [0] * (n + 1)]
-    for j, c in enumerate(cayley):
-        parts[j % 2][j] = (-1) ** (j // 2) * c
-    real, imag = IntPoly(parts[0]), IntPoly(parts[1])
-    if n % 2:
-        twice_inside = n + _cauchy_index(imag, real)
-    else:
-        twice_inside = n - _cauchy_index(real, imag)
-    _require(
-        twice_inside % 2 == 0 and 0 <= twice_inside <= 2 * n,
-        "Cauchy index inconsistent with the degree",
-    )
-    return twice_inside // 2
+    for j, e in enumerate(shifted):  # (-i)^j = (-1)^((j + 1) // 2) i^(j % 2)
+        parts[j % 2][j] = -e if (j + 1) & 2 else e
+    return IntPoly(parts[0]), IntPoly(parts[1])
 
 
 def squarefree_circle_count(f: IntPoly) -> UnitCircleCount:
     """Certified root counts of a squarefree f by position relative to the
-    unit circle."""
-    outside = inside = on_circle = 0
-    # roots at +-1 first: they are their own inverses
-    for r in (1, -1):
+    unit circle: Routh-Hurwitz on the Cayley transform, in its singular case
+    (Gantmacher, The Theory of Matrices II, ch. XV).
+
+    After the roots at +-1 are divided out, R(iy) = A(y) + i B(y)
+    (`_cayley_parts`) vanishes at real y exactly at the circle roots, and
+    A - i B = R(-iy): the common roots of A and B are those of R shared with
+    R(-w), the circle roots and the pairs z, 1/z.  So g = gcd(A, B) is
+    squarefree, its real roots, counted by the Cauchy index of g'/g, are the
+    circle roots, and its other roots come in conjugate pairs, one root of
+    R left of the axis and one right.  The argument of (A + i B) / g turns
+    by pi (left - right) over the real line, which the Cauchy index of the
+    lower-degree part over the degree-n part gives; the common factor g
+    changes no index (`_cauchy_index`).
+    """
+    units = 0
+    for r in (1, -1):  # their own inverses, and 1 is w = 0, -1 is w = inf
         k, f = strip_rational_root(f, r)
         _require(k <= 1, "squarefree factor with repeated rational root")
-        on_circle += k
-    # Roots on the circle satisfy 1/z = conj(z), so they all divide the
-    # mirror part gcd(f, reverse(f)), whose roots come in pairs z, 1/z with
-    # z != 1/z; such a part is palindromic of even degree 2m.  Each real root
-    # x of its trace polynomial in (-2, 2) gives a conjugate pair on the
-    # circle; every other root x gives one root inside and one outside.
-    mirror = poly_gcd(f, f.reversed())
+        units += k
+    n = f.degree
+    real, imag = _cayley_parts(f)
+    g = poly_gcd(real, imag)
+    on_circle = _cauchy_index(g, g.derivative())
+    off_circle = n - on_circle
+    if n % 2:
+        twice_inside = off_circle + _cauchy_index(imag, real)
+    else:
+        twice_inside = off_circle - _cauchy_index(real, imag)
     _require(
-        mirror.degree % 2 == 0 and mirror.reversed() == mirror,
-        "mirror part is not palindromic of even degree",
+        twice_inside % 2 == 0 and 0 <= twice_inside <= 2 * off_circle,
+        "Cauchy index inconsistent with the degree",
     )
-    m = mirror.degree // 2
-    if m:
-        pairs = len(isolating_brackets(_trace_polynomial(mirror), -2, 2, 1))
-        on_circle += 2 * pairs
-        inside += m - pairs
-        outside += m - pairs
-    rest = f.divide_exact(mirror)
-    _require(rest is not None, "mirror part does not divide exactly")
-    if rest.degree > 0:
-        rest_inside = _count_inside_off_circle(rest)
-        inside += rest_inside
-        outside += rest.degree - rest_inside
-    return UnitCircleCount(outside, inside, on_circle)
+    inside = twice_inside // 2
+    return UnitCircleCount(off_circle - inside, inside, units + on_circle)
 
 
 def count_roots_outside_unit_circle(p: IntPoly) -> UnitCircleCount:

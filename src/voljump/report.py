@@ -92,12 +92,11 @@ def run_verification(config: RunConfig | None = None) -> VerificationRun:
     record(RELATION, row is None, "T v = lambda v" if row is None else f"row {row} fails")
 
     # the one match, the run's own t, shows how near its witness lies to the printed decimals
-    (selected, candidates), detail = ("", ()), ""
+    selected, candidates, detail = "", (), ""
     if row is None:  # else the oracle line fails by its premise, with nothing to select
         try:
-            selected, candidates = select_orientation(eigen)
-            detail = f"{selected}: {next(c.detail for c in candidates if c.matches)}"
-        except CertificationError as err:
+            selected, candidates, detail = select_orientation(eigen)
+        except CertificationError as err:  # a reading's conjugator is wrong: nothing was assessed
             detail = str(err)
     record("orientation oracle selects the fixed composite", bool(selected), detail, RELATION)
 

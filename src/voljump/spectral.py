@@ -267,14 +267,6 @@ class EigenSystem(Record):
         """`grid_quotient` as an enclosure."""
         return RealEnclosure.over(*self.grid_quotient(v, w), 1 << self.grid_bits)
 
-    def self_pairing(self) -> tuple[int, int, int]:
-        """v.v = 1 - sum r_i^2 of the dominant class as [lo, hi] / 4^grid_bits,
-        each square tight: [0, max] where r_i's enclosure holds 0."""
-        squares = [sorted((lo * lo, hi * hi)) for lo, hi in self.eigenvector]
-        low = sum(s[0] for s, (lo, hi) in zip(squares, self.eigenvector) if lo > 0 or hi < 0)
-        one = 1 << 2 * self.grid_bits
-        return one - sum(s[1] for s in squares), one - low, one
-
     def to_json(self, digits: int) -> dict:
         """The report's `eigen` section, which `eigen --format json` prints: each
         enclosure by `enclosure_json` with a `digits`-place midpoint."""
@@ -285,7 +277,7 @@ class EigenSystem(Record):
             "r": [enclosure_json(e, digits) for e in v.multipliers()],
             "beta": enclosure_json(self.line_component, digits),
             "t": [enclosure_json(e, digits) for e in self.t()],
-            "pair_self": enclosure_json(RealEnclosure.over(*self.self_pairing()), digits),
+            "pair_self": enclosure_json(v.self_pair(), digits),
             "pair_canonical": enclosure_json(v.pair(canonical_class()), digits),
         }
 
@@ -426,8 +418,9 @@ class CandidateAssessment(Record):
 
 
 class OrientationReport(Record):
-    selected: str
+    selected: str  # "" when the oracle does not single out t
     assessments: tuple[CandidateAssessment, ...]
+    detail: str  # the oracle line's detail
 
 
 def select_orientation(eigen: EigenSystem) -> OrientationReport:
@@ -435,7 +428,8 @@ def select_orientation(eigen: EigenSystem) -> OrientationReport:
 
     Exactly one candidate must reproduce the reference witness coefficients,
     and it must be the run's matrix t = `eigen.transform`; anything else is a
-    certification failure.  The 14 readings form 2 conjugacy classes: with
+    certification failure, reported with `selected` empty and every
+    assessment kept.  The 14 readings form 2 conjugacy classes: with
     S_k = exceptional_shift(k), a @ b = b^-1 (b @ a) b, cremona(8, 9, 10) =
     S_7 cremona(1, 2, 3) S_7^-1, and the reversal E_i -> E_(11-i) swaps the
     Cremona slot sets and turns S_k into S_-k.  From these, each reading M'
@@ -485,13 +479,12 @@ def select_orientation(eigen: EigenSystem) -> OrientationReport:
             assessments.append(CandidateAssessment(name, False, f"no certified data: {err}"))
         except PrecisionBudgetError as err:
             raise PrecisionBudgetError(f"orientation reading {name}: {err}") from err
-    matching = [r for r, a in zip(readings, assessments) if a.matches]
+    matching = [(r, a) for r, a in zip(readings, assessments) if a.matches]
     if len(matching) != 1:
-        raise CertificationError(
-            f"orientation oracle must single out one candidate, found {len(matching)}"
-        )
-    if matching[0].matrix != t:
-        raise CertificationError(
-            f"orientation oracle selected {matching[0].name}, which differs from the fixed composite"
-        )
-    return OrientationReport(matching[0].name, tuple(assessments))
+        failure = f"orientation oracle must single out one candidate, found {len(matching)}"
+        return OrientationReport("", tuple(assessments), failure)
+    [(reading, assessment)] = matching
+    if reading.matrix != t:
+        failure = f"orientation oracle selected {reading.name}, which differs from the fixed composite"
+        return OrientationReport("", tuple(assessments), failure)
+    return OrientationReport(reading.name, tuple(assessments), f"{reading.name}: {assessment.detail}")

@@ -385,8 +385,9 @@ def test_verify_computes_each_squarefree_part_once(monkeypatch, capsys):
     # from cold caches, as in a fresh process: gcd(s, s') of the off-unit
     # factor s once for each of the oracle's two distinct char polys
     # (the oracle reads eigensystem(60)'s core for the composite, its
-    # shift+3 representative), then the mirror gcd(s, reverse s) of the unit-circle
-    # count; a gcd layer gcd(p, p') of the degree-11 p would show as (11, 10)
+    # shift+3 representative), then gcd(A, B) of the Cayley parts of the
+    # unit-circle count, where s is palindromic, so R(w) = R(-w) and B = 0;
+    # a gcd layer gcd(p, p') of the degree-11 p would show as (11, 10)
     clear_run_caches()
     calls = []
 
@@ -398,7 +399,7 @@ def test_verify_computes_each_squarefree_part_once(monkeypatch, capsys):
         monkeypatch.setattr(module, "poly_gcd", counted)
     code, _, _ = run_cli(capsys, "verify")
     assert code == 0
-    assert calls == [(10, 9)] * 2 + [(10, 10)]
+    assert calls == [(10, 9)] * 2 + [(10, -1)]
 
 
 def test_report_is_deterministic_and_valid(tmp_path, capsys):
@@ -917,20 +918,11 @@ def test_a_failed_isometry_names_its_first_nonzero_residual_entry(monkeypatch, c
     assert "[FAIL] composite map preserves the intersection form ((M^T G M - G)[3][7] = -2)" in out.splitlines()
 
 
-def test_shifted_reference_coefficient_fails_the_witness_certificate(monkeypatch, capsys):
+def test_shifted_reference_coefficient_fails_the_witness_certificate(monkeypatch, capsys, tmp_path):
     from voljump import reference
 
     shifted = (reference.WITNESS_MILLI[0] + 3,) + reference.WITNESS_MILLI[1:]
     monkeypatch.setattr(reference, "WITNESS_MILLI", shifted)
-    # the oracle judges the run's own witness as its reading of t, by the one
-    # predicate for the printed data
-    judged, judge = [], spectral.witness_matches
-
-    def recorded(witness, bits):
-        judged.append((witness, judge(witness, bits)))
-        return judged[-1][1]
-
-    monkeypatch.setattr(spectral, "witness_matches", recorded)
     code, out, err = run_cli(capsys, "verify")
     assert code == 1
     assert err.splitlines()[0] == "failed: orientation oracle selects the fixed composite"
@@ -939,11 +931,19 @@ def test_shifted_reference_coefficient_fails_the_witness_certificate(monkeypatch
         "[FAIL] orientation oracle selects the fixed composite "
         "(orientation oracle must single out one candidate, found 0)"
     ) in lines
-    own = spectral.eigensystem(60).witness_numerators
-    off = (False, "coefficient off reference by up to 0.0026")
-    assert [verdict for witness, verdict in judged if witness is own] == [off]
-    assert len(judged) == 6  # the 8 readings with B(lambda) < 0 < D(lambda) reach no judgement
     assert lines[-1] == "verdict: fail"
+    # the failed oracle keeps its assessments: the report shows how far its
+    # reading of t, the run's own witness, lies from the shifted decimals
+    path = tmp_path / "report.json"
+    run_cli(capsys, "report", "--out", str(path))
+    orientation = json.loads(path.read_text())["transform"]["orientation"]
+    assert orientation["selected"] == ""
+    candidates = {c["name"]: (c["matches"], c["detail"]) for c in orientation["candidates"]}
+    [own] = [r.name for r in transform.candidate_readings() if r.matrix == composite_T()]
+    assert candidates[own] == (False, "coefficient off reference by up to 0.0026")
+    assert len(candidates) == 14 and not any(matches for matches, _ in candidates.values())
+    # the 8 readings with B(lambda) < 0 < D(lambda) reach no judgement
+    assert sum(detail.endswith("B(lambda) < 0 < D(lambda)") for _, detail in candidates.values()) == 8
 
 
 def test_corrupted_line_numerator_fails_the_line_class_certificate(monkeypatch, capsys):

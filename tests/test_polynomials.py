@@ -10,7 +10,6 @@ from voljump.polynomials import (
     IntPoly,
     UnitCircleCount,
     _cauchy_index,
-    _count_inside_off_circle,
     _deflate,
     _squarefree_layer,
     _totients,
@@ -330,7 +329,13 @@ Z2_3Z_1 = IntPoly([-1, 3, 1])  # roots 0.30 and -3.30: |a0| < |a2|, no circle ro
         (LEHMER, IntPoly([1, -3, 1])),
         (IntPoly([0, 1]), IntPoly([0, 1]), GOLDEN),  # a double root at 0
     ]
-    + list(_seeded_products(20231, 40)),
+    + list(_seeded_products(20231, 40))
+    + [  # odd degree, and gcd(A, B) of the Cayley parts has real and non-real roots
+        (IntPoly([1, -3, 1]), cyclotomic(5), IntPoly([3, 1])),
+        (IntPoly([1, 1, -5, 1, 1]), cyclotomic(7), IntPoly([-1, 2])),
+        (LEHMER, IntPoly([3, 1])),
+        (IntPoly([1, -3, 1]), IntPoly([1, -3, 1]), cyclotomic(12), IntPoly([3, 1])),
+    ],
 )
 def test_count_outside_matches_polyroots(factors):
     product = IntPoly([1])
@@ -367,9 +372,11 @@ def test_count_inside_off_circle_matches_polyroots(factors):
     product = IntPoly([1])
     for factor in factors:
         product = product * factor
+    # mpmath converges badly at repeated roots, so it sees one factor at a time
+    inside = sum(_layout_by_polyroots(f)[1] for f in factors)
     for r in (product, IntPoly(-c for c in product.coeffs)):
-        # mpmath converges badly at repeated roots, so it sees one factor at a time
-        assert _count_inside_off_circle(r) == sum(_layout_by_polyroots(f)[1] for f in factors)
+        count = count_roots_outside_unit_circle(r)
+        assert (count.inside, count.on_circle) == (inside, 0)
 
 
 def _real_root_count(p):

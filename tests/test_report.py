@@ -447,12 +447,12 @@ def test_a_run_computes_no_self_pairing(monkeypatch):
     """No line decides v.v = 0 (the square-sum line decides -4 v.v at lambda);
     the run encloses no v.v of its own, which only the report's
     `eigen.pair_self` reads."""
-    from voljump.spectral import EigenSystem
+    from voljump.intervals import ClassEnclosure
 
     def forbidden(self):
         raise AssertionError("self-pairing computed on the run path")
 
-    monkeypatch.setattr(EigenSystem, "self_pairing", forbidden)
+    monkeypatch.setattr(ClassEnclosure, "self_pair", forbidden)
     assert run_verification(RunConfig()).verdict
 
 
@@ -467,6 +467,18 @@ def test_charpoly_facts_strip_nothing(eigen, monkeypatch):
     monkeypatch.setattr(spectral, "strip_rational_root", forbidden)
     facts = CharpolyFacts.of(eigen)
     assert (facts.unit_root_multiplicity, facts.off_unit_factor) == (1, eigen.off_unit_factor)
+
+
+def test_the_unit_circle_count_isolates_no_real_root(eigen, monkeypatch):
+    """One Routh-Hurwitz count decides every root of s against the circle:
+    root isolation is left to lambda alone."""
+    from voljump import polynomials
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("real roots isolated by the unit-circle count")
+
+    monkeypatch.setattr(polynomials, "isolating_brackets", forbidden)
+    assert CharpolyFacts.of(eigen).circle == (1, 1, 9)
 
 
 def test_charpoly_facts_check_the_off_unit_factor(eigen):
